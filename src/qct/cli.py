@@ -22,8 +22,30 @@ from .products import Shape
 from .qring import QFrac, eval_poly, interpolate
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t != ""]
+def _nonneg_ints(text: str) -> list[int]:
+    """argparse type: a comma list of nonnegative integers."""
+    try:
+        values = [int(t) for t in text.split(",") if t != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
+    if any(v < 0 for v in values):
+        raise argparse.ArgumentTypeError(f"entries must be nonnegative, got {text!r}")
+    return values
+
+
+def _nonneg_int(text: str) -> int:
+    """argparse type: one nonnegative integer."""
+    values = _nonneg_ints(text)
+    if len(values) != 1:
+        raise argparse.ArgumentTypeError(f"expected one nonnegative integer, got {text!r}")
+    return values[0]
+
+
+def _abc(args) -> tuple[int, int, int]:
+    """--a, --b, --c of a family with one value each, absent flags read as 0."""
+    if args.a is not None and len(args.a) != 1:
+        raise SystemExit("--a takes one value for this family")
+    return (args.a[0] if args.a else 0), args.b or 0, args.c or 0
 
 
 # -- ct and rhs commands -----------------------------------------------------------
@@ -36,7 +58,7 @@ def _ct_value(args) -> QFrac:
             raise SystemExit("qdyson needs --a as a comma list")
         if args.method == "gx":
             raise SystemExit("--method gx supports the bf and qmorris families")
-        return products.ct_qdyson(_parse_ints(args.a))
+        return products.ct_qdyson(args.a)
     if family in ("qmorris", "bf"):
         if family == "qmorris":
             if args.n is None and args.shape is None:
@@ -46,9 +68,7 @@ def _ct_value(args) -> QFrac:
             if args.shape is None:
                 raise SystemExit("bf needs --shape")
             shape = Shape.parse(args.shape)
-        a = int(args.a or 0)
-        b = int(args.b or 0)
-        c = int(args.c or 0)
+        a, b, c = _abc(args)
         if args.method == "gx":
             return _gx_value(shape, a, b, c)
         return products.bf_ct(shape, a, b, c)
@@ -57,7 +77,7 @@ def _ct_value(args) -> QFrac:
             raise SystemExit("kadell needs --v, --r and --a")
         if args.method == "gx":
             raise SystemExit("--method gx supports the bf and qmorris families")
-        return products.kadell_ct(_parse_ints(args.v), int(args.r), _parse_ints(args.a))
+        return products.kadell_ct(args.v, args.r, args.a)
     raise SystemExit(f"unknown family {family!r}")
 
 
@@ -83,32 +103,32 @@ def cmd_rhs(args) -> int:
     if family == "qdyson":
         if args.a is None:
             raise SystemExit("qdyson needs --a as a comma list")
-        print(closedform.qdyson_rhs(_parse_ints(args.a)))
+        print(closedform.qdyson_rhs(args.a))
         return 0
     if family == "kadell":
         if args.v is None or args.r is None or args.a is None:
             raise SystemExit("kadell needs --v, --r and --a")
-        print(closedform.kadell_rhs(_parse_ints(args.v), int(args.r), _parse_ints(args.a)))
+        print(closedform.kadell_rhs(args.v, args.r, args.a))
         return 0
     if family == "qmorris" and args.n is None and args.shape is None:
         raise SystemExit("qmorris needs --n or --shape")
     if family in ("bf", "bf-p1", "dn0") and args.shape is None:
         raise SystemExit(f"{family} needs --shape")
+    a, b, c = _abc(args)
     if family == "qmorris":
         n = int(args.n) if args.n else Shape.parse(args.shape).n
-        print(closedform.qmorris_rhs(n, int(args.a or 0), int(args.b or 0), int(args.c or 0)))
+        print(closedform.qmorris_rhs(n, a, b, c))
     elif family == "bf":
         shape = Shape.parse(args.shape)
-        print(closedform.bf_rhs(BFParams(shape, int(args.a or 0), int(args.b or 0), int(args.c or 0))))
+        print(closedform.bf_rhs(BFParams(shape, a, b, c)))
     elif family == "bf-p1":
         shape = Shape.parse(args.shape)
         if shape.p != 1:
             raise SystemExit("bf-p1 needs a two-block shape")
-        print(closedform.bf_p1_rhs(shape.parts[0], shape.parts[1],
-                                   int(args.a or 0), int(args.b or 0), int(args.c or 0)))
+        print(closedform.bf_p1_rhs(shape.parts[0], shape.parts[1], a, b, c))
     elif family == "dn0":
         shape = Shape.parse(args.shape)
-        print(closedform.dn0_rhs(shape, int(args.c or 0)))
+        print(closedform.dn0_rhs(shape, c))
     else:
         raise SystemExit(f"unknown family {family!r}")
     return 0
@@ -196,9 +216,9 @@ def _cases_roots(args):
         shapes = BF_SHAPES
     out = []
     for shape in shapes:
-        bs = [int(args.b)] if args.b is not None else range(3)
+        bs = [args.b] if args.b is not None else range(3)
         for b in bs:
-            cs = [int(args.c)] if args.c is not None else range(3)
+            cs = [args.c] if args.c is not None else range(3)
             for c in cs:
                 if c >= b:
                     out.append({"shape": list(shape), "b": b, "c": c})
@@ -216,7 +236,7 @@ def _run_roots(params):
 def _cases_splitting(args):
     shapes = [tuple(Shape.parse(args.shape).parts)] if args.shape else \
         [(1, 1), (1, 2), (2, 2), (1, 1, 1)]
-    cs = [int(args.c)] if args.c is not None else [0, 1, 2]
+    cs = [args.c] if args.c is not None else [0, 1, 2]
     seed = int(getattr(args, "seed", 0) or 0)
     out = []
     for s in shapes:
@@ -281,7 +301,7 @@ def _cases_lemma_key(args):
         for p in range(0, 3):
             for r in _compositions_into(s, p + 1):
                 cases.append({"kind": "classify", "r": list(r)})
-    for s in range(1, 8):
+    for s in range(1, 9):
         cases.append({"kind": "minweight", "s": s})
     return cases
 
@@ -315,19 +335,16 @@ def _run_lemma_key(params):
                         roots.lemma_key_classify(k, b, c, t, r)
         return True, None
     if params["kind"] == "minweight":
-        s = params["s"]
-        from itertools import permutations
-        for r in _all_positive_compositions(s):
+        for r in _all_positive_compositions(params["s"]):
             if len(r) < 2:
                 continue
             m = max(r[1:])
             roots.min_weight_witness(r)
-            best = min(roots.path_weight(w, r).total for w in permutations(range(1, s + 1)))
+            best, leave_one_out = roots.min_path_weights(r)
             if best != m:
                 return False, {"r": list(r), "min": best}
-            for w in permutations(range(1, s + 1)):
-                if not roots.leave_one_out_bound_holds(w, r):
-                    return False, {"r": list(r), "w": list(w)}
+            if leave_one_out < m - 1:
+                return False, {"r": list(r), "leave_one_out_min": leave_one_out}
         return True, None
     raise ValueError(params)
 
@@ -598,11 +615,11 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["qdyson", "qmorris", "bf", "kadell"])
     ct.add_argument("--shape", help="comma list, e.g. 1,2,2")
     ct.add_argument("--n", help="variable count (qmorris)")
-    ct.add_argument("--a")
-    ct.add_argument("--b")
-    ct.add_argument("--c")
-    ct.add_argument("--v", help="comma list (kadell)")
-    ct.add_argument("--r", help="row weight (kadell)")
+    ct.add_argument("--a", type=_nonneg_ints)
+    ct.add_argument("--b", type=_nonneg_int)
+    ct.add_argument("--c", type=_nonneg_int)
+    ct.add_argument("--v", type=_nonneg_ints, help="comma list (kadell)")
+    ct.add_argument("--r", type=_nonneg_int, help="row weight (kadell)")
     ct.add_argument("--method", choices=["brute", "gx"], default="brute")
     ct.set_defaults(func=cmd_ct)
 
@@ -611,19 +628,19 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["qdyson", "qmorris", "bf", "bf-p1", "dn0", "kadell"])
     rhs.add_argument("--shape")
     rhs.add_argument("--n")
-    rhs.add_argument("--a")
-    rhs.add_argument("--b")
-    rhs.add_argument("--c")
-    rhs.add_argument("--v")
-    rhs.add_argument("--r")
+    rhs.add_argument("--a", type=_nonneg_ints)
+    rhs.add_argument("--b", type=_nonneg_int)
+    rhs.add_argument("--c", type=_nonneg_int)
+    rhs.add_argument("--v", type=_nonneg_ints)
+    rhs.add_argument("--r", type=_nonneg_int)
     rhs.set_defaults(func=cmd_rhs)
 
     ver = sub.add_parser("verify", help="run a named verification suite")
     ver.add_argument("--suite", required=True, choices=sorted(SUITES))
     ver.add_argument("--shape")
-    ver.add_argument("--a")
-    ver.add_argument("--b")
-    ver.add_argument("--c")
+    ver.add_argument("--a", type=_nonneg_ints)
+    ver.add_argument("--b", type=_nonneg_int)
+    ver.add_argument("--c", type=_nonneg_int)
     ver.add_argument("--out", help="JSON report path")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--max-seconds", dest="max_seconds",

@@ -12,6 +12,13 @@ from .products import Shape
 from .qring import ONE, QFrac, QLaurent, qbinom, qpoch
 
 
+def _polynomial(value: QFrac) -> QFrac:
+    """``value``, checked to be a polynomial in q as every closed form here is."""
+    if not value.is_polynomial():
+        raise ArithmeticError(f"closed form is not a polynomial in q: {value}")
+    return value
+
+
 class BFParams:
     """Parameter bundle (shape; a, b, c) for the decorated product."""
 
@@ -37,8 +44,7 @@ def qdyson_rhs(a) -> QFrac:
     for ai in a:
         den = den * qpoch(1, ai)
     out = QFrac(num, den)
-    assert out.is_polynomial()
-    return out
+    return _polynomial(out)
 
 
 def qmorris_rhs(n: int, a: int, b: int, c: int) -> QFrac:
@@ -51,8 +57,7 @@ def qmorris_rhs(n: int, a: int, b: int, c: int) -> QFrac:
         num = num * qpoch(1, a + b + i * c) * qpoch(1, (i + 1) * c)
         den = den * qpoch(1, a + i * c) * qpoch(1, b + i * c) * qpoch(1, c)
     out = QFrac(num, den)
-    assert out.is_polynomial()
-    return out
+    return _polynomial(out)
 
 
 def bf_p1_rhs(n0: int, n1: int, a: int, b: int, c: int) -> QFrac:
@@ -70,8 +75,7 @@ def bf_p1_rhs(n0: int, n1: int, a: int, b: int, c: int) -> QFrac:
         num = num * qpoch(a + j * c + shift + 1, b) * qpoch(1, (j + 1) * c + shift)
         den = den * qpoch(1, b + j * c + shift) * qpoch(1, c + chi)
     out = QFrac(num, den)
-    assert out.is_polynomial()
-    return out
+    return _polynomial(out)
 
 
 def recursion_factor(shape: Shape, a: int, b: int, c: int, k: int) -> QFrac:
@@ -102,8 +106,7 @@ def bf_rhs(params: BFParams, k: int | None = None) -> QFrac:
         shape = shape.decremented(kk)
         first = False
     out = total * qmorris_rhs(shape.n, a, b, c)
-    assert out.is_polynomial()
-    return out
+    return _polynomial(out)
 
 
 def dn0_rhs(shape: Shape, c: int) -> QFrac:
@@ -121,8 +124,7 @@ def dn0_rhs(shape: Shape, c: int) -> QFrac:
     for _ in range(n0):
         base_den = base_den * qpoch(1, c)
     out = total * QFrac(qpoch(1, n0 * c), base_den)
-    assert out.is_polynomial()
-    return out
+    return _polynomial(out)
 
 
 def kadell_rhs(v, r: int, a) -> QFrac:

@@ -4,6 +4,7 @@ and the path-weight combinatorics that drives the vanishing analysis."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 
 from .closedform import BFParams, bf_rhs, dn0_rhs
@@ -205,14 +206,17 @@ class PathWeight:
         return f"PathWeight(w={self.w}, r={self.r}, N={self.total})"
 
 
-def _position_blocks(r) -> list[set]:
-    """R_1..R_p as sets of positions (R_0 exists but never scores)."""
-    blocks = []
-    start = r[0] + 1
-    for size in r[1:]:
-        blocks.append(set(range(start, start + size)))
-        start += size
-    return blocks
+@lru_cache(maxsize=256)
+def _block_ids(r: tuple[int, ...]) -> tuple[int, ...]:
+    """Block label of positions 0..s: positions of R_i (i >= 1) share label i,
+    while position 0 (the start of every path) and each position of R_0 get a
+    label of their own, so only a decorated block ever scores."""
+    if not r or any(x < 1 for x in r):
+        raise ValueError("block sizes must be positive")
+    ids = [-pos for pos in range(r[0] + 1)]
+    for i, size in enumerate(r[1:], 1):
+        ids += [i] * size
+    return tuple(ids)
 
 
 def path_weight(w, r) -> PathWeight:
@@ -222,17 +226,63 @@ def path_weight(w, r) -> PathWeight:
     s = sum(r)
     if len(w) != s or sorted(w) != list(range(1, s + 1)):
         raise ValueError("w must be a permutation of 1..sum(r)")
-    if any(x < 1 for x in r):
-        raise ValueError("block sizes must be positive")
-    blocks = _position_blocks(r)
+    ids = _block_ids(r)
     e = []
     prev = 0
     for x in w:
-        asc = 1 if prev < x else 0
-        same = 1 if any(prev in blk and x in blk for blk in blocks) else 0
-        e.append(asc + same)
+        e.append((prev < x) + (ids[prev] == ids[x]))
         prev = x
     return PathWeight(w, r, e)
+
+
+def min_path_weights(r) -> tuple[int, int]:
+    """min over w of N(w), and min over w and j of N(w) - e_j.
+
+    N(w) = e_1 + the length of the path w_1 .. w_s with edge weight
+    [x < y] + [x, y in one decorated block], where e_1 = 1, so both minima
+    come from one Held-Karp pass instead of s! permutations.
+    """
+    ids = _block_ids(tuple(r))
+    s = len(ids) - 1
+    edge = [[(x < y) + (ids[x] == ids[y]) for y in range(1, s + 1)] for x in range(1, s + 1)]
+    return _held_karp(edge, 1)
+
+
+def _held_karp(edge, first: int) -> tuple[int, int]:
+    """Shortest Hamiltonian path weight over all orderings of range(len(edge)),
+    a path weighing ``first`` plus its edges, and the same minimum with one
+    step's weight (``first`` included) left out.
+
+    Dynamic programming over (visited set, last vertex) in O(2^s s^2) (Held &
+    Karp, "A dynamic programming approach to sequencing problems", 1962), with
+    one more bit for the leave-one-out minimum: has a weight been dropped yet.
+    Weights must be nonnegative.
+    """
+    s = len(edge)
+    big = first + s * max(map(max, edge), default=0) + 1  # exceeds every path weight
+    kept = [[big] * s for _ in range(1 << s)]  # nothing dropped yet
+    dropped = [[big] * s for _ in range(1 << s)]
+    for v in range(s):
+        kept[1 << v][v] = first
+        dropped[1 << v][v] = 0
+    for mask in range(1, 1 << s):
+        kept_m, dropped_m = kept[mask], dropped[mask]
+        free = [u for u in range(s) if not mask >> u & 1]
+        for v in range(s):
+            kv = kept_m[v]
+            if kv == big:  # v is not in mask
+                continue
+            dv = dropped_m[v]
+            ev = edge[v]
+            for u in free:
+                nxt = mask | 1 << u
+                wt = ev[u]
+                if kv + wt < kept[nxt][u]:
+                    kept[nxt][u] = kv + wt
+                best = min(dv + wt, kv)
+                if best < dropped[nxt][u]:
+                    dropped[nxt][u] = best
+    return min(kept[-1]), min(dropped[-1])
 
 
 def min_weight_witness(r) -> tuple[tuple[int, ...], int]:
@@ -259,11 +309,6 @@ def min_weight_witness(r) -> tuple[tuple[int, ...], int]:
     return tuple(w0), got
 
 
-def exhaustive_min_weight(r) -> int:
-    s = sum(r)
-    return min(path_weight(w, r).total for w in permutations(range(1, s + 1)))
-
-
 def leave_one_out_bound_holds(w, r) -> bool:
     """sum_{j != i} e_j >= max(r_1..r_p) - 1 for every i."""
     pw = path_weight(w, r)
@@ -284,31 +329,26 @@ def lemma_key_classify(k, b: int, c: int, t: int, r) -> tuple[int, object]:
     permutation w and slack vector d realizing the staircase growth pattern.
     Raises LemmaFalsified when nothing applies (which would refute the lemma).
     """
-    k = list(k)
+    k = tuple(k)
     r = tuple(r)
-    s = sum(r)
+    ids = _block_ids(r)
+    s = len(ids) - 1
     if len(k) != s:
         raise ValueError("k length must equal sum(r)")
-    bound = (s - 1) * c + b + t
-    if any(not 1 <= x <= bound for x in k):
+    if min(k) < 1 or max(k) > (s - 1) * c + b + t:
         raise ValueError("k out of the admissible range")
     for i in range(s):
         if k[i] <= b:
             return (1, i + 1)
-    blocks = _position_blocks(r)
-
-    def same_block(i, j):
-        return any(i in blk and j in blk for blk in blocks)
-
-    for i in range(1, s + 1):
+    for i in range(1, s):
+        ki, block = k[i - 1], ids[i]
         for j in range(i + 1, s + 1):
-            diff = k[i - 1] - k[j - 1]
-            if not same_block(i, j) and -c <= diff <= c - 1:
+            if ids[j] != block and -c <= ki - k[j - 1] <= c - 1:
                 return (2, (i, j))
-    for i in range(1, s + 1):
+    for i in range(1, s):
+        ki, block = k[i - 1], ids[i]
         for j in range(i + 1, s + 1):
-            diff = k[i - 1] - k[j - 1]
-            if same_block(i, j) and -c - 1 <= diff <= c:
+            if ids[j] == block and -c - 1 <= ki - k[j - 1] <= c:
                 return (3, (i, j))
     maxr = max(r[1:]) if len(r) > 1 else 0
     for w in permutations(range(1, s + 1)):
@@ -317,7 +357,7 @@ def lemma_key_classify(k, b: int, c: int, t: int, r) -> tuple[int, object]:
         chi_sum = 0
         prev = 0
         for j, x in enumerate(w):
-            chi = 1 if (prev != 0 and same_block(prev, x)) else 0
+            chi = 1 if ids[prev] == ids[x] else 0
             if j == 0:
                 dj = k[x - 1] - b
             else:

@@ -197,18 +197,17 @@ def test_criterion_11_lemma_key_and_min_weight():
                             for k in itertools.product(range(1, bound + 1), repeat=s):
                                 roots.lemma_key_classify(k, b, c, t, r)
                                 classified += 1
-    # exhaustive minimum over all permutations for s <= 7
-    for s in range(1, 8):
+    # exact minimum and leave-one-out minimum over all permutations for s <= 8
+    for s in range(1, 9):
         for r in _all_compositions(s):
             if len(r) < 2:
                 continue
             m = max(r[1:])
             roots.min_weight_witness(r)
-            best = min(roots.path_weight(w, r).total
-                       for w in itertools.permutations(range(1, s + 1)))
-            ok = ok and best == m
+            best, leave_one_out = roots.min_path_weights(r)
+            ok = ok and best == m and leave_one_out >= m - 1
     elapsed = time.monotonic() - t0
-    _announce(11, "key-lemma classification exhaustive + path-weight lower bound s<=7",
+    _announce(11, "key-lemma classification exhaustive + path-weight lower bounds s<=8",
               ok and elapsed < 120, elapsed, f"exact, {classified} k-vectors, target <2min")
 
 

@@ -122,6 +122,22 @@ def test_invalid_flags_exit_nonzero():
         main(["ct", "--family", "qdyson"])  # missing --a
 
 
+@pytest.mark.parametrize("argv", [
+    ("ct", "--family", "qdyson", "--a=-1,2"),
+    ("ct", "--family", "bf", "--shape", "1,1", "--a=-1", "--b", "1", "--c", "1"),
+    ("rhs", "--family", "qdyson", "--a=-1,2"),
+    ("ct", "--family", "kadell", "--v=-1,1", "--r", "1", "--a", "1,1"),
+    ("rhs", "--family", "kadell", "--v", "1,0", "--r=-1", "--a", "1,1"),
+    ("verify", "--suite", "roots", "--shape", "1,2", "--b", "1", "--c=-1"),
+])
+def test_negative_arguments_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be nonnegative" in err
+
+
 def test_max_seconds_trims(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out = run(capsys, "verify", "--suite", "bf-recursion", "--max-seconds", "0")

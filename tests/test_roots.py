@@ -1,18 +1,21 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qct.closedform import all_shapes
 from qct.products import Shape, bf_ct
 from qct.qring import QFrac, eval_poly
 from qct.roots import (
     LemmaFalsified,
+    _held_karp,
     threshold_attainment_check,
     threshold_block_bound_holds,
-    exhaustive_min_weight,
     interpolate_dn,
     lemma_key_classify,
     leave_one_out_bound_holds,
+    min_path_weights,
     min_weight_witness,
     path_weight,
     product_form_coeffs,
@@ -115,11 +118,57 @@ def test_path_weight_worked_examples():
     assert pw.e[0] == 1  # e_1 = 1 always
 
 
+def exhaustive_min_weights(r):
+    """Brute-force oracle for min_path_weights: both minima over all s! permutations."""
+    s = sum(r)
+    weights = [path_weight(w, r) for w in itertools.permutations(range(1, s + 1))]
+    return min(pw.total for pw in weights), min(pw.total - max(pw.e) for pw in weights)
+
+
+def _compositions(s):
+    if s == 0:
+        yield ()
+        return
+    for first in range(1, s + 1):
+        for rest in _compositions(s - first):
+            yield (first,) + rest
+
+
 def test_min_weight_small_cases():
     assert min_weight_witness((1, 1)) == ((2, 1), 1)
-    assert exhaustive_min_weight((2, 2, 2)) == 2
+    assert exhaustive_min_weights((2, 2, 2))[0] == 2
     for r in ((1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 2)):
-        assert exhaustive_min_weight(r) == max(r[1:])
+        assert exhaustive_min_weights(r)[0] == max(r[1:])
+
+
+def test_min_path_weights_matches_brute_force():
+    count = 0
+    for s in range(1, 7):
+        for r in _compositions(s):
+            assert min_path_weights(r) == exhaustive_min_weights(r), r
+            count += 1
+    assert count == 2 ** 6 - 1
+    # p = 0: every step after the first is a descent at best
+    assert min_path_weights((3,)) == (1, 0)
+    with pytest.raises(ValueError):
+        min_path_weights((2, 0))
+
+
+square_weights = st.integers(1, 6).flatmap(
+    lambda s: st.lists(st.lists(st.integers(0, 3), min_size=s, max_size=s), min_size=s, max_size=s))
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_weights, st.integers(0, 2))
+def test_held_karp_property(edge, first):
+    # on path-weight inputs the leave-one-out minimum is always the minimum
+    # less one, so arbitrary weights are what exercise its dropped-step bit
+    totals, leave_one_out = [], []
+    for w in itertools.permutations(range(len(edge))):
+        steps = [first] + [edge[x][y] for x, y in zip(w, w[1:])]
+        totals.append(sum(steps))
+        leave_one_out.append(sum(steps) - max(steps))
+    assert _held_karp(edge, first) == (min(totals), min(leave_one_out))
 
 
 def test_leave_one_out_bound():
@@ -147,6 +196,39 @@ def test_lemma_key_case4_witness():
     assert case == 4
     w, d = witness
     assert d[0] >= 1
+
+
+# (k, b, c, t, r) -> (case, witness), recorded from the set-based classifier
+# on k-vectors of the lemma-key suite grid; every case 4 is a staircase, three
+# of them with a step inside a decorated block
+LEMMA_KEY_PINNED = [
+    (((7, 10, 7, 1), 2, 2, 2, (1, 2, 1)), (1, 4)),
+    (((4, 7, 1, 1), 1, 2, 0, (2, 1, 1)), (1, 3)),
+    (((7, 6, 7, 2), 2, 2, 2, (1, 2, 1)), (1, 4)),
+    (((1, 1, 4, 6), 0, 2, 2, (2, 1, 1)), (2, (1, 2))),
+    (((9, 8, 9, 10), 2, 2, 2, (2, 1, 1)), (2, (1, 2))),
+    (((7, 9, 8, 10), 2, 2, 2, (2, 2)), (2, (1, 2))),
+    (((5, 3, 8, 7), 2, 2, 2, (2, 2)), (2, (1, 4))),
+    (((7, 5, 5, 1), 0, 2, 1, (1, 2, 1)), (3, (2, 3))),
+    (((3, 8, 8, 8), 2, 2, 2, (1, 3)), (3, (2, 3))),
+    (((6, 4, 3, 3), 2, 2, 1, (1, 3)), (3, (2, 3))),
+    (((8, 5, 3, 3), 0, 2, 2, (2, 2)), (3, (3, 4))),
+    (((6, 5, 4, 3), 2, 1, 2, (2, 1, 1)), (4, ((4, 3, 2, 1), (1, 0, 0, 0)))),
+    (((2, 5, 1, 4), 0, 1, 2, (2, 2)), (4, ((3, 1, 4, 2), (1, 0, 1, 0)))),
+    (((7, 5, 3), 2, 2, 1, (2, 1)), (4, ((3, 2, 1), (1, 0, 0)))),
+    (((5, 4, 2, 1), 0, 1, 2, (1, 2, 1)), (4, ((4, 3, 2, 1), (1, 0, 0, 0)))),
+    (((3, 2, 6, 5), 1, 1, 2, (3, 1)), (4, ((2, 1, 4, 3), (1, 0, 1, 0)))),
+    (((4, 3, 2), 1, 1, 2, (1, 1, 1)), (4, ((3, 2, 1), (1, 0, 0)))),
+    (((6, 3, 5), 2, 1, 2, (2, 1)), (4, ((2, 3, 1), (1, 1, 0)))),
+    (((7, 6, 4, 3), 2, 1, 2, (1, 2, 1)), (4, ((4, 3, 2, 1), (1, 0, 0, 0)))),
+    (((6, 4, 1), 0, 2, 2, (1, 2)), (4, ((3, 2, 1), (1, 0, 0)))),
+    (((7, 6, 5, 3), 2, 1, 2, (1, 1, 2)), (4, ((4, 3, 2, 1), (1, 0, 0, 0)))),
+]
+
+
+@pytest.mark.parametrize("args, expected", LEMMA_KEY_PINNED)
+def test_lemma_key_pinned_sample(args, expected):
+    assert lemma_key_classify(*args) == expected
 
 
 def test_lemma_key_exhaustive_small():
