@@ -41,6 +41,27 @@ def _nonneg_int(text: str) -> int:
     return values[0]
 
 
+def _positive_ints(text: str) -> list[int]:
+    """argparse type: a nonempty comma list of positive integers."""
+    values = _nonneg_ints(text)
+    if not values or 0 in values:
+        raise argparse.ArgumentTypeError(f"entries must be positive, got {text!r}")
+    return values
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: one positive integer."""
+    values = _positive_ints(text)
+    if len(values) != 1:
+        raise argparse.ArgumentTypeError(f"expected one positive integer, got {text!r}")
+    return values[0]
+
+
+def _shape(text: str) -> Shape:
+    """argparse type: block sizes n_0,n_1,... as a comma list of positive integers."""
+    return Shape(_positive_ints(text))
+
+
 def _abc(args) -> tuple[int, int, int]:
     """--a, --b, --c of a family with one value each, absent flags read as 0."""
     if args.a is not None and len(args.a) != 1:
@@ -63,11 +84,11 @@ def _ct_value(args) -> QFrac:
         if family == "qmorris":
             if args.n is None and args.shape is None:
                 raise SystemExit("qmorris needs --n or --shape")
-            shape = Shape((int(args.n),)) if args.n else Shape.parse(args.shape)
+            shape = Shape((args.n,)) if args.n else args.shape
         else:
             if args.shape is None:
                 raise SystemExit("bf needs --shape")
-            shape = Shape.parse(args.shape)
+            shape = args.shape
         a, b, c = _abc(args)
         if args.method == "gx":
             return _gx_value(shape, a, b, c)
@@ -116,19 +137,17 @@ def cmd_rhs(args) -> int:
         raise SystemExit(f"{family} needs --shape")
     a, b, c = _abc(args)
     if family == "qmorris":
-        n = int(args.n) if args.n else Shape.parse(args.shape).n
+        n = args.n if args.n else args.shape.n
         print(closedform.qmorris_rhs(n, a, b, c))
     elif family == "bf":
-        shape = Shape.parse(args.shape)
-        print(closedform.bf_rhs(BFParams(shape, a, b, c)))
+        print(closedform.bf_rhs(BFParams(args.shape, a, b, c)))
     elif family == "bf-p1":
-        shape = Shape.parse(args.shape)
+        shape = args.shape
         if shape.p != 1:
             raise SystemExit("bf-p1 needs a two-block shape")
         print(closedform.bf_p1_rhs(shape.parts[0], shape.parts[1], a, b, c))
     elif family == "dn0":
-        shape = Shape.parse(args.shape)
-        print(closedform.dn0_rhs(shape, c))
+        print(closedform.dn0_rhs(args.shape, c))
     else:
         raise SystemExit(f"unknown family {family!r}")
     return 0
@@ -165,7 +184,7 @@ def _run_qmorris(params):
 
 
 def _cases_bf(args):
-    shapes = [tuple(Shape.parse(args.shape).parts)] if args.shape else BF_SHAPES
+    shapes = [args.shape.parts] if args.shape else BF_SHAPES
     grid = range(3)
     out = []
     for shape in shapes:
@@ -210,10 +229,7 @@ def _run_p1(params):
 
 
 def _cases_roots(args):
-    if args.shape:
-        shapes = [tuple(Shape.parse(args.shape).parts)]
-    else:
-        shapes = BF_SHAPES
+    shapes = [args.shape.parts] if args.shape else BF_SHAPES
     out = []
     for shape in shapes:
         bs = [args.b] if args.b is not None else range(3)
@@ -234,7 +250,7 @@ def _run_roots(params):
 
 
 def _cases_splitting(args):
-    shapes = [tuple(Shape.parse(args.shape).parts)] if args.shape else \
+    shapes = [args.shape.parts] if args.shape else \
         [(1, 1), (1, 2), (2, 2), (1, 1, 1)]
     cs = [args.c] if args.c is not None else [0, 1, 2]
     seed = int(getattr(args, "seed", 0) or 0)
@@ -613,8 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     ct = sub.add_parser("ct", help="compute one constant term")
     ct.add_argument("--family", required=True,
                     choices=["qdyson", "qmorris", "bf", "kadell"])
-    ct.add_argument("--shape", help="comma list, e.g. 1,2,2")
-    ct.add_argument("--n", help="variable count (qmorris)")
+    ct.add_argument("--shape", type=_shape, help="comma list, e.g. 1,2,2")
+    ct.add_argument("--n", type=_positive_int, help="variable count (qmorris)")
     ct.add_argument("--a", type=_nonneg_ints)
     ct.add_argument("--b", type=_nonneg_int)
     ct.add_argument("--c", type=_nonneg_int)
@@ -626,8 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
     rhs = sub.add_parser("rhs", help="evaluate a closed form")
     rhs.add_argument("--family", required=True,
                      choices=["qdyson", "qmorris", "bf", "bf-p1", "dn0", "kadell"])
-    rhs.add_argument("--shape")
-    rhs.add_argument("--n")
+    rhs.add_argument("--shape", type=_shape)
+    rhs.add_argument("--n", type=_positive_int)
     rhs.add_argument("--a", type=_nonneg_ints)
     rhs.add_argument("--b", type=_nonneg_int)
     rhs.add_argument("--c", type=_nonneg_int)
@@ -637,8 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a named verification suite")
     ver.add_argument("--suite", required=True, choices=sorted(SUITES))
-    ver.add_argument("--shape")
-    ver.add_argument("--a", type=_nonneg_ints)
+    ver.add_argument("--shape", type=_shape)
     ver.add_argument("--b", type=_nonneg_int)
     ver.add_argument("--c", type=_nonneg_int)
     ver.add_argument("--out", help="JSON report path")

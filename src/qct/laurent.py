@@ -7,18 +7,21 @@ per variable; slot t corresponds to the variable printed as ``x{t+1}``.
 The module also houses the constant-term fold engine: a product given as a
 list of factors is multiplied out factor by factor while partial monomials
 whose exponents cannot return to the requested target window are dropped.
-Pruning never changes the result, only the work.  Two coefficient kernels are
-available, selected by the ``QCT_KERNEL`` environment variable:
+Pruning never changes the result, only the work.  There is one kernel:
 
-* ``packed`` (default): coefficients in q are packed into single big integers
-  (base ``2**B`` balanced digits), so shift/add/multiply ride on CPython's
-  bignum arithmetic;
-* ``dict``: plain ``{exponent: coefficient}`` dicts, the reference kernel.
+* each monomial is one int key, its exponent vector in mixed radix over the
+  box that holds every pruning window (Kronecker substitution), so a term
+  moves a state by one int add and the window test decodes only the slots
+  the factor touches;
+* each q-coefficient is one big int of balanced base ``2**B`` digits, so
+  shift/add/multiply ride on CPython's bignum arithmetic;
+* the linear factor (1 - q^m x^delta) has its own two-term step.
+
+Keys are decoded back to exponent tuples only at the end.  A plain dict fold
+lives in the tests as the reference the kernel must match exactly.
 """
 
 from __future__ import annotations
-
-import os
 
 from .qring import ONE, QFrac, QLaurent
 
@@ -364,9 +367,10 @@ class FoldFactor:
     ``terms`` is a list of (delta, qexp, coeff) with delta an exponent tuple
     (or None for the zero vector), and coeff a QLaurent giving the q-part of
     the term; the monomial contributed is coeff * q^qexp * x^delta.
+    ``touched`` lists the slots where some delta is nonzero.
     """
 
-    __slots__ = ("arity", "terms", "lo", "hi", "l1")
+    __slots__ = ("arity", "terms", "lo", "hi", "l1", "touched")
 
     def __init__(self, arity: int, terms):
         self.arity = arity
@@ -404,6 +408,7 @@ class FoldFactor:
         self.lo = tuple(lo)
         self.hi = tuple(hi)
         self.l1 = max(l1, 1)
+        self.touched = tuple(v for v in range(arity) if lo[v] or hi[v])
 
     @staticmethod
     def linear(arity: int, i, j, m: int) -> "FoldFactor":
@@ -436,37 +441,41 @@ def linear_factors(arity: int, i, j, m: int, z: int) -> list[FoldFactor]:
     return [FoldFactor.linear(arity, i, j, m + t) for t in range(z)]
 
 
-def _touched(f: FoldFactor) -> tuple:
-    return tuple(v for v in range(f.arity) if f.lo[v] or f.hi[v])
+def _windows(factors, tlo, thi):
+    """Per-step admissible windows implied by suffix reachability.
 
-
-def _kernel_name(kernel):
-    if kernel is None:
-        kernel = os.environ.get("QCT_KERNEL", "packed")
-    if kernel not in ("packed", "dict"):
-        raise ValueError(f"unknown fold kernel {kernel!r}")
-    return kernel
-
-
-def _windows(arity, factors, tlo, thi):
-    """Per-step admissible exponent windows implied by suffix reachability."""
-    nf = len(factors)
-    keep_lo = [None] * nf
-    keep_hi = [None] * nf
+    Returns (steps, base, top).  ``steps[fi]`` lists (v, lo, hi) for each slot
+    v that factor fi touches: after step fi a kept monomial has its slot v in
+    [lo, hi].  [base[v], top[v]] is the smallest interval holding 0 and every
+    window on slot v.  ``steps`` is None when no monomial can reach the target.
+    """
+    arity = len(tlo)
     rlo = [0] * arity
     rhi = [0] * arity
-    for fi in range(nf - 1, -1, -1):
-        keep_lo[fi] = tuple(tlo[v] - rhi[v] for v in range(arity))
-        keep_hi[fi] = tuple(thi[v] - rlo[v] for v in range(arity))
+    base = [0] * arity
+    top = [0] * arity
+    steps = [None] * len(factors)
+    for fi in range(len(factors) - 1, -1, -1):
         f = factors[fi]
-        for v in range(arity):
+        win = []
+        for v in f.touched:
+            lo = tlo[v] - rhi[v]
+            hi = thi[v] - rlo[v]
+            win.append((v, lo, hi))
+            if lo < base[v]:
+                base[v] = lo
+            if hi > top[v]:
+                top[v] = hi
             rlo[v] += f.lo[v]
             rhi[v] += f.hi[v]
-    start_ok = all(tlo[v] - rhi[v] <= 0 <= thi[v] - rlo[v] for v in range(arity))
-    return keep_lo, keep_hi, start_ok
+        steps[fi] = win
+    for v in range(arity):
+        if tlo[v] - rhi[v] > 0 or thi[v] - rlo[v] < 0:
+            return None, base, top
+    return steps, base, top
 
 
-def ct_fold(arity, factors, tlo=None, thi=None, kernel=None) -> dict:
+def ct_fold(arity, factors, tlo=None, thi=None) -> dict:
     """Expand a factor list, keeping only exponents inside [tlo, thi].
 
     Returns a dict from exponent tuple to QLaurent.  With the default
@@ -490,11 +499,8 @@ def ct_fold(arity, factors, tlo=None, thi=None, kernel=None) -> dict:
     if not factors:
         inside = all(tlo[v] <= 0 <= thi[v] for v in range(arity))
         return {(0,) * arity: ONE} if inside else {}
-    name = _kernel_name(kernel)
-    if name == "packed":
-        packed, B = _fold_packed(arity, factors, tlo, thi)
-        return {e: _decode_packed(lo, mag, B) for e, (lo, mag) in packed.items()}
-    return _fold_dict(arity, factors, tlo, thi)
+    packed, B = _fold_packed(factors, tlo, thi)
+    return {e: _decode_packed(lo, mag, B) for e, (lo, mag) in packed.items()}
 
 
 def fold_packed_raw(arity, factors, tlo, thi, extra_l1: int = 1):
@@ -504,7 +510,7 @@ def fold_packed_raw(arity, factors, tlo, thi, extra_l1: int = 1):
     packed values by further polynomials of that combined L1 norm without
     digit overflow.
     """
-    return _fold_packed(arity, list(factors), tuple(tlo), tuple(thi), extra_l1)
+    return _fold_packed(list(factors), tuple(tlo), tuple(thi), extra_l1)
 
 
 def _choose_B(factors, extra_l1: int = 1) -> int:
@@ -514,44 +520,129 @@ def _choose_B(factors, extra_l1: int = 1) -> int:
     return max(64, bound.bit_length() + 8)
 
 
-def _fold_packed(arity, factors, tlo, thi, extra_l1: int = 1):
-    keep_lo, keep_hi, start_ok = _windows(arity, factors, tlo, thi)
+def _fold_packed(factors, tlo, thi, extra_l1: int = 1):
     B = _choose_B(factors, extra_l1)
-    if not start_ok:
+    steps, base, top = _windows(factors, tlo, thi)
+    if steps is None:
         return {}, B
-    # precompile factor terms: (delta, qexp, lo_c, mag_c)
-    compiled = []
-    for f in factors:
+    # Kronecker keys: slot v of a state's key holds e_v - base[v], a digit in
+    # [0, width[v]), at weight radix[v].  A term is kept only if its touched
+    # digits land in the step's window, which lies in the box, so key + dk
+    # never carries from one slot into the next.
+    radix = []
+    width = []
+    r = 1
+    for b, t in zip(base, top):
+        radix.append(r)
+        width.append(t - b + 1)
+        r *= t - b + 1
+    state = {-sum(b * m for b, m in zip(base, radix)): (0, 1)}
+    for f, win in zip(factors, steps):
+        slots = [(radix[v], width[v]) for v, _, _ in win]
         terms = []
         for delta, qexp, coeff in f.terms:
-            lo_c = coeff.min_exp()
-            mag_c = _encode_packed(coeff, lo_c, B)
-            terms.append((delta, qexp + lo_c, mag_c))
-        compiled.append((terms, _touched(f)))
-    state = {(0,) * arity: (0, 1)}
-    for fi, (terms, touched) in enumerate(compiled):
-        klo = keep_lo[fi]
-        khi = keep_hi[fi]
-        new: dict = {}
-        for e, (lo, mag) in state.items():
-            for delta, qsh, cmag in terms:
-                if delta is None:
-                    ne = e
+            # key offset, q-shift, packed coefficient, and for each touched
+            # slot the digits a source may hold for the target to stay inside
+            dk = 0
+            bounds = []
+            for v, lo, hi in win:
+                d = 0 if delta is None else delta[v]
+                dk += d * radix[v]
+                bounds.append((lo - base[v] - d, hi - base[v] - d))
+            lo_c, cmag = pack_qlaurent(coeff, B)
+            terms.append((dk, qexp + lo_c, cmag, bounds))
+        if (len(terms) == 2 and terms[0][:3] == (0, 0, 1) and terms[1][0]
+                and terms[1][2] == -1 and len(slots) <= 2):
+            state = _step_linear(state, B, slots, terms)
+        else:
+            state = _step_general(state, B, slots, terms)
+        if not state:
+            break
+    out = {}
+    for k, val in state.items():
+        e = []
+        for b, w in zip(base, width):
+            k, x = divmod(k, w)
+            e.append(x + b)
+        out[tuple(e)] = val
+    return out, B
+
+
+def _step_linear(state, B, slots, terms):
+    """One (1 - q^m x^delta) step: new[k] += old[k], new[k + dk] -= q^m old[k].
+
+    ``slots`` and each term's bounds cover the one or two touched slots.
+    """
+    (_, _, _, ((ilo, ihi), *jb)), (dk, qsh, _, ((dilo, dihi), *djb)) = terms
+    (mi, wi), *rest = slots
+    if rest:
+        (mj, wj), = rest
+        (jlo, jhi), = jb
+        (djlo, djhi), = djb
+    else:
+        # a single touched slot: the second test reads a constant 0
+        mj, wj, jlo, jhi, djlo, djhi = 1, 1, 0, 0, 0, 0
+    new: dict = {}
+    get = new.get
+    for k, val in state.items():
+        xi = k // mi % wi
+        xj = k // mj % wj
+        if ilo <= xi <= ihi and jlo <= xj <= jhi:
+            cur = get(k)
+            if cur is None:
+                new[k] = val
+            else:
+                clo, cm = cur
+                lo, mag = val
+                if clo <= lo:
+                    s = cm + (mag << (B * (lo - clo)))
+                    rl = clo
                 else:
-                    ne = tuple([a + b for a, b in zip(e, delta)])
-                ok = True
-                for v in touched:
-                    x = ne[v]
-                    if x < klo[v] or x > khi[v]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
+                    s = mag + (cm << (B * (clo - lo)))
+                    rl = lo
+                if s:
+                    new[k] = (rl, s)
+                else:
+                    del new[k]
+        if dilo <= xi <= dihi and djlo <= xj <= djhi:
+            nk = k + dk
+            lo, mag = val
+            nlo = lo + qsh
+            cur = get(nk)
+            if cur is None:
+                new[nk] = (nlo, -mag)
+            else:
+                clo, cm = cur
+                if clo <= nlo:
+                    s = cm - (mag << (B * (nlo - clo)))
+                    rl = clo
+                else:
+                    s = (cm << (B * (clo - nlo))) - mag
+                    rl = nlo
+                if s:
+                    new[nk] = (rl, s)
+                else:
+                    del new[nk]
+    return new
+
+
+def _step_general(state, B, slots, terms):
+    """One step by any factor: each term moves a state by its key offset."""
+    new: dict = {}
+    get = new.get
+    for k, (lo, mag) in state.items():
+        xs = [k // m % w for m, w in slots]
+        for dk, qsh, cmag, bounds in terms:
+            for x, (blo, bhi) in zip(xs, bounds):
+                if x < blo or x > bhi:
+                    break
+            else:
+                nk = k + dk
                 nlo = lo + qsh
                 nmag = mag if cmag == 1 else (-mag if cmag == -1 else mag * cmag)
-                cur = new.get(ne)
+                cur = get(nk)
                 if cur is None:
-                    new[ne] = (nlo, nmag)
+                    new[nk] = (nlo, nmag)
                 else:
                     clo, cm = cur
                     if clo <= nlo:
@@ -561,57 +652,10 @@ def _fold_packed(arity, factors, tlo, thi, extra_l1: int = 1):
                         s = nmag + (cm << (B * (clo - nlo)))
                         rl = nlo
                     if s:
-                        new[ne] = (rl, s)
+                        new[nk] = (rl, s)
                     else:
-                        del new[ne]
-        state = new
-        if not state:
-            break
-    return state, B
-
-
-def _fold_dict(arity, factors, tlo, thi):
-    keep_lo, keep_hi, start_ok = _windows(arity, factors, tlo, thi)
-    if not start_ok:
-        return {}
-    state = {(0,) * arity: {0: 1}}
-    for fi, f in enumerate(factors):
-        klo = keep_lo[fi]
-        khi = keep_hi[fi]
-        touched = _touched(f)
-        new: dict = {}
-        for e, qd in state.items():
-            for delta, qsh, coeff in f.terms:
-                if delta is None:
-                    ne = e
-                else:
-                    ne = tuple([a + b for a, b in zip(e, delta)])
-                ok = True
-                for v in touched:
-                    x = ne[v]
-                    if x < klo[v] or x > khi[v]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                cur = new.get(ne)
-                if cur is None:
-                    cur = new[ne] = {}
-                for ce, cc in coeff.terms.items():
-                    sh = ce + qsh
-                    for k, v in qd.items():
-                        kk = k + sh
-                        s = cur.get(kk, 0) + v * cc
-                        if s:
-                            cur[kk] = s
-                        else:
-                            del cur[kk]
-                if not cur:
-                    del new[ne]
-        state = new
-        if not state:
-            break
-    return {e: QLaurent(qd, _trusted=True) for e, qd in state.items() if qd}
+                        del new[nk]
+    return new
 
 
 # -- packed coefficient helpers -------------------------------------------------------

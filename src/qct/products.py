@@ -118,15 +118,23 @@ def qdyson_factors(a) -> list[FoldFactor]:
     return out
 
 
-def pair_factors(shape: Shape, c: int) -> list[FoldFactor]:
-    """Linear factors of prod_{i<j} (x_i/x_j)_{c+eps} (q x_j/x_i)_{c+eps}."""
+def pair_factors(shape: Shape, c: int, skip: int | None = None,
+                 arity: int | None = None) -> list[FoldFactor]:
+    """Linear factors of prod_{i<j} (x_i/x_j)_{c+eps} (q x_j/x_i)_{c+eps}.
+
+    ``skip`` drops every pair that involves that variable; ``arity`` (default
+    n) leaves room for further slots after x_n.
+    """
     n = shape.n
+    arity = arity or n
     out = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
+            if skip in (i, j):
+                continue
             z = c + epsilon(shape, i, j)
-            out.extend(linear_factors(n, i, j, 0, z))
-            out.extend(linear_factors(n, j, i, 1, z))
+            out.extend(linear_factors(arity, i, j, 0, z))
+            out.extend(linear_factors(arity, j, i, 1, z))
     return out
 
 

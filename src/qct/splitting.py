@@ -19,7 +19,7 @@ from fractions import Fraction
 from random import Random
 
 from .laurent import FoldFactor, MLaurent, ct_fold, linear_factors
-from .products import Shape, epsilon, pair_factors
+from .products import Shape, pair_factors
 from .qring import ONE, QFrac, QLaurent, qpoch
 
 
@@ -62,17 +62,7 @@ def admissible_j(shape: Shape, c: int, i: int, k: int | None = None) -> range:
 
 def _pair_terms(shape: Shape, c: int, skip: int | None = None, arity: int | None = None) -> dict:
     """Expanded pair product as a dict of QLaurent coefficients."""
-    n = shape.n
-    arity = arity or n
-    factors = []
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if skip is not None and skip in (u, v):
-                continue
-            z = c + epsilon(shape, u, v)
-            factors.extend(linear_factors(arity, u, v, 0, z))
-            factors.extend(linear_factors(arity, v, u, 1, z))
-    return ct_fold(arity, factors, None, None)
+    return ct_fold(arity or shape.n, pair_factors(shape, c, skip, arity), None, None)
 
 
 def pair_product(shape: Shape, c: int, skip: int | None = None, arity: int | None = None) -> MLaurent:
@@ -146,6 +136,34 @@ def _acoeff_scalar_parts(shape: Shape, c: int, i: int, j: int, k: int):
     return sign, shift, den
 
 
+def _acoeff_parts(shape: Shape, c: int, i: int, j: int, k: int):
+    """(sign, q-exponent, plain denominator, monomial exponent vector, fold
+    factors) of one splitting coefficient, read off the table rows."""
+    n = shape.n
+    factors: list[FoldFactor] = []
+    mono = [0] * n
+    qexp = 0
+    sign = 1
+    for lo, hi, e, bold, pochs in _acoeff_rows(shape, c, i, j, k):
+        for l in range(lo, hi + 1):
+            if l == i:
+                continue
+            qexp += e
+            if bold == "l/i":
+                sign = -sign
+                mono[l - 1] += 1
+                mono[i - 1] -= 1
+            elif bold == "i/l":
+                sign = -sign
+                mono[i - 1] += 1
+                mono[l - 1] -= 1
+            for base, length in pochs:
+                factors.extend(linear_factors(n, l, i, base, length))
+    factors.extend(pair_factors(shape, c, skip=i))
+    s2, sh2, den = _acoeff_scalar_parts(shape, c, i, j, k)
+    return sign * s2, qexp + sh2, den, tuple(mono), factors
+
+
 class ACoeff:
     """One splitting coefficient in cleared form: sign * q^qexp * P / den,
     with P an integer-coefficient Laurent polynomial in the x's."""
@@ -157,42 +175,10 @@ class ACoeff:
             raise ValueError(f"j={j} out of range for variable {i}")
         self.shape, self.c, self.i, self.j, self.k = shape, c, i, j, k
         self.t = shape.block_of(i)
-        n = shape.n
-        factors: list[FoldFactor] = []
-        mono = [0] * n
-        qexp = 0
-        sign = 1
-        for lo, hi, e, bold, pochs in _acoeff_rows(shape, c, i, j, k):
-            for l in range(lo, hi + 1):
-                if l == i:
-                    continue
-                qexp += e
-                if bold == "l/i":
-                    sign = -sign
-                    mono[l - 1] += 1
-                    mono[i - 1] -= 1
-                elif bold == "i/l":
-                    sign = -sign
-                    mono[i - 1] += 1
-                    mono[l - 1] -= 1
-                for base, length in pochs:
-                    factors.extend(linear_factors(n, l, i, base, length))
-        for u in range(1, n + 1):
-            if u == i:
-                continue
-            for v in range(u + 1, n + 1):
-                if v == i:
-                    continue
-                z = c + epsilon(shape, u, v)
-                factors.extend(linear_factors(n, u, v, 0, z))
-                factors.extend(linear_factors(n, v, u, 1, z))
+        self.sign, self.qexp, self.den, mono, factors = _acoeff_parts(shape, c, i, j, k)
         if any(mono):
-            factors = [FoldFactor.monomial(n, tuple(mono))] + factors
-        s2, sh2, den = _acoeff_scalar_parts(shape, c, i, j, k)
-        self.sign = sign * s2
-        self.qexp = qexp + sh2
-        self.den = den
-        self.P = ct_fold(n, factors, None, None)
+            factors = [FoldFactor.monomial(shape.n, mono)] + factors
+        self.P = ct_fold(shape.n, factors, None, None)
 
     def scalar(self) -> QFrac:
         return QFrac(QLaurent.q_power(self.qexp, self.sign), self.den)
@@ -230,38 +216,8 @@ def a_coeff_factors(shape: Shape, c: int, i: int, j: int, k: int | None = None):
         k = split_k(shape)
     if j not in admissible_j(shape, c, i, k):
         raise ValueError(f"j={j} out of range for variable {i}")
-    n = shape.n
-    factors: list[FoldFactor] = []
-    mono = [0] * n
-    qexp = 0
-    sign = 1
-    for lo, hi, e, bold, pochs in _acoeff_rows(shape, c, i, j, k):
-        for l in range(lo, hi + 1):
-            if l == i:
-                continue
-            qexp += e
-            if bold == "l/i":
-                sign = -sign
-                mono[l - 1] += 1
-                mono[i - 1] -= 1
-            elif bold == "i/l":
-                sign = -sign
-                mono[i - 1] += 1
-                mono[l - 1] -= 1
-            for base, length in pochs:
-                factors.extend(linear_factors(n, l, i, base, length))
-    for u in range(1, n + 1):
-        if u == i:
-            continue
-        for v in range(u + 1, n + 1):
-            if v == i:
-                continue
-            z = c + epsilon(shape, u, v)
-            factors.extend(linear_factors(n, u, v, 0, z))
-            factors.extend(linear_factors(n, v, u, 1, z))
-    s2, sh2, den = _acoeff_scalar_parts(shape, c, i, j, k)
-    scalar = QFrac(QLaurent.q_power(qexp + sh2, sign * s2), den)
-    return scalar, tuple(mono), factors
+    sign, qexp, den, mono, factors = _acoeff_parts(shape, c, i, j, k)
+    return QFrac(QLaurent.q_power(qexp, sign), den), mono, factors
 
 
 def a_coeff(shape: Shape, c: int, i: int, j: int, k: int | None = None) -> MLaurent:
@@ -450,13 +406,8 @@ def _verify_split_randomized(shape, c, k, dens, report, seed):
 
 def _eval_pairs(shape, c, xs, qv):
     total = Fraction(1)
-    n = shape.n
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            z = c + epsilon(shape, u, v)
-            for m in range(z):
-                total *= 1 - qv ** m * xs[u - 1] / xs[v - 1]
-                total *= 1 - qv ** (m + 1) * xs[v - 1] / xs[u - 1]
+    for f in pair_factors(shape, c):
+        total *= _eval_factor(f, xs, qv)
     return total
 
 

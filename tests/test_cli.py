@@ -138,6 +138,29 @@ def test_negative_arguments_are_usage_errors(argv, capsys):
     assert "usage:" in err and "must be nonnegative" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("ct", "--family", "bf", "--shape", "1,-1", "--a", "1"), "must be nonnegative"),
+    (("ct", "--family", "bf", "--shape", "1,x"), "expected integers"),
+    (("ct", "--family", "qmorris", "--n=-1", "--a", "1"), "must be nonnegative"),
+    (("rhs", "--family", "qmorris", "--n", "0"), "must be positive"),
+    (("verify", "--suite", "roots", "--shape", "0,1", "--b", "1", "--c", "1"), "must be positive"),
+])
+def test_bad_shape_and_n_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and message in err
+
+
+def test_verify_has_no_a_flag(capsys):
+    # no suite's case builder reads --a, so verify does not accept it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "roots", "--a", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --a 5" in capsys.readouterr().err
+
+
 def test_max_seconds_trims(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out = run(capsys, "verify", "--suite", "bf-recursion", "--max-seconds", "0")

@@ -1,19 +1,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qct.laurent import (
     FoldFactor,
     MLaurent,
+    _decode_packed,
     coeff_at,
     ct,
     ct_fold,
+    fold_packed_raw,
     linear_factors,
+    pack_qlaurent,
+    packed_mul,
     poch_factor,
     poly_arith,
     subst_shift,
 )
-from qct.qring import QFrac, QLaurent
+from qct.qring import ONE, QFrac, QLaurent
 
 
 def M(text, arity):
@@ -134,6 +140,75 @@ def test_text_roundtrip():
         assert MLaurent.parse(str(f), n) == f
 
 
+# -- the reference fold ----------------------------------------------------------------
+#
+# The oracle for ct_fold: coefficients are plain {q-exponent: int} dicts and
+# monomials are exponent tuples, so it shares neither the packed digits nor
+# the Kronecker keys of the kernel.  It prunes with its own per-step windows
+# over every slot: after step fi, slot v must stay inside the target window
+# widened by what the remaining factors can still add or remove.
+
+
+def _reference_windows(arity, factors, tlo, thi):
+    """Per-step admissible exponent windows implied by suffix reachability."""
+    nf = len(factors)
+    keep_lo = [None] * nf
+    keep_hi = [None] * nf
+    rlo = [0] * arity
+    rhi = [0] * arity
+    for fi in range(nf - 1, -1, -1):
+        keep_lo[fi] = tuple(tlo[v] - rhi[v] for v in range(arity))
+        keep_hi[fi] = tuple(thi[v] - rlo[v] for v in range(arity))
+        f = factors[fi]
+        for v in range(arity):
+            rlo[v] += f.lo[v]
+            rhi[v] += f.hi[v]
+    start_ok = all(tlo[v] - rhi[v] <= 0 <= thi[v] - rlo[v] for v in range(arity))
+    return keep_lo, keep_hi, start_ok
+
+
+def fold_dict(arity, factors, tlo=None, thi=None) -> dict:
+    """Same contract as ct_fold: exponent tuple -> QLaurent, inside [tlo, thi]."""
+    factors = list(factors)
+    if tlo is None or thi is None:
+        lo = [sum(f.lo[v] for f in factors) for v in range(arity)]
+        hi = [sum(f.hi[v] for f in factors) for v in range(arity)]
+        tlo = tuple(lo) if tlo is None else tuple(tlo)
+        thi = tuple(hi) if thi is None else tuple(thi)
+    if not factors:
+        inside = all(tlo[v] <= 0 <= thi[v] for v in range(arity))
+        return {(0,) * arity: ONE} if inside else {}
+    keep_lo, keep_hi, start_ok = _reference_windows(arity, factors, tlo, thi)
+    if not start_ok:
+        return {}
+    state = {(0,) * arity: {0: 1}}
+    for fi, f in enumerate(factors):
+        klo = keep_lo[fi]
+        khi = keep_hi[fi]
+        new: dict = {}
+        for e, qd in state.items():
+            for delta, qsh, coeff in f.terms:
+                ne = e if delta is None else tuple(a + b for a, b in zip(e, delta))
+                if any(ne[v] < klo[v] or ne[v] > khi[v] for v in range(arity)):
+                    continue
+                cur = new.setdefault(ne, {})
+                for ce, cc in coeff.terms.items():
+                    sh = ce + qsh
+                    for k, v in qd.items():
+                        kk = k + sh
+                        s = cur.get(kk, 0) + v * cc
+                        if s:
+                            cur[kk] = s
+                        else:
+                            del cur[kk]
+                if not cur:
+                    del new[ne]
+        state = new
+        if not state:
+            break
+    return {e: QLaurent(qd, _trusted=True) for e, qd in state.items() if qd}
+
+
 def test_fold_kernels_agree():
     rng = random.Random(31)
     for _ in range(10):
@@ -145,17 +220,14 @@ def test_fold_kernels_agree():
             if i == j:
                 j = None
             factors.append(FoldFactor.linear(n, i, j, rng.randrange(-2, 3)))
-        full_p = ct_fold(n, factors, None, None, kernel="packed")
-        full_d = ct_fold(n, factors, None, None, kernel="dict")
-        assert full_p == full_d
+        assert ct_fold(n, factors, None, None) == fold_dict(n, factors, None, None)
         zero = (0,) * n
-        assert ct_fold(n, factors, zero, zero, kernel="packed") == \
-            ct_fold(n, factors, zero, zero, kernel="dict")
+        assert ct_fold(n, factors, zero, zero) == fold_dict(n, factors, zero, zero)
 
 
 def test_fold_kernels_agree_with_general_factors():
     # mix monomial prefactors and multi-term general factors with the linear
-    # battery; both kernels must produce identical exact results
+    # battery; the kernel must match the reference fold exactly
     from qct.products import kadell_h, qdyson_factors
 
     n = 2
@@ -165,10 +237,8 @@ def test_fold_kernels_agree_with_general_factors():
         FoldFactor.general(n, h),
     ] + qdyson_factors((2, 1))
     zero = (0,) * n
-    assert ct_fold(n, factors, zero, zero, kernel="packed") == \
-        ct_fold(n, factors, zero, zero, kernel="dict")
-    assert ct_fold(n, factors, None, None, kernel="packed") == \
-        ct_fold(n, factors, None, None, kernel="dict")
+    assert ct_fold(n, factors, zero, zero) == fold_dict(n, factors, zero, zero)
+    assert ct_fold(n, factors, None, None) == fold_dict(n, factors, None, None)
 
 
 def test_fold_window_matches_full_expansion():
@@ -184,3 +254,62 @@ def test_fold_window_matches_full_expansion():
     expect = {e: c for e, c in full.items()
               if all(lo[v] <= e[v] <= hi[v] for v in range(n))}
     assert windowed == expect
+
+
+@st.composite
+def fold_cases(draw):
+    """(arity, factors, tlo, thi): a random mix of linear, monomial and
+    multi-term factors under a point, empty, wide or unconstrained window.
+    A "binomial" is 1 - q^m x^delta with delta anywhere in {-1, 0, 1}^n, the
+    linear factor's shape on zero to n variables."""
+    n = draw(st.integers(1, 4))
+    side = st.one_of(st.none(), st.integers(1, n))
+    nonzero = st.integers(-3, 3).filter(bool)
+    qpoly = st.dictionaries(st.integers(-2, 2), nonzero, min_size=1, max_size=3).map(QLaurent)
+    factors = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("linear", "linear", "binomial", "monomial", "general")))
+        deltas = st.tuples(*[st.integers(-1, 1)] * n)
+        if kind == "linear":
+            i, j = draw(side), draw(side)
+            if i is not None and i == j:
+                j = None
+            factors.append(FoldFactor.linear(n, i, j, draw(st.integers(-2, 2))))
+        elif kind == "binomial":
+            factors.append(FoldFactor(n, [(None, 0, 1), (draw(deltas), draw(st.integers(-2, 2)), -1)]))
+        elif kind == "monomial":
+            exps = draw(st.tuples(*[st.integers(-2, 1)] * n))
+            factors.append(FoldFactor.monomial(n, exps, draw(st.integers(-2, 2)), draw(nonzero)))
+        else:
+            terms = draw(st.dictionaries(deltas, qpoly, min_size=2, max_size=3))
+            factors.append(FoldFactor.general(n, MLaurent(n, terms)))
+    window = draw(st.sampled_from(("point", "empty", "wide", "none")))
+    if window == "none":
+        return n, factors, None, None
+    point = draw(st.tuples(*[st.integers(-2, 2)] * n))
+    if window == "point":
+        return n, factors, point, point
+    if window == "empty":
+        v = draw(st.integers(0, n - 1))
+        return n, factors, point, tuple(x - (t == v) for t, x in enumerate(point))
+    tlo = draw(st.tuples(*[st.integers(-8, 0)] * n))
+    thi = draw(st.tuples(*[st.integers(0, 8)] * n))
+    return n, factors, tlo, thi
+
+
+@settings(max_examples=200, deadline=None)
+@given(fold_cases(), st.integers(0, 4), st.integers(0, 57).map(lambda k: 3 ** k))
+def test_fold_matches_reference_property(case, j, c):
+    n, factors, tlo, thi = case
+    want = fold_dict(n, factors, tlo, thi)
+    assert ct_fold(n, factors, tlo, thi) == want
+    # the raw packed values must survive one multiplication by a polynomial
+    # whose L1 norm is the extra_l1 they were folded with
+    if tlo is None:
+        tlo = tuple(sum(f.lo[v] for f in factors) for v in range(n))
+        thi = tuple(sum(f.hi[v] for f in factors) for v in range(n))
+    weight = QLaurent({0: c}) * QLaurent({0: 1, 1: -1}) ** j
+    packed, B = fold_packed_raw(n, factors, tlo, thi, extra_l1=weight.l1_norm())
+    wp = pack_qlaurent(weight, B)
+    got = {e: _decode_packed(*packed_mul(v, wp, B), B) for e, v in packed.items()}
+    assert got == {e: p * weight for e, p in want.items()}
