@@ -106,12 +106,8 @@ def _gx_value(shape: Shape, a: int, b: int, c: int) -> QFrac:
     """Evaluate the constant term through the elimination pipeline: values at
     negative arguments determine the polynomial in q^a, evaluated at q^a."""
     nb = shape.n * b
-    nodes = []
-    for d in range(1, nb + 2):
-        val = gxseries.gx_ct(shape, b, c, d, on_stuck="series")
-        nodes.append((QFrac.q_power(-d), val))
-    poly = interpolate(nodes)
-    return eval_poly(poly, QFrac.q_power(a))
+    values = [gxseries.gx_ct(shape, b, c, d, on_stuck="series") for d in range(1, nb + 2)]
+    return eval_poly(interpolate(values, first=-1, step=-1), a)
 
 
 def cmd_ct(args) -> int:
@@ -436,10 +432,10 @@ def _run_gx(params):
     if kind == "grand":
         shape = Shape(params["shape"])
         b, c = params["b"], params["c"]
-        coeffs = roots.interpolate_dn(shape, b, c)
+        poly = roots.interpolate_dn(shape, b, c)
         for d in range(1, params["dmax"] + 1):
             got = gxseries.gx_ct(shape, b, c, d)
-            want = eval_poly(coeffs, QFrac.q_power(-d))
+            want = eval_poly(poly, -d)
             if got != want:
                 return False, {"d": d, "got": str(got), "want": str(want)}
         return True, None
@@ -603,7 +599,8 @@ def cmd_report(args) -> int:
             first = next(c for c in rep["cases"] if c["status"] == "fail")
             row["witness"] = first.get("witness")
         rows.append(row)
-    summary = {"suites": rows, "status": "fail" if overall_red else "pass"}
+    status = "fail" if overall_red else "pass" if rows else "empty"
+    summary = {"suites": rows, "status": status}
     if not rows:
         print("no suite reports found; nothing to aggregate")
     for row in rows:

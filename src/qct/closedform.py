@@ -2,21 +2,26 @@
 block recursion, the a=b=0 recursion, Kadell's one-row value, and the scalar
 summation identities they rest on.
 
-Everything returns exact QFrac values; whenever the value represents the
-constant term of a Laurent polynomial the reduced denominator comes out 1.
+Every closed form is a product of q-Pochhammer symbols and Gaussian
+binomials, so it is built as a factored ``Cyclo`` value and expanded once; the
+values are exact QFrac, and every constant-term value is checked to be a
+polynomial in q.  The scalar identities are summed over QFrac instead, as a
+check independent of the factored arithmetic.
 """
 
 from __future__ import annotations
 
 from .products import Shape
-from .qring import ONE, QFrac, QLaurent, qbinom, qpoch
+from .qring import ONE, Cyclo, QFrac, QLaurent, qbinom, qpoch
+
+_poch = Cyclo.poch
 
 
-def _polynomial(value: QFrac) -> QFrac:
-    """``value``, checked to be a polynomial in q as every closed form here is."""
+def _polynomial(value: Cyclo) -> QFrac:
+    """``value`` expanded, checked to be a polynomial in q as every closed form here is."""
     if not value.is_polynomial():
         raise ArithmeticError(f"closed form is not a polynomial in q: {value}")
-    return value
+    return QFrac.from_qlaurent(value.expand())
 
 
 class BFParams:
@@ -37,27 +42,27 @@ class BFParams:
 
 
 def qdyson_rhs(a) -> QFrac:
-    """(q)_{|a|} / prod_i (q)_{a_i}; exact division, denominator 1."""
+    """(q)_{|a|} / prod_i (q)_{a_i}."""
     a = list(a)
-    num = qpoch(1, sum(a))
-    den = ONE
+    out = _poch(1, sum(a))
     for ai in a:
-        den = den * qpoch(1, ai)
-    out = QFrac(num, den)
+        out = out / _poch(1, ai)
     return _polynomial(out)
+
+
+def _qmorris(n: int, a: int, b: int, c: int) -> Cyclo:
+    if n < 1:
+        raise ValueError("n must be positive")
+    out = Cyclo()
+    for i in range(n):
+        out = out * _poch(1, a + b + i * c) * _poch(1, (i + 1) * c) / (
+            _poch(1, a + i * c) * _poch(1, b + i * c) * _poch(1, c))
+    return out
 
 
 def qmorris_rhs(n: int, a: int, b: int, c: int) -> QFrac:
     """prod_{i=0}^{n-1} (q)_{a+b+ic} (q)_{(i+1)c} / ((q)_{a+ic} (q)_{b+ic} (q)_c)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    num = ONE
-    den = ONE
-    for i in range(n):
-        num = num * qpoch(1, a + b + i * c) * qpoch(1, (i + 1) * c)
-        den = den * qpoch(1, a + i * c) * qpoch(1, b + i * c) * qpoch(1, c)
-    out = QFrac(num, den)
-    return _polynomial(out)
+    return _polynomial(_qmorris(n, a, b, c))
 
 
 def bf_p1_rhs(n0: int, n1: int, a: int, b: int, c: int) -> QFrac:
@@ -65,26 +70,27 @@ def bf_p1_rhs(n0: int, n1: int, a: int, b: int, c: int) -> QFrac:
     if n0 < 1 or n1 < 1:
         raise ValueError("block sizes must be positive")
     n = n0 + n1
-    num = ONE
-    den = ONE
+    out = Cyclo()
     for j in range(2, n - n0 + 1):
-        num = num * qpoch(j * (c + 1), 1)
+        out = out * _poch(j * (c + 1), 1)
     for j in range(n):
         shift = (j - n0) if j > n0 else 0
         chi = 1 if j > n0 else 0
-        num = num * qpoch(a + j * c + shift + 1, b) * qpoch(1, (j + 1) * c + shift)
-        den = den * qpoch(1, b + j * c + shift) * qpoch(1, c + chi)
-    out = QFrac(num, den)
+        out = out * _poch(a + j * c + shift + 1, b) * _poch(1, (j + 1) * c + shift) / (
+            _poch(1, b + j * c + shift) * _poch(1, c + chi))
     return _polynomial(out)
+
+
+def _recursion_factor(shape: Shape, a: int, b: int, c: int, k: int) -> Cyclo:
+    n = shape.n
+    nk = shape.parts[k]
+    num = _poch(nk * (c + 1), 1) * _poch(a + (n - 1) * c + nk, b) * Cyclo.qbinom(n * c + nk - 1, c)
+    return num / (_poch(c + 1, 1) * _poch((n - 1) * c + nk, b))
 
 
 def recursion_factor(shape: Shape, a: int, b: int, c: int, k: int) -> QFrac:
     """One step of the block recursion, lowering part k (k >= 1, n_k maximal)."""
-    n = shape.n
-    nk = shape.parts[k]
-    num = qpoch(nk * (c + 1), 1) * qpoch(a + (n - 1) * c + nk, b)
-    den = qpoch(c + 1, 1) * qpoch((n - 1) * c + nk, b)
-    return QFrac(num, den) * QFrac.from_qlaurent(qbinom(n * c + nk - 1, c))
+    return _recursion_factor(shape, a, b, c, k).to_qfrac()
 
 
 def bf_rhs(params: BFParams, k: int | None = None) -> QFrac:
@@ -93,7 +99,7 @@ def bf_rhs(params: BFParams, k: int | None = None) -> QFrac:
     by default the smallest maximizing index is taken at every step.
     """
     shape, a, b, c = params.shape, params.a, params.b, params.c
-    total = QFrac(1)
+    total = Cyclo()
     first = True
     while shape.p >= 1:
         if first and k is not None:
@@ -102,29 +108,23 @@ def bf_rhs(params: BFParams, k: int | None = None) -> QFrac:
             kk = k
         else:
             kk = shape.max_block()
-        total = total * recursion_factor(shape, a, b, c, kk)
+        total = total * _recursion_factor(shape, a, b, c, kk)
         shape = shape.decremented(kk)
         first = False
-    out = total * qmorris_rhs(shape.n, a, b, c)
-    return _polynomial(out)
+    return _polynomial(total * _qmorris(shape.n, a, b, c))
 
 
 def dn0_rhs(shape: Shape, c: int) -> QFrac:
     """The a = b = 0 value, by its own recursion down to the equal-parameter
     one-block case (q)_{n0 c}/(q)_c^{n0}."""
-    total = QFrac(1)
+    total = Cyclo()
     while shape.p >= 1:
         k = shape.max_block()
         n, nk = shape.n, shape.parts[k]
-        step = QFrac(qpoch(nk * (c + 1), 1), qpoch(c + 1, 1))
-        total = total * step * QFrac.from_qlaurent(qbinom(n * c + nk - 1, c))
+        total = total * _poch(nk * (c + 1), 1) / _poch(c + 1, 1) * Cyclo.qbinom(n * c + nk - 1, c)
         shape = shape.decremented(k)
     n0 = shape.n
-    base_den = ONE
-    for _ in range(n0):
-        base_den = base_den * qpoch(1, c)
-    out = total * QFrac(qpoch(1, n0 * c), base_den)
-    return _polynomial(out)
+    return _polynomial(total * _poch(1, n0 * c) / _poch(1, c) ** n0)
 
 
 def kadell_rhs(v, r: int, a) -> QFrac:
@@ -148,12 +148,11 @@ def kadell_rhs(v, r: int, a) -> QFrac:
     total = sum(a)
     if total == 0 or a[k - 1] == 0:
         return QFrac(0)
-    num = QLaurent.q_power(sum(a[k:])) * qpoch(a[k - 1], 1) * qpoch(total, r)
-    den = qpoch(total, 1) * qpoch(total - a[k - 1] + 1, r)
-    out = QFrac(num, den)
+    out = Cyclo(1, sum(a[k:])) * _poch(a[k - 1], 1) * _poch(total, r) / (
+        _poch(total, 1) * _poch(total - a[k - 1] + 1, r))
     for i in range(n):
-        out = out * QFrac.from_qlaurent(qbinom(sum(a[i:]), a[i]))
-    return out
+        out = out * Cyclo.qbinom(sum(a[i:]), a[i])
+    return _polynomial(out)
 
 
 # -- scalar summation identities -----------------------------------------------------

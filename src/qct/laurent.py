@@ -23,7 +23,11 @@ lives in the tests as the reference the kernel must match exactly.
 
 from __future__ import annotations
 
+from operator import add
+
 from .qring import ONE, QFrac, QLaurent
+
+_MINUS_ONE = QLaurent.from_int(-1)
 
 ExpVec = tuple  # fixed-arity tuple of ints, one slot per variable
 
@@ -415,12 +419,25 @@ class FoldFactor:
         """(1 - q^m x_i/x_j) with 1-based indices; None on either side means 1."""
         if i is not None and i == j:
             raise ValueError("linear factor needs distinct variables")
-        delta = [0] * arity
+        # the fields the generic constructor would derive, set directly:
+        # every product builds one such factor per linear factor
+        lo = [0] * arity
+        hi = [0] * arity
+        touched = []
         if i is not None:
-            delta[i - 1] += 1
+            hi[i - 1] = 1
+            touched.append(i - 1)
         if j is not None:
-            delta[j - 1] -= 1
-        return FoldFactor(arity, [(None, 0, ONE), (tuple(delta), m, QLaurent.from_int(-1))])
+            lo[j - 1] = -1
+            touched.append(j - 1)
+        f = FoldFactor.__new__(FoldFactor)
+        f.arity = arity
+        f.terms = [(None, 0, ONE), (tuple(map(add, lo, hi)) if touched else None, m, _MINUS_ONE)]
+        f.lo = tuple(lo)
+        f.hi = tuple(hi)
+        f.l1 = 2
+        f.touched = tuple(sorted(touched))
+        return f
 
     @staticmethod
     def monomial(arity: int, exps, qexp: int = 0, coeff=1) -> "FoldFactor":

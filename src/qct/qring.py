@@ -1,9 +1,12 @@
 """Exact arithmetic in the deformation parameter q.
 
-Two types live here: ``QLaurent``, a Laurent polynomial in q with integer
-coefficients (sparse dict of exponent -> coefficient), and ``QFrac``, a
-reduced fraction of two QLaurent values.  Everything downstream (multivariate
-products, closed forms, interpolation) is built on these.
+``QLaurent`` is a Laurent polynomial in q with integer coefficients (sparse
+dict of exponent -> coefficient) and ``QFrac`` a reduced fraction of two
+QLaurent values; everything downstream is built on these.  ``Cyclo`` keeps a
+product of q-Pochhammer symbols factored over cyclotomic polynomials, and
+``ZPoly`` a polynomial in z = q^a as integral coefficients over one factored
+denominator, which is what interpolation at the nodes q^j returns: closed
+forms and interpolation need no polynomial gcd.
 
 Values are immutable; all operations return fresh objects.
 """
@@ -11,6 +14,8 @@ Values are immutable; all operations return fresh objects.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from math import gcd as int_gcd
 
 
@@ -543,50 +548,296 @@ def qbinom(n: int, c: int) -> QLaurent:
     return qpoch(n - c + 1, c).divexact(qpoch(1, c))
 
 
-def qfrac_poch(m: int, z: int) -> QFrac:
-    return QFrac.from_qlaurent(qpoch(m, z))
+# -- products of cyclotomic polynomials ----------------------------------------
 
 
-# -- exact interpolation over the fraction field ------------------------------
+@lru_cache(maxsize=None)
+def _divisors(k: int) -> tuple[int, ...]:
+    return tuple(d for d in range(1, k + 1) if k % d == 0)
 
 
-def interpolate(nodes: list[tuple[QFrac, QFrac]]) -> list[QFrac]:
-    """Coefficients c_0..c_{m-1} of the unique degree < m polynomial through
-    the m given (abscissa, value) pairs.  Newton's divided differences, exact.
+def _mobius(n: int) -> int:
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+@lru_cache(maxsize=None)
+def _psi_binomials(d: int) -> tuple[tuple[int, int], ...]:
+    """Psi_d = prod_{k | d} (1 - q^k)^mu(d/k), the Moebius inversion of
+    1 - q^n = prod_{d | n} Psi_d, as its (k, mu(d/k)) pairs with mu nonzero."""
+    return tuple((k, _mobius(d // k)) for k in _divisors(d) if _mobius(d // k))
+
+
+def _mul_binomial(a: list[int], k: int) -> list[int]:
+    """a * (1 - q^k) on dense coefficient lists."""
+    out = a + [0] * k
+    out[k:] = [x - y for x, y in zip(out[k:], a)]
+    return out
+
+
+def _div_binomial(a: list[int], k: int) -> list[int]:
+    """a / (1 - q^k) on dense coefficient lists; the division must be exact."""
+    b = list(a)
+    n = len(b)
+    # b_i = a_i + b_{i-k}: k interleaved running sums
+    for r in range(min(k, n)):
+        b[r::k] = accumulate(a[r::k])
+    top = max(n - k, 0)
+    if any(b[top:]):
+        raise ArithmeticError(f"1 - q^{k} does not divide the polynomial")
+    return b[:top]
+
+
+def _times_psi(a: list[int], exps: dict[int, int]) -> list[int]:
+    """a * prod_d Psi_d^exps[d] for nonnegative exponents, by multiplying and
+    dividing by binomials 1 - q^k: every multiplication comes first, so each
+    division is exact."""
+    f: dict[int, int] = {}
+    for d, e in exps.items():
+        for k, mu in _psi_binomials(d):
+            f[k] = f.get(k, 0) + mu * e
+    for k, e in f.items():
+        for _ in range(e):
+            a = _mul_binomial(a, k)
+    for k, e in f.items():
+        for _ in range(-e):
+            a = _div_binomial(a, k)
+    return a
+
+
+@lru_cache(maxsize=None)
+def _psi(d: int) -> tuple[int, ...]:
+    return tuple(_times_psi([1], {d: 1}))
+
+
+def _fraction(num: list[int], shift: int, sign: int, den_exps: dict[int, int]) -> QFrac:
+    """sign * q^shift * num / prod_d Psi_d^den_exps[d] in QFrac normal form, for
+    num not divisible by any Psi_d in the denominator.  The Psi_d are
+    irreducible and primitive, so the fraction is already reduced."""
+    den = _times_psi([1], den_exps)
+    if den[-1] < 0:
+        sign, den = -sign, [-c for c in den]
+    return QFrac(_from_list(num).shift(shift).scale(sign), _from_list(den), _reduced=True)
+
+
+class Cyclo:
+    """sign * q^shift * prod_d Psi_d^exps[d], with Psi_1 = 1 - q and Psi_d the
+    d-th cyclotomic polynomial for d >= 2, so that 1 - q^k = prod_{d | k} Psi_d.
+
+    Every q-Pochhammer symbol (q^m; q)_z and every Gaussian binomial is such a
+    product, so products and quotients of them are exponent-vector sums, the
+    value lies in Z[q, 1/q] exactly when no exponent is negative, and it is
+    expanded once, at the end.  Sign 0 is the zero value.
     """
-    m = len(nodes)
-    if m == 0:
+
+    __slots__ = ("sign", "shift", "exps")
+
+    def __init__(self, sign: int = 1, shift: int = 0, exps=None):
+        self.sign = sign
+        self.shift = shift if sign else 0
+        self.exps = {d: e for d, e in (exps or {}).items() if e} if sign else {}
+
+    @staticmethod
+    def poch(m: int, z: int) -> "Cyclo":
+        """(q^m; q)_z = prod_{j=0}^{z-1} (1 - q^(m+j)), with 1 - q^-k = -q^-k (1 - q^k)."""
+        if z < 0:
+            raise ValueError("pochhammer length negative")
+        if m <= 0 < m + z:
+            return Cyclo(0)
+        sign, shift, exps = 1, 0, {}
+        for j in range(m, m + z):
+            if j < 0:
+                sign, shift = -sign, shift + j
+            for d in _divisors(abs(j)):
+                exps[d] = exps.get(d, 0) + 1
+        return Cyclo(sign, shift, exps)
+
+    @staticmethod
+    def qbinom(n: int, k: int) -> "Cyclo":
+        """Gaussian binomial [n, k]; zero when k > n."""
+        if n < 0 or k < 0:
+            raise ValueError("qbinom arguments must be nonnegative")
+        if k > n:
+            return Cyclo(0)
+        return Cyclo.poch(n - k + 1, k) / Cyclo.poch(1, k)
+
+    def is_polynomial(self) -> bool:
+        """True when the value lies in Z[q, 1/q]: no exponent is negative."""
+        return all(e > 0 for e in self.exps.values())
+
+    def __mul__(self, other: "Cyclo") -> "Cyclo":
+        exps = dict(self.exps)
+        for d, e in other.exps.items():
+            exps[d] = exps.get(d, 0) + e
+        return Cyclo(self.sign * other.sign, self.shift + other.shift, exps)
+
+    def __pow__(self, n: int) -> "Cyclo":
+        if n < 0 and not self.sign:
+            raise ZeroDivisionError("negative power of zero")
+        return Cyclo(self.sign ** abs(n), self.shift * n, {d: e * n for d, e in self.exps.items()})
+
+    def __truediv__(self, other: "Cyclo") -> "Cyclo":
+        return self * other ** -1
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Cyclo):
+            return NotImplemented
+        return (self.sign, self.shift, self.exps) == (other.sign, other.shift, other.exps)
+
+    __hash__ = None
+
+    def times(self, p: QLaurent) -> QLaurent:
+        """p times this value, which must be a polynomial."""
+        if not self.is_polynomial():
+            raise ArithmeticError(f"not a polynomial in q: {self}")
+        if p.is_zero() or not self.sign:
+            return ZERO
+        lo = p.min_exp()
+        out = _times_psi(_to_list(p.shift(-lo)), self.exps)
+        return _from_list(out).shift(lo + self.shift).scale(self.sign)
+
+    def expand(self) -> QLaurent:
+        """The value as a QLaurent; it must be a polynomial."""
+        return self.times(ONE)
+
+    def to_qfrac(self) -> QFrac:
+        if not self.sign:
+            return QFrac(0)
+        num = {d: e for d, e in self.exps.items() if e > 0}
+        den = {d: -e for d, e in self.exps.items() if e < 0}
+        return _fraction(_times_psi([1], num), self.shift, self.sign, den)
+
+    def divide(self, p: QLaurent) -> QFrac:
+        """p / self as a reduced QFrac, without a gcd: each Psi_d of the
+        denominator is cancelled for as long as it divides p."""
+        if not self.sign:
+            raise ZeroDivisionError("division by zero Cyclo")
+        if p.is_zero():
+            return QFrac(0)
+        lo = p.min_exp()
+        num = _to_list(p.shift(-lo))
+        den = {}
+        for d, e in sorted(self.exps.items()):
+            if e < 0:
+                num = _times_psi(num, {d: -e})
+                continue
+            while e:
+                quo, rem = _list_divmod(num, list(_psi(d)))
+                if any(rem):
+                    break
+                num, e = quo, e - 1
+            if e:
+                den[d] = e
+        return _fraction(num, lo - self.shift, self.sign, den)
+
+    def __repr__(self) -> str:
+        if not self.sign:
+            return "Cyclo(0)"
+        parts = ["-" if self.sign < 0 else ""]
+        if self.shift:
+            parts.append(f"q^{self.shift}")
+        parts += [f"Psi_{d}^{e}" for d, e in sorted(self.exps.items())]
+        return f"Cyclo({' '.join(p for p in parts if p) or '1'})"
+
+
+# -- polynomials in z = q^a and their interpolation at q-nodes -------------------
+
+
+class ZPoly:
+    """(C_0 + C_1 z + ... + C_N z^N) / den: a polynomial in z over Q(q), kept
+    as integral coefficients C_i in Z[q, 1/q] over one factored denominator,
+    a polynomial Cyclo."""
+
+    __slots__ = ("coeffs", "den")
+
+    def __init__(self, coeffs, den: Cyclo):
+        self.coeffs = list(coeffs)
+        self.den = den
+
+    def degree(self) -> int:
+        """Highest power of z with a nonzero coefficient; -1 for zero."""
+        k = len(self.coeffs) - 1
+        while k >= 0 and self.coeffs[k].is_zero():
+            k -= 1
+        return k
+
+    def numerator_at(self, e: int) -> QLaurent:
+        """sum_i C_i q^(e i): the value at z = q^e times den, by shifts only."""
+        out: dict[int, int] = {}
+        for i, c in enumerate(self.coeffs):
+            for k, v in c.terms.items():
+                k += e * i
+                out[k] = out.get(k, 0) + v
+        return QLaurent({k: v for k, v in out.items() if v}, _trusted=True)
+
+    def __eq__(self, other) -> bool:
+        """Equal as polynomials: coefficients cross-multiplied by the parts of
+        the two denominators that they do not share."""
+        if not isinstance(other, ZPoly):
+            return NotImplemented
+        shared = Cyclo(1, 0, {d: min(e, other.den.exps.get(d, 0)) for d, e in self.den.exps.items()})
+        mine, theirs = other.den / shared, self.den / shared
+        left = [mine.times(c) for c in self.coeffs]
+        right = [theirs.times(c) for c in other.coeffs]
+        width = max(len(left), len(right))
+        return left + [ZERO] * (width - len(left)) == right + [ZERO] * (width - len(right))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ZPoly([{', '.join(map(str, self.coeffs))}] / {self.den})"
+
+
+def interpolate(values, first: int = 0, step: int = 1) -> ZPoly:
+    """The polynomial P of degree <= N with P(q^(first + step j)) = values[j]
+    for j = 0..N, step +-1; each value is a QFrac that is a polynomial in q.
+
+    Newton's divided differences, fraction free.  The nodes x_j are powers of
+    q, so x_{i+k} - x_i = q^(first + step i) (q^(step k) - 1) and the level-k
+    differences times (q; q)_k satisfy h_{i,k} = +-(h_{i+1,k-1} - h_{i,k-1}) / q^t:
+    the table runs over Z[q, 1/q] by subtraction and shifts.  The Newton form
+    is then expanded over the common denominator (q; q)_N.
+    """
+    if step not in (1, -1):
+        raise ValueError("q-nodes need step 1 or -1; other steps repeat or skip powers of q")
+    dd = []
+    for v in values:
+        if not v.is_polynomial():
+            raise ArithmeticError(f"interpolation value is not a polynomial in q: {v}")
+        dd.append(v.num)
+    n = len(dd) - 1
+    if n < 0:
         raise ValueError("no interpolation nodes")
-    xs = [p[0] for p in nodes]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if xs[i] == xs[j]:
-                raise ValueError("duplicate abscissa in interpolation nodes")
-    # divided difference table, kept as one mutating row
-    dd = [p[1] for p in nodes]
-    newton = [dd[0]]
-    for k in range(1, m):
-        for i in range(m - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
-        newton.append(dd[k])
-    # expand the Newton form into monomial coefficients
-    zero = QFrac(0)
-    coeffs = [zero] * m
-    coeffs[0] = newton[m - 1]
-    deg = 0
-    for k in range(m - 2, -1, -1):
-        # multiply by (z - x_k): shift up, subtract x_k * current
-        for i in range(deg, -1, -1):
-            coeffs[i + 1] = coeffs[i + 1] + coeffs[i]
-            coeffs[i] = -(xs[k] * coeffs[i])
-        deg += 1
-        coeffs[0] = coeffs[0] + newton[k]
-    return coeffs
+    # dd[i] holds h for the nodes i-k..i after level k
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            if step > 0:
+                dd[i] = (dd[i - 1] - dd[i]).shift(-first - (i - k))
+            else:
+                dd[i] = (dd[i] - dd[i - 1]).shift(-first + i)
+    # Horner over the Newton form: acc <- dd[k] (q; q)_N / (q; q)_k + (z - x_k) acc
+    acc = [dd[n]]
+    for k in range(n - 1, -1, -1):
+        nxt = [ZERO] + acc
+        for i, c in enumerate(acc):
+            nxt[i] = nxt[i] - c.shift(first + step * k)
+        if not dd[k].is_zero():
+            lo = dd[k].min_exp()
+            scaled = _to_list(dd[k].shift(-lo))
+            for l in range(k + 1, n + 1):
+                scaled = _mul_binomial(scaled, l)
+            nxt[0] = nxt[0] + _from_list(scaled).shift(lo)
+        acc = nxt
+    return ZPoly(acc, Cyclo.poch(1, n))
 
 
-def eval_poly(coeffs: list[QFrac], z: QFrac) -> QFrac:
-    """Evaluate a coefficient list (ascending powers) at z."""
-    total = QFrac(0)
-    for c in reversed(coeffs):
-        total = total * z + c
-    return total
+def eval_poly(poly: ZPoly, e: int) -> QFrac:
+    """P(q^e) as a reduced QFrac, with no multiplication and no gcd."""
+    return poly.den.divide(poly.numerator_at(e))

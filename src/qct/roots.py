@@ -9,7 +9,7 @@ from itertools import permutations
 
 from .closedform import BFParams, bf_rhs, dn0_rhs
 from .products import Shape, bf_ct_grid
-from .qring import QFrac, eval_poly, interpolate, qpoch
+from .qring import ZERO, Cyclo, ZPoly, interpolate
 
 
 class LemmaFalsified(RuntimeError):
@@ -113,28 +113,24 @@ def root_sets(shape: Shape, b: int, c: int) -> RootTable:
     return RootTable(shape, b, c, rows)
 
 
-def interpolate_dn(shape: Shape, b: int, c: int) -> list[QFrac]:
-    """Coefficients (in z = q^a) of the constant term, reconstructed from the
-    brute-force values at a = 0..nb."""
+def interpolate_dn(shape: Shape, b: int, c: int) -> ZPoly:
+    """The constant term as a polynomial in z = q^a, interpolated through the
+    brute-force values at a = 0..nb+1: one node more than its degree bound nb
+    needs, so that the bound is a check (the top coefficient must vanish)."""
     nb = shape.n * b
-    grid = bf_ct_grid(shape, c, [(a, b) for a in range(nb + 1)])
-    nodes = [(QFrac.q_power(a), grid[(a, b)]) for a in range(nb + 1)]
-    return interpolate(nodes)
+    grid = bf_ct_grid(shape, c, [(a, b) for a in range(nb + 2)])
+    return interpolate([grid[(a, b)] for a in range(nb + 2)])
 
 
-def product_form_coeffs(shape: Shape, b: int, c: int) -> list[QFrac]:
-    """Coefficients of prod_{i in R}(1 - q^i z)/(1 - q^i) * D_n(0)."""
-    table = root_sets(shape, b, c)
-    coeffs = [dn0_rhs(shape, c)]
-    for d in table.union():
-        scale = QFrac(1) / QFrac.from_qlaurent(qpoch(d, 1))
-        shifted = [QFrac(0)] + [cf * QFrac.q_power(d) for cf in coeffs]
-        coeffs = [
-            (coeffs[t] if t < len(coeffs) else QFrac(0)) - shifted[t]
-            for t in range(len(coeffs) + 1)
-        ]
-        coeffs = [cf * scale for cf in coeffs]
-    return coeffs
+def product_form_coeffs(shape: Shape, b: int, c: int) -> ZPoly:
+    """prod_{i in R}(1 - q^i z)/(1 - q^i) * D_n(0) over the root multiset R."""
+    coeffs = [dn0_rhs(shape, c).num]
+    den = Cyclo()
+    for d in root_sets(shape, b, c).union():
+        # times (1 - q^d z)
+        coeffs = [x - y.shift(d) for x, y in zip(coeffs + [ZERO], [ZERO] + coeffs)]
+        den = den * Cyclo.poch(d, 1)
+    return ZPoly(coeffs, den)
 
 
 def verify_roots(shape: Shape, b: int, c: int) -> dict:
@@ -142,19 +138,20 @@ def verify_roots(shape: Shape, b: int, c: int) -> dict:
 
     For c >= b additionally asserts the root multiset is disjoint of size nb
     (that bound is an empirical check here, flagged as such).  The polynomial
-    is also matched against the closed form at every node plus one unused
-    node, and against the explicit product form over the root set.
+    must have degree at most nb through nb + 2 nodes, and is matched against
+    the closed form at every node and against the explicit product form over
+    the root set, both cross-multiplied by its denominator.
     """
     n = shape.n
     nb = n * b
     table = root_sets(shape, b, c)
-    coeffs = interpolate_dn(shape, b, c)
+    poly = interpolate_dn(shape, b, c)
     report = {
         "shape": shape.parts,
         "b": b,
         "c": c,
         "nb": nb,
-        "degree_bound_ok": len(coeffs) <= nb + 1,
+        "degree_bound_ok": poly.degree() <= nb,
         "regime": "c>=b (|R|=nb asserted, empirical bound)" if c >= b else "c<b (distinct roots only)",
         "disjoint": None,
         "root_count_ok": None,
@@ -169,22 +166,15 @@ def verify_roots(shape: Shape, b: int, c: int) -> dict:
         report["root_count_ok"] = len(table.union()) == nb
     for d in table.distinct():
         report["roots_checked"] += 1
-        if not eval_poly(coeffs, QFrac.q_power(-d)).is_zero():
+        if not poly.numerator_at(-d).is_zero():
             report["all_vanish"] = False
             report["first_failure"] = d
             break
-    # the polynomial and the closed form agree as functions: all nodes plus one
-    ok = True
-    for a in range(nb + 2):
-        want = bf_rhs(BFParams(shape, a, b, c))
-        if eval_poly(coeffs, QFrac.q_power(a)) != want:
-            ok = False
-            break
-    report["closed_form_match"] = ok
+    report["closed_form_match"] = all(
+        poly.numerator_at(a) == poly.den.times(bf_rhs(BFParams(shape, a, b, c)).num)
+        for a in range(nb + 2))
     if c >= b and report["disjoint"]:
-        report["product_form_match"] = product_form_coeffs(shape, b, c) == list(coeffs) + [
-            QFrac(0)
-        ] * (nb + 1 - len(coeffs))
+        report["product_form_match"] = product_form_coeffs(shape, b, c) == poly
     return report
 
 

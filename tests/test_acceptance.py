@@ -255,9 +255,9 @@ def test_criterion_12_gx_pipeline():
     ok = ok and nontrivial > 0
     # pipeline values match the interpolated polynomial at negative arguments
     gshape = Shape((1, 1))
-    coeffs = roots.interpolate_dn(gshape, 1, 1)
+    poly = roots.interpolate_dn(gshape, 1, 1)
     for d in range(1, 5):
-        ok = ok and gxseries.gx_ct(gshape, 1, 1, d) == eval_poly(coeffs, QFrac.q_power(-d))
+        ok = ok and gxseries.gx_ct(gshape, 1, 1, d) == eval_poly(poly, -d)
     # series oracle (truncation 12): one-factor CT by the orientation rule
     order = gxseries.VarOrder.natural(3)
     num = MLaurent.constant(3, 1)

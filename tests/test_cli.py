@@ -96,9 +96,13 @@ def test_report_aggregation(tmp_path, capsys, monkeypatch):
 
 
 def test_report_empty_dir(tmp_path, capsys):
-    code, out = run(capsys, "report", "--dir", str(tmp_path))
+    summary = tmp_path / "summary.json"
+    code, out = run(capsys, "report", "--dir", str(tmp_path), "--out", str(summary))
     assert code == 0
     assert "no suite reports" in out
+    # zero reports are no evidence of a pass
+    assert "overall: empty" in out and "overall: pass" not in out
+    assert json.loads(summary.read_text()) == {"suites": [], "status": "empty"}
 
 
 def test_report_flags_red_suite(tmp_path, capsys):

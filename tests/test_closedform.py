@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from qct import closedform
 from qct.closedform import (
     BFParams,
     all_shapes,
@@ -18,7 +19,7 @@ from qct.closedform import (
     rec_scalar_identity_holds,
 )
 from qct.products import Shape, bf_ct, kadell_ct, qmorris_ct
-from qct.qring import QFrac, QLaurent, qbinom
+from qct.qring import Cyclo, QFrac, QLaurent, qbinom, qpoch
 
 
 def L(text):
@@ -106,6 +107,28 @@ def test_kadell_rhs_cases():
     assert kadell_rhs((0, 2), 2, (2, 1)) == kadell_ct((0, 2), 2, (2, 1))
     with pytest.raises(ValueError):
         kadell_rhs((1, 0), 2, (1, 1))
+
+
+def test_closed_forms_reject_a_negative_cyclotomic_exponent():
+    # the check behind every closed form, kadell_rhs included
+    with pytest.raises(ArithmeticError, match="not a polynomial"):
+        closedform._polynomial(Cyclo.poch(1, 1) ** -1)  # (1 - q)^-1
+    assert closedform._polynomial(Cyclo.qbinom(4, 2)) == QFrac.from_qlaurent(qbinom(4, 2))
+
+
+def test_recursion_factor_matches_its_qfrac_formula():
+    # the factored step against the same product reduced by QFrac gcds
+    fractions = 0
+    for shape in all_shapes(4, min_p=1):
+        k = shape.max_block()
+        n, nk = shape.n, shape.parts[k]
+        for a, b, c in itertools.product(range(3), repeat=3):
+            num = qpoch(nk * (c + 1), 1) * qpoch(a + (n - 1) * c + nk, b) * qbinom(n * c + nk - 1, c)
+            den = qpoch(c + 1, 1) * qpoch((n - 1) * c + nk, b)
+            want = QFrac(num, den)
+            assert closedform.recursion_factor(shape, a, b, c, k) == want
+            fractions += not want.is_polynomial()
+    assert fractions > 0
 
 
 def test_qsum_identity():

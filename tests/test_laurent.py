@@ -313,3 +313,22 @@ def test_fold_matches_reference_property(case, j, c):
     wp = pack_qlaurent(weight, B)
     got = {e: _decode_packed(*packed_mul(v, wp, B), B) for e, v in packed.items()}
     assert got == {e: p * weight for e, p in want.items()}
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [-2, -1, 0, 1, 2])
+def test_linear_factor_fields_match_generic_constructor(arity, m):
+    sides = [None] + list(range(1, arity + 1))
+    for i in sides:
+        for j in sides:
+            if i is not None and i == j:
+                continue
+            delta = [0] * arity
+            if i is not None:
+                delta[i - 1] += 1
+            if j is not None:
+                delta[j - 1] -= 1
+            generic = FoldFactor(arity, [(None, 0, ONE), (tuple(delta), m, QLaurent.from_int(-1))])
+            direct = FoldFactor.linear(arity, i, j, m)
+            for field in FoldFactor.__slots__:
+                assert getattr(direct, field) == getattr(generic, field), (i, j, field)

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qct.qring import (
     ONE,
     Q,
     ZERO,
+    Cyclo,
     QFrac,
     QLaurent,
     eval_poly,
@@ -176,13 +179,54 @@ def test_frac_str_roundtrip():
 # -- interpolation ------------------------------------------------------------
 
 
+def newton_interpolate(nodes: list[tuple[QFrac, QFrac]]) -> list[QFrac]:
+    """Reference oracle: coefficients c_0..c_{m-1} of the unique degree < m
+    polynomial through m (abscissa, value) pairs, by Newton's divided
+    differences over QFrac at arbitrary distinct abscissae."""
+    m = len(nodes)
+    if m == 0:
+        raise ValueError("no interpolation nodes")
+    xs = [p[0] for p in nodes]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if xs[i] == xs[j]:
+                raise ValueError("duplicate abscissa in interpolation nodes")
+    # divided difference table, kept as one mutating row
+    dd = [p[1] for p in nodes]
+    newton = [dd[0]]
+    for k in range(1, m):
+        for i in range(m - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
+        newton.append(dd[k])
+    # expand the Newton form into monomial coefficients
+    coeffs = [QFrac(0)] * m
+    coeffs[0] = newton[m - 1]
+    deg = 0
+    for k in range(m - 2, -1, -1):
+        # multiply by (z - x_k): shift up, subtract x_k * current
+        for i in range(deg, -1, -1):
+            coeffs[i + 1] = coeffs[i + 1] + coeffs[i]
+            coeffs[i] = -(xs[k] * coeffs[i])
+        deg += 1
+        coeffs[0] = coeffs[0] + newton[k]
+    return coeffs
+
+
+def horner(coeffs: list[QFrac], z: QFrac) -> QFrac:
+    """Reference oracle: evaluate a coefficient list (ascending powers) at z."""
+    total = QFrac(0)
+    for c in reversed(coeffs):
+        total = total * z + c
+    return total
+
+
 def test_interpolate_constant():
-    assert interpolate([(QFrac(1), QFrac(5))]) == [QFrac(5)]
+    assert newton_interpolate([(QFrac(1), QFrac(5))]) == [QFrac(5)]
 
 
 def test_interpolate_identity():
     nodes = [(QFrac(1), QFrac(1)), (QFrac.q_power(1), QFrac.q_power(1))]
-    assert interpolate(nodes) == [QFrac(0), QFrac(1)]
+    assert newton_interpolate(nodes) == [QFrac(0), QFrac(1)]
 
 
 def test_interpolate_three_nodes():
@@ -193,19 +237,25 @@ def test_interpolate_three_nodes():
         (QFrac.q_power(1), F("1 + q")),
         (QFrac.q_power(2), F("1 + q^2")),
     ]
-    assert interpolate(nodes) == [QFrac(1), QFrac(1), QFrac(0)]
+    assert newton_interpolate(nodes) == [QFrac(1), QFrac(1), QFrac(0)]
+    # the q-node routine agrees: numerators over (q; q)_2
+    poly = interpolate([QFrac(2), F("1 + q"), F("1 + q^2")])
+    assert poly.degree() == 1
+    assert [poly.den.divide(c) for c in poly.coeffs] == [QFrac(1), QFrac(1), QFrac(0)]
 
 
 def test_interpolate_quadratic_exact():
     # values of 1 + z^2 at 1, q, q^2 recover [1, 0, 1]
     xs = [QFrac(1), QFrac.q_power(1), QFrac.q_power(2)]
     nodes = [(x, QFrac(1) + x * x) for x in xs]
-    assert interpolate(nodes) == [QFrac(1), QFrac(0), QFrac(1)]
+    assert newton_interpolate(nodes) == [QFrac(1), QFrac(0), QFrac(1)]
 
 
 def test_interpolate_duplicate_abscissa():
     with pytest.raises(ValueError, match="duplicate"):
-        interpolate([(QFrac(1), QFrac(1)), (QFrac(1), QFrac(2))])
+        newton_interpolate([(QFrac(1), QFrac(1)), (QFrac(1), QFrac(2))])
+    with pytest.raises(ValueError, match="step 1 or -1"):
+        interpolate([QFrac(1), QFrac(1)], step=0)
 
 
 def test_interpolate_left_inverse_of_evaluation():
@@ -219,5 +269,80 @@ def test_interpolate_left_inverse_of_evaluation():
                 den = ONE
             coeffs.append(QFrac(num, den))
         xs = [QFrac.q_power(e) for e in range(6)]
-        nodes = [(x, eval_poly(coeffs, x)) for x in xs]
-        assert interpolate(nodes) == coeffs
+        nodes = [(x, horner(coeffs, x)) for x in xs]
+        assert newton_interpolate(nodes) == coeffs
+
+
+laurent_values = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=4).map(
+    lambda terms: QFrac.from_qlaurent(QLaurent(terms)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.lists(laurent_values, min_size=1, max_size=7),
+    first=st.integers(-3, 3),
+    step=st.sampled_from([1, -1]),
+    points=st.lists(st.integers(-6, 6), min_size=1, max_size=3),
+)
+def test_q_node_interpolation_matches_reference(values, first, step, points):
+    # N = 0..6; integral values at the nodes q^(first + step j)
+    poly = interpolate(values, first=first, step=step)
+    nodes = [(QFrac.q_power(first + step * j), v) for j, v in enumerate(values)]
+    want = newton_interpolate(nodes)
+    assert poly.den == Cyclo.poch(1, len(values) - 1)
+    assert [poly.den.divide(c) for c in poly.coeffs] == want
+    assert poly.degree() == max((i for i, c in enumerate(want) if not c.is_zero()), default=-1)
+    for e in points:
+        assert eval_poly(poly, e) == horner(want, QFrac.q_power(e))
+
+
+def test_interpolate_rejects_fraction_values():
+    with pytest.raises(ArithmeticError, match="not a polynomial"):
+        interpolate([QFrac(1), QFrac(ONE, L("1 - q"))])
+
+
+# -- factored values ------------------------------------------------------------
+
+
+def test_cyclo_poch_and_qbinom_expand_to_the_products():
+    for m in range(-5, 6):
+        for z in range(0, 6):
+            assert Cyclo.poch(m, z).expand() == qpoch(m, z), (m, z)
+    for n in range(0, 8):
+        for k in range(0, 9):
+            assert Cyclo.qbinom(n, k).expand() == qbinom(n, k), (n, k)
+    with pytest.raises(ValueError, match="pochhammer length negative"):
+        Cyclo.poch(1, -1)
+
+
+def test_cyclo_is_an_exponent_vector_over_psi():
+    # 1 - q^6 = Psi_1 Psi_2 Psi_3 Psi_6; 1 - q^-2 = -q^-2 Psi_1 Psi_2
+    assert Cyclo.poch(6, 1) == Cyclo(1, 0, {1: 1, 2: 1, 3: 1, 6: 1})
+    assert Cyclo.poch(-2, 1) == Cyclo(-1, -2, {1: 1, 2: 1})
+    assert Cyclo.poch(6, 1) / Cyclo.poch(3, 1) == Cyclo(1, 0, {2: 1, 6: 1})
+    assert (Cyclo.poch(6, 1) / Cyclo.poch(3, 1)).expand() == L("1 + q^3")
+    assert Cyclo.poch(0, 2) == Cyclo(0) and Cyclo.poch(0, 2).expand() == ZERO
+
+
+def test_cyclo_fractions_are_reduced_without_gcd():
+    rng = random.Random(5)
+    for _ in range(40):
+        x = Cyclo(rng.choice((1, -1)), rng.randrange(-3, 4))
+        for _ in range(3):
+            factor = Cyclo.poch(rng.choice((-4, -3, 1, 2, 3, 4)), rng.randrange(0, 3))
+            x = x * factor ** rng.choice((1, -1))
+        num = QFrac.from_qlaurent(Cyclo(1, 0, {d: e for d, e in x.exps.items() if e > 0}).expand())
+        den = QFrac.from_qlaurent(Cyclo(1, 0, {d: -e for d, e in x.exps.items() if e < 0}).expand())
+        want = QFrac.q_power(x.shift, x.sign) * num / den
+        assert x.to_qfrac() == want
+        p = QLaurent({rng.randrange(-3, 4): rng.randrange(-4, 5) for _ in range(3)})
+        assert x.divide(p) == QFrac.from_qlaurent(p) / want
+
+
+def test_cyclo_negative_exponent_is_not_a_polynomial():
+    inv = Cyclo.poch(1, 1) ** -1  # (1 - q)^-1
+    assert not inv.is_polynomial()
+    with pytest.raises(ArithmeticError, match="not a polynomial"):
+        inv.expand()
+    with pytest.raises(ZeroDivisionError):
+        Cyclo(1, 1) / Cyclo(0)

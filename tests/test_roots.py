@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qct import cli, gxseries, qring, roots
 from qct.closedform import all_shapes
 from qct.products import Shape, bf_ct
-from qct.qring import QFrac, eval_poly
+from qct.qring import QFrac, ZPoly, eval_poly
 from qct.roots import (
     LemmaFalsified,
     _held_karp,
@@ -72,24 +73,26 @@ def test_root_table_display():
 
 def test_interpolate_dn_degree_and_extrapolation():
     shape = Shape((1, 1))
-    coeffs = interpolate_dn(shape, 1, 1)
-    assert len(coeffs) == 3
-    # value at the unused node a = 3 agrees with a direct brute fold
-    assert eval_poly(coeffs, QFrac.q_power(3)) == bf_ct(shape, 3, 1, 1)
+    poly = interpolate_dn(shape, 1, 1)
+    assert len(poly.coeffs) == 4 and poly.degree() == 2
+    # values at the last node a = 3 and at the unused a = 4 agree with direct brute folds
+    assert eval_poly(poly, 3) == bf_ct(shape, 3, 1, 1)
+    assert eval_poly(poly, 4) == bf_ct(shape, 4, 1, 1)
     # b = 0: constant polynomial equal to the a-independent value
     const = interpolate_dn(shape, 0, 2)
-    assert const == [bf_ct(shape, 0, 0, 2)]
+    assert const.degree() == 0
+    assert const.den.divide(const.coeffs[0]) == bf_ct(shape, 0, 0, 2)
 
 
 def test_interpolate_dn_p0_matches_closed_form_at_one():
-    coeffs = interpolate_dn(Shape((2,)), 1, 1)
+    poly = interpolate_dn(Shape((2,)), 1, 1)
     from qct.closedform import qmorris_rhs
-    assert eval_poly(coeffs, QFrac(1)) == qmorris_rhs(2, 0, 1, 1)
+    assert eval_poly(poly, 0) == qmorris_rhs(2, 0, 1, 1)
 
 
 def test_verify_roots_reports():
     rep = verify_roots(Shape((1, 2)), 1, 1)
-    assert rep["all_vanish"] and rep["closed_form_match"]
+    assert rep["degree_bound_ok"] and rep["all_vanish"] and rep["closed_form_match"]
     assert rep["root_count_ok"] and rep["disjoint"] and rep["product_form_match"]
     rep0 = verify_roots(Shape((1, 2)), 0, 1)
     assert rep0["all_vanish"] and rep0["roots_checked"] == 0
@@ -100,11 +103,45 @@ def test_verify_roots_reports():
     assert rep2["all_vanish"] and rep2["closed_form_match"]
 
 
+def test_degree_bound_is_checked(monkeypatch):
+    # a wrong brute value at a = nb + 1 raises the interpolated degree past nb
+    shape, b, c = Shape((1, 2)), 1, 1
+    nb = shape.n * b
+    grid = roots.bf_ct_grid
+
+    def perturbed(shape, c, jobs):
+        out = grid(shape, c, jobs)
+        out[(nb + 1, b)] = out[(nb + 1, b)] + QFrac(1)
+        return out
+
+    monkeypatch.setattr(roots, "bf_ct_grid", perturbed)
+    assert verify_roots(shape, b, c)["degree_bound_ok"] is False
+    ok, detail = cli._run_roots({"shape": list(shape.parts), "b": b, "c": c})
+    assert not ok and detail["degree_bound_ok"] is False
+
+
+def test_roots_path_runs_without_gcd(monkeypatch):
+    gx_values = {d: gxseries.gx_ct(Shape((1, 1)), 1, 1, d, on_stuck="series") for d in range(1, 4)}
+    want = bf_ct(Shape((1, 1)), 2, 1, 1)
+    gcd = qring.poly_gcd
+    calls = []
+    monkeypatch.setattr(qring, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    rep = verify_roots(Shape((1, 2)), 2, 2)
+    assert rep["degree_bound_ok"] and rep["closed_form_match"] and rep["product_form_match"]
+    # the gx pipeline's own QFrac arithmetic is outside this check
+    monkeypatch.setattr(gxseries, "gx_ct", lambda shape, b, c, d, **kw: gx_values[d])
+    assert cli._gx_value(Shape((1, 1)), 2, 1, 1) == want
+    assert calls == []
+
+
 def test_product_form_matches_interpolation():
     shape = Shape((1, 2))
-    coeffs = interpolate_dn(shape, 1, 1)
+    poly = interpolate_dn(shape, 1, 1)
     pf = product_form_coeffs(shape, 1, 1)
-    assert pf == coeffs + [QFrac(0)] * (len(pf) - len(coeffs))
+    assert len(pf.coeffs) == shape.n * 1 + 1 and pf == poly
+    # cross-multiplication tells a wrong coefficient apart
+    wrong = ZPoly(pf.coeffs[:1] + [pf.coeffs[1] + pf.den.expand()] + pf.coeffs[2:], pf.den)
+    assert wrong != poly
 
 
 def test_path_weight_worked_examples():
