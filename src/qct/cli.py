@@ -57,6 +57,17 @@ def _positive_int(text: str) -> int:
     return values[0]
 
 
+def _nonneg_float(text: str) -> float:
+    """argparse type: one nonnegative number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not value >= 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
 def _shape(text: str) -> Shape:
     """argparse type: block sizes n_0,n_1,... as a comma list of positive integers."""
     return Shape(_positive_ints(text))
@@ -529,7 +540,7 @@ def run_suite(name: str, args) -> dict:
     carve, _ = SUITES[name]
     cases = carve(args)
     order = sorted(range(len(cases)), key=lambda idx: _case_cost(name, cases[idx]))
-    budget = float(args.max_seconds) if args.max_seconds else None
+    budget = args.max_seconds
     threads = max(1, int(os.environ.get("QCT_THREADS", "1")))
     t0 = time.monotonic()
     results: dict[int, dict] = {}
@@ -655,8 +666,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--c", type=_nonneg_int)
     ver.add_argument("--out", help="JSON report path")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--max-seconds", dest="max_seconds",
-                     help="trim the grid deterministically from the large end")
+    ver.add_argument("--max-seconds", dest="max_seconds", type=_nonneg_float,
+                     help="trim the grid deterministically from the large end; "
+                          "a budget runs the suite serially, whatever QCT_THREADS says")
     ver.set_defaults(func=cmd_verify)
 
     rep = sub.add_parser("report", help="aggregate suite reports")

@@ -10,13 +10,18 @@ substituted images Q(d | u; k), and the vanishing-property checks that drive
 the root analysis.
 
 Variables use slots 0..n of an (n+1)-arity MLaurent, slot t holding x_t.
+Every denominator factor of the pipeline is (1 - q^m x_head/x_tail) with an
+integer m, and every scalar is a ratio of q-Pochhammer symbols: elimination
+keeps numerators as {exponent tuple: QLaurent}, substitutes by shifting
+coefficients and collects the scalars in a factored ``Cyclo``, so it makes
+no gcd; a constant term is reduced once, at the end.
 """
 
 from __future__ import annotations
 
 from .laurent import FoldFactor, MLaurent, ct_fold, linear_factors
 from .products import Shape, epsilon
-from .qring import ONE, QFrac, QLaurent, qpoch
+from .qring import ONE, ZERO, Cyclo, QFrac, QLaurent, cyclo_sum
 from .roots import t_table
 
 
@@ -85,98 +90,118 @@ def ct_binomial(i: int, j: int, order: VarOrder) -> int:
 
 
 class RationalTerm:
-    """scale * numerator / prod (1 - c_r x_head/x_{tail_r}), one shared head.
+    """scale * numerator / prod_r (1 - q^{m_r} x_head/x_{tail_r}), one shared head.
 
-    The numerator keeps denominator-free coefficients; every scalar fraction
-    picked up along the way lives in ``scale`` so coefficient arithmetic
-    never reduces fractions term by term.
+    The numerator maps exponent tuples to nonzero QLaurent coefficients and
+    ``dens`` lists the (m_r, tail_r) pairs; every scalar fraction picked up
+    along the way lives in the factored ``scale`` (a Cyclo), so coefficient
+    arithmetic never reduces fractions term by term.
     """
 
     __slots__ = ("scale", "num", "dens", "head")
 
-    def __init__(self, num: MLaurent, dens, head: int | None, scale: QFrac | None = None):
-        self.scale = QFrac(1) if scale is None else scale
+    def __init__(self, num: dict, dens, head: int | None, scale: Cyclo | None = None):
+        self.scale = Cyclo() if scale is None else scale
         self.num = num
-        self.dens = list(dens)  # (c_r: QFrac, tail var index)
+        self.dens = list(dens)  # (m_r, tail var index)
         self.head = head
         if self.dens and head is None:
             raise ValueError("denominator factors need a head variable")
 
     def degree_in_head(self) -> int:
-        if self.num.is_zero():
+        if not self.num:
             return -(10 ** 9)
-        return max(e[self.head] for e in self.num.terms)
+        return max(e[self.head] for e in self.num)
 
 
-def _eliminate(scale: QFrac, num: MLaurent, factors, k: int):
+def _eliminate(scale: Cyclo, num: dict, factors, k: int):
     """Core elimination step; returns (scale, num, dens, head, cleared) per
-    surviving factor, with scalarized factors folded into the scale."""
-    factors = [(c, i) for c, i in factors]
+    surviving factor, with scalarized factors folded into the scale.
+
+    Substituting x_k = q^{-m_r} x_{i_r} multiplies a coefficient of x_k^e by
+    q^{-m_r e} (a shift), turns (1 - q^{m_s} x_k/x_{i_s}) into a factor with
+    exponent m_s - m_r, or into the scalar 1 - q^{m_s - m_r} on the same tail.
+    """
     m = len(factors)
     if m == 0:
         raise ValueError("no denominator factors to eliminate against")
-    for r in range(m):
-        cr, ir = factors[r]
-        if cr.is_zero():
-            raise ValueError("zero denominator coefficient")
+    for r, (mr, ir) in enumerate(factors):
         if ir == k:
             raise ValueError("denominator tail equals the eliminated variable")
-        for s in range(r + 1, m):
-            cs, js = factors[s]
-            if js == ir and cs == cr:
+        for ms, js in factors[r + 1:]:
+            if js == ir and ms == mr:
                 raise ValueError("repeated pole: equal coefficients on one tail")
-    if not num.is_zero():
-        deg = max(e[k] for e in num.terms)
+    if num:
+        deg = max(e[k] for e in num)
         if deg > m - 1:
             raise OutOfContract(
                 f"numerator degree {deg} in x_{k} exceeds {m - 1}; out of contract"
             )
     out = []
-    for r, (cr, ir) in enumerate(factors):
+    for r, (mr, ir) in enumerate(factors):
         if ir < k:
             continue
-        inv = cr.inverse()
-        sub = {}
-        for e, v in num.terms.items():
+        sub: dict = {}
+        for e, v in num.items():
             ek = e[k]
-            ne = list(e)
-            ne[k] = 0
-            ne[ir] += ek
-            ne = tuple(ne)
-            nv = v * inv ** ek if ek else v
-            cur = sub.get(ne)
-            s = nv if cur is None else cur + nv
-            if s.is_zero():
-                sub.pop(ne, None)
+            if ek:
+                ne = list(e)
+                ne[k] = 0
+                ne[ir] += ek
+                e = tuple(ne)
+                v = v.shift(-mr * ek)
+            cur = sub.get(e)
+            if cur is None:
+                sub[e] = v
             else:
-                sub[ne] = s
-        new_num = MLaurent(num.arity, sub, _trusted=True)
+                v = cur + v
+                if v.is_zero():
+                    del sub[e]
+                else:
+                    sub[e] = v
         new_scale = scale
         new_dens = []
-        for s, (cs, js) in enumerate(factors):
+        for s, (ms, js) in enumerate(factors):
             if s == r:
                 continue
             if js == ir:
-                new_scale = new_scale / (QFrac(1) - cs * inv)
+                new_scale = new_scale / Cyclo.poch(ms - mr, 1)
             else:
-                new_dens.append((cs * inv, js))
-        out.append((new_scale, new_num, new_dens, ir, (cr, ir)))
+                new_dens.append((ms - mr, js))
+        out.append((new_scale, sub, new_dens, ir, (mr, ir)))
     return out
+
+
+def _q_exponent(c: QFrac) -> int:
+    """m for a coefficient c = q^m; ValueError for anything else."""
+    if not c.den.is_one() or len(c.num.terms) != 1 or c.num.leading_coefficient() != 1:
+        raise ValueError(f"denominator coefficient {c} is not a power of q")
+    return c.num.min_exp()
 
 
 def ct_partial_fraction(num: MLaurent, factors, k: int):
     """One elimination step: CT_{x_k} of num / prod_r (1 - c_r x_k/x_{i_r}).
 
-    ``factors`` lists (c_r, i_r).  Requires deg_{x_k}(num) <= m - 1 and
-    distinct c_r on repeated tails.  Returns the surviving substituted terms
-    as (numerator, remaining factors, new head) triples, one per factor with
-    i_r > k; factors with i_r < k contribute nothing.
+    ``factors`` lists (c_r, i_r), each c_r a power of q.  Requires
+    deg_{x_k}(num) <= m - 1 and distinct c_r on repeated tails.  Returns the
+    surviving substituted terms as (numerator, remaining factors, new head)
+    triples, one per factor with i_r > k; factors with i_r < k contribute
+    nothing.
     """
+    factors = [(_q_exponent(c), i) for c, i in factors]
+    # clear the numerator's denominators by their product, exactly
+    den = ONE
+    for d in {v.den for v in num.terms.values()}:
+        den = den * d
+    cleared = {e: v.num * den.divexact(v.den) for e, v in num.terms.items()}
     out = []
-    for scale, new_num, new_dens, head, _ in _eliminate(QFrac(1), num, factors, k):
-        if not scale.is_one():
-            new_num = new_num.scale(scale)
-        out.append((new_num, new_dens, head))
+    for scale, sub, dens, head, _ in _eliminate(Cyclo(), cleared, factors, k):
+        inv = scale ** -1
+        coeffs = {e: inv.divide(p) for e, p in sub.items()}
+        if not den.is_one():
+            coeffs = {e: v / QFrac(den) for e, v in coeffs.items()}
+        out.append((MLaurent(num.arity, coeffs, _trusted=True),
+                    [(QFrac.q_power(ms), js) for ms, js in dens], head))
     return out
 
 
@@ -197,11 +222,6 @@ class PochFactor:
         return linear_factors(arity, None if self.a is None else self.a + 1,
                               None if self.b is None else self.b + 1, self.m, self.z)
 
-    def scalar_qlaurent(self) -> QLaurent:
-        if self.a is not None or self.b is not None:
-            raise ValueError("not a scalar factor")
-        return qpoch(self.m, self.z)
-
     def __repr__(self):
         sa = "1" if self.a is None else f"x{self.a}"
         sb = "" if self.b is None else f"/x{self.b}"
@@ -210,8 +230,9 @@ class PochFactor:
 
 class QukFactors:
     """The factized form of Q(d | u; k): scalar V, the per-u elimination
-    scalars, the head-variable numerator and denominator Pochhammers, and the
-    residual pair product over the untouched variables."""
+    scalars (both factored Cyclo values), the head-variable numerator and
+    denominator Pochhammers, and the residual pair product over the
+    untouched variables."""
 
     __slots__ = ("shape", "b", "c", "d", "u", "k", "V", "scalars", "num_pochs",
                  "den_pochs", "residual_pairs", "head")
@@ -235,8 +256,8 @@ class QukFactors:
         s = len(u)
         if s == 0:
             self.head = 0
-            self.V = ONE
-            self.scalars = QFrac(1)
+            self.V = Cyclo()
+            self.scalars = Cyclo()
             self.num_pochs = [PochFactor(1, j, 0, b) for j in range(1, n + 1)]
             self.den_pochs = [PochFactor(-d, 0, j, d) for j in range(1, n + 1)]
             self.residual_pairs = _pair_pochs(shape, c, exclude=())
@@ -244,17 +265,17 @@ class QukFactors:
         us = u[-1]
         ks = k[-1]
         self.head = us
-        V = ONE
+        V = Cyclo()
         for ki in k:
-            V = V * qpoch(1 - ki, b)
+            V = V * Cyclo.poch(1 - ki, b)
         for a in range(s):
             for bb in range(a + 1, s):
                 eps = epsilon(shape, u[a], u[bb])
-                V = V * qpoch(k[bb] - k[a], c + eps) * qpoch(k[a] - k[bb] + 1, c + eps)
+                V = V * Cyclo.poch(k[bb] - k[a], c + eps) * Cyclo.poch(k[a] - k[bb] + 1, c + eps)
         self.V = V
-        scal = QFrac(1)
+        scal = Cyclo()
         for ki in k:
-            scal = scal / QFrac.from_qlaurent(qpoch(ki - d, d - ki) * qpoch(1, ki - 1))
+            scal = scal / (Cyclo.poch(ki - d, d - ki) * Cyclo.poch(1, ki - 1))
         self.scalars = scal
         outside = [i for i in range(1, n + 1) if i not in u]
         num = []
@@ -285,7 +306,7 @@ class QukFactors:
                      for i in range(self.shape.p + 1))
 
     def is_zero(self) -> bool:
-        return self.V.is_zero()
+        return not self.V.sign
 
     def vanishing_factor(self):
         """A zero scalar Pochhammer inside V, if any, with its provenance."""
@@ -305,41 +326,29 @@ class QukFactors:
 
     # -- expansion --------------------------------------------------------------
 
-    def numerator_poly(self) -> MLaurent:
-        """V * (head numerator Pochhammers) * residual pair product, with
-        denominator-free coefficients; the fraction part is ``scalars``."""
-        if self.V.is_zero():
-            return MLaurent(self.shape.n + 1)
+    def scale(self) -> Cyclo:
+        """V times the elimination scalars: the fraction part of the term."""
+        return self.V * self.scalars
+
+    def numerator_poly(self) -> dict:
+        """(head numerator Pochhammers) * residual pair product as
+        {exponent tuple: QLaurent}; empty when V vanishes."""
+        if self.is_zero():
+            return {}
         n = self.shape.n
         factors = []
         for pf in self.num_pochs + self.residual_pairs:
             factors.extend(pf.fold_factors(n + 1))
-        if factors:
-            res = ct_fold(n + 1, factors, None, None)
-        else:
-            res = {(0,) * (n + 1): ONE}
-        out = {}
-        for e, p in res.items():
-            v = p * self.V
-            if not v.is_zero():
-                out[e] = QFrac.from_qlaurent(v)
-        return MLaurent(n + 1, out, _trusted=True)
+        return ct_fold(n + 1, factors, None, None)
 
-    def numerator(self) -> MLaurent:
-        """Full numerator including the scalar fraction part."""
-        return self.numerator_poly().scale(self.scalars)
-
-    def den_factor_list(self) -> list[tuple[QFrac, int]]:
-        """(coefficient, tail) pairs of the head-variable linear factors."""
-        out = []
-        for pf in self.den_pochs:
-            for t in range(pf.z):
-                out.append((QFrac.q_power(pf.m + t), pf.b))
-        return out
+    def den_factor_list(self) -> list[tuple[int, int]]:
+        """(m, tail) pairs of the head-variable linear factors
+        (1 - q^m x_head/x_tail)."""
+        return [(pf.m + t, pf.b) for pf in self.den_pochs for t in range(pf.z)]
 
     def rational_term(self) -> RationalTerm:
         return RationalTerm(self.numerator_poly(), self.den_factor_list(), self.head,
-                            scale=self.scalars)
+                            scale=self.scale())
 
 
 def _pair_pochs(shape: Shape, c: int, exclude=()) -> list[PochFactor]:
@@ -369,21 +378,21 @@ def build_Quk(shape: Shape, b: int, c: int, d: int, u, k) -> QukFactors:
 def substitution_oracle(shape: Shape, b: int, c: int, d: int, u, k):
     """Q(d | u; k) built the other way: cancel the dying denominator factors
     of Q(d) against prod_i (1 - q^{-k_i} x_0/x_{u_i}) and apply the variable
-    merge to every remaining factor.  Returns (scalar QFrac, numerator
-    Pochhammers, denominator linear factors) in the merged variables.
+    merge to every remaining factor.  Returns (scalar Cyclo, numerator
+    Pochhammers, denominator (m, tail) pairs) in the merged variables.
     """
     u = tuple(u)
     k = tuple(k)
     s = len(u)
     if s == 0:
         q0 = build_Q(shape, b, c, d)
-        return QFrac(1), q0.num_pochs + q0.residual_pairs, q0.den_factor_list()
+        return Cyclo(), q0.num_pochs + q0.residual_pairs, q0.den_factor_list()
     n = shape.n
     us, ks = u[-1], k[-1]
     shift = {0: ks}
     for t in range(s - 1):
         shift[u[t]] = ks - k[t]
-    scalar = QFrac(1)
+    scalar = Cyclo()
     num_pochs = []
     dens = []
 
@@ -400,7 +409,7 @@ def substitution_oracle(shape: Shape, b: int, c: int, d: int, u, k):
         tb, sb = image(pf.b)
         m = pf.m + sa - sb
         if ta == tb:
-            scalar = scalar * QFrac.from_qlaurent(qpoch(m, pf.z))
+            scalar = scalar * Cyclo.poch(m, pf.z)
         else:
             num_pochs.append(PochFactor(m, ta, tb, pf.z))
     # denominator factors, with the cancelled linear pieces skipped
@@ -412,9 +421,9 @@ def substitution_oracle(shape: Shape, b: int, c: int, d: int, u, k):
                 # scalar piece; the one with m == 0 was cancelled pre-merge
                 if m == 0:
                     continue
-                scalar = scalar / QFrac.from_qlaurent(qpoch(m, 1))
+                scalar = scalar / Cyclo.poch(m, 1)
             else:
-                dens.append((QFrac.q_power(m), tb))
+                dens.append((m, tb))
     return scalar, num_pochs, dens
 
 
@@ -423,39 +432,35 @@ def oracle_matches_direct(shape: Shape, b: int, c: int, d: int, u, k) -> bool:
     construction, as rational functions of the surviving variables."""
     direct = build_Quk(shape, b, c, d, u, k)
     scal, pochs, dens = substitution_oracle(shape, b, c, d, u, k)
-    n = shape.n
-    arity = n + 1
+    arity = shape.n + 1
 
-    def expand(poch_list):
+    def expand(poch_list, dlist):
+        # one side's numerator Pochhammers times the other side's denominator
         factors = []
         for pf in poch_list:
             factors.extend(pf.fold_factors(arity))
-        if not factors:
-            return MLaurent.constant(arity, 1)
-        res = ct_fold(arity, factors, None, None)
-        return MLaurent(arity, {e: QFrac.from_qlaurent(x) for e, x in res.items()},
-                        _trusted=True)
+        factors += [FoldFactor.linear(arity, direct.head + 1, tail + 1, m) for m, tail in dlist]
+        return ct_fold(arity, factors, None, None)
 
-    def den_poly(dlist):
-        factors = []
-        for cf, tail in dlist:
-            qexp = cf.num.min_exp()
-            factors.append(FoldFactor(arity, [
-                (None, 0, ONE),
-                (tuple(1 if t == direct.head else (-1 if t == tail else 0)
-                       for t in range(arity)), qexp, QLaurent.from_int(-1)),
-            ]))
-        if not factors:
-            return MLaurent.constant(arity, 1)
-        res = ct_fold(arity, factors, None, None)
-        return MLaurent(arity, {e: QFrac.from_qlaurent(x) for e, x in res.items()},
-                        _trusted=True)
+    lhs = expand(direct.num_pochs + direct.residual_pairs, dens)
+    rhs = expand(pochs, direct.den_factor_list())
+    return _scaled_equal(direct.scale(), lhs, scal, rhs)
 
-    lhs = expand(direct.num_pochs + direct.residual_pairs).scale(
-        QFrac.from_qlaurent(direct.V) * direct.scalars
-    ) * den_poly(dens)
-    rhs = expand(pochs).scale(scal) * den_poly(direct.den_factor_list())
-    return lhs == rhs
+
+def _scaled_equal(scale_a: Cyclo, num_a: dict, scale_b: Cyclo, num_b: dict) -> bool:
+    """scale_a * num_a == scale_b * num_b coefficient by coefficient, for
+    numerators without zero values: cross-multiplied by the parts of
+    scale_a / scale_b over and under the fraction bar, so no gcd."""
+    if not scale_a.sign:
+        num_a = {}
+    if not scale_b.sign:
+        num_b = {}
+    if num_a.keys() != num_b.keys():
+        return False
+    if not num_a:
+        return True
+    over, under = (scale_a / scale_b).split()
+    return all(over.times(v) == under.times(num_b[e]) for e, v in num_a.items())
 
 
 # -- the three vanishing properties -----------------------------------------------------
@@ -502,20 +507,19 @@ def check_property_expand(shape, b, c, d, u, k) -> dict:
     report = {"branch": "expand", "ok": True, "degree_ok": None, "terms": 0, "witness": None}
     num = q.numerator_poly()
     dens = q.den_factor_list()
-    den_deg = len(dens)
-    deg = 0 if num.is_zero() else max(e[q.head] for e in num.terms)
-    report["degree_ok"] = deg < den_deg
+    deg = max((e[q.head] for e in num), default=0)
+    report["degree_ok"] = deg < len(dens)
     if not report["degree_ok"]:
         report["ok"] = False
         return report
-    if num.is_zero():
+    if not num:
         return report
     ks = q.k[-1] if q.u else 0
-    for scale, new_num, new_dens, new_head, cleared in _eliminate(q.scalars, num, dens, q.head):
+    for scale, new_num, new_dens, new_head, cleared in _eliminate(q.scale(), num, dens, q.head):
         # the cleared factor was (1 - q^{k_s - d + t} x_head/x_i), fixing
-        # k_{s+1} = d - t = k_s - (exponent of its coefficient)
-        cf, i = cleared
-        k1 = ks - cf.num.min_exp()
+        # k_{s+1} = d - t = k_s - (its q-exponent)
+        m, i = cleared
+        k1 = ks - m
         if not 1 <= k1 <= d or i in q.u or i <= q.head:
             report["ok"] = False
             report["witness"] = {"head": new_head, "bad_k": k1}
@@ -529,26 +533,12 @@ def check_property_expand(shape, b, c, d, u, k) -> dict:
     return report
 
 
-def _terms_equal(scale_a: QFrac, num_a: MLaurent, dens_a, head_a, cand: QukFactors) -> bool:
+def _terms_equal(scale_a: Cyclo, num_a: dict, dens_a, head_a, cand: QukFactors) -> bool:
     if head_a != cand.head:
         return False
-    dens_b = cand.den_factor_list()
-    key_a = sorted((str(cf), tail) for cf, tail in dens_a)
-    key_b = sorted((str(cf), tail) for cf, tail in dens_b)
-    if key_a != key_b:
+    if sorted(dens_a) != sorted(cand.den_factor_list()):
         return False
-    num_b = cand.numerator_poly()
-    scale_b = cand.scalars
-    if set(num_a.terms) != set(num_b.terms):
-        return False
-    # scale_a * num_a == scale_b * num_b, cross-multiplied without reductions
-    left = scale_a.num * scale_b.den
-    right = scale_b.num * scale_a.den
-    for e, va in num_a.terms.items():
-        vb = num_b.terms[e]
-        if va.num * left != vb.num * right:
-            return False
-    return True
+    return _scaled_equal(scale_a, num_a, cand.scale(), cand.numerator_poly())
 
 
 def _case4_exists(shape: Shape, u, k, b: int, c: int, t: int) -> bool:
@@ -595,7 +585,8 @@ def exact_ct_rational(q: QukFactors) -> QFrac:
     """
     if q.is_zero():
         return QFrac(0)
-    return _series_ct_of_term(q.rational_term())
+    t = q.rational_term()
+    return cyclo_sum([(t.scale, _series_ct_of_term(t))])
 
 
 def check_property_laurent(shape, b, c, d, u, k) -> dict:
@@ -757,29 +748,36 @@ def vanishing_property_checks(shape: Shape, b: int, c: int, d: int, u, k) -> dic
 # -- the full elimination pipeline ---------------------------------------------------------
 
 
-def _series_ct_of_term(t: RationalTerm) -> QFrac:
-    """Exact CT of a single rational term by bounded geometric expansion.
+def _series_ct_of_term(t: RationalTerm) -> QLaurent:
+    """Exact CT of a single rational term, without its scale, by bounded
+    geometric expansion.
 
     Tails after the head only ever lose degree, capping their expansions at
     the numerator's top degree; tails before the head consume the head's
     degree budget, capping theirs at the total available.  Exact, not a
-    truncation heuristic.
+    truncation heuristic.  The expansion runs over QFrac; every coefficient
+    it meets is an integer Laurent polynomial, since each denominator
+    coefficient is a power of q.
     """
-    if t.num.is_zero():
-        return QFrac(0)
-    arity = t.num.arity
+    if not t.num:
+        return ZERO
+    arity = len(next(iter(t.num)))
+    num = MLaurent(arity, {e: QFrac.from_qlaurent(v) for e, v in t.num.items()}, _trusted=True)
     order = VarOrder.natural(arity)
     head = t.head
     pos_caps = {}
     for _, tail in t.dens:
         if tail > head:
-            pos_caps[tail] = max(0, max(e[tail] for e in t.num.terms))
-    budget = max(0, max(e[head] for e in t.num.terms)) + sum(pos_caps.values())
-    acc = t.num
-    for cf, tail in t.dens:
+            pos_caps[tail] = max(0, max(e[tail] for e in t.num))
+    budget = max(0, max(e[head] for e in t.num)) + sum(pos_caps.values())
+    acc = num
+    for m, tail in t.dens:
         trunc = pos_caps[tail] if tail > head else budget
-        acc = acc * expand_factor(head, tail, cf, order, trunc, arity)
-    return acc.constant_coefficient() * t.scale
+        acc = acc * expand_factor(head, tail, QFrac.q_power(m), order, trunc, arity)
+    ct = acc.constant_coefficient()
+    if not ct.is_polynomial():
+        raise ArithmeticError(f"series constant term is not a Laurent polynomial: {ct}")
+    return ct.num
 
 
 def gx_ct(shape: Shape, b: int, c: int, d: int, on_stuck: str = "error",
@@ -790,35 +788,36 @@ def gx_ct(shape: Shape, b: int, c: int, d: int, on_stuck: str = "error",
     lemma when its degree precondition holds.  A term whose precondition
     fails either raises OutOfContract (``on_stuck='error'``, the default) or
     is finished off by the exact bounded-series evaluation
-    (``on_stuck='series'``); there is no guessed branch.
+    (``on_stuck='series'``); there is no guessed branch.  The constant terms
+    of the leaves are added per distinct scale and reduced once.
     """
     if on_stuck not in ("error", "series"):
         raise ValueError("on_stuck must be 'error' or 'series'")
-    q0 = build_Q(shape, b, c, d)
-    term = q0.rational_term()
-    total = QFrac(0)
-    stack = [term]
+    zero = (0,) * (shape.n + 1)
+    stack = [build_Q(shape, b, c, d).rational_term()]
+    leaves = []  # (scale, constant term) pairs
     seen = 0
     while stack:
         t = stack.pop()
         seen += 1
         if seen > max_terms:
             raise RuntimeError("term budget exceeded")
-        if t.num.is_zero():
+        if not t.num:
             continue
         if not t.dens:
-            total = total + t.num.constant_coefficient() * t.scale
+            if zero in t.num:
+                leaves.append((t.scale, t.num[zero]))
             continue
         try:
             pieces = _eliminate(t.scale, t.num, t.dens, t.head)
         except OutOfContract:
             if on_stuck == "error":
                 raise
-            total = total + _series_ct_of_term(t)
+            leaves.append((t.scale, _series_ct_of_term(t)))
             continue
         for scale, new_num, new_dens, new_head, _ in pieces:
             stack.append(RationalTerm(new_num, new_dens, new_head, scale=scale))
-    return total
+    return cyclo_sum(leaves)
 
 
 def series_ct(num: MLaurent, dens, head: int, order: VarOrder, trunc: int) -> QFrac:

@@ -278,25 +278,9 @@ def _split_monomial(chunk: str):
 # -- spec-level operations (1-based variable indices) ---------------------------------
 
 
-def poly_arith(a: MLaurent, b: MLaurent, op: str):
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        if len(b.terms) != 1 or set(b.terms) != {(0,) * b.arity}:
-            raise ValueError("scale expects a constant second operand")
-        return a.scale(b.constant_coefficient())
-    raise ValueError(f"unknown op {op!r}")
-
-
 def ct(f: MLaurent, variables) -> MLaurent:
     """Constant term over the 1-based variable index set."""
     return f.ct_positions([v - 1 for v in variables])
-
-
-def coeff_at(f: MLaurent, exps) -> QFrac:
-    return f.coefficient(exps)
 
 
 def poch_factor(arity: int, i, j, m: int, z: int) -> MLaurent:
@@ -492,6 +476,17 @@ def _windows(factors, tlo, thi):
     return steps, base, top
 
 
+def _full_window(arity, factors):
+    """The smallest window holding every monomial of the expanded product."""
+    lo = [0] * arity
+    hi = [0] * arity
+    for f in factors:
+        for v in range(arity):
+            lo[v] += f.lo[v]
+            hi[v] += f.hi[v]
+    return tuple(lo), tuple(hi)
+
+
 def ct_fold(arity, factors, tlo=None, thi=None) -> dict:
     """Expand a factor list, keeping only exponents inside [tlo, thi].
 
@@ -502,21 +497,17 @@ def ct_fold(arity, factors, tlo=None, thi=None) -> dict:
     factors = list(factors)
     if tlo is None or thi is None:
         # unconstrained: window wide enough to keep everything
-        lo = [0] * arity
-        hi = [0] * arity
-        for f in factors:
-            for v in range(arity):
-                lo[v] += f.lo[v]
-                hi[v] += f.hi[v]
-        tlo = tuple(lo) if tlo is None else tuple(tlo)
-        thi = tuple(hi) if thi is None else tuple(thi)
+        lo, hi = _full_window(arity, factors)
+        tlo = lo if tlo is None else tuple(tlo)
+        thi = hi if thi is None else tuple(thi)
     else:
         tlo = tuple(tlo)
         thi = tuple(thi)
     if not factors:
         inside = all(tlo[v] <= 0 <= thi[v] for v in range(arity))
         return {(0,) * arity: ONE} if inside else {}
-    packed, B = _fold_packed(factors, tlo, thi)
+    B = _digit_width(_l1_bound(factors))
+    packed = _fold_packed(factors, tlo, thi, B)
     return {e: _decode_packed(lo, mag, B) for e, (lo, mag) in packed.items()}
 
 
@@ -525,23 +516,57 @@ def fold_packed_raw(arity, factors, tlo, thi, extra_l1: int = 1):
 
     ``extra_l1`` widens the digit base so callers may multiply the returned
     packed values by further polynomials of that combined L1 norm without
-    digit overflow.
+    digit overflow.  Returns ({exponent tuple: (lo, mag)}, B).
     """
-    return _fold_packed(list(factors), tuple(tlo), tuple(thi), extra_l1)
+    factors = list(factors)
+    B = _digit_width(extra_l1 * _l1_bound(factors))
+    return _fold_packed(factors, tuple(tlo), tuple(thi), B), B
 
 
-def _choose_B(factors, extra_l1: int = 1) -> int:
-    bound = extra_l1
+def fold_sum_packed(arity, pieces):
+    """Sum of the full expansions of several factor lists, never decoded.
+
+    Every piece is folded with one shared digit width B, sized from the sum
+    of the pieces' L1 bounds, so no partial sum can overflow a digit and the
+    pieces are added as packed (lo, mag) pairs.  Returns ({exponent tuple:
+    (lo, mag)}, B) holding only the nonzero sums: a sum that is identically
+    zero is an empty dict.
+    """
+    pieces = [list(f) for f in pieces]
+    B = _digit_width(sum(_l1_bound(f) for f in pieces))
+    total: dict = {}
+    for factors in pieces:
+        tlo, thi = _full_window(arity, factors)
+        for e, val in _fold_packed(factors, tlo, thi, B).items():
+            cur = total.get(e)
+            if cur is None:
+                total[e] = val
+                continue
+            s = packed_add(cur, val, B)
+            if s[1]:
+                total[e] = s
+            else:
+                del total[e]
+    return total, B
+
+
+def _l1_bound(factors) -> int:
+    """A bound on the L1 norm of every coefficient of every partial product."""
+    bound = 1
     for f in factors:
         bound *= f.l1
+    return bound
+
+
+def _digit_width(bound: int) -> int:
+    """Digit width B for balanced base-2**B digits of magnitude <= bound."""
     return max(64, bound.bit_length() + 8)
 
 
-def _fold_packed(factors, tlo, thi, extra_l1: int = 1):
-    B = _choose_B(factors, extra_l1)
+def _fold_packed(factors, tlo, thi, B):
     steps, base, top = _windows(factors, tlo, thi)
     if steps is None:
-        return {}, B
+        return {}
     # Kronecker keys: slot v of a state's key holds e_v - base[v], a digit in
     # [0, width[v]), at weight radix[v].  A term is kept only if its touched
     # digits land in the step's window, which lies in the box, so key + dk
@@ -582,7 +607,7 @@ def _fold_packed(factors, tlo, thi, extra_l1: int = 1):
             k, x = divmod(k, w)
             e.append(x + b)
         out[tuple(e)] = val
-    return out, B
+    return out
 
 
 def _step_linear(state, B, slots, terms):

@@ -509,21 +509,6 @@ def _reduce(num: QLaurent, den: QLaurent) -> tuple[QLaurent, QLaurent]:
     return num0.shift(net), den0
 
 
-def frac_arith(a: QFrac, b: QFrac, op: str):
-    """Dispatch helper: op in {add, sub, mul, div, eq}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "eq":
-        return (a.num * b.den) == (b.num * a.den)
-    raise ValueError(f"unknown op {op!r}")
-
-
 # -- q-shifted factorials and Gaussian binomials ------------------------------
 
 
@@ -707,12 +692,18 @@ class Cyclo:
         """The value as a QLaurent; it must be a polynomial."""
         return self.times(ONE)
 
+    def split(self) -> tuple["Cyclo", "Cyclo"]:
+        """(over, under), two polynomials with self = over / under; the sign
+        and the power of q ride on ``over``."""
+        over = {d: e for d, e in self.exps.items() if e > 0}
+        under = {d: -e for d, e in self.exps.items() if e < 0}
+        return Cyclo(self.sign, self.shift, over), Cyclo(1, 0, under)
+
     def to_qfrac(self) -> QFrac:
         if not self.sign:
             return QFrac(0)
-        num = {d: e for d, e in self.exps.items() if e > 0}
-        den = {d: -e for d, e in self.exps.items() if e < 0}
-        return _fraction(_times_psi([1], num), self.shift, self.sign, den)
+        over, under = self.split()
+        return _fraction(_times_psi([1], over.exps), self.shift, self.sign, under.exps)
 
     def divide(self, p: QLaurent) -> QFrac:
         """p / self as a reduced QFrac, without a gcd: each Psi_d of the
@@ -745,6 +736,32 @@ class Cyclo:
             parts.append(f"q^{self.shift}")
         parts += [f"Psi_{d}^{e}" for d, e in sorted(self.exps.items())]
         return f"Cyclo({' '.join(p for p in parts if p) or '1'})"
+
+
+def cyclo_sum(terms) -> QFrac:
+    """sum of scale * p over (Cyclo scale, QLaurent p) pairs as one reduced
+    QFrac.  Pairs with equal exponent vectors are added first; the sums are
+    then brought over one common denominator prod_d Psi_d^{M_d}, M_d the
+    largest exponent of Psi_d under the fraction bar, and reduced by one
+    Cyclo.divide: no gcd."""
+    sums: dict[tuple, QLaurent] = {}
+    for scale, p in terms:
+        if not scale.sign or p.is_zero():
+            continue
+        key = tuple(sorted(scale.exps.items()))
+        sums[key] = sums.get(key, ZERO) + p.shift(scale.shift).scale(scale.sign)
+    den: dict[int, int] = {}
+    for key in sums:
+        for d, e in key:
+            if -e > den.get(d, 0):
+                den[d] = -e
+    total = ZERO
+    for key, p in sums.items():
+        lift = dict(den)
+        for d, e in key:
+            lift[d] = lift.get(d, 0) + e
+        total = total + Cyclo(1, 0, lift).times(p)
+    return Cyclo(1, 0, den).divide(total)
 
 
 # -- polynomials in z = q^a and their interpolation at q-nodes -------------------

@@ -9,8 +9,10 @@ exposes the family of vanishing coefficients of the pair product.
 
 All heavy identity checks run denominator-cleared: the scalar prefactors
 1/((q^{-j})_j (q)_{c-j-1}) and friends are replaced by +-q^e / (plain
-Pochhammer products), both sides are multiplied by a fixed common multiple,
-and the comparison happens in integer polynomial arithmetic.
+Pochhammer products, kept factored as a ``Cyclo``), both sides are multiplied
+by a fixed common multiple, and the check that their difference vanishes
+adds the expanded pieces as packed integers (``laurent.fold_sum_packed``):
+a passing check decodes no coefficient and computes no gcd.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .laurent import FoldFactor, MLaurent, ct_fold, linear_factors
+from .laurent import FoldFactor, MLaurent, ct_fold, fold_sum_packed, linear_factors
 from .products import Shape, pair_factors
-from .qring import ONE, QFrac, QLaurent, qpoch
+from .qring import ONE, Cyclo, QFrac, QLaurent, cyclo_sum
 
 
 def split_k(shape: Shape) -> int:
@@ -118,30 +120,35 @@ def _acoeff_rows(shape: Shape, c: int, i: int, j: int, k: int):
 
 
 def _acoeff_scalar_parts(shape: Shape, c: int, i: int, j: int, k: int):
-    """(sign, q-shift, plain denominator) of the scalar prefactor, using
-    (q^{-j})_j = (-1)^j q^{-j(j+1)/2} (q)_j to keep the denominator positive."""
+    """(sign, q-shift, plain denominator as a Cyclo) of the scalar prefactor,
+    using (q^{-j})_j = (-1)^j q^{-j(j+1)/2} (q)_j to keep the denominator
+    positive."""
     t = shape.block_of(i)
     if t < k:
         sign = -1 if j % 2 else 1
         shift = j * (j + 1) // 2
-        den = qpoch(1, j) * qpoch(1, c - j - 1)
+        den = Cyclo.poch(1, j) * Cyclo.poch(1, c - j - 1)
     elif t == k:
         sign = -1 if (j + 1) % 2 else 1
         shift = (j + 1) * (j + 2) // 2
-        den = qpoch(1, j + 1) * qpoch(1, c - j - 1)
+        den = Cyclo.poch(1, j + 1) * Cyclo.poch(1, c - j - 1)
     else:
         sign = -1 if (j + 1) % 2 else 1
         shift = (j + 1) * (j + 2) // 2
-        den = qpoch(1, j + 1) * qpoch(1, c - j - 2)
+        den = Cyclo.poch(1, j + 1) * Cyclo.poch(1, c - j - 2)
     return sign, shift, den
 
 
-def _acoeff_parts(shape: Shape, c: int, i: int, j: int, k: int):
+def _acoeff_parts(shape: Shape, c: int, i: int, j: int, k: int, arity: int | None = None):
     """(sign, q-exponent, plain denominator, monomial exponent vector, fold
-    factors) of one splitting coefficient, read off the table rows."""
+    factors) of one splitting coefficient, read off the table rows; ``arity``
+    (default n) leaves room for further slots after x_n."""
+    if j not in admissible_j(shape, c, i, k):
+        raise ValueError(f"j={j} out of range for variable {i}")
     n = shape.n
+    arity = arity or n
     factors: list[FoldFactor] = []
-    mono = [0] * n
+    mono = [0] * arity
     qexp = 0
     sign = 1
     for lo, hi, e, bold, pochs in _acoeff_rows(shape, c, i, j, k):
@@ -158,21 +165,20 @@ def _acoeff_parts(shape: Shape, c: int, i: int, j: int, k: int):
                 mono[i - 1] += 1
                 mono[l - 1] -= 1
             for base, length in pochs:
-                factors.extend(linear_factors(n, l, i, base, length))
-    factors.extend(pair_factors(shape, c, skip=i))
+                factors.extend(linear_factors(arity, l, i, base, length))
+    factors.extend(pair_factors(shape, c, skip=i, arity=arity))
     s2, sh2, den = _acoeff_scalar_parts(shape, c, i, j, k)
     return sign * s2, qexp + sh2, den, tuple(mono), factors
 
 
 class ACoeff:
     """One splitting coefficient in cleared form: sign * q^qexp * P / den,
-    with P an integer-coefficient Laurent polynomial in the x's."""
+    with P an integer-coefficient Laurent polynomial in the x's and den a
+    product of q-Pochhammer symbols, kept factored."""
 
     __slots__ = ("shape", "c", "i", "j", "k", "t", "sign", "qexp", "den", "P")
 
     def __init__(self, shape: Shape, c: int, i: int, j: int, k: int):
-        if j not in admissible_j(shape, c, i, k):
-            raise ValueError(f"j={j} out of range for variable {i}")
         self.shape, self.c, self.i, self.j, self.k = shape, c, i, j, k
         self.t = shape.block_of(i)
         self.sign, self.qexp, self.den, mono, factors = _acoeff_parts(shape, c, i, j, k)
@@ -180,16 +186,16 @@ class ACoeff:
             factors = [FoldFactor.monomial(shape.n, mono)] + factors
         self.P = ct_fold(shape.n, factors, None, None)
 
+    def scale(self) -> Cyclo:
+        """The scalar prefactor sign * q^qexp / den, factored."""
+        return Cyclo(self.sign, self.qexp) / self.den
+
     def scalar(self) -> QFrac:
-        return QFrac(QLaurent.q_power(self.qexp, self.sign), self.den)
+        return self.scale().to_qfrac()
 
     def to_mlaurent(self) -> MLaurent:
-        s = self.scalar()
-        out = {}
-        for e, p in self.P.items():
-            v = QFrac.from_qlaurent(p) * s
-            if not v.is_zero():
-                out[e] = v
+        inv = self.scale() ** -1
+        out = {e: inv.divide(p) for e, p in self.P.items()}
         return MLaurent(self.shape.n, out, _trusted=True)
 
     def ct(self) -> QFrac:
@@ -197,16 +203,11 @@ class ACoeff:
         p = self.P.get(zero)
         if p is None:
             return QFrac(0)
-        return QFrac.from_qlaurent(p) * self.scalar()
+        return (self.scale() ** -1).divide(p)
 
     def x_degree(self) -> int:
         """Largest exponent of x_i across the terms."""
         return max(e[self.i - 1] for e in self.P)
-
-    def cleared_terms(self, multiple: QLaurent) -> dict:
-        """P scaled by sign * q^qexp * (multiple / den); division is exact."""
-        factor = multiple.divexact(self.den).shift(self.qexp).scale(self.sign)
-        return {e: p * factor for e, p in self.P.items()}
 
 
 def a_coeff_factors(shape: Shape, c: int, i: int, j: int, k: int | None = None):
@@ -214,10 +215,8 @@ def a_coeff_factors(shape: Shape, c: int, i: int, j: int, k: int | None = None):
     the exact-evaluation route used by the randomized checks."""
     if k is None:
         k = split_k(shape)
-    if j not in admissible_j(shape, c, i, k):
-        raise ValueError(f"j={j} out of range for variable {i}")
     sign, qexp, den, mono, factors = _acoeff_parts(shape, c, i, j, k)
-    return QFrac(QLaurent.q_power(qexp, sign), den), mono, factors
+    return (Cyclo(sign, qexp) / den).to_qfrac(), mono, factors
 
 
 def a_coeff(shape: Shape, c: int, i: int, j: int, k: int | None = None) -> MLaurent:
@@ -227,37 +226,47 @@ def a_coeff(shape: Shape, c: int, i: int, j: int, k: int | None = None) -> MLaur
     return ACoeff(shape, c, i, j, k).to_mlaurent()
 
 
-def _common_multiple(c: int) -> QLaurent:
+def _common_multiple(c: int) -> Cyclo:
     """A fixed multiple of every scalar denominator at this c."""
-    return qpoch(1, c) * qpoch(1, c)
+    return Cyclo.poch(1, c) ** 2
+
+
+def _cleared_piece(shape: Shape, c: int, i: int, j: int, k: int, arity: int,
+                   multiple: Cyclo) -> list[FoldFactor]:
+    """Fold factors of multiple * A_{ij} in ``arity`` slots, for a multiple
+    of A's denominator: A's own factors behind one monomial factor that
+    carries its sign, its power of q and the polynomial multiple / den."""
+    sign, qexp, den, mono, factors = _acoeff_parts(shape, c, i, j, k, arity)
+    scalar = (multiple / den).times(QLaurent.q_power(qexp, sign))
+    return [FoldFactor.monomial(arity, mono, 0, scalar)] + factors
+
+
+def _pair_piece(shape: Shape, c: int, arity: int, multiple: Cyclo) -> list[FoldFactor]:
+    """Fold factors of -multiple times the pair product."""
+    return [FoldFactor(arity, [(None, 0, -multiple.expand())])] + pair_factors(shape, c, arity=arity)
 
 
 def residue_identity_holds(shape: Shape, c: int, i: int, j: int, k: int | None = None) -> bool:
     """Oracle: A_{ij} * prod_{(z,l) != (j,i)} (1 - q^{z-j} x_i/x_l) equals the
     full pair product (the residue of S at y = q^{-j} x_i, cleared).
 
-    Compared denominator-cleared: both sides are multiplied by A's plain
-    denominator, so the check runs in integer polynomial arithmetic.
+    Compared denominator-cleared: both sides are multiplied by the common
+    multiple L, and their difference is checked to vanish as a packed sum.
     """
     if k is None:
         k = split_k(shape)
     n = shape.n
-    A = ACoeff(shape, c, i, j, k)
-    factors = [FoldFactor(n, [(e, A.qexp, p.scale(A.sign)) for e, p in A.P.items()])]
-    scalar = ONE
-    for z, l in denominator_factors(shape, c, k):
-        if (z, l) == (j, i):
-            continue
-        if l == i:
-            # same-variable factor collapses to the scalar 1 - q^{z-j}
-            scalar = scalar * qpoch(z - j, 1)
-        else:
-            factors.append(FoldFactor.linear(n, i, l, z - j))
-    if not scalar.is_one():
-        factors.append(FoldFactor(n, [(None, 0, scalar)]))
-    lhs = ct_fold(n, factors, None, None)
-    rhs = {e: p * A.den for e, p in _pair_terms(shape, c).items()}
-    return lhs == rhs
+    L = _common_multiple(c)
+    dens = denominator_factors(shape, c, k)
+    # a same-variable factor collapses to the scalar 1 - q^{z-j}
+    scalar = Cyclo()
+    for z, l in dens:
+        if l == i and z != j:
+            scalar = scalar * Cyclo.poch(z - j, 1)
+    lhs = _cleared_piece(shape, c, i, j, k, n, L * scalar)
+    lhs += [FoldFactor.linear(n, i, l, z - j) for z, l in dens if l != i]
+    diff, _ = fold_sum_packed(n, [lhs, _pair_piece(shape, c, n, L)])
+    return not diff
 
 
 class SplitDecomposition:
@@ -298,11 +307,9 @@ class SplitDecomposition:
         return True
 
     def class_k_ct_sum(self) -> QFrac:
-        total = QFrac(0)
-        for a in self.coeffs:
-            if a.t == self.k:
-                total = total + a.ct()
-        return total
+        zero = (0,) * self.shape.n
+        return cyclo_sum((a.scale(), a.P[zero]) for a in self.coeffs
+                         if a.t == self.k and zero in a.P)
 
     def offclass_cts_vanish(self) -> bool:
         return all(a.ct().is_zero() for a in self.coeffs if a.t != self.k)
@@ -338,33 +345,19 @@ def verify_split(shape: Shape, c: int, randomized: bool = False, seed: int = 0) 
     n = shape.n
     ym = n + 1  # y lives in the extra slot
     L = _common_multiple(c)
-    total: dict = {}
+    pieces = []
     for i in range(1, n + 1):
         for j in admissible_j(shape, c, i, k):
             report["terms"] += 1
-            A = ACoeff(shape, c, i, j, k)
-            cleared = A.cleared_terms(L)
-            factors = [FoldFactor(n + 1, [(e + (0,), 0, p) for e, p in cleared.items()])]
-            for z, l in dens:
-                if (z, l) == (j, i):
-                    continue
-                factors.append(FoldFactor.linear(n + 1, ym, l, z))
-            piece = ct_fold(n + 1, factors, None, None)
-            for e, p in piece.items():
-                cur = total.get(e)
-                s = p if cur is None else cur + p
-                if s.is_zero():
-                    total.pop(e, None)
-                else:
-                    total[e] = s
-    rhs = {e: p * L for e, p in _pair_terms(shape, c, arity=n + 1).items()}
-    diff_keys = set(total) | set(rhs)
-    for e in sorted(diff_keys):
-        if total.get(e, QLaurent()) != rhs.get(e, QLaurent()):
-            report["ok"] = False
-            report["witness"] = {"monomial": e}
-            return report
-    report["ok"] = True
+            piece = _cleared_piece(shape, c, i, j, k, n + 1, L)
+            piece += [FoldFactor.linear(n + 1, ym, l, z) for z, l in dens if (z, l) != (j, i)]
+            pieces.append(piece)
+    pieces.append(_pair_piece(shape, c, n + 1, L))
+    diff, _ = fold_sum_packed(n + 1, pieces)
+    # the first differing monomial in sorted order is the witness
+    report["ok"] = not diff
+    if diff:
+        report["witness"] = {"monomial": min(diff)}
     return report
 
 

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from qct import cli
 from qct.cli import main
 
 
@@ -148,6 +149,8 @@ def test_negative_arguments_are_usage_errors(argv, capsys):
     (("ct", "--family", "qmorris", "--n=-1", "--a", "1"), "must be nonnegative"),
     (("rhs", "--family", "qmorris", "--n", "0"), "must be positive"),
     (("verify", "--suite", "roots", "--shape", "0,1", "--b", "1", "--c", "1"), "must be positive"),
+    (("verify", "--suite", "qsum", "--max-seconds", "abc"), "expected a number"),
+    (("verify", "--suite", "qsum", "--max-seconds=-1"), "must be nonnegative"),
 ])
 def test_bad_shape_and_n_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -171,3 +174,30 @@ def test_max_seconds_trims(tmp_path, capsys, monkeypatch):
     # with a zero budget every case is trimmed deterministically; exit stays 0
     assert code == 0
     assert "162 trimmed" in out
+
+
+@pytest.mark.parametrize("suite, flags, pooled", [
+    ("poch-identities", (), False),  # one case runs in the main process
+    ("qmorris", (), True),
+    ("qmorris", ("--max-seconds", "600"), False),  # a budget runs serially
+])
+def test_process_pool_matches_serial(suite, flags, pooled, tmp_path, capsys, monkeypatch):
+    pools = []
+
+    class CountingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    outs, cases = [], []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QCT_THREADS", threads)
+        report = tmp_path / f"report-{threads}.json"
+        code, out = run(capsys, "verify", "--suite", suite, "--out", str(report), *flags)
+        assert code == 0
+        outs.append(out)
+        cases.append(json.loads(report.read_text())["cases"])
+    assert outs[0] == outs[1] and cases[0] == cases[1]
+    assert " 0 fail, 0 trimmed" in outs[0]
+    assert pools == ([2] if pooled else [])

@@ -1,7 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qct import gxseries, qring
+from qct.closedform import all_shapes
 from qct.gxseries import (
     OutOfContract,
     VarOrder,
@@ -22,8 +26,168 @@ from qct.gxseries import (
 )
 from qct.laurent import MLaurent
 from qct.products import Shape
-from qct.qring import QFrac, eval_poly
+from qct.qring import Cyclo, QFrac, QLaurent, eval_poly
 from qct.roots import interpolate_dn
+
+
+# -- reference: elimination over QFrac, every value reduced by poly_gcd --------
+
+
+def reference_eliminate(scale: QFrac, num: MLaurent, factors, k: int):
+    """The elimination step with QFrac coefficients c_r, numerators and scale:
+    the reference the integer-exponent elimination must match."""
+    factors = [(c, i) for c, i in factors]
+    m = len(factors)
+    if m == 0:
+        raise ValueError("no denominator factors to eliminate against")
+    for r in range(m):
+        cr, ir = factors[r]
+        if cr.is_zero():
+            raise ValueError("zero denominator coefficient")
+        if ir == k:
+            raise ValueError("denominator tail equals the eliminated variable")
+        for s in range(r + 1, m):
+            cs, js = factors[s]
+            if js == ir and cs == cr:
+                raise ValueError("repeated pole: equal coefficients on one tail")
+    if not num.is_zero():
+        deg = max(e[k] for e in num.terms)
+        if deg > m - 1:
+            raise OutOfContract(
+                f"numerator degree {deg} in x_{k} exceeds {m - 1}; out of contract"
+            )
+    out = []
+    for r, (cr, ir) in enumerate(factors):
+        if ir < k:
+            continue
+        inv = cr.inverse()
+        sub = {}
+        for e, v in num.terms.items():
+            ek = e[k]
+            ne = list(e)
+            ne[k] = 0
+            ne[ir] += ek
+            ne = tuple(ne)
+            nv = v * inv ** ek if ek else v
+            cur = sub.get(ne)
+            s = nv if cur is None else cur + nv
+            if s.is_zero():
+                sub.pop(ne, None)
+            else:
+                sub[ne] = s
+        new_num = MLaurent(num.arity, sub, _trusted=True)
+        new_scale = scale
+        new_dens = []
+        for s, (cs, js) in enumerate(factors):
+            if s == r:
+                continue
+            if js == ir:
+                new_scale = new_scale / (QFrac(1) - cs * inv)
+            else:
+                new_dens.append((cs * inv, js))
+        out.append((new_scale, new_num, new_dens, ir, (cr, ir)))
+    return out
+
+
+def reference_series_ct(scale: QFrac, num: MLaurent, dens, head: int) -> QFrac:
+    """Exact CT of scale * num / prod (1 - c x_head/x_tail) by bounded
+    geometric expansion, over QFrac."""
+    order = VarOrder.natural(num.arity)
+    pos_caps = {}
+    for _, tail in dens:
+        if tail > head:
+            pos_caps[tail] = max(0, max(e[tail] for e in num.terms))
+    budget = max(0, max(e[head] for e in num.terms)) + sum(pos_caps.values())
+    acc = num
+    for cf, tail in dens:
+        trunc = pos_caps[tail] if tail > head else budget
+        acc = acc * expand_factor(head, tail, cf, order, trunc, num.arity)
+    return acc.constant_coefficient() * scale
+
+
+def reference_gx_ct(shape: Shape, b: int, c: int, d: int) -> QFrac:
+    """gx_ct with on_stuck='series', run on QFrac terms."""
+    q0 = build_Q(shape, b, c, d)
+    arity = shape.n + 1
+    num = MLaurent(arity, {e: QFrac.from_qlaurent(v) for e, v in q0.numerator_poly().items()})
+    dens = [(QFrac.q_power(m), tail) for m, tail in q0.den_factor_list()]
+    stack = [(QFrac(1), num, dens, q0.head)]
+    total = QFrac(0)
+    while stack:
+        scale, num, dens, head = stack.pop()
+        if num.is_zero():
+            continue
+        if not dens:
+            total = total + num.constant_coefficient() * scale
+            continue
+        try:
+            pieces = reference_eliminate(scale, num, dens, head)
+        except OutOfContract:
+            total = total + reference_series_ct(scale, num, dens, head)
+            continue
+        stack.extend(piece[:4] for piece in pieces)
+    return total
+
+
+def _as_qfrac_terms(num: dict, arity: int) -> MLaurent:
+    return MLaurent(arity, {e: QFrac.from_qlaurent(v) for e, v in num.items()})
+
+
+@st.composite
+def elimination_cases(draw):
+    """A head k, 1-3 factors (m, tail) with m in -3..3 on tails other than k
+    (distinct m on a repeated tail), a numerator of x_k-degree below the factor
+    count, and a scale that is a ratio of q-Pochhammer symbols."""
+    arity = draw(st.integers(2, 4))
+    k = draw(st.integers(0, arity - 1))
+    tails = st.sampled_from([t for t in range(arity) if t != k])
+    factors = draw(st.lists(st.tuples(st.integers(-3, 3), tails), min_size=1, max_size=3,
+                            unique=True))
+    top = len(factors) - 1
+    exps = st.tuples(*[st.integers(-2, top) if v == k else st.integers(-2, 2)
+                       for v in range(arity)])
+    coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), max_size=3).map(QLaurent)
+    num = {e: v for e, v in draw(st.dictionaries(exps, coeffs, max_size=6)).items() if v.terms}
+    scale = Cyclo(draw(st.sampled_from([1, -1])), draw(st.integers(-3, 3)))
+    for _ in range(draw(st.integers(0, 2))):
+        poch = Cyclo.poch(draw(st.integers(1, 3)), draw(st.integers(0, 3)))
+        scale = scale * poch if draw(st.booleans()) else scale / poch
+    return arity, k, factors, num, scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_cases())
+def test_elimination_matches_reference(case):
+    arity, k, factors, num, scale = case
+    got = gxseries._eliminate(scale, num, factors, k)
+    want = reference_eliminate(scale.to_qfrac(), _as_qfrac_terms(num, arity),
+                               [(QFrac.q_power(m), t) for m, t in factors], k)
+    assert len(got) == len(want)
+    for (g_scale, g_num, g_dens, g_head, (g_m, g_t)), (w_scale, w_num, w_dens, w_head, w_cleared) \
+            in zip(got, want):
+        assert g_head == w_head and (QFrac.q_power(g_m), g_t) == w_cleared
+        assert [(QFrac.q_power(m), t) for m, t in g_dens] == w_dens
+        assert g_scale.to_qfrac() == w_scale
+        assert _as_qfrac_terms(g_num, arity) == w_num
+
+
+def test_gx_ct_matches_reference_on_query_grid():
+    # every gx_ct call of `qct ct --method gx` on shapes with n <= 3, b, c <= 1
+    queries = [(shape, b, c, d) for shape in all_shapes(3)
+               for b in range(2) for c in range(2) for d in range(1, shape.n * b + 2)]
+    assert len(queries) == 62
+    for shape, b, c, d in queries:
+        assert gx_ct(shape, b, c, d, on_stuck="series") == reference_gx_ct(shape, b, c, d), \
+            (shape.parts, b, c, d)
+
+
+def test_gx_ct_runs_without_gcd(monkeypatch):
+    gcd = qring.poly_gcd
+    calls = []
+    monkeypatch.setattr(qring, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    got = gx_ct(Shape((1, 1)), 1, 1, 3)
+    assert calls == []
+    assert got == reference_gx_ct(Shape((1, 1)), 1, 1, 3)
 
 
 def test_expand_factor_directions():
@@ -75,16 +239,21 @@ def test_ct_partial_fraction_single_factor():
 
 
 def test_ct_partial_fraction_two_factors_vs_series():
-    # f = 1 / ((1 - q x_1/x_3)(1 - q^2 x_1/x_3)); eliminate x_1
-    num = MLaurent.constant(4, 1)
+    # f = num / ((1 - q x_1/x_3)(1 - q^2 x_1/x_3)); eliminate x_1
     dens = [(QFrac.q_power(1), 3), (QFrac.q_power(2), 3)]
-    pieces = ct_partial_fraction(num, dens, 1)
-    total = QFrac(0)
-    for new_num, new_dens, head in pieces:
-        assert not new_dens
-        total = total + new_num.constant_coefficient()
     order = VarOrder.natural(4)
-    assert total == series_ct(num, dens, 1, order, 12)
+    # the second numerator has coefficients with denominators
+    for num in (MLaurent.constant(4, 1),
+                MLaurent(4, {(0, 0, 0, 0): QFrac.parse("(1)/(1 - q)"),
+                             (0, -1, 0, 1): QFrac.parse("(q)/(1 - q^2)")})):
+        pieces = ct_partial_fraction(num, dens, 1)
+        total = QFrac(0)
+        for new_num, new_dens, head in pieces:
+            assert not new_dens
+            total = total + new_num.constant_coefficient()
+        assert total == series_ct(num, dens, 1, order, 12)
+    with pytest.raises(ValueError):
+        ct_partial_fraction(MLaurent.constant(4, 1), [(QFrac.parse("1 + q"), 3)], 1)
 
 
 def test_ct_partial_fraction_degree_precondition():
@@ -144,6 +313,19 @@ def test_direct_equals_substitution_oracle():
     ]
     for shp, b, c, d, u, k in probes:
         assert oracle_matches_direct(Shape(shp), b, c, d, u, k), (shp, b, c, d, u, k)
+
+
+def test_oracle_comparison_tells_a_wrong_scalar_apart(monkeypatch):
+    probe = (Shape((1, 2)), 1, 1, 5, (1, 3), (4, 2))
+    assert not build_Quk(*probe).is_zero() and oracle_matches_direct(*probe)
+    oracle = gxseries.substitution_oracle
+    for wrong in (Cyclo(1, 1), Cyclo(-1), Cyclo.poch(1, 1), Cyclo(0)):
+        def scaled(*args, wrong=wrong):
+            scalar, pochs, dens = oracle(*args)
+            return scalar * wrong, pochs, dens
+
+        monkeypatch.setattr(gxseries, "substitution_oracle", scaled)
+        assert not oracle_matches_direct(*probe), wrong
 
 
 def test_property_zero_branch():

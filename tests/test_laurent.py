@@ -8,7 +8,6 @@ from qct.laurent import (
     FoldFactor,
     MLaurent,
     _decode_packed,
-    coeff_at,
     ct,
     ct_fold,
     fold_packed_raw,
@@ -16,7 +15,6 @@ from qct.laurent import (
     pack_qlaurent,
     packed_mul,
     poch_factor,
-    poly_arith,
     subst_shift,
 )
 from qct.qring import ONE, QFrac, QLaurent
@@ -24,6 +22,25 @@ from qct.qring import ONE, QFrac, QLaurent
 
 def M(text, arity):
     return MLaurent.parse(text, arity)
+
+
+# spec-level helpers, used only here
+
+
+def poly_arith(a: MLaurent, b: MLaurent, op: str):
+    if op == "add":
+        return a + b
+    if op == "mul":
+        return a * b
+    if op == "scale":
+        if len(b.terms) != 1 or set(b.terms) != {(0,) * b.arity}:
+            raise ValueError("scale expects a constant second operand")
+        return a.scale(b.constant_coefficient())
+    raise ValueError(f"unknown op {op!r}")
+
+
+def coeff_at(f: MLaurent, exps) -> QFrac:
+    return f.coefficient(exps)
 
 
 def test_mul_by_one_and_inverse_monomials():

@@ -12,7 +12,6 @@ from qct.qring import (
     QFrac,
     QLaurent,
     eval_poly,
-    frac_arith,
     interpolate,
     poly_gcd,
     qbinom,
@@ -26,6 +25,21 @@ def L(text):
 
 def F(text):
     return QFrac.parse(text)
+
+
+def frac_arith(a: QFrac, b: QFrac, op: str):
+    """Dispatch helper: op in {add, sub, mul, div, eq}."""
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    if op == "div":
+        return a / b
+    if op == "eq":
+        return (a.num * b.den) == (b.num * a.den)
+    raise ValueError(f"unknown op {op!r}")
 
 
 # -- qpoch ---------------------------------------------------------------

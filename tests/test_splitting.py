@@ -1,5 +1,6 @@
 import pytest
 
+from qct import qring, splitting
 from qct.closedform import dn0_rhs
 from qct.products import Shape
 from qct.qring import QFrac
@@ -67,6 +68,38 @@ def test_residue_oracle_small_shapes():
         for i in range(1, s.n + 1):
             for j in admissible_j(s, c, i):
                 assert residue_identity_holds(s, c, i, j), (shape, c, i, j)
+
+
+def test_splitting_checks_run_without_gcd(monkeypatch):
+    shape, c = Shape((2, 2)), 2
+    want = dn0_rhs(shape, c)
+    gcd = qring.poly_gcd
+    calls = []
+    monkeypatch.setattr(qring, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    rep = verify_split(shape, c)
+    assert rep["ok"] and rep["terms"] == 10
+    assert residue_identity_holds(shape, c, 3, -1)
+    sd = SplitDecomposition(shape, c)
+    assert sd.offclass_cts_vanish() and sd.class_k_ct_sum() == want
+    assert calls == []
+
+
+def test_perturbed_coefficient_is_caught(monkeypatch):
+    # one coefficient off by a factor q: the packed sums no longer vanish
+    parts = splitting._acoeff_parts
+
+    def perturbed(shape, c, i, j, k, *rest):
+        sign, qexp, den, mono, factors = parts(shape, c, i, j, k, *rest)
+        return sign, qexp + ((i, j) == (1, 0)), den, mono, factors
+
+    monkeypatch.setattr(splitting, "_acoeff_parts", perturbed)
+    shape, c = Shape((1, 2)), 1
+    rep = verify_split(shape, c)
+    # the first differing monomial in sorted order, as the decoded comparison found it
+    assert rep["ok"] is False and rep["witness"] == {"monomial": (-2, -3, 1, 4)}
+    held = {(i, j): residue_identity_holds(shape, c, i, j)
+            for i in range(1, shape.n + 1) for j in admissible_j(shape, c, i)}
+    assert held == {(1, 0): False, (2, -1): True, (2, 0): True, (3, -1): True, (3, 0): True}
 
 
 def test_out_of_range_j_rejected():
