@@ -320,7 +320,7 @@ def _run_vanishing(params):
 
 def _cases_lemma_key(args):
     cases = [{"kind": "examples"}]
-    for s in range(1, 5):
+    for s in range(1, 7):
         for p in range(0, 3):
             for r in _compositions_into(s, p + 1):
                 cases.append({"kind": "classify", "r": list(r)})
@@ -346,16 +346,12 @@ def _run_lemma_key(params):
         ok = n1 == 8 and n2 == 4 and w0 == (10, 6, 3, 9, 5, 2, 8, 4, 1, 7)
         return ok, None if ok else {"N_example": n1, "w0": list(w0), "N_w0": n2}
     if params["kind"] == "classify":
-        r = tuple(params["r"])
-        s = sum(r)
-        for b in range(3):
-            for c in range(3):
-                for t in range(3):
-                    bound = (s - 1) * c + b + t
-                    if bound < 1:
-                        continue
-                    for k in product(range(1, bound + 1), repeat=s):
-                        roots.lemma_key_classify(k, b, c, t, r)
+        # every k the enumerator skips falls under case 1, 2 or 3 by
+        # construction, so classifying the rest covers the whole box
+        for b, c, t in product(range(3), repeat=3):
+            for k in roots.lemma_key_survivors(b, c, t, params["r"]):
+                if roots.lemma_key_classify(k, b, c, t, params["r"])[0] != 4:
+                    return False, {"k": list(k)}
         return True, None
     if params["kind"] == "minweight":
         for r in _all_positive_compositions(params["s"]):
@@ -451,16 +447,15 @@ def _run_gx(params):
                 return False, {"d": d, "got": str(got), "want": str(want)}
         return True, None
     if kind == "oracle":
-        probes = [
-            ((1, 1), 1, 1, 2, (1,), (1,)),
-            ((1, 1), 1, 1, 2, (1, 2), (2, 1)),
-            ((1, 2), 1, 1, 3, (1, 3), (1, 3)),
-            ((1, 2), 0, 2, 2, (1, 2, 3), (1, 2, 2)),
-        ]
+        # probes with V != 0, where the two sides are not both zero
+        probes = [((1, 1), 1, 1, 2, (1,), (2,)), ((1, 2), 1, 1, 5, (1, 3), (4, 2))]
+        nontrivial = 0
         for shp, b, c, d, u, k in probes:
-            if not gxseries.oracle_matches_direct(Shape(shp), b, c, d, u, k):
+            shape = Shape(shp)
+            if not gxseries.oracle_matches_direct(shape, b, c, d, u, k):
                 return False, {"probe": [list(shp), b, c, d, list(u), list(k)]}
-        return True, None
+            nontrivial += not gxseries.build_Quk(shape, b, c, d, u, k).is_zero()
+        return nontrivial > 0, None if nontrivial else {"error": "every oracle probe has V = 0"}
     raise ValueError(params)
 
 

@@ -5,7 +5,6 @@ and the path-weight combinatorics that drives the vanishing analysis."""
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 
 from .closedform import BFParams, bf_rhs, dn0_rhs
 from .products import Shape, bf_ct_grid
@@ -246,32 +245,34 @@ def _held_karp(edge, first: int) -> tuple[int, int]:
     Dynamic programming over (visited set, last vertex) in O(2^s s^2) (Held &
     Karp, "A dynamic programming approach to sequencing problems", 1962), with
     one more bit for the leave-one-out minimum: has a weight been dropped yet.
-    Weights must be nonnegative.
+    Each (set, last vertex) entry pulls from the set without that vertex,
+    over that set's members only.  Weights must be nonnegative.
     """
     s = len(edge)
     big = first + s * max(map(max, edge), default=0) + 1  # exceeds every path weight
-    kept = [[big] * s for _ in range(1 << s)]  # nothing dropped yet
-    dropped = [[big] * s for _ in range(1 << s)]
+    members = [[v for v in range(s) if mask >> v & 1] for mask in range(1 << s)]
+    kept = [[0] * s for _ in range(1 << s)]  # nothing dropped yet
+    dropped = [[0] * s for _ in range(1 << s)]
     for v in range(s):
         kept[1 << v][v] = first
-        dropped[1 << v][v] = 0
-    for mask in range(1, 1 << s):
+    for mask in range(3, 1 << s):
+        if mask & (mask - 1) == 0:  # one vertex: kept = first, dropped = 0
+            continue
         kept_m, dropped_m = kept[mask], dropped[mask]
-        free = [u for u in range(s) if not mask >> u & 1]
-        for v in range(s):
-            kv = kept_m[v]
-            if kv == big:  # v is not in mask
-                continue
-            dv = dropped_m[v]
-            ev = edge[v]
-            for u in free:
-                nxt = mask | 1 << u
-                wt = ev[u]
-                if kv + wt < kept[nxt][u]:
-                    kept[nxt][u] = kv + wt
-                best = min(dv + wt, kv)
-                if best < dropped[nxt][u]:
-                    dropped[nxt][u] = best
+        for u in members[mask]:
+            prev = mask ^ 1 << u
+            kept_p, dropped_p = kept[prev], dropped[prev]
+            best_kept = best_dropped = big
+            for v in members[prev]:
+                wt = edge[v][u]
+                kv = kept_p[v]
+                if kv + wt < best_kept:
+                    best_kept = kv + wt
+                if kv < best_dropped:  # drop this step
+                    best_dropped = kv
+                if dropped_p[v] + wt < best_dropped:
+                    best_dropped = dropped_p[v] + wt
+            kept_m[u], dropped_m[u] = best_kept, best_dropped
     return min(kept[-1]), min(dropped[-1])
 
 
@@ -279,8 +280,8 @@ def min_weight_witness(r) -> tuple[tuple[int, ...], int]:
     """The interleaved-descending permutation attaining the minimum weight.
 
     Blocks are listed largest-element first, cycling over blocks p..0 and
-    taking each block's next-largest unused element.  Asserts the attained
-    weight equals max(r_1..r_p).
+    taking each block's next-largest unused element.  Raises LemmaFalsified
+    unless the attained weight equals max(r_1..r_p).
     """
     r = tuple(r)
     if any(x < 1 for x in r):
@@ -341,103 +342,64 @@ def lemma_key_classify(k, b: int, c: int, t: int, r) -> tuple[int, object]:
             if ids[j] == block and -c - 1 <= ki - k[j - 1] <= c:
                 return (3, (i, j))
     maxr = max(r[1:]) if len(r) > 1 else 0
-    for w in permutations(range(1, s + 1)):
-        d = []
-        ok = True
-        chi_sum = 0
-        prev = 0
-        for j, x in enumerate(w):
-            chi = 1 if ids[prev] == ids[x] else 0
-            if j == 0:
-                dj = k[x - 1] - b
-            else:
-                dj = k[x - 1] - k[prev - 1] - c - chi
-            if dj < 0 or (prev < x and dj < 1):
-                ok = False
-                break
-            chi_sum += chi + dj
-            d.append(dj)
-            prev = x
-        if ok and maxr <= chi_sum <= t:
+    # d_j >= 0 makes k nondecreasing along w, and a tie needs a descent, so
+    # the one candidate is the positions ordered by (k_x, -x)
+    w = sorted(range(1, s + 1), key=lambda x: (k[x - 1], -x))
+    d = []
+    total = 0
+    prev = 0
+    for x in w:
+        chi = ids[prev] == ids[x]
+        dj = k[x - 1] - (k[prev - 1] + c + chi if prev else b)
+        if dj < (prev < x):  # d_j >= 0, and d_j >= 1 after an ascent or at the start
+            break
+        total += chi + dj
+        d.append(dj)
+        prev = x
+    else:
+        if maxr <= total <= t:
             return (4, (tuple(w), tuple(d)))
     raise LemmaFalsified(f"no case applies for k={k}, b={b}, c={c}, t={t}, r={r}")
 
 
-# -- corollary-level enumerations ------------------------------------------------------
+def lemma_key_survivors(b: int, c: int, t: int, r):
+    """An iterator over every k in [1, (s-1)c+b+t]^s to which none of cases
+    1-3 of lemma_key_classify applies, each once, by backtracking (Knuth,
+    TAOCP 4B 7.2.2).
 
-
-def admissible_r_vectors(shape: Shape, s: int):
-    """Positive vectors r with sum s and r_i <= min(s, n_i)."""
-    parts = shape.parts
-
-    def rec(i, remaining):
-        if i == len(parts):
-            if remaining == 0:
-                yield ()
-            return
-        cap = min(s, parts[i])
-        for v in range(1, cap + 1):
-            if v <= remaining:
-                for rest in rec(i + 1, remaining - v):
-                    yield (v,) + rest
-
-    yield from rec(0, s)
-
-
-def threshold_attainment_check(shape: Shape, s: int) -> dict:
-    """max(r_1..r_p) >= t_{s+1} over admissible r, plus the equality analysis.
-
-    Every equality case (possible only when t_{s+1} > 0) must satisfy the
-    load-bearing consequence sum_i r_i(n_i - r_i) = t_{s+1} (n - s); when s
-    lies past the zero-threshold bracket (s > n_0 + p) the r-profile must
-    additionally match the packed family: undecorated block full, the j-1
-    smallest decorated blocks full, the rest all equal to m_{j-1} + k.
+    k is built in (k_x, -x) order: each step places an unused position x at a
+    value v >= every value placed so far.  Against each placed y, cases 2 and
+    3 exclude exactly v - k_y < c + [y < x] + [x, y in one decorated block]
+    (the [y < x] term is the tie rule of that order), and case 1 excludes
+    v <= b.  Every such gap is at least c, so with m positions open v stays
+    at most the box's top less (m - 1)c.
     """
-    if shape.p == 0 or not 1 <= s <= shape.n - 1:
-        raise ValueError("need p >= 1 and 1 <= s <= n-1")
-    ts1 = t_table(shape)[s]  # t_{s+1}: table is t_1..t_n, index s is s+1
-    m = (1,) + shape.sorted_decorated()
-    p = shape.p
-    n0 = shape.parts[0]
-    report = {"shape": shape.parts, "s": s, "t_next": ts1, "checked": 0, "equality_cases": 0}
-    orders = [
-        w for w in permutations(range(1, p + 1))
-        if list(shape.parts[i] for i in w) == sorted(shape.parts[1:])
-    ]
-    for r in admissible_r_vectors(shape, s):
-        report["checked"] += 1
-        mx = max(r[1:])
-        if mx < ts1:
-            raise LemmaFalsified(f"max r violates threshold: r={r}, t_(s+1)={ts1}")
-        if mx == ts1 and ts1 > 0:
-            report["equality_cases"] += 1
-            sigma = sum(r[i] * (shape.parts[i] - r[i]) for i in range(1, p + 1))
-            if sigma != ts1 * (shape.n - s):
-                raise LemmaFalsified(f"equality case breaks the sigma identity: r={r}")
-            if s > n0 + p and not _equality_profile_ok(shape, r, orders, m):
-                raise LemmaFalsified(f"equality profile unexplained: r={r}, shape={shape}")
-    return report
+    if min(b, c, t) < 0:
+        raise ValueError("b, c and t must be nonnegative")
+    ids = _block_ids(tuple(r))
+    s = len(ids) - 1
+    top = (s - 1) * c + b + t
+    gap = [[c + (y < x) + (ids[x] == ids[y]) for x in range(s + 1)] for y in range(s + 1)]
+    k = [0] * (s + 1)
+    placed = []
 
+    def extend(free):
+        if not free:
+            yield tuple(k[1:])
+            return
+        cap = top - (len(free) - 1) * c
+        for x in free:
+            lo = b + 1
+            for y in placed:
+                if k[y] + gap[y][x] > lo:
+                    lo = k[y] + gap[y][x]
+            if lo > cap:
+                continue
+            rest = [z for z in free if z != x]
+            placed.append(x)
+            for v in range(lo, cap + 1):
+                k[x] = v
+                yield from extend(rest)
+            placed.pop()
 
-def _equality_profile_ok(shape, r, orders, m):
-    if r[0] != shape.parts[0]:
-        return False
-    p = shape.p
-    for w in orders:
-        for j in range(1, p + 1):
-            kmax = m[j] - m[j - 1]
-            for kk in range(1, kmax + 1):
-                good = all(r[w[i - 1]] == shape.parts[w[i - 1]] for i in range(1, j)) and all(
-                    r[w[i - 1]] == m[j - 1] + kk for i in range(j, p + 1)
-                )
-                if good:
-                    return True
-    return False
-
-
-def threshold_block_bound_holds(shape: Shape) -> bool:
-    """-p(t_s + 1) <= n_0 - s for every s."""
-    ts = t_table(shape)
-    p = shape.p
-    n0 = shape.parts[0]
-    return all(-p * (ts[s - 1] + 1) <= n0 - s for s in range(1, shape.n + 1))
+    return extend(list(range(1, s + 1)))

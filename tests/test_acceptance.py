@@ -9,7 +9,7 @@ lines; the whole battery completes in well under the stated time targets.
 import itertools
 import time
 
-from qct import closedform, gxseries, products, roots, splitting
+from qct import cli, closedform, gxseries, products, roots, splitting
 from qct.closedform import BFParams, all_shapes
 from qct.laurent import MLaurent
 from qct.products import Shape
@@ -178,58 +178,18 @@ def test_criterion_10_vanishing_family():
 
 def test_criterion_11_lemma_key_and_min_weight():
     t0 = time.monotonic()
-    ok = True
-    # the two verbatim path-weight examples
-    ok = ok and roots.path_weight((9, 10, 3, 5, 6, 8, 4, 2, 7, 1), (3, 3, 4)).total == 8
-    w0, n0 = roots.min_weight_witness((3, 3, 4))
-    ok = ok and w0 == (10, 6, 3, 9, 5, 2, 8, 4, 1, 7) and n0 == 4
-    # exhaustive classification for s <= 4, b,c <= 2, t <= 2, p <= 2
-    classified = 0
-    for s in range(1, 5):
-        for p in range(0, 3):
-            for r in _compositions_into(s, p + 1):
-                for b in range(3):
-                    for c in range(3):
-                        for t in range(3):
-                            bound = (s - 1) * c + b + t
-                            if bound < 1:
-                                continue
-                            for k in itertools.product(range(1, bound + 1), repeat=s):
-                                roots.lemma_key_classify(k, b, c, t, r)
-                                classified += 1
-    # exact minimum and leave-one-out minimum over all permutations for s <= 8
-    for s in range(1, 9):
-        for r in _all_compositions(s):
-            if len(r) < 2:
-                continue
-            m = max(r[1:])
-            roots.min_weight_witness(r)
-            best, leave_one_out = roots.min_path_weights(r)
-            ok = ok and best == m and leave_one_out >= m - 1
+    # the lemma-key suite's own cases: the two verbatim path-weight examples,
+    # the key-lemma classification of the whole box for s <= 6 (b, c, t <= 2,
+    # p <= 2), where the enumerator yields exactly the k that need case 4, and
+    # the exact and leave-one-out path-weight minima for s <= 8
+    cases = cli._cases_lemma_key(None)
+    ok = all(cli._run_lemma_key(params)[0] for params in cases)
+    classify = [sum(params["r"]) for params in cases if params["kind"] == "classify"]
+    minweight = [params["s"] for params in cases if params["kind"] == "minweight"]
+    ok = ok and max(classify) == 6 and max(minweight) == 8
     elapsed = time.monotonic() - t0
-    _announce(11, "key-lemma classification exhaustive + path-weight lower bounds s<=8",
-              ok and elapsed < 120, elapsed, f"exact, {classified} k-vectors, target <2min")
-
-
-def _compositions_into(total, parts):
-    if parts == 1:
-        yield (total,) if total >= 1 else ()
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions_into(total - first, parts - 1):
-            if rest:
-                yield (first,) + rest
-
-
-def _all_compositions(s):
-    def rec(rem):
-        if rem == 0:
-            yield ()
-            return
-        for v in range(1, rem + 1):
-            for rest in rec(rem - v):
-                yield (v,) + rest
-    yield from rec(s)
+    _announce(11, "key-lemma classification exhaustive s<=6 + path-weight lower bounds s<=8",
+              ok and elapsed < 120, elapsed, f"exact, {len(classify)} block vectors r, target <2min")
 
 
 def test_criterion_12_gx_pipeline():

@@ -180,6 +180,7 @@ def test_max_seconds_trims(tmp_path, capsys, monkeypatch):
     ("poch-identities", (), False),  # one case runs in the main process
     ("qmorris", (), True),
     ("qmorris", ("--max-seconds", "600"), False),  # a budget runs serially
+    ("lemma-key", (), True),  # cases of very unequal cost
 ])
 def test_process_pool_matches_serial(suite, flags, pooled, tmp_path, capsys, monkeypatch):
     pools = []

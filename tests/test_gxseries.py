@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qct import gxseries, qring
+from qct import cli, gxseries, qring
 from qct.closedform import all_shapes
 from qct.gxseries import (
     OutOfContract,
@@ -303,16 +303,25 @@ def test_r_vector_bookkeeping():
 
 
 def test_direct_equals_substitution_oracle():
+    # every probe has V != 0, so neither side is zero for a trivial reason
     probes = [
-        ((1, 1), 1, 1, 2, (1,), (1,)),
         ((1, 1), 1, 1, 2, (1,), (2,)),
-        ((1, 1), 1, 1, 2, (1, 2), (2, 1)),
+        ((1, 1), 0, 1, 2, (1, 2), (2, 1)),
         ((1, 2), 1, 1, 3, (2,), (2,)),
-        ((1, 2), 1, 1, 3, (1, 3), (1, 3)),
-        ((1, 2), 0, 2, 2, (1, 2, 3), (1, 2, 2)),
+        ((1, 2), 1, 1, 5, (1, 3), (4, 2)),
+        ((1, 2), 0, 1, 5, (1, 2, 3), (3, 2, 5)),
+        ((1, 1, 1), 1, 2, 6, (1, 2, 3), (6, 4, 2)),
     ]
     for shp, b, c, d, u, k in probes:
+        assert not build_Quk(Shape(shp), b, c, d, u, k).is_zero(), (shp, b, c, d, u, k)
         assert oracle_matches_direct(Shape(shp), b, c, d, u, k), (shp, b, c, d, u, k)
+
+
+def test_oracle_case_needs_a_nontrivial_probe(monkeypatch):
+    assert cli._run_gx({"kind": "oracle"}) == (True, None)
+    monkeypatch.setattr(gxseries.QukFactors, "is_zero", lambda self: True)
+    ok, detail = cli._run_gx({"kind": "oracle"})
+    assert not ok and "V = 0" in detail["error"]
 
 
 def test_oracle_comparison_tells_a_wrong_scalar_apart(monkeypatch):

@@ -11,10 +11,9 @@ from qct.qring import QFrac, ZPoly, eval_poly
 from qct.roots import (
     LemmaFalsified,
     _held_karp,
-    threshold_attainment_check,
-    threshold_block_bound_holds,
     interpolate_dn,
     lemma_key_classify,
+    lemma_key_survivors,
     leave_one_out_bound_holds,
     min_path_weights,
     min_weight_witness,
@@ -277,6 +276,195 @@ def test_lemma_key_exhaustive_small():
                 continue
             for k in itertools.product(range(1, bound + 1), repeat=s):
                 lemma_key_classify(k, b, c, t, r)  # must not raise
+
+
+def _case4_by_scan(k, b, c, t, r):
+    """Oracle for case 4: the first permutation in lexicographic order whose
+    slack vector realizes the staircase, as (w, d), or None."""
+    s = len(k)
+    labels = [None] + [i for i, size in enumerate(r) for _ in range(size)]
+    maxr = max(r[1:]) if len(r) > 1 else 0
+    for w in itertools.permutations(range(1, s + 1)):
+        d, total, prev = [], 0, 0
+        for x in w:
+            chi = prev > 0 and labels[prev] == labels[x] > 0
+            dj = k[x - 1] - (k[prev - 1] + c + chi if prev else b)
+            if dj < 0 or (prev < x and dj < 1):
+                break
+            total += chi + dj
+            d.append(dj)
+            prev = x
+        else:
+            if maxr <= total <= t:
+                return tuple(w), tuple(d)
+    return None
+
+
+def _survivors_by_filter(b, c, t, r):
+    """Oracle for lemma_key_survivors: the box [1, (s-1)c+b+t]^s filtered one
+    coordinate at a time by the literal case 1-3 conditions, which are
+    conditions on single entries and pairs, so every prefix of a survivor
+    survives."""
+    s = sum(r)
+    top = (s - 1) * c + b + t
+    labels = [None] + [i for i, size in enumerate(r) for _ in range(size)]
+
+    def hit(i, j, ki, kj):  # case 2 or 3 for positions i < j
+        if labels[i] == labels[j] > 0:
+            return -c - 1 <= ki - kj <= c
+        return -c <= ki - kj <= c - 1
+
+    prefixes = [()]
+    for j in range(1, s + 1):
+        prefixes = [k + (v,) for k in prefixes for v in range(b + 1, top + 1)
+                    if not any(hit(i, j, k[i - 1], v) for i in range(1, j))]
+    return prefixes
+
+
+def _lemma_key_grid(s):
+    """The lemma-key suite's (r, b, c, t) at one s: p <= 2 and b, c, t <= 2."""
+    for r in _compositions(s):
+        if len(r) <= 3:
+            for b, c, t in itertools.product(range(3), repeat=3):
+                yield r, b, c, t
+
+
+def test_lemma_key_survivors_match_brute_sweep():
+    # every k of the box at s <= 4, classified one by one: the case-4 set is
+    # the enumerator's output, each k once
+    count = 0
+    for s in range(1, 5):
+        for r, b, c, t in _lemma_key_grid(s):
+            top = (s - 1) * c + b + t
+            case4 = {k for k in itertools.product(range(1, top + 1), repeat=s)
+                     if lemma_key_classify(k, b, c, t, r)[0] == 4}
+            got = list(lemma_key_survivors(b, c, t, r))
+            assert len(got) == len(set(got)) and set(got) == case4, (r, b, c, t)
+            count += len(got)
+    assert count == 1005
+
+
+def test_lemma_key_sort_matches_permutation_scan():
+    count = 0
+    for s in range(1, 6):
+        for r, b, c, t in _lemma_key_grid(s):
+            for k in lemma_key_survivors(b, c, t, r):
+                assert lemma_key_classify(k, b, c, t, r) == (4, _case4_by_scan(k, b, c, t, r))
+                count += 1
+    assert count == 2292
+    for args, expected in LEMMA_KEY_PINNED:
+        if expected[0] == 4:
+            assert _case4_by_scan(*args) == expected[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda r: sum(r) <= 5),
+       st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+def test_lemma_key_survivors_property(r, b, c, t):
+    got = list(lemma_key_survivors(b, c, t, r))
+    assert sorted(got) == _survivors_by_filter(b, c, t, r)
+
+
+def test_lemma_key_s7_grid():
+    # s = 7 is past the suite's default grid; 9,978 case-4 vectors at s <= 7
+    # and 4,857 at s <= 6 are the counts of an index-order backtracking search
+    count = 0
+    for r, b, c, t in _lemma_key_grid(7):
+        for k in lemma_key_survivors(b, c, t, r):
+            assert lemma_key_classify(k, b, c, t, r)[0] == 4
+            count += 1
+    assert count == 9978 - 4857
+
+
+def test_lemma_key_survivors_reject_negative_parameters():
+    for b, c, t in ((-1, 1, 1), (1, -1, 1), (1, 1, -1)):
+        with pytest.raises(ValueError):
+            lemma_key_survivors(b, c, t, (1, 1))
+    with pytest.raises(ValueError):
+        lemma_key_survivors(1, 1, 1, (1, 0))
+
+
+def test_lemma_key_survivors_edge_cases():
+    assert list(lemma_key_survivors(0, 0, 0, (2,))) == []
+    # c = 0 lets cross-block entries tie; they come out once, largest position first
+    assert list(lemma_key_survivors(0, 0, 1, (3,))) == [(1, 1, 1)]
+
+
+def admissible_r_vectors(shape: Shape, s: int):
+    """Positive vectors r with sum s and r_i <= min(s, n_i)."""
+    parts = shape.parts
+
+    def rec(i, remaining):
+        if i == len(parts):
+            if remaining == 0:
+                yield ()
+            return
+        cap = min(s, parts[i])
+        for v in range(1, cap + 1):
+            if v <= remaining:
+                for rest in rec(i + 1, remaining - v):
+                    yield (v,) + rest
+
+    yield from rec(0, s)
+
+
+def threshold_attainment_check(shape: Shape, s: int) -> dict:
+    """max(r_1..r_p) >= t_{s+1} over admissible r, plus the equality analysis.
+
+    Every equality case (possible only when t_{s+1} > 0) must satisfy the
+    load-bearing consequence sum_i r_i(n_i - r_i) = t_{s+1} (n - s); when s
+    lies past the zero-threshold bracket (s > n_0 + p) the r-profile must
+    additionally match the packed family: undecorated block full, the j-1
+    smallest decorated blocks full, the rest all equal to m_{j-1} + k.
+    """
+    if shape.p == 0 or not 1 <= s <= shape.n - 1:
+        raise ValueError("need p >= 1 and 1 <= s <= n-1")
+    ts1 = t_table(shape)[s]  # t_{s+1}: table is t_1..t_n, index s is s+1
+    m = (1,) + shape.sorted_decorated()
+    p = shape.p
+    n0 = shape.parts[0]
+    report = {"shape": shape.parts, "s": s, "t_next": ts1, "checked": 0, "equality_cases": 0}
+    orders = [
+        w for w in itertools.permutations(range(1, p + 1))
+        if list(shape.parts[i] for i in w) == sorted(shape.parts[1:])
+    ]
+    for r in admissible_r_vectors(shape, s):
+        report["checked"] += 1
+        mx = max(r[1:])
+        if mx < ts1:
+            raise LemmaFalsified(f"max r violates threshold: r={r}, t_(s+1)={ts1}")
+        if mx == ts1 and ts1 > 0:
+            report["equality_cases"] += 1
+            sigma = sum(r[i] * (shape.parts[i] - r[i]) for i in range(1, p + 1))
+            if sigma != ts1 * (shape.n - s):
+                raise LemmaFalsified(f"equality case breaks the sigma identity: r={r}")
+            if s > n0 + p and not _equality_profile_ok(shape, r, orders, m):
+                raise LemmaFalsified(f"equality profile unexplained: r={r}, shape={shape}")
+    return report
+
+
+def _equality_profile_ok(shape, r, orders, m):
+    if r[0] != shape.parts[0]:
+        return False
+    p = shape.p
+    for w in orders:
+        for j in range(1, p + 1):
+            kmax = m[j] - m[j - 1]
+            for kk in range(1, kmax + 1):
+                good = all(r[w[i - 1]] == shape.parts[w[i - 1]] for i in range(1, j)) and all(
+                    r[w[i - 1]] == m[j - 1] + kk for i in range(j, p + 1)
+                )
+                if good:
+                    return True
+    return False
+
+
+def threshold_block_bound_holds(shape: Shape) -> bool:
+    """-p(t_s + 1) <= n_0 - s for every s."""
+    ts = t_table(shape)
+    p = shape.p
+    n0 = shape.parts[0]
+    return all(-p * (ts[s - 1] + 1) <= n0 - s for s in range(1, shape.n + 1))
 
 
 def test_threshold_attainment_enumeration():
