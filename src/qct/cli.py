@@ -9,6 +9,7 @@ fixed flags and seed (timings live only in the JSON reports).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -503,6 +504,11 @@ SUITES = {
 
 
 def _case_cost(suite: str, params: dict) -> tuple:
+    if suite == "lemma-key":
+        # the work grows with s: sum(r) for classify, s for minweight, none
+        # for the fixed examples
+        size = sum(params["r"]) if params["kind"] == "classify" else params.get("s", 0)
+        return (size, json.dumps(params, sort_keys=True))
     shape = params.get("shape") or params.get("a") or [1]
     size = sum(abs(int(x)) for x in shape) if isinstance(shape, list) else 1
     extras = sum(int(params.get(key, 0) or 0) for key in ("a", "b", "c", "d") if
@@ -625,7 +631,9 @@ def cmd_report(args) -> int:
     return 1 if overall_red else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     ap = argparse.ArgumentParser(prog="qct", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

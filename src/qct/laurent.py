@@ -15,10 +15,16 @@ Pruning never changes the result, only the work.  There is one kernel:
   the factor touches;
 * each q-coefficient is one big int of balanced base ``2**B`` digits, so
   shift/add/multiply ride on CPython's bignum arithmetic;
-* the linear factor (1 - q^m x^delta) has its own two-term step.
+* the linear factor (1 - q^m x^delta) has its own two-term step;
+* the kernel tracks a range per slot that holds every live state, and a step
+  whose windows hold that range moved by the factor cannot drop a state, so
+  it runs free, with no digit and no window test (a full expansion is free
+  throughout).
 
-Keys are decoded back to exponent tuples only at the end.  A plain dict fold
-lives in the tests as the reference the kernel must match exactly.
+Keys are decoded back to exponent tuples only at the end.  ``fold_sum_packed``
+folds several pieces in one shared key box and adds their int keys directly,
+so a sum that vanishes decodes nothing.  A plain dict fold lives in the tests
+as the reference the kernel must match exactly.
 """
 
 from __future__ import annotations
@@ -487,6 +493,15 @@ def _full_window(arity, factors):
     return tuple(lo), tuple(hi)
 
 
+def _target(arity, factors, tlo, thi):
+    """The target window as tuples; None on a side means the full expansion's."""
+    if tlo is None or thi is None:
+        lo, hi = _full_window(arity, factors)
+        tlo = lo if tlo is None else tlo
+        thi = hi if thi is None else thi
+    return tuple(tlo), tuple(thi)
+
+
 def ct_fold(arity, factors, tlo=None, thi=None) -> dict:
     """Expand a factor list, keeping only exponents inside [tlo, thi].
 
@@ -495,59 +510,70 @@ def ct_fold(arity, factors, tlo=None, thi=None) -> dict:
     (e.g. all zeros) computes a constant term with maximal pruning.
     """
     factors = list(factors)
-    if tlo is None or thi is None:
-        # unconstrained: window wide enough to keep everything
-        lo, hi = _full_window(arity, factors)
-        tlo = lo if tlo is None else tuple(tlo)
-        thi = hi if thi is None else tuple(thi)
-    else:
-        tlo = tuple(tlo)
-        thi = tuple(thi)
-    if not factors:
-        inside = all(tlo[v] <= 0 <= thi[v] for v in range(arity))
-        return {(0,) * arity: ONE} if inside else {}
+    tlo, thi = _target(arity, factors, tlo, thi)
     B = _digit_width(_l1_bound(factors))
-    packed = _fold_packed(factors, tlo, thi, B)
+    packed = _fold_tuples(factors, tlo, thi, B)
     return {e: _decode_packed(lo, mag, B) for e, (lo, mag) in packed.items()}
 
 
-def fold_packed_raw(arity, factors, tlo, thi, extra_l1: int = 1):
+def fold_packed_raw(arity, factors, tlo=None, thi=None, extra_l1: int = 1):
     """Packed fold exposed for callers that post-process coefficients.
 
+    The target window defaults to the full expansion, as in ``ct_fold``.
     ``extra_l1`` widens the digit base so callers may multiply the returned
     packed values by further polynomials of that combined L1 norm without
     digit overflow.  Returns ({exponent tuple: (lo, mag)}, B).
     """
     factors = list(factors)
+    tlo, thi = _target(arity, factors, tlo, thi)
     B = _digit_width(extra_l1 * _l1_bound(factors))
-    return _fold_packed(factors, tuple(tlo), tuple(thi), B), B
+    return _fold_tuples(factors, tlo, thi, B), B
 
 
 def fold_sum_packed(arity, pieces):
-    """Sum of the full expansions of several factor lists, never decoded.
+    """Sum of the full expansions of several factor lists.
 
     Every piece is folded with one shared digit width B, sized from the sum
-    of the pieces' L1 bounds, so no partial sum can overflow a digit and the
-    pieces are added as packed (lo, mag) pairs.  Returns ({exponent tuple:
-    (lo, mag)}, B) holding only the nonzero sums: a sum that is identically
-    zero is an empty dict.
+    of the pieces' L1 bounds, so no partial sum can overflow a digit, and in
+    one shared key box, the union of the pieces' boxes, so the pieces add as
+    int keys and packed (lo, mag) pairs.  Returns ({exponent tuple: (lo,
+    mag)}, B) holding only the nonzero sums: a sum that is identically zero
+    is an empty dict, and keys are decoded only when the sum is nonzero.
     """
     pieces = [list(f) for f in pieces]
     B = _digit_width(sum(_l1_bound(f) for f in pieces))
+    plans = [_windows(f, *_full_window(arity, f)) for f in pieces]
+    base = [0] * arity
+    top = [0] * arity
+    for _, b, t in plans:
+        base = list(map(min, base, b))
+        top = list(map(max, top, t))
     total: dict = {}
-    for factors in pieces:
-        tlo, thi = _full_window(arity, factors)
-        for e, val in _fold_packed(factors, tlo, thi, B).items():
-            cur = total.get(e)
-            if cur is None:
-                total[e] = val
-                continue
-            s = packed_add(cur, val, B)
-            if s[1]:
-                total[e] = s
-            else:
-                del total[e]
-    return total, B
+    for factors, (steps, _, _) in zip(pieces, plans):
+        state = _fold_packed(factors, steps, base, top, B)
+        if not total:
+            total = state
+        else:
+            get = total.get
+            for k, val in state.items():
+                cur = get(k)
+                if cur is None:
+                    total[k] = val
+                    continue
+                (clo, cm), (lo, mag) = cur, val
+                if clo <= lo:
+                    s = cm + (mag << (B * (lo - clo)))
+                    rl = clo
+                else:
+                    s = mag + (cm << (B * (clo - lo)))
+                    rl = lo
+                if s:
+                    total[k] = (rl, s)
+                else:
+                    del total[k]
+        # the piece's states go before the next piece folds
+        del state
+    return (_decode_keys(total, base, top) if total else {}), B
 
 
 def _l1_bound(factors) -> int:
@@ -563,10 +589,34 @@ def _digit_width(bound: int) -> int:
     return max(64, bound.bit_length() + 8)
 
 
-def _fold_packed(factors, tlo, thi, B):
+def _fold_tuples(factors, tlo, thi, B):
+    """The fold in its own key box, keys decoded to exponent tuples."""
     steps, base, top = _windows(factors, tlo, thi)
     if steps is None:
         return {}
+    return _decode_keys(_fold_packed(factors, steps, base, top, B), base, top)
+
+
+def _decode_keys(state, base, top) -> dict:
+    """{int key: value} over the box [base, top] as {exponent tuple: value}."""
+    widths = [t - b + 1 for b, t in zip(base, top)]
+    out = {}
+    for k, val in state.items():
+        e = []
+        for b, w in zip(base, widths):
+            k, x = divmod(k, w)
+            e.append(x + b)
+        out[tuple(e)] = val
+    return out
+
+
+def _fold_packed(factors, steps, base, top, B):
+    """The fold kernel: {int key: (lo, mag)} with keys over the box [base, top].
+
+    ``steps`` are the factors' windows from ``_windows``; the box must hold
+    the origin and every window.  A step whose windows hold every state it
+    can make drops nothing, so it runs free: no digit and no window test.
+    """
     # Kronecker keys: slot v of a state's key holds e_v - base[v], a digit in
     # [0, width[v]), at weight radix[v].  A term is kept only if its touched
     # digits land in the step's window, which lies in the box, so key + dk
@@ -578,43 +628,75 @@ def _fold_packed(factors, tlo, thi, B):
         radix.append(r)
         width.append(t - b + 1)
         r *= t - b + 1
+    # every live state has slot v in [live_lo[v], live_hi[v]]
+    live_lo = [0] * len(base)
+    live_hi = [0] * len(base)
     state = {-sum(b * m for b, m in zip(base, radix)): (0, 1)}
     for f, win in zip(factors, steps):
-        slots = [(radix[v], width[v]) for v, _, _ in win]
+        free = True
+        for v, lo, hi in win:
+            reach_lo = live_lo[v] + f.lo[v]
+            reach_hi = live_hi[v] + f.hi[v]
+            if reach_lo < lo:
+                reach_lo, free = lo, False
+            if reach_hi > hi:
+                reach_hi, free = hi, False
+            live_lo[v] = reach_lo
+            live_hi[v] = reach_hi
+        slots = [] if free else [(radix[v], width[v]) for v, _, _ in win]
         terms = []
         for delta, qexp, coeff in f.terms:
             # key offset, q-shift, packed coefficient, and for each touched
-            # slot the digits a source may hold for the target to stay inside
+            # slot of a checked step the digits a source may hold for the
+            # target to stay inside
             dk = 0
             bounds = []
             for v, lo, hi in win:
                 d = 0 if delta is None else delta[v]
                 dk += d * radix[v]
-                bounds.append((lo - base[v] - d, hi - base[v] - d))
+                if not free:
+                    bounds.append((lo - base[v] - d, hi - base[v] - d))
             lo_c, cmag = pack_qlaurent(coeff, B)
             terms.append((dk, qexp + lo_c, cmag, bounds))
         if (len(terms) == 2 and terms[0][:3] == (0, 0, 1) and terms[1][0]
-                and terms[1][2] == -1 and len(slots) <= 2):
+                and terms[1][2] == -1 and len(win) <= 2):
             state = _step_linear(state, B, slots, terms)
         else:
             state = _step_general(state, B, slots, terms)
         if not state:
             break
-    out = {}
-    for k, val in state.items():
-        e = []
-        for b, w in zip(base, width):
-            k, x = divmod(k, w)
-            e.append(x + b)
-        out[tuple(e)] = val
-    return out
+    return state
 
 
 def _step_linear(state, B, slots, terms):
     """One (1 - q^m x^delta) step: new[k] += old[k], new[k + dk] -= q^m old[k].
 
-    ``slots`` and each term's bounds cover the one or two touched slots.
+    ``slots`` and each term's bounds cover the one or two touched slots; a
+    free step has none, keeps every state and merges only the shifted term.
     """
+    if not slots:
+        dk, qsh = terms[1][:2]
+        new = dict(state)
+        get = new.get
+        for k, (lo, mag) in state.items():
+            nk = k + dk
+            nlo = lo + qsh
+            cur = get(nk)
+            if cur is None:
+                new[nk] = (nlo, -mag)
+            else:
+                clo, cm = cur
+                if clo <= nlo:
+                    s = cm - (mag << (B * (nlo - clo)))
+                    rl = clo
+                else:
+                    s = (cm << (B * (clo - nlo))) - mag
+                    rl = nlo
+                if s:
+                    new[nk] = (rl, s)
+                else:
+                    del new[nk]
+        return new
     (_, _, _, ((ilo, ihi), *jb)), (dk, qsh, _, ((dilo, dihi), *djb)) = terms
     (mi, wi), *rest = slots
     if rest:

@@ -285,20 +285,22 @@ def bf_ct_grid(shape: Shape, c: int, jobs) -> dict[tuple[int, int], QFrac]:
     out = {}
     for a, b in jobs:
         w = weights[(a, b)]
-        wp = {e: pack_qlaurent(p, B) for e, p in w.items()}
-        total = None
-        for v, coeff in packed.items():
-            term = coeff
-            dead = False
-            for x in v:
-                f = wp.get(-x)
-                if f is None or f[1] == 0:
-                    dead = True
-                    break
-                term = packed_mul(term, f, B)
-            if dead:
-                continue
-            total = term if total is None else packed_add(total, term, B)
+        wp = {-e: pack_qlaurent(p, B) for e, p in w.items() if not p.is_zero()}
+        # contract one slot at a time: sum the last slot of every exponent
+        # against the x_0 weights into a dict over the remaining prefix
+        level = packed
+        for _ in range(n):
+            nxt: dict = {}
+            for v, coeff in level.items():
+                f = wp.get(v[-1])
+                if f is None:
+                    continue
+                term = packed_mul(coeff, f, B)
+                rest = v[:-1]
+                cur = nxt.get(rest)
+                nxt[rest] = term if cur is None else packed_add(cur, term, B)
+            level = nxt
+        total = level.get(())
         if total is None:
             out[(a, b)] = QFrac(0)
         else:

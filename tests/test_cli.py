@@ -202,3 +202,62 @@ def test_process_pool_matches_serial(suite, flags, pooled, tmp_path, capsys, mon
     assert outs[0] == outs[1] and cases[0] == cases[1]
     assert " 0 fail, 0 trimmed" in outs[0]
     assert pools == ([2] if pooled else [])
+
+
+def _run_fresh(argv):
+    """Exit code of argv through a newly built parser, as main runs it."""
+    args = cli.build_parser.__wrapped__().parse_args(list(argv))
+    return args.func(args)
+
+
+def test_cached_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
+    # one process, one parser: ct, a usage error, verify, then ct again
+    monkeypatch.chdir(tmp_path)
+    assert cli.build_parser() is cli.build_parser()
+    sequence = [
+        ("ct", "--family", "bf", "--shape", "1,2", "--a", "1", "--b", "1", "--c", "1"),
+        ("ct", "--family", "bf", "--shape", "1,x"),
+        ("verify", "--suite", "poch-identities"),
+        ("ct", "--family", "qdyson", "--a", "2,1"),
+    ]
+    for argv in sequence:
+        got = []
+        for entry in (main, _run_fresh):
+            try:
+                code = entry(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        assert got[0] == got[1], argv
+        assert (got[0][0] == 2) == (argv[-1] == "1,x")
+
+
+class _TickClock:
+    """A monotonic clock that advances one second per reading."""
+
+    def __init__(self):
+        self.now = 0
+
+    def monotonic(self):
+        self.now += 1
+        return self.now
+
+
+def test_lemma_key_budget_trims_the_expensive_end(tmp_path, capsys, monkeypatch):
+    # the work of a lemma-key case grows with s: sum(r) for classify, s for
+    # minweight, none for examples; a budget must trim from the large end
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "time", _TickClock())
+
+    def cost(params):
+        kind = params["kind"]
+        return sum(params["r"]) if kind == "classify" else params["s"] if kind == "minweight" else 0
+
+    code, _ = run(capsys, "verify", "--suite", "lemma-key", "--max-seconds", "12")
+    assert code == 0
+    cases = json.loads((tmp_path / "qct-report-lemma-key.json").read_text())["cases"]
+    ran = [cost(c["params"]) for c in cases if c["status"] == "pass"]
+    trimmed = [cost(c["params"]) for c in cases if c["status"] == "trimmed"]
+    assert len(ran) == 12 and trimmed
+    assert max(ran) <= min(trimmed)

@@ -24,7 +24,7 @@ from qct.gxseries import (
     property_branch,
     series_ct,
 )
-from qct.laurent import MLaurent
+from qct.laurent import FoldFactor, MLaurent, ct_fold
 from qct.products import Shape
 from qct.qring import Cyclo, QFrac, QLaurent, eval_poly
 from qct.roots import interpolate_dn
@@ -356,6 +356,92 @@ def test_property_laurent_nontrivial():
     assert rep["divisible"] and rep["laurent_form_ok"] and rep["ct_zero"]
     assert rep["case4"] and rep["in_laurent_bound"]
     assert rep["ledger_exponent"] == 0 and rep["vanishing_precondition_ok"]
+
+
+def reference_property_laurent_route(q, ell):
+    """(laurent_form_ok, ct_zero) of property (3) the decoding way: expand the
+    cancelled numerator to QLaurent coefficients, read the ledger off it,
+    then fold it again as one general factor beside the residual pairs."""
+    n = q.shape.n
+    factors, shifts = gxseries._cancel_head_denominator(q)
+    res = ct_fold(n + 1, factors)
+    outside = [i for i in range(1, n + 1) if i not in q.u]
+    for e in res:
+        if any(e[i] < shifts[i] for i in outside):
+            return False, None
+        if e[q.head] != ell - sum(e[i] - shifts[i] for i in outside):
+            return False, None
+    all_factors = [FoldFactor(n + 1, [(e, 0, p) for e, p in res.items()])]
+    for pf in q.residual_pairs:
+        all_factors.extend(pf.fold_factors(n + 1))
+    zero = (0,) * (n + 1)
+    val = ct_fold(n + 1, all_factors, zero, zero).get(zero)
+    return True, val is None or val.is_zero()
+
+
+def _gx_laurent_grid():
+    """Every (shape, b, c, d, u, k) the gx-pipeline suite's ``branches`` and
+    ``laurent`` cases send down the laurent branch."""
+    for case in cli._cases_gx(None):
+        if case["kind"] not in ("branches", "laurent"):
+            continue
+        shape = Shape(case["shape"])
+        b, c, d = case["b"], case["c"], case["d"]
+        if case["kind"] == "laurent":
+            us = itertools.combinations(list(shape.block(1)), 2)
+            grid = [(u, k) for u in us for k in [(d, 2), (2, d), (d, d)]]
+        else:
+            grid = [(u, k) for s in range(1, shape.n + 1)
+                    for u in itertools.combinations(range(1, shape.n + 1), s)
+                    for k in itertools.product(range(1, d + 1), repeat=s)]
+        for u, k in grid:
+            if property_branch(shape, b, c, d, u, k) == "laurent":
+                yield shape, b, c, d, u, k
+
+
+def _head_moved(monkeypatch):
+    # one more x_head breaks the ledger e_head = ell - slack
+    cancel = gxseries._cancel_head_denominator
+
+    def moved(q):
+        factors, shifts = cancel(q)
+        mono = [0] * (q.shape.n + 1)
+        mono[q.head] = 1
+        return factors + [FoldFactor.monomial(q.shape.n + 1, tuple(mono))], shifts
+
+    monkeypatch.setattr(gxseries, "_cancel_head_denominator", moved)
+
+
+def _half_the_pairs(monkeypatch):
+    # without the second half of the residual pairs the constant term is nonzero
+    pairs = gxseries._pair_pochs
+
+    def half(shape, c, exclude=()):
+        out = pairs(shape, c, exclude)
+        return out[:len(out) // 2]
+
+    monkeypatch.setattr(gxseries, "_pair_pochs", half)
+
+
+@pytest.mark.parametrize("perturb, verdict", [
+    (None, (True, True)),
+    (_head_moved, (False, None)),
+    (_half_the_pairs, (True, False)),
+])
+def test_property_laurent_matches_decoding_route(monkeypatch, perturb, verdict):
+    if perturb is not None:
+        perturb(monkeypatch)
+    compared = 0
+    for shape, b, c, d, u, k in _gx_laurent_grid():
+        rep = check_property_laurent(shape, b, c, d, u, k)
+        if not rep["divisible"]:
+            continue
+        q = build_Quk(shape, b, c, d, u, k)
+        want = reference_property_laurent_route(q, rep["ledger_exponent"])
+        got = (rep["laurent_form_ok"], rep["ct_zero"])
+        assert got == want == verdict, (shape.parts, d, u, k)
+        compared += 1
+    assert compared >= 3
 
 
 def test_lemQ_exhaustive_on_three_variables():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qct import laurent
 from qct.laurent import (
     FoldFactor,
     MLaurent,
@@ -11,6 +12,7 @@ from qct.laurent import (
     ct,
     ct_fold,
     fold_packed_raw,
+    fold_sum_packed,
     linear_factors,
     pack_qlaurent,
     packed_mul,
@@ -273,13 +275,10 @@ def test_fold_window_matches_full_expansion():
     assert windowed == expect
 
 
-@st.composite
-def fold_cases(draw):
-    """(arity, factors, tlo, thi): a random mix of linear, monomial and
-    multi-term factors under a point, empty, wide or unconstrained window.
+def _draw_factors(draw, n):
+    """A random mix of linear, monomial and multi-term factors on n slots.
     A "binomial" is 1 - q^m x^delta with delta anywhere in {-1, 0, 1}^n, the
     linear factor's shape on zero to n variables."""
-    n = draw(st.integers(1, 4))
     side = st.one_of(st.none(), st.integers(1, n))
     nonzero = st.integers(-3, 3).filter(bool)
     qpoly = st.dictionaries(st.integers(-2, 2), nonzero, min_size=1, max_size=3).map(QLaurent)
@@ -300,6 +299,15 @@ def fold_cases(draw):
         else:
             terms = draw(st.dictionaries(deltas, qpoly, min_size=2, max_size=3))
             factors.append(FoldFactor.general(n, MLaurent(n, terms)))
+    return factors
+
+
+@st.composite
+def fold_cases(draw):
+    """(arity, factors, tlo, thi): random factors under a point, empty, wide
+    or unconstrained window."""
+    n = draw(st.integers(1, 4))
+    factors = _draw_factors(draw, n)
     window = draw(st.sampled_from(("point", "empty", "wide", "none")))
     if window == "none":
         return n, factors, None, None
@@ -349,3 +357,96 @@ def test_linear_factor_fields_match_generic_constructor(arity, m):
             direct = FoldFactor.linear(arity, i, j, m)
             for field in FoldFactor.__slots__:
                 assert getattr(direct, field) == getattr(generic, field), (i, j, field)
+
+
+# -- window-free steps and packed sums ---------------------------------------------------
+
+
+@pytest.mark.parametrize("window", ["point", "wide"])
+def test_long_linear_chains_mix_free_and_checked_steps(monkeypatch, window):
+    # early steps cannot leave a point or wide window and run free, later
+    # ones can and are checked; both must match the reference fold
+    n = 3
+    factors = (linear_factors(n, 1, 2, 0, 5) + linear_factors(n, 2, 3, 1, 4)
+               + linear_factors(n, 3, 1, -1, 5) + linear_factors(n, 1, None, 1, 3)
+               + linear_factors(n, None, 2, 0, 3) + linear_factors(n, 2, 1, 2, 4))
+    if window == "point":
+        tlo = thi = (0, 0, 0)
+    else:
+        tlo, thi = (-3, -4, -2), (2, 3, 4)
+    checked = []
+    step = laurent._step_linear
+
+    def spy(state, B, slots, terms):
+        checked.append(bool(slots))
+        return step(state, B, slots, terms)
+
+    monkeypatch.setattr(laurent, "_step_linear", spy)
+    assert ct_fold(n, factors, tlo, thi) == fold_dict(n, factors, tlo, thi)
+    assert True in checked and False in checked
+    # a full expansion can drop nothing, so every step runs free
+    checked.clear()
+    assert ct_fold(n, factors) == fold_dict(n, factors)
+    assert checked == [False] * len(factors)
+
+
+def _negated(n, factors):
+    return [FoldFactor.monomial(n, (0,) * n, 0, -1)] + list(factors)
+
+
+@st.composite
+def sum_cases(draw):
+    """(arity, pieces): one to three random factor lists, each moved by its
+    own monomial so that the pieces' full windows differ."""
+    n = draw(st.integers(1, 3))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        offset = draw(st.tuples(*[st.integers(-3, 3)] * n))
+        pieces.append([FoldFactor.monomial(n, offset)] + _draw_factors(draw, n))
+    return n, pieces
+
+
+def _reference_sum(n, pieces) -> dict:
+    want: dict = {}
+    for factors in pieces:
+        for e, p in fold_dict(n, factors).items():
+            s = want.get(e, QLaurent()) + p
+            if s.is_zero():
+                want.pop(e, None)
+            else:
+                want[e] = s
+    return want
+
+
+@settings(max_examples=150, deadline=None)
+@given(sum_cases())
+def test_fold_sum_matches_reference_sum(case):
+    n, pieces = case
+    total, B = fold_sum_packed(n, pieces)
+    assert {e: _decode_packed(lo, mag, B) for e, (lo, mag) in total.items()} == _reference_sum(n, pieces)
+    # P + (-P) is an empty dict, alone or beside other pieces
+    P = pieces[0]
+    assert fold_sum_packed(n, [P, _negated(n, P)])[0] == {}
+    total, B = fold_sum_packed(n, pieces + [_negated(n, P)])
+    assert {e: _decode_packed(lo, mag, B) for e, (lo, mag) in total.items()} == _reference_sum(n, pieces[1:])
+
+
+def test_passing_sum_decodes_nothing(monkeypatch):
+    from qct import splitting
+    from qct.products import Shape
+
+    def refuse(*args):
+        raise AssertionError("a passing sum decoded a value")
+
+    n = 3
+    P = (linear_factors(n, 1, 2, 0, 3) + linear_factors(n, 3, 1, 1, 2)
+         + [FoldFactor.monomial(n, (2, -1, 0), 1, 3)])
+    Q = [FoldFactor.monomial(n, (-1, 0, 2))] + linear_factors(n, 2, None, 0, 2)
+    monkeypatch.setattr(laurent, "_decode_keys", refuse)
+    monkeypatch.setattr(laurent, "_decode_packed", refuse)
+    assert fold_sum_packed(n, [P, Q, _negated(n, P[::-1]), _negated(n, Q)])[0] == {}
+    assert splitting.verify_split(Shape((1, 2)), 1)["ok"]
+    assert splitting.residue_identity_holds(Shape((1, 2)), 1, 1, 0)
+    # a failing sum decodes its keys to name the witness
+    with pytest.raises(AssertionError, match="decoded"):
+        fold_sum_packed(n, [P, Q])

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from qct.laurent import MLaurent, ct
+from qct.cli import BF_SHAPES
+from qct.laurent import MLaurent, _decode_packed, ct, fold_packed_raw, pack_qlaurent, packed_add, packed_mul
 from qct.products import (
     Shape,
     bf_ct,
@@ -14,7 +15,9 @@ from qct.products import (
     epsilon,
     kadell_ct,
     kadell_h,
+    pair_factors,
     qmorris_ct,
+    x0_weights,
 )
 from qct.qring import QFrac, QLaurent
 
@@ -145,6 +148,43 @@ def test_grid_matches_point_evaluator():
     grid = bf_ct_grid(shape, 1, jobs)
     for (a, b), val in grid.items():
         assert val == bf_ct(shape, a, b, 1)
+
+
+def reference_grid_contraction(shape, c, jobs):
+    """bf_ct_grid's values by the all-slot contraction: every exponent vector
+    of the windowed pair product times the x_0 weight of each of its slots."""
+    n = shape.n
+    weights = {ab: x0_weights(*ab) for ab in jobs}
+    wl1 = max(sum(x.l1_norm() for x in w.values()) for w in weights.values())
+    amax = max(a for a, _ in jobs)
+    bmax = max(b for _, b in jobs)
+    packed, B = fold_packed_raw(n, pair_factors(shape, c), (-bmax,) * n, (amax,) * n,
+                                extra_l1=max(wl1, 1) ** n)
+    out = {}
+    for ab in jobs:
+        wp = {e: pack_qlaurent(p, B) for e, p in weights[ab].items()}
+        total = (0, 0)
+        for v, coeff in packed.items():
+            term = coeff
+            for x in v:
+                f = wp.get(-x)
+                if f is None or f[1] == 0:
+                    break
+                term = packed_mul(term, f, B)
+            else:
+                total = packed_add(total, term, B)
+        out[ab] = QFrac.from_qlaurent(_decode_packed(total[0], total[1], B))
+    return out
+
+
+def test_grid_contraction_matches_all_slot_reference():
+    # the roots suite's grid: every default shape, b <= c <= 2, a <= nb + 1
+    for parts in BF_SHAPES:
+        shape = Shape(parts)
+        for c in range(3):
+            for b in range(c + 1):
+                jobs = [(a, b) for a in range(shape.n * b + 2)]
+                assert bf_ct_grid(shape, c, jobs) == reference_grid_contraction(shape, c, jobs), (parts, b, c)
 
 
 def test_qdyson_matches_rhs_grid():
