@@ -215,12 +215,12 @@ def test_cached_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.build_parser() is cli.build_parser()
     sequence = [
-        ("ct", "--family", "bf", "--shape", "1,2", "--a", "1", "--b", "1", "--c", "1"),
-        ("ct", "--family", "bf", "--shape", "1,x"),
-        ("verify", "--suite", "poch-identities"),
-        ("ct", "--family", "qdyson", "--a", "2,1"),
+        (("ct", "--family", "bf", "--shape", "1,2", "--a", "1", "--b", "1", "--c", "1"), 0),
+        (("ct", "--family", "bf", "--shape", "1,x"), 2),
+        (("verify", "--suite", "poch-identities"), 0),
+        (("ct", "--family", "qdyson", "--a", "2,1"), 0),
     ]
-    for argv in sequence:
+    for argv, code in sequence:
         got = []
         for entry in (main, _run_fresh):
             try:
@@ -230,7 +230,7 @@ def test_cached_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
             captured = capsys.readouterr()
             got.append((code, captured.out, captured.err))
         assert got[0] == got[1], argv
-        assert (got[0][0] == 2) == (argv[-1] == "1,x")
+        assert got[0][0] == code, argv
 
 
 class _TickClock:
