@@ -74,6 +74,15 @@ def _shape(text: str) -> Shape:
     return Shape(_positive_ints(text))
 
 
+def _kadell_args(args) -> tuple[list[int], int, list[int]]:
+    """--v, --r and --a of the kadell family, checked against each other."""
+    if args.v is None or args.r is None or args.a is None:
+        raise SystemExit("kadell needs --v, --r and --a")
+    if len(args.v) != len(args.a):
+        build_parser().error(f"--v and --a must have equal length, got {args.v} and {args.a}")
+    return args.v, args.r, args.a
+
+
 def _abc(args) -> tuple[int, int, int]:
     """--a, --b, --c of a family with one value each, absent flags read as 0."""
     if args.a is not None and len(args.a) != 1:
@@ -106,11 +115,10 @@ def _ct_value(args) -> QFrac:
             return _gx_value(shape, a, b, c)
         return products.bf_ct(shape, a, b, c)
     if family == "kadell":
-        if args.v is None or args.r is None or args.a is None:
-            raise SystemExit("kadell needs --v, --r and --a")
+        v, r, a = _kadell_args(args)
         if args.method == "gx":
             raise SystemExit("--method gx supports the bf and qmorris families")
-        return products.kadell_ct(args.v, args.r, args.a)
+        return products.kadell_ct(v, r, a)
     raise SystemExit(f"unknown family {family!r}")
 
 
@@ -118,7 +126,7 @@ def _gx_value(shape: Shape, a: int, b: int, c: int) -> QFrac:
     """Evaluate the constant term through the elimination pipeline: values at
     negative arguments determine the polynomial in q^a, evaluated at q^a."""
     nb = shape.n * b
-    values = [gxseries.gx_ct(shape, b, c, d, on_stuck="series") for d in range(1, nb + 2)]
+    values = [gxseries.gx_ct(shape, b, c, d) for d in range(1, nb + 2)]
     return eval_poly(interpolate(values, first=-1, step=-1), a)
 
 
@@ -135,9 +143,10 @@ def cmd_rhs(args) -> int:
         print(closedform.qdyson_rhs(args.a))
         return 0
     if family == "kadell":
-        if args.v is None or args.r is None or args.a is None:
-            raise SystemExit("kadell needs --v, --r and --a")
-        print(closedform.kadell_rhs(args.v, args.r, args.a))
+        v, r, a = _kadell_args(args)
+        if sum(v) != r:
+            build_parser().error(f"the kadell closed form needs |--v| = --r, got {sum(v)} and {r}")
+        print(closedform.kadell_rhs(v, r, a))
         return 0
     if family == "qmorris" and args.n is None and args.shape is None:
         raise SystemExit("qmorris needs --n or --shape")
@@ -542,7 +551,10 @@ def run_suite(name: str, args) -> dict:
     cases = carve(args)
     order = sorted(range(len(cases)), key=lambda idx: _case_cost(name, cases[idx]))
     budget = args.max_seconds
-    threads = max(1, int(os.environ.get("QCT_THREADS", "1")))
+    try:
+        threads = max(1, int(os.environ.get("QCT_THREADS", "1")))
+    except ValueError:
+        build_parser().error(f"QCT_THREADS must be an integer, got {os.environ['QCT_THREADS']!r}")
     t0 = time.monotonic()
     results: dict[int, dict] = {}
     if threads > 1 and budget is None and len(cases) > 1:
@@ -589,8 +601,11 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     directory = args.dir or "."
-    files = sorted(f for f in os.listdir(directory)
-                   if f.startswith("qct-report-") and f.endswith(".json"))
+    try:
+        names = os.listdir(directory)
+    except OSError as exc:
+        build_parser().error(f"--dir {directory!r}: {exc.strerror}")
+    files = sorted(f for f in names if f.startswith("qct-report-") and f.endswith(".json"))
     rows = []
     overall_red = False
     for f in files:
@@ -646,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     ct.add_argument("--b", type=_nonneg_int)
     ct.add_argument("--c", type=_nonneg_int)
     ct.add_argument("--v", type=_nonneg_ints, help="comma list (kadell)")
-    ct.add_argument("--r", type=_nonneg_int, help="row weight (kadell)")
+    ct.add_argument("--r", type=_positive_int, help="row weight (kadell)")
     ct.add_argument("--method", choices=["brute", "gx"], default="brute")
     ct.set_defaults(func=cmd_ct)
 
@@ -659,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     rhs.add_argument("--b", type=_nonneg_int)
     rhs.add_argument("--c", type=_nonneg_int)
     rhs.add_argument("--v", type=_nonneg_ints)
-    rhs.add_argument("--r", type=_nonneg_int)
+    rhs.add_argument("--r", type=_positive_int)
     rhs.set_defaults(func=cmd_rhs)
 
     ver = sub.add_parser("verify", help="run a named verification suite")

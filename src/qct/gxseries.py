@@ -1,4 +1,4 @@
-"""Constant terms of rational functions via iterated Laurent series.
+"""Constant terms of rational functions by partial-fraction elimination.
 
 Rational functions here live in the field where x_0 is expanded first, then
 x_1, and so on: a factor 1/(1 - q^m x_a/x_b) expands in positive powers of
@@ -9,84 +9,28 @@ constant term realizes the decorated product at negative argument, its
 substituted images Q(d | u; k), and the vanishing-property checks that drive
 the root analysis.
 
-Variables use slots 0..n of an (n+1)-arity MLaurent, slot t holding x_t.
-Every denominator factor of the pipeline is (1 - q^m x_head/x_tail) with an
-integer m, and every scalar is a ratio of q-Pochhammer symbols: elimination
-keeps numerators as {exponent tuple: QLaurent}, substitutes by shifting
-coefficients and collects the scalars in a factored ``Cyclo``, so it makes
-no gcd; a constant term is reduced once, at the end.
+Exponent tuples have n + 1 slots, slot t holding x_t.  Every denominator
+factor of the pipeline is (1 - q^m x_head/x_tail) with an integer m, and
+every scalar is a ratio of q-Pochhammer symbols: elimination keeps numerators
+as {exponent tuple: QLaurent}, substitutes by shifting coefficients and
+collects the scalars in a factored ``Cyclo``, so it makes no gcd; a constant
+term is reduced once, at the end.  A numerator whose head degree reaches the
+number of factors is first divided by the denominator, exactly, so every
+term is eliminated the same way and there is no other constant-term route.
 """
 
 from __future__ import annotations
 
-from .laurent import FoldFactor, MLaurent, ct_fold, fold_packed_raw, linear_factors
+from .laurent import FoldFactor, ct_fold, fold_packed_raw, linear_factors
 from .products import Shape, epsilon
-from .qring import ONE, ZERO, Cyclo, QFrac, QLaurent, cyclo_sum
+from .qring import ONE, Cyclo, QFrac, cyclo_sum
 from .roots import t_table
 
-
-class OutOfContract(RuntimeError):
-    """The partial-fraction lemma's degree precondition failed; callers must
-    route through the Laurent-polynomiality path instead of guessing."""
+# Most rational terms one constant term may visit before giving up.
+MAX_TERMS = 200000
 
 
-class VarOrder:
-    """Total order on variable indices: position in ``sequence`` decides which
-    side a binomial factor expands on.  The default order is 0, 1, ..., n."""
-
-    __slots__ = ("rank",)
-
-    def __init__(self, sequence):
-        seq = list(sequence)
-        if sorted(seq) != list(range(len(seq))):
-            raise ValueError("order must list each variable index exactly once")
-        self.rank = {v: i for i, v in enumerate(seq)}
-
-    @staticmethod
-    def natural(count: int) -> "VarOrder":
-        return VarOrder(range(count))
-
-    def precedes(self, a: int, b: int) -> bool:
-        return self.rank[a] < self.rank[b]
-
-
-def expand_factor(i: int, j: int, coeff: QFrac, order: VarOrder, trunc: int, arity: int) -> MLaurent:
-    """Truncated geometric expansion of 1/(1 - coeff * x_i/x_j).
-
-    Expands in nonnegative powers of x_i/x_j when i precedes j, else in the
-    complementary direction -sum_{l>=1} coeff^{-l} (x_j/x_i)^l.
-    """
-    if i == j:
-        raise ValueError("factor needs distinct variables")
-    if coeff.is_zero():
-        raise ValueError("zero coefficient")
-    out = {}
-    if order.precedes(i, j):
-        cur = QFrac(1)
-        for l in range(trunc + 1):
-            e = [0] * arity
-            e[i] = l
-            e[j] = -l
-            out[tuple(e)] = cur
-            cur = cur * coeff
-    else:
-        inv = coeff.inverse()
-        cur = inv
-        for l in range(1, trunc + 1):
-            e = [0] * arity
-            e[j] = l
-            e[i] = -l
-            out[tuple(e)] = -cur
-            cur = cur * inv
-    return MLaurent(arity, out, _trusted=True)
-
-
-def ct_binomial(i: int, j: int, order: VarOrder) -> int:
-    """CT_{x_i} of 1/(1 - c x_i/x_j): 1 when i precedes j, else 0."""
-    return 1 if order.precedes(i, j) else 0
-
-
-# -- rational terms and the elimination step ----------------------------------------
+# -- rational terms, the division step and the elimination step ---------------------
 
 
 class RationalTerm:
@@ -108,10 +52,68 @@ class RationalTerm:
         if self.dens and head is None:
             raise ValueError("denominator factors need a head variable")
 
-    def degree_in_head(self) -> int:
-        if not self.num:
-            return -(10 ** 9)
-        return max(e[self.head] for e in self.num)
+
+def _add_term(poly: dict, e: tuple, v) -> None:
+    """poly[e] += v, dropping the entry when the sum vanishes."""
+    cur = poly.get(e)
+    if cur is None:
+        poly[e] = v
+        return
+    v = cur + v
+    if v.is_zero():
+        del poly[e]
+    else:
+        poly[e] = v
+
+
+def _divide(num: dict, factors, k: int):
+    """(quo, rem) with num = quo * D + rem, D = prod_r (1 - q^{m_r} x_k/x_{t_r}),
+    and rem of x_k-degree below m = len(factors).
+
+    The top x_k-coefficient of D, (-1)^m q^{sum m_r} prod_r 1/x_{t_r}, is a
+    unit, so the division is exact over Z[q^+-1][x^+-1]: each quotient term is
+    a shifted, signed numerator coefficient.  Terms of x_k-degree >= m are
+    reduced from the top degree down; the others pass to rem unchanged.
+    """
+    m = len(factors)
+    arity = len(next(iter(num)))
+    lower = {(0,) * arity: ONE}  # D, expanded
+    for mr, tr in factors:
+        step: dict = {}
+        for e, v in lower.items():
+            _add_term(step, e, v)
+            ne = list(e)
+            ne[k] += 1
+            ne[tr] -= 1
+            _add_term(step, tuple(ne), -v.shift(mr))
+        lower = step
+    top = [0] * arity
+    top[k] = m
+    for _, tr in factors:
+        top[tr] -= 1
+    top = tuple(top)
+    del lower[top]  # D's top term; what is left has x_k-degree below m
+    lead = -sum(mr for mr, _ in factors)
+    quo: dict = {}
+    rem: dict = {}
+    high: dict[int, dict] = {}  # x_k-degree >= m -> {exponent tuple: coefficient}
+    for e, v in num.items():
+        if e[k] >= m:
+            high.setdefault(e[k], {})[e] = v
+        else:
+            rem[e] = v
+    while high:
+        for e, v in high.pop(max(high)).items():
+            c = v.shift(lead)
+            if m % 2:
+                c = -c
+            w = tuple(a - b for a, b in zip(e, top))
+            quo[w] = c
+            # subtract c x^w (D - top term); each product lands lower in x_k
+            for de, dv in lower.items():
+                ne = tuple(a + b for a, b in zip(w, de))
+                _add_term(high.setdefault(ne[k], {}) if ne[k] >= m else rem, ne, -(c * dv))
+    return quo, rem
 
 
 def _eliminate(scale: Cyclo, num: dict, factors, k: int):
@@ -134,9 +136,7 @@ def _eliminate(scale: Cyclo, num: dict, factors, k: int):
     if num:
         deg = max(e[k] for e in num)
         if deg > m - 1:
-            raise OutOfContract(
-                f"numerator degree {deg} in x_{k} exceeds {m - 1}; out of contract"
-            )
+            raise ValueError(f"numerator degree {deg} in x_{k} exceeds {m - 1}; divide first")
     out = []
     for r, (mr, ir) in enumerate(factors):
         if ir < k:
@@ -169,39 +169,6 @@ def _eliminate(scale: Cyclo, num: dict, factors, k: int):
             else:
                 new_dens.append((ms - mr, js))
         out.append((new_scale, sub, new_dens, ir, (mr, ir)))
-    return out
-
-
-def _q_exponent(c: QFrac) -> int:
-    """m for a coefficient c = q^m; ValueError for anything else."""
-    if not c.den.is_one() or len(c.num.terms) != 1 or c.num.leading_coefficient() != 1:
-        raise ValueError(f"denominator coefficient {c} is not a power of q")
-    return c.num.min_exp()
-
-
-def ct_partial_fraction(num: MLaurent, factors, k: int):
-    """One elimination step: CT_{x_k} of num / prod_r (1 - c_r x_k/x_{i_r}).
-
-    ``factors`` lists (c_r, i_r), each c_r a power of q.  Requires
-    deg_{x_k}(num) <= m - 1 and distinct c_r on repeated tails.  Returns the
-    surviving substituted terms as (numerator, remaining factors, new head)
-    triples, one per factor with i_r > k; factors with i_r < k contribute
-    nothing.
-    """
-    factors = [(_q_exponent(c), i) for c, i in factors]
-    # clear the numerator's denominators by their product, exactly
-    den = ONE
-    for d in {v.den for v in num.terms.values()}:
-        den = den * d
-    cleared = {e: v.num * den.divexact(v.den) for e, v in num.terms.items()}
-    out = []
-    for scale, sub, dens, head, _ in _eliminate(Cyclo(), cleared, factors, k):
-        inv = scale ** -1
-        coeffs = {e: inv.divide(p) for e, p in sub.items()}
-        if not den.is_one():
-            coeffs = {e: v / QFrac(den) for e, v in coeffs.items()}
-        out.append((MLaurent(num.arity, coeffs, _trusted=True),
-                    [(QFrac.q_power(ms), js) for ms, js in dens], head))
     return out
 
 
@@ -575,20 +542,6 @@ def _case4_exists(shape: Shape, u, k, b: int, c: int, t: int) -> bool:
     return False
 
 
-def exact_ct_rational(q: QukFactors) -> QFrac:
-    """Exact CT of Q(d | u; k) by sound bounded expansion.
-
-    Delegates to the rational-term evaluator: every denominator factor is
-    (1 - q^z x_head/x_i) with tails distinct from the head, so the geometric
-    expansions carry provably sufficient caps.  Used as an independent
-    oracle; never assumes any vanishing property.
-    """
-    if q.is_zero():
-        return QFrac(0)
-    t = q.rational_term()
-    return cyclo_sum([(t.scale, _series_ct_of_term(t))])
-
-
 def check_property_laurent(shape, b, c, d, u, k) -> dict:
     """Property (3): either the term is outright zero, or its denominator
     cancels into the numerator, the Laurent form matches the degree ledger,
@@ -749,81 +702,47 @@ def vanishing_property_checks(shape: Shape, b: int, c: int, d: int, u, k) -> dic
 # -- the full elimination pipeline ---------------------------------------------------------
 
 
-def _series_ct_of_term(t: RationalTerm) -> QLaurent:
-    """Exact CT of a single rational term, without its scale, by bounded
-    geometric expansion.
+def rational_ct(term: RationalTerm) -> QFrac:
+    """CT over every variable of one rational term, by repeated
+    partial-fraction elimination.
 
-    Tails after the head only ever lose degree, capping their expansions at
-    the numerator's top degree; tails before the head consume the head's
-    degree budget, capping theirs at the total available.  Exact, not a
-    truncation heuristic.  The expansion runs over QFrac; every coefficient
-    it meets is an integer Laurent polynomial, since each denominator
-    coefficient is a power of q.
+    At each node the part of the numerator whose head degree reaches the
+    number m of denominator factors is divided by the denominator: the
+    quotient's constant coefficient is a leaf at the node's scale and the
+    remainder, of head degree below m, is eliminated.  The constant terms of
+    the leaves are added per distinct scale and reduced once.
     """
-    if not t.num:
-        return ZERO
-    arity = len(next(iter(t.num)))
-    num = MLaurent(arity, {e: QFrac.from_qlaurent(v) for e, v in t.num.items()}, _trusted=True)
-    order = VarOrder.natural(arity)
-    head = t.head
-    pos_caps = {}
-    for _, tail in t.dens:
-        if tail > head:
-            pos_caps[tail] = max(0, max(e[tail] for e in t.num))
-    budget = max(0, max(e[head] for e in t.num)) + sum(pos_caps.values())
-    acc = num
-    for m, tail in t.dens:
-        trunc = pos_caps[tail] if tail > head else budget
-        acc = acc * expand_factor(head, tail, QFrac.q_power(m), order, trunc, arity)
-    ct = acc.constant_coefficient()
-    if not ct.is_polynomial():
-        raise ArithmeticError(f"series constant term is not a Laurent polynomial: {ct}")
-    return ct.num
-
-
-def gx_ct(shape: Shape, b: int, c: int, d: int, on_stuck: str = "error",
-          max_terms: int = 200000) -> QFrac:
-    """CT of Q(d) by repeated partial-fraction elimination.
-
-    At each node the head variable is eliminated through the partial-fraction
-    lemma when its degree precondition holds.  A term whose precondition
-    fails either raises OutOfContract (``on_stuck='error'``, the default) or
-    is finished off by the exact bounded-series evaluation
-    (``on_stuck='series'``); there is no guessed branch.  The constant terms
-    of the leaves are added per distinct scale and reduced once.
-    """
-    if on_stuck not in ("error", "series"):
-        raise ValueError("on_stuck must be 'error' or 'series'")
-    zero = (0,) * (shape.n + 1)
-    stack = [build_Q(shape, b, c, d).rational_term()]
+    stack = [term]
     leaves = []  # (scale, constant term) pairs
     seen = 0
     while stack:
         t = stack.pop()
         seen += 1
-        if seen > max_terms:
+        if seen > MAX_TERMS:
             raise RuntimeError("term budget exceeded")
-        if not t.num:
+        num = t.num
+        if not num:
             continue
+        zero = (0,) * len(next(iter(num)))
         if not t.dens:
-            if zero in t.num:
-                leaves.append((t.scale, t.num[zero]))
+            if zero in num:
+                leaves.append((t.scale, num[zero]))
             continue
-        try:
-            pieces = _eliminate(t.scale, t.num, t.dens, t.head)
-        except OutOfContract:
-            if on_stuck == "error":
-                raise
-            leaves.append((t.scale, _series_ct_of_term(t)))
-            continue
-        for scale, new_num, new_dens, new_head, _ in pieces:
+        if max(e[t.head] for e in num) >= len(t.dens):
+            quo, num = _divide(num, t.dens, t.head)
+            if zero in quo:
+                leaves.append((t.scale, quo[zero]))
+        for scale, new_num, new_dens, new_head, _ in _eliminate(t.scale, num, t.dens, t.head):
             stack.append(RationalTerm(new_num, new_dens, new_head, scale=scale))
     return cyclo_sum(leaves)
 
 
-def series_ct(num: MLaurent, dens, head: int, order: VarOrder, trunc: int) -> QFrac:
-    arity = num.arity
-    acc = num
-    for cf, tail in dens:
-        acc = acc * expand_factor(head, tail, cf, order, trunc, arity)
-    return acc.constant_coefficient()
+def exact_ct_rational(q: QukFactors) -> QFrac:
+    """Exact CT of Q(d | u; k) over every variable; assumes no vanishing
+    property."""
+    return rational_ct(q.rational_term())
+
+
+def gx_ct(shape: Shape, b: int, c: int, d: int) -> QFrac:
+    """CT of Q(d) by repeated partial-fraction elimination."""
+    return exact_ct_rational(build_Q(shape, b, c, d))

@@ -184,9 +184,6 @@ class MLaurent:
         out = {e: c for e, c in self.terms.items() if all(e[p] == 0 for p in positions)}
         return MLaurent(self.arity, out, _trusted=True)
 
-    def ct_all(self) -> QFrac:
-        return self.constant_coefficient()
-
     # -- text form ----------------------------------------------------------------------
 
     def __str__(self) -> str:

@@ -138,15 +138,6 @@ def pair_factors(shape: Shape, c: int, skip: int | None = None,
     return out
 
 
-def x0_factors(n: int, a: int, b: int) -> list[FoldFactor]:
-    """Linear factors of prod_i (1/x_i)_a (q x_i)_b at x_0 = 1."""
-    out = []
-    for i in range(1, n + 1):
-        out.extend(linear_factors(n, None, i, 0, a))
-        out.extend(linear_factors(n, i, None, 1, b))
-    return out
-
-
 def bf_factors(shape: Shape, a: int, b: int, c: int) -> list[FoldFactor]:
     """Full factor list, ordered so low variables are closed off first."""
     n = shape.n
@@ -162,10 +153,6 @@ def bf_factors(shape: Shape, a: int, b: int, c: int) -> list[FoldFactor]:
     for g in groups:
         out.extend(g)
     return out
-
-
-def morris_factors(n: int, a: int, b: int, c: int) -> list[FoldFactor]:
-    return bf_factors(Shape((n,)), a, b, c)
 
 
 # -- expanded builders ---------------------------------------------------------------

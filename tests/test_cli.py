@@ -151,8 +151,20 @@ def test_negative_arguments_are_usage_errors(argv, capsys):
     (("verify", "--suite", "roots", "--shape", "0,1", "--b", "1", "--c", "1"), "must be positive"),
     (("verify", "--suite", "qsum", "--max-seconds", "abc"), "expected a number"),
     (("verify", "--suite", "qsum", "--max-seconds=-1"), "must be nonnegative"),
+    (("ct", "--family", "kadell", "--v", "1,0", "--r", "0", "--a", "1,1"), "must be positive"),
+    (("rhs", "--family", "kadell", "--v", "1,0", "--r", "0", "--a", "1,1"), "must be positive"),
+    (("ct", "--family", "kadell", "--v", "1,0", "--r", "1", "--a", "1"), "equal length"),
+    (("rhs", "--family", "kadell", "--v", "1,0", "--r", "1", "--a", "1"), "equal length"),
+    (("rhs", "--family", "kadell", "--v", "1,0", "--r", "2", "--a", "1,1"), "|--v| = --r"),
+    (("report", "--dir", "/nonexistent"), "No such file or directory"),
+    (("QCT_THREADS=x", "verify", "--suite", "qsum"), "QCT_THREADS must be an integer"),
 ])
-def test_bad_shape_and_n_are_usage_errors(argv, message, capsys):
+def test_bad_shape_and_n_are_usage_errors(argv, message, capsys, monkeypatch):
+    # leading NAME=value items set the environment, as on a shell command line
+    while "=" in argv[0] and not argv[0].startswith("-"):
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2

@@ -7,30 +7,27 @@ from hypothesis import strategies as st
 from qct import cli, gxseries, qring
 from qct.closedform import all_shapes
 from qct.gxseries import (
-    OutOfContract,
-    VarOrder,
+    RationalTerm,
     build_Q,
     build_Quk,
     check_property_expand,
     check_property_laurent,
     check_property_zero,
-    ct_binomial,
-    ct_partial_fraction,
     exact_ct_rational,
-    expand_factor,
     gx_ct,
     vanishing_property_checks,
     oracle_matches_direct,
     property_branch,
-    series_ct,
+    rational_ct,
 )
 from qct.laurent import FoldFactor, MLaurent, ct_fold
 from qct.products import Shape
-from qct.qring import Cyclo, QFrac, QLaurent, eval_poly
+from qct.qring import ONE, Cyclo, QFrac, QLaurent, eval_poly
 from qct.roots import interpolate_dn
 
 
-# -- reference: elimination over QFrac, every value reduced by poly_gcd --------
+# -- reference: elimination and series expansion over QFrac, every value --------
+# -- reduced by poly_gcd ------------------------------------------------------------
 
 
 def reference_eliminate(scale: QFrac, num: MLaurent, factors, k: int):
@@ -53,9 +50,7 @@ def reference_eliminate(scale: QFrac, num: MLaurent, factors, k: int):
     if not num.is_zero():
         deg = max(e[k] for e in num.terms)
         if deg > m - 1:
-            raise OutOfContract(
-                f"numerator degree {deg} in x_{k} exceeds {m - 1}; out of contract"
-            )
+            raise ValueError(f"numerator degree {deg} in x_{k} exceeds {m - 1}")
     out = []
     for r, (cr, ir) in enumerate(factors):
         if ir < k:
@@ -89,10 +84,25 @@ def reference_eliminate(scale: QFrac, num: MLaurent, factors, k: int):
     return out
 
 
+def expand_factor(i: int, j: int, coeff: QFrac, trunc: int, arity: int) -> MLaurent:
+    """Truncated geometric expansion of 1/(1 - coeff * x_i/x_j) in the field
+    where x_0 is expanded first: in nonnegative powers of x_i/x_j when i < j,
+    else as -sum_{l>=1} coeff^{-l} (x_j/x_i)^l."""
+    out = {}
+    for l in range(trunc + 1) if i < j else range(1, trunc + 1):
+        e = [0] * arity
+        e[i], e[j] = (l, -l) if i < j else (-l, l)
+        out[tuple(e)] = coeff ** l if i < j else -coeff ** -l
+    return MLaurent(arity, out)
+
+
 def reference_series_ct(scale: QFrac, num: MLaurent, dens, head: int) -> QFrac:
     """Exact CT of scale * num / prod (1 - c x_head/x_tail) by bounded
-    geometric expansion, over QFrac."""
-    order = VarOrder.natural(num.arity)
+    geometric expansion, over QFrac.
+
+    Tails after the head only lose degree, capping their expansions at the
+    numerator's top degree in the tail; tails before the head consume the
+    head's degree budget, capping theirs at the total available."""
     pos_caps = {}
     for _, tail in dens:
         if tail > head:
@@ -101,17 +111,17 @@ def reference_series_ct(scale: QFrac, num: MLaurent, dens, head: int) -> QFrac:
     acc = num
     for cf, tail in dens:
         trunc = pos_caps[tail] if tail > head else budget
-        acc = acc * expand_factor(head, tail, cf, order, trunc, num.arity)
+        acc = acc * expand_factor(head, tail, cf, trunc, num.arity)
     return acc.constant_coefficient() * scale
 
 
-def reference_gx_ct(shape: Shape, b: int, c: int, d: int) -> QFrac:
-    """gx_ct with on_stuck='series', run on QFrac terms."""
-    q0 = build_Q(shape, b, c, d)
-    arity = shape.n + 1
-    num = MLaurent(arity, {e: QFrac.from_qlaurent(v) for e, v in q0.numerator_poly().items()})
-    dens = [(QFrac.q_power(m), tail) for m, tail in q0.den_factor_list()]
-    stack = [(QFrac(1), num, dens, q0.head)]
+def reference_ct(q) -> QFrac:
+    """CT of Q(d | u; k) by elimination on QFrac terms, with the bounded series
+    on every term whose head degree reaches its factor count."""
+    arity = q.shape.n + 1
+    num = MLaurent(arity, {e: QFrac.from_qlaurent(v) for e, v in q.numerator_poly().items()})
+    dens = [(QFrac.q_power(m), tail) for m, tail in q.den_factor_list()]
+    stack = [(q.scale().to_qfrac(), num, dens, q.head)]
     total = QFrac(0)
     while stack:
         scale, num, dens, head = stack.pop()
@@ -120,13 +130,50 @@ def reference_gx_ct(shape: Shape, b: int, c: int, d: int) -> QFrac:
         if not dens:
             total = total + num.constant_coefficient() * scale
             continue
-        try:
-            pieces = reference_eliminate(scale, num, dens, head)
-        except OutOfContract:
+        if max(e[head] for e in num.terms) >= len(dens):
             total = total + reference_series_ct(scale, num, dens, head)
             continue
+        pieces = reference_eliminate(scale, num, dens, head)
         stack.extend(piece[:4] for piece in pieces)
     return total
+
+
+def reference_gx_ct(shape: Shape, b: int, c: int, d: int) -> QFrac:
+    return reference_ct(build_Q(shape, b, c, d))
+
+
+def _q_exponent(c: QFrac) -> int:
+    """m for a coefficient c = q^m; ValueError for anything else."""
+    if not c.den.is_one() or len(c.num.terms) != 1 or c.num.leading_coefficient() != 1:
+        raise ValueError(f"denominator coefficient {c} is not a power of q")
+    return c.num.min_exp()
+
+
+def ct_partial_fraction(num: MLaurent, factors, k: int):
+    """One elimination step on a QFrac numerator: CT_{x_k} of
+    num / prod_r (1 - c_r x_k/x_{i_r}), run through the integer elimination.
+
+    ``factors`` lists (c_r, i_r), each c_r a power of q.  Requires
+    deg_{x_k}(num) <= m - 1 and distinct c_r on repeated tails.  Returns the
+    surviving substituted terms as (numerator, remaining factors, new head)
+    triples, one per factor with i_r > k; factors with i_r < k contribute
+    nothing.
+    """
+    factors = [(_q_exponent(c), i) for c, i in factors]
+    # clear the numerator's denominators by their product, exactly
+    den = ONE
+    for d in {v.den for v in num.terms.values()}:
+        den = den * d
+    cleared = {e: v.num * den.divexact(v.den) for e, v in num.terms.items()}
+    out = []
+    for scale, sub, dens, head, _ in gxseries._eliminate(Cyclo(), cleared, factors, k):
+        inv = scale ** -1
+        coeffs = {e: inv.divide(p) for e, p in sub.items()}
+        if not den.is_one():
+            coeffs = {e: v / QFrac(den) for e, v in coeffs.items()}
+        out.append((MLaurent(num.arity, coeffs, _trusted=True),
+                    [(QFrac.q_power(ms), js) for ms, js in dens], head))
+    return out
 
 
 def _as_qfrac_terms(num: dict, arity: int) -> MLaurent:
@@ -171,13 +218,69 @@ def test_elimination_matches_reference(case):
         assert _as_qfrac_terms(g_num, arity) == w_num
 
 
+def _d_poly(factors, k: int, arity: int) -> MLaurent:
+    d_poly = MLaurent.constant(arity, 1)
+    for m, t in factors:
+        e = [0] * arity
+        e[k] += 1
+        e[t] -= 1
+        d_poly = d_poly * (MLaurent.constant(arity, 1)
+                           - MLaurent.monomial(arity, tuple(e), QFrac.q_power(m)))
+    return d_poly
+
+
+@st.composite
+def division_cases(draw):
+    """A head k with tails on both sides of it, 1-3 factors (m, tail) with
+    distinct m on a repeated tail, a numerator with a term of x_k-degree
+    >= m, and a Cyclo scale."""
+    arity = draw(st.integers(3, 4))
+    k = draw(st.integers(1, arity - 2))
+    tails = st.sampled_from([t for t in range(arity) if t != k])
+    factors = draw(st.lists(st.tuples(st.integers(-3, 3), tails), min_size=1, max_size=3,
+                            unique=True))
+    m = len(factors)
+    exps = st.tuples(*[st.integers(-1, m + 2) if v == k else st.integers(-2, 2)
+                       for v in range(arity)])
+    coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), max_size=3).map(QLaurent)
+    terms = draw(st.dictionaries(exps, coeffs, max_size=5))
+    # x_k^j times D's top monomial x_k^m / prod_r x_{t_r}: the quotient then
+    # reaches the zero exponent
+    top = [0] * arity
+    top[k] = m + draw(st.integers(0, 2))
+    for _, t in factors:
+        top[t] -= 1
+    terms[tuple(top)] = QLaurent({draw(st.integers(-3, 3)): draw(st.sampled_from([1, -2, 3]))})
+    num = {e: v for e, v in terms.items() if v.terms}
+    scale = Cyclo(draw(st.sampled_from([1, -1])), draw(st.integers(-3, 3)))
+    if draw(st.booleans()):
+        scale = scale / Cyclo.poch(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    return arity, k, factors, num, scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_cases())
+def test_division_step_is_exact(case):
+    arity, k, factors, num, scale = case
+    quo, rem = gxseries._divide(num, factors, k)
+    assert all(e[k] < len(factors) for e in rem)
+    assert all(v.terms for v in list(quo.values()) + list(rem.values()))
+    d_poly = _d_poly(factors, k, arity)
+    assert _as_qfrac_terms(num, arity) == \
+        _as_qfrac_terms(quo, arity) * d_poly + _as_qfrac_terms(rem, arity)
+    # division plus elimination against the series over the whole term
+    want = reference_series_ct(scale.to_qfrac(), _as_qfrac_terms(num, arity),
+                               [(QFrac.q_power(m), t) for m, t in factors], k)
+    assert rational_ct(RationalTerm(num, factors, k, scale=scale)) == want
+
+
 def test_gx_ct_matches_reference_on_query_grid():
     # every gx_ct call of `qct ct --method gx` on shapes with n <= 3, b, c <= 1
     queries = [(shape, b, c, d) for shape in all_shapes(3)
                for b in range(2) for c in range(2) for d in range(1, shape.n * b + 2)]
     assert len(queries) == 62
     for shape, b, c, d in queries:
-        assert gx_ct(shape, b, c, d, on_stuck="series") == reference_gx_ct(shape, b, c, d), \
+        assert gx_ct(shape, b, c, d) == reference_gx_ct(shape, b, c, d), \
             (shape.parts, b, c, d)
 
 
@@ -191,37 +294,30 @@ def test_gx_ct_runs_without_gcd(monkeypatch):
 
 
 def test_expand_factor_directions():
-    order = VarOrder.natural(3)
-    m = expand_factor(1, 2, QFrac.q_power(1), order, 2, 3)
+    m = expand_factor(1, 2, QFrac.q_power(1), 2, 3)
     want = MLaurent(3, {
         (0, 0, 0): QFrac(1),
         (0, 1, -1): QFrac.q_power(1),
         (0, 2, -2): QFrac.q_power(2),
     })
     assert m == want
-    # reversed order: the complementary expansion, with the minus sign
-    rev = VarOrder((2, 1, 0))
-    m2 = expand_factor(1, 2, QFrac.q_power(1), rev, 2, 3)
+    # head after tail: the complementary expansion, with the minus sign
+    m2 = expand_factor(2, 1, QFrac.q_power(1), 2, 3)
     want2 = MLaurent(3, {
-        (0, -1, 1): QFrac.q_power(-1, -1),
-        (0, -2, 2): QFrac.q_power(-2, -1),
+        (0, 1, -1): QFrac.q_power(-1, -1),
+        (0, 2, -2): QFrac.q_power(-2, -1),
     })
     assert m2 == want2
 
 
-def test_ct_binomial_is_order_driven():
-    order = VarOrder.natural(4)
-    assert ct_binomial(1, 2, order) == 1
-    assert ct_binomial(2, 1, order) == 0
-
-
 def test_ct_matches_series_expansion():
-    # CT by the orientation rule equals CT of the truncated series at any
-    # truncation level, for a factor with a polynomial numerator
-    order = VarOrder.natural(2)
-    num = MLaurent.constant(2, 1)
-    val = series_ct(num, [(QFrac.q_power(1), 1)], 0, order, 8)
-    assert val == QFrac(1)  # head 0 precedes tail 1: constant term 1
+    # one factor 1/(1 - q x_h/x_t): CT 1 when the head comes first, else 0,
+    # both through the elimination and through the truncated series
+    for head, tail, want in ((0, 1, 1), (1, 0, 0), (1, 2, 1), (2, 1, 0)):
+        term = RationalTerm({(0, 0, 0): ONE}, [(1, tail)], head)
+        series = reference_series_ct(QFrac(1), MLaurent.constant(3, 1),
+                                     [(QFrac.q_power(1), tail)], head)
+        assert rational_ct(term) == series == QFrac(want), (head, tail)
 
 
 def test_ct_partial_fraction_single_factor():
@@ -234,14 +330,12 @@ def test_ct_partial_fraction_single_factor():
     assert len(out) == 1
     new_num, new_dens, head = out[0]
     assert new_num == MLaurent.constant(3, 1) and new_dens == [] and head == 2
-    order = VarOrder.natural(3)
-    assert series_ct(num, [(QFrac.q_power(1), 2)], 1, order, 10) == QFrac(1)
+    assert reference_series_ct(QFrac(1), num, [(QFrac.q_power(1), 2)], 1) == QFrac(1)
 
 
 def test_ct_partial_fraction_two_factors_vs_series():
     # f = num / ((1 - q x_1/x_3)(1 - q^2 x_1/x_3)); eliminate x_1
     dens = [(QFrac.q_power(1), 3), (QFrac.q_power(2), 3)]
-    order = VarOrder.natural(4)
     # the second numerator has coefficients with denominators
     for num in (MLaurent.constant(4, 1),
                 MLaurent(4, {(0, 0, 0, 0): QFrac.parse("(1)/(1 - q)"),
@@ -251,14 +345,15 @@ def test_ct_partial_fraction_two_factors_vs_series():
         for new_num, new_dens, head in pieces:
             assert not new_dens
             total = total + new_num.constant_coefficient()
-        assert total == series_ct(num, dens, 1, order, 12)
+        assert total == reference_series_ct(QFrac(1), num, dens, 1)
     with pytest.raises(ValueError):
         ct_partial_fraction(MLaurent.constant(4, 1), [(QFrac.parse("1 + q"), 3)], 1)
 
 
 def test_ct_partial_fraction_degree_precondition():
+    # the elimination step itself still refuses; rational_ct divides first
     num = MLaurent.monomial(3, (2, 0, 0))
-    with pytest.raises(OutOfContract):
+    with pytest.raises(ValueError, match="exceeds"):
         ct_partial_fraction(num, [(QFrac.q_power(1), 2)], 0)
 
 
@@ -476,29 +571,46 @@ def test_grand_cross_check_shapes():
             assert gx_ct(shape, bb, cc, d) == eval_poly(poly, -d)
 
 
-def test_pipeline_series_fallback_and_strictness():
+def test_pipeline_divides_where_the_head_degree_reaches_m(monkeypatch):
+    # shape (1,2), b = c = 1, d = 3 meets a node whose numerator has head
+    # degree >= m; the division step finishes it and the value is exact
     shape = Shape((1, 2))
     poly = interpolate_dn(shape, 1, 1)
+    divide = gxseries._divide
+    calls = []
+    monkeypatch.setattr(gxseries, "_divide", lambda *a: calls.append(a) or divide(*a))
     for d in (1, 2, 3):
-        got = gx_ct(shape, 1, 1, d, on_stuck="series")
-        assert got == eval_poly(poly, -d)
-    with pytest.raises(OutOfContract):
-        gx_ct(shape, 1, 1, 3)  # a gap term stalls the strict pipeline
+        calls.clear()
+        assert gx_ct(shape, 1, 1, d) == eval_poly(poly, -d), d
+        assert bool(calls) == (d == 3), d
 
 
 def test_pipeline_on_two_decorated_blocks():
     shape = Shape((1, 1, 1))
     poly = interpolate_dn(shape, 1, 1)
     for d in range(1, 5):
-        got = gx_ct(shape, 1, 1, d, on_stuck="series")
+        got = gx_ct(shape, 1, 1, d)
         assert got == eval_poly(poly, -d), d
+
+
+@pytest.mark.parametrize("parts, b, c, dmax", [((1, 1, 1, 1), 0, 2, 1), ((1, 1, 1, 1), 1, 1, 5)])
+def test_pipeline_on_four_variables(parts, b, c, dmax):
+    # n = 4, outside the default gx-pipeline grid; b = 0 divides at most nodes
+    shape = Shape(parts)
+    poly = interpolate_dn(shape, b, c)
+    for d in range(1, dmax + 1):
+        assert gx_ct(shape, b, c, d) == eval_poly(poly, -d), d
 
 
 def test_exact_ct_rational_matches_pipeline():
     shape = Shape((1, 1))
     for d in (1, 2, 3):
         q = build_Q(shape, 1, 1, d)
-        assert exact_ct_rational(q) == gx_ct(shape, 1, 1, d)
+        assert exact_ct_rational(q) == reference_ct(q)
+    # substituted images, zero and nonzero alike
+    for u, k in (((1,), (2,)), ((2,), (1,)), ((1, 2), (3, 1))):
+        q = build_Quk(shape, 0, 1, 3, u, k)
+        assert exact_ct_rational(q) == reference_ct(q), (u, k)
 
 
 def test_degree_ledger_sign_tracks_the_laurent_window():

@@ -120,7 +120,7 @@ def test_degree_bound_is_checked(monkeypatch):
 
 
 def test_roots_path_runs_without_gcd(monkeypatch):
-    gx_values = {d: gxseries.gx_ct(Shape((1, 1)), 1, 1, d, on_stuck="series") for d in range(1, 4)}
+    gx_values = {d: gxseries.gx_ct(Shape((1, 1)), 1, 1, d) for d in range(1, 4)}
     want = bf_ct(Shape((1, 1)), 2, 1, 1)
     gcd = qring.poly_gcd
     calls = []
@@ -128,7 +128,7 @@ def test_roots_path_runs_without_gcd(monkeypatch):
     rep = verify_roots(Shape((1, 2)), 2, 2)
     assert rep["degree_bound_ok"] and rep["closed_form_match"] and rep["product_form_match"]
     # the gx pipeline's own QFrac arithmetic is outside this check
-    monkeypatch.setattr(gxseries, "gx_ct", lambda shape, b, c, d, **kw: gx_values[d])
+    monkeypatch.setattr(gxseries, "gx_ct", lambda shape, b, c, d: gx_values[d])
     assert cli._gx_value(Shape((1, 1)), 2, 1, 1) == want
     assert calls == []
 

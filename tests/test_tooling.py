@@ -1,11 +1,13 @@
 """Source-level checks on the library itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import qct
 
 SRC = Path(qct.__file__).parent
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 def test_library_has_no_assert_statements():
@@ -19,3 +21,16 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in the library: {found}"
+
+
+def test_benchmark_traced_names_exist():
+    # the benchmark's tracer wraps library functions by name, and installing
+    # it raises KeyError on a renamed or deleted target
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+    finally:
+        assert tracer.uninstall()
