@@ -26,8 +26,7 @@ from qct.qring import ONE, Cyclo, QFrac, QLaurent, eval_poly
 from qct.roots import interpolate_dn
 
 
-# -- reference: elimination and series expansion over QFrac, every value --------
-# -- reduced by poly_gcd ------------------------------------------------------------
+# -- references over QFrac, every value reduced by poly_gcd ------------------------
 
 
 def reference_eliminate(scale: QFrac, num: MLaurent, factors, k: int):
@@ -136,10 +135,6 @@ def reference_ct(q) -> QFrac:
         pieces = reference_eliminate(scale, num, dens, head)
         stack.extend(piece[:4] for piece in pieces)
     return total
-
-
-def reference_gx_ct(shape: Shape, b: int, c: int, d: int) -> QFrac:
-    return reference_ct(build_Q(shape, b, c, d))
 
 
 def _q_exponent(c: QFrac) -> int:
@@ -280,7 +275,7 @@ def test_gx_ct_matches_reference_on_query_grid():
                for b in range(2) for c in range(2) for d in range(1, shape.n * b + 2)]
     assert len(queries) == 62
     for shape, b, c, d in queries:
-        assert gx_ct(shape, b, c, d) == reference_gx_ct(shape, b, c, d), \
+        assert gx_ct(shape, b, c, d) == reference_ct(build_Q(shape, b, c, d)), \
             (shape.parts, b, c, d)
 
 
@@ -290,7 +285,7 @@ def test_gx_ct_runs_without_gcd(monkeypatch):
     monkeypatch.setattr(qring, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
     got = gx_ct(Shape((1, 1)), 1, 1, 3)
     assert calls == []
-    assert got == reference_gx_ct(Shape((1, 1)), 1, 1, 3)
+    assert got == reference_ct(build_Q(Shape((1, 1)), 1, 1, 3))
 
 
 def test_expand_factor_directions():
