@@ -77,7 +77,7 @@ def _shape(text: str) -> Shape:
 def _kadell_args(args) -> tuple[list[int], int, list[int]]:
     """--v, --r and --a of the kadell family, checked against each other."""
     if args.v is None or args.r is None or args.a is None:
-        raise SystemExit("kadell needs --v, --r and --a")
+        build_parser().error("kadell needs --v, --r and --a")
     if len(args.v) != len(args.a):
         build_parser().error(f"--v and --a must have equal length, got {args.v} and {args.a}")
     return args.v, args.r, args.a
@@ -86,7 +86,7 @@ def _kadell_args(args) -> tuple[list[int], int, list[int]]:
 def _abc(args) -> tuple[int, int, int]:
     """--a, --b, --c of a family with one value each, absent flags read as 0."""
     if args.a is not None and len(args.a) != 1:
-        raise SystemExit("--a takes one value for this family")
+        build_parser().error("--a takes one value for this family")
     return (args.a[0] if args.a else 0), args.b or 0, args.c or 0
 
 
@@ -97,18 +97,18 @@ def _ct_value(args) -> QFrac:
     family = args.family
     if family == "qdyson":
         if args.a is None:
-            raise SystemExit("qdyson needs --a as a comma list")
+            build_parser().error("qdyson needs --a as a comma list")
         if args.method == "gx":
-            raise SystemExit("--method gx supports the bf and qmorris families")
+            build_parser().error("--method gx supports the bf and qmorris families")
         return products.ct_qdyson(args.a)
     if family in ("qmorris", "bf"):
         if family == "qmorris":
             if args.n is None and args.shape is None:
-                raise SystemExit("qmorris needs --n or --shape")
+                build_parser().error("qmorris needs --n or --shape")
             shape = Shape((args.n,)) if args.n else args.shape
         else:
             if args.shape is None:
-                raise SystemExit("bf needs --shape")
+                build_parser().error("bf needs --shape")
             shape = args.shape
         a, b, c = _abc(args)
         if args.method == "gx":
@@ -117,9 +117,9 @@ def _ct_value(args) -> QFrac:
     if family == "kadell":
         v, r, a = _kadell_args(args)
         if args.method == "gx":
-            raise SystemExit("--method gx supports the bf and qmorris families")
+            build_parser().error("--method gx supports the bf and qmorris families")
         return products.kadell_ct(v, r, a)
-    raise SystemExit(f"unknown family {family!r}")
+    build_parser().error(f"unknown family {family!r}")
 
 
 def _gx_value(shape: Shape, a: int, b: int, c: int) -> QFrac:
@@ -139,7 +139,7 @@ def cmd_rhs(args) -> int:
     family = args.family
     if family == "qdyson":
         if args.a is None:
-            raise SystemExit("qdyson needs --a as a comma list")
+            build_parser().error("qdyson needs --a as a comma list")
         print(closedform.qdyson_rhs(args.a))
         return 0
     if family == "kadell":
@@ -149,9 +149,9 @@ def cmd_rhs(args) -> int:
         print(closedform.kadell_rhs(v, r, a))
         return 0
     if family == "qmorris" and args.n is None and args.shape is None:
-        raise SystemExit("qmorris needs --n or --shape")
+        build_parser().error("qmorris needs --n or --shape")
     if family in ("bf", "bf-p1", "dn0") and args.shape is None:
-        raise SystemExit(f"{family} needs --shape")
+        build_parser().error(f"{family} needs --shape")
     a, b, c = _abc(args)
     if family == "qmorris":
         n = args.n if args.n else args.shape.n
@@ -161,12 +161,12 @@ def cmd_rhs(args) -> int:
     elif family == "bf-p1":
         shape = args.shape
         if shape.p != 1:
-            raise SystemExit("bf-p1 needs a two-block shape")
+            build_parser().error("bf-p1 needs a two-block shape")
         print(closedform.bf_p1_rhs(shape.parts[0], shape.parts[1], a, b, c))
     elif family == "dn0":
         print(closedform.dn0_rhs(args.shape, c))
     else:
-        raise SystemExit(f"unknown family {family!r}")
+        build_parser().error(f"unknown family {family!r}")
     return 0
 
 
@@ -287,14 +287,13 @@ def _run_splitting(params):
     if params.get("randomized"):
         rep = splitting.verify_split(shape, c, randomized=True, seed=params.get("seed", 0))
         return rep["ok"], (None if rep["ok"] else rep), "randomized-substitution"
-    rep = splitting.verify_split(shape, c)
+    sd = splitting.SplitDecomposition(shape, c)
+    rep = sd.split_report()
     if not rep["ok"]:
         return False, rep
-    for i in range(1, shape.n + 1):
-        for j in splitting.admissible_j(shape, c, i):
-            if not splitting.residue_identity_holds(shape, c, i, j):
-                return False, {"residue_mismatch": [i, j]}
-    sd = splitting.SplitDecomposition(shape, c)
+    for j, i in sd.denominator:
+        if not sd.residue_holds(i, j):
+            return False, {"residue_mismatch": [i, j]}
     if not sd.degree_bounds_ok():
         return False, {"degree_bounds": False}
     if not sd.offclass_cts_vanish():
@@ -546,7 +545,7 @@ def _run_case(suite: str, params: dict) -> dict:
 
 def run_suite(name: str, args) -> dict:
     if name not in SUITES:
-        raise SystemExit(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        build_parser().error(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     carve, _ = SUITES[name]
     cases = carve(args)
     order = sorted(range(len(cases)), key=lambda idx: _case_cost(name, cases[idx]))

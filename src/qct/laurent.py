@@ -21,10 +21,11 @@ Pruning never changes the result, only the work.  There is one kernel:
   it runs free, with no digit and no window test (a full expansion is free
   throughout).
 
-Keys are decoded back to exponent tuples only at the end.  ``fold_sum_packed``
-folds several pieces in one shared key box and adds their int keys directly,
-so a sum that vanishes decodes nothing.  A plain dict fold lives in the tests
-as the reference the kernel must match exactly.
+Keys are decoded back to exponent tuples only at the end.  A ``KeyBox`` is
+one key box and digit width shared by several full expansions: a fold may
+continue from another's packed state, and states add as int keys, so a sum
+that vanishes decodes nothing.  A plain dict fold lives in the tests as the
+reference the kernel must match exactly.
 """
 
 from __future__ import annotations
@@ -527,50 +528,74 @@ def fold_packed_raw(arity, factors, tlo=None, thi=None, extra_l1: int = 1):
     return _fold_tuples(factors, tlo, thi, B), B
 
 
-def fold_sum_packed(arity, pieces):
-    """Sum of the full expansions of several factor lists.
+class KeyBox:
+    """One key box and one digit width shared by several full expansions.
 
-    Every piece is folded with one shared digit width B, sized from the sum
-    of the pieces' L1 bounds, so no partial sum can overflow a digit, and in
-    one shared key box, the union of the pieces' boxes, so the pieces add as
-    int keys and packed (lo, mag) pairs.  Returns ({exponent tuple: (lo,
-    mag)}, B) holding only the nonzero sums: a sum that is identically zero
-    is an empty dict, and keys are decoded only when the sum is nonzero.
+    ``sums`` lists the sums a caller will form, each a list of factor lists
+    (its pieces).  The box holds every product of a sub-list of any piece,
+    taken in any order, so a fold may continue from any such product and
+    every state it makes lands in the box; the digit width B holds every
+    coefficient of a sum of such products, at most one per piece of one sum.
+    States folded in one box add as int keys and packed (lo, mag) pairs, so
+    a sum that vanishes decodes nothing.
     """
-    pieces = [list(f) for f in pieces]
-    B = _digit_width(sum(_l1_bound(f) for f in pieces))
-    plans = [_windows(f, *_full_window(arity, f)) for f in pieces]
-    base = [0] * arity
-    top = [0] * arity
-    for _, b, t in plans:
-        base = list(map(min, base, b))
-        top = list(map(max, top, t))
-    total: dict = {}
-    for factors, (steps, _, _) in zip(pieces, plans):
-        state = _fold_packed(factors, steps, base, top, B)
-        if not total:
-            total = state
-        else:
-            get = total.get
-            for k, val in state.items():
-                cur = get(k)
-                if cur is None:
-                    total[k] = val
-                    continue
-                (clo, cm), (lo, mag) = cur, val
-                if clo <= lo:
-                    s = cm + (mag << (B * (lo - clo)))
-                    rl = clo
-                else:
-                    s = mag + (cm << (B * (clo - lo)))
-                    rl = lo
-                if s:
-                    total[k] = (rl, s)
-                else:
-                    del total[k]
-        # the piece's states go before the next piece folds
-        del state
-    return (_decode_keys(total, base, top) if total else {}), B
+
+    __slots__ = ("base", "top", "B", "origin", "_radix", "_width")
+
+    def __init__(self, arity: int, sums):
+        base = [0] * arity
+        top = [0] * arity
+        bound = 1
+        for pieces in sums:
+            bound = max(bound, sum(_l1_bound(f) for f in pieces))
+            for factors in pieces:
+                for v in range(arity):
+                    base[v] = min(base[v], sum(min(f.lo[v], 0) for f in factors))
+                    top[v] = max(top[v], sum(max(f.hi[v], 0) for f in factors))
+        self.base, self.top = base, top
+        self.B = _digit_width(bound)
+        self._radix, self._width = _radices(base, top)
+        self.origin = -sum(b * m for b, m in zip(base, self._radix))
+
+    def fold(self, factors, state=None) -> dict:
+        """The full expansion of ``factors`` times ``state`` (default 1) as
+        {int key: (lo, mag)}; with no factors, ``state`` itself."""
+        return _fold_packed(factors, None, self.base, self.top, self.B, state)
+
+    def add(self, total: dict, state: dict) -> dict:
+        """Add ``state`` into ``total`` in place, dropping zero sums."""
+        B = self.B
+        get = total.get
+        for k, val in state.items():
+            cur = get(k)
+            if cur is None:
+                total[k] = val
+                continue
+            (clo, cm), (lo, mag) = cur, val
+            if clo <= lo:
+                s = cm + (mag << (B * (lo - clo)))
+                rl = clo
+            else:
+                s = mag + (cm << (B * (clo - lo)))
+                rl = lo
+            if s:
+                total[k] = (rl, s)
+            else:
+                del total[k]
+        return total
+
+    def slot_max(self, state: dict, v: int) -> int:
+        """The largest exponent of slot v over the keys of ``state``."""
+        m, w = self._radix[v], self._width[v]
+        return max(k // m % w for k in state) + self.base[v]
+
+    def decode(self, state: dict) -> dict:
+        """``state`` with its keys as exponent tuples."""
+        return _decode_keys(state, self.base, self.top)
+
+    def value(self, packed) -> QLaurent:
+        """One packed coefficient as a QLaurent."""
+        return _decode_packed(packed[0], packed[1], self.B)
 
 
 def _l1_bound(factors) -> int:
@@ -607,17 +632,8 @@ def _decode_keys(state, base, top) -> dict:
     return out
 
 
-def _fold_packed(factors, steps, base, top, B):
-    """The fold kernel: {int key: (lo, mag)} with keys over the box [base, top].
-
-    ``steps`` are the factors' windows from ``_windows``; the box must hold
-    the origin and every window.  A step whose windows hold every state it
-    can make drops nothing, so it runs free: no digit and no window test.
-    """
-    # Kronecker keys: slot v of a state's key holds e_v - base[v], a digit in
-    # [0, width[v]), at weight radix[v].  A term is kept only if its touched
-    # digits land in the step's window, which lies in the box, so key + dk
-    # never carries from one slot into the next.
+def _radices(base, top):
+    """Mixed-radix weights and widths of the key box [base, top]."""
     radix = []
     width = []
     r = 1
@@ -625,21 +641,44 @@ def _fold_packed(factors, steps, base, top, B):
         radix.append(r)
         width.append(t - b + 1)
         r *= t - b + 1
+    return radix, width
+
+
+def _fold_packed(factors, steps, base, top, B, state=None):
+    """The fold kernel: {int key: (lo, mag)} with keys over the box [base, top].
+
+    ``steps`` are the factors' windows from ``_windows``; the box must hold
+    the origin and every window.  A step whose windows hold every state it
+    can make drops nothing, so it runs free: no digit and no window test.
+    ``steps`` None is a full expansion, free throughout; only such a fold
+    may continue from a given packed ``state`` instead of the origin, and
+    the box must then hold every state it makes.
+    """
+    # Kronecker keys: slot v of a state's key holds e_v - base[v], a digit in
+    # [0, width[v]), at weight radix[v].  A term is kept only if its touched
+    # digits land in the step's window, which lies in the box, so key + dk
+    # never carries from one slot into the next.
+    radix, width = _radices(base, top)
+    if state is None:
+        state = {-sum(b * m for b, m in zip(base, radix)): (0, 1)}
     # every live state has slot v in [live_lo[v], live_hi[v]]
     live_lo = [0] * len(base)
     live_hi = [0] * len(base)
-    state = {-sum(b * m for b, m in zip(base, radix)): (0, 1)}
-    for f, win in zip(factors, steps):
+    for fi, f in enumerate(factors):
         free = True
-        for v, lo, hi in win:
-            reach_lo = live_lo[v] + f.lo[v]
-            reach_hi = live_hi[v] + f.hi[v]
-            if reach_lo < lo:
-                reach_lo, free = lo, False
-            if reach_hi > hi:
-                reach_hi, free = hi, False
-            live_lo[v] = reach_lo
-            live_hi[v] = reach_hi
+        if steps is None:
+            win = [(v, None, None) for v in f.touched]
+        else:
+            win = steps[fi]
+            for v, lo, hi in win:
+                reach_lo = live_lo[v] + f.lo[v]
+                reach_hi = live_hi[v] + f.hi[v]
+                if reach_lo < lo:
+                    reach_lo, free = lo, False
+                if reach_hi > hi:
+                    reach_hi, free = hi, False
+                live_lo[v] = reach_lo
+                live_hi[v] = reach_hi
         slots = [] if free else [(radix[v], width[v]) for v, _, _ in win]
         terms = []
         for delta, qexp, coeff in f.terms:

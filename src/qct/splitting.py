@@ -9,10 +9,13 @@ exposes the family of vanishing coefficients of the pair product.
 
 All heavy identity checks run denominator-cleared: the scalar prefactors
 1/((q^{-j})_j (q)_{c-j-1}) and friends are replaced by +-q^e / (plain
-Pochhammer products, kept factored as a ``Cyclo``), both sides are multiplied
-by a fixed common multiple, and the check that their difference vanishes
-adds the expanded pieces as packed integers (``laurent.fold_sum_packed``):
-a passing check decodes no coefficient and computes no gcd.
+Pochhammer products, kept factored as a ``Cyclo``), and both sides are
+multiplied by a fixed common multiple L.  The exact case,
+``SplitDecomposition``, folds each coefficient and the pair product once in
+one shared ``laurent.KeyBox``; the split identity (a Horner sum in y), each
+residue identity and the decomposition's facts all start from those packed
+states.  A passing case decodes only the class-k constant-term sum and
+computes no gcd.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .laurent import FoldFactor, MLaurent, ct_fold, fold_sum_packed, linear_factors
+from .laurent import FoldFactor, KeyBox, MLaurent, ct_fold, linear_factors
 from .products import Shape, pair_factors
-from .qring import ONE, Cyclo, QFrac, QLaurent, cyclo_sum
+from .qring import ONE, Cyclo, QFrac, QLaurent
 
 
 def split_k(shape: Shape) -> int:
@@ -171,45 +174,6 @@ def _acoeff_parts(shape: Shape, c: int, i: int, j: int, k: int, arity: int | Non
     return sign * s2, qexp + sh2, den, tuple(mono), factors
 
 
-class ACoeff:
-    """One splitting coefficient in cleared form: sign * q^qexp * P / den,
-    with P an integer-coefficient Laurent polynomial in the x's and den a
-    product of q-Pochhammer symbols, kept factored."""
-
-    __slots__ = ("shape", "c", "i", "j", "k", "t", "sign", "qexp", "den", "P")
-
-    def __init__(self, shape: Shape, c: int, i: int, j: int, k: int):
-        self.shape, self.c, self.i, self.j, self.k = shape, c, i, j, k
-        self.t = shape.block_of(i)
-        self.sign, self.qexp, self.den, mono, factors = _acoeff_parts(shape, c, i, j, k)
-        if any(mono):
-            factors = [FoldFactor.monomial(shape.n, mono)] + factors
-        self.P = ct_fold(shape.n, factors, None, None)
-
-    def scale(self) -> Cyclo:
-        """The scalar prefactor sign * q^qexp / den, factored."""
-        return Cyclo(self.sign, self.qexp) / self.den
-
-    def scalar(self) -> QFrac:
-        return self.scale().to_qfrac()
-
-    def to_mlaurent(self) -> MLaurent:
-        inv = self.scale() ** -1
-        out = {e: inv.divide(p) for e, p in self.P.items()}
-        return MLaurent(self.shape.n, out, _trusted=True)
-
-    def ct(self) -> QFrac:
-        zero = (0,) * self.shape.n
-        p = self.P.get(zero)
-        if p is None:
-            return QFrac(0)
-        return (self.scale() ** -1).divide(p)
-
-    def x_degree(self) -> int:
-        """Largest exponent of x_i across the terms."""
-        return max(e[self.i - 1] for e in self.P)
-
-
 def a_coeff_factors(shape: Shape, c: int, i: int, j: int, k: int | None = None):
     """(scalar, monomial exponent vector, fold factors) for one coefficient;
     the exact-evaluation route used by the randomized checks."""
@@ -217,13 +181,6 @@ def a_coeff_factors(shape: Shape, c: int, i: int, j: int, k: int | None = None):
         k = split_k(shape)
     sign, qexp, den, mono, factors = _acoeff_parts(shape, c, i, j, k)
     return (Cyclo(sign, qexp) / den).to_qfrac(), mono, factors
-
-
-def a_coeff(shape: Shape, c: int, i: int, j: int, k: int | None = None) -> MLaurent:
-    """The closed-form splitting coefficient, fully expanded over QFrac."""
-    if k is None:
-        k = split_k(shape)
-    return ACoeff(shape, c, i, j, k).to_mlaurent()
 
 
 def _common_multiple(c: int) -> Cyclo:
@@ -246,73 +203,152 @@ def _pair_piece(shape: Shape, c: int, arity: int, multiple: Cyclo) -> list[FoldF
     return [FoldFactor(arity, [(None, 0, -multiple.expand())])] + pair_factors(shape, c, arity=arity)
 
 
-def residue_identity_holds(shape: Shape, c: int, i: int, j: int, k: int | None = None) -> bool:
-    """Oracle: A_{ij} * prod_{(z,l) != (j,i)} (1 - q^{z-j} x_i/x_l) equals the
-    full pair product (the residue of S at y = q^{-j} x_i, cleared).
-
-    Compared denominator-cleared: both sides are multiplied by the common
-    multiple L, and their difference is checked to vanish as a packed sum.
-    """
-    if k is None:
-        k = split_k(shape)
-    n = shape.n
-    L = _common_multiple(c)
-    dens = denominator_factors(shape, c, k)
-    # a same-variable factor collapses to the scalar 1 - q^{z-j}
+def _same_variable_scalar(dens, i: int, j: int) -> Cyclo:
+    """At y = q^{-j} x_i a denominator factor (1 - q^z y/x_i), z != j,
+    collapses to the scalar 1 - q^{z-j}; their product."""
     scalar = Cyclo()
     for z, l in dens:
         if l == i and z != j:
             scalar = scalar * Cyclo.poch(z - j, 1)
-    lhs = _cleared_piece(shape, c, i, j, k, n, L * scalar)
-    lhs += [FoldFactor.linear(n, i, l, z - j) for z, l in dens if l != i]
-    diff, _ = fold_sum_packed(n, [lhs, _pair_piece(shape, c, n, L)])
-    return not diff
+    return scalar
+
+
+def horner_sum(box: KeyBox, terms) -> dict:
+    """sum_t s_t * prod_{u != t} F_u over (packed state s_t, factor list F_u)
+    pairs folded in ``box``, by Horner: S <- S * F_t + s_t * prod_{u < t} F_u.
+
+    Each s_t goes through the factors before it only, so walking the
+    largest states first keeps the work small; the sum is the same in any
+    order.
+    """
+    total: dict = {}
+    done = []
+    for state, factors in terms:
+        total = box.fold(factors, total)
+        box.add(total, box.fold(done, state))
+        done += factors
+    return total
 
 
 class SplitDecomposition:
-    """All coefficients of the splitting at one (shape, c), with the
-    denominator factor list and per-class degree bookkeeping."""
+    """The exact splitting case at one (shape, c): the split identity, the
+    residue identity of every coefficient, and the decomposition's degree
+    bounds and constant terms.
 
-    __slots__ = ("shape", "c", "k", "coeffs", "denominator")
+    Every check runs denominator-cleared in one ``KeyBox`` over the slots
+    (x_1, ..., x_n, y): with L a common multiple of the scalar
+    denominators, each coefficient is folded once, on first use, as the
+    packed expansion of L * A_{ij}, and -L times the pair product is folded
+    once; the checks continue from those states.
+    """
+
+    __slots__ = ("shape", "c", "k", "L", "denominator", "box", "_classes", "_pieces",
+                 "_ys", "_residue", "_states")
 
     def __init__(self, shape: Shape, c: int, k: int | None = None):
         self.shape = shape
         self.c = c
-        self.k = split_k(shape) if k is None else k
-        self.denominator = denominator_factors(shape, c, self.k)
-        self.coeffs = []
-        for i in range(1, shape.n + 1):
-            for j in admissible_j(shape, c, i, self.k):
-                self.coeffs.append(ACoeff(shape, c, i, j, self.k))
+        self.k = k = split_k(shape) if k is None else k
+        n = shape.n
+        self.L = L = _common_multiple(c)
+        # coefficient t is A_{ij} for the t-th denominator factor (z, l) = (j, i)
+        self.denominator = dens = denominator_factors(shape, c, k)
+        self._classes = [shape.block_of(i) for _, i in dens]
+        # one piece per coefficient, then the pair product's
+        pair = _pair_piece(shape, c, n + 1, L)
+        self._pieces = [_cleared_piece(shape, c, i, j, k, n + 1, L) for j, i in dens] + [pair]
+        self._ys = ys = [FoldFactor.linear(n + 1, n + 1, i, j) for j, i in dens]
+        zero = (0,) * (n + 1)
+        self._residue = [
+            [FoldFactor.monomial(n + 1, zero, 0, _same_variable_scalar(dens, i, j).expand())]
+            + [FoldFactor.linear(n + 1, i, l, z - j) for z, l in dens if l != i]
+            for j, i in dens]
+        split_sum = [p + ys[:t] + ys[t + 1:] for t, p in enumerate(self._pieces[:-1])] + [pair]
+        residue_sums = [[p + r, pair] for p, r in zip(self._pieces, self._residue)]
+        self.box = KeyBox(n + 1, [split_sum] + residue_sums)
+        self._states = [None] * len(self._pieces)
 
-    def terms(self):
-        """(i, j, class, expanded MLaurent) per coefficient."""
-        return [(a.i, a.j, a.t, a.to_mlaurent()) for a in self.coeffs]
+    def _state(self, t: int) -> dict:
+        """Piece t folded on first use: L * A_t, or -L times the pair
+        product for t = -1."""
+        if self._states[t] is None:
+            self._states[t] = self.box.fold(self._pieces[t])
+        return self._states[t]
+
+    def split_report(self) -> dict:
+        """The split identity, cleared: as polynomials in (x, y) over Z[q],
+            L * Num = sum_{(i,j)} (L * A_{ij}) * prod_{(z,l) != (j,i)} (1 - q^z y/x_l).
+        The first differing monomial in sorted order is the witness."""
+        report = _report(self.shape, self.c, self.k, "exact", len(self.denominator))
+        # Horner over the coefficients of each x_i, then over the variables,
+        # largest states first (ties to the later variable)
+        groups: dict = {}
+        for t, (_, i) in enumerate(self.denominator):
+            groups.setdefault(i, []).append(t)
+        sums = []
+        for ts in reversed(groups.values()):
+            ts.sort(key=lambda t: -len(self._state(t)))
+            ys = [self._ys[t] for t in ts]
+            sums.append((horner_sum(self.box, [(self._state(t), [y]) for t, y in zip(ts, ys)]), ys))
+        sums.sort(key=lambda s: -len(s[0]))
+        diff = horner_sum(self.box, sums)
+        self.box.add(diff, self._state(-1))
+        report["ok"] = not diff
+        if diff:
+            report["witness"] = {"monomial": min(self.box.decode(diff))}
+        return report
+
+    def residue_holds(self, i: int, j: int) -> bool:
+        """A_{ij} * prod_{(z,l) != (j,i)} (1 - q^{z-j} x_i/x_l) equals the
+        pair product (the residue of S at y = q^{-j} x_i), both times L."""
+        if (j, i) not in self.denominator:
+            raise ValueError(f"j={j} out of range for variable {i}")
+        t = self.denominator.index((j, i))
+        diff = self.box.fold(self._residue[t], self._state(t))
+        self.box.add(diff, self._state(-1))
+        return not diff
 
     def degree_bounds_ok(self) -> bool:
         """Class 0 coefficients live in x_i-degree <= -n_k, side classes in
         <= -(n_k - n_t + 1), class k in <= 0."""
         nk = self.shape.parts[self.k]
-        for a in self.coeffs:
-            if not a.P:
-                continue
-            if a.t == 0:
+        for t, ((_, i), cls) in enumerate(zip(self.denominator, self._classes)):
+            if cls == 0:
                 bound = -nk
-            elif a.t == self.k:
+            elif cls == self.k:
                 bound = 0
             else:
-                bound = -(nk - self.shape.parts[a.t] + 1)
-            if a.x_degree() > bound:
+                bound = -(nk - self.shape.parts[cls] + 1)
+            state = self._state(t)
+            if state and self.box.slot_max(state, i - 1) > bound:
                 return False
         return True
 
     def class_k_ct_sum(self) -> QFrac:
-        zero = (0,) * self.shape.n
-        return cyclo_sum((a.scale(), a.P[zero]) for a in self.coeffs
-                         if a.t == self.k and zero in a.P)
+        """The sum of the class-k constant terms, the only value the case
+        decodes."""
+        origin = self.box.origin
+        total: dict = {}
+        for t, cls in enumerate(self._classes):
+            ct = self._state(t).get(origin)
+            if cls == self.k and ct is not None:
+                self.box.add(total, {origin: ct})
+        return self.L.divide(self.box.value(total[origin])) if total else QFrac(0)
 
     def offclass_cts_vanish(self) -> bool:
-        return all(a.ct().is_zero() for a in self.coeffs if a.t != self.k)
+        origin = self.box.origin
+        return all(origin not in self._state(t) for t, cls in enumerate(self._classes) if cls != self.k)
+
+
+def _report(shape: Shape, c: int, k: int, mode: str, terms: int) -> dict:
+    return {"shape": shape.parts, "c": c, "k": k, "terms": terms, "mode": mode,
+            "ok": None, "witness": None}
+
+
+def residue_identity_holds(shape: Shape, c: int, i: int, j: int, k: int | None = None) -> bool:
+    """Oracle: the residue identity of one coefficient, folding only that
+    coefficient and the pair product."""
+    return SplitDecomposition(shape, c, k).residue_holds(i, j)
 
 
 def build_S(shape: Shape, c: int, k: int | None = None):
@@ -323,42 +359,15 @@ def build_S(shape: Shape, c: int, k: int | None = None):
 def verify_split(shape: Shape, c: int, randomized: bool = False, seed: int = 0) -> dict:
     """Check the splitting formula with denominators cleared.
 
-    Exact mode compares, as polynomials in (x, y) over Z[q],
-        L * Num = sum_{(i,j)} (L * A_{ij}) * prod_{(z,l) != (j,i)} (1 - q^z y/x_l)
-    with L a fixed common multiple of the scalar denominators.  Randomized
-    mode evaluates the same cleared identity at seeded rational points
-    instead of expanding; reports always flag the mode.
+    Exact mode is ``SplitDecomposition.split_report``.  Randomized mode
+    evaluates the same cleared identity at seeded rational points instead
+    of expanding; reports always flag the mode.
     """
+    if not randomized:
+        return SplitDecomposition(shape, c).split_report()
     k = split_k(shape)
-    dens = denominator_factors(shape, c, k)
-    report = {
-        "shape": shape.parts,
-        "c": c,
-        "k": k,
-        "terms": 0,
-        "mode": "randomized-substitution" if randomized else "exact",
-        "ok": None,
-        "witness": None,
-    }
-    if randomized:
-        return _verify_split_randomized(shape, c, k, dens, report, seed)
-    n = shape.n
-    ym = n + 1  # y lives in the extra slot
-    L = _common_multiple(c)
-    pieces = []
-    for i in range(1, n + 1):
-        for j in admissible_j(shape, c, i, k):
-            report["terms"] += 1
-            piece = _cleared_piece(shape, c, i, j, k, n + 1, L)
-            piece += [FoldFactor.linear(n + 1, ym, l, z) for z, l in dens if (z, l) != (j, i)]
-            pieces.append(piece)
-    pieces.append(_pair_piece(shape, c, n + 1, L))
-    diff, _ = fold_sum_packed(n + 1, pieces)
-    # the first differing monomial in sorted order is the witness
-    report["ok"] = not diff
-    if diff:
-        report["witness"] = {"monomial": min(diff)}
-    return report
+    report = _report(shape, c, k, "randomized-substitution", 0)
+    return _verify_split_randomized(shape, c, k, denominator_factors(shape, c, k), report, seed)
 
 
 def _verify_split_randomized(shape, c, k, dens, report, seed):

@@ -158,6 +158,14 @@ def test_negative_arguments_are_usage_errors(argv, capsys):
     (("rhs", "--family", "kadell", "--v", "1,0", "--r", "2", "--a", "1,1"), "|--v| = --r"),
     (("report", "--dir", "/nonexistent"), "No such file or directory"),
     (("QCT_THREADS=x", "verify", "--suite", "qsum"), "QCT_THREADS must be an integer"),
+    (("ct", "--family", "kadell", "--v", "1,0", "--a", "1,1"), "kadell needs --v, --r and --a"),
+    (("ct", "--family", "bf", "--shape", "1,1", "--a", "1,2"), "--a takes one value for this family"),
+    (("rhs", "--family", "bf-p1", "--shape", "1,1,1", "--a", "1"), "bf-p1 needs a two-block shape"),
+    (("ct", "--family", "qdyson"), "qdyson needs --a as a comma list"),
+    (("rhs", "--family", "qdyson"), "qdyson needs --a as a comma list"),
+    (("ct", "--family", "qdyson", "--a", "1,1", "--method", "gx"), "--method gx supports the bf and qmorris"),
+    (("ct", "--family", "qmorris", "--a", "1"), "qmorris needs --n or --shape"),
+    (("rhs", "--family", "dn0", "--c", "1"), "dn0 needs --shape"),
 ])
 def test_bad_shape_and_n_are_usage_errors(argv, message, capsys, monkeypatch):
     # leading NAME=value items set the environment, as on a shell command line

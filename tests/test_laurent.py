@@ -12,7 +12,6 @@ from qct.laurent import (
     ct,
     ct_fold,
     fold_packed_raw,
-    fold_sum_packed,
     linear_factors,
     pack_qlaurent,
     packed_mul,
@@ -394,6 +393,41 @@ def _negated(n, factors):
     return [FoldFactor.monomial(n, (0,) * n, 0, -1)] + list(factors)
 
 
+def fold_sum_packed(arity, pieces):
+    """Sum of the full expansions of several factor lists, one piece after
+    another: the summing route the splitting case had before its Horner sum,
+    kept as its oracle.
+
+    Every piece is folded with one shared digit width B, sized from the sum
+    of the pieces' L1 bounds, and in one shared key box, the union of the
+    pieces' boxes.  Returns ({exponent tuple: (lo, mag)}, B) holding only the
+    nonzero sums; keys are decoded only when the sum is nonzero.
+    """
+    pieces = [list(f) for f in pieces]
+    B = laurent._digit_width(sum(laurent._l1_bound(f) for f in pieces))
+    plans = [laurent._windows(f, *laurent._full_window(arity, f)) for f in pieces]
+    base = [0] * arity
+    top = [0] * arity
+    for _, b, t in plans:
+        base = list(map(min, base, b))
+        top = list(map(max, top, t))
+    total: dict = {}
+    for factors, (steps, _, _) in zip(pieces, plans):
+        state = laurent._fold_packed(factors, steps, base, top, B)
+        get = total.get
+        for k, val in state.items():
+            cur = get(k)
+            if cur is None:
+                total[k] = val
+                continue
+            s = laurent.packed_add(cur, val, B)
+            if s[1]:
+                total[k] = s
+            else:
+                del total[k]
+    return (laurent._decode_keys(total, base, top) if total else {}), B
+
+
 @st.composite
 def sum_cases(draw):
     """(arity, pieces): one to three random factor lists, each moved by its
@@ -431,22 +465,58 @@ def test_fold_sum_matches_reference_sum(case):
     assert {e: _decode_packed(lo, mag, B) for e, (lo, mag) in total.items()} == _reference_sum(n, pieces[1:])
 
 
+@settings(max_examples=150, deadline=None)
+@given(sum_cases(), st.data())
+def test_key_box_holds_every_sub_product(case, data):
+    # a fold of any sub-list of a piece, in any order and continued from any
+    # other, stays in the box and decodes to the dict fold's exponents
+    n, pieces = case
+    box = laurent.KeyBox(n, [pieces])
+    factors = data.draw(st.sampled_from(pieces))
+    sub = data.draw(st.permutations(factors)).copy()
+    del sub[data.draw(st.integers(0, len(sub))):]
+    cut = data.draw(st.integers(0, len(sub)))
+    state = box.fold(sub[cut:], box.fold(sub[:cut]))
+    got = {e: _decode_packed(lo, mag, box.B) for e, (lo, mag) in box.decode(state).items()}
+    assert got == fold_dict(n, sub)
+
+
+def test_key_box_digits_hold_the_whole_sum():
+    # digits sized by one piece's bound, 2**61 + 2, have 70 bits and carry
+    # once 1000 pieces add up; the bound of the whole sum holds them
+    big = 2 ** 60 + 1
+    piece = [FoldFactor(1, [((1,), 0, QLaurent({0: big, 1: big}))])]
+    box = laurent.KeyBox(1, [[piece] * 1000])
+    total: dict = {}
+    for _ in range(1000):
+        box.add(total, box.fold(piece))
+    assert {e: box.value(v) for e, v in box.decode(total).items()} == {(1,): QLaurent({0: 1000 * big, 1: 1000 * big})}
+
+
 def test_passing_sum_decodes_nothing(monkeypatch):
-    from qct import splitting
-    from qct.products import Shape
+    from qct import cli, splitting
 
     def refuse(*args):
-        raise AssertionError("a passing sum decoded a value")
+        raise AssertionError("a passing case decoded a key")
 
-    n = 3
-    P = (linear_factors(n, 1, 2, 0, 3) + linear_factors(n, 3, 1, 1, 2)
-         + [FoldFactor.monomial(n, (2, -1, 0), 1, 3)])
-    Q = [FoldFactor.monomial(n, (-1, 0, 2))] + linear_factors(n, 2, None, 0, 2)
+    decoded = []
+
+    def record(lo, mag, B):
+        decoded.append(mag)
+        return _decode_packed(lo, mag, B)
+
     monkeypatch.setattr(laurent, "_decode_keys", refuse)
-    monkeypatch.setattr(laurent, "_decode_packed", refuse)
-    assert fold_sum_packed(n, [P, Q, _negated(n, P[::-1]), _negated(n, Q)])[0] == {}
-    assert splitting.verify_split(Shape((1, 2)), 1)["ok"]
-    assert splitting.residue_identity_holds(Shape((1, 2)), 1, 1, 0)
-    # a failing sum decodes its keys to name the witness
+    monkeypatch.setattr(laurent, "_decode_packed", record)
+    # the whole (2,2), c = 2 case decodes one value: the class-k constant-term sum
+    assert cli._run_splitting({"shape": [2, 2], "c": 2}) == (True, None)
+    assert len(decoded) == 1
+    # a failing split identity decodes its keys to name the witness
+    parts = splitting._acoeff_parts
+
+    def flipped(shape, c, i, j, k, *rest):
+        sign, qexp, den, mono, factors = parts(shape, c, i, j, k, *rest)
+        return -sign if (i, j) == (1, 0) else sign, qexp, den, mono, factors
+
+    monkeypatch.setattr(splitting, "_acoeff_parts", flipped)
     with pytest.raises(AssertionError, match="decoded"):
-        fold_sum_packed(n, [P, Q])
+        cli._run_splitting({"shape": [2, 2], "c": 2})

@@ -1,21 +1,244 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qct import qring, splitting
+from qct import cli, qring, splitting
 from qct.closedform import dn0_rhs
+from qct.laurent import FoldFactor, KeyBox, MLaurent, _decode_packed, ct_fold
 from qct.products import Shape
-from qct.qring import QFrac
+from qct.qring import Cyclo, QFrac, cyclo_sum
 from qct.splitting import (
     SplitDecomposition,
-    a_coeff,
     admissible_j,
     build_S,
     denominator_factors,
+    horner_sum,
     pair_product,
     poch_identities,
     residue_identity_holds,
+    split_k,
     vanishing_check,
     verify_split,
 )
+from test_laurent import _draw_factors, _reference_sum, fold_sum_packed
+
+GRID = [(s, c) for s in ((1, 1), (1, 2), (2, 2), (1, 1, 1)) for c in (0, 1, 2)]
+
+
+# the route the exact case took before it shared one fold per coefficient:
+# each coefficient expanded on its own, one packed sum per check
+
+
+class ACoeff:
+    """One splitting coefficient in cleared form: sign * q^qexp * P / den,
+    with P an integer-coefficient Laurent polynomial in the x's and den a
+    product of q-Pochhammer symbols, kept factored."""
+
+    def __init__(self, shape: Shape, c: int, i: int, j: int, k: int):
+        self.shape, self.c, self.i, self.j, self.k = shape, c, i, j, k
+        self.t = shape.block_of(i)
+        self.sign, self.qexp, self.den, mono, factors = splitting._acoeff_parts(shape, c, i, j, k)
+        if any(mono):
+            factors = [FoldFactor.monomial(shape.n, mono)] + factors
+        self.P = ct_fold(shape.n, factors, None, None)
+
+    def scale(self) -> Cyclo:
+        """The scalar prefactor sign * q^qexp / den, factored."""
+        return Cyclo(self.sign, self.qexp) / self.den
+
+    def to_mlaurent(self) -> MLaurent:
+        inv = self.scale() ** -1
+        return MLaurent(self.shape.n, {e: inv.divide(p) for e, p in self.P.items()}, _trusted=True)
+
+    def ct(self) -> QFrac:
+        p = self.P.get((0,) * self.shape.n)
+        return QFrac(0) if p is None else (self.scale() ** -1).divide(p)
+
+    def x_degree(self) -> int:
+        """Largest exponent of x_i across the terms."""
+        return max(e[self.i - 1] for e in self.P)
+
+
+def a_coeff(shape: Shape, c: int, i: int, j: int, k: int | None = None) -> MLaurent:
+    """The closed-form splitting coefficient, fully expanded over QFrac."""
+    return ACoeff(shape, c, i, j, split_k(shape) if k is None else k).to_mlaurent()
+
+
+def reference_split(shape, c):
+    """The split identity as one packed sum of D + 1 pieces, each coefficient
+    piece carrying all its D - 1 y-factors."""
+    k = split_k(shape)
+    dens = denominator_factors(shape, c, k)
+    n = shape.n
+    L = splitting._common_multiple(c)
+    pieces = []
+    for i in range(1, n + 1):
+        for j in admissible_j(shape, c, i, k):
+            piece = splitting._cleared_piece(shape, c, i, j, k, n + 1, L)
+            piece += [FoldFactor.linear(n + 1, n + 1, l, z) for z, l in dens if (z, l) != (j, i)]
+            pieces.append(piece)
+    pieces.append(splitting._pair_piece(shape, c, n + 1, L))
+    diff, _ = fold_sum_packed(n + 1, pieces)
+    return {"shape": shape.parts, "c": c, "k": k, "terms": len(dens), "mode": "exact",
+            "ok": not diff, "witness": {"monomial": min(diff)} if diff else None}
+
+
+def reference_residue(shape, c, i, j):
+    """One residue identity refolded from scratch: coefficient and pair product."""
+    k = split_k(shape)
+    n = shape.n
+    L = splitting._common_multiple(c)
+    dens = denominator_factors(shape, c, k)
+    scalar = splitting._same_variable_scalar(dens, i, j)
+    lhs = splitting._cleared_piece(shape, c, i, j, k, n, L * scalar)
+    lhs += [FoldFactor.linear(n, i, l, z - j) for z, l in dens if l != i]
+    diff, _ = fold_sum_packed(n, [lhs, splitting._pair_piece(shape, c, n, L)])
+    return not diff
+
+
+def reference_decomposition(shape, c):
+    """(degree bounds hold, off-class constant terms vanish, class-k
+    constant-term sum) from the coefficients expanded one by one."""
+    k = split_k(shape)
+    coeffs = [ACoeff(shape, c, i, j, k) for i in range(1, shape.n + 1) for j in admissible_j(shape, c, i)]
+    nk = shape.parts[k]
+    degree_ok = True
+    for a in coeffs:
+        bound = -nk if a.t == 0 else 0 if a.t == k else -(nk - shape.parts[a.t] + 1)
+        degree_ok = degree_ok and not (a.P and a.x_degree() > bound)
+    offclass = all(a.ct().is_zero() for a in coeffs if a.t != k)
+    zero = (0,) * shape.n
+    total = cyclo_sum((a.scale(), a.P[zero]) for a in coeffs if a.t == k and zero in a.P)
+    return degree_ok, offclass, total
+
+
+def decomposition(shape, c):
+    sd = SplitDecomposition(shape, c)
+    return sd.degree_bounds_ok(), sd.offclass_cts_vanish(), sd.class_k_ct_sum()
+
+
+def reference_case(shape, c):
+    """(ok, detail) of the exact splitting case by the old route."""
+    rep = reference_split(shape, c)
+    if not rep["ok"]:
+        return False, rep
+    for i in range(1, shape.n + 1):
+        for j in admissible_j(shape, c, i):
+            if not reference_residue(shape, c, i, j):
+                return False, {"residue_mismatch": [i, j]}
+    degree_ok, offclass, total = reference_decomposition(shape, c)
+    if not degree_ok:
+        return False, {"degree_bounds": False}
+    if not offclass:
+        return False, {"offclass_ct": "nonzero"}
+    if total != dn0_rhs(shape, c):
+        return False, {"class_k_sum": "mismatch"}
+    return True, None
+
+
+def _case(shape, c):
+    return cli._run_splitting({"shape": list(shape.parts), "c": c})
+
+
+@pytest.mark.parametrize("parts, c", GRID)
+def test_case_matches_old_route_on_default_grid(parts, c):
+    shape = Shape(parts)
+    assert _case(shape, c) == reference_case(shape, c) == (True, None)
+
+
+def _perturb(monkeypatch, name, change):
+    """Replace splitting.<name> by a version whose result passes through
+    change(result, args)."""
+    original = getattr(splitting, name)
+    monkeypatch.setattr(splitting, name, lambda *args: change(original(*args), args))
+
+
+def _flip_sign(parts, args):
+    sign, qexp, den, mono, factors = parts
+    return (-sign if args[2:4] == (1, 0) else sign), qexp, den, mono, factors
+
+
+def _flip_class_k_sign(parts, args):
+    sign, qexp, den, mono, factors = parts
+    return (-sign if args[2:4] == (3, -1) else sign), qexp, den, mono, factors
+
+
+def _move_monomial(parts, args):
+    # x^(2,-3,-2,3) keeps the total degree and gives A_{1,0} a constant term
+    sign, qexp, den, mono, factors = parts
+    if args[2:4] == (1, 0):
+        mono = tuple(m + d for m, d in zip(mono, (2, -3, -2, 3, 0)))
+    return sign, qexp, den, mono, factors
+
+
+def _drop_factor(parts, args):
+    sign, qexp, den, mono, factors = parts
+    return sign, qexp, den, mono, (factors[1:] if args[2:4] == (3, -1) else factors)
+
+
+def _shift_scalar(scalar, args):
+    # (dens, i, j): the residue at (3, 0) only; the split identity does not use it
+    return scalar * Cyclo(1, 1) if args[1:] == (3, 0) else scalar
+
+
+@pytest.mark.parametrize("name, change, fails_at", [
+    ("_acoeff_parts", _flip_sign, "split"),
+    ("_acoeff_parts", _drop_factor, "split"),
+    ("_same_variable_scalar", _shift_scalar, [3, 0]),
+])
+def test_case_matches_old_route_on_perturbed_coefficients(monkeypatch, name, change, fails_at):
+    _perturb(monkeypatch, name, change)
+    shape, c = Shape((2, 2)), 2
+    got = _case(shape, c)
+    assert got == reference_case(shape, c)
+    ok, detail = got
+    assert ok is False
+    if fails_at == "split":
+        assert detail["ok"] is False and detail["witness"]["monomial"]
+    else:
+        assert detail == {"residue_mismatch": fails_at}
+
+
+@pytest.mark.parametrize("change, facts", [
+    (None, (True, True, "rhs")),
+    (_flip_class_k_sign, (True, True, "other")),
+    (_move_monomial, (False, False, "rhs")),
+])
+def test_decomposition_matches_old_route(monkeypatch, change, facts):
+    # degree bounds, off-class constant terms and the class-k sum, read off
+    # the packed keys, against the coefficients expanded one by one
+    if change is not None:
+        _perturb(monkeypatch, "_acoeff_parts", change)
+    shape, c = Shape((2, 2)), 2
+    got = decomposition(shape, c)
+    assert got == reference_decomposition(shape, c)
+    assert got[:2] == facts[:2]
+    assert (got[2] == dn0_rhs(shape, c)) == (facts[2] == "rhs")
+
+
+@st.composite
+def horner_cases(draw):
+    """(arity, coefficient factor lists, y-factor lists, walk order): x slots
+    1..n and y in slot n + 1, one or two linear factors (1 - q^z y/x_l) per
+    coefficient."""
+    n = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 4))
+    coeffs = [_draw_factors(draw, n + 1) for _ in range(count)]
+    ys = [[FoldFactor.linear(n + 1, n + 1, draw(st.one_of(st.none(), st.integers(1, n))),
+                             draw(st.integers(-2, 2))) for _ in range(draw(st.integers(1, 2)))]
+          for _ in range(count)]
+    return n + 1, coeffs, ys, draw(st.permutations(range(count)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(horner_cases())
+def test_horner_sum_matches_leave_one_out_products(case):
+    arity, coeffs, ys, walk = case
+    pieces = [a + [f for u, F in enumerate(ys) if u != t for f in F] for t, a in enumerate(coeffs)]
+    box = KeyBox(arity, [pieces])
+    total = horner_sum(box, [(box.fold(coeffs[t]), ys[t]) for t in walk])
+    got = {e: _decode_packed(lo, mag, box.B) for e, (lo, mag) in box.decode(total).items()}
+    assert got == _reference_sum(arity, pieces)
 
 
 def test_denominator_factor_counts():

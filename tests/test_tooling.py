@@ -23,6 +23,23 @@ def test_library_has_no_assert_statements():
     assert not found, f"assert statements in the library: {found}"
 
 
+def test_cli_reports_flag_errors_through_the_parser():
+    # raise SystemExit("message") exits 1, the code of a failing verify case,
+    # with no usage line; flag errors go through the parser, which exits 2
+    def is_text(node):
+        return isinstance(node, ast.JoinedStr) or (
+            isinstance(node, ast.Constant) and isinstance(node.value, str))
+
+    path = SRC / "cli.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "SystemExit" and any(map(is_text, call.args))):
+            found.append(f"cli.py:{node.lineno}")
+    assert not found, f"SystemExit with a message in the CLI: {found}"
+
+
 def test_benchmark_traced_names_exist():
     # the benchmark's tracer wraps library functions by name, and installing
     # it raises KeyError on a renamed or deleted target
