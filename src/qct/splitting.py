@@ -330,9 +330,8 @@ class SplitDecomposition:
         origin = self.box.origin
         total: dict = {}
         for t, cls in enumerate(self._classes):
-            ct = self._state(t).get(origin)
-            if cls == self.k and ct is not None:
-                self.box.add(total, {origin: ct})
+            if cls == self.k and origin in self._state(t):
+                self.box.add(total, {origin: self._state(t)[origin]})
         return self.L.divide(self.box.value(total[origin])) if total else QFrac(0)
 
     def offclass_cts_vanish(self) -> bool:
