@@ -495,19 +495,20 @@ def _run_kadell(params):
     return got == want, None if got == want else {"got": str(got), "want": str(want)}
 
 
+# suite name -> (case builder, case runner, the grid flags the builder reads)
 SUITES = {
-    "qdyson": (_cases_qdyson, _run_qdyson),
-    "qmorris": (_cases_qmorris, _run_qmorris),
-    "bf-recursion": (_cases_bf, _run_bf),
-    "p1-formula": (_cases_p1, _run_p1),
-    "roots": (_cases_roots, _run_roots),
-    "splitting": (_cases_splitting, _run_splitting),
-    "vanishing": (_cases_vanishing, _run_vanishing),
-    "lemma-key": (_cases_lemma_key, _run_lemma_key),
-    "poch-identities": (_cases_poch, _run_poch),
-    "qsum": (_cases_qsum, _run_qsum),
-    "gx-pipeline": (_cases_gx, _run_gx),
-    "kadell": (_cases_kadell, _run_kadell),
+    "qdyson": (_cases_qdyson, _run_qdyson, ()),
+    "qmorris": (_cases_qmorris, _run_qmorris, ()),
+    "bf-recursion": (_cases_bf, _run_bf, ("shape",)),
+    "p1-formula": (_cases_p1, _run_p1, ()),
+    "roots": (_cases_roots, _run_roots, ("shape", "b", "c")),
+    "splitting": (_cases_splitting, _run_splitting, ("shape", "c")),
+    "vanishing": (_cases_vanishing, _run_vanishing, ()),
+    "lemma-key": (_cases_lemma_key, _run_lemma_key, ()),
+    "poch-identities": (_cases_poch, _run_poch, ()),
+    "qsum": (_cases_qsum, _run_qsum, ()),
+    "gx-pipeline": (_cases_gx, _run_gx, ()),
+    "kadell": (_cases_kadell, _run_kadell, ()),
 }
 
 
@@ -546,7 +547,10 @@ def _run_case(suite: str, params: dict) -> dict:
 def run_suite(name: str, args) -> dict:
     if name not in SUITES:
         build_parser().error(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    carve, _ = SUITES[name]
+    carve, _, reads = SUITES[name]
+    for flag in ("shape", "b", "c"):
+        if getattr(args, flag, None) is not None and flag not in reads:
+            build_parser().error(f"suite {name} does not read --{flag}")
     cases = carve(args)
     order = sorted(range(len(cases)), key=lambda idx: _case_cost(name, cases[idx]))
     budget = args.max_seconds

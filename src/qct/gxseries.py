@@ -12,18 +12,23 @@ the root analysis.
 Exponent tuples have n + 1 slots, slot t holding x_t.  Every denominator
 factor of the pipeline is (1 - q^m x_head/x_tail) with an integer m, and
 every scalar is a ratio of q-Pochhammer symbols: elimination keeps numerators
-as {exponent tuple: QLaurent}, substitutes by shifting coefficients and
-collects the scalars in a factored ``Cyclo``, so it makes no gcd; a constant
-term is reduced once, at the end.  A numerator whose head degree reaches the
+as {exponent tuple: (lo, mag)}, packed as the fold makes them, substitutes
+by adding to ``lo`` and collects the scalars in a factored ``Cyclo``, so it
+makes no gcd; a value is decoded only at a leaf, and a constant term is
+reduced once, at the end.  A numerator whose head degree reaches the
 number of factors is first divided by the denominator, exactly, so every
 term is eliminated the same way and there is no other constant-term route.
 """
 
 from __future__ import annotations
 
-from .laurent import FoldFactor, ct_fold, fold_packed_raw, linear_factors
+from functools import lru_cache
+from math import prod
+
+from .laurent import (FoldFactor, KeyBox, _decode_packed, _digit_width, fold_packed_raw,
+                      linear_factors, pack_qlaurent, packed_add)
 from .products import Shape, epsilon
-from .qring import ONE, Cyclo, QFrac, cyclo_sum
+from .qring import Cyclo, QFrac, cyclo_sum
 from .roots import t_table
 
 # Most rational terms one constant term may visit before giving up.
@@ -36,56 +41,67 @@ MAX_TERMS = 200000
 class RationalTerm:
     """scale * numerator / prod_r (1 - q^{m_r} x_head/x_{tail_r}), one shared head.
 
-    The numerator maps exponent tuples to nonzero QLaurent coefficients and
+    The numerator maps exponent tuples to nonzero packed (lo, mag)
+    coefficients in balanced base-2**B digits, as the fold makes them, and
     ``dens`` lists the (m_r, tail_r) pairs; every scalar fraction picked up
     along the way lives in the factored ``scale`` (a Cyclo), so coefficient
     arithmetic never reduces fractions term by term.
     """
 
-    __slots__ = ("scale", "num", "dens", "head")
+    __slots__ = ("scale", "num", "B", "dens", "head")
 
-    def __init__(self, num: dict, dens, head: int | None, scale: Cyclo | None = None):
+    def __init__(self, num: dict, B: int, dens, head: int | None, scale: Cyclo | None = None):
         self.scale = Cyclo() if scale is None else scale
         self.num = num
+        self.B = B
         self.dens = list(dens)  # (m_r, tail var index)
         self.head = head
         if self.dens and head is None:
             raise ValueError("denominator factors need a head variable")
 
 
-def _add_term(poly: dict, e: tuple, v) -> None:
-    """poly[e] += v, dropping the entry when the sum vanishes."""
+def _add_term(poly: dict, e: tuple, v, B: int) -> None:
+    """poly[e] += v on packed values, dropping the entry when the sum vanishes."""
     cur = poly.get(e)
     if cur is None:
         poly[e] = v
         return
-    v = cur + v
-    if v.is_zero():
-        del poly[e]
+    lo, mag = packed_add(cur, v, B)
+    if mag:
+        poly[e] = (lo, mag)
     else:
-        poly[e] = v
+        del poly[e]
 
 
-def _divide(num: dict, factors, k: int):
-    """(quo, rem) with num = quo * D + rem, D = prod_r (1 - q^{m_r} x_k/x_{t_r}),
-    and rem of x_k-degree below m = len(factors).
+def _divide(num: dict, B: int, factors, k: int):
+    """(quo, rem, B2) with num = quo * D + rem, D = prod_r (1 - q^{m_r} x_k/x_{t_r}),
+    rem of x_k-degree below m = len(factors), and quo, rem packed at width B2.
 
     The top x_k-coefficient of D, (-1)^m q^{sum m_r} prod_r 1/x_{t_r}, is a
     unit, so the division is exact over Z[q^+-1][x^+-1]: each quotient term is
     a shifted, signed numerator coefficient.  Terms of x_k-degree >= m are
     reduced from the top degree down; the others pass to rem unchanged.
+
+    Digit width: every digit of every value is bounded by the total L1 T of
+    all the values.  Reducing a term c moves c to quo and adds c times
+    D minus its top term, of L1 2^m - 1, lower down, so one x_k-degree level
+    multiplies T by at most 2^m and the L = deg_k num - m + 1 levels by at
+    most 2^(m L).  B2 is the digit width of that bound on num's exact T.
     """
     m = len(factors)
     arity = len(next(iter(num)))
-    lower = {(0,) * arity: ONE}  # D, expanded
+    levels = max(e[k] for e in num) - m + 1
+    values = {e: _decode_packed(lo, mag, B) for e, (lo, mag) in num.items()}
+    B = _digit_width(sum(v.l1_norm() for v in values.values()) << (m * levels))
+    num = {e: pack_qlaurent(v, B) for e, v in values.items()}
+    lower = {(0,) * arity: (0, 1)}  # D, expanded
     for mr, tr in factors:
-        step: dict = {}
-        for e, v in lower.items():
-            _add_term(step, e, v)
+        step = dict(lower)
+        for e, (lo, mag) in lower.items():
             ne = list(e)
             ne[k] += 1
             ne[tr] -= 1
-            _add_term(step, tuple(ne), -v.shift(mr))
+            _add_term(step, tuple(ne), (lo + mr, -mag), B)
         lower = step
     top = [0] * arity
     top[k] = m
@@ -94,6 +110,7 @@ def _divide(num: dict, factors, k: int):
     top = tuple(top)
     del lower[top]  # D's top term; what is left has x_k-degree below m
     lead = -sum(mr for mr, _ in factors)
+    sign = -1 if m % 2 else 1
     quo: dict = {}
     rem: dict = {}
     high: dict[int, dict] = {}  # x_k-degree >= m -> {exponent tuple: coefficient}
@@ -103,26 +120,35 @@ def _divide(num: dict, factors, k: int):
         else:
             rem[e] = v
     while high:
-        for e, v in high.pop(max(high)).items():
-            c = v.shift(lead)
-            if m % 2:
-                c = -c
+        for e, (lo, mag) in high.pop(max(high)).items():
+            clo, cmag = lo + lead, sign * mag
             w = tuple(a - b for a, b in zip(e, top))
-            quo[w] = c
+            quo[w] = (clo, cmag)
             # subtract c x^w (D - top term); each product lands lower in x_k
-            for de, dv in lower.items():
+            for de, (dlo, dmag) in lower.items():
                 ne = tuple(a + b for a, b in zip(w, de))
-                _add_term(high.setdefault(ne[k], {}) if ne[k] >= m else rem, ne, -(c * dv))
-    return quo, rem
+                _add_term(high.setdefault(ne[k], {}) if ne[k] >= m else rem, ne,
+                          (clo + dlo, -cmag * dmag), B)
+    return quo, rem, B
 
 
-def _eliminate(scale: Cyclo, num: dict, factors, k: int):
+@lru_cache(maxsize=1024)
+def _same_tail_scalar(exps: tuple) -> Cyclo:
+    """prod_j 1/(1 - q^j) over ``exps``: what a substitution leaves of the
+    factors on the cleared factor's tail."""
+    return prod((Cyclo.poch(j, 1) for j in exps), start=Cyclo()) ** -1
+
+
+def _eliminate(scale: Cyclo, num: dict, B: int, factors, k: int):
     """Core elimination step; returns (scale, num, dens, head, cleared) per
     surviving factor, with scalarized factors folded into the scale.
 
     Substituting x_k = q^{-m_r} x_{i_r} multiplies a coefficient of x_k^e by
-    q^{-m_r e} (a shift), turns (1 - q^{m_s} x_k/x_{i_s}) into a factor with
-    exponent m_s - m_r, or into the scalar 1 - q^{m_s - m_r} on the same tail.
+    q^{-m_r e}, which adds -m_r e to its packed ``lo``, and turns
+    (1 - q^{m_s} x_k/x_{i_s}) into a factor with exponent m_s - m_r, or into
+    the scalar 1 - q^{m_s - m_r} on the same tail.  The substitution only
+    merges coefficients, so it never raises their total L1, and the new
+    numerators keep the digit width B.
     """
     m = len(factors)
     if m == 0:
@@ -142,32 +168,32 @@ def _eliminate(scale: Cyclo, num: dict, factors, k: int):
         if ir < k:
             continue
         sub: dict = {}
-        for e, v in num.items():
+        get = sub.get
+        for e, (lo, mag) in num.items():
             ek = e[k]
             if ek:
                 ne = list(e)
                 ne[k] = 0
                 ne[ir] += ek
                 e = tuple(ne)
-                v = v.shift(-mr * ek)
-            cur = sub.get(e)
+                lo -= mr * ek
+            cur = get(e)
             if cur is None:
-                sub[e] = v
-            else:
-                v = cur + v
-                if v.is_zero():
-                    del sub[e]
-                else:
-                    sub[e] = v
-        new_scale = scale
-        new_dens = []
-        for s, (ms, js) in enumerate(factors):
-            if s == r:
+                sub[e] = (lo, mag)
                 continue
-            if js == ir:
-                new_scale = new_scale / Cyclo.poch(ms - mr, 1)
+            clo, cm = cur
+            if clo <= lo:
+                s = cm + (mag << (B * (lo - clo)))
+                lo = clo
             else:
-                new_dens.append((ms - mr, js))
+                s = mag + (cm << (B * (clo - lo)))
+            if s:
+                sub[e] = (lo, s)
+            else:
+                del sub[e]
+        same = tuple(ms - mr for s, (ms, js) in enumerate(factors) if js == ir and s != r)
+        new_scale = scale * _same_tail_scalar(same) if same else scale
+        new_dens = [(ms - mr, js) for ms, js in factors if js != ir]
         out.append((new_scale, sub, new_dens, ir, (mr, ir)))
     return out
 
@@ -297,16 +323,17 @@ class QukFactors:
         """V times the elimination scalars: the fraction part of the term."""
         return self.V * self.scalars
 
-    def numerator_poly(self) -> dict:
+    def numerator_poly(self) -> tuple[dict, int]:
         """(head numerator Pochhammers) * residual pair product as
-        {exponent tuple: QLaurent}; empty when V vanishes."""
+        ({exponent tuple: (lo, mag)}, B), packed as the fold leaves it; the
+        dict is empty when V vanishes."""
         if self.is_zero():
-            return {}
+            return {}, _digit_width(1)
         n = self.shape.n
         factors = []
         for pf in self.num_pochs + self.residual_pairs:
             factors.extend(pf.fold_factors(n + 1))
-        return ct_fold(n + 1, factors, None, None)
+        return fold_packed_raw(n + 1, factors)
 
     def den_factor_list(self) -> list[tuple[int, int]]:
         """(m, tail) pairs of the head-variable linear factors
@@ -314,7 +341,7 @@ class QukFactors:
         return [(pf.m + t, pf.b) for pf in self.den_pochs for t in range(pf.z)]
 
     def rational_term(self) -> RationalTerm:
-        return RationalTerm(self.numerator_poly(), self.den_factor_list(), self.head,
+        return RationalTerm(*self.numerator_poly(), self.den_factor_list(), self.head,
                             scale=self.scale())
 
 
@@ -407,17 +434,20 @@ def oracle_matches_direct(shape: Shape, b: int, c: int, d: int, u, k) -> bool:
         for pf in poch_list:
             factors.extend(pf.fold_factors(arity))
         factors += [FoldFactor.linear(arity, direct.head + 1, tail + 1, m) for m, tail in dlist]
-        return ct_fold(arity, factors, None, None)
+        return fold_packed_raw(arity, factors)
 
     lhs = expand(direct.num_pochs + direct.residual_pairs, dens)
     rhs = expand(pochs, direct.den_factor_list())
-    return _scaled_equal(direct.scale(), lhs, scal, rhs)
+    return _scaled_equal(direct.scale(), *lhs, scal, *rhs)
 
 
-def _scaled_equal(scale_a: Cyclo, num_a: dict, scale_b: Cyclo, num_b: dict) -> bool:
+def _scaled_equal(scale_a: Cyclo, num_a: dict, B_a: int, scale_b: Cyclo, num_b: dict,
+                  B_b: int) -> bool:
     """scale_a * num_a == scale_b * num_b coefficient by coefficient, for
-    numerators without zero values: cross-multiplied by the parts of
-    scale_a / scale_b over and under the fraction bar, so no gcd."""
+    packed numerators (digit widths B_a, B_b) without zero values.  Packed
+    values are not canonical (a cancelled sum may keep zero low digits), so
+    each is decoded and cross-multiplied by the parts of scale_a / scale_b
+    over and under the fraction bar: no gcd."""
     if not scale_a.sign:
         num_a = {}
     if not scale_b.sign:
@@ -427,7 +457,8 @@ def _scaled_equal(scale_a: Cyclo, num_a: dict, scale_b: Cyclo, num_b: dict) -> b
     if not num_a:
         return True
     over, under = (scale_a / scale_b).split()
-    return all(over.times(v) == under.times(num_b[e]) for e, v in num_a.items())
+    return all(over.times(_decode_packed(*v, B_a)) == under.times(_decode_packed(*num_b[e], B_b))
+               for e, v in num_a.items())
 
 
 # -- the three vanishing properties -----------------------------------------------------
@@ -472,7 +503,7 @@ def check_property_expand(shape, b, c, d, u, k) -> dict:
     reproduces the directly-built next-level terms, term by term."""
     q = QukFactors(shape, b, c, d, u, k)
     report = {"branch": "expand", "ok": True, "degree_ok": None, "terms": 0, "witness": None}
-    num = q.numerator_poly()
+    num, B = q.numerator_poly()
     dens = q.den_factor_list()
     deg = max((e[q.head] for e in num), default=0)
     report["degree_ok"] = deg < len(dens)
@@ -482,7 +513,7 @@ def check_property_expand(shape, b, c, d, u, k) -> dict:
     if not num:
         return report
     ks = q.k[-1] if q.u else 0
-    for scale, new_num, new_dens, new_head, cleared in _eliminate(q.scale(), num, dens, q.head):
+    for scale, new_num, new_dens, new_head, cleared in _eliminate(q.scale(), num, B, dens, q.head):
         # the cleared factor was (1 - q^{k_s - d + t} x_head/x_i), fixing
         # k_{s+1} = d - t = k_s - (its q-exponent)
         m, i = cleared
@@ -492,7 +523,7 @@ def check_property_expand(shape, b, c, d, u, k) -> dict:
             report["witness"] = {"head": new_head, "bad_k": k1}
             return report
         cand = QukFactors(shape, b, c, d, q.u + (i,), q.k + (k1,))
-        if not _terms_equal(scale, new_num, new_dens, new_head, cand):
+        if not _terms_equal(scale, new_num, B, new_dens, new_head, cand):
             report["ok"] = False
             report["witness"] = {"u_next": i, "k_next": k1, "unmatched": True}
             return report
@@ -500,12 +531,13 @@ def check_property_expand(shape, b, c, d, u, k) -> dict:
     return report
 
 
-def _terms_equal(scale_a: Cyclo, num_a: dict, dens_a, head_a, cand: QukFactors) -> bool:
+def _terms_equal(scale_a: Cyclo, num_a: dict, B_a: int, dens_a, head_a,
+                 cand: QukFactors) -> bool:
     if head_a != cand.head:
         return False
     if sorted(dens_a) != sorted(cand.den_factor_list()):
         return False
-    return _scaled_equal(scale_a, num_a, cand.scale(), cand.numerator_poly())
+    return _scaled_equal(scale_a, num_a, B_a, cand.scale(), *cand.numerator_poly())
 
 
 def _case4_exists(shape: Shape, u, k, b: int, c: int, t: int) -> bool:
@@ -592,24 +624,15 @@ def check_property_laurent(shape, b, c, d, u, k) -> dict:
         report["ok"] = report["ct_zero"]
         return report
     factors, shifts = cancelled
-    # the support of the cancelled numerator: keys only, no coefficient is
-    # decoded
-    support, _ = fold_packed_raw(n + 1, factors)
-    # Laurent-form ledger: every monomial obeys e_i >= shift_i and
-    # e_head = ell - sum_i (e_i - shift_i)
-    ok_form = True
+    # Laurent-form ledger: every monomial of the cancelled numerator obeys
+    # e_i >= shift_i and e_head = ell - sum_i (e_i - shift_i), read off the
+    # int keys of its expansion: no key and no coefficient is decoded
+    box = KeyBox(n + 1, [[factors]])
+    support = box.fold(factors)
     outside = [i for i in range(1, n + 1) if i not in q.u]
-    for e in support:
-        slack = 0
-        for i in outside:
-            if e[i] < shifts[i]:
-                ok_form = False
-                break
-            slack += e[i] - shifts[i]
-        if not ok_form or e[q.head] != ell - slack:
-            ok_form = False
-            break
-    report["laurent_form_ok"] = ok_form
+    ok_form = all(x >= shifts[i] for i in outside for x in box.slot_sums(support, (i,)))
+    ledger = box.slot_sums(support, [q.head] + outside)
+    report["laurent_form_ok"] = ok_form = ok_form and ledger <= {ell + sum(shifts.values())}
     if not ok_form:
         report["ok"] = False
         return report
@@ -720,20 +743,20 @@ def rational_ct(term: RationalTerm) -> QFrac:
         seen += 1
         if seen > MAX_TERMS:
             raise RuntimeError("term budget exceeded")
-        num = t.num
+        num, B = t.num, t.B
         if not num:
             continue
         zero = (0,) * len(next(iter(num)))
         if not t.dens:
             if zero in num:
-                leaves.append((t.scale, num[zero]))
+                leaves.append((t.scale, _decode_packed(*num[zero], B)))
             continue
         if max(e[t.head] for e in num) >= len(t.dens):
-            quo, num = _divide(num, t.dens, t.head)
+            quo, num, B = _divide(num, B, t.dens, t.head)
             if zero in quo:
-                leaves.append((t.scale, quo[zero]))
-        for scale, new_num, new_dens, new_head, _ in _eliminate(t.scale, num, t.dens, t.head):
-            stack.append(RationalTerm(new_num, new_dens, new_head, scale=scale))
+                leaves.append((t.scale, _decode_packed(*quo[zero], B)))
+        for scale, new_num, new_dens, new_head, _ in _eliminate(t.scale, num, B, t.dens, t.head):
+            stack.append(RationalTerm(new_num, B, new_dens, new_head, scale=scale))
     return cyclo_sum(leaves)
 
 

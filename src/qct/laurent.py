@@ -108,16 +108,6 @@ class MLaurent:
     def constant_coefficient(self) -> QFrac:
         return self.terms.get((0,) * self.arity, QFrac(0))
 
-    def var_range(self, pos: int) -> tuple[int, int]:
-        """(min, max) exponent of the variable in slot pos; (0, 0) if absent."""
-        if not self.terms:
-            return (0, 0)
-        vals = [e[pos] for e in self.terms]
-        return (min(vals), max(vals))
-
-    def total_degrees(self):
-        return {sum(e) for e in self.terms}
-
     # -- ring operations -----------------------------------------------------------
 
     def _check(self, other: "MLaurent"):
@@ -205,78 +195,6 @@ class MLaurent:
 
     def __repr__(self) -> str:
         return f"MLaurent({self.arity}, {self})"
-
-    @staticmethod
-    def parse(text: str, arity: int) -> "MLaurent":
-        s = text.strip()
-        if s == "0":
-            return MLaurent(arity)
-        out = MLaurent(arity)
-        for chunk in _split_terms(s):
-            coeff_part, monos = _split_monomial(chunk)
-            coeff = QFrac.parse(coeff_part)
-            exps = [0] * arity
-            for name, ex in monos:
-                pos = int(name[1:]) - 1
-                if pos < 0 or pos >= arity:
-                    raise ValueError(f"variable {name} out of arity {arity}")
-                exps[pos] += ex
-            out = out + MLaurent.monomial(arity, exps, coeff)
-        return out
-
-
-def _split_terms(s: str):
-    depth = 0
-    start = 0
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and s[i:i + 3] == " + ":
-            yield s[start:i]
-            i += 3
-            start = i
-            continue
-        i += 1
-    yield s[start:]
-
-
-def _split_monomial(chunk: str):
-    """Split one printed term into (coefficient text, [(var name, exponent)])."""
-    chunk = chunk.strip()
-    depth = 0
-    split_at = None
-    for i in range(len(chunk) - 2):
-        ch = chunk[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and chunk[i:i + 3] == " * ":
-            split_at = i
-            break
-    if split_at is None:
-        coeff_part, mono_part = chunk, ""
-    else:
-        coeff_part, mono_part = chunk[:split_at], chunk[split_at + 3:]
-    coeff_part = coeff_part.strip()
-    if coeff_part.startswith("(") and coeff_part.endswith(")") and ")/(" not in coeff_part:
-        coeff_part = coeff_part[1:-1]
-    monos = []
-    if mono_part:
-        for p in mono_part.split("*"):
-            p = p.strip()
-            if not (p.startswith("x") and p[1:2].isdigit()):
-                raise ValueError(f"bad monomial piece {p!r}")
-            if "^" in p:
-                name, _, ex = p.partition("^")
-                monos.append((name, int(ex)))
-            else:
-                monos.append((p, 1))
-    return coeff_part, monos
 
 
 # -- spec-level operations (1-based variable indices) ---------------------------------
@@ -584,10 +502,11 @@ class KeyBox:
                 del total[k]
         return total
 
-    def slot_max(self, state: dict, v: int) -> int:
-        """The largest exponent of slot v over the keys of ``state``."""
-        m, w = self._radix[v], self._width[v]
-        return max(k // m % w for k in state) + self.base[v]
+    def slot_sums(self, state: dict, vs) -> set:
+        """The values of sum_{v in vs} e_v over the keys of ``state``."""
+        cols = [[k // self._radix[v] % self._width[v] for k in state] for v in vs]
+        base = sum(self.base[v] for v in vs)
+        return {s + base for s in set(map(sum, zip(*cols)))}
 
     def decode(self, state: dict) -> dict:
         """``state`` with its keys as exponent tuples."""

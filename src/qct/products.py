@@ -2,7 +2,7 @@
 
 Every left-hand side is assembled as a list of linear fold factors
 (1 - q^m x_i/x_j); the factor list is the authoritative representation and
-feeds the pruned CT fold.  Expanded ``MLaurent`` forms are built on demand.
+feeds the pruned CT fold.
 
 The projective variable x_0 is set to 1 inside every builder (homogeneity of
 the full product makes this harmless for constant terms), so a product over
@@ -156,26 +156,6 @@ def bf_factors(shape: Shape, a: int, b: int, c: int) -> list[FoldFactor]:
 
 
 # -- expanded builders ---------------------------------------------------------------
-
-
-def _expand(arity: int, factors) -> MLaurent:
-    res = ct_fold(arity, factors, None, None)
-    return MLaurent(arity, {e: QFrac.from_qlaurent(v) for e, v in res.items()}, _trusted=True)
-
-
-def build_qdyson(a) -> MLaurent:
-    a = list(a)
-    return _expand(len(a), qdyson_factors(a))
-
-
-def build_qmorris(n: int, a: int, b: int, c: int) -> MLaurent:
-    if n < 1:
-        raise ValueError("n must be positive")
-    return build_bf(Shape((n,)), a, b, c)
-
-
-def build_bf(shape: Shape, a: int, b: int, c: int) -> MLaurent:
-    return _expand(shape.n, bf_factors(shape, a, b, c))
 
 
 def kadell_h(r: int, a) -> MLaurent:

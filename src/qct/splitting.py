@@ -320,7 +320,7 @@ class SplitDecomposition:
             else:
                 bound = -(nk - self.shape.parts[cls] + 1)
             state = self._state(t)
-            if state and self.box.slot_max(state, i - 1) > bound:
+            if state and max(self.box.slot_sums(state, (i - 1,))) > bound:
                 return False
         return True
 

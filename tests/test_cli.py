@@ -166,6 +166,14 @@ def test_negative_arguments_are_usage_errors(argv, capsys):
     (("ct", "--family", "qdyson", "--a", "1,1", "--method", "gx"), "--method gx supports the bf and qmorris"),
     (("ct", "--family", "qmorris", "--a", "1"), "qmorris needs --n or --shape"),
     (("rhs", "--family", "dn0", "--c", "1"), "dn0 needs --shape"),
+    # a grid flag the suite's case builder would ignore
+    (("verify", "--suite", "qdyson", "--shape", "1,1"), "suite qdyson does not read --shape"),
+    (("verify", "--suite", "gx-pipeline", "--shape", "1,1"), "suite gx-pipeline does not read --shape"),
+    (("verify", "--suite", "qsum", "--c", "1"), "suite qsum does not read --c"),
+    (("verify", "--suite", "bf-recursion", "--b", "1"), "suite bf-recursion does not read --b"),
+    (("verify", "--suite", "splitting", "--shape", "1,1", "--b", "0"),
+     "suite splitting does not read --b"),
+    (("verify", "--suite", "lemma-key", "--c", "0"), "suite lemma-key does not read --c"),
 ])
 def test_bad_shape_and_n_are_usage_errors(argv, message, capsys, monkeypatch):
     # leading NAME=value items set the environment, as on a shell command line

