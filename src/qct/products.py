@@ -118,35 +118,34 @@ def qdyson_factors(a) -> list[FoldFactor]:
     return out
 
 
-def pair_factors(shape: Shape, c: int, skip: int | None = None,
-                 arity: int | None = None) -> list[FoldFactor]:
-    """Linear factors of prod_{i<j} (x_i/x_j)_{c+eps} (q x_j/x_i)_{c+eps}.
-
-    ``skip`` drops every pair that involves that variable; ``arity`` (default
-    n) leaves room for further slots after x_n.
-    """
+def pair_linear(shape: Shape, c: int, skip: int | None = None):
+    """(a, b, m) for each linear factor (1 - q^m x_a/x_b) of
+    prod_{i<j} (x_i/x_j)_{c+eps} (q x_j/x_i)_{c+eps}; ``skip`` drops every
+    pair that involves that variable."""
     n = shape.n
-    arity = arity or n
-    out = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if skip in (i, j):
                 continue
             z = c + epsilon(shape, i, j)
-            out.extend(linear_factors(arity, i, j, 0, z))
-            out.extend(linear_factors(arity, j, i, 1, z))
-    return out
+            for t in range(z):
+                yield i, j, t
+            for t in range(z):
+                yield j, i, 1 + t
+
+
+def pair_factors(shape: Shape, c: int) -> list[FoldFactor]:
+    """The pair product's linear factors as fold factors."""
+    return [FoldFactor.linear(shape.n, a, b, m) for a, b, m in pair_linear(shape, c)]
 
 
 def bf_factors(shape: Shape, a: int, b: int, c: int) -> list[FoldFactor]:
     """Full factor list, ordered so low variables are closed off first."""
     n = shape.n
     groups: list[list[FoldFactor]] = [[] for _ in range(n + 1)]
+    for i, j, m in pair_linear(shape, c):
+        groups[min(i, j)].append(FoldFactor.linear(n, i, j, m))
     for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            z = c + epsilon(shape, i, j)
-            groups[i].extend(linear_factors(n, i, j, 0, z))
-            groups[i].extend(linear_factors(n, j, i, 1, z))
         groups[i].extend(linear_factors(n, None, i, 0, a))
         groups[i].extend(linear_factors(n, i, None, 1, b))
     out = []

@@ -13,7 +13,6 @@ Values are immutable; all operations return fresh objects.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd as int_gcd
@@ -166,13 +165,6 @@ class QLaurent:
         if quo is None or any(rem):
             raise ValueError("inexact QLaurent division")
         return _from_list(quo).shift(sh_a - sh_b)
-
-    def eval_fraction(self, qval: Fraction) -> Fraction:
-        """Evaluate at an exact rational q (used by randomized identity checks)."""
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            total += c * qval ** e
-        return total
 
     # -- comparison / hashing ------------------------------------------------
 
@@ -462,12 +454,6 @@ class QFrac:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def eval_fraction(self, qval: Fraction) -> Fraction:
-        d = self.den.eval_fraction(qval)
-        if d == 0:
-            raise ZeroDivisionError("QFrac denominator vanishes at sample point")
-        return self.num.eval_fraction(qval) / d
 
     def __str__(self) -> str:
         if self.den.is_one():

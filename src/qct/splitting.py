@@ -1,31 +1,28 @@
 """Partial-fraction splitting of the decorated pair product.
 
-The rational function S divides the pair product by a battery of y-linear
-factors (1 - q^z y/x_l); S decomposes into simple terms A_{ij}/(1 - q^j y/x_i)
-whose coefficients have closed product forms.  This module builds those
-coefficients, verifies the decomposition exactly by clearing denominators,
-hosts the five scalar Pochhammer transformations behind the closed forms, and
-exposes the family of vanishing coefficients of the pair product.
+The rational function S divides the pair product by D y-linear factors
+(1 - q^z y/x_l); S decomposes into simple terms A_{ij}/(1 - q^j y/x_i) whose
+coefficients have closed product forms.  This module builds those
+coefficients, verifies the decomposition exactly, hosts the five scalar
+Pochhammer transformations behind the closed forms, and exposes the family
+of vanishing coefficients of the pair product.
 
-All heavy identity checks run denominator-cleared: the scalar prefactors
-1/((q^{-j})_j (q)_{c-j-1}) and friends are replaced by +-q^e / (plain
-Pochhammer products, kept factored as a ``Cyclo``), and both sides are
-multiplied by a fixed common multiple L.  The exact case,
-``SplitDecomposition``, folds each coefficient and the pair product once in
-one shared ``laurent.KeyBox``; the split identity (a Horner sum in y), each
-residue identity and the decomposition's facts all start from those packed
-states.  A passing case decodes only the class-k constant-term sum and
-computes no gcd.
+Every coefficient, both sides of every residue identity and the pair product
+are products of linear factors (1 - q^m x_a/x_b), a monomial and a q-scalar
+whose denominator is a product of Pochhammer symbols.  ``Factored`` keeps
+them in that form, so each residue identity is one comparison of parts, a
+degree bound is a sum of per-factor degrees, and the case expands nothing
+but its constant terms, one point fold per coefficient.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from random import Random
+from operator import add
 
-from .laurent import FoldFactor, KeyBox, MLaurent, ct_fold, linear_factors
-from .products import Shape, pair_factors
-from .qring import ONE, Cyclo, QFrac, QLaurent
+from .closedform import dn0_rhs
+from .laurent import FoldFactor, MLaurent, ct_fold, linear_factors
+from .products import Shape, pair_factors, pair_linear
+from .qring import ONE, ZERO, Cyclo, QFrac, QLaurent, cyclo_sum
 
 
 def split_k(shape: Shape) -> int:
@@ -65,15 +62,77 @@ def admissible_j(shape: Shape, c: int, i: int, k: int | None = None) -> range:
     return range(-1, c - 1)
 
 
-def _pair_terms(shape: Shape, c: int, skip: int | None = None, arity: int | None = None) -> dict:
-    """Expanded pair product as a dict of QLaurent coefficients."""
-    return ct_fold(arity or shape.n, pair_factors(shape, c, skip, arity), None, None)
+def pair_product(shape: Shape, c: int) -> MLaurent:
+    """The pair product expanded over QFrac."""
+    terms = ct_fold(shape.n, pair_factors(shape, c), None, None)
+    return MLaurent(shape.n, {e: QFrac.from_qlaurent(x) for e, x in terms.items()}, _trusted=True)
 
 
-def pair_product(shape: Shape, c: int, skip: int | None = None, arity: int | None = None) -> MLaurent:
-    arity = arity or shape.n
-    terms = _pair_terms(shape, c, skip, arity)
-    return MLaurent(arity, {e: QFrac.from_qlaurent(x) for e, x in terms.items()}, _trusted=True)
+class Factored:
+    """scalar * x^mono * prod (1 - q^m x_a/x_b): a ``Cyclo`` scalar, a
+    monomial exponent vector and a multiset of factors (a, b, m), a < b,
+    kept as counts.
+
+    A factor given with a > b is turned round by
+        1 - q^m x_a/x_b = -q^m (x_a/x_b) (1 - q^{-m} x_b/x_a),
+    its sign and power of q going to the scalar and x_a/x_b to the
+    monomial.  The turned factors and the Psi_d are irreducible and pairwise
+    non-associate in Z[q^±1, x^±1], so two nonzero values are equal exactly
+    when their parts are.  A zero scalar is the zero value, whatever the
+    rest.
+    """
+
+    __slots__ = ("scalar", "mono", "factors")
+
+    def __init__(self, scalar: Cyclo, mono, triples):
+        mono = list(mono)
+        sign, shift = scalar.sign, scalar.shift
+        factors: dict = {}
+        for a, b, m in triples:
+            if a > b:
+                sign, shift = -sign, shift + m
+                mono[a - 1] += 1
+                mono[b - 1] -= 1
+                a, b, m = b, a, -m
+            factors[a, b, m] = factors.get((a, b, m), 0) + 1
+        if not sign:
+            mono, factors = [0] * len(mono), {}
+        self.scalar = Cyclo(sign, shift, scalar.exps)
+        self.mono = tuple(mono)
+        self.factors = factors
+
+    def triples(self) -> list:
+        return [f for f, e in self.factors.items() for _ in range(e)]
+
+    def __mul__(self, other: "Factored") -> "Factored":
+        return Factored(self.scalar * other.scalar, map(add, self.mono, other.mono),
+                        self.triples() + other.triples())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Factored):
+            return NotImplemented
+        return (self.scalar, self.mono, self.factors) == (other.scalar, other.mono, other.factors)
+
+    __hash__ = None
+
+    def top_degree(self, i: int) -> int | None:
+        """The largest exponent of x_i in the expansion, None for zero: the
+        monomial's plus one per factor with x_i on top.  Exact, because the
+        factors' leading coefficients in x_i are nonzero and Z[q^±1, x^±1]
+        has no zero divisors."""
+        if not self.scalar.sign:
+            return None
+        return self.mono[i - 1] + sum(e for (a, _, _), e in self.factors.items() if a == i)
+
+    def constant_term(self) -> QLaurent:
+        """The constant term divided by the scalar (zero for zero), by one
+        point fold."""
+        if not self.scalar.sign:
+            return ZERO
+        n = len(self.mono)
+        zero = (0,) * n
+        factors = [FoldFactor.monomial(n, self.mono)] + [FoldFactor.linear(n, *f) for f in self.triples()]
+        return ct_fold(n, factors, zero, zero).get(zero, ZERO)
 
 
 # table-driven assembly of the split coefficients ------------------------------------
@@ -142,16 +201,14 @@ def _acoeff_scalar_parts(shape: Shape, c: int, i: int, j: int, k: int):
     return sign, shift, den
 
 
-def _acoeff_parts(shape: Shape, c: int, i: int, j: int, k: int, arity: int | None = None):
-    """(sign, q-exponent, plain denominator, monomial exponent vector, fold
-    factors) of one splitting coefficient, read off the table rows; ``arity``
-    (default n) leaves room for further slots after x_n."""
+def _acoeff_parts(shape: Shape, c: int, i: int, j: int, k: int):
+    """(sign, q-exponent, plain denominator, monomial exponent vector,
+    (a, b, m) triples of the linear factors (1 - q^m x_a/x_b)) of one
+    splitting coefficient, read off the table rows."""
     if j not in admissible_j(shape, c, i, k):
         raise ValueError(f"j={j} out of range for variable {i}")
-    n = shape.n
-    arity = arity or n
-    factors: list[FoldFactor] = []
-    mono = [0] * arity
+    triples = []
+    mono = [0] * shape.n
     qexp = 0
     sign = 1
     for lo, hi, e, bold, pochs in _acoeff_rows(shape, c, i, j, k):
@@ -168,39 +225,10 @@ def _acoeff_parts(shape: Shape, c: int, i: int, j: int, k: int, arity: int | Non
                 mono[i - 1] += 1
                 mono[l - 1] -= 1
             for base, length in pochs:
-                factors.extend(linear_factors(arity, l, i, base, length))
-    factors.extend(pair_factors(shape, c, skip=i, arity=arity))
+                triples.extend((l, i, base + t) for t in range(length))
+    triples.extend(pair_linear(shape, c, skip=i))
     s2, sh2, den = _acoeff_scalar_parts(shape, c, i, j, k)
-    return sign * s2, qexp + sh2, den, tuple(mono), factors
-
-
-def a_coeff_factors(shape: Shape, c: int, i: int, j: int, k: int | None = None):
-    """(scalar, monomial exponent vector, fold factors) for one coefficient;
-    the exact-evaluation route used by the randomized checks."""
-    if k is None:
-        k = split_k(shape)
-    sign, qexp, den, mono, factors = _acoeff_parts(shape, c, i, j, k)
-    return (Cyclo(sign, qexp) / den).to_qfrac(), mono, factors
-
-
-def _common_multiple(c: int) -> Cyclo:
-    """A fixed multiple of every scalar denominator at this c."""
-    return Cyclo.poch(1, c) ** 2
-
-
-def _cleared_piece(shape: Shape, c: int, i: int, j: int, k: int, arity: int,
-                   multiple: Cyclo) -> list[FoldFactor]:
-    """Fold factors of multiple * A_{ij} in ``arity`` slots, for a multiple
-    of A's denominator: A's own factors behind one monomial factor that
-    carries its sign, its power of q and the polynomial multiple / den."""
-    sign, qexp, den, mono, factors = _acoeff_parts(shape, c, i, j, k, arity)
-    scalar = (multiple / den).times(QLaurent.q_power(qexp, sign))
-    return [FoldFactor.monomial(arity, mono, 0, scalar)] + factors
-
-
-def _pair_piece(shape: Shape, c: int, arity: int, multiple: Cyclo) -> list[FoldFactor]:
-    """Fold factors of -multiple times the pair product."""
-    return [FoldFactor(arity, [(None, 0, -multiple.expand())])] + pair_factors(shape, c, arity=arity)
+    return sign * s2, qexp + sh2, den, tuple(mono), triples
 
 
 def _same_variable_scalar(dens, i: int, j: int) -> Cyclo:
@@ -213,140 +241,74 @@ def _same_variable_scalar(dens, i: int, j: int) -> Cyclo:
     return scalar
 
 
-def horner_sum(box: KeyBox, terms) -> dict:
-    """sum_t s_t * prod_{u != t} F_u over (packed state s_t, factor list F_u)
-    pairs folded in ``box``, by Horner: S <- S * F_t + s_t * prod_{u < t} F_u.
-
-    Each s_t goes through the factors before it only, so walking the
-    largest states first keeps the work small; the sum is the same in any
-    order.
-    """
-    total: dict = {}
-    done = []
-    for state, factors in terms:
-        total = box.fold(factors, total)
-        box.add(total, box.fold(done, state))
-        done += factors
-    return total
-
-
 class SplitDecomposition:
-    """The exact splitting case at one (shape, c): the split identity, the
-    residue identity of every coefficient, and the decomposition's degree
-    bounds and constant terms.
+    """The splitting case at one (shape, c): every coefficient A_{ij} and the
+    pair product as one ``Factored`` value each.
 
-    Every check runs denominator-cleared in one ``KeyBox`` over the slots
-    (x_1, ..., x_n, y): with L a common multiple of the scalar
-    denominators, each coefficient is folded once, on first use, as the
-    packed expansion of L * A_{ij}, and -L times the pair product is folded
-    once; the checks continue from those states.
+    The split identity needs no check of its own.  With f_(z,l) =
+    (1 - q^z y/x_l), the cleared identity's difference
+        Delta = sum_{(i,j)} A_{ij} prod_{(z,l) != (j,i)} f_(z,l) - pair product
+    is a polynomial in y of degree < D over Q(q)(x).  At y = q^{-j} x_i every
+    term but A_{ij}'s vanishes, so Delta(q^{-j} x_i) is the difference of
+    residue identity (i, j).  These D points are distinct, so Delta = 0
+    exactly when all D residue identities hold (and a split identity that
+    holds gives each residue identity by evaluation).
     """
 
-    __slots__ = ("shape", "c", "k", "L", "denominator", "box", "_classes", "_pieces",
-                 "_ys", "_residue", "_states")
+    __slots__ = ("shape", "c", "k", "denominator", "coefficients", "pair")
 
     def __init__(self, shape: Shape, c: int, k: int | None = None):
-        self.shape = shape
-        self.c = c
+        self.shape, self.c = shape, c
         self.k = k = split_k(shape) if k is None else k
-        n = shape.n
-        self.L = L = _common_multiple(c)
         # coefficient t is A_{ij} for the t-th denominator factor (z, l) = (j, i)
         self.denominator = dens = denominator_factors(shape, c, k)
-        self._classes = [shape.block_of(i) for _, i in dens]
-        # one piece per coefficient, then the pair product's
-        pair = _pair_piece(shape, c, n + 1, L)
-        self._pieces = [_cleared_piece(shape, c, i, j, k, n + 1, L) for j, i in dens] + [pair]
-        self._ys = ys = [FoldFactor.linear(n + 1, n + 1, i, j) for j, i in dens]
-        zero = (0,) * (n + 1)
-        self._residue = [
-            [FoldFactor.monomial(n + 1, zero, 0, _same_variable_scalar(dens, i, j).expand())]
-            + [FoldFactor.linear(n + 1, i, l, z - j) for z, l in dens if l != i]
-            for j, i in dens]
-        split_sum = [p + ys[:t] + ys[t + 1:] for t, p in enumerate(self._pieces[:-1])] + [pair]
-        residue_sums = [[p + r, pair] for p, r in zip(self._pieces, self._residue)]
-        self.box = KeyBox(n + 1, [split_sum] + residue_sums)
-        self._states = [None] * len(self._pieces)
-
-    def _state(self, t: int) -> dict:
-        """Piece t folded on first use: L * A_t, or -L times the pair
-        product for t = -1."""
-        if self._states[t] is None:
-            self._states[t] = self.box.fold(self._pieces[t])
-        return self._states[t]
-
-    def split_report(self) -> dict:
-        """The split identity, cleared: as polynomials in (x, y) over Z[q],
-            L * Num = sum_{(i,j)} (L * A_{ij}) * prod_{(z,l) != (j,i)} (1 - q^z y/x_l).
-        The first differing monomial in sorted order is the witness."""
-        report = _report(self.shape, self.c, self.k, "exact", len(self.denominator))
-        # Horner over the coefficients of each x_i, then over the variables,
-        # largest states first (ties to the later variable)
-        groups: dict = {}
-        for t, (_, i) in enumerate(self.denominator):
-            groups.setdefault(i, []).append(t)
-        sums = []
-        for ts in reversed(groups.values()):
-            ts.sort(key=lambda t: -len(self._state(t)))
-            ys = [self._ys[t] for t in ts]
-            sums.append((horner_sum(self.box, [(self._state(t), [y]) for t, y in zip(ts, ys)]), ys))
-        sums.sort(key=lambda s: -len(s[0]))
-        diff = horner_sum(self.box, sums)
-        self.box.add(diff, self._state(-1))
-        report["ok"] = not diff
-        if diff:
-            report["witness"] = {"monomial": min(self.box.decode(diff))}
-        return report
+        self.coefficients = []
+        for j, i in dens:
+            sign, qexp, den, mono, triples = _acoeff_parts(shape, c, i, j, k)
+            self.coefficients.append(Factored(Cyclo(sign, qexp) / den, mono, triples))
+        self.pair = Factored(Cyclo(), (0,) * shape.n, pair_linear(shape, c))
 
     def residue_holds(self, i: int, j: int) -> bool:
         """A_{ij} * prod_{(z,l) != (j,i)} (1 - q^{z-j} x_i/x_l) equals the
-        pair product (the residue of S at y = q^{-j} x_i), both times L."""
-        if (j, i) not in self.denominator:
+        pair product (the residue of S at y = q^{-j} x_i); the factors with
+        l = i are the scalars 1 - q^{z-j}."""
+        dens = self.denominator
+        if (j, i) not in dens:
             raise ValueError(f"j={j} out of range for variable {i}")
-        t = self.denominator.index((j, i))
-        diff = self.box.fold(self._residue[t], self._state(t))
-        self.box.add(diff, self._state(-1))
-        return not diff
+        rest = Factored(_same_variable_scalar(dens, i, j), (0,) * self.shape.n,
+                        [(i, l, z - j) for z, l in dens if l != i])
+        return self.coefficients[dens.index((j, i))] * rest == self.pair
+
+    def _classes(self):
+        """(class, i, A_{ij}) for every coefficient."""
+        return [(self.shape.block_of(i), i, A) for (_, i), A in zip(self.denominator, self.coefficients)]
 
     def degree_bounds_ok(self) -> bool:
         """Class 0 coefficients live in x_i-degree <= -n_k, side classes in
         <= -(n_k - n_t + 1), class k in <= 0."""
         nk = self.shape.parts[self.k]
-        for t, ((_, i), cls) in enumerate(zip(self.denominator, self._classes)):
+        for cls, i, A in self._classes():
             if cls == 0:
                 bound = -nk
             elif cls == self.k:
                 bound = 0
             else:
                 bound = -(nk - self.shape.parts[cls] + 1)
-            state = self._state(t)
-            if state and max(self.box.slot_sums(state, (i - 1,))) > bound:
+            top = A.top_degree(i)
+            if top is not None and top > bound:
                 return False
         return True
 
-    def class_k_ct_sum(self) -> QFrac:
-        """The sum of the class-k constant terms, the only value the case
-        decodes."""
-        origin = self.box.origin
-        total: dict = {}
-        for t, cls in enumerate(self._classes):
-            if cls == self.k and origin in self._state(t):
-                self.box.add(total, {origin: self._state(t)[origin]})
-        return self.L.divide(self.box.value(total[origin])) if total else QFrac(0)
-
     def offclass_cts_vanish(self) -> bool:
-        origin = self.box.origin
-        return all(origin not in self._state(t) for t, cls in enumerate(self._classes) if cls != self.k)
+        return all(A.constant_term().is_zero() for cls, _, A in self._classes() if cls != self.k)
 
-
-def _report(shape: Shape, c: int, k: int, mode: str, terms: int) -> dict:
-    return {"shape": shape.parts, "c": c, "k": k, "terms": terms, "mode": mode,
-            "ok": None, "witness": None}
+    def class_k_ct_sum(self) -> QFrac:
+        """The sum of the class-k constant terms."""
+        return cyclo_sum((A.scalar, A.constant_term()) for cls, _, A in self._classes() if cls == self.k)
 
 
 def residue_identity_holds(shape: Shape, c: int, i: int, j: int, k: int | None = None) -> bool:
-    """Oracle: the residue identity of one coefficient, folding only that
-    coefficient and the pair product."""
+    """The residue identity of one coefficient."""
     return SplitDecomposition(shape, c, k).residue_holds(i, j)
 
 
@@ -355,73 +317,27 @@ def build_S(shape: Shape, c: int, k: int | None = None):
     return pair_product(shape, c), denominator_factors(shape, c, k)
 
 
-def verify_split(shape: Shape, c: int, randomized: bool = False, seed: int = 0) -> dict:
-    """Check the splitting formula with denominators cleared.
-
-    Exact mode is ``SplitDecomposition.split_report``.  Randomized mode
-    evaluates the same cleared identity at seeded rational points instead
-    of expanding; reports always flag the mode.
-    """
-    if not randomized:
-        return SplitDecomposition(shape, c).split_report()
-    k = split_k(shape)
-    report = _report(shape, c, k, "randomized-substitution", 0)
-    return _verify_split_randomized(shape, c, k, denominator_factors(shape, c, k), report, seed)
-
-
-def _verify_split_randomized(shape, c, k, dens, report, seed):
-    rng = Random(seed)
-    n = shape.n
-    for attempt in range(5):
-        qv = Fraction(rng.randrange(2, 40), rng.randrange(41, 97))
-        xs = [Fraction(rng.randrange(1, 60), rng.randrange(61, 121)) for _ in range(n)]
-        yv = Fraction(rng.randrange(1, 60), rng.randrange(61, 121))
-        report["terms"] = 0
-        try:
-            num_val = _eval_pairs(shape, c, xs, qv)
-            total = Fraction(0)
-            for i in range(1, n + 1):
-                for j in admissible_j(shape, c, i, k):
-                    report["terms"] += 1
-                    scalar, mono, factors = a_coeff_factors(shape, c, i, j, k)
-                    val = scalar.eval_fraction(qv)
-                    for pos, e in enumerate(mono):
-                        val *= xs[pos] ** e
-                    for f in factors:
-                        val *= _eval_factor(f, xs, qv)
-                    for z, l in dens:
-                        if (z, l) == (j, i):
-                            continue
-                        val *= 1 - qv ** z * yv / xs[l - 1]
-                    total += val
-            report["ok"] = total == num_val
-            if not report["ok"]:
-                report["witness"] = {"q": str(qv), "difference": str(total - num_val)}
-            return report
-        except ZeroDivisionError:
-            continue
-    report["ok"] = False
-    report["witness"] = {"error": "could not find a pole-free sample point"}
+def verify_split(shape: Shape, c: int) -> dict:
+    """The whole splitting case at (shape, c), exact: every residue identity
+    (and so the split identity, see ``SplitDecomposition``), the degree
+    bounds, the vanishing off-class constant terms and the class-k
+    constant-term sum against ``closedform.dn0_rhs``.  The witness names
+    the first check that fails."""
+    sd = SplitDecomposition(shape, c)
+    report = {"shape": shape.parts, "c": c, "k": sd.k, "terms": len(sd.denominator),
+              "mode": "exact", "ok": False, "witness": None}
+    mismatch = next(([i, j] for j, i in sd.denominator if not sd.residue_holds(i, j)), None)
+    if mismatch is not None:
+        report["witness"] = {"residue_mismatch": mismatch}
+    elif not sd.degree_bounds_ok():
+        report["witness"] = {"degree_bounds": False}
+    elif not sd.offclass_cts_vanish():
+        report["witness"] = {"offclass_ct": "nonzero"}
+    elif sd.class_k_ct_sum() != dn0_rhs(shape, c):
+        report["witness"] = {"class_k_sum": "mismatch"}
+    else:
+        report["ok"] = True
     return report
-
-
-def _eval_pairs(shape, c, xs, qv):
-    total = Fraction(1)
-    for f in pair_factors(shape, c):
-        total *= _eval_factor(f, xs, qv)
-    return total
-
-
-def _eval_factor(f: FoldFactor, xs, qv):
-    total = Fraction(0)
-    for delta, qexp, coeff in f.terms:
-        val = coeff.eval_fraction(qv) * qv ** qexp
-        if delta is not None:
-            for pos, e in enumerate(delta):
-                if e:
-                    val *= xs[pos] ** e
-        total += val
-    return total
 
 
 # -- the five scalar Pochhammer transformations ---------------------------------------

@@ -76,6 +76,18 @@ def test_verify_splitting_single_case(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_verify_splitting_is_exact_past_the_old_expansion_limit(tmp_path, capsys, monkeypatch):
+    # (3,3), c = 3 is too large to expand; the factor route checks it exactly
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "verify", "--suite", "splitting", "--shape", "3,3", "--c", "3")
+    assert code == 0 and out.splitlines()[-1] == "splitting: 1 pass, 0 fail, 0 trimmed"
+    with open("qct-report-splitting.json") as fh:
+        report = json.load(fh)
+    assert report["mode"] == "exact"
+    assert [sorted(case) for case in report["cases"]] == [["params", "status"]]
+    assert report["cases"][0]["status"] == "pass"
+
+
 def test_stdout_deterministic(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _, out1 = run(capsys, "verify", "--suite", "qsum", "--seed", "7")

@@ -563,29 +563,20 @@ def test_key_box_digits_hold_the_whole_sum():
 
 
 def test_passing_sum_decodes_nothing(monkeypatch):
-    from qct import cli, splitting
-
+    # states folded in one box add as int keys: a sum that vanishes decodes
+    # no key and no coefficient, and only a nonzero one has keys to decode
     def refuse(*args):
-        raise AssertionError("a passing case decoded a key")
-
-    decoded = []
-
-    def record(lo, mag, B):
-        decoded.append(mag)
-        return _decode_packed(lo, mag, B)
+        raise AssertionError("a passing sum decoded a key")
 
     monkeypatch.setattr(laurent, "_decode_keys", refuse)
-    monkeypatch.setattr(laurent, "_decode_packed", record)
-    # the whole (2,2), c = 2 case decodes one value: the class-k constant-term sum
-    assert cli._run_splitting({"shape": [2, 2], "c": 2}) == (True, None)
-    assert len(decoded) == 1
-    # a failing split identity decodes its keys to name the witness
-    parts = splitting._acoeff_parts
-
-    def flipped(shape, c, i, j, k, *rest):
-        sign, qexp, den, mono, factors = parts(shape, c, i, j, k, *rest)
-        return -sign if (i, j) == (1, 0) else sign, qexp, den, mono, factors
-
-    monkeypatch.setattr(splitting, "_acoeff_parts", flipped)
+    monkeypatch.setattr(laurent, "_decode_packed", refuse)
+    n = 3
+    P = [FoldFactor.linear(n, 1, 2, 0), FoldFactor.linear(n, 3, 2, 1), FoldFactor.linear(n, 1, 3, -2)]
+    Q = [FoldFactor.linear(n, 2, 1, 0)] + P
+    box = laurent.KeyBox(n, [[P, _negated(n, P), Q]])
+    total = box.add(box.fold(P), box.fold(_negated(n, P)))
+    assert total == {}
+    box.add(total, box.fold(Q))
+    assert total
     with pytest.raises(AssertionError, match="decoded"):
-        cli._run_splitting({"shape": [2, 2], "c": 2})
+        box.decode(total)

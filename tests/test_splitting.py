@@ -4,15 +4,15 @@ from hypothesis import strategies as st
 
 from qct import cli, qring, splitting
 from qct.closedform import dn0_rhs
-from qct.laurent import FoldFactor, KeyBox, MLaurent, _decode_packed, ct_fold
-from qct.products import Shape
-from qct.qring import Cyclo, QFrac, cyclo_sum
+from qct.laurent import FoldFactor, MLaurent, ct_fold
+from qct.products import Shape, pair_linear
+from qct.qring import Cyclo, QFrac, QLaurent, cyclo_sum
 from qct.splitting import (
+    Factored,
     SplitDecomposition,
     admissible_j,
     build_S,
     denominator_factors,
-    horner_sum,
     pair_product,
     poch_identities,
     residue_identity_holds,
@@ -20,13 +20,37 @@ from qct.splitting import (
     vanishing_check,
     verify_split,
 )
-from test_laurent import _draw_factors, _reference_sum, fold_sum_packed
+from test_laurent import fold_sum_packed
 
 GRID = [(s, c) for s in ((1, 1), (1, 2), (2, 2), (1, 1, 1)) for c in (0, 1, 2)]
 
 
-# the route the exact case took before it shared one fold per coefficient:
-# each coefficient expanded on its own, one packed sum per check
+# the route the exact case took before it compared factors: the identities
+# cleared of denominators by a common multiple L and expanded in full
+
+
+def _linear(arity, triples) -> list[FoldFactor]:
+    return [FoldFactor.linear(arity, a, b, m) for a, b, m in triples]
+
+
+def _common_multiple(c: int) -> Cyclo:
+    """A fixed multiple of every scalar denominator at this c."""
+    return Cyclo.poch(1, c) ** 2
+
+
+def _cleared_piece(shape, c, i, j, k, arity, multiple) -> list[FoldFactor]:
+    """Fold factors of multiple * A_{ij} in ``arity`` slots, for a multiple
+    of A's denominator: A's own factors behind one monomial factor that
+    carries its sign, its power of q and the polynomial multiple / den."""
+    sign, qexp, den, mono, triples = splitting._acoeff_parts(shape, c, i, j, k)
+    scalar = (multiple / den).times(QLaurent.q_power(qexp, sign))
+    mono = tuple(mono) + (0,) * (arity - len(mono))
+    return [FoldFactor.monomial(arity, mono, 0, scalar)] + _linear(arity, triples)
+
+
+def _pair_piece(shape, c, arity, multiple) -> list[FoldFactor]:
+    """Fold factors of -multiple times the pair product."""
+    return [FoldFactor(arity, [(None, 0, -multiple.expand())])] + _linear(arity, pair_linear(shape, c))
 
 
 class ACoeff:
@@ -37,9 +61,8 @@ class ACoeff:
     def __init__(self, shape: Shape, c: int, i: int, j: int, k: int):
         self.shape, self.c, self.i, self.j, self.k = shape, c, i, j, k
         self.t = shape.block_of(i)
-        self.sign, self.qexp, self.den, mono, factors = splitting._acoeff_parts(shape, c, i, j, k)
-        if any(mono):
-            factors = [FoldFactor.monomial(shape.n, mono)] + factors
+        self.sign, self.qexp, self.den, mono, triples = splitting._acoeff_parts(shape, c, i, j, k)
+        factors = [FoldFactor.monomial(shape.n, mono)] + _linear(shape.n, triples)
         self.P = ct_fold(shape.n, factors, None, None)
 
     def scale(self) -> Cyclo:
@@ -70,14 +93,14 @@ def reference_split(shape, c):
     k = split_k(shape)
     dens = denominator_factors(shape, c, k)
     n = shape.n
-    L = splitting._common_multiple(c)
+    L = _common_multiple(c)
     pieces = []
     for i in range(1, n + 1):
         for j in admissible_j(shape, c, i, k):
-            piece = splitting._cleared_piece(shape, c, i, j, k, n + 1, L)
+            piece = _cleared_piece(shape, c, i, j, k, n + 1, L)
             piece += [FoldFactor.linear(n + 1, n + 1, l, z) for z, l in dens if (z, l) != (j, i)]
             pieces.append(piece)
-    pieces.append(splitting._pair_piece(shape, c, n + 1, L))
+    pieces.append(_pair_piece(shape, c, n + 1, L))
     diff, _ = fold_sum_packed(n + 1, pieces)
     return {"shape": shape.parts, "c": c, "k": k, "terms": len(dens), "mode": "exact",
             "ok": not diff, "witness": {"monomial": min(diff)} if diff else None}
@@ -87,12 +110,12 @@ def reference_residue(shape, c, i, j):
     """One residue identity refolded from scratch: coefficient and pair product."""
     k = split_k(shape)
     n = shape.n
-    L = splitting._common_multiple(c)
+    L = _common_multiple(c)
     dens = denominator_factors(shape, c, k)
     scalar = splitting._same_variable_scalar(dens, i, j)
-    lhs = splitting._cleared_piece(shape, c, i, j, k, n, L * scalar)
+    lhs = _cleared_piece(shape, c, i, j, k, n, L * scalar)
     lhs += [FoldFactor.linear(n, i, l, z - j) for z, l in dens if l != i]
-    diff, _ = fold_sum_packed(n, [lhs, splitting._pair_piece(shape, c, n, L)])
+    diff, _ = fold_sum_packed(n, [lhs, _pair_piece(shape, c, n, L)])
     return not diff
 
 
@@ -167,7 +190,7 @@ def _move_monomial(parts, args):
     # x^(2,-3,-2,3) keeps the total degree and gives A_{1,0} a constant term
     sign, qexp, den, mono, factors = parts
     if args[2:4] == (1, 0):
-        mono = tuple(m + d for m, d in zip(mono, (2, -3, -2, 3, 0)))
+        mono = tuple(m + d for m, d in zip(mono, (2, -3, -2, 3)))
     return sign, qexp, den, mono, factors
 
 
@@ -187,16 +210,19 @@ def _shift_scalar(scalar, args):
     ("_same_variable_scalar", _shift_scalar, [3, 0]),
 ])
 def test_case_matches_old_route_on_perturbed_coefficients(monkeypatch, name, change, fails_at):
+    # fails_at is where the old route fails first: the expanded split
+    # identity, or a residue; the factor route names a residue that the old
+    # route's residue check also rejects
     _perturb(monkeypatch, name, change)
     shape, c = Shape((2, 2)), 2
-    got = _case(shape, c)
-    assert got == reference_case(shape, c)
-    ok, detail = got
-    assert ok is False
+    ok, detail = _case(shape, c)
+    old_ok, old_detail = reference_case(shape, c)
+    assert ok is old_ok is False
+    assert not reference_residue(shape, c, *detail["residue_mismatch"])
     if fails_at == "split":
-        assert detail["ok"] is False and detail["witness"]["monomial"]
+        assert old_detail["ok"] is False and old_detail["witness"]["monomial"]
     else:
-        assert detail == {"residue_mismatch": fails_at}
+        assert detail == old_detail == {"residue_mismatch": fails_at}
 
 
 @pytest.mark.parametrize("change, facts", [
@@ -205,8 +231,8 @@ def test_case_matches_old_route_on_perturbed_coefficients(monkeypatch, name, cha
     (_move_monomial, (False, False, "rhs")),
 ])
 def test_decomposition_matches_old_route(monkeypatch, change, facts):
-    # degree bounds, off-class constant terms and the class-k sum, read off
-    # the packed keys, against the coefficients expanded one by one
+    # degree bounds, off-class constant terms and the class-k sum from the
+    # factored coefficients, against the coefficients expanded one by one
     if change is not None:
         _perturb(monkeypatch, "_acoeff_parts", change)
     shape, c = Shape((2, 2)), 2
@@ -216,29 +242,105 @@ def test_decomposition_matches_old_route(monkeypatch, change, facts):
     assert (got[2] == dn0_rhs(shape, c)) == (facts[2] == "rhs")
 
 
+def test_first_table_row_shift_fails_the_same_residues_in_both_routes(monkeypatch):
+    # +1 on the first row's q-exponent changes every coefficient whose first
+    # row is not empty
+    rows = splitting._acoeff_rows
+
+    def shifted(*args):
+        out = rows(*args)
+        lo, hi, e, bold, pochs = out[0]
+        return [(lo, hi, e + 1, bold, pochs)] + out[1:]
+
+    monkeypatch.setattr(splitting, "_acoeff_rows", shifted)
+    shape, c = Shape((2, 2)), 2
+    sd = SplitDecomposition(shape, c)
+    failed = [(i, j) for j, i in sd.denominator if not sd.residue_holds(i, j)]
+    assert failed == [(i, j) for j, i in sd.denominator if not reference_residue(shape, c, i, j)]
+    assert len(failed) == 8 and len(sd.denominator) == 10
+
+
+# -- the factor algebra -----------------------------------------------------------------
+
+
 @st.composite
-def horner_cases(draw):
-    """(arity, coefficient factor lists, y-factor lists, walk order): x slots
-    1..n and y in slot n + 1, one or two linear factors (1 - q^z y/x_l) per
-    coefficient."""
-    n = draw(st.integers(1, 3))
-    count = draw(st.integers(1, 4))
-    coeffs = [_draw_factors(draw, n + 1) for _ in range(count)]
-    ys = [[FoldFactor.linear(n + 1, n + 1, draw(st.one_of(st.none(), st.integers(1, n))),
-                             draw(st.integers(-2, 2))) for _ in range(draw(st.integers(1, 2)))]
-          for _ in range(count)]
-    return n + 1, coeffs, ys, draw(st.permutations(range(count)))
+def factored_parts(draw, n):
+    """(scalar, monomial, triples): a Cyclo scalar (zero now and then), a
+    monomial on n slots and linear factors in either orientation."""
+    sign = draw(st.sampled_from((1, -1, 1, -1, 0)))
+    exps = draw(st.dictionaries(st.integers(1, 4), st.integers(-1, 2), max_size=2))
+    scalar = Cyclo(sign, draw(st.integers(-3, 3)), exps)
+    mono = draw(st.tuples(*[st.integers(-2, 2)] * n))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda ab: ab[0] != ab[1])
+    triples = [(a, b, draw(st.integers(-2, 2))) for a, b in draw(st.lists(pairs, max_size=4))]
+    return scalar, mono, triples
 
 
-@settings(max_examples=150, deadline=None)
-@given(horner_cases())
-def test_horner_sum_matches_leave_one_out_products(case):
-    arity, coeffs, ys, walk = case
-    pieces = [a + [f for u, F in enumerate(ys) if u != t for f in F] for t, a in enumerate(coeffs)]
-    box = KeyBox(arity, [pieces])
-    total = horner_sum(box, [(box.fold(coeffs[t]), ys[t]) for t in walk])
-    got = {e: _decode_packed(lo, mag, box.B) for e, (lo, mag) in box.decode(total).items()}
-    assert got == _reference_sum(arity, pieces)
+def _turned(draw, parts):
+    """The same value written with some factors turned round, the scalar and
+    the monomial paying for each turn, in shuffled order."""
+    scalar, mono, triples = parts
+    mono = list(mono)
+    out = []
+    for a, b, m in triples:
+        if draw(st.booleans()):
+            scalar = scalar * Cyclo(-1, m)
+            mono[a - 1] += 1
+            mono[b - 1] -= 1
+            a, b, m = b, a, -m
+        out.append((a, b, m))
+    return scalar, tuple(mono), draw(st.permutations(out))
+
+
+def _expanded(n, parts) -> dict:
+    """The value scalar * x^mono * prod (1 - q^m x_a/x_b) expanded in full."""
+    scalar, mono, triples = parts
+    if not scalar.sign:
+        return {}
+    inv = scalar ** -1
+    poly = ct_fold(n, [FoldFactor.monomial(n, mono)] + _linear(n, triples), None, None)
+    return {e: inv.divide(p) for e, p in poly.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_factored_equality_is_equality_of_expansions(data):
+    n = data.draw(st.integers(2, 3))
+    left = data.draw(factored_parts(n))
+    how = data.draw(st.sampled_from(("turned", "turned", "other", "zero")))
+    if how == "turned":
+        right = _turned(data.draw, left)
+    elif how == "zero":
+        left = (Cyclo(0),) + left[1:]
+        right = (Cyclo(0),) + data.draw(factored_parts(n))[1:]
+    else:
+        right = data.draw(factored_parts(n))
+    want = _expanded(n, left)
+    assert (Factored(*left) == Factored(*right)) == (want == _expanded(n, right))
+    if how != "other":
+        assert Factored(*left) == Factored(*right)
+    # the x_i-degree read off the factors is the expansion's
+    for i in range(1, n + 1):
+        top = max((e[i - 1] for e in want), default=None)
+        assert Factored(*left).top_degree(i) == top
+
+
+def test_factored_zero_ignores_the_rest():
+    zero = Factored(Cyclo(0), (1, -1), [(2, 1, 3)])
+    assert zero == Factored(Cyclo(0), (0, 0), [])
+    assert zero != Factored(Cyclo(), (0, 0), [])
+    assert zero.top_degree(1) is None and zero.constant_term().is_zero()
+
+
+def test_residues_expand_nothing(monkeypatch):
+    # residues and degree bounds compare factors; only constant terms fold
+    def refuse(*args):
+        raise AssertionError("a residue check expanded a product")
+
+    monkeypatch.setattr(splitting, "ct_fold", refuse)
+    sd = SplitDecomposition(Shape((2, 2, 2)), 3)
+    assert all(sd.residue_holds(i, j) for j, i in sd.denominator)
+    assert sd.degree_bounds_ok()
 
 
 def test_denominator_factor_counts():
@@ -279,12 +381,6 @@ def test_verify_split_exact():
         assert rep["mode"] == "exact"
 
 
-def test_verify_split_randomized_mode():
-    rep = verify_split(Shape((2, 2)), 2, randomized=True, seed=11)
-    assert rep["ok"]
-    assert rep["mode"] == "randomized-substitution"
-
-
 def test_residue_oracle_small_shapes():
     for shape, c in [((1, 1), 1), ((1, 2), 1), ((1, 1, 1), 2)]:
         s = Shape(shape)
@@ -308,7 +404,8 @@ def test_splitting_checks_run_without_gcd(monkeypatch):
 
 
 def test_perturbed_coefficient_is_caught(monkeypatch):
-    # one coefficient off by a factor q: the packed sums no longer vanish
+    # one coefficient off by a factor q: the old route's split sum no longer
+    # vanishes, and the factor route names that coefficient's residue
     parts = splitting._acoeff_parts
 
     def perturbed(shape, c, i, j, k, *rest):
@@ -317,9 +414,11 @@ def test_perturbed_coefficient_is_caught(monkeypatch):
 
     monkeypatch.setattr(splitting, "_acoeff_parts", perturbed)
     shape, c = Shape((1, 2)), 1
-    rep = verify_split(shape, c)
+    rep = reference_split(shape, c)
     # the first differing monomial in sorted order, as the decoded comparison found it
     assert rep["ok"] is False and rep["witness"] == {"monomial": (-2, -3, 1, 4)}
+    rep = verify_split(shape, c)
+    assert rep["ok"] is False and rep["witness"] == {"residue_mismatch": [1, 0]}
     held = {(i, j): residue_identity_holds(shape, c, i, j)
             for i in range(1, shape.n + 1) for j in admissible_j(shape, c, i)}
     assert held == {(1, 0): False, (2, -1): True, (2, 0): True, (3, -1): True, (3, 0): True}
