@@ -458,7 +458,7 @@ class KeyBox:
     a sum that vanishes decodes nothing.
     """
 
-    __slots__ = ("base", "top", "B", "origin", "_radix", "_width")
+    __slots__ = ("base", "top", "B", "_radix", "_width")
 
     def __init__(self, arity: int, sums):
         base = [0] * arity
@@ -473,48 +473,17 @@ class KeyBox:
         self.base, self.top = base, top
         self.B = _digit_width(bound)
         self._radix, self._width = _radices(base, top)
-        self.origin = -sum(b * m for b, m in zip(base, self._radix))
 
     def fold(self, factors, state=None) -> dict:
         """The full expansion of ``factors`` times ``state`` (default 1) as
         {int key: (lo, mag)}; with no factors, ``state`` itself."""
         return _fold_packed(factors, None, self.base, self.top, self.B, state)
 
-    def add(self, total: dict, state: dict) -> dict:
-        """Add ``state`` into ``total`` in place, dropping zero sums."""
-        B = self.B
-        get = total.get
-        for k, val in state.items():
-            cur = get(k)
-            if cur is None:
-                total[k] = val
-                continue
-            (clo, cm), (lo, mag) = cur, val
-            if clo <= lo:
-                s = cm + (mag << (B * (lo - clo)))
-                rl = clo
-            else:
-                s = mag + (cm << (B * (clo - lo)))
-                rl = lo
-            if s:
-                total[k] = (rl, s)
-            else:
-                del total[k]
-        return total
-
     def slot_sums(self, state: dict, vs) -> set:
         """The values of sum_{v in vs} e_v over the keys of ``state``."""
         cols = [[k // self._radix[v] % self._width[v] for k in state] for v in vs]
         base = sum(self.base[v] for v in vs)
         return {s + base for s in set(map(sum, zip(*cols)))}
-
-    def decode(self, state: dict) -> dict:
-        """``state`` with its keys as exponent tuples."""
-        return _decode_keys(state, self.base, self.top)
-
-    def value(self, packed) -> QLaurent:
-        """One packed coefficient as a QLaurent."""
-        return _decode_packed(packed[0], packed[1], self.B)
 
 
 def _l1_bound(factors) -> int:

@@ -534,6 +534,23 @@ def test_fold_sum_matches_reference_sum(case):
     assert {e: _decode_packed(lo, mag, B) for e, (lo, mag) in total.items()} == _reference_sum(n, pieces[1:])
 
 
+def _box_add(box, total: dict, state: dict) -> dict:
+    """Add a state folded in ``box`` into ``total`` in place, as int keys and
+    packed values, dropping zero sums."""
+    for k, val in state.items():
+        s = val if k not in total else laurent.packed_add(total[k], val, box.B)
+        if s[1]:
+            total[k] = s
+        else:
+            del total[k]
+    return total
+
+
+def _box_decode(box, state: dict) -> dict:
+    """A state folded in ``box`` with its keys as exponent tuples."""
+    return laurent._decode_keys(state, box.base, box.top)
+
+
 @settings(max_examples=150, deadline=None)
 @given(sum_cases(), st.data())
 def test_key_box_holds_every_sub_product(case, data):
@@ -546,7 +563,7 @@ def test_key_box_holds_every_sub_product(case, data):
     del sub[data.draw(st.integers(0, len(sub))):]
     cut = data.draw(st.integers(0, len(sub)))
     state = box.fold(sub[cut:], box.fold(sub[:cut]))
-    got = {e: _decode_packed(lo, mag, box.B) for e, (lo, mag) in box.decode(state).items()}
+    got = {e: _decode_packed(lo, mag, box.B) for e, (lo, mag) in _box_decode(box, state).items()}
     assert got == fold_dict(n, sub)
 
 
@@ -558,8 +575,8 @@ def test_key_box_digits_hold_the_whole_sum():
     box = laurent.KeyBox(1, [[piece] * 1000])
     total: dict = {}
     for _ in range(1000):
-        box.add(total, box.fold(piece))
-    assert {e: box.value(v) for e, v in box.decode(total).items()} == {(1,): QLaurent({0: 1000 * big, 1: 1000 * big})}
+        _box_add(box, total, box.fold(piece))
+    assert {e: _decode_packed(*v, box.B) for e, v in _box_decode(box, total).items()} == {(1,): QLaurent({0: 1000 * big, 1: 1000 * big})}
 
 
 def test_passing_sum_decodes_nothing(monkeypatch):
@@ -574,9 +591,9 @@ def test_passing_sum_decodes_nothing(monkeypatch):
     P = [FoldFactor.linear(n, 1, 2, 0), FoldFactor.linear(n, 3, 2, 1), FoldFactor.linear(n, 1, 3, -2)]
     Q = [FoldFactor.linear(n, 2, 1, 0)] + P
     box = laurent.KeyBox(n, [[P, _negated(n, P), Q]])
-    total = box.add(box.fold(P), box.fold(_negated(n, P)))
+    total = _box_add(box, box.fold(P), box.fold(_negated(n, P)))
     assert total == {}
-    box.add(total, box.fold(Q))
+    _box_add(box, total, box.fold(Q))
     assert total
     with pytest.raises(AssertionError, match="decoded"):
-        box.decode(total)
+        _box_decode(box, total)
