@@ -269,8 +269,8 @@ def _run_roots(params):
 def _cases_splitting(args):
     small = [(1, 1), (1, 2), (2, 2), (1, 1, 1)]
     if args.shape is None and args.c is None:
-        # the first twelve cases keep their indices from the grid's first
-        # version, shapes with n <= 3 at c <= 2
+        # shapes with n <= 3 at c <= 2 come first, so those twelve cases
+        # keep their indices as the grid grows
         grid = ([(s, c) for s in small for c in (0, 1, 2)] + [(s, 3) for s in small]
                 + [(s, c) for s in ((2, 3), (3, 3), (2, 2, 2)) for c in range(4)])
     else:
