@@ -4,198 +4,184 @@ Rational functions here live in the field where x_0 is expanded first, then
 x_1, and so on: a factor 1/(1 - q^m x_a/x_b) expands in positive powers of
 x_a/x_b exactly when a comes before b in the order, and its constant term
 with respect to x_a is then 1 (otherwise 0).  On top of that sit the
-partial-fraction elimination step, the head rational function Q(d) whose
+partial-fraction elimination walk, the head rational function Q(d) whose
 constant term realizes the decorated product at negative argument, its
 substituted images Q(d | u; k), and the vanishing-property checks that drive
 the root analysis.
 
-Exponent tuples have n + 1 slots, slot t holding x_t.  Every denominator
-factor of the pipeline is (1 - q^m x_head/x_tail) with an integer m, and
-every scalar is a ratio of q-Pochhammer symbols: elimination keeps numerators
-as {exponent tuple: (lo, mag)}, packed as the fold makes them, substitutes
-by adding to ``lo`` and collects the scalars in a factored ``Cyclo``, so it
-makes no gcd; a value is decoded only at a leaf, and a constant term is
-reduced once, at the end.  A numerator whose head degree reaches the
-number of factors is first divided by the denominator, exactly, so every
-term is eliminated the same way and there is no other constant-term route.
+Exponent tuples have n + 1 slots, slot t holding x_t.  Every term of the
+walk stays factored: a ``Cyclo`` scale, a monomial, a multiset of numerator
+factors (1 - q^m x_a/x_b) and the denominator factors
+(1 - q^{m_r} x_head/x_{tail_r}).  Substituting x_head = q^{-m_r} x_tail
+turns each numerator factor into another one or into a scalar 1 - q^{m'},
+and the branch is exactly zero when m' = 0.  The head degree is read off the
+factors, exactly; where it reaches the number of denominator factors, one
+numerator factor (or one x_head of the monomial) is cancelled against one
+denominator factor, leaving a sum of two products.  Nothing is expanded but
+one point fold per leaf with no denominator left, and a constant term is
+reduced once, at the end.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import prod
 
-from .laurent import (FoldFactor, KeyBox, _decode_packed, _digit_width, fold_packed_raw,
-                      linear_factors, pack_qlaurent, packed_add)
+from .laurent import Factored, FoldFactor, KeyBox, fold_packed_raw, linear_factors
 from .products import Shape, epsilon
 from .qring import Cyclo, QFrac, cyclo_sum
 from .roots import t_table
 
-# Most rational terms one constant term may visit before giving up.
+# Most terms one constant term may visit before giving up.
 MAX_TERMS = 200000
 
 
-# -- rational terms, the division step and the elimination step ---------------------
+# -- the factored walk -----------------------------------------------------------------
+#
+# A term is (scale, mono, factors, dens, head): scale * x^mono * prod over the
+# factors (a, b, m) of (1 - q^m x_a/x_b), over prod over dens (m_r, t_r) of
+# (1 - q^{m_r} x_head/x_{t_r}).
 
 
-class RationalTerm:
-    """scale * numerator / prod_r (1 - q^{m_r} x_head/x_{tail_r}), one shared head.
-
-    The numerator maps exponent tuples to nonzero packed (lo, mag)
-    coefficients in balanced base-2**B digits, as the fold makes them, and
-    ``dens`` lists the (m_r, tail_r) pairs; every scalar fraction picked up
-    along the way lives in the factored ``scale`` (a Cyclo), so coefficient
-    arithmetic never reduces fractions term by term.
-    """
-
-    __slots__ = ("scale", "num", "B", "dens", "head")
-
-    def __init__(self, num: dict, B: int, dens, head: int | None, scale: Cyclo | None = None):
-        self.scale = Cyclo() if scale is None else scale
-        self.num = num
-        self.B = B
-        self.dens = list(dens)  # (m_r, tail var index)
-        self.head = head
-        if self.dens and head is None:
-            raise ValueError("denominator factors need a head variable")
+@lru_cache(maxsize=4096)
+def _binomials(ups: tuple, downs: tuple) -> Cyclo:
+    """prod_u (1 - q^u) / prod_d (1 - q^d)."""
+    return Cyclo.poch_product([(j, 1, 1) for j in ups] + [(j, 1, -1) for j in downs])
 
 
-def _add_term(poly: dict, e: tuple, v, B: int) -> None:
-    """poly[e] += v on packed values, dropping the entry when the sum vanishes."""
-    cur = poly.get(e)
-    if cur is None:
-        poly[e] = v
-        return
-    lo, mag = packed_add(cur, v, B)
-    if mag:
-        poly[e] = (lo, mag)
-    else:
-        del poly[e]
+def _head_degree(mono, factors, h: int) -> int:
+    """The top x_h-degree of a nonzero numerator: the monomial's, plus one
+    per factor with x_h on top.  Exact, because every factor's leading
+    x_h-coefficient is nonzero and Z[q^±1, x^±1] has no zero divisors."""
+    return mono[h] + sum(1 for a, _, _ in factors if a == h)
 
 
-def _divide(num: dict, B: int, factors, k: int):
-    """(quo, rem, B2) with num = quo * D + rem, D = prod_r (1 - q^{m_r} x_k/x_{t_r}),
-    rem of x_k-degree below m = len(factors), and quo, rem packed at width B2.
-
-    The top x_k-coefficient of D, (-1)^m q^{sum m_r} prod_r 1/x_{t_r}, is a
-    unit, so the division is exact over Z[q^+-1][x^+-1]: each quotient term is
-    a shifted, signed numerator coefficient.  Terms of x_k-degree >= m are
-    reduced from the top degree down; the others pass to rem unchanged.
-
-    Digit width: every digit of every value is bounded by the total L1 T of
-    all the values.  Reducing a term c moves c to quo and adds c times
-    D minus its top term, of L1 2^m - 1, lower down, so one x_k-degree level
-    multiplies T by at most 2^m and the L = deg_k num - m + 1 levels by at
-    most 2^(m L).  B2 is the digit width of that bound on num's exact T.
-    """
-    m = len(factors)
-    arity = len(next(iter(num)))
-    levels = max(e[k] for e in num) - m + 1
-    values = {e: _decode_packed(lo, mag, B) for e, (lo, mag) in num.items()}
-    B = _digit_width(sum(v.l1_norm() for v in values.values()) << (m * levels))
-    num = {e: pack_qlaurent(v, B) for e, v in values.items()}
-    lower = {(0,) * arity: (0, 1)}  # D, expanded
-    for mr, tr in factors:
-        step = dict(lower)
-        for e, (lo, mag) in lower.items():
-            ne = list(e)
-            ne[k] += 1
-            ne[tr] -= 1
-            _add_term(step, tuple(ne), (lo + mr, -mag), B)
-        lower = step
-    top = [0] * arity
-    top[k] = m
-    for _, tr in factors:
-        top[tr] -= 1
-    top = tuple(top)
-    del lower[top]  # D's top term; what is left has x_k-degree below m
-    lead = -sum(mr for mr, _ in factors)
-    sign = -1 if m % 2 else 1
-    quo: dict = {}
-    rem: dict = {}
-    high: dict[int, dict] = {}  # x_k-degree >= m -> {exponent tuple: coefficient}
-    for e, v in num.items():
-        if e[k] >= m:
-            high.setdefault(e[k], {})[e] = v
-        else:
-            rem[e] = v
-    while high:
-        for e, (lo, mag) in high.pop(max(high)).items():
-            clo, cmag = lo + lead, sign * mag
-            w = tuple(a - b for a, b in zip(e, top))
-            quo[w] = (clo, cmag)
-            # subtract c x^w (D - top term); each product lands lower in x_k
-            for de, (dlo, dmag) in lower.items():
-                ne = tuple(a + b for a, b in zip(w, de))
-                _add_term(high.setdefault(ne[k], {}) if ne[k] >= m else rem, ne,
-                          (clo + dlo, -cmag * dmag), B)
-    return quo, rem, B
-
-
-@lru_cache(maxsize=1024)
-def _same_tail_scalar(exps: tuple) -> Cyclo:
-    """prod_j 1/(1 - q^j) over ``exps``: what a substitution leaves of the
-    factors on the cleared factor's tail."""
-    return prod((Cyclo.poch(j, 1) for j in exps), start=Cyclo()) ** -1
-
-
-def _eliminate(scale: Cyclo, num: dict, B: int, factors, k: int):
-    """Core elimination step; returns (scale, num, dens, head, cleared) per
-    surviving factor, with scalarized factors folded into the scale.
-
-    Substituting x_k = q^{-m_r} x_{i_r} multiplies a coefficient of x_k^e by
-    q^{-m_r e}, which adds -m_r e to its packed ``lo``, and turns
-    (1 - q^{m_s} x_k/x_{i_s}) into a factor with exponent m_s - m_r, or into
-    the scalar 1 - q^{m_s - m_r} on the same tail.  The substitution only
-    merges coefficients, so it never raises their total L1, and the new
-    numerators keep the digit width B.
-    """
-    m = len(factors)
-    if m == 0:
-        raise ValueError("no denominator factors to eliminate against")
-    for r, (mr, ir) in enumerate(factors):
-        if ir == k:
-            raise ValueError("denominator tail equals the eliminated variable")
-        for ms, js in factors[r + 1:]:
-            if js == ir and ms == mr:
-                raise ValueError("repeated pole: equal coefficients on one tail")
-    if num:
-        deg = max(e[k] for e in num)
-        if deg > m - 1:
-            raise ValueError(f"numerator degree {deg} in x_{k} exceeds {m - 1}; divide first")
-    out = []
-    for r, (mr, ir) in enumerate(factors):
-        if ir < k:
-            continue
-        sub: dict = {}
-        get = sub.get
-        for e, (lo, mag) in num.items():
-            ek = e[k]
-            if ek:
-                ne = list(e)
-                ne[k] = 0
-                ne[ir] += ek
-                e = tuple(ne)
-                lo -= mr * ek
-            cur = get(e)
-            if cur is None:
-                sub[e] = (lo, mag)
+def _substitute(term, r: int):
+    """The term at x_head = q^{-m_r} x_{t_r}, with the r-th denominator factor
+    cleared: t_r becomes the head, the factors on t_r become the scalars
+    1/(1 - q^{m_s - m_r}), and a numerator factor that lands on one
+    variable becomes the scalar 1 - q^{m'}, zero (a zero scale) when m' = 0."""
+    scale, mono, factors, dens, h = term
+    mr, t = dens[r]
+    ups = []
+    new = []
+    for f in factors:
+        a, b, m = f
+        if a == h:
+            if b == t:
+                ups.append(m - mr)
                 continue
-            clo, cm = cur
-            if clo <= lo:
-                s = cm + (mag << (B * (lo - clo)))
-                lo = clo
-            else:
-                s = mag + (cm << (B * (clo - lo)))
-            if s:
-                sub[e] = (lo, s)
-            else:
-                del sub[e]
-        same = tuple(ms - mr for s, (ms, js) in enumerate(factors) if js == ir and s != r)
-        new_scale = scale * _same_tail_scalar(same) if same else scale
-        new_dens = [(ms - mr, js) for ms, js in factors if js != ir]
-        out.append((new_scale, sub, new_dens, ir, (mr, ir)))
-    return out
+            f = (t, b, m - mr)
+        elif b == h:
+            if a == t:
+                ups.append(m + mr)
+                continue
+            f = (a, t, m + mr)
+        new.append(f)
+    new_dens = [(ms - mr, js) for ms, js in dens if js != t]
+    if 0 in ups:
+        return Cyclo(0), mono, new, new_dens, t
+    downs = tuple(sorted(ms - mr for s, (ms, js) in enumerate(dens) if js == t and s != r))
+    scale = scale * _binomials(tuple(sorted(ups)), downs)
+    e = mono[h]
+    if e:
+        mono = list(mono)
+        mono[t] += e
+        mono[h] = 0
+        mono = tuple(mono)
+        scale = Cyclo(scale.sign, scale.shift - mr * e, scale.exps)
+    return scale, mono, new, new_dens, t
+
+
+def _substitutions(term) -> list:
+    """One elimination step: a term per denominator factor whose tail comes
+    after the head; the others contribute nothing."""
+    h = term[4]
+    return [_substitute(term, r) for r, (_, t) in enumerate(term[3]) if t > h]
+
+
+def _drop(seq: list, i: int) -> list:
+    return seq[:i] + seq[i + 1:]
+
+
+def _moved(mono: tuple, up: int, down: int) -> tuple:
+    """mono times x_up/x_down."""
+    mono = list(mono)
+    mono[up] += 1
+    mono[down] -= 1
+    return tuple(mono)
+
+
+def _split(term) -> list:
+    """The term as a sum of terms of lower head degree or fewer denominator
+    factors, by cancelling one numerator factor with x_head on top against
+    one denominator factor (1 - q^m x_h/x_t):
+        (1 - q^a x_h/x_j) / (1 - q^m x_h/x_t)
+            = q^{a-m} x_t/x_j + (1 - q^{a-m} x_t/x_j) / (1 - q^m x_h/x_t),
+    preferring a = m and j = t (no second part), then j = t (the second part
+    a scalar); with no such numerator factor, one x_h of the monomial, by
+        x_h / (1 - q^m x_h/x_t) = -q^{-m} x_t + q^{-m} x_t / (1 - q^m x_h/x_t).
+    """
+    scale, mono, factors, dens, h = term
+    tops = [f for f, (a, _, _) in enumerate(factors) if a == h]
+    by_pair = {(m, t): r for r, (m, t) in enumerate(dens)}
+    for f in tops:
+        _, j, a = factors[f]
+        if (a, j) in by_pair:
+            return [(scale, mono, _drop(factors, f), _drop(dens, by_pair[a, j]), h)]
+    if not tops:
+        m, t = dens[0]
+        mono = _moved(mono, t, h)
+        return [(Cyclo(-scale.sign, scale.shift - m, scale.exps), mono, factors, dens[1:], h),
+                (Cyclo(scale.sign, scale.shift - m, scale.exps), mono, factors, dens, h)]
+    by_tail = {t: r for r, (_, t) in enumerate(dens)}
+    f = next((f for f in tops if factors[f][1] in by_tail), tops[0])
+    _, j, a = factors[f]
+    r = by_tail.get(j, 0)
+    m, t = dens[r]
+    rest, fewer = _drop(factors, f), _drop(dens, r)
+    first = Cyclo(scale.sign, scale.shift + a - m, scale.exps)
+    if j == t:
+        return [(first, mono, rest, fewer, h),
+                (scale * _binomials((a - m,), ()), mono, rest, dens, h)]
+    return [(first, _moved(mono, t, j), rest, fewer, h),
+            (scale, mono, rest + [(t, j, a - m)], dens, h)]
+
+
+def _factored(scale: Cyclo, mono, factors) -> Factored:
+    """A numerator as a ``Factored`` value (whose variables are 1-based)."""
+    return Factored(scale, mono, [(a + 1, b + 1, m) for a, b, m in factors])
+
+
+def factored_ct(term) -> QFrac:
+    """CT over every variable of one term (scale, mono, factors, dens, head),
+    by the factored walk: a term with no denominator factor left is a leaf;
+    one whose head degree reaches the number of denominator factors is
+    split; any other takes one elimination step.  Each distinct leaf
+    numerator takes one point fold, and the leaves' constant terms are added
+    per distinct scale and reduced once."""
+    stack = [term]
+    leaves: dict = {}  # leaf numerator -> the scales it carries
+    seen = 0
+    while stack:
+        term = stack.pop()
+        seen += 1
+        if seen > MAX_TERMS:
+            raise RuntimeError("term budget exceeded")
+        scale, mono, factors, dens, h = term
+        if not scale.sign:
+            continue
+        if not dens:
+            leaves.setdefault((mono, tuple(sorted(factors))), []).append(scale)
+        elif _head_degree(mono, factors, h) >= len(dens):
+            stack.extend(_split(term))
+        else:
+            stack.extend(_substitutions(term))
+    cts = []
+    for (mono, factors), scales in leaves.items():
+        leaf = _factored(Cyclo(), mono, factors)
+        ct = leaf.constant_term()
+        cts += [(scale * leaf.scalar, ct) for scale in scales]
+    return cyclo_sum(cts)
 
 
 # -- the head rational function and its substituted images --------------------------------
@@ -222,13 +208,13 @@ class PochFactor:
 
 
 class QukFactors:
-    """The factized form of Q(d | u; k): scalar V, the per-u elimination
-    scalars (both factored Cyclo values), the head-variable numerator and
-    denominator Pochhammers, and the residual pair product over the
-    untouched variables."""
+    """The factized form of Q(d | u; k): its scale, V times the per-u
+    elimination scalars (one factored Cyclo value, zero exactly when V is),
+    the head-variable numerator and denominator Pochhammers, and the
+    residual pair product over the untouched variables."""
 
-    __slots__ = ("shape", "b", "c", "d", "u", "k", "V", "scalars", "num_pochs",
-                 "den_pochs", "residual_pairs", "head")
+    __slots__ = ("shape", "b", "c", "d", "u", "k", "scale", "num_pochs", "den_pochs",
+                 "residual_pairs", "head")
 
     def __init__(self, shape: Shape, b: int, c: int, d: int, u=(), k=()):
         u = tuple(u)
@@ -249,8 +235,7 @@ class QukFactors:
         s = len(u)
         if s == 0:
             self.head = 0
-            self.V = Cyclo()
-            self.scalars = Cyclo()
+            self.scale = Cyclo()
             self.num_pochs = [PochFactor(1, j, 0, b) for j in range(1, n + 1)]
             self.den_pochs = [PochFactor(-d, 0, j, d) for j in range(1, n + 1)]
             self.residual_pairs = _pair_pochs(shape, c, exclude=())
@@ -258,18 +243,15 @@ class QukFactors:
         us = u[-1]
         ks = k[-1]
         self.head = us
-        V = Cyclo()
-        for ki in k:
-            V = V * Cyclo.poch(1 - ki, b)
+        # V's symbols, then the elimination scalars under the fraction bar
+        pochs = [(1 - ki, b, 1) for ki in k]
         for a in range(s):
             for bb in range(a + 1, s):
-                eps = epsilon(shape, u[a], u[bb])
-                V = V * Cyclo.poch(k[bb] - k[a], c + eps) * Cyclo.poch(k[a] - k[bb] + 1, c + eps)
-        self.V = V
-        scal = Cyclo()
+                z = c + epsilon(shape, u[a], u[bb])
+                pochs += [(k[bb] - k[a], z, 1), (k[a] - k[bb] + 1, z, 1)]
         for ki in k:
-            scal = scal / (Cyclo.poch(ki - d, d - ki) * Cyclo.poch(1, ki - 1))
-        self.scalars = scal
+            pochs += [(ki - d, d - ki, -1), (1, ki - 1, -1)]
+        self.scale = Cyclo.poch_product(pochs)
         outside = [i for i in range(1, n + 1) if i not in u]
         num = []
         dens = []
@@ -293,13 +275,10 @@ class QukFactors:
         return len(self.u)
 
     def r_vector(self) -> tuple[int, ...]:
-        """r_i = |U intersect N_i| for i = 0..p."""
-        uset = set(self.u)
-        return tuple(sum(1 for x in self.shape.block(i) if x in uset)
-                     for i in range(self.shape.p + 1))
+        return r_vector(self.shape, self.u)
 
     def is_zero(self) -> bool:
-        return not self.V.sign
+        return not self.scale.sign
 
     def vanishing_factor(self):
         """A zero scalar Pochhammer inside V, if any, with its provenance."""
@@ -317,32 +296,32 @@ class QukFactors:
                     return (tag, (a + 1, bb + 1), f"difference {diff}")
         return None
 
-    # -- expansion --------------------------------------------------------------
+    # -- the factored term ------------------------------------------------------
 
-    def scale(self) -> Cyclo:
-        """V times the elimination scalars: the fraction part of the term."""
-        return self.V * self.scalars
-
-    def numerator_poly(self) -> tuple[dict, int]:
-        """(head numerator Pochhammers) * residual pair product as
-        ({exponent tuple: (lo, mag)}, B), packed as the fold leaves it; the
-        dict is empty when V vanishes."""
-        if self.is_zero():
-            return {}, _digit_width(1)
-        n = self.shape.n
-        factors = []
-        for pf in self.num_pochs + self.residual_pairs:
-            factors.extend(pf.fold_factors(n + 1))
-        return fold_packed_raw(n + 1, factors)
+    def numerator_triples(self) -> list[tuple[int, int, int]]:
+        """(a, b, m) of the numerator's linear factors (1 - q^m x_a/x_b): the
+        head-variable Pochhammers, then the residual pair product."""
+        return _triples(self.num_pochs + self.residual_pairs)
 
     def den_factor_list(self) -> list[tuple[int, int]]:
         """(m, tail) pairs of the head-variable linear factors
         (1 - q^m x_head/x_tail)."""
         return [(pf.m + t, pf.b) for pf in self.den_pochs for t in range(pf.z)]
 
-    def rational_term(self) -> RationalTerm:
-        return RationalTerm(*self.numerator_poly(), self.den_factor_list(), self.head,
-                            scale=self.scale())
+    def term(self):
+        """The walk's term (scale, mono, factors, dens, head)."""
+        return (self.scale, (0,) * (self.shape.n + 1), self.numerator_triples(),
+                self.den_factor_list(), self.head)
+
+
+def r_vector(shape: Shape, u) -> tuple[int, ...]:
+    """r_i = |U intersect N_i| for i = 0..p."""
+    uset = set(u)
+    return tuple(sum(1 for x in shape.block(i) if x in uset) for i in range(shape.p + 1))
+
+
+def _triples(pochs) -> list[tuple[int, int, int]]:
+    return [(pf.a, pf.b, pf.m + t) for pf in pochs for t in range(pf.z)]
 
 
 def _pair_pochs(shape: Shape, c: int, exclude=()) -> list[PochFactor]:
@@ -423,42 +402,18 @@ def substitution_oracle(shape: Shape, b: int, c: int, d: int, u, k):
 
 def oracle_matches_direct(shape: Shape, b: int, c: int, d: int, u, k) -> bool:
     """Cross-multiplied equality of the substitution oracle and the direct
-    construction, as rational functions of the surviving variables."""
+    construction, as rational functions of the surviving variables: each
+    side's numerator times the other side's denominator, compared as
+    ``Factored`` values."""
     direct = build_Quk(shape, b, c, d, u, k)
     scal, pochs, dens = substitution_oracle(shape, b, c, d, u, k)
-    arity = shape.n + 1
+    mono = (0,) * (shape.n + 1)
 
-    def expand(poch_list, dlist):
-        # one side's numerator Pochhammers times the other side's denominator
-        factors = []
-        for pf in poch_list:
-            factors.extend(pf.fold_factors(arity))
-        factors += [FoldFactor.linear(arity, direct.head + 1, tail + 1, m) for m, tail in dlist]
-        return fold_packed_raw(arity, factors)
+    def cross(scale, triples, other_dens):
+        return _factored(scale, mono, triples + [(direct.head, t, m) for m, t in other_dens])
 
-    lhs = expand(direct.num_pochs + direct.residual_pairs, dens)
-    rhs = expand(pochs, direct.den_factor_list())
-    return _scaled_equal(direct.scale(), *lhs, scal, *rhs)
-
-
-def _scaled_equal(scale_a: Cyclo, num_a: dict, B_a: int, scale_b: Cyclo, num_b: dict,
-                  B_b: int) -> bool:
-    """scale_a * num_a == scale_b * num_b coefficient by coefficient, for
-    packed numerators (digit widths B_a, B_b) without zero values.  Packed
-    values are not canonical (a cancelled sum may keep zero low digits), so
-    each is decoded and cross-multiplied by the parts of scale_a / scale_b
-    over and under the fraction bar: no gcd."""
-    if not scale_a.sign:
-        num_a = {}
-    if not scale_b.sign:
-        num_b = {}
-    if num_a.keys() != num_b.keys():
-        return False
-    if not num_a:
-        return True
-    over, under = (scale_a / scale_b).split()
-    return all(over.times(_decode_packed(*v, B_a)) == under.times(_decode_packed(*num_b[e], B_b))
-               for e, v in num_a.items())
+    return (cross(direct.scale, direct.numerator_triples(), dens)
+            == cross(scal, _triples(pochs), direct.den_factor_list()))
 
 
 # -- the three vanishing properties -----------------------------------------------------
@@ -478,8 +433,7 @@ def property_branch(shape: Shape, b: int, c: int, d: int, u, k) -> str:
         return "zero"
     if s == n:
         return "gap"
-    q = QukFactors(shape, b, c, d, u, k)
-    sig = _sigma_r(shape, q.r_vector())
+    sig = _sigma_r(shape, r_vector(shape, u))
     if (d - s * c) * (n - s) > sig:
         return "expand"
     if s * c + ts[s] + 1 <= d:
@@ -500,44 +454,38 @@ def check_property_zero(shape, b, c, d, u, k) -> dict:
 
 def check_property_expand(shape, b, c, d, u, k) -> dict:
     """Property (2): the degree condition holds and one elimination step
-    reproduces the directly-built next-level terms, term by term."""
+    reproduces the directly-built next-level terms, term by term, as
+    ``Factored`` values."""
     q = QukFactors(shape, b, c, d, u, k)
     report = {"branch": "expand", "ok": True, "degree_ok": None, "terms": 0, "witness": None}
-    num, B = q.numerator_poly()
-    dens = q.den_factor_list()
-    deg = max((e[q.head] for e in num), default=0)
-    report["degree_ok"] = deg < len(dens)
+    term = q.term()
+    scale, mono, factors, dens, head = term
+    report["degree_ok"] = not scale.sign or _head_degree(mono, factors, head) < len(dens)
     if not report["degree_ok"]:
         report["ok"] = False
         return report
-    if not num:
+    if not scale.sign:
         return report
     ks = q.k[-1] if q.u else 0
-    for scale, new_num, new_dens, new_head, cleared in _eliminate(q.scale(), num, B, dens, q.head):
+    for r, (m, i) in enumerate(dens):
+        if i < head:
+            continue
         # the cleared factor was (1 - q^{k_s - d + t} x_head/x_i), fixing
         # k_{s+1} = d - t = k_s - (its q-exponent)
-        m, i = cleared
         k1 = ks - m
-        if not 1 <= k1 <= d or i in q.u or i <= q.head:
+        if not 1 <= k1 <= d or i in q.u:
             report["ok"] = False
-            report["witness"] = {"head": new_head, "bad_k": k1}
+            report["witness"] = {"head": i, "bad_k": k1}
             return report
+        child = _substitute(term, r)
         cand = QukFactors(shape, b, c, d, q.u + (i,), q.k + (k1,))
-        if not _terms_equal(scale, new_num, B, new_dens, new_head, cand):
+        if (child[4] != cand.head or sorted(child[3]) != sorted(cand.den_factor_list())
+                or _factored(*child[:3]) != _factored(cand.scale, mono, cand.numerator_triples())):
             report["ok"] = False
             report["witness"] = {"u_next": i, "k_next": k1, "unmatched": True}
             return report
         report["terms"] += 1
     return report
-
-
-def _terms_equal(scale_a: Cyclo, num_a: dict, B_a: int, dens_a, head_a,
-                 cand: QukFactors) -> bool:
-    if head_a != cand.head:
-        return False
-    if sorted(dens_a) != sorted(cand.den_factor_list()):
-        return False
-    return _scaled_equal(scale_a, num_a, B_a, cand.scale(), *cand.numerator_poly())
 
 
 def _case4_exists(shape: Shape, u, k, b: int, c: int, t: int) -> bool:
@@ -627,7 +575,7 @@ def check_property_laurent(shape, b, c, d, u, k) -> dict:
     # Laurent-form ledger: every monomial of the cancelled numerator obeys
     # e_i >= shift_i and e_head = ell - sum_i (e_i - shift_i), read off the
     # int keys of its expansion: no key and no coefficient is decoded
-    box = KeyBox(n + 1, [[factors]])
+    box = KeyBox(n + 1, factors)
     support = box.fold(factors)
     outside = [i for i in range(1, n + 1) if i not in q.u]
     ok_form = all(x >= shifts[i] for i in outside for x in box.slot_sums(support, (i,)))
@@ -725,45 +673,10 @@ def vanishing_property_checks(shape: Shape, b: int, c: int, d: int, u, k) -> dic
 # -- the full elimination pipeline ---------------------------------------------------------
 
 
-def rational_ct(term: RationalTerm) -> QFrac:
-    """CT over every variable of one rational term, by repeated
-    partial-fraction elimination.
-
-    At each node the part of the numerator whose head degree reaches the
-    number m of denominator factors is divided by the denominator: the
-    quotient's constant coefficient is a leaf at the node's scale and the
-    remainder, of head degree below m, is eliminated.  The constant terms of
-    the leaves are added per distinct scale and reduced once.
-    """
-    stack = [term]
-    leaves = []  # (scale, constant term) pairs
-    seen = 0
-    while stack:
-        t = stack.pop()
-        seen += 1
-        if seen > MAX_TERMS:
-            raise RuntimeError("term budget exceeded")
-        num, B = t.num, t.B
-        if not num:
-            continue
-        zero = (0,) * len(next(iter(num)))
-        if not t.dens:
-            if zero in num:
-                leaves.append((t.scale, _decode_packed(*num[zero], B)))
-            continue
-        if max(e[t.head] for e in num) >= len(t.dens):
-            quo, num, B = _divide(num, B, t.dens, t.head)
-            if zero in quo:
-                leaves.append((t.scale, _decode_packed(*quo[zero], B)))
-        for scale, new_num, new_dens, new_head, _ in _eliminate(t.scale, num, B, t.dens, t.head):
-            stack.append(RationalTerm(new_num, B, new_dens, new_head, scale=scale))
-    return cyclo_sum(leaves)
-
-
 def exact_ct_rational(q: QukFactors) -> QFrac:
     """Exact CT of Q(d | u; k) over every variable; assumes no vanishing
     property."""
-    return rational_ct(q.rational_term())
+    return factored_ct(q.term())
 
 
 def gx_ct(shape: Shape, b: int, c: int, d: int) -> QFrac:

@@ -22,17 +22,19 @@ Pruning never changes the result, only the work.  There is one kernel:
   throughout).
 
 Keys are decoded back to exponent tuples only at the end.  A ``KeyBox`` is
-one key box and digit width shared by several full expansions: a fold may
-continue from another's packed state, and states add as int keys, so a sum
-that vanishes decodes nothing.  A plain dict fold lives in the tests as the
-reference the kernel must match exactly.
+the key box and digit width of one full expansion, whose states a caller
+reads as int keys without decoding them.  ``Factored`` keeps a product of
+linear factors, a monomial and a ``Cyclo`` scalar unexpanded, so that equal
+values compare by their parts and a constant term is one point fold.  A
+plain dict fold lives in the tests as the reference the kernel must match
+exactly.
 """
 
 from __future__ import annotations
 
 from operator import add
 
-from .qring import ONE, QFrac, QLaurent
+from .qring import ONE, ZERO, Cyclo, QFrac, QLaurent
 
 _MINUS_ONE = QLaurent.from_int(-1)
 
@@ -447,32 +449,22 @@ def fold_packed_raw(arity, factors, tlo=None, thi=None, extra_l1: int = 1):
 
 
 class KeyBox:
-    """One key box and one digit width shared by several full expansions.
+    """One key box and one digit width for the full expansion of a factor
+    list.
 
-    ``sums`` lists the sums a caller will form, each a list of factor lists
-    (its pieces).  The box holds every product of a sub-list of any piece,
-    taken in any order, so a fold may continue from any such product and
-    every state it makes lands in the box; the digit width B holds every
-    coefficient of a sum of such products, at most one per piece of one sum.
-    States folded in one box add as int keys and packed (lo, mag) pairs, so
-    a sum that vanishes decodes nothing.
+    The box holds every product of a sub-list of the factors, taken in any
+    order, so a fold may continue from any such product and every state it
+    makes lands in the box; the digit width B holds every coefficient of
+    every such product.
     """
 
     __slots__ = ("base", "top", "B", "_radix", "_width")
 
-    def __init__(self, arity: int, sums):
-        base = [0] * arity
-        top = [0] * arity
-        bound = 1
-        for pieces in sums:
-            bound = max(bound, sum(_l1_bound(f) for f in pieces))
-            for factors in pieces:
-                for v in range(arity):
-                    base[v] = min(base[v], sum(min(f.lo[v], 0) for f in factors))
-                    top[v] = max(top[v], sum(max(f.hi[v], 0) for f in factors))
-        self.base, self.top = base, top
-        self.B = _digit_width(bound)
-        self._radix, self._width = _radices(base, top)
+    def __init__(self, arity: int, factors):
+        self.base = [sum(min(f.lo[v], 0) for f in factors) for v in range(arity)]
+        self.top = [sum(max(f.hi[v], 0) for f in factors) for v in range(arity)]
+        self.B = _digit_width(_l1_bound(factors))
+        self._radix, self._width = _radices(self.base, self.top)
 
     def fold(self, factors, state=None) -> dict:
         """The full expansion of ``factors`` times ``state`` (default 1) as
@@ -484,6 +476,73 @@ class KeyBox:
         cols = [[k // self._radix[v] % self._width[v] for k in state] for v in vs]
         base = sum(self.base[v] for v in vs)
         return {s + base for s in set(map(sum, zip(*cols)))}
+
+
+class Factored:
+    """scalar * x^mono * prod (1 - q^m x_a/x_b): a ``Cyclo`` scalar, a
+    monomial exponent vector and a multiset of factors (a, b, m), a < b,
+    kept as counts.  Variables are 1-based: x_i is slot i - 1 of ``mono``.
+
+    A factor given with a > b is turned round by
+        1 - q^m x_a/x_b = -q^m (x_a/x_b) (1 - q^{-m} x_b/x_a),
+    its sign and power of q going to the scalar and x_a/x_b to the
+    monomial.  The turned factors and the Psi_d are irreducible and pairwise
+    non-associate in Z[q^±1, x^±1], so two nonzero values are equal exactly
+    when their parts are.  A zero scalar is the zero value, whatever the
+    rest.
+    """
+
+    __slots__ = ("scalar", "mono", "factors")
+
+    def __init__(self, scalar: Cyclo, mono, triples):
+        mono = list(mono)
+        sign, shift = scalar.sign, scalar.shift
+        factors: dict = {}
+        for a, b, m in triples:
+            if a > b:
+                sign, shift = -sign, shift + m
+                mono[a - 1] += 1
+                mono[b - 1] -= 1
+                a, b, m = b, a, -m
+            factors[a, b, m] = factors.get((a, b, m), 0) + 1
+        if not sign:
+            mono, factors = [0] * len(mono), {}
+        self.scalar = Cyclo(sign, shift, scalar.exps)
+        self.mono = tuple(mono)
+        self.factors = factors
+
+    def triples(self) -> list:
+        return [f for f, e in self.factors.items() for _ in range(e)]
+
+    def __mul__(self, other: "Factored") -> "Factored":
+        return Factored(self.scalar * other.scalar, map(add, self.mono, other.mono),
+                        self.triples() + other.triples())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Factored):
+            return NotImplemented
+        return (self.scalar, self.mono, self.factors) == (other.scalar, other.mono, other.factors)
+
+    __hash__ = None
+
+    def top_degree(self, i: int) -> int | None:
+        """The largest exponent of x_i in the expansion, None for zero: the
+        monomial's plus one per factor with x_i on top.  Exact, because the
+        factors' leading coefficients in x_i are nonzero and Z[q^±1, x^±1]
+        has no zero divisors."""
+        if not self.scalar.sign:
+            return None
+        return self.mono[i - 1] + sum(e for (a, _, _), e in self.factors.items() if a == i)
+
+    def constant_term(self) -> QLaurent:
+        """The constant term divided by the scalar (zero for zero), by one
+        point fold."""
+        if not self.scalar.sign:
+            return ZERO
+        n = len(self.mono)
+        zero = (0,) * n
+        factors = [FoldFactor.monomial(n, self.mono)] + [FoldFactor.linear(n, *f) for f in self.triples()]
+        return ct_fold(n, factors, zero, zero).get(zero, ZERO)
 
 
 def _l1_bound(factors) -> int:

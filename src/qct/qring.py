@@ -618,16 +618,28 @@ class Cyclo:
     @staticmethod
     def poch(m: int, z: int) -> "Cyclo":
         """(q^m; q)_z = prod_{j=0}^{z-1} (1 - q^(m+j)), with 1 - q^-k = -q^-k (1 - q^k)."""
-        if z < 0:
-            raise ValueError("pochhammer length negative")
-        if m <= 0 < m + z:
-            return Cyclo(0)
+        return Cyclo.poch_product(((m, z, 1),))
+
+    @staticmethod
+    def poch_product(pochs) -> "Cyclo":
+        """prod (q^m; q)_z^p over (m, z, p) triples, in one exponent
+        accumulation; a vanishing symbol under a negative power raises
+        ZeroDivisionError."""
         sign, shift, exps = 1, 0, {}
-        for j in range(m, m + z):
-            if j < 0:
-                sign, shift = -sign, shift + j
-            for d in _divisors(abs(j)):
-                exps[d] = exps.get(d, 0) + 1
+        get = exps.get
+        for m, z, p in pochs:
+            if z < 0:
+                raise ValueError("pochhammer length negative")
+            if m <= 0 < m + z:
+                if p < 0:
+                    raise ZeroDivisionError("negative power of zero")
+                sign = 0
+                continue
+            for j in range(m, m + z):
+                if j < 0:
+                    sign, shift = sign if p % 2 == 0 else -sign, shift + j * p
+                for d in _divisors(abs(j)):
+                    exps[d] = get(d, 0) + p
         return Cyclo(sign, shift, exps)
 
     @staticmethod

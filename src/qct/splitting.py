@@ -9,20 +9,18 @@ of vanishing coefficients of the pair product.
 
 Every coefficient, both sides of every residue identity and the pair product
 are products of linear factors (1 - q^m x_a/x_b), a monomial and a q-scalar
-whose denominator is a product of Pochhammer symbols.  ``Factored`` keeps
-them in that form, so each residue identity is one comparison of parts, a
-degree bound is a sum of per-factor degrees, and the case expands nothing
-but its constant terms, one point fold per coefficient.
+whose denominator is a product of Pochhammer symbols.  ``laurent.Factored``
+keeps them in that form, so each residue identity is one comparison of
+parts, a degree bound is a sum of per-factor degrees, and the case expands
+nothing but its constant terms, one point fold per coefficient.
 """
 
 from __future__ import annotations
 
-from operator import add
-
 from .closedform import dn0_rhs
-from .laurent import FoldFactor, MLaurent, ct_fold, linear_factors
+from .laurent import Factored, FoldFactor, MLaurent, ct_fold, linear_factors
 from .products import Shape, pair_factors, pair_linear
-from .qring import ONE, ZERO, Cyclo, QFrac, QLaurent, cyclo_sum
+from .qring import ONE, Cyclo, QFrac, QLaurent, cyclo_sum
 
 
 def split_k(shape: Shape) -> int:
@@ -66,73 +64,6 @@ def pair_product(shape: Shape, c: int) -> MLaurent:
     """The pair product expanded over QFrac."""
     terms = ct_fold(shape.n, pair_factors(shape, c), None, None)
     return MLaurent(shape.n, {e: QFrac.from_qlaurent(x) for e, x in terms.items()}, _trusted=True)
-
-
-class Factored:
-    """scalar * x^mono * prod (1 - q^m x_a/x_b): a ``Cyclo`` scalar, a
-    monomial exponent vector and a multiset of factors (a, b, m), a < b,
-    kept as counts.
-
-    A factor given with a > b is turned round by
-        1 - q^m x_a/x_b = -q^m (x_a/x_b) (1 - q^{-m} x_b/x_a),
-    its sign and power of q going to the scalar and x_a/x_b to the
-    monomial.  The turned factors and the Psi_d are irreducible and pairwise
-    non-associate in Z[q^±1, x^±1], so two nonzero values are equal exactly
-    when their parts are.  A zero scalar is the zero value, whatever the
-    rest.
-    """
-
-    __slots__ = ("scalar", "mono", "factors")
-
-    def __init__(self, scalar: Cyclo, mono, triples):
-        mono = list(mono)
-        sign, shift = scalar.sign, scalar.shift
-        factors: dict = {}
-        for a, b, m in triples:
-            if a > b:
-                sign, shift = -sign, shift + m
-                mono[a - 1] += 1
-                mono[b - 1] -= 1
-                a, b, m = b, a, -m
-            factors[a, b, m] = factors.get((a, b, m), 0) + 1
-        if not sign:
-            mono, factors = [0] * len(mono), {}
-        self.scalar = Cyclo(sign, shift, scalar.exps)
-        self.mono = tuple(mono)
-        self.factors = factors
-
-    def triples(self) -> list:
-        return [f for f, e in self.factors.items() for _ in range(e)]
-
-    def __mul__(self, other: "Factored") -> "Factored":
-        return Factored(self.scalar * other.scalar, map(add, self.mono, other.mono),
-                        self.triples() + other.triples())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Factored):
-            return NotImplemented
-        return (self.scalar, self.mono, self.factors) == (other.scalar, other.mono, other.factors)
-
-    __hash__ = None
-
-    def top_degree(self, i: int) -> int | None:
-        """The largest exponent of x_i in the expansion, None for zero: the
-        monomial's plus one per factor with x_i on top.  Exact, because the
-        factors' leading coefficients in x_i are nonzero and Z[q^±1, x^±1]
-        has no zero divisors."""
-        if not self.scalar.sign:
-            return None
-        return self.mono[i - 1] + sum(e for (a, _, _), e in self.factors.items() if a == i)
-
-    def constant_term(self) -> QLaurent:
-        """The constant term divided by the scalar (zero for zero), by one
-        point fold."""
-        if not self.scalar.sign:
-            return ZERO
-        n = len(self.mono)
-        zero = (0,) * n
-        factors = [FoldFactor.monomial(n, self.mono)] + [FoldFactor.linear(n, *f) for f in self.triples()]
-        return ct_fold(n, factors, zero, zero).get(zero, ZERO)
 
 
 # table-driven assembly of the split coefficients ------------------------------------

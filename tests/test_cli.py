@@ -42,6 +42,13 @@ def test_gx_method_agrees_with_brute(capsys):
     assert brute == gx
 
 
+def test_gx_method_matches_rhs_on_five_variables(capsys):
+    flags = ("--family", "bf", "--shape", "1,4", "--a", "1", "--b", "1", "--c", "1")
+    code, gx = run(capsys, "ct", *flags, "--method", "gx")
+    _, rhs = run(capsys, "rhs", *flags)
+    assert code == 0 and gx == rhs
+
+
 def test_ct_kadell(capsys):
     code, out = run(capsys, "ct", "--family", "kadell", "--v", "1,0",
                     "--r", "1", "--a", "1,1")

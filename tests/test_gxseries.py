@@ -1,29 +1,273 @@
 import itertools
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qct import cli, gxseries, qring
+from qct import cli, gxseries, laurent, qring
 from qct.closedform import all_shapes
 from qct.gxseries import (
-    RationalTerm,
     build_Q,
     build_Quk,
     check_property_expand,
     check_property_laurent,
     check_property_zero,
     exact_ct_rational,
+    factored_ct,
     gx_ct,
     vanishing_property_checks,
     oracle_matches_direct,
     property_branch,
-    rational_ct,
 )
-from qct.laurent import FoldFactor, MLaurent, _decode_packed, _digit_width, ct_fold, pack_qlaurent
+from qct.laurent import (FoldFactor, MLaurent, _decode_packed, _digit_width, ct_fold,
+                         fold_packed_raw, pack_qlaurent, packed_add)
 from qct.products import Shape
-from qct.qring import ONE, Cyclo, QFrac, QLaurent, eval_poly
+from qct.qring import ONE, Cyclo, QFrac, QLaurent, cyclo_sum, eval_poly
 from qct.roots import interpolate_dn
+
+
+# -- the packed route: the oracle the factored walk must match -------------------------
+#
+# Numerators expanded in full by the fold at the root and kept as packed
+# {exponent tuple: (lo, mag)} values of digit width B down to the leaves;
+# every node whose head degree reaches its factor count is divided by its
+# denominator, and every other takes one elimination step on the expansion.
+
+
+class RationalTerm:
+    """scale * numerator / prod_r (1 - q^{m_r} x_head/x_{tail_r}), the
+    numerator packed at digit width B."""
+
+    __slots__ = ("scale", "num", "B", "dens", "head")
+
+    def __init__(self, num: dict, B: int, dens, head: int | None, scale: Cyclo | None = None):
+        self.scale = Cyclo() if scale is None else scale
+        self.num = num
+        self.B = B
+        self.dens = list(dens)  # (m_r, tail var index)
+        self.head = head
+        if self.dens and head is None:
+            raise ValueError("denominator factors need a head variable")
+
+
+def _add_term(poly: dict, e: tuple, v, B: int) -> None:
+    """poly[e] += v on packed values, dropping the entry when the sum vanishes."""
+    cur = poly.get(e)
+    if cur is None:
+        poly[e] = v
+        return
+    lo, mag = packed_add(cur, v, B)
+    if mag:
+        poly[e] = (lo, mag)
+    else:
+        del poly[e]
+
+
+def _divide(num: dict, B: int, factors, k: int):
+    """(quo, rem, B2) with num = quo * D + rem, D = prod_r (1 - q^{m_r} x_k/x_{t_r}),
+    rem of x_k-degree below m = len(factors), and quo, rem packed at width B2.
+
+    D's top x_k-coefficient is a unit, so each quotient term is a shifted,
+    signed numerator coefficient, reduced from the top degree down.  One
+    x_k-degree level multiplies the total L1 by at most 2^m, so B2 is the
+    digit width of num's L1 times 2^(m L), L the number of levels.
+    """
+    m = len(factors)
+    arity = len(next(iter(num)))
+    levels = max(e[k] for e in num) - m + 1
+    values = {e: _decode_packed(lo, mag, B) for e, (lo, mag) in num.items()}
+    B = _digit_width(sum(v.l1_norm() for v in values.values()) << (m * levels))
+    num = {e: pack_qlaurent(v, B) for e, v in values.items()}
+    lower = {(0,) * arity: (0, 1)}  # D, expanded
+    for mr, tr in factors:
+        step = dict(lower)
+        for e, (lo, mag) in lower.items():
+            ne = list(e)
+            ne[k] += 1
+            ne[tr] -= 1
+            _add_term(step, tuple(ne), (lo + mr, -mag), B)
+        lower = step
+    top = [0] * arity
+    top[k] = m
+    for _, tr in factors:
+        top[tr] -= 1
+    top = tuple(top)
+    del lower[top]  # D's top term; what is left has x_k-degree below m
+    lead = -sum(mr for mr, _ in factors)
+    sign = -1 if m % 2 else 1
+    quo: dict = {}
+    rem: dict = {}
+    high: dict[int, dict] = {}  # x_k-degree >= m -> {exponent tuple: coefficient}
+    for e, v in num.items():
+        if e[k] >= m:
+            high.setdefault(e[k], {})[e] = v
+        else:
+            rem[e] = v
+    while high:
+        for e, (lo, mag) in high.pop(max(high)).items():
+            clo, cmag = lo + lead, sign * mag
+            w = tuple(a - b for a, b in zip(e, top))
+            quo[w] = (clo, cmag)
+            # subtract c x^w (D - top term); each product lands lower in x_k
+            for de, (dlo, dmag) in lower.items():
+                ne = tuple(a + b for a, b in zip(w, de))
+                _add_term(high.setdefault(ne[k], {}) if ne[k] >= m else rem, ne,
+                          (clo + dlo, -cmag * dmag), B)
+    return quo, rem, B
+
+
+def _same_tail_scalar(exps: tuple) -> Cyclo:
+    """prod_j 1/(1 - q^j) over ``exps``."""
+    return prod((Cyclo.poch(j, 1) for j in exps), start=Cyclo()) ** -1
+
+
+def _eliminate(scale: Cyclo, num: dict, B: int, factors, k: int):
+    """One elimination step on a packed numerator; returns (scale, num, dens,
+    head, cleared) per factor whose tail comes after k.  Substituting
+    x_k = q^{-m_r} x_{i_r} adds -m_r e to a coefficient's packed ``lo``."""
+    m = len(factors)
+    if m == 0:
+        raise ValueError("no denominator factors to eliminate against")
+    for r, (mr, ir) in enumerate(factors):
+        if ir == k:
+            raise ValueError("denominator tail equals the eliminated variable")
+        for ms, js in factors[r + 1:]:
+            if js == ir and ms == mr:
+                raise ValueError("repeated pole: equal coefficients on one tail")
+    if num:
+        deg = max(e[k] for e in num)
+        if deg > m - 1:
+            raise ValueError(f"numerator degree {deg} in x_{k} exceeds {m - 1}; divide first")
+    out = []
+    for r, (mr, ir) in enumerate(factors):
+        if ir < k:
+            continue
+        sub: dict = {}
+        for e, (lo, mag) in num.items():
+            ek = e[k]
+            if ek:
+                ne = list(e)
+                ne[k] = 0
+                ne[ir] += ek
+                e = tuple(ne)
+                lo -= mr * ek
+            _add_term(sub, e, (lo, mag), B)
+        same = tuple(ms - mr for s, (ms, js) in enumerate(factors) if js == ir and s != r)
+        new_scale = scale * _same_tail_scalar(same) if same else scale
+        new_dens = [(ms - mr, js) for ms, js in factors if js != ir]
+        out.append((new_scale, sub, new_dens, ir, (mr, ir)))
+    return out
+
+
+def rational_ct(term: RationalTerm) -> QFrac:
+    """CT over every variable of one packed term: divide where the head
+    degree reaches the factor count (the quotient's constant coefficient is
+    a leaf), eliminate the rest."""
+    stack = [term]
+    leaves = []  # (scale, constant term) pairs
+    while stack:
+        t = stack.pop()
+        num, B = t.num, t.B
+        if not num:
+            continue
+        zero = (0,) * len(next(iter(num)))
+        if not t.dens:
+            if zero in num:
+                leaves.append((t.scale, _decode_packed(*num[zero], B)))
+            continue
+        if max(e[t.head] for e in num) >= len(t.dens):
+            quo, num, B = _divide(num, B, t.dens, t.head)
+            if zero in quo:
+                leaves.append((t.scale, _decode_packed(*quo[zero], B)))
+        for scale, new_num, new_dens, new_head, _ in _eliminate(t.scale, num, B, t.dens, t.head):
+            stack.append(RationalTerm(new_num, B, new_dens, new_head, scale=scale))
+    return cyclo_sum(leaves)
+
+
+def expand_numerator(arity: int, mono, triples) -> tuple[dict, int]:
+    """x^mono * prod (1 - q^m x_a/x_b) over 0-based (a, b, m), expanded and
+    packed."""
+    factors = [FoldFactor.monomial(arity, tuple(mono))]
+    factors += [FoldFactor.linear(arity, a + 1, b + 1, m) for a, b, m in triples]
+    return fold_packed_raw(arity, factors)
+
+
+def numerator_poly(q) -> tuple[dict, int]:
+    """Q(d | u; k)'s numerator expanded and packed; empty when V vanishes."""
+    if q.is_zero():
+        return {}, _digit_width(1)
+    return expand_numerator(q.shape.n + 1, (0,) * (q.shape.n + 1), q.numerator_triples())
+
+
+def rational_term(q) -> RationalTerm:
+    return RationalTerm(*numerator_poly(q), q.den_factor_list(), q.head, scale=q.scale)
+
+
+def packed_term(term) -> RationalTerm:
+    """A walk term (scale, mono, factors, dens, head) as a packed term."""
+    scale, mono, factors, dens, head = term
+    return RationalTerm(*expand_numerator(len(mono), mono, factors), dens, head, scale=scale)
+
+
+def _scaled_equal(scale_a: Cyclo, num_a: dict, B_a: int, scale_b: Cyclo, num_b: dict,
+                  B_b: int) -> bool:
+    """scale_a * num_a == scale_b * num_b coefficient by coefficient, for
+    packed numerators without zero values.  Packed values are not canonical
+    (a cancelled sum may keep zero low digits), so each is decoded and
+    cross-multiplied by the parts of scale_a / scale_b."""
+    if not scale_a.sign:
+        num_a = {}
+    if not scale_b.sign:
+        num_b = {}
+    if num_a.keys() != num_b.keys():
+        return False
+    if not num_a:
+        return True
+    over, under = (scale_a / scale_b).split()
+    return all(over.times(_decode_packed(*v, B_a)) == under.times(_decode_packed(*num_b[e], B_b))
+               for e, v in num_a.items())
+
+
+def _terms_equal(scale_a: Cyclo, num_a: dict, B_a: int, dens_a, head_a, cand) -> bool:
+    if head_a != cand.head:
+        return False
+    if sorted(dens_a) != sorted(cand.den_factor_list()):
+        return False
+    return _scaled_equal(scale_a, num_a, B_a, cand.scale, *numerator_poly(cand))
+
+
+def reference_property_expand(shape, b, c, d, u, k) -> bool:
+    """Property (2) the packed way: the degree condition on the expanded
+    numerator, then one packed elimination step compared with the directly
+    built next-level terms."""
+    q = build_Quk(shape, b, c, d, u, k)
+    num, B = numerator_poly(q)
+    dens = q.den_factor_list()
+    if max((e[q.head] for e in num), default=0) >= len(dens):
+        return False
+    ks = q.k[-1] if q.u else 0
+    for scale, new_num, new_dens, new_head, (m, i) in _eliminate(q.scale, num, B, dens, q.head):
+        cand = build_Quk(shape, b, c, d, q.u + (i,), q.k + (ks - m,))
+        if not _terms_equal(scale, new_num, B, new_dens, new_head, cand):
+            return False
+    return True
+
+
+def reference_oracle_matches_direct(shape, b, c, d, u, k) -> bool:
+    """The substitution oracle against the direct construction the packed
+    way: both cross-multiplied numerators expanded in full."""
+    direct = build_Quk(shape, b, c, d, u, k)
+    scal, pochs, dens = gxseries.substitution_oracle(shape, b, c, d, u, k)
+    arity = shape.n + 1
+    mono = (0,) * arity
+
+    def expand(triples, dlist):
+        return expand_numerator(arity, mono, triples + [(direct.head, t, m) for m, t in dlist])
+
+    lhs = expand(direct.numerator_triples(), dens)
+    rhs = expand(gxseries._triples(pochs), direct.den_factor_list())
+    return _scaled_equal(direct.scale, *lhs, scal, *rhs)
 
 
 # -- packed numerators ----------------------------------------------------------------
@@ -141,9 +385,9 @@ def reference_ct(q) -> QFrac:
     """CT of Q(d | u; k) by elimination on QFrac terms, with the bounded series
     on every term whose head degree reaches its factor count."""
     arity = q.shape.n + 1
-    num = _as_qfrac_terms(unpack(*q.numerator_poly()), arity)
+    num = _as_qfrac_terms(unpack(*numerator_poly(q)), arity)
     dens = [(QFrac.q_power(m), tail) for m, tail in q.den_factor_list()]
-    stack = [(q.scale().to_qfrac(), num, dens, q.head)]
+    stack = [(q.scale.to_qfrac(), num, dens, q.head)]
     total = QFrac(0)
     while stack:
         scale, num, dens, head = stack.pop()
@@ -185,7 +429,7 @@ def ct_partial_fraction(num: MLaurent, factors, k: int):
     cleared = {e: v.num * den.divexact(v.den) for e, v in num.terms.items()}
     out = []
     packed, B = pack(cleared)
-    for scale, sub, dens, head, _ in gxseries._eliminate(Cyclo(), packed, B, factors, k):
+    for scale, sub, dens, head, _ in _eliminate(Cyclo(), packed, B, factors, k):
         inv = scale ** -1
         coeffs = {e: inv.divide(p) for e, p in unpack(sub, B).items()}
         if not den.is_one():
@@ -231,7 +475,7 @@ def elimination_cases(draw, unit=1):
 def check_elimination(case):
     arity, k, factors, num, scale = case
     packed, B = pack(num)
-    got = gxseries._eliminate(scale, packed, B, factors, k)
+    got = _eliminate(scale, packed, B, factors, k)
     want = reference_eliminate(scale.to_qfrac(), _as_qfrac_terms(num, arity),
                                [(QFrac.q_power(m), t) for m, t in factors], k)
     assert len(got) == len(want)
@@ -297,7 +541,7 @@ def division_cases(draw, unit=1):
 
 def check_division(case):
     arity, k, factors, num, scale = case
-    quo, rem, B = gxseries._divide(*pack(num), factors, k)
+    quo, rem, B = _divide(*pack(num), factors, k)
     quo, rem = unpack(quo, B), unpack(rem, B)
     # the width covers every value with the margin the fold keeps: the
     # elimination below relies on it
@@ -344,11 +588,16 @@ def test_gx_ct_runs_without_gcd(monkeypatch):
     assert got == reference_ct(build_Q(Shape((1, 1)), 1, 1, 3))
 
 
+def _point_window(tlo, thi, arity) -> bool:
+    return tlo == thi == (0,) * arity
+
+
 def test_packed_elimination_makes_no_qlaurent_arithmetic(monkeypatch):
-    # numerators stay packed through substitution and division: inside
-    # _eliminate and _divide no QLaurent is added or shifted
-    inside, calls = [], []
-    for name in ("_eliminate", "_divide"):
+    # the walk keeps every term factored: a substitution or a split adds,
+    # shifts and multiplies no QLaurent, and the only folds in gxseries are
+    # the point folds of the leaves and property (3)'s ledger fold
+    inside, calls, folds = [], [], []
+    for name in ("_substitute", "_split"):
         def traced(*args, step=getattr(gxseries, name)):
             inside.append(1)
             try:
@@ -357,19 +606,36 @@ def test_packed_elimination_makes_no_qlaurent_arithmetic(monkeypatch):
                 inside.pop()
 
         monkeypatch.setattr(gxseries, name, traced)
-    for name in ("__add__", "shift"):
+    for name in ("__add__", "__mul__", "shift"):
         def counted(self, *args, op=getattr(QLaurent, name), name=name):
             if inside:
                 calls.append(name)
             return op(self, *args)
 
         monkeypatch.setattr(QLaurent, name, counted)
-    divide = gxseries._divide
-    divided = []
-    monkeypatch.setattr(gxseries, "_divide", lambda *a: divided.append(1) or divide(*a))
+
+    def spy(kind, fold):
+        def run(arity, factors, tlo=None, thi=None, *rest):
+            folds.append((kind, _point_window(tlo, thi, arity)))
+            return fold(arity, factors, tlo, thi, *rest)
+        return run
+
+    monkeypatch.setattr(laurent, "ct_fold", spy("leaf", laurent.ct_fold))
+    monkeypatch.setattr(gxseries, "fold_packed_raw", spy("property 3", gxseries.fold_packed_raw))
+    box_fold = laurent.KeyBox.fold
+    monkeypatch.setattr(laurent.KeyBox, "fold",
+                        lambda self, *a: folds.append(("ledger", None)) or box_fold(self, *a))
+    split = gxseries._split
+    splits = []
+    monkeypatch.setattr(gxseries, "_split", lambda term: splits.append(1) or split(term))
     got = gx_ct(Shape((1, 2)), 1, 1, 3)
-    assert divided and calls == []
+    assert splits and calls == [] and folds
+    assert folds == [("leaf", True)] * len(folds)
     assert got == reference_ct(build_Q(Shape((1, 2)), 1, 1, 3))
+    folds.clear()
+    rep = check_property_laurent(Shape((2, 4)), 1, 2, 5, (3, 4), (5, 2))
+    assert rep["divisible"] and rep["ct_zero"]
+    assert folds == [("ledger", None), ("property 3", True)]
 
 
 def test_scaled_equal_compares_values_not_their_packing():
@@ -377,9 +643,9 @@ def test_scaled_equal_compares_values_not_their_packing():
     # the fold's way; a different value does not
     e = (0, 1)
     one = Cyclo()
-    assert gxseries._scaled_equal(one, {e: (0, 1 << 64)}, 64, one, {e: (1, 1)}, 80)
-    assert gxseries._scaled_equal(Cyclo(1, 1), {e: (0, 1)}, 64, one, {e: (0, 1 << 64)}, 64)
-    assert not gxseries._scaled_equal(one, {e: (0, 1 << 64)}, 64, one, {e: (0, 1)}, 64)
+    assert _scaled_equal(one, {e: (0, 1 << 64)}, 64, one, {e: (1, 1)}, 80)
+    assert _scaled_equal(Cyclo(1, 1), {e: (0, 1)}, 64, one, {e: (0, 1 << 64)}, 64)
+    assert not _scaled_equal(one, {e: (0, 1 << 64)}, 64, one, {e: (0, 1)}, 64)
 
 
 def test_expand_factor_directions():
@@ -406,7 +672,8 @@ def test_ct_matches_series_expansion():
         term = RationalTerm(*pack({(0, 0, 0): ONE}), [(1, tail)], head)
         series = reference_series_ct(QFrac(1), MLaurent.constant(3, 1),
                                      [(QFrac.q_power(1), tail)], head)
-        assert rational_ct(term) == series == QFrac(want), (head, tail)
+        walk = factored_ct((Cyclo(), (0, 0, 0), [], [(1, tail)], head))
+        assert rational_ct(term) == walk == series == QFrac(want), (head, tail)
 
 
 def test_ct_partial_fraction_single_factor():
@@ -676,18 +943,35 @@ def test_grand_cross_check_shapes():
             assert gx_ct(shape, bb, cc, d) == eval_poly(poly, -d)
 
 
+def _expanded_head_degree(term):
+    """The top x_head-degree of a term's numerator, read off its expansion."""
+    scale, mono, factors, dens, head = term
+    num, _ = expand_numerator(len(mono), mono, factors)
+    return max(e[head] for e in num)
+
+
 def test_pipeline_divides_where_the_head_degree_reaches_m(monkeypatch):
-    # shape (1,2), b = c = 1, d = 3 meets a node whose numerator has head
-    # degree >= m; the division step finishes it and the value is exact
+    # every term the walk splits has a numerator whose expanded head degree
+    # reaches its factor count, and every term it eliminates has one below;
+    # on shape (1,2), b = c = 1 only d = 3 meets a split, and the value is exact
     shape = Shape((1, 2))
     poly = interpolate_dn(shape, 1, 1)
-    divide = gxseries._divide
-    calls = []
-    monkeypatch.setattr(gxseries, "_divide", lambda *a: calls.append(a) or divide(*a))
+    split, eliminate = gxseries._split, gxseries._substitutions
+    seen = []
+
+    def spy(step, splits):
+        def run(term):
+            seen.append((splits, _expanded_head_degree(term) >= len(term[3])))
+            return step(term)
+        return run
+
+    monkeypatch.setattr(gxseries, "_split", spy(split, True))
+    monkeypatch.setattr(gxseries, "_substitutions", spy(eliminate, False))
     for d in (1, 2, 3):
-        calls.clear()
+        seen.clear()
         assert gx_ct(shape, 1, 1, d) == eval_poly(poly, -d), d
-        assert bool(calls) == (d == 3), d
+        assert all(splits == reached for splits, reached in seen), d
+        assert any(splits for splits, _ in seen) == (d == 3), d
 
 
 def test_pipeline_on_two_decorated_blocks():
@@ -761,3 +1045,136 @@ def test_head_denominator_interval_inclusion():
         for lo, hi in intervals:
             covered.update(range(lo, hi + 1))
         assert set(range(1 - ks, d - ks + 1)) <= covered
+
+
+# -- the factored walk against the packed route ------------------------------------------
+
+
+@pytest.mark.parametrize("parts", [(1, 4), (2, 3), (1, 2, 2)])
+def test_grand_check_on_five_variables(parts):
+    # every d <= nb + 1 that `qct ct --method gx` evaluates at b = c = 1
+    shape = Shape(parts)
+    poly = interpolate_dn(shape, 1, 1)
+    for d in range(1, shape.n + 2):
+        assert gx_ct(shape, 1, 1, d) == eval_poly(poly, -d), d
+
+
+def _gx_grid_terms():
+    """Every (shape, b, c, d, u, k) with s < n of the gx-pipeline suite's
+    ``branches`` and ``grand`` cases, s = 0 standing for Q(d) itself."""
+    out = []
+    for case in cli._cases_gx(None):
+        if case["kind"] not in ("branches", "grand"):
+            continue
+        shape = Shape(case["shape"])
+        b, c = case["b"], case["c"]
+        for d in ([case["d"]] if "d" in case else range(1, case["dmax"] + 1)):
+            for s in range(shape.n):
+                for u in itertools.combinations(range(1, shape.n + 1), s):
+                    for k in itertools.product(range(1, d + 1), repeat=s):
+                        out.append((shape, b, c, d, u, k))
+    return out
+
+
+GX_GRID_TERMS = _gx_grid_terms()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(GX_GRID_TERMS))
+def test_walk_matches_packed_route_on_grid_terms(case):
+    q = build_Quk(*case)
+    assert exact_ct_rational(q) == rational_ct(rational_term(q)), case
+
+
+@st.composite
+def division_terms(draw):
+    """A walk term whose head degree reaches its factor count: a head h with
+    1-3 denominator factors (m, t) (distinct m on a tail, tails on both sides
+    of h), numerator factors with x_h on top and on the bottom, some of them
+    equal to a denominator factor or on one of its tails, and a monomial.
+    ``rule`` "monomial" puts the whole head degree in the monomial, "factor"
+    at least one x_h-on-top factor."""
+    arity = draw(st.integers(3, 4))
+    h = draw(st.integers(1, arity - 2))
+    others = [v for v in range(arity) if v != h]
+    dens = draw(st.lists(st.tuples(st.integers(-3, 3), st.sampled_from(others)), min_size=1,
+                         max_size=3, unique=True))
+    rule = draw(st.sampled_from(("monomial", "factor")))
+    m = len(dens)
+    exps = st.integers(-3, 3)
+    # factors away from h, and with x_h underneath
+    factors = [(a, b, e) for a, b, e in draw(st.lists(
+        st.tuples(st.sampled_from(range(arity)), st.sampled_from(range(arity)), exps), max_size=3))
+        if a != b and a != h]
+    tops = 0
+    if rule == "factor":
+        pole = st.sampled_from(dens).map(lambda p: (h, p[1], p[0]))
+        free = st.tuples(st.just(h), st.sampled_from(others), exps)
+        tops = draw(st.integers(1, m + 1))
+        factors += draw(st.lists(st.one_of(pole, free), min_size=tops, max_size=tops))
+    mono = [draw(st.integers(-1, 1)) for _ in range(arity)]
+    mono[h] = m - tops + draw(st.integers(0, 1))
+    scale = Cyclo(draw(st.sampled_from([1, -1])), draw(st.integers(-2, 2)))
+    factors = draw(st.permutations(factors))
+    return rule, (scale, tuple(mono), list(factors), dens, h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_terms())
+def test_walk_matches_packed_route_on_division_terms(case):
+    rule, term = case
+    scale, mono, factors, dens, h = term
+    assert gxseries._head_degree(mono, factors, h) >= len(dens)
+    assert any(a == h for a, _, _ in factors) == (rule == "factor")
+    # each split is a sum equal to the term it replaces
+    children = gxseries._split(term)
+    assert sum((factored_ct(c) for c in children), QFrac(0)) == factored_ct(term)
+    assert factored_ct(term) == rational_ct(packed_term(term))
+
+
+def test_no_default_grid_comes_near_the_term_budget(monkeypatch):
+    # a thousandth of the budget holds every call of the gx-pipeline suite
+    # and of the gx-query grid (n <= 3, b, c <= 1, d <= nb + 1)
+    monkeypatch.setattr(gxseries, "MAX_TERMS", gxseries.MAX_TERMS // 1000)
+    assert all(cli._run_gx(case)[0] for case in cli._cases_gx(None))
+    for shape in all_shapes(3):
+        for b, c in itertools.product(range(2), repeat=2):
+            for d in range(1, shape.n * b + 2):
+                gx_ct(shape, b, c, d)
+    monkeypatch.setattr(gxseries, "MAX_TERMS", 1)
+    with pytest.raises(RuntimeError, match="budget"):
+        gx_ct(Shape((1, 2)), 1, 1, 3)
+
+
+def test_property_expand_matches_packed_route():
+    # on every expand-branch (u, k) of shape (1,2), b = c = 1, d <= 5
+    shape = Shape((1, 2))
+    compared = 0
+    for d in range(1, 6):
+        for s in range(1, 3):
+            for u in itertools.combinations(range(1, 4), s):
+                for k in itertools.product(range(1, d + 1), repeat=s):
+                    if property_branch(shape, 1, 1, d, u, k) != "expand":
+                        continue
+                    rep = check_property_expand(shape, 1, 1, d, u, k)
+                    assert rep["ok"] and reference_property_expand(shape, 1, 1, d, u, k), (d, u, k)
+                    compared += rep["terms"]
+    assert compared > 10
+
+
+def test_oracle_comparison_matches_packed_route(monkeypatch):
+    probe = (Shape((1, 2)), 1, 1, 5, (1, 3), (4, 2))
+    assert oracle_matches_direct(*probe) and reference_oracle_matches_direct(*probe)
+    oracle = gxseries.substitution_oracle
+
+    def moved_pole(*args):
+        # one denominator factor of the oracle's side one power of q off
+        scalar, pochs, dens = oracle(*args)
+        (m, t), *rest = dens
+        return scalar, pochs, [(m + 1, t)] + rest
+
+    perturbed = [lambda *a, wrong=wrong: (oracle(*a)[0] * wrong,) + oracle(*a)[1:]
+                 for wrong in (Cyclo(1, 1), Cyclo.poch(2, 1), Cyclo(0))]
+    for wrong in perturbed + [moved_pole]:
+        monkeypatch.setattr(gxseries, "substitution_oracle", wrong)
+        assert not oracle_matches_direct(*probe) and not reference_oracle_matches_direct(*probe)

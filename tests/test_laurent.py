@@ -534,6 +534,21 @@ def test_fold_sum_matches_reference_sum(case):
     assert {e: _decode_packed(lo, mag, B) for e, (lo, mag) in total.items()} == _reference_sum(n, pieces[1:])
 
 
+def sum_box(arity: int, pieces) -> laurent.KeyBox:
+    """A KeyBox for a sum of the expansions of several factor lists: its box
+    holds every product of a sub-list of any piece, taken in any order, and
+    its digit width every coefficient of a sum of such products, at most one
+    per piece."""
+    box = laurent.KeyBox(arity, [])
+    for factors in pieces:
+        piece = laurent.KeyBox(arity, factors)
+        box.base = list(map(min, box.base, piece.base))
+        box.top = list(map(max, box.top, piece.top))
+    box.B = laurent._digit_width(sum(laurent._l1_bound(f) for f in pieces))
+    box._radix, box._width = laurent._radices(box.base, box.top)
+    return box
+
+
 def _box_add(box, total: dict, state: dict) -> dict:
     """Add a state folded in ``box`` into ``total`` in place, as int keys and
     packed values, dropping zero sums."""
@@ -554,11 +569,12 @@ def _box_decode(box, state: dict) -> dict:
 @settings(max_examples=150, deadline=None)
 @given(sum_cases(), st.data())
 def test_key_box_holds_every_sub_product(case, data):
-    # a fold of any sub-list of a piece, in any order and continued from any
-    # other, stays in the box and decodes to the dict fold's exponents
+    # a fold of any sub-list of the box's factor list, in any order and
+    # continued from any other, stays in the box and decodes to the dict
+    # fold's exponents
     n, pieces = case
-    box = laurent.KeyBox(n, [pieces])
     factors = data.draw(st.sampled_from(pieces))
+    box = laurent.KeyBox(n, factors)
     sub = data.draw(st.permutations(factors)).copy()
     del sub[data.draw(st.integers(0, len(sub))):]
     cut = data.draw(st.integers(0, len(sub)))
@@ -572,7 +588,7 @@ def test_key_box_digits_hold_the_whole_sum():
     # once 1000 pieces add up; the bound of the whole sum holds them
     big = 2 ** 60 + 1
     piece = [FoldFactor(1, [((1,), 0, QLaurent({0: big, 1: big}))])]
-    box = laurent.KeyBox(1, [[piece] * 1000])
+    box = sum_box(1, [piece] * 1000)
     total: dict = {}
     for _ in range(1000):
         _box_add(box, total, box.fold(piece))
@@ -590,7 +606,7 @@ def test_passing_sum_decodes_nothing(monkeypatch):
     n = 3
     P = [FoldFactor.linear(n, 1, 2, 0), FoldFactor.linear(n, 3, 2, 1), FoldFactor.linear(n, 1, 3, -2)]
     Q = [FoldFactor.linear(n, 2, 1, 0)] + P
-    box = laurent.KeyBox(n, [[P, _negated(n, P), Q]])
+    box = sum_box(n, [P, _negated(n, P), Q])
     total = _box_add(box, box.fold(P), box.fold(_negated(n, P)))
     assert total == {}
     _box_add(box, total, box.fold(Q))

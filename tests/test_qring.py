@@ -329,6 +329,24 @@ def test_cyclo_poch_and_qbinom_expand_to_the_products():
         Cyclo.poch(1, -1)
 
 
+def test_cyclo_poch_product_is_the_chained_product():
+    # one accumulation equals the product of the symbols and their inverses,
+    # signs and q-shifts of negative bases included; a zero symbol makes the
+    # value zero, and under a negative power raises
+    rng = random.Random(7)
+    for _ in range(60):
+        pochs = [(rng.randrange(-5, 6), rng.randrange(0, 4), rng.choice((1, -1, 2)))
+                 for _ in range(rng.randrange(0, 5))]
+        if any(m <= 0 < m + z and p < 0 for m, z, p in pochs):
+            with pytest.raises(ZeroDivisionError):
+                Cyclo.poch_product(pochs)
+            continue
+        want = Cyclo()
+        for m, z, p in pochs:
+            want = want * Cyclo.poch(m, z) ** p
+        assert Cyclo.poch_product(pochs) == want, pochs
+
+
 def test_cyclo_is_an_exponent_vector_over_psi():
     # 1 - q^6 = Psi_1 Psi_2 Psi_3 Psi_6; 1 - q^-2 = -q^-2 Psi_1 Psi_2
     assert Cyclo.poch(6, 1) == Cyclo(1, 0, {1: 1, 2: 1, 3: 1, 6: 1})

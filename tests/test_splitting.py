@@ -2,13 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qct import cli, qring, splitting
+from qct import cli, laurent, qring, splitting
 from qct.closedform import dn0_rhs
-from qct.laurent import FoldFactor, MLaurent, ct_fold
+from qct.laurent import Factored, FoldFactor, MLaurent, ct_fold
 from qct.products import Shape, pair_linear
 from qct.qring import Cyclo, QFrac, QLaurent, cyclo_sum
 from qct.splitting import (
-    Factored,
     SplitDecomposition,
     admissible_j,
     build_S,
@@ -338,6 +337,7 @@ def test_residues_expand_nothing(monkeypatch):
         raise AssertionError("a residue check expanded a product")
 
     monkeypatch.setattr(splitting, "ct_fold", refuse)
+    monkeypatch.setattr(laurent, "ct_fold", refuse)
     sd = SplitDecomposition(Shape((2, 2, 2)), 3)
     assert all(sd.residue_holds(i, j) for j, i in sd.denominator)
     assert sd.degree_bounds_ok()
