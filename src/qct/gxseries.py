@@ -17,9 +17,9 @@ turns each numerator factor into another one or into a scalar 1 - q^{m'},
 and the branch is exactly zero when m' = 0.  The head degree is read off the
 factors, exactly; where it reaches the number of denominator factors, one
 numerator factor (or one x_head of the monomial) is cancelled against one
-denominator factor, leaving a sum of two products.  Nothing is expanded but
-one point fold per leaf with no denominator left, and a constant term is
-reduced once, at the end.
+denominator factor, leaving at most two products.  Nothing is expanded but
+one point fold per distinct numerator of a leaf (a term with no denominator
+left), and a constant term is reduced once, at the end.
 """
 
 from __future__ import annotations
