@@ -19,14 +19,17 @@ factors, exactly; where it reaches the number of denominator factors, one
 numerator factor (or one x_head of the monomial) is cancelled against one
 denominator factor, leaving at most two products.  Nothing is expanded but
 one point fold per distinct numerator of a leaf (a term with no denominator
-left), and a constant term is reduced once, at the end.
+left), and a constant term is reduced once, at the end.  The vanishing
+checks stay factored too: property (3) reads its Laurent-form ledger off the
+cancelled numerator's factors, exactly, and takes its constant term by one
+point fold.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .laurent import Factored, FoldFactor, KeyBox, fold_packed_raw, linear_factors
+from .laurent import Factored
 from .products import Shape, epsilon
 from .qring import Cyclo, QFrac, cyclo_sum
 from .roots import t_table
@@ -196,10 +199,6 @@ class PochFactor:
         if z < 0:
             raise ValueError("pochhammer length negative")
         self.m, self.a, self.b, self.z = m, a, b, z
-
-    def fold_factors(self, arity):
-        return linear_factors(arity, None if self.a is None else self.a + 1,
-                              None if self.b is None else self.b + 1, self.m, self.z)
 
     def __repr__(self):
         sa = "1" if self.a is None else f"x{self.a}"
@@ -527,6 +526,15 @@ def check_property_laurent(shape, b, c, d, u, k) -> dict:
     cancels into the numerator, the Laurent form matches the degree ledger,
     and the constant term vanishes through the vanishing-coefficient family.
     An exact CT of the untouched rational term is computed as well.
+
+    The cancelled numerator is x^mono times factors (1 - q^z x_i/x_head),
+    i outside u, so it is read off its factors, exactly.  With
+    y_i = x_i/x_head, the coefficient of y_i^j in prod (1 - q^z y_i) is
+    +-e_j(q^{z_1}, ...), nonzero, and the y_i are independent; so the
+    monomials of the expansion are the whole box
+    mono + sum_i [0, count_i] (e_i - e_head), count_i the number of factors
+    on x_i.  Its least e_i is mono[i], and e_head + sum_i e_i takes the one
+    value mono[head] + sum_i mono[i].
     """
     q = QukFactors(shape, b, c, d, u, k)
     s = q.s
@@ -571,26 +579,20 @@ def check_property_laurent(shape, b, c, d, u, k) -> dict:
         report["ct_zero"] = exact_ct_rational(q).is_zero()
         report["ok"] = report["ct_zero"]
         return report
-    factors, shifts = cancelled
-    # Laurent-form ledger: every monomial of the cancelled numerator obeys
-    # e_i >= shift_i and e_head = ell - sum_i (e_i - shift_i), read off the
-    # int keys of its expansion: no key and no coefficient is decoded
-    box = KeyBox(n + 1, factors)
-    support = box.fold(factors)
+    scale, mono, triples, shifts = cancelled
+    # Laurent-form ledger: every monomial obeys e_i >= shift_i and
+    # e_head = ell - sum_i (e_i - shift_i)
     outside = [i for i in range(1, n + 1) if i not in q.u]
-    ok_form = all(x >= shifts[i] for i in outside for x in box.slot_sums(support, (i,)))
-    ledger = box.slot_sums(support, [q.head] + outside)
-    report["laurent_form_ok"] = ok_form = ok_form and ledger <= {ell + sum(shifts.values())}
+    ledger = mono[q.head] + sum(mono[i] for i in outside)
+    report["laurent_form_ok"] = ok_form = (all(mono[i] >= shifts[i] for i in outside)
+                                           and ledger == ell + sum(shifts.values()))
     if not ok_form:
         report["ok"] = False
         return report
     # exact constant term over all surviving variables: one point fold of
     # the cancelled numerator times the residual pair product
-    for pf in q.residual_pairs:
-        factors.extend(pf.fold_factors(n + 1))
-    zero = (0,) * (n + 1)
-    ct, _ = fold_packed_raw(n + 1, factors, zero, zero)
-    report["ct_zero"] = not ct
+    ct = _factored(scale, mono, triples + _triples(q.residual_pairs)).constant_term()
+    report["ct_zero"] = ct.is_zero()
     report["ok"] = report["ct_zero"]
     return report
 
@@ -599,8 +601,10 @@ def _cancel_head_denominator(q: QukFactors):
     """Flip the head-directed numerator Pochhammers of H and divide out the
     denominator, or return None when some linear factor is missing.
 
-    Returns (fold factors for the cancelled numerator, per-variable monomial
-    shifts), with all flip signs and q-powers carried by a monomial factor.
+    Returns the cancelled numerator as (scale, mono, triples, shifts): a
+    ``Cyclo`` scale carrying every flip sign and power of q, the monomial,
+    the factors (i, head, z) standing for (1 - q^z x_i/x_head), and the
+    per-variable monomial shifts.
     """
     shape, d, c = q.shape, q.d, q.c
     n = shape.n
@@ -610,7 +614,7 @@ def _cancel_head_denominator(q: QukFactors):
     mono = [0] * (n + 1)
     qexp = 0
     sign = 1
-    factors: list[FoldFactor] = []
+    triples = []
     shifts = {}
     for i in outside:
         runs = []  # available (1 - q^z x_i/x_us) exponents, with multiplicity
@@ -649,12 +653,9 @@ def _cancel_head_denominator(q: QukFactors):
                 return None
             pool[z] -= 1
         for z, count in pool.items():
-            for _ in range(count):
-                # slot t holds x_t, so 1-based factor indices are slot + 1
-                factors.append(FoldFactor.linear(n + 1, i + 1, us + 1, z))
+            triples += [(i, us, z)] * count
         shifts[i] = d - s * c - eps_sum
-    factors.insert(0, FoldFactor.monomial(n + 1, tuple(mono), qexp, sign))
-    return factors, shifts
+    return Cyclo(sign, qexp), mono, triples, shifts
 
 
 def vanishing_property_checks(shape: Shape, b: int, c: int, d: int, u, k) -> dict:

@@ -1,13 +1,16 @@
-"""Sparse multivariate Laurent polynomials over the q fraction field.
+"""The constant-term fold engine, factored products and the expanded
+``MLaurent`` form.
 
 ``MLaurent`` stores terms as a dict from exponent tuples to nonzero ``QFrac``
 coefficients.  Exponent tuples ("ExpVec") are plain tuples of ints, one slot
-per variable; slot t corresponds to the variable printed as ``x{t+1}``.
+per variable; slot t corresponds to the variable printed as ``x{t+1}``.  It
+is the form ``splitting.pair_product`` returns and the tests' oracles
+compute in; no constant-term route expands a product into it.
 
-The module also houses the constant-term fold engine: a product given as a
-list of factors is multiplied out factor by factor while partial monomials
-whose exponents cannot return to the requested target window are dropped.
-Pruning never changes the result, only the work.  There is one kernel:
+The constant-term fold engine multiplies out a product given as a list of
+factors, factor by factor, dropping the partial monomials whose exponents
+cannot return to the requested target window.  Pruning never changes the
+result, only the work.  There is one kernel:
 
 * each monomial is one int key, its exponent vector in mixed radix over the
   box that holds every pruning window (Kronecker substitution), so a term
@@ -21,13 +24,11 @@ Pruning never changes the result, only the work.  There is one kernel:
   it runs free, with no digit and no window test (a full expansion is free
   throughout).
 
-Keys are decoded back to exponent tuples only at the end.  A ``KeyBox`` is
-the key box and digit width of one full expansion, whose states a caller
-reads as int keys without decoding them.  ``Factored`` keeps a product of
-linear factors, a monomial and a ``Cyclo`` scalar unexpanded, so that equal
-values compare by their parts and a constant term is one point fold.  A
-plain dict fold lives in the tests as the reference the kernel must match
-exactly.
+Keys are decoded back to exponent tuples only at the end.  ``Factored``
+keeps a product of linear factors, a monomial and a ``Cyclo`` scalar
+unexpanded, so that equal values compare by their parts and a constant term
+is one point fold.  A plain dict fold lives in the tests as the reference
+the kernel must match exactly.
 """
 
 from __future__ import annotations
@@ -169,14 +170,6 @@ class MLaurent:
     def __hash__(self):
         return hash((self.arity, frozenset(self.terms.items())))
 
-    # -- constant terms and coefficients ----------------------------------------------
-
-    def ct_positions(self, positions) -> "MLaurent":
-        """Keep the terms whose exponent vanishes on every listed slot."""
-        positions = list(positions)
-        out = {e: c for e, c in self.terms.items() if all(e[p] == 0 for p in positions)}
-        return MLaurent(self.arity, out, _trusted=True)
-
     # -- text form ----------------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -197,77 +190,6 @@ class MLaurent:
 
     def __repr__(self) -> str:
         return f"MLaurent({self.arity}, {self})"
-
-
-# -- spec-level operations (1-based variable indices) ---------------------------------
-
-
-def ct(f: MLaurent, variables) -> MLaurent:
-    """Constant term over the 1-based variable index set."""
-    return f.ct_positions([v - 1 for v in variables])
-
-
-def poch_factor(arity: int, i, j, m: int, z: int) -> MLaurent:
-    """Expanded prod_{t=0}^{z-1} (1 - q^{m+t} * ratio).
-
-    The ratio is x_i/x_j for 1-based indices; either side may be the literal
-    constant 1 (pass None), giving factors like (1/x_j)_z or (q x_i)_z.
-    """
-    if z < 0:
-        raise ValueError("pochhammer length negative")
-    if i is not None and j is not None and i == j:
-        raise ValueError("poch_factor needs distinct variables")
-    out = MLaurent.constant(arity, 1)
-    if z == 0:
-        return out
-    factors = linear_factors(arity, i, j, m, z)
-    res = ct_fold(arity, factors, None, None)
-    return MLaurent(arity, {e: QFrac.from_qlaurent(c) for e, c in res.items()}, _trusted=True)
-
-
-def subst_shift(f: MLaurent, u, k, x0: bool = False) -> MLaurent:
-    """Merge variables x_{u_1}..x_{u_s} into x_{u_s} with q-power shifts.
-
-    Every occurrence of x_{u_i} (i < s) becomes x_{u_s} q^{k_s - k_i}.  With
-    ``x0=True`` slot 0 of f is the projective variable x_0 (so x_j sits in
-    slot j) and x_0 itself maps to x_{u_s} q^{k_s}; otherwise x_j sits in
-    slot j-1 and no x_0 is present.
-    """
-    u = list(u)
-    k = list(k)
-    if len(u) != len(k) or not u:
-        raise ValueError("u and k must be nonempty and of equal length")
-    if any(u[t] >= u[t + 1] for t in range(len(u) - 1)):
-        raise ValueError("u must be strictly ascending")
-    s = len(u)
-    off = 0 if x0 else 1
-    tgt = u[-1] - off
-    mapping = {}  # slot -> q-shift
-    for i in range(s - 1):
-        mapping[u[i] - off] = k[-1] - k[i]
-    if x0:
-        mapping[0] = k[-1]  # x_0 slot, with k_0 = 0
-    out = MLaurent(f.arity)
-    acc: dict = {}
-    for e, c in f.terms.items():
-        ne = list(e)
-        shift = 0
-        for slot, qs in mapping.items():
-            ex = ne[slot]
-            if ex:
-                shift += qs * ex
-                ne[tgt] += ex
-                ne[slot] = 0
-        ne = tuple(ne)
-        nc = c * QFrac.q_power(shift) if shift else c
-        cur = acc.get(ne)
-        sme = nc if cur is None else cur + nc
-        if sme.is_zero():
-            acc.pop(ne, None)
-        else:
-            acc[ne] = sme
-    out.terms = acc
-    return out
 
 
 # -- the CT fold engine -----------------------------------------------------------------
@@ -350,16 +272,6 @@ class FoldFactor:
     @staticmethod
     def monomial(arity: int, exps, qexp: int = 0, coeff=1) -> "FoldFactor":
         return FoldFactor(arity, [(tuple(exps), qexp, coeff)])
-
-    @staticmethod
-    def general(arity: int, poly: MLaurent) -> "FoldFactor":
-        terms = []
-        for e, c in poly.terms.items():
-            if not c.is_polynomial():
-                raise ValueError("fold factors need polynomial (denominator-1) coefficients")
-            terms.append((e, 0, c.num))
-        return FoldFactor(arity, terms)
-
 
 def linear_factors(arity: int, i, j, m: int, z: int) -> list[FoldFactor]:
     """The z linear factors of (q^m x_i/x_j ; q)_z."""
@@ -446,36 +358,6 @@ def fold_packed_raw(arity, factors, tlo=None, thi=None, extra_l1: int = 1):
     tlo, thi = _target(arity, factors, tlo, thi)
     B = _digit_width(extra_l1 * _l1_bound(factors))
     return _fold_tuples(factors, tlo, thi, B), B
-
-
-class KeyBox:
-    """One key box and one digit width for the full expansion of a factor
-    list.
-
-    The box holds every product of a sub-list of the factors, taken in any
-    order, so a fold may continue from any such product and every state it
-    makes lands in the box; the digit width B holds every coefficient of
-    every such product.
-    """
-
-    __slots__ = ("base", "top", "B", "_radix", "_width")
-
-    def __init__(self, arity: int, factors):
-        self.base = [sum(min(f.lo[v], 0) for f in factors) for v in range(arity)]
-        self.top = [sum(max(f.hi[v], 0) for f in factors) for v in range(arity)]
-        self.B = _digit_width(_l1_bound(factors))
-        self._radix, self._width = _radices(self.base, self.top)
-
-    def fold(self, factors, state=None) -> dict:
-        """The full expansion of ``factors`` times ``state`` (default 1) as
-        {int key: (lo, mag)}; with no factors, ``state`` itself."""
-        return _fold_packed(factors, None, self.base, self.top, self.B, state)
-
-    def slot_sums(self, state: dict, vs) -> set:
-        """The values of sum_{v in vs} e_v over the keys of ``state``."""
-        cols = [[k // self._radix[v] % self._width[v] for k in state] for v in vs]
-        base = sum(self.base[v] for v in vs)
-        return {s + base for s in set(map(sum, zip(*cols)))}
 
 
 class Factored:
@@ -579,8 +461,17 @@ def _decode_keys(state, base, top) -> dict:
     return out
 
 
-def _radices(base, top):
-    """Mixed-radix weights and widths of the key box [base, top]."""
+def _fold_packed(factors, steps, base, top, B):
+    """The fold kernel: {int key: (lo, mag)} with keys over the box [base, top].
+
+    ``steps`` are the factors' windows from ``_windows``; the box must hold
+    the origin and every window.  A step whose windows hold every state it
+    can make drops nothing, so it runs free: no digit and no window test.
+    """
+    # Kronecker keys: slot v of a state's key holds e_v - base[v], a digit in
+    # [0, width[v]), at weight radix[v].  A term is kept only if its touched
+    # digits land in the step's window, which lies in the box, so key + dk
+    # never carries from one slot into the next.
     radix = []
     width = []
     r = 1
@@ -588,44 +479,22 @@ def _radices(base, top):
         radix.append(r)
         width.append(t - b + 1)
         r *= t - b + 1
-    return radix, width
-
-
-def _fold_packed(factors, steps, base, top, B, state=None):
-    """The fold kernel: {int key: (lo, mag)} with keys over the box [base, top].
-
-    ``steps`` are the factors' windows from ``_windows``; the box must hold
-    the origin and every window.  A step whose windows hold every state it
-    can make drops nothing, so it runs free: no digit and no window test.
-    ``steps`` None is a full expansion, free throughout; only such a fold
-    may continue from a given packed ``state`` instead of the origin, and
-    the box must then hold every state it makes.
-    """
-    # Kronecker keys: slot v of a state's key holds e_v - base[v], a digit in
-    # [0, width[v]), at weight radix[v].  A term is kept only if its touched
-    # digits land in the step's window, which lies in the box, so key + dk
-    # never carries from one slot into the next.
-    radix, width = _radices(base, top)
-    if state is None:
-        state = {-sum(b * m for b, m in zip(base, radix)): (0, 1)}
+    state = {-sum(b * m for b, m in zip(base, radix)): (0, 1)}
     # every live state has slot v in [live_lo[v], live_hi[v]]
     live_lo = [0] * len(base)
     live_hi = [0] * len(base)
     for fi, f in enumerate(factors):
         free = True
-        if steps is None:
-            win = [(v, None, None) for v in f.touched]
-        else:
-            win = steps[fi]
-            for v, lo, hi in win:
-                reach_lo = live_lo[v] + f.lo[v]
-                reach_hi = live_hi[v] + f.hi[v]
-                if reach_lo < lo:
-                    reach_lo, free = lo, False
-                if reach_hi > hi:
-                    reach_hi, free = hi, False
-                live_lo[v] = reach_lo
-                live_hi[v] = reach_hi
+        win = steps[fi]
+        for v, lo, hi in win:
+            reach_lo = live_lo[v] + f.lo[v]
+            reach_hi = live_hi[v] + f.hi[v]
+            if reach_lo < lo:
+                reach_lo, free = lo, False
+            if reach_hi > hi:
+                reach_hi, free = hi, False
+            live_lo[v] = reach_lo
+            live_hi[v] = reach_hi
         slots = [] if free else [(radix[v], width[v]) for v, _, _ in win]
         terms = []
         for delta, qexp, coeff in f.terms:

@@ -11,8 +11,8 @@ x_1..x_n has arity n.
 
 from __future__ import annotations
 
-from .laurent import FoldFactor, MLaurent, ct_fold, fold_packed_raw, linear_factors, pack_qlaurent, packed_add, packed_mul, _decode_packed
-from .qring import ONE, QFrac, QLaurent
+from .laurent import FoldFactor, ct_fold, fold_packed_raw, linear_factors, pack_qlaurent, packed_add, packed_mul, _decode_packed
+from .qring import ONE, QFrac, QLaurent, qbinom
 
 
 class Shape:
@@ -40,10 +40,6 @@ class Shape:
             total += x
             acc.append(total)
         self._sigma = tuple(acc)
-
-    @staticmethod
-    def parse(text: str) -> "Shape":
-        return Shape(int(t) for t in text.split(","))
 
     def sigma(self, l: int) -> int:
         """n_0 + ... + n_l; sigma(-1) = 0."""
@@ -154,23 +150,21 @@ def bf_factors(shape: Shape, a: int, b: int, c: int) -> list[FoldFactor]:
     return out
 
 
-# -- expanded builders ---------------------------------------------------------------
+# -- the Kadell weight -----------------------------------------------------------------
 
 
-def kadell_h(r: int, a) -> MLaurent:
-    """Complete symmetric polynomial h_r on the alphabet (x_i q^t, t < a_i)."""
+def kadell_h(r: int, a) -> list:
+    """Complete symmetric polynomial h_r on the alphabet (x_i q^t, t < a_i),
+    as fold-factor terms (exponent tuple, 0, coefficient):
+        h_r = sum_{j_1 + ... + j_n = r} prod_i x_i^{j_i} [a_i + j_i - 1, j_i]_q.
+    A variable with a_i = 0 has no letter, so it takes only j_i = 0."""
     if r < 1:
         raise ValueError("r must be positive")
-    a = list(a)
-    n = len(a)
-    h = [MLaurent.constant(n, 1)] + [MLaurent(n) for _ in range(r)]
-    for i in range(1, n + 1):
-        exps = tuple(1 if t == i - 1 else 0 for t in range(n))
-        for t in range(a[i - 1]):
-            letter = MLaurent.monomial(n, exps, QFrac.q_power(t))
-            for s in range(1, r + 1):
-                h[s] = h[s] + letter * h[s - 1]
-    return h[r]
+    rows = [((), ONE)]
+    for x in a:
+        rows = [(js + (j,), coeff * qbinom(x + j - 1, j) if j else coeff)
+                for js, coeff in rows for j in range(r - sum(js) + 1 if x else 1)]
+    return [(js, 0, coeff) for js, coeff in rows if sum(js) == r]
 
 
 # -- constant terms ----------------------------------------------------------------------
@@ -203,11 +197,10 @@ def kadell_ct(v, r: int, a) -> QFrac:
     n = len(a)
     if len(v) != n:
         raise ValueError("v and a must have equal length")
-    factors = [FoldFactor.monomial(n, tuple(-x for x in v))]
     hr = kadell_h(r, a)
-    if hr.is_zero():
+    if not hr:
         return QFrac(0)
-    factors.append(FoldFactor.general(n, hr))
+    factors = [FoldFactor.monomial(n, tuple(-x for x in v)), FoldFactor(n, hr)]
     factors.extend(qdyson_factors(a))
     zero = (0,) * n
     res = ct_fold(n, factors, zero, zero)

@@ -243,11 +243,6 @@ def residue_identity_holds(shape: Shape, c: int, i: int, j: int, k: int | None =
     return SplitDecomposition(shape, c, k).residue_holds(i, j)
 
 
-def build_S(shape: Shape, c: int, k: int | None = None):
-    """(numerator, denominator factor list) of the splitting target."""
-    return pair_product(shape, c), denominator_factors(shape, c, k)
-
-
 def verify_split(shape: Shape, c: int) -> dict:
     """The whole splitting case at (shape, c), exact: every residue identity
     (and so the split identity, see ``SplitDecomposition``), the degree

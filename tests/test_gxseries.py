@@ -1,3 +1,4 @@
+import functools
 import itertools
 from math import prod
 
@@ -185,12 +186,15 @@ def rational_ct(term: RationalTerm) -> QFrac:
     return cyclo_sum(leaves)
 
 
+def _linear_factors(arity, triples) -> list[FoldFactor]:
+    """(1 - q^m x_a/x_b) for slot triples (a, b, m), slot t holding x_t."""
+    return [FoldFactor.linear(arity, a + 1, b + 1, m) for a, b, m in triples]
+
+
 def expand_numerator(arity: int, mono, triples) -> tuple[dict, int]:
     """x^mono * prod (1 - q^m x_a/x_b) over 0-based (a, b, m), expanded and
     packed."""
-    factors = [FoldFactor.monomial(arity, tuple(mono))]
-    factors += [FoldFactor.linear(arity, a + 1, b + 1, m) for a, b, m in triples]
-    return fold_packed_raw(arity, factors)
+    return fold_packed_raw(arity, [FoldFactor.monomial(arity, tuple(mono))] + _linear_factors(arity, triples))
 
 
 def numerator_poly(q) -> tuple[dict, int]:
@@ -595,7 +599,7 @@ def _point_window(tlo, thi, arity) -> bool:
 def test_packed_elimination_makes_no_qlaurent_arithmetic(monkeypatch):
     # the walk keeps every term factored: a substitution or a split adds,
     # shifts and multiplies no QLaurent, and the only folds in gxseries are
-    # the point folds of the leaves and property (3)'s ledger fold
+    # point folds, one per leaf numerator and one for property (3)
     inside, calls, folds = [], [], []
     for name in ("_substitute", "_split"):
         def traced(*args, step=getattr(gxseries, name)):
@@ -614,28 +618,22 @@ def test_packed_elimination_makes_no_qlaurent_arithmetic(monkeypatch):
 
         monkeypatch.setattr(QLaurent, name, counted)
 
-    def spy(kind, fold):
-        def run(arity, factors, tlo=None, thi=None, *rest):
-            folds.append((kind, _point_window(tlo, thi, arity)))
-            return fold(arity, factors, tlo, thi, *rest)
-        return run
-
-    monkeypatch.setattr(laurent, "ct_fold", spy("leaf", laurent.ct_fold))
-    monkeypatch.setattr(gxseries, "fold_packed_raw", spy("property 3", gxseries.fold_packed_raw))
-    box_fold = laurent.KeyBox.fold
-    monkeypatch.setattr(laurent.KeyBox, "fold",
-                        lambda self, *a: folds.append(("ledger", None)) or box_fold(self, *a))
+    fold, kernel = laurent.ct_fold, laurent._fold_packed
+    monkeypatch.setattr(laurent, "ct_fold", lambda arity, factors, tlo=None, thi=None: (
+        folds.append(("point", _point_window(tlo, thi, arity))) or fold(arity, factors, tlo, thi)))
+    monkeypatch.setattr(laurent, "_fold_packed", lambda *args: folds.append(("kernel", None)) or kernel(*args))
     split = gxseries._split
     splits = []
     monkeypatch.setattr(gxseries, "_split", lambda term: splits.append(1) or split(term))
     got = gx_ct(Shape((1, 2)), 1, 1, 3)
     assert splits and calls == [] and folds
-    assert folds == [("leaf", True)] * len(folds)
+    assert folds == [("point", True), ("kernel", None)] * (len(folds) // 2)
     assert got == reference_ct(build_Q(Shape((1, 2)), 1, 1, 3))
+    # property (3) expands nothing: its one kernel run is its point fold
     folds.clear()
     rep = check_property_laurent(Shape((2, 4)), 1, 2, 5, (3, 4), (5, 2))
     assert rep["divisible"] and rep["ct_zero"]
-    assert folds == [("ledger", None), ("property 3", True)]
+    assert folds == [("point", True), ("kernel", None)]
 
 
 def test_scaled_equal_compares_values_not_their_packing():
@@ -811,11 +809,13 @@ def test_property_laurent_nontrivial():
 
 def reference_property_laurent_route(q, ell):
     """(laurent_form_ok, ct_zero) of property (3) the decoding way: expand the
-    cancelled numerator to QLaurent coefficients, read the ledger off it,
-    then fold it again as one general factor beside the residual pairs."""
+    cancelled numerator to QLaurent coefficients, read the ledger off every
+    monomial, then fold it again as one general factor beside the residual
+    pairs."""
     n = q.shape.n
-    factors, shifts = gxseries._cancel_head_denominator(q)
-    res = ct_fold(n + 1, factors)
+    scale, mono, triples, shifts = gxseries._cancel_head_denominator(q)
+    numerator = [FoldFactor.monomial(n + 1, tuple(mono), scale.shift, scale.sign)]
+    res = ct_fold(n + 1, numerator + _linear_factors(n + 1, triples))
     outside = [i for i in range(1, n + 1) if i not in q.u]
     for e in res:
         if any(e[i] < shifts[i] for i in outside):
@@ -823,59 +823,57 @@ def reference_property_laurent_route(q, ell):
         if e[q.head] != ell - sum(e[i] - shifts[i] for i in outside):
             return False, None
     all_factors = [FoldFactor(n + 1, [(e, 0, p) for e, p in res.items()])]
-    for pf in q.residual_pairs:
-        all_factors.extend(pf.fold_factors(n + 1))
+    all_factors += _linear_factors(n + 1, gxseries._triples(q.residual_pairs))
     zero = (0,) * (n + 1)
     val = ct_fold(n + 1, all_factors, zero, zero).get(zero)
     return True, val is None or val.is_zero()
 
 
+@functools.lru_cache(maxsize=None)
 def _gx_laurent_grid():
-    """Every (shape, b, c, d, u, k) the gx-pipeline suite's ``branches`` and
-    ``laurent`` cases send down the laurent branch."""
-    for case in cli._cases_gx(None):
-        if case["kind"] not in ("branches", "laurent"):
-            continue
-        shape = Shape(case["shape"])
-        b, c, d = case["b"], case["c"], case["d"]
-        if case["kind"] == "laurent":
-            us = itertools.combinations(list(shape.block(1)), 2)
-            grid = [(u, k) for u in us for k in [(d, 2), (2, d), (d, d)]]
-        else:
-            grid = [(u, k) for s in range(1, shape.n + 1)
-                    for u in itertools.combinations(range(1, shape.n + 1), s)
-                    for k in itertools.product(range(1, d + 1), repeat=s)]
-        for u, k in grid:
-            if property_branch(shape, b, c, d, u, k) == "laurent":
-                yield shape, b, c, d, u, k
+    """Every (shape, b, c, d, u, k) with b, c <= 2 and d <= 6 that takes the
+    laurent branch, on the canonical shapes with n <= 4 (none does) and on
+    (2,4) with |u| <= 3 (564 of them, 36 divisible; no larger u takes the
+    branch in this range)."""
+    grid = []
+    for shape in all_shapes(4, canonical=True) + [Shape((2, 4))]:
+        for b, c, d in itertools.product(range(3), range(3), range(1, 7)):
+            for s in range(1, min(shape.n, 3) + 1):
+                for u in itertools.combinations(range(1, shape.n + 1), s):
+                    for k in itertools.product(range(1, d + 1), repeat=s):
+                        if property_branch(shape, b, c, d, u, k) == "laurent":
+                            grid.append((shape, b, c, d, u, k))
+    return tuple(grid)
+
+
+def _moved_monomial(monkeypatch, move):
+    # apply ``move(mono, q, shifts)`` to the cancelled numerator's monomial
+    cancel = gxseries._cancel_head_denominator
+
+    def moved(q):
+        scale, mono, triples, shifts = cancel(q)
+        move(mono, q, shifts)
+        return scale, mono, triples, shifts
+
+    monkeypatch.setattr(gxseries, "_cancel_head_denominator", moved)
 
 
 def _head_moved(monkeypatch):
     # one more x_head breaks the ledger e_head = ell - slack
-    cancel = gxseries._cancel_head_denominator
+    def move(mono, q, shifts):
+        mono[q.head] += 1
 
-    def moved(q):
-        factors, shifts = cancel(q)
-        mono = [0] * (q.shape.n + 1)
-        mono[q.head] = 1
-        return factors + [FoldFactor.monomial(q.shape.n + 1, tuple(mono))], shifts
-
-    monkeypatch.setattr(gxseries, "_cancel_head_denominator", moved)
+    _moved_monomial(monkeypatch, move)
 
 
 def _outside_moved(monkeypatch):
     # x_head/x_i keeps the ledger sum but puts e_i below shift_i for the
     # first outside variable i
-    cancel = gxseries._cancel_head_denominator
+    def move(mono, q, shifts):
+        mono[q.head] += 1
+        mono[min(shifts)] -= 1
 
-    def moved(q):
-        factors, shifts = cancel(q)
-        mono = [0] * (q.shape.n + 1)
-        mono[q.head] = 1
-        mono[min(shifts)] = -1
-        return factors + [FoldFactor.monomial(q.shape.n + 1, tuple(mono))], shifts
-
-    monkeypatch.setattr(gxseries, "_cancel_head_denominator", moved)
+    _moved_monomial(monkeypatch, move)
 
 
 def _half_the_pairs(monkeypatch):
@@ -906,9 +904,53 @@ def test_property_laurent_matches_decoding_route(monkeypatch, perturb, verdict):
         q = build_Quk(shape, b, c, d, u, k)
         want = reference_property_laurent_route(q, rep["ledger_exponent"])
         got = (rep["laurent_form_ok"], rep["ct_zero"])
-        assert got == want == verdict, (shape.parts, d, u, k)
+        assert got == want == verdict, (shape.parts, b, c, d, u, k)
         compared += 1
-    assert compared >= 3
+    assert compared == 36
+
+
+def test_cancelled_numerator_times_denominator_is_the_numerator():
+    # the cancellation is exact: the cancelled numerator times the head
+    # denominator is the head numerator, compared as Factored values
+    compared = 0
+    for shape, b, c, d, u, k in _gx_laurent_grid():
+        q = build_Quk(shape, b, c, d, u, k)
+        cancelled = None if q.is_zero() else gxseries._cancel_head_denominator(q)
+        if cancelled is None:
+            continue
+        scale, mono, triples, _ = cancelled
+        zero = (0,) * (shape.n + 1)
+        lhs = gxseries._factored(scale, mono, triples + gxseries._triples(q.den_pochs))
+        assert lhs == gxseries._factored(Cyclo(), zero, gxseries._triples(q.num_pochs)), (shape.parts, b, c, d, u, k)
+        compared += 1
+    assert compared == 36
+
+
+@st.composite
+def cancelled_numerators(draw):
+    """(arity, head, mono, triples): a random monomial times a random
+    multiset of factors (1 - q^z x_i/x_head), repeated z allowed."""
+    arity = draw(st.integers(2, 5))
+    head = draw(st.integers(0, arity - 1))
+    others = [i for i in range(arity) if i != head]
+    mono = draw(st.lists(st.integers(-3, 3), min_size=arity, max_size=arity))
+    triples = draw(st.lists(st.tuples(st.sampled_from(others), st.just(head), st.integers(-2, 2)),
+                            max_size=7))
+    return arity, head, mono, triples
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelled_numerators())
+def test_laurent_support_read_off_the_factors(case):
+    # the expansion's support is the whole box mono + sum_i [0, count_i] (e_i - e_head):
+    # its least e_i is mono[i] and e_head + sum_i e_i is mono[head] + sum_i mono[i]
+    arity, head, mono, triples = case
+    others = [i for i in range(arity) if i != head]
+    support, _ = expand_numerator(arity, mono, triples)
+    assert all(min(e[i] for e in support) == mono[i] for i in others)
+    assert {sum(e) for e in support} == {mono[head] + sum(mono[i] for i in others)}
+    counts = [sum(1 for i, _, _ in triples if i == v) for v in range(arity)]
+    assert len(support) == prod(c + 1 for v, c in enumerate(counts) if v != head)
 
 
 def test_lemQ_exhaustive_on_three_variables():

