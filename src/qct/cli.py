@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations, product
 
 from . import closedform, gxseries, products, roots, splitting
-from .closedform import BFParams, all_shapes
+from .closedform import BFParams, all_shapes, compositions
 from .products import Shape
 from .qring import QFrac, eval_poly, interpolate
 
@@ -92,8 +92,33 @@ def _abc(args) -> tuple[int, int, int]:
 
 # -- ct and rhs commands -----------------------------------------------------------
 
+# family -> the value flags its ct and rhs routes read
+FAMILY_FLAGS = {
+    "qdyson": ("a",),
+    "qmorris": ("n", "shape", "a", "b", "c"),
+    "bf": ("shape", "a", "b", "c"),
+    "bf-p1": ("shape", "a", "b", "c"),
+    "dn0": ("shape", "c"),
+    "kadell": ("v", "r", "a"),
+}
+
+
+def _check_family_flags(args):
+    """A value flag the chosen family does not read is a usage error."""
+    for flag in ("shape", "n", "a", "b", "c", "v", "r"):
+        if getattr(args, flag) is not None and flag not in FAMILY_FLAGS[args.family]:
+            build_parser().error(f"family {args.family} does not read --{flag}")
+
+
+def _qmorris_n(args) -> int:
+    """The qmorris family's n: --n, or the variable count of --shape."""
+    if (args.n is None) == (args.shape is None):
+        build_parser().error("qmorris needs --n or --shape, not both")
+    return args.n if args.n is not None else args.shape.n
+
 
 def _ct_value(args) -> QFrac:
+    _check_family_flags(args)
     family = args.family
     if family == "qdyson":
         if args.a is None:
@@ -103,9 +128,7 @@ def _ct_value(args) -> QFrac:
         return products.ct_qdyson(args.a)
     if family in ("qmorris", "bf"):
         if family == "qmorris":
-            if args.n is None and args.shape is None:
-                build_parser().error("qmorris needs --n or --shape")
-            shape = Shape((args.n,)) if args.n else args.shape
+            shape = Shape((_qmorris_n(args),))
         else:
             if args.shape is None:
                 build_parser().error("bf needs --shape")
@@ -136,6 +159,7 @@ def cmd_ct(args) -> int:
 
 
 def cmd_rhs(args) -> int:
+    _check_family_flags(args)
     family = args.family
     if family == "qdyson":
         if args.a is None:
@@ -148,14 +172,11 @@ def cmd_rhs(args) -> int:
             build_parser().error(f"the kadell closed form needs |--v| = --r, got {sum(v)} and {r}")
         print(closedform.kadell_rhs(v, r, a))
         return 0
-    if family == "qmorris" and args.n is None and args.shape is None:
-        build_parser().error("qmorris needs --n or --shape")
     if family in ("bf", "bf-p1", "dn0") and args.shape is None:
         build_parser().error(f"{family} needs --shape")
     a, b, c = _abc(args)
     if family == "qmorris":
-        n = args.n if args.n else args.shape.n
-        print(closedform.qmorris_rhs(n, a, b, c))
+        print(closedform.qmorris_rhs(_qmorris_n(args), a, b, c))
     elif family == "bf":
         print(closedform.bf_rhs(BFParams(args.shape, a, b, c)))
     elif family == "bf-p1":
@@ -267,6 +288,8 @@ def _run_roots(params):
 
 
 def _cases_splitting(args):
+    if args.shape is not None and args.shape.p < 1:
+        build_parser().error("suite splitting needs a shape with a decorated block")
     small = [(1, 1), (1, 2), (2, 2), (1, 1, 1)]
     if args.shape is None and args.c is None:
         # shapes with n <= 3 at c <= 2 come first, so those twelve cases
@@ -312,21 +335,12 @@ def _cases_lemma_key(args):
     cases = [{"kind": "examples"}]
     for s in range(1, 7):
         for p in range(0, 3):
-            for r in _compositions_into(s, p + 1):
-                cases.append({"kind": "classify", "r": list(r)})
+            for r in compositions(s):
+                if len(r) == p + 1:
+                    cases.append({"kind": "classify", "r": list(r)})
     for s in range(1, 9):
         cases.append({"kind": "minweight", "s": s})
     return cases
-
-
-def _compositions_into(total, parts):
-    if parts == 1:
-        yield (total,) if total >= 1 else ()
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions_into(total - first, parts - 1):
-            if rest:
-                yield (first,) + rest
 
 
 def _run_lemma_key(params):
@@ -344,7 +358,7 @@ def _run_lemma_key(params):
                     return False, {"k": list(k)}
         return True, None
     if params["kind"] == "minweight":
-        for r in _all_positive_compositions(params["s"]):
+        for r in compositions(params["s"]):
             if len(r) < 2:
                 continue
             m = max(r[1:])
@@ -356,17 +370,6 @@ def _run_lemma_key(params):
                 return False, {"r": list(r), "leave_one_out_min": leave_one_out}
         return True, None
     raise ValueError(params)
-
-
-def _all_positive_compositions(s):
-    def rec(rem):
-        if rem == 0:
-            yield ()
-            return
-        for v in range(1, rem + 1):
-            for rest in rec(rem - v):
-                yield (v,) + rest
-    yield from rec(s)
 
 
 def _cases_poch(args):

@@ -255,7 +255,7 @@ def all_shapes(nmax: int, min_p: int = 0, canonical: bool = False):
     multiset of decorated parts (the constant term only depends on that)."""
     out = []
     for n in range(1, nmax + 1):
-        for comp in _compositions(n):
+        for comp in compositions(n):
             shape = Shape(comp)
             if shape.p < min_p:
                 continue
@@ -265,10 +265,11 @@ def all_shapes(nmax: int, min_p: int = 0, canonical: bool = False):
     return out
 
 
-def _compositions(n: int):
+def compositions(n: int):
+    """The compositions of n into positive parts, in lexicographic order."""
     if n == 0:
         yield ()
         return
     for first in range(1, n + 1):
-        for rest in _compositions(n - first):
+        for rest in compositions(n - first):
             yield (first,) + rest

@@ -7,18 +7,20 @@ per variable; slot t corresponds to the variable printed as ``x{t+1}``.  It
 is the form ``splitting.pair_product`` returns and the tests' oracles
 compute in; no constant-term route expands a product into it.
 
-The constant-term fold engine multiplies out a product given as a list of
-factors, factor by factor, dropping the partial monomials whose exponents
-cannot return to the requested target window.  Pruning never changes the
-result, only the work.  There is one kernel:
+The constant-term fold engine multiplies out a product of linear factors,
+each a triple (a, b, m) for (1 - q^m x_a/x_b) with 1-based variables and
+``None`` for the literal 1, factor by factor, dropping the partial monomials
+whose exponents cannot return to the requested target window.  Pruning never
+changes the result, only the work.  A monomial prefactor x^mu never enters
+the fold: it moves the target, since the constant term of x^mu P is the
+coefficient of x^-mu in P.  There is one kernel and one step:
 
 * each monomial is one int key, its exponent vector in mixed radix over the
   box that holds every pruning window (Kronecker substitution), so a term
-  moves a state by one int add and the window test decodes only the slots
-  the factor touches;
+  moves a state by one int add and the window test decodes only the one or
+  two slots the factor moves;
 * each q-coefficient is one big int of balanced base ``2**B`` digits, so
   shift/add/multiply ride on CPython's bignum arithmetic;
-* the linear factor (1 - q^m x^delta) has its own two-term step;
 * the kernel tracks a range per slot that holds every live state, and a step
   whose windows hold that range moved by the factor cannot drop a state, so
   it runs free, with no digit and no window test (a full expansion is free
@@ -27,17 +29,15 @@ result, only the work.  There is one kernel:
 Keys are decoded back to exponent tuples only at the end.  ``Factored``
 keeps a product of linear factors, a monomial and a ``Cyclo`` scalar
 unexpanded, so that equal values compare by their parts and a constant term
-is one point fold.  A plain dict fold lives in the tests as the reference
-the kernel must match exactly.
+is one point fold.  A plain dict fold over general factors lives in the
+tests as the reference the kernel must match exactly.
 """
 
 from __future__ import annotations
 
 from operator import add
 
-from .qring import ONE, ZERO, Cyclo, QFrac, QLaurent
-
-_MINUS_ONE = QLaurent.from_int(-1)
+from .qring import ZERO, Cyclo, QFrac, QLaurent
 
 ExpVec = tuple  # fixed-arity tuple of ints, one slot per variable
 
@@ -195,96 +195,26 @@ class MLaurent:
 # -- the CT fold engine -----------------------------------------------------------------
 
 
-class FoldFactor:
-    """One factor of a product in fold form.
-
-    ``terms`` is a list of (delta, qexp, coeff) with delta an exponent tuple
-    (or None for the zero vector), and coeff a QLaurent giving the q-part of
-    the term; the monomial contributed is coeff * q^qexp * x^delta.
-    ``touched`` lists the slots where some delta is nonzero.
-    """
-
-    __slots__ = ("arity", "terms", "lo", "hi", "l1", "touched")
-
-    def __init__(self, arity: int, terms):
-        self.arity = arity
-        self.terms = []
-        lo = [0] * arity
-        hi = [0] * arity
-        l1 = 0
-        first = True
-        for delta, qexp, coeff in terms:
-            if isinstance(coeff, int):
-                coeff = QLaurent.from_int(coeff)
-            if coeff.is_zero():
-                continue
-            if delta is not None:
-                delta = tuple(delta)
-                if len(delta) != arity:
-                    raise ValueError("delta arity mismatch")
-                if not any(delta):
-                    delta = None
-            self.terms.append((delta, qexp, coeff))
-            d = delta if delta is not None else (0,) * arity
-            if first:
-                lo = list(d)
-                hi = list(d)
-                first = False
-            else:
-                for v in range(arity):
-                    if d[v] < lo[v]:
-                        lo[v] = d[v]
-                    if d[v] > hi[v]:
-                        hi[v] = d[v]
-            l1 += coeff.l1_norm()
-        if not self.terms:
-            raise ValueError("empty factor")
-        self.lo = tuple(lo)
-        self.hi = tuple(hi)
-        self.l1 = max(l1, 1)
-        self.touched = tuple(v for v in range(arity) if lo[v] or hi[v])
-
-    @staticmethod
-    def linear(arity: int, i, j, m: int) -> "FoldFactor":
-        """(1 - q^m x_i/x_j) with 1-based indices; None on either side means 1."""
-        if i is not None and i == j:
-            raise ValueError("linear factor needs distinct variables")
-        # the fields the generic constructor would derive, set directly:
-        # every product builds one such factor per linear factor
-        lo = [0] * arity
-        hi = [0] * arity
-        touched = []
-        if i is not None:
-            hi[i - 1] = 1
-            touched.append(i - 1)
-        if j is not None:
-            lo[j - 1] = -1
-            touched.append(j - 1)
-        f = FoldFactor.__new__(FoldFactor)
-        f.arity = arity
-        f.terms = [(None, 0, ONE), (tuple(map(add, lo, hi)) if touched else None, m, _MINUS_ONE)]
-        f.lo = tuple(lo)
-        f.hi = tuple(hi)
-        f.l1 = 2
-        f.touched = tuple(sorted(touched))
-        return f
-
-    @staticmethod
-    def monomial(arity: int, exps, qexp: int = 0, coeff=1) -> "FoldFactor":
-        return FoldFactor(arity, [(tuple(exps), qexp, coeff)])
-
-def linear_factors(arity: int, i, j, m: int, z: int) -> list[FoldFactor]:
-    """The z linear factors of (q^m x_i/x_j ; q)_z."""
-    return [FoldFactor.linear(arity, i, j, m + t) for t in range(z)]
+def _moves(factor):
+    """The slots a factor (a, b, m) moves, as (slot, +1 or -1) in slot
+    order: x_a up by one, x_b down by one, a ``None`` side moving nothing."""
+    a, b, _ = factor
+    if a == b:
+        raise ValueError(f"linear factor {factor} needs two distinct sides")
+    moves = [] if a is None else [(a - 1, 1)]
+    if b is not None:
+        moves.append((b - 1, -1))
+    return sorted(moves)
 
 
 def _windows(factors, tlo, thi):
     """Per-step admissible windows implied by suffix reachability.
 
-    Returns (steps, base, top).  ``steps[fi]`` lists (v, lo, hi) for each slot
-    v that factor fi touches: after step fi a kept monomial has its slot v in
-    [lo, hi].  [base[v], top[v]] is the smallest interval holding 0 and every
-    window on slot v.  ``steps`` is None when no monomial can reach the target.
+    Returns (steps, base, top).  ``steps[fi]`` lists (v, d, lo, hi) for each
+    slot v that factor fi moves by d: after step fi a kept monomial has its
+    slot v in [lo, hi].  [base[v], top[v]] is the smallest interval holding 0
+    and every window on slot v.  ``steps`` is None when no monomial can reach
+    the target.
     """
     arity = len(tlo)
     rlo = [0] * arity
@@ -293,18 +223,19 @@ def _windows(factors, tlo, thi):
     top = [0] * arity
     steps = [None] * len(factors)
     for fi in range(len(factors) - 1, -1, -1):
-        f = factors[fi]
         win = []
-        for v in f.touched:
+        for v, d in _moves(factors[fi]):
             lo = tlo[v] - rhi[v]
             hi = thi[v] - rlo[v]
-            win.append((v, lo, hi))
+            win.append((v, d, lo, hi))
             if lo < base[v]:
                 base[v] = lo
             if hi > top[v]:
                 top[v] = hi
-            rlo[v] += f.lo[v]
-            rhi[v] += f.hi[v]
+            if d > 0:
+                rhi[v] += 1
+            else:
+                rlo[v] -= 1
         steps[fi] = win
     for v in range(arity):
         if tlo[v] - rhi[v] > 0 or thi[v] - rlo[v] < 0:
@@ -317,9 +248,11 @@ def _full_window(arity, factors):
     lo = [0] * arity
     hi = [0] * arity
     for f in factors:
-        for v in range(arity):
-            lo[v] += f.lo[v]
-            hi[v] += f.hi[v]
+        for v, d in _moves(f):
+            if d > 0:
+                hi[v] += 1
+            else:
+                lo[v] -= 1
     return tuple(lo), tuple(hi)
 
 
@@ -333,15 +266,17 @@ def _target(arity, factors, tlo, thi):
 
 
 def ct_fold(arity, factors, tlo=None, thi=None) -> dict:
-    """Expand a factor list, keeping only exponents inside [tlo, thi].
+    """Expand a product of linear factors (a, b, m), keeping only exponents
+    inside [tlo, thi].
 
     Returns a dict from exponent tuple to QLaurent.  With the default
     None/None target the product is expanded in full; passing a point window
-    (e.g. all zeros) computes a constant term with maximal pruning.
+    computes one coefficient with maximal pruning: the constant term of
+    x^mu times the product is the coefficient at -mu.
     """
     factors = list(factors)
     tlo, thi = _target(arity, factors, tlo, thi)
-    B = _digit_width(_l1_bound(factors))
+    B = _digit_width(1 << len(factors))
     packed = _fold_tuples(factors, tlo, thi, B)
     return {e: _decode_packed(lo, mag, B) for e, (lo, mag) in packed.items()}
 
@@ -356,7 +291,7 @@ def fold_packed_raw(arity, factors, tlo=None, thi=None, extra_l1: int = 1):
     """
     factors = list(factors)
     tlo, thi = _target(arity, factors, tlo, thi)
-    B = _digit_width(extra_l1 * _l1_bound(factors))
+    B = _digit_width(extra_l1 << len(factors))
     return _fold_tuples(factors, tlo, thi, B), B
 
 
@@ -417,22 +352,12 @@ class Factored:
         return self.mono[i - 1] + sum(e for (a, _, _), e in self.factors.items() if a == i)
 
     def constant_term(self) -> QLaurent:
-        """The constant term divided by the scalar (zero for zero), by one
-        point fold."""
+        """The constant term divided by the scalar (zero for zero): the
+        product's coefficient at -mono, by one point fold."""
         if not self.scalar.sign:
             return ZERO
-        n = len(self.mono)
-        zero = (0,) * n
-        factors = [FoldFactor.monomial(n, self.mono)] + [FoldFactor.linear(n, *f) for f in self.triples()]
-        return ct_fold(n, factors, zero, zero).get(zero, ZERO)
-
-
-def _l1_bound(factors) -> int:
-    """A bound on the L1 norm of every coefficient of every partial product."""
-    bound = 1
-    for f in factors:
-        bound *= f.l1
-    return bound
+        at = tuple(-e for e in self.mono)
+        return ct_fold(len(at), self.triples(), at, at).get(at, ZERO)
 
 
 def _digit_width(bound: int) -> int:
@@ -469,7 +394,7 @@ def _fold_packed(factors, steps, base, top, B):
     can make drops nothing, so it runs free: no digit and no window test.
     """
     # Kronecker keys: slot v of a state's key holds e_v - base[v], a digit in
-    # [0, width[v]), at weight radix[v].  A term is kept only if its touched
+    # [0, width[v]), at weight radix[v].  A term is kept only if its moved
     # digits land in the step's window, which lies in the box, so key + dk
     # never carries from one slot into the next.
     radix = []
@@ -483,51 +408,37 @@ def _fold_packed(factors, steps, base, top, B):
     # every live state has slot v in [live_lo[v], live_hi[v]]
     live_lo = [0] * len(base)
     live_hi = [0] * len(base)
-    for fi, f in enumerate(factors):
+    for (_, _, m), win in zip(factors, steps):
         free = True
-        win = steps[fi]
-        for v, lo, hi in win:
-            reach_lo = live_lo[v] + f.lo[v]
-            reach_hi = live_hi[v] + f.hi[v]
+        dk = 0
+        for v, d, lo, hi in win:
+            dk += d * radix[v]
+            reach_lo = live_lo[v] + min(d, 0)
+            reach_hi = live_hi[v] + max(d, 0)
             if reach_lo < lo:
                 reach_lo, free = lo, False
             if reach_hi > hi:
                 reach_hi, free = hi, False
             live_lo[v] = reach_lo
             live_hi[v] = reach_hi
-        slots = [] if free else [(radix[v], width[v]) for v, _, _ in win]
-        terms = []
-        for delta, qexp, coeff in f.terms:
-            # key offset, q-shift, packed coefficient, and for each touched
-            # slot of a checked step the digits a source may hold for the
-            # target to stay inside
-            dk = 0
-            bounds = []
-            for v, lo, hi in win:
-                d = 0 if delta is None else delta[v]
-                dk += d * radix[v]
-                if not free:
-                    bounds.append((lo - base[v] - d, hi - base[v] - d))
-            lo_c, cmag = pack_qlaurent(coeff, B)
-            terms.append((dk, qexp + lo_c, cmag, bounds))
-        if (len(terms) == 2 and terms[0][:3] == (0, 0, 1) and terms[1][0]
-                and terms[1][2] == -1 and len(win) <= 2):
-            state = _step_linear(state, B, slots, terms)
-        else:
-            state = _step_general(state, B, slots, terms)
+        # for each moved slot of a checked step: its key weight and width,
+        # and the digits a state may hold to keep its 1 term and its
+        # -q^m x^delta term inside the window
+        slots = [] if free else [(radix[v], width[v], lo - base[v], hi - base[v], lo - base[v] - d,
+                                  hi - base[v] - d) for v, d, lo, hi in win]
+        state = _step_linear(state, B, dk, m, slots)
         if not state:
             break
     return state
 
 
-def _step_linear(state, B, slots, terms):
+def _step_linear(state, B, dk, qsh, slots):
     """One (1 - q^m x^delta) step: new[k] += old[k], new[k + dk] -= q^m old[k].
 
-    ``slots`` and each term's bounds cover the one or two touched slots; a
+    ``slots`` covers the one or two moved slots, as from ``_fold_packed``; a
     free step has none, keeps every state and merges only the shifted term.
     """
     if not slots:
-        dk, qsh = terms[1][:2]
         new = dict(state)
         get = new.get
         for k, (lo, mag) in state.items():
@@ -549,14 +460,11 @@ def _step_linear(state, B, slots, terms):
                 else:
                     del new[nk]
         return new
-    (_, _, _, ((ilo, ihi), *jb)), (dk, qsh, _, ((dilo, dihi), *djb)) = terms
-    (mi, wi), *rest = slots
+    (mi, wi, ilo, ihi, dilo, dihi), *rest = slots
     if rest:
-        (mj, wj), = rest
-        (jlo, jhi), = jb
-        (djlo, djhi), = djb
+        (mj, wj, jlo, jhi, djlo, djhi), = rest
     else:
-        # a single touched slot: the second test reads a constant 0
+        # a single moved slot: the second test reads a constant 0
         mj, wj, jlo, jhi, djlo, djhi = 1, 1, 0, 0, 0, 0
     new: dict = {}
     get = new.get
@@ -599,38 +507,6 @@ def _step_linear(state, B, slots, terms):
                     new[nk] = (rl, s)
                 else:
                     del new[nk]
-    return new
-
-
-def _step_general(state, B, slots, terms):
-    """One step by any factor: each term moves a state by its key offset."""
-    new: dict = {}
-    get = new.get
-    for k, (lo, mag) in state.items():
-        xs = [k // m % w for m, w in slots]
-        for dk, qsh, cmag, bounds in terms:
-            for x, (blo, bhi) in zip(xs, bounds):
-                if x < blo or x > bhi:
-                    break
-            else:
-                nk = k + dk
-                nlo = lo + qsh
-                nmag = mag if cmag == 1 else (-mag if cmag == -1 else mag * cmag)
-                cur = get(nk)
-                if cur is None:
-                    new[nk] = (nlo, nmag)
-                else:
-                    clo, cm = cur
-                    if clo <= nlo:
-                        s = cm + (nmag << (B * (nlo - clo)))
-                        rl = clo
-                    else:
-                        s = nmag + (cm << (B * (clo - nlo)))
-                        rl = nlo
-                    if s:
-                        new[nk] = (rl, s)
-                    else:
-                        del new[nk]
     return new
 
 

@@ -1,8 +1,9 @@
 """Constructors for the product families whose constant terms we study.
 
-Every left-hand side is assembled as a list of linear fold factors
-(1 - q^m x_i/x_j); the factor list is the authoritative representation and
-feeds the pruned CT fold.
+Every left-hand side is assembled as a list of linear factors, triples
+(a, b, m) for (1 - q^m x_a/x_b) with ``None`` for the literal 1; the triple
+list is the authoritative representation and feeds the pruned CT fold.  A
+monomial prefactor or the Kadell weight only moves which coefficient is read.
 
 The projective variable x_0 is set to 1 inside every builder (homogeneity of
 the full product makes this harmless for constant terms), so a product over
@@ -11,7 +12,7 @@ x_1..x_n has arity n.
 
 from __future__ import annotations
 
-from .laurent import FoldFactor, ct_fold, fold_packed_raw, linear_factors, pack_qlaurent, packed_add, packed_mul, _decode_packed
+from .laurent import _decode_packed, ct_fold, fold_packed_raw, pack_qlaurent, packed_add, packed_mul
 from .qring import ONE, QFrac, QLaurent, qbinom
 
 
@@ -102,15 +103,14 @@ def epsilon(shape: Shape, i: int, j: int) -> int:
 # -- factor lists -----------------------------------------------------------------
 
 
-def qdyson_factors(a) -> list[FoldFactor]:
+def qdyson_factors(a) -> list[tuple]:
     """Linear factors of prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j}."""
-    a = list(a)
     n = len(a)
     out = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            out.extend(linear_factors(n, i, j, 0, a[i - 1]))
-            out.extend(linear_factors(n, j, i, 1, a[j - 1]))
+            out += [(i, j, t) for t in range(a[i - 1])]
+            out += [(j, i, 1 + t) for t in range(a[j - 1])]
     return out
 
 
@@ -130,24 +130,16 @@ def pair_linear(shape: Shape, c: int, skip: int | None = None):
                 yield j, i, 1 + t
 
 
-def pair_factors(shape: Shape, c: int) -> list[FoldFactor]:
-    """The pair product's linear factors as fold factors."""
-    return [FoldFactor.linear(shape.n, a, b, m) for a, b, m in pair_linear(shape, c)]
-
-
-def bf_factors(shape: Shape, a: int, b: int, c: int) -> list[FoldFactor]:
+def bf_factors(shape: Shape, a: int, b: int, c: int) -> list[tuple]:
     """Full factor list, ordered so low variables are closed off first."""
     n = shape.n
-    groups: list[list[FoldFactor]] = [[] for _ in range(n + 1)]
+    groups: list[list[tuple]] = [[] for _ in range(n + 1)]
     for i, j, m in pair_linear(shape, c):
-        groups[min(i, j)].append(FoldFactor.linear(n, i, j, m))
+        groups[min(i, j)].append((i, j, m))
     for i in range(1, n + 1):
-        groups[i].extend(linear_factors(n, None, i, 0, a))
-        groups[i].extend(linear_factors(n, i, None, 1, b))
-    out = []
-    for g in groups:
-        out.extend(g)
-    return out
+        groups[i] += [(None, i, t) for t in range(a)]
+        groups[i] += [(i, None, 1 + t) for t in range(b)]
+    return [f for g in groups for f in g]
 
 
 # -- the Kadell weight -----------------------------------------------------------------
@@ -155,7 +147,7 @@ def bf_factors(shape: Shape, a: int, b: int, c: int) -> list[FoldFactor]:
 
 def kadell_h(r: int, a) -> list:
     """Complete symmetric polynomial h_r on the alphabet (x_i q^t, t < a_i),
-    as fold-factor terms (exponent tuple, 0, coefficient):
+    as (exponent tuple, coefficient) pairs:
         h_r = sum_{j_1 + ... + j_n = r} prod_i x_i^{j_i} [a_i + j_i - 1, j_i]_q.
     A variable with a_i = 0 has no letter, so it takes only j_i = 0."""
     if r < 1:
@@ -164,7 +156,7 @@ def kadell_h(r: int, a) -> list:
     for x in a:
         rows = [(js + (j,), coeff * qbinom(x + j - 1, j) if j else coeff)
                 for js, coeff in rows for j in range(r - sum(js) + 1 if x else 1)]
-    return [(js, 0, coeff) for js, coeff in rows if sum(js) == r]
+    return [(js, coeff) for js, coeff in rows if sum(js) == r]
 
 
 # -- constant terms ----------------------------------------------------------------------
@@ -191,31 +183,33 @@ def qmorris_ct(n: int, a: int, b: int, c: int) -> QFrac:
 
 
 def kadell_ct(v, r: int, a) -> QFrac:
-    """Brute-force CT of x^{-v} h_r(alphabet) times the q-Dyson product."""
-    v = list(v)
-    a = list(a)
+    """Brute-force CT of x^{-v} h_r(alphabet) times the q-Dyson product.
+
+    Each term c x^J of h_r reads the product's coefficient at v - J, which
+    lies in the box [v - r, v]: one fold over that box, contracted against
+    the terms of h_r.
+    """
+    v = tuple(v)
     n = len(a)
     if len(v) != n:
         raise ValueError("v and a must have equal length")
     hr = kadell_h(r, a)
     if not hr:
         return QFrac(0)
-    factors = [FoldFactor.monomial(n, tuple(-x for x in v)), FoldFactor(n, hr)]
-    factors.extend(qdyson_factors(a))
-    zero = (0,) * n
-    res = ct_fold(n, factors, zero, zero)
-    return QFrac.from_qlaurent(res.get(zero, QLaurent()))
+    l1 = sum(coeff.l1_norm() for _, coeff in hr)
+    packed, B = fold_packed_raw(n, qdyson_factors(a), tuple(x - r for x in v), v, extra_l1=l1)
+    total = (0, 0)
+    for js, coeff in hr:
+        p = packed.get(tuple(x - j for x, j in zip(v, js)))
+        if p is not None:
+            total = packed_add(total, packed_mul(p, pack_qlaurent(coeff, B), B), B)
+    return QFrac.from_qlaurent(_decode_packed(*total, B))
 
 
 def x0_weights(a: int, b: int) -> dict[int, QLaurent]:
     """Coefficients of (1/u)_a (q u)_b as a map exponent -> QLaurent."""
-    factors = []
-    factors.extend(linear_factors(1, None, 1, 0, a))
-    factors.extend(linear_factors(1, 1, None, 1, b))
-    if not factors:
-        return {0: ONE}
-    res = ct_fold(1, factors, None, None)
-    return {e[0]: c for e, c in res.items()}
+    factors = [(None, 1, t) for t in range(a)] + [(1, None, 1 + t) for t in range(b)]
+    return {e: c for (e,), c in ct_fold(1, factors).items()}
 
 
 def bf_ct_grid(shape: Shape, c: int, jobs) -> dict[tuple[int, int], QFrac]:
@@ -237,7 +231,7 @@ def bf_ct_grid(shape: Shape, c: int, jobs) -> dict[tuple[int, int], QFrac]:
             w = x0_weights(a, b)
             weights[(a, b)] = w
             wl1 = max(wl1, sum(x.l1_norm() for x in w.values()))
-    pairs = pair_factors(shape, c)
+    pairs = list(pair_linear(shape, c))
     tlo = (-bmax,) * n
     thi = (amax,) * n
     packed, B = fold_packed_raw(n, pairs, tlo, thi, extra_l1=wl1 ** n)

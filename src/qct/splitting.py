@@ -18,9 +18,9 @@ nothing but its constant terms, one point fold per coefficient.
 from __future__ import annotations
 
 from .closedform import dn0_rhs
-from .laurent import Factored, FoldFactor, MLaurent, ct_fold, linear_factors
-from .products import Shape, pair_factors, pair_linear
-from .qring import ONE, Cyclo, QFrac, QLaurent, cyclo_sum
+from .laurent import Factored, MLaurent, ct_fold
+from .products import Shape, pair_linear
+from .qring import Cyclo, QFrac, QLaurent, cyclo_sum
 
 
 def split_k(shape: Shape) -> int:
@@ -62,7 +62,7 @@ def admissible_j(shape: Shape, c: int, i: int, k: int | None = None) -> range:
 
 def pair_product(shape: Shape, c: int) -> MLaurent:
     """The pair product expanded over QFrac."""
-    terms = ct_fold(shape.n, pair_factors(shape, c), None, None)
+    terms = ct_fold(shape.n, list(pair_linear(shape, c)))
     return MLaurent(shape.n, {e: QFrac.from_qlaurent(x) for e, x in terms.items()}, _trusted=True)
 
 
@@ -272,17 +272,16 @@ def verify_split(shape: Shape, c: int) -> dict:
 def _poch_y(base: int, length: int, inverse: bool):
     """(q^base y)_length or (q^base / y)_length as arity-1 linear factors."""
     if inverse:
-        return linear_factors(1, None, 1, base, length)
-    return linear_factors(1, 1, None, base, length)
+        return [(None, 1, base + t) for t in range(length)]
+    return [(1, None, base + t) for t in range(length)]
 
 
-def _expand1(factors, extra_mono=None):
-    fold = list(factors)
-    if extra_mono is not None:
-        fold = [FoldFactor.monomial(1, (extra_mono[0],), extra_mono[1], extra_mono[2])] + fold
-    if not fold:
-        return {(0,): ONE}
-    return ct_fold(1, fold, None, None)
+def _expand1(factors, mono=(0, 0, 1)):
+    """The product of arity-1 linear factors expanded, times the monomial
+    coeff * q^qexp * y^exp given as mono = (exp, qexp, coeff)."""
+    exp, qexp, coeff = mono
+    scale = QLaurent.q_power(qexp, coeff)
+    return {(e + exp,): p * scale for (e,), p in ct_fold(1, factors).items()}
 
 
 def _poch_identity_case(ident: str, i: int, j: int, t: int) -> bool:
@@ -315,7 +314,7 @@ def _poch_identity_case(ident: str, i: int, j: int, t: int) -> bool:
     else:
         raise ValueError(ident)
     left = _expand1(lhs)
-    right = _expand1(rhs + den, extra_mono=rmono)
+    right = _expand1(rhs + den, rmono)
     return left == right
 
 
@@ -378,7 +377,7 @@ def vanishing_check(shape: Shape, h, t, c: int) -> QFrac:
             mono[v - 1] -= h[u - 1]
     for l in range(n):
         mono[l] += t[l]
-    factors = [FoldFactor.monomial(n, tuple(mono))] + pair_factors(shape, c)
-    zero = (0,) * n
-    res = ct_fold(n, factors, zero, zero)
-    return QFrac.from_qlaurent(res.get(zero, QLaurent()))
+    # the constant term of x^mono P is P's coefficient at -mono
+    at = tuple(-x for x in mono)
+    res = ct_fold(n, list(pair_linear(shape, c)), at, at)
+    return QFrac.from_qlaurent(res.get(at, QLaurent()))

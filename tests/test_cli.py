@@ -193,6 +193,23 @@ def test_negative_arguments_are_usage_errors(argv, capsys):
     (("verify", "--suite", "splitting", "--shape", "1,1", "--b", "0"),
      "suite splitting does not read --b"),
     (("verify", "--suite", "lemma-key", "--c", "0"), "suite lemma-key does not read --c"),
+    # a splitting case needs a decorated block to split on
+    (("verify", "--suite", "splitting", "--shape", "1"), "suite splitting needs a shape with a decorated block"),
+    # a value flag the family's ct or rhs route would ignore
+    (("ct", "--family", "qdyson", "--a", "1,2", "--b", "1"), "family qdyson does not read --b"),
+    (("ct", "--family", "bf", "--shape", "1,2", "--n", "3"), "family bf does not read --n"),
+    (("ct", "--family", "qmorris", "--n", "2", "--v", "1"), "family qmorris does not read --v"),
+    (("ct", "--family", "kadell", "--v", "1,0", "--r", "1", "--a", "1,1", "--c", "1"),
+     "family kadell does not read --c"),
+    (("rhs", "--family", "qdyson", "--a", "1,2", "--shape", "1,1"), "family qdyson does not read --shape"),
+    (("rhs", "--family", "dn0", "--shape", "1,1", "--a", "1", "--c", "1"), "family dn0 does not read --a"),
+    (("rhs", "--family", "bf-p1", "--shape", "1,1", "--r", "1"), "family bf-p1 does not read --r"),
+    (("rhs", "--family", "kadell", "--v", "1,0", "--r", "1", "--a", "1,1", "--n", "2"),
+     "family kadell does not read --n"),
+    # qmorris takes its n from exactly one of --n and --shape
+    (("rhs", "--family", "qmorris", "--a", "1"), "qmorris needs --n or --shape"),
+    (("ct", "--family", "qmorris", "--n", "3", "--shape", "1,2"), "qmorris needs --n or --shape, not both"),
+    (("rhs", "--family", "qmorris", "--n", "3", "--shape", "3"), "qmorris needs --n or --shape, not both"),
 ])
 def test_bad_shape_and_n_are_usage_errors(argv, message, capsys, monkeypatch):
     # leading NAME=value items set the environment, as on a shell command line
@@ -205,6 +222,36 @@ def test_bad_shape_and_n_are_usage_errors(argv, message, capsys, monkeypatch):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ct", "--family", "qdyson", "--a", "1,1"),
+    ("ct", "--family", "qmorris", "--n", "2", "--a", "1", "--b", "1", "--c", "1"),
+    ("ct", "--family", "qmorris", "--shape", "2", "--a", "1", "--b", "1", "--c", "1"),
+    ("ct", "--family", "bf", "--shape", "1,2", "--a", "1", "--b", "1", "--c", "1"),
+    ("ct", "--family", "bf", "--shape", "1,2", "--a", "1", "--b", "1", "--c", "1", "--method", "gx"),
+    ("ct", "--family", "kadell", "--v", "1,0", "--r", "1", "--a", "1,1"),
+    ("rhs", "--family", "qdyson", "--a", "1,1"),
+    ("rhs", "--family", "qmorris", "--n", "2", "--a", "1", "--b", "1", "--c", "1"),
+    ("rhs", "--family", "bf", "--shape", "1,2", "--a", "1", "--b", "1", "--c", "1"),
+    ("rhs", "--family", "bf-p1", "--shape", "1,2", "--a", "1", "--b", "1", "--c", "1"),
+    ("rhs", "--family", "dn0", "--shape", "1,2", "--c", "1"),
+    ("rhs", "--family", "kadell", "--v", "1,0", "--r", "1", "--a", "1,1"),
+])
+def test_every_flag_a_family_reads_is_accepted(argv, capsys):
+    # the gx-query flags (bf with --shape --a --b --c, on ct and rhs) among them
+    code, out = run(capsys, *argv)
+    assert code == 0 and out.strip()
+
+
+def test_qmorris_shape_counts_variables_on_ct_and_rhs(capsys):
+    # the q-Morris product has one block: --shape 1,2 means n = 3, on both
+    # routes, and not the decorated product of shape (1, 2)
+    flags = ("--a", "1", "--b", "1", "--c", "1")
+    _, by_n = run(capsys, "rhs", "--family", "qmorris", "--n", "3", *flags)
+    for command in ("ct", "rhs"):
+        _, out = run(capsys, command, "--family", "qmorris", "--shape", "1,2", *flags)
+        assert out == by_n, command
 
 
 def test_verify_has_no_a_flag(capsys):
@@ -289,6 +336,17 @@ class _TickClock:
     def monotonic(self):
         self.now += 1
         return self.now
+
+
+def test_lemma_key_cases_keep_their_order():
+    # stdout lists the cases by index: the examples, then every composition r
+    # of s <= 6 into at most three parts, by s, then by the number of parts,
+    # then lexicographically, then minweight for s = 1..8
+    cases = cli._cases_lemma_key(None)
+    rs = [tuple(c["r"]) for c in cases if c["kind"] == "classify"]
+    assert rs == sorted(set(rs), key=lambda r: (sum(r), len(r), r)) and len(rs) == 41
+    assert cases[0] == {"kind": "examples"}
+    assert cases[-8:] == [{"kind": "minweight", "s": s} for s in range(1, 9)]
 
 
 def test_lemma_key_budget_trims_the_expensive_end(tmp_path, capsys, monkeypatch):

@@ -21,11 +21,12 @@ from qct.gxseries import (
     oracle_matches_direct,
     property_branch,
 )
-from qct.laurent import (FoldFactor, MLaurent, _decode_packed, _digit_width, ct_fold,
-                         fold_packed_raw, pack_qlaurent, packed_add)
+from qct.laurent import (MLaurent, _decode_packed, _digit_width, ct_fold, fold_packed_raw, pack_qlaurent,
+                         packed_add)
 from qct.products import Shape
 from qct.qring import ONE, Cyclo, QFrac, QLaurent, cyclo_sum, eval_poly
 from qct.roots import interpolate_dn
+from test_laurent import moved
 
 
 # -- the packed route: the oracle the factored walk must match -------------------------
@@ -186,15 +187,16 @@ def rational_ct(term: RationalTerm) -> QFrac:
     return cyclo_sum(leaves)
 
 
-def _linear_factors(arity, triples) -> list[FoldFactor]:
-    """(1 - q^m x_a/x_b) for slot triples (a, b, m), slot t holding x_t."""
-    return [FoldFactor.linear(arity, a + 1, b + 1, m) for a, b, m in triples]
+def _one_based(triples) -> list:
+    """Slot triples (a, b, m), slot t holding x_t, as the fold's 1-based ones."""
+    return [(a + 1, b + 1, m) for a, b, m in triples]
 
 
 def expand_numerator(arity: int, mono, triples) -> tuple[dict, int]:
     """x^mono * prod (1 - q^m x_a/x_b) over 0-based (a, b, m), expanded and
-    packed."""
-    return fold_packed_raw(arity, [FoldFactor.monomial(arity, tuple(mono))] + _linear_factors(arity, triples))
+    packed: the triples folded, then every key moved by mono."""
+    packed, B = fold_packed_raw(arity, _one_based(triples))
+    return {tuple(x + y for x, y in zip(e, mono)): v for e, v in packed.items()}, B
 
 
 def numerator_poly(q) -> tuple[dict, int]:
@@ -593,7 +595,7 @@ def test_gx_ct_runs_without_gcd(monkeypatch):
 
 
 def _point_window(tlo, thi, arity) -> bool:
-    return tlo == thi == (0,) * arity
+    return tlo is not None and len(tlo) == arity and tlo == thi
 
 
 def test_packed_elimination_makes_no_qlaurent_arithmetic(monkeypatch):
@@ -810,23 +812,20 @@ def test_property_laurent_nontrivial():
 def reference_property_laurent_route(q, ell):
     """(laurent_form_ok, ct_zero) of property (3) the decoding way: expand the
     cancelled numerator to QLaurent coefficients, read the ledger off every
-    monomial, then fold it again as one general factor beside the residual
-    pairs."""
+    monomial, then contract it against the expanded residual pairs."""
     n = q.shape.n
     scale, mono, triples, shifts = gxseries._cancel_head_denominator(q)
-    numerator = [FoldFactor.monomial(n + 1, tuple(mono), scale.shift, scale.sign)]
-    res = ct_fold(n + 1, numerator + _linear_factors(n + 1, triples))
+    res = moved(ct_fold(n + 1, _one_based(triples)), mono, QLaurent.q_power(scale.shift, scale.sign))
     outside = [i for i in range(1, n + 1) if i not in q.u]
     for e in res:
         if any(e[i] < shifts[i] for i in outside):
             return False, None
         if e[q.head] != ell - sum(e[i] - shifts[i] for i in outside):
             return False, None
-    all_factors = [FoldFactor(n + 1, [(e, 0, p) for e, p in res.items()])]
-    all_factors += _linear_factors(n + 1, gxseries._triples(q.residual_pairs))
-    zero = (0,) * (n + 1)
-    val = ct_fold(n + 1, all_factors, zero, zero).get(zero)
-    return True, val is None or val.is_zero()
+    # each term x^e of the numerator reads the residual product at -e
+    rest = ct_fold(n + 1, _one_based(gxseries._triples(q.residual_pairs)))
+    val = sum((p * rest.get(tuple(-x for x in e), QLaurent()) for e, p in res.items()), QLaurent())
+    return True, val.is_zero()
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import random
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -6,12 +7,10 @@ from hypothesis import strategies as st
 
 from qct import laurent
 from qct.laurent import (
-    FoldFactor,
     MLaurent,
     _decode_packed,
     ct_fold,
     fold_packed_raw,
-    linear_factors,
     pack_qlaurent,
     packed_mul,
 )
@@ -114,7 +113,7 @@ def poch_factor(arity: int, i, j, m: int, z: int) -> MLaurent:
     out = MLaurent.constant(arity, 1)
     if z == 0:
         return out
-    res = ct_fold(arity, linear_factors(arity, i, j, m, z), None, None)
+    res = ct_fold(arity, [(i, j, m + t) for t in range(z)], None, None)
     return MLaurent(arity, {e: QFrac.from_qlaurent(c) for e, c in res.items()}, _trusted=True)
 
 
@@ -288,9 +287,40 @@ def test_text_roundtrip():
 #
 # The oracle for ct_fold: coefficients are plain {q-exponent: int} dicts and
 # monomials are exponent tuples, so it shares neither the packed digits nor
-# the Kronecker keys of the kernel.  It prunes with its own per-step windows
-# over every slot: after step fi, slot v must stay inside the target window
-# widened by what the remaining factors can still add or remove.
+# the Kronecker keys of the kernel.  It takes general factors, sums of
+# monomials, where the kernel takes linear triples only.  It prunes with its
+# own per-step windows over every slot: after step fi, slot v must stay
+# inside the target window widened by what the remaining factors can still
+# add or remove.
+
+
+class Factor:
+    """A general factor for the reference fold: ``terms`` lists (delta,
+    qexp, coeff) for the monomial coeff * q^qexp * x^delta, and [lo, hi] is
+    the smallest box holding every delta."""
+
+    def __init__(self, arity, terms):
+        self.terms = [(tuple(d), qexp, QLaurent.from_int(c) if isinstance(c, int) else c)
+                      for d, qexp, c in terms]
+        self.terms = [t for t in self.terms if not t[2].is_zero()]
+        if not self.terms:
+            raise ValueError("empty factor")
+        self.lo = tuple(min(d[v] for d, _, _ in self.terms) for v in range(arity))
+        self.hi = tuple(max(d[v] for d, _, _ in self.terms) for v in range(arity))
+
+    @staticmethod
+    def linear(arity, a, b, m):
+        """(1 - q^m x_a/x_b), 1-based, None on a side meaning 1."""
+        delta = [0] * arity
+        if a is not None:
+            delta[a - 1] += 1
+        if b is not None:
+            delta[b - 1] -= 1
+        return Factor(arity, [((0,) * arity, 0, 1), (delta, m, -1)])
+
+    @staticmethod
+    def monomial(arity, exps, coeff=1):
+        return Factor(arity, [(exps, 0, coeff)])
 
 
 def _reference_windows(arity, factors, tlo, thi):
@@ -312,8 +342,9 @@ def _reference_windows(arity, factors, tlo, thi):
 
 
 def fold_dict(arity, factors, tlo=None, thi=None) -> dict:
-    """Same contract as ct_fold: exponent tuple -> QLaurent, inside [tlo, thi]."""
-    factors = list(factors)
+    """Same contract as ct_fold: exponent tuple -> QLaurent, inside [tlo, thi].
+    A factor is a ``Factor`` or a linear triple (a, b, m)."""
+    factors = [f if isinstance(f, Factor) else Factor.linear(arity, *f) for f in factors]
     if tlo is None or thi is None:
         lo = [sum(f.lo[v] for f in factors) for v in range(arity)]
         hi = [sum(f.hi[v] for f in factors) for v in range(arity)]
@@ -332,7 +363,7 @@ def fold_dict(arity, factors, tlo=None, thi=None) -> dict:
         new: dict = {}
         for e, qd in state.items():
             for delta, qsh, coeff in f.terms:
-                ne = e if delta is None else tuple(a + b for a, b in zip(e, delta))
+                ne = tuple(a + b for a, b in zip(e, delta))
                 if any(ne[v] < klo[v] or ne[v] > khi[v] for v in range(arity)):
                     continue
                 cur = new.setdefault(ne, {})
@@ -353,6 +384,11 @@ def fold_dict(arity, factors, tlo=None, thi=None) -> dict:
     return {e: QLaurent(qd, _trusted=True) for e, qd in state.items() if qd}
 
 
+def moved(folded: dict, mono, scalar=ONE) -> dict:
+    """A fold's result times scalar * x^mono: keys moved, values scaled."""
+    return {tuple(map(add, e, mono)): p * scalar for e, p in folded.items()}
+
+
 def test_fold_kernels_agree():
     rng = random.Random(31)
     for _ in range(10):
@@ -363,34 +399,47 @@ def test_fold_kernels_agree():
             j = rng.randrange(1, n + 1)
             if i == j:
                 j = None
-            factors.append(FoldFactor.linear(n, i, j, rng.randrange(-2, 3)))
+            factors.append((i, j, rng.randrange(-2, 3)))
         assert ct_fold(n, factors, None, None) == fold_dict(n, factors, None, None)
         zero = (0,) * n
         assert ct_fold(n, factors, zero, zero) == fold_dict(n, factors, zero, zero)
 
 
-def test_fold_kernels_agree_with_general_factors():
-    # mix monomial prefactors and multi-term general factors with the linear
-    # battery; the kernel must match the reference fold exactly
-    from qct.products import kadell_h, qdyson_factors
+@pytest.mark.parametrize("factor", [(1, 1, 0), (2, 2, -1), (None, None, 0), (None, None, 3)])
+def test_ct_fold_rejects_degenerate_triples(factor):
+    # (1 - q^m x_a/x_a) and (1 - q^m) are not linear factors: the kernel
+    # refuses them under any window rather than folding a scalar
+    factors = [(1, 2, 0), factor]
+    for window in ((None, None), ((0, 0), (0, 0))):
+        with pytest.raises(ValueError):
+            ct_fold(2, factors, *window)
+        with pytest.raises(ValueError):
+            fold_packed_raw(2, factors, *window)
 
-    n = 2
-    factors = [
-        FoldFactor.monomial(n, (-1, -1), 0, 1),
-        FoldFactor(n, kadell_h(2, (2, 1))),
-    ] + qdyson_factors((2, 1))
-    zero = (0,) * n
-    assert ct_fold(n, factors, zero, zero) == fold_dict(n, factors, zero, zero)
-    assert ct_fold(n, factors, None, None) == fold_dict(n, factors, None, None)
+
+def test_fold_kernels_agree_with_general_factors():
+    # x^-v and h_r never enter the kernel: kadell_ct folds the q-Dyson
+    # triples over the box [v - r, v] and contracts against h_r's terms; the
+    # reference folds the monomial and h_r as general factors, on the whole
+    # default kadell grid
+    from qct.cli import _cases_kadell
+    from qct.products import kadell_ct, kadell_h, qdyson_factors
+
+    cases = _cases_kadell(None)
+    assert len(cases) == 278
+    for case in cases:
+        v, r, a = case["v"], case["r"], case["a"]
+        n = len(a)
+        zero = (0,) * n
+        factors = [Factor.monomial(n, [-x for x in v]), Factor(n, [(js, 0, c) for js, c in kadell_h(r, a)])]
+        want = fold_dict(n, factors + qdyson_factors(a), zero, zero).get(zero, QLaurent())
+        assert kadell_ct(v, r, a) == QFrac.from_qlaurent(want), case
 
 
 def test_fold_window_matches_full_expansion():
     # windowed folds agree with filtering the full expansion
     n = 3
-    factors = []
-    factors.extend(linear_factors(n, 1, 2, 0, 2))
-    factors.extend(linear_factors(n, 2, 1, 1, 2))
-    factors.extend(linear_factors(n, 3, 1, 1, 1))
+    factors = [(1, 2, 0), (1, 2, 1), (2, 1, 1), (2, 1, 2), (3, 1, 1)]
     full = ct_fold(n, factors, None, None)
     lo, hi = (-1, -1, 0), (1, 1, 1)
     windowed = ct_fold(n, factors, lo, hi)
@@ -399,88 +448,81 @@ def test_fold_window_matches_full_expansion():
     assert windowed == expect
 
 
-def _draw_factors(draw, n):
-    """A random mix of linear, monomial and multi-term factors on n slots.
-    A "binomial" is 1 - q^m x^delta with delta anywhere in {-1, 0, 1}^n, the
-    linear factor's shape on zero to n variables."""
+_NONZERO = st.integers(-3, 3).filter(bool)
+_QPOLY = st.dictionaries(st.integers(-2, 2), _NONZERO, min_size=1, max_size=3).map(QLaurent)
+
+
+def _draw_triples(draw, n):
+    """Zero to six random linear factors on n slots, either side possibly 1."""
     side = st.one_of(st.none(), st.integers(1, n))
-    nonzero = st.integers(-3, 3).filter(bool)
-    qpoly = st.dictionaries(st.integers(-2, 2), nonzero, min_size=1, max_size=3).map(QLaurent)
     factors = []
     for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(("linear", "linear", "binomial", "monomial", "general")))
-        deltas = st.tuples(*[st.integers(-1, 1)] * n)
-        if kind == "linear":
-            i, j = draw(side), draw(side)
-            if i is not None and i == j:
-                j = None
-            factors.append(FoldFactor.linear(n, i, j, draw(st.integers(-2, 2))))
-        elif kind == "binomial":
-            factors.append(FoldFactor(n, [(None, 0, 1), (draw(deltas), draw(st.integers(-2, 2)), -1)]))
-        elif kind == "monomial":
-            exps = draw(st.tuples(*[st.integers(-2, 1)] * n))
-            factors.append(FoldFactor.monomial(n, exps, draw(st.integers(-2, 2)), draw(nonzero)))
-        else:
-            terms = draw(st.dictionaries(deltas, qpoly, min_size=2, max_size=3))
-            factors.append(FoldFactor(n, [(e, 0, p) for e, p in terms.items()]))
+        i, j = draw(side), draw(side)
+        if i == j:
+            j = None if i is not None else draw(st.integers(1, n))
+        factors.append((i, j, draw(st.integers(-2, 2))))
     return factors
 
 
 @st.composite
 def fold_cases(draw):
-    """(arity, factors, tlo, thi): random factors under a point, empty, wide
-    or unconstrained window."""
+    """(arity, monomial, scalar, triples, tlo, thi): random linear factors
+    behind a monomial and a scalar, under a point, empty, wide or
+    unconstrained window."""
     n = draw(st.integers(1, 4))
-    factors = _draw_factors(draw, n)
+    mono = draw(st.tuples(*[st.integers(-2, 1)] * n))
+    scalar = draw(_QPOLY)
+    factors = _draw_triples(draw, n)
     window = draw(st.sampled_from(("point", "empty", "wide", "none")))
     if window == "none":
-        return n, factors, None, None
+        return n, mono, scalar, factors, None, None
     point = draw(st.tuples(*[st.integers(-2, 2)] * n))
     if window == "point":
-        return n, factors, point, point
+        return n, mono, scalar, factors, point, point
     if window == "empty":
         v = draw(st.integers(0, n - 1))
-        return n, factors, point, tuple(x - (t == v) for t, x in enumerate(point))
+        return n, mono, scalar, factors, point, tuple(x - (t == v) for t, x in enumerate(point))
     tlo = draw(st.tuples(*[st.integers(-8, 0)] * n))
     thi = draw(st.tuples(*[st.integers(0, 8)] * n))
-    return n, factors, tlo, thi
+    return n, mono, scalar, factors, tlo, thi
 
 
 @settings(max_examples=200, deadline=None)
 @given(fold_cases(), st.integers(0, 4), st.integers(0, 57).map(lambda k: 3 ** k))
 def test_fold_matches_reference_property(case, j, c):
-    n, factors, tlo, thi = case
-    want = fold_dict(n, factors, tlo, thi)
-    assert ct_fold(n, factors, tlo, thi) == want
+    # the reference folds the monomial and the scalar as factors; the kernel
+    # folds the triples alone, in the window moved back by the monomial, and
+    # the monomial and scalar apply after the fold
+    n, mono, scalar, factors, tlo, thi = case
+    want = fold_dict(n, [Factor.monomial(n, mono, scalar)] + factors, tlo, thi)
+    if tlo is not None:
+        tlo, thi = tuple(map(sub, tlo, mono)), tuple(map(sub, thi, mono))
+    assert ct_fold(n, factors, tlo, thi) == fold_dict(n, factors, tlo, thi)
+    assert moved(ct_fold(n, factors, tlo, thi), mono, scalar) == want
     # the raw packed values must survive one multiplication by a polynomial
     # whose L1 norm is the extra_l1 they were folded with
-    if tlo is None:
-        tlo = tuple(sum(f.lo[v] for f in factors) for v in range(n))
-        thi = tuple(sum(f.hi[v] for f in factors) for v in range(n))
     weight = QLaurent({0: c}) * QLaurent({0: 1, 1: -1}) ** j
     packed, B = fold_packed_raw(n, factors, tlo, thi, extra_l1=weight.l1_norm())
     wp = pack_qlaurent(weight, B)
     got = {e: _decode_packed(*packed_mul(v, wp, B), B) for e, v in packed.items()}
-    assert got == {e: p * weight for e, p in want.items()}
+    assert moved(got, mono, scalar) == {e: p * weight for e, p in want.items()}
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3, 4])
 @pytest.mark.parametrize("m", [-2, -1, 0, 1, 2])
 def test_linear_factor_fields_match_generic_constructor(arity, m):
+    # the kernel reads a triple's moved slots and window directly; they must
+    # be the generic factor's, and one triple must fold to its two terms
     sides = [None] + list(range(1, arity + 1))
     for i in sides:
         for j in sides:
-            if i is not None and i == j:
+            if i == j:
                 continue
-            delta = [0] * arity
-            if i is not None:
-                delta[i - 1] += 1
-            if j is not None:
-                delta[j - 1] -= 1
-            generic = FoldFactor(arity, [(None, 0, ONE), (tuple(delta), m, QLaurent.from_int(-1))])
-            direct = FoldFactor.linear(arity, i, j, m)
-            for field in FoldFactor.__slots__:
-                assert getattr(direct, field) == getattr(generic, field), (i, j, field)
+            generic = Factor.linear(arity, i, j, m)
+            moves = laurent._moves((i, j, m))
+            assert [v for v, _ in moves] == [v for v in range(arity) if generic.lo[v] or generic.hi[v]]
+            assert laurent._full_window(arity, [(i, j, m)]) == (generic.lo, generic.hi)
+            assert ct_fold(arity, [(i, j, m)]) == fold_dict(arity, [generic])
 
 
 # -- window-free steps and packed sums ---------------------------------------------------
@@ -491,9 +533,12 @@ def test_long_linear_chains_mix_free_and_checked_steps(monkeypatch, window):
     # early steps cannot leave a point or wide window and run free, later
     # ones can and are checked; both must match the reference fold
     n = 3
-    factors = (linear_factors(n, 1, 2, 0, 5) + linear_factors(n, 2, 3, 1, 4)
-               + linear_factors(n, 3, 1, -1, 5) + linear_factors(n, 1, None, 1, 3)
-               + linear_factors(n, None, 2, 0, 3) + linear_factors(n, 2, 1, 2, 4))
+
+    def chain(a, b, m, z):
+        return [(a, b, m + t) for t in range(z)]
+
+    factors = (chain(1, 2, 0, 5) + chain(2, 3, 1, 4) + chain(3, 1, -1, 5) + chain(1, None, 1, 3)
+               + chain(None, 2, 0, 3) + chain(2, 1, 2, 4))
     if window == "point":
         tlo = thi = (0, 0, 0)
     else:
@@ -501,9 +546,9 @@ def test_long_linear_chains_mix_free_and_checked_steps(monkeypatch, window):
     checked = []
     step = laurent._step_linear
 
-    def spy(state, B, slots, terms):
+    def spy(state, B, dk, qsh, slots):
         checked.append(bool(slots))
-        return step(state, B, slots, terms)
+        return step(state, B, dk, qsh, slots)
 
     monkeypatch.setattr(laurent, "_step_linear", spy)
     assert ct_fold(n, factors, tlo, thi) == fold_dict(n, factors, tlo, thi)
@@ -514,33 +559,40 @@ def test_long_linear_chains_mix_free_and_checked_steps(monkeypatch, window):
     assert checked == [False] * len(factors)
 
 
-def _negated(n, factors):
-    return [FoldFactor.monomial(n, (0,) * n, 0, -1)] + list(factors)
-
-
 def fold_sum_packed(arity, pieces):
-    """Sum of the full expansions of several factor lists, one piece after
-    another: the summing route the splitting case had before its Horner sum,
-    kept as its oracle.
+    """Sum of the full expansions of several pieces (mono, scalar, triples),
+    each scalar * x^mono * prod (1 - q^m x_a/x_b), one piece after another:
+    the summing route the splitting case had before its Horner sum, kept as
+    its oracle.
 
-    Every piece is folded with one shared digit width B, sized from the sum
-    of the pieces' L1 bounds, and in one shared key box, the union of the
-    pieces' boxes.  Returns ({exponent tuple: (lo, mag)}, B) holding only the
-    nonzero sums; keys are decoded only when the sum is nonzero.
+    Every piece's triples are folded with one shared digit width B, sized
+    from the pieces' scalars and factor counts, and in one shared key box
+    that holds each piece's fold both where it lies and moved by its
+    monomial.  After the fold the monomial moves the keys and the scalar
+    multiplies the packed values.  Returns ({exponent tuple: (lo, mag)}, B)
+    holding only the nonzero sums; keys are decoded only when the sum is
+    nonzero.
     """
-    pieces = [list(f) for f in pieces]
-    B = laurent._digit_width(sum(laurent._l1_bound(f) for f in pieces))
-    plans = [laurent._windows(f, *laurent._full_window(arity, f)) for f in pieces]
+    B = laurent._digit_width(sum(scalar.l1_norm() << len(triples) for _, scalar, triples in pieces))
+    plans = [laurent._windows(triples, *laurent._full_window(arity, triples)) for _, _, triples in pieces]
     base = [0] * arity
     top = [0] * arity
-    for _, b, t in plans:
-        base = list(map(min, base, b))
-        top = list(map(max, top, t))
+    for (mono, _, _), (_, b, t) in zip(pieces, plans):
+        base = list(map(min, base, b, map(add, b, mono)))
+        top = list(map(max, top, t, map(add, t, mono)))
+    radix, r = [], 1
+    for b, t in zip(base, top):
+        radix.append(r)
+        r *= t - b + 1
     total: dict = {}
-    for factors, (steps, _, _) in zip(pieces, plans):
-        state = laurent._fold_packed(factors, steps, base, top, B)
+    for (mono, scalar, triples), (steps, _, _) in zip(pieces, plans):
+        dk = sum(map(mul, mono, radix))
+        sp = pack_qlaurent(scalar, B)
+        state = laurent._fold_packed(triples, steps, base, top, B)
         get = total.get
         for k, val in state.items():
+            k += dk
+            val = packed_mul(val, sp, B)
             cur = get(k)
             if cur is None:
                 total[k] = val
@@ -555,20 +607,20 @@ def fold_sum_packed(arity, pieces):
 
 @st.composite
 def sum_cases(draw):
-    """(arity, pieces): one to three random factor lists, each moved by its
-    own monomial so that the pieces' full windows differ."""
+    """(arity, pieces): one to three random pieces (mono, scalar, triples),
+    each moved by its own monomial so that the pieces' full windows differ."""
     n = draw(st.integers(1, 3))
     pieces = []
     for _ in range(draw(st.integers(1, 3))):
         offset = draw(st.tuples(*[st.integers(-3, 3)] * n))
-        pieces.append([FoldFactor.monomial(n, offset)] + _draw_factors(draw, n))
+        pieces.append((offset, draw(_QPOLY), _draw_triples(draw, n)))
     return n, pieces
 
 
 def _reference_sum(n, pieces) -> dict:
     want: dict = {}
-    for factors in pieces:
-        for e, p in fold_dict(n, factors).items():
+    for mono, scalar, triples in pieces:
+        for e, p in fold_dict(n, [Factor.monomial(n, mono, scalar)] + triples).items():
             s = want.get(e, QLaurent()) + p
             if s.is_zero():
                 want.pop(e, None)
@@ -584,7 +636,8 @@ def test_fold_sum_matches_reference_sum(case):
     total, B = fold_sum_packed(n, pieces)
     assert {e: _decode_packed(lo, mag, B) for e, (lo, mag) in total.items()} == _reference_sum(n, pieces)
     # P + (-P) is an empty dict, alone or beside other pieces
-    P = pieces[0]
-    assert fold_sum_packed(n, [P, _negated(n, P)])[0] == {}
-    total, B = fold_sum_packed(n, pieces + [_negated(n, P)])
+    mono, scalar, triples = pieces[0]
+    negated = (mono, -scalar, triples)
+    assert fold_sum_packed(n, [pieces[0], negated])[0] == {}
+    total, B = fold_sum_packed(n, pieces + [negated])
     assert {e: _decode_packed(lo, mag, B) for e, (lo, mag) in total.items()} == _reference_sum(n, pieces[1:])

@@ -4,8 +4,7 @@ import pytest
 
 from qct import cli
 from qct.cli import BF_SHAPES
-from qct.laurent import (FoldFactor, MLaurent, _decode_packed, ct_fold, fold_packed_raw, pack_qlaurent,
-                         packed_add, packed_mul)
+from qct.laurent import MLaurent, _decode_packed, ct_fold, fold_packed_raw, pack_qlaurent, packed_add, packed_mul
 from qct.products import (
     Shape,
     bf_ct,
@@ -15,7 +14,7 @@ from qct.products import (
     epsilon,
     kadell_ct,
     kadell_h,
-    pair_factors,
+    pair_linear,
     qdyson_factors,
     qmorris_ct,
     x0_weights,
@@ -63,8 +62,8 @@ def reference_kadell_h(r: int, a) -> MLaurent:
 
 
 def _terms(n: int, terms) -> MLaurent:
-    """A fold factor's term list as an MLaurent."""
-    return MLaurent(n, {e: c for e, _, c in terms})
+    """An (exponent tuple, coefficient) list as an MLaurent."""
+    return MLaurent(n, dict(terms))
 
 
 def parse_shape(text: str) -> Shape:
@@ -174,7 +173,7 @@ def test_full_product_degree_zero_with_x0_restored():
     from qct.gxseries import QukFactors
     q = QukFactors(Shape((1, 2)), 2, 1, 1)  # numerator pochs carry (q x_j/x_0)_b
     n = 3
-    factors = [FoldFactor.linear(n + 1, a + 1, b + 1, m) for a, b, m in q.numerator_triples()]
+    factors = [(a + 1, b + 1, m) for a, b, m in q.numerator_triples()]
     full = ct_fold(n + 1, factors, None, None)
     assert {sum(e) for e in full} == {0}
 
@@ -216,7 +215,7 @@ def reference_grid_contraction(shape, c, jobs):
     wl1 = max(sum(x.l1_norm() for x in w.values()) for w in weights.values())
     amax = max(a for a, _ in jobs)
     bmax = max(b for _, b in jobs)
-    packed, B = fold_packed_raw(n, pair_factors(shape, c), (-bmax,) * n, (amax,) * n,
+    packed, B = fold_packed_raw(n, list(pair_linear(shape, c)), (-bmax,) * n, (amax,) * n,
                                 extra_l1=max(wl1, 1) ** n)
     out = {}
     for ab in jobs:

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from qct import cli, laurent, qring, splitting
 from qct.closedform import dn0_rhs
-from qct.laurent import Factored, FoldFactor, MLaurent, ct_fold
+from qct.laurent import Factored, MLaurent, ct_fold
 from qct.products import Shape, pair_linear
 from qct.qring import Cyclo, QFrac, QLaurent, cyclo_sum
 from qct.splitting import (
@@ -18,7 +18,7 @@ from qct.splitting import (
     vanishing_check,
     verify_split,
 )
-from test_laurent import fold_sum_packed
+from test_laurent import fold_sum_packed, moved
 
 GRID = [(s, c) for s in ((1, 1), (1, 2), (2, 2), (1, 1, 1)) for c in (0, 1, 2)]
 
@@ -27,28 +27,24 @@ GRID = [(s, c) for s in ((1, 1), (1, 2), (2, 2), (1, 1, 1)) for c in (0, 1, 2)]
 # cleared of denominators by a common multiple L and expanded in full
 
 
-def _linear(arity, triples) -> list[FoldFactor]:
-    return [FoldFactor.linear(arity, a, b, m) for a, b, m in triples]
-
-
 def _common_multiple(c: int) -> Cyclo:
     """A fixed multiple of every scalar denominator at this c."""
     return Cyclo.poch(1, c) ** 2
 
 
-def _cleared_piece(shape, c, i, j, k, arity, multiple) -> list[FoldFactor]:
-    """Fold factors of multiple * A_{ij} in ``arity`` slots, for a multiple
-    of A's denominator: A's own factors behind one monomial factor that
-    carries its sign, its power of q and the polynomial multiple / den."""
+def _cleared_piece(shape, c, i, j, k, arity, multiple):
+    """multiple * A_{ij} in ``arity`` slots as a piece (mono, scalar,
+    triples), for a multiple of A's denominator: A's own factors, monomial,
+    and a scalar that carries its sign, its power of q and the polynomial
+    multiple / den."""
     sign, qexp, den, mono, triples = splitting._acoeff_parts(shape, c, i, j, k)
     scalar = (multiple / den).times(QLaurent.q_power(qexp, sign))
-    mono = tuple(mono) + (0,) * (arity - len(mono))
-    return [FoldFactor.monomial(arity, mono, 0, scalar)] + _linear(arity, triples)
+    return tuple(mono) + (0,) * (arity - len(mono)), scalar, triples
 
 
-def _pair_piece(shape, c, arity, multiple) -> list[FoldFactor]:
-    """Fold factors of -multiple times the pair product."""
-    return [FoldFactor(arity, [(None, 0, -multiple.expand())])] + _linear(arity, pair_linear(shape, c))
+def _pair_piece(shape, c, arity, multiple):
+    """-multiple times the pair product as a piece (mono, scalar, triples)."""
+    return (0,) * arity, -multiple.expand(), list(pair_linear(shape, c))
 
 
 class ACoeff:
@@ -60,8 +56,7 @@ class ACoeff:
         self.shape, self.c, self.i, self.j, self.k = shape, c, i, j, k
         self.t = shape.block_of(i)
         self.sign, self.qexp, self.den, mono, triples = splitting._acoeff_parts(shape, c, i, j, k)
-        factors = [FoldFactor.monomial(shape.n, mono)] + _linear(shape.n, triples)
-        self.P = ct_fold(shape.n, factors, None, None)
+        self.P = moved(ct_fold(shape.n, triples), mono)
 
     def scale(self) -> Cyclo:
         """The scalar prefactor sign * q^qexp / den, factored."""
@@ -95,9 +90,9 @@ def reference_split(shape, c):
     pieces = []
     for i in range(1, n + 1):
         for j in admissible_j(shape, c, i, k):
-            piece = _cleared_piece(shape, c, i, j, k, n + 1, L)
-            piece += [FoldFactor.linear(n + 1, n + 1, l, z) for z, l in dens if (z, l) != (j, i)]
-            pieces.append(piece)
+            mono, scalar, triples = _cleared_piece(shape, c, i, j, k, n + 1, L)
+            triples += [(n + 1, l, z) for z, l in dens if (z, l) != (j, i)]
+            pieces.append((mono, scalar, triples))
     pieces.append(_pair_piece(shape, c, n + 1, L))
     diff, _ = fold_sum_packed(n + 1, pieces)
     return {"shape": shape.parts, "c": c, "k": k, "terms": len(dens), "mode": "exact",
@@ -111,9 +106,9 @@ def reference_residue(shape, c, i, j):
     L = _common_multiple(c)
     dens = denominator_factors(shape, c, k)
     scalar = splitting._same_variable_scalar(dens, i, j)
-    lhs = _cleared_piece(shape, c, i, j, k, n, L * scalar)
-    lhs += [FoldFactor.linear(n, i, l, z - j) for z, l in dens if l != i]
-    diff, _ = fold_sum_packed(n, [lhs, _pair_piece(shape, c, n, L)])
+    mono, lscalar, triples = _cleared_piece(shape, c, i, j, k, n, L * scalar)
+    triples += [(i, l, z - j) for z, l in dens if l != i]
+    diff, _ = fold_sum_packed(n, [(mono, lscalar, triples), _pair_piece(shape, c, n, L)])
     return not diff
 
 
@@ -296,7 +291,7 @@ def _expanded(n, parts) -> dict:
     if not scalar.sign:
         return {}
     inv = scalar ** -1
-    poly = ct_fold(n, [FoldFactor.monomial(n, mono)] + _linear(n, triples), None, None)
+    poly = moved(ct_fold(n, triples), mono)
     return {e: inv.divide(p) for e, p in poly.items()}
 
 
