@@ -16,6 +16,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations, product
+from typing import Callable, NamedTuple
 
 from . import closedform, gxseries, products, roots, splitting
 from .closedform import BFParams, all_shapes, compositions
@@ -74,75 +75,83 @@ def _shape(text: str) -> Shape:
     return Shape(_positive_ints(text))
 
 
-def _kadell_args(args) -> tuple[list[int], int, list[int]]:
-    """--v, --r and --a of the kadell family, checked against each other."""
-    if args.v is None or args.r is None or args.a is None:
-        build_parser().error("kadell needs --v, --r and --a")
-    if len(args.v) != len(args.a):
-        build_parser().error(f"--v and --a must have equal length, got {args.v} and {args.a}")
-    return args.v, args.r, args.a
+# -- families: the ct and rhs commands ------------------------------------------------
 
 
-def _abc(args) -> tuple[int, int, int]:
-    """--a, --b, --c of a family with one value each, absent flags read as 0."""
-    if args.a is not None and len(args.a) != 1:
-        build_parser().error("--a takes one value for this family")
-    return (args.a[0] if args.a else 0), args.b or 0, args.c or 0
+class Family(NamedTuple):
+    """A product family's value flags and its routes.  Each route maps the
+    family's params dict, as its suite cases print it, to a value; a route
+    looks its library function up when called, so a rebound module attribute
+    is seen.  bf-p1 and dn0 are closed forms of the bf product (at p = 1 and
+    at a = b = 0), so they have no brute-force route of their own: their
+    checks use bf's, and ``qct ct`` offers the families that have one."""
+
+    flags: tuple
+    brute: Callable | None
+    gx: Callable | None
+    closed: Callable
 
 
-# -- ct and rhs commands -----------------------------------------------------------
+def _bf_args(p) -> tuple:
+    """(Shape, a, b, c) of a bf or qmorris params dict; q-Morris is the
+    one-block product on n variables."""
+    return Shape(p["shape"] if "shape" in p else (p["n"],)), p["a"], p["b"], p["c"]
 
-# family -> the value flags its ct and rhs routes read
-FAMILY_FLAGS = {
-    "qdyson": ("a",),
-    "qmorris": ("n", "shape", "a", "b", "c"),
-    "bf": ("shape", "a", "b", "c"),
-    "bf-p1": ("shape", "a", "b", "c"),
-    "dn0": ("shape", "c"),
-    "kadell": ("v", "r", "a"),
+
+FAMILIES = {
+    "qdyson": Family(("a",), lambda p: products.ct_qdyson(p["a"]), None,
+                     lambda p: closedform.qdyson_rhs(p["a"])),
+    "qmorris": Family(("n", "shape", "a", "b", "c"),
+                      lambda p: products.qmorris_ct(p["n"], p["a"], p["b"], p["c"]),
+                      lambda p: _gx_value(*_bf_args(p)),
+                      lambda p: closedform.qmorris_rhs(p["n"], p["a"], p["b"], p["c"])),
+    "bf": Family(("shape", "a", "b", "c"), lambda p: products.bf_ct(*_bf_args(p)),
+                 lambda p: _gx_value(*_bf_args(p)),
+                 lambda p: closedform.bf_rhs(BFParams(*_bf_args(p)))),
+    "bf-p1": Family(("shape", "a", "b", "c"), None, None,
+                    lambda p: closedform.bf_p1_rhs(*p["shape"], p["a"], p["b"], p["c"])),
+    "dn0": Family(("shape", "c"), None, None,
+                  lambda p: closedform.dn0_rhs(Shape(p["shape"]), p["c"])),
+    "kadell": Family(("v", "r", "a"), lambda p: products.kadell_ct(p["v"], p["r"], p["a"]), None,
+                     lambda p: closedform.kadell_rhs(p["v"], p["r"], p["a"])),
 }
 
 
-def _check_family_flags(args):
-    """A value flag the chosen family does not read is a usage error."""
+def _family_params(args) -> dict:
+    """The chosen family's params dict, read off the value flags.  A flag the
+    family does not read, or a missing or inconsistent one, is a usage error."""
+    family, error = args.family, build_parser().error
     for flag in ("shape", "n", "a", "b", "c", "v", "r"):
-        if getattr(args, flag) is not None and flag not in FAMILY_FLAGS[args.family]:
-            build_parser().error(f"family {args.family} does not read --{flag}")
-
-
-def _qmorris_n(args) -> int:
-    """The qmorris family's n: --n, or the variable count of --shape."""
-    if (args.n is None) == (args.shape is None):
-        build_parser().error("qmorris needs --n or --shape, not both")
-    return args.n if args.n is not None else args.shape.n
-
-
-def _ct_value(args) -> QFrac:
-    _check_family_flags(args)
-    family = args.family
+        if getattr(args, flag) is not None and flag not in FAMILIES[family].flags:
+            error(f"family {family} does not read --{flag}")
     if family == "qdyson":
         if args.a is None:
-            build_parser().error("qdyson needs --a as a comma list")
-        if args.method == "gx":
-            build_parser().error("--method gx supports the bf and qmorris families")
-        return products.ct_qdyson(args.a)
-    if family in ("qmorris", "bf"):
-        if family == "qmorris":
-            shape = Shape((_qmorris_n(args),))
-        else:
-            if args.shape is None:
-                build_parser().error("bf needs --shape")
-            shape = args.shape
-        a, b, c = _abc(args)
-        if args.method == "gx":
-            return _gx_value(shape, a, b, c)
-        return products.bf_ct(shape, a, b, c)
+            error("qdyson needs --a as a comma list")
+        return {"a": args.a}
     if family == "kadell":
-        v, r, a = _kadell_args(args)
-        if args.method == "gx":
-            build_parser().error("--method gx supports the bf and qmorris families")
-        return products.kadell_ct(v, r, a)
-    build_parser().error(f"unknown family {family!r}")
+        if args.v is None or args.r is None or args.a is None:
+            error("kadell needs --v, --r and --a")
+        if len(args.v) != len(args.a):
+            error(f"--v and --a must have equal length, got {args.v} and {args.a}")
+        if args.method == "closed" and sum(args.v) != args.r:
+            error(f"the kadell closed form needs |--v| = --r, got {sum(args.v)} and {args.r}")
+        return {"v": args.v, "r": args.r, "a": args.a}
+    if family == "qmorris":
+        if (args.n is None) == (args.shape is None):
+            error("qmorris needs --n or --shape, not both")
+        params = {"n": args.n if args.n is not None else args.shape.n}
+    else:
+        if args.shape is None:
+            error(f"{family} needs --shape")
+        if family == "bf-p1" and args.shape.p != 1:
+            error("bf-p1 needs a two-block shape")
+        params = {"shape": list(args.shape.parts)}
+    if args.a is not None and len(args.a) != 1:
+        error("--a takes one value for this family")
+    if family != "dn0":
+        params.update(a=args.a[0] if args.a else 0, b=args.b or 0)
+    params["c"] = args.c or 0
+    return params
 
 
 def _gx_value(shape: Shape, a: int, b: int, c: int) -> QFrac:
@@ -153,41 +162,14 @@ def _gx_value(shape: Shape, a: int, b: int, c: int) -> QFrac:
     return eval_poly(interpolate(values, first=-1, step=-1), a)
 
 
-def cmd_ct(args) -> int:
-    print(_ct_value(args))
-    return 0
-
-
-def cmd_rhs(args) -> int:
-    _check_family_flags(args)
-    family = args.family
-    if family == "qdyson":
-        if args.a is None:
-            build_parser().error("qdyson needs --a as a comma list")
-        print(closedform.qdyson_rhs(args.a))
-        return 0
-    if family == "kadell":
-        v, r, a = _kadell_args(args)
-        if sum(v) != r:
-            build_parser().error(f"the kadell closed form needs |--v| = --r, got {sum(v)} and {r}")
-        print(closedform.kadell_rhs(v, r, a))
-        return 0
-    if family in ("bf", "bf-p1", "dn0") and args.shape is None:
-        build_parser().error(f"{family} needs --shape")
-    a, b, c = _abc(args)
-    if family == "qmorris":
-        print(closedform.qmorris_rhs(_qmorris_n(args), a, b, c))
-    elif family == "bf":
-        print(closedform.bf_rhs(BFParams(args.shape, a, b, c)))
-    elif family == "bf-p1":
-        shape = args.shape
-        if shape.p != 1:
-            build_parser().error("bf-p1 needs a two-block shape")
-        print(closedform.bf_p1_rhs(shape.parts[0], shape.parts[1], a, b, c))
-    elif family == "dn0":
-        print(closedform.dn0_rhs(args.shape, c))
-    else:
-        build_parser().error(f"unknown family {family!r}")
+def cmd_value(args) -> int:
+    """``ct`` and ``rhs``: the chosen family's value by the route ``--method``
+    names; ``rhs`` is the closed-form route."""
+    params = _family_params(args)
+    route = getattr(FAMILIES[args.family], args.method)
+    if route is None:
+        build_parser().error("--method gx supports the bf and qmorris families")
+    print(route(params))
     return 0
 
 
@@ -202,45 +184,33 @@ def _cases_qdyson(args):
     return cases
 
 
-def _run_qdyson(params):
-    a = params["a"]
-    got = products.ct_qdyson(a)
-    want = closedform.qdyson_rhs(a)
-    return got == want, None if got == want else {"got": str(got), "want": str(want)}
-
-
 def _cases_qmorris(args):
     return [{"n": n, "a": a, "b": b, "c": c}
             for n in (1, 2, 3) for a in range(3) for b in range(3) for c in range(3)]
 
 
-def _run_qmorris(params):
-    n, a, b, c = params["n"], params["a"], params["b"], params["c"]
-    got = products.qmorris_ct(n, a, b, c)
-    want = closedform.qmorris_rhs(n, a, b, c)
-    return got == want, None if got == want else {"got": str(got), "want": str(want)}
+def _abc_grid(shapes):
+    """bf params dicts: each shape with every a, b, c in {0, 1, 2}."""
+    return [{"shape": list(shape), "a": a, "b": b, "c": c}
+            for shape in shapes for a, b, c in product(range(3), repeat=3)]
 
 
 def _cases_bf(args):
-    shapes = [args.shape.parts] if args.shape else BF_SHAPES
-    grid = range(3)
-    out = []
-    for shape in shapes:
-        for a in grid:
-            for b in grid:
-                for c in grid:
-                    out.append({"shape": list(shape), "a": a, "b": b, "c": c})
-    return out
+    return _abc_grid([args.shape.parts] if args.shape else BF_SHAPES)
+
+
+def _brute_vs_closed(family: str, params) -> tuple:
+    """A family's brute-force route against its closed form on one case."""
+    got, want = FAMILIES[family].brute(params), FAMILIES[family].closed(params)
+    return got == want, None if got == want else {"got": str(got), "want": str(want)}
 
 
 def _run_bf(params):
-    shape = Shape(params["shape"])
-    a, b, c = params["a"], params["b"], params["c"]
-    got = products.bf_ct(shape, a, b, c)
-    want = closedform.bf_rhs(BFParams(shape, a, b, c))
+    got, want = FAMILIES["bf"].brute(params), FAMILIES["bf"].closed(params)
     if got != want:
         return False, {"got": str(got), "want": str(want)}
     # tie-break independence over every maximal decorated part
+    shape, a, b, c = _bf_args(params)
     if shape.p >= 1:
         top = max(shape.parts[1:])
         for k in range(1, shape.p + 1):
@@ -251,32 +221,23 @@ def _run_bf(params):
 
 
 def _cases_p1(args):
-    shapes = [s for s in BF_SHAPES if len(s) == 2]
-    return [{"shape": list(shape), "a": a, "b": b, "c": c}
-            for shape in shapes for a in range(3) for b in range(3) for c in range(3)]
+    return _abc_grid(s for s in BF_SHAPES if len(s) == 2)
 
 
 def _run_p1(params):
-    shape = Shape(params["shape"])
-    a, b, c = params["a"], params["b"], params["c"]
-    closed = closedform.bf_p1_rhs(shape.parts[0], shape.parts[1], a, b, c)
-    rec = closedform.bf_rhs(BFParams(shape, a, b, c))
-    brute = products.bf_ct(shape, a, b, c)
+    closed = FAMILIES["bf-p1"].closed(params)
+    rec = FAMILIES["bf"].closed(params)
+    brute = FAMILIES["bf"].brute(params)
     ok = closed == rec == brute
     return ok, None if ok else {"closed": str(closed), "recursion": str(rec), "brute": str(brute)}
 
 
 def _cases_roots(args):
     shapes = [args.shape.parts] if args.shape else BF_SHAPES
-    out = []
-    for shape in shapes:
-        bs = [args.b] if args.b is not None else range(3)
-        for b in bs:
-            cs = [args.c] if args.c is not None else range(3)
-            for c in cs:
-                if c >= b:
-                    out.append({"shape": list(shape), "b": b, "c": c})
-    return out
+    bs = [args.b] if args.b is not None else range(3)
+    cs = [args.c] if args.c is not None else range(3)
+    return [{"shape": list(shape), "b": b, "c": c}
+            for shape in shapes for b in bs for c in cs if c >= b]
 
 
 def _run_roots(params):
@@ -453,36 +414,24 @@ def _run_gx(params):
 
 
 def _cases_kadell(args):
+    # the weak compositions v of r into n parts, lexicographically: each
+    # composition of r + n into n parts, every part lowered by one
     cases = []
     for n in (1, 2, 3):
         for a in product(range(3), repeat=n):
             if sum(a) == 0:
                 continue
             for r in (1, 2):
-                for v in _weak_compositions(r, n):
-                    cases.append({"v": list(v), "r": r, "a": list(a)})
+                for v in compositions(r + n):
+                    if len(v) == n:
+                        cases.append({"v": [x - 1 for x in v], "r": r, "a": list(a)})
     return cases
-
-
-def _weak_compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _run_kadell(params):
-    got = products.kadell_ct(params["v"], params["r"], params["a"])
-    want = closedform.kadell_rhs(params["v"], params["r"], params["a"])
-    return got == want, None if got == want else {"got": str(got), "want": str(want)}
 
 
 # suite name -> (case builder, case runner, the grid flags the builder reads)
 SUITES = {
-    "qdyson": (_cases_qdyson, _run_qdyson, ()),
-    "qmorris": (_cases_qmorris, _run_qmorris, ()),
+    "qdyson": (_cases_qdyson, functools.partial(_brute_vs_closed, "qdyson"), ()),
+    "qmorris": (_cases_qmorris, functools.partial(_brute_vs_closed, "qmorris"), ()),
     "bf-recursion": (_cases_bf, _run_bf, ("shape",)),
     "p1-formula": (_cases_p1, _run_p1, ()),
     "roots": (_cases_roots, _run_roots, ("shape", "b", "c")),
@@ -492,7 +441,7 @@ SUITES = {
     "poch-identities": (_cases_poch, _run_poch, ()),
     "qsum": (_cases_qsum, _run_qsum, ()),
     "gx-pipeline": (_cases_gx, _run_gx, ()),
-    "kadell": (_cases_kadell, _run_kadell, ()),
+    "kadell": (_cases_kadell, functools.partial(_brute_vs_closed, "kadell"), ()),
 }
 
 
@@ -529,6 +478,8 @@ def run_suite(name: str, args) -> dict:
         if getattr(args, flag, None) is not None and flag not in reads:
             build_parser().error(f"suite {name} does not read --{flag}")
     cases = carve(args)
+    if not cases:
+        build_parser().error(f"suite {name} has no case at these flags")
     order = sorted(range(len(cases)), key=lambda idx: _case_cost(name, cases[idx]))
     budget = args.max_seconds
     try:
@@ -627,30 +578,25 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qct", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    ct = sub.add_parser("ct", help="compute one constant term")
-    ct.add_argument("--family", required=True,
-                    choices=["qdyson", "qmorris", "bf", "kadell"])
-    ct.add_argument("--shape", type=_shape, help="comma list, e.g. 1,2,2")
-    ct.add_argument("--n", type=_positive_int, help="variable count (qmorris)")
-    ct.add_argument("--a", type=_nonneg_ints)
-    ct.add_argument("--b", type=_nonneg_int)
-    ct.add_argument("--c", type=_nonneg_int)
-    ct.add_argument("--v", type=_nonneg_ints, help="comma list (kadell)")
-    ct.add_argument("--r", type=_positive_int, help="row weight (kadell)")
-    ct.add_argument("--method", choices=["brute", "gx"], default="brute")
-    ct.set_defaults(func=cmd_ct)
+    # the value flags of ct and rhs; _family_params checks them per family
+    values = argparse.ArgumentParser(add_help=False)
+    values.add_argument("--shape", type=_shape, help="comma list, e.g. 1,2,2")
+    values.add_argument("--n", type=_positive_int, help="variable count (qmorris)")
+    values.add_argument("--a", type=_nonneg_ints)
+    values.add_argument("--b", type=_nonneg_int)
+    values.add_argument("--c", type=_nonneg_int)
+    values.add_argument("--v", type=_nonneg_ints, help="comma list (kadell)")
+    values.add_argument("--r", type=_positive_int, help="row weight (kadell)")
 
-    rhs = sub.add_parser("rhs", help="evaluate a closed form")
-    rhs.add_argument("--family", required=True,
-                     choices=["qdyson", "qmorris", "bf", "bf-p1", "dn0", "kadell"])
-    rhs.add_argument("--shape", type=_shape)
-    rhs.add_argument("--n", type=_positive_int)
-    rhs.add_argument("--a", type=_nonneg_ints)
-    rhs.add_argument("--b", type=_nonneg_int)
-    rhs.add_argument("--c", type=_nonneg_int)
-    rhs.add_argument("--v", type=_nonneg_ints)
-    rhs.add_argument("--r", type=_positive_int)
-    rhs.set_defaults(func=cmd_rhs)
+    ct = sub.add_parser("ct", parents=[values], help="compute one constant term")
+    ct.add_argument("--family", required=True,
+                    choices=[name for name, family in FAMILIES.items() if family.brute])
+    ct.add_argument("--method", choices=["brute", "gx"], default="brute")
+    ct.set_defaults(func=cmd_value)
+
+    rhs = sub.add_parser("rhs", parents=[values], help="evaluate a closed form")
+    rhs.add_argument("--family", required=True, choices=list(FAMILIES))
+    rhs.set_defaults(func=cmd_value, method="closed")
 
     ver = sub.add_parser("verify", help="run a named verification suite")
     ver.add_argument("--suite", required=True, choices=sorted(SUITES))

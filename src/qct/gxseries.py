@@ -32,7 +32,7 @@ from functools import lru_cache
 from .laurent import Factored
 from .products import Shape, epsilon
 from .qring import Cyclo, QFrac, cyclo_sum
-from .roots import t_table
+from .roots import case4_staircase, t_table
 
 # Most terms one constant term may visit before giving up.
 MAX_TERMS = 200000
@@ -490,35 +490,8 @@ def check_property_expand(shape, b, c, d, u, k) -> dict:
 def _case4_exists(shape: Shape, u, k, b: int, c: int, t: int) -> bool:
     """The staircase pattern of the key classification lemma, with block
     membership read off the actual variable indices u."""
-    from itertools import permutations as _perms
-
-    s = len(u)
-    uset = set(u)
-    maxr = 0
-    for blk in range(1, shape.p + 1):
-        maxr = max(maxr, sum(1 for x in shape.block(blk) if x in uset))
-
-    def same(ia, ib):
-        return epsilon(shape, u[ia - 1], u[ib - 1]) == 1
-
-    for w in _perms(range(1, s + 1)):
-        total = 0
-        ok = True
-        prev = 0
-        for jj, x in enumerate(w):
-            chi = 1 if (prev != 0 and same(prev, x)) else 0
-            if jj == 0:
-                dj = k[x - 1] - b
-            else:
-                dj = k[x - 1] - k[prev - 1] - c - chi
-            if dj < 0 or (prev < x and dj < 1):
-                ok = False
-                break
-            total += chi + dj
-            prev = x
-        if ok and maxr <= total <= t:
-            return True
-    return False
+    labels = (0,) + tuple(shape.block_of(x) or -x for x in u)
+    return case4_staircase(k, labels, b, c, t) is not None
 
 
 def check_property_laurent(shape, b, c, d, u, k) -> dict:

@@ -281,6 +281,13 @@ def ct_fold(arity, factors, tlo=None, thi=None) -> dict:
     return {e: _decode_packed(lo, mag, B) for e, (lo, mag) in packed.items()}
 
 
+def ct_point(mono, factors) -> QLaurent:
+    """CT[x^mono times the product of linear factors (a, b, m)]: the
+    product's coefficient at -mono, by one point fold."""
+    at = tuple(-e for e in mono)
+    return ct_fold(len(at), factors, at, at).get(at, ZERO)
+
+
 def fold_packed_raw(arity, factors, tlo=None, thi=None, extra_l1: int = 1):
     """Packed fold exposed for callers that post-process coefficients.
 
@@ -356,8 +363,7 @@ class Factored:
         product's coefficient at -mono, by one point fold."""
         if not self.scalar.sign:
             return ZERO
-        at = tuple(-e for e in self.mono)
-        return ct_fold(len(at), self.triples(), at, at).get(at, ZERO)
+        return ct_point(self.mono, self.triples())
 
 
 def _digit_width(bound: int) -> int:

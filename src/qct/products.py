@@ -12,7 +12,8 @@ x_1..x_n has arity n.
 
 from __future__ import annotations
 
-from .laurent import _decode_packed, ct_fold, fold_packed_raw, pack_qlaurent, packed_add, packed_mul
+from .laurent import (_decode_packed, ct_fold, ct_point, fold_packed_raw, pack_qlaurent, packed_add,
+                      packed_mul)
 from .qring import ONE, QFrac, QLaurent, qbinom
 
 
@@ -163,19 +164,12 @@ def kadell_h(r: int, a) -> list:
 
 
 def ct_qdyson(a) -> QFrac:
-    a = list(a)
-    n = len(a)
-    zero = (0,) * n
-    res = ct_fold(n, qdyson_factors(a), zero, zero)
-    return QFrac.from_qlaurent(res.get(zero, QLaurent()))
+    return QFrac.from_qlaurent(ct_point((0,) * len(a), qdyson_factors(a)))
 
 
 def bf_ct(shape: Shape, a: int, b: int, c: int) -> QFrac:
     """Brute-force constant term of the full product, one point fold."""
-    n = shape.n
-    zero = (0,) * n
-    res = ct_fold(n, bf_factors(shape, a, b, c), zero, zero)
-    return QFrac.from_qlaurent(res.get(zero, QLaurent()))
+    return QFrac.from_qlaurent(ct_point((0,) * shape.n, bf_factors(shape, a, b, c)))
 
 
 def qmorris_ct(n: int, a: int, b: int, c: int) -> QFrac:
@@ -186,8 +180,9 @@ def kadell_ct(v, r: int, a) -> QFrac:
     """Brute-force CT of x^{-v} h_r(alphabet) times the q-Dyson product.
 
     Each term c x^J of h_r reads the product's coefficient at v - J, which
-    lies in the box [v - r, v]: one fold over that box, contracted against
-    the terms of h_r.
+    lies in the box [v - r, v] with slot i fixed at v_i where a_i = 0 (no
+    letter, so J_i = 0): one fold over that box, contracted against the
+    terms of h_r.
     """
     v = tuple(v)
     n = len(a)
@@ -197,7 +192,8 @@ def kadell_ct(v, r: int, a) -> QFrac:
     if not hr:
         return QFrac(0)
     l1 = sum(coeff.l1_norm() for _, coeff in hr)
-    packed, B = fold_packed_raw(n, qdyson_factors(a), tuple(x - r for x in v), v, extra_l1=l1)
+    lo = tuple(x - r if ai else x for x, ai in zip(v, a))
+    packed, B = fold_packed_raw(n, qdyson_factors(a), lo, v, extra_l1=l1)
     total = (0, 0)
     for js, coeff in hr:
         p = packed.get(tuple(x - j for x, j in zip(v, js)))

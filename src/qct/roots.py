@@ -341,10 +341,24 @@ def lemma_key_classify(k, b: int, c: int, t: int, r) -> tuple[int, object]:
         for j in range(i + 1, s + 1):
             if ids[j] == block and -c - 1 <= ki - k[j - 1] <= c:
                 return (3, (i, j))
-    maxr = max(r[1:]) if len(r) > 1 else 0
+    found = case4_staircase(k, ids, b, c, t)
+    if found is not None:
+        return (4, found)
+    raise LemmaFalsified(f"no case applies for k={k}, b={b}, c={c}, t={t}, r={r}")
+
+
+def case4_staircase(k, ids, b: int, c: int, t: int):
+    """Case 4 of ``lemma_key_classify``: the permutation w and slack vector d
+    of the staircase pattern for k, or None.
+
+    ``ids[x]`` labels position x = 1..s, and ``ids[0]`` the start of every
+    path: two positions share a decorated block exactly when they share a
+    positive label, and every other label occurs once.
+    """
+    maxr = max((ids.count(x) for x in ids if x > 0), default=0)
     # d_j >= 0 makes k nondecreasing along w, and a tie needs a descent, so
     # the one candidate is the positions ordered by (k_x, -x)
-    w = sorted(range(1, s + 1), key=lambda x: (k[x - 1], -x))
+    w = sorted(range(1, len(k) + 1), key=lambda x: (k[x - 1], -x))
     d = []
     total = 0
     prev = 0
@@ -352,14 +366,11 @@ def lemma_key_classify(k, b: int, c: int, t: int, r) -> tuple[int, object]:
         chi = ids[prev] == ids[x]
         dj = k[x - 1] - (k[prev - 1] + c + chi if prev else b)
         if dj < (prev < x):  # d_j >= 0, and d_j >= 1 after an ascent or at the start
-            break
+            return None
         total += chi + dj
         d.append(dj)
         prev = x
-    else:
-        if maxr <= total <= t:
-            return (4, (tuple(w), tuple(d)))
-    raise LemmaFalsified(f"no case applies for k={k}, b={b}, c={c}, t={t}, r={r}")
+    return (tuple(w), tuple(d)) if maxr <= total <= t else None
 
 
 def lemma_key_survivors(b: int, c: int, t: int, r):

@@ -18,7 +18,7 @@ nothing but its constant terms, one point fold per coefficient.
 from __future__ import annotations
 
 from .closedform import dn0_rhs
-from .laurent import Factored, MLaurent, ct_fold
+from .laurent import Factored, MLaurent, ct_fold, ct_point
 from .products import Shape, pair_linear
 from .qring import Cyclo, QFrac, QLaurent, cyclo_sum
 
@@ -377,7 +377,4 @@ def vanishing_check(shape: Shape, h, t, c: int) -> QFrac:
             mono[v - 1] -= h[u - 1]
     for l in range(n):
         mono[l] += t[l]
-    # the constant term of x^mono P is P's coefficient at -mono
-    at = tuple(-x for x in mono)
-    res = ct_fold(n, list(pair_linear(shape, c)), at, at)
-    return QFrac.from_qlaurent(res.get(at, QLaurent()))
+    return QFrac.from_qlaurent(ct_point(mono, pair_linear(shape, c)))

@@ -210,6 +210,9 @@ def test_negative_arguments_are_usage_errors(argv, capsys):
     (("rhs", "--family", "qmorris", "--a", "1"), "qmorris needs --n or --shape"),
     (("ct", "--family", "qmorris", "--n", "3", "--shape", "1,2"), "qmorris needs --n or --shape, not both"),
     (("rhs", "--family", "qmorris", "--n", "3", "--shape", "3"), "qmorris needs --n or --shape, not both"),
+    # roots keeps only c >= b, so this grid is empty: no pass over no case
+    (("verify", "--suite", "roots", "--shape", "1", "--b", "2", "--c", "1"),
+     "suite roots has no case at these flags"),
 ])
 def test_bad_shape_and_n_are_usage_errors(argv, message, capsys, monkeypatch):
     # leading NAME=value items set the environment, as on a shell command line
@@ -366,3 +369,37 @@ def test_lemma_key_budget_trims_the_expensive_end(tmp_path, capsys, monkeypatch)
     trimmed = [cost(c["params"]) for c in cases if c["status"] == "trimmed"]
     assert len(ran) == 12 and trimmed
     assert max(ran) <= min(trimmed)
+
+
+# (suite, cases, sha256 of stdout) of every default grid with every case
+# trimmed: the case list and the order stdout prints it in, pinned
+DEFAULT_GRIDS = [
+    ("bf-recursion", 162, "a7d02c24da71baf049c3e52ebb31211c6abbd2cd7c1ed7124777e1b3e41fd150"),
+    ("gx-pipeline", 8, "e05238a21264b348525a2ff44b4a996d3040eac0350a7a3e7118031b7369a6ed"),
+    ("kadell", 278, "c45793519ea1f15954286c565c7491be8f1bf7d67376d50971f5bf46a99b950c"),
+    ("lemma-key", 50, "7a1ad7284927154c89b216ef4537f9723b2f86f6f0727d149247e444500534f2"),
+    ("p1-formula", 108, "1f5e60d64acb84e6e3a10356eb9b6bb88e8d05c740bf7c46f0e28c248e4091a7"),
+    ("poch-identities", 1, "130e51642dbafbaa57175108442574256bfe394161730faf600bf038a83e5d61"),
+    ("qdyson", 145, "1dfb4ef659ba288e705ea5580cbf781a15d725a9a6230177e3672a6f228a1b40"),
+    ("qmorris", 81, "d75201def72f08bfce4b1b66657c1e9e070b1d93b644452c7f45d7db87438669"),
+    ("qsum", 1, "9348c316e26d0618d59b9647a168a34c2765b5fb4da2a8528c1cca4746781e17"),
+    ("roots", 36, "ad70e471e1c4371c266b9ec779bd881e8324e4c214df6a78de87c1976f2a8599"),
+    ("splitting", 28, "bb04b895217269f5924a107c41574914b7eb27ba3478fd0b2a66700f07b6e1fe"),
+    ("vanishing", 17, "d9167c5e625d51d2562aa15ce6a185d105e1f6131056c527ec086113857913be"),
+]
+
+
+@pytest.mark.parametrize("suite, count, digest", DEFAULT_GRIDS)
+def test_default_grids_are_pinned(suite, count, digest, tmp_path, capsys, monkeypatch):
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "time", _TickClock())
+    code, out = run(capsys, "verify", "--suite", suite, "--max-seconds", "0")
+    assert code == 0
+    assert out.splitlines()[-1] == f"{suite}: 0 pass, 0 fail, {count} trimmed"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_every_suite_has_a_pinned_grid():
+    assert sorted(suite for suite, _, _ in DEFAULT_GRIDS) == sorted(cli.SUITES)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 from math import prod
 
 import pytest
@@ -23,9 +24,9 @@ from qct.gxseries import (
 )
 from qct.laurent import (MLaurent, _decode_packed, _digit_width, ct_fold, fold_packed_raw, pack_qlaurent,
                          packed_add)
-from qct.products import Shape
+from qct.products import Shape, epsilon
 from qct.qring import ONE, Cyclo, QFrac, QLaurent, cyclo_sum, eval_poly
-from qct.roots import interpolate_dn
+from qct.roots import interpolate_dn, t_table
 from test_laurent import moved
 
 
@@ -843,6 +844,56 @@ def _gx_laurent_grid():
                         if property_branch(shape, b, c, d, u, k) == "laurent":
                             grid.append((shape, b, c, d, u, k))
     return tuple(grid)
+
+
+def _case4_by_permutations(shape: Shape, u, k, b: int, c: int, t: int) -> bool:
+    """The staircase pattern of the key classification lemma, with block
+    membership read off the variable indices u, by trying all s! orderings
+    w of the positions: the oracle for ``gxseries._case4_exists``."""
+    s = len(u)
+    maxr = 0
+    for blk in range(1, shape.p + 1):
+        maxr = max(maxr, sum(1 for x in shape.block(blk) if x in u))
+
+    def same(ia, ib):
+        return epsilon(shape, u[ia - 1], u[ib - 1]) == 1
+
+    for w in itertools.permutations(range(1, s + 1)):
+        total = 0
+        prev = 0
+        for jj, x in enumerate(w):
+            chi = 1 if (prev != 0 and same(prev, x)) else 0
+            dj = k[x - 1] - b if jj == 0 else k[x - 1] - k[prev - 1] - c - chi
+            if dj < 0 or (prev < x and dj < 1):
+                break
+            total += chi + dj
+            prev = x
+        else:
+            if maxr <= total <= t:
+                return True
+    return False
+
+
+def test_case4_staircase_matches_permutation_search():
+    # the staircase is found by one sort on (k_x, -x) whenever some ordering
+    # of the positions realises it: random inputs, then every entry of the
+    # laurent grid at the t its property (3) check uses
+    rng = random.Random(15)
+    shapes = all_shapes(5)
+    found = 0
+    for _ in range(3000):
+        shape = rng.choice(shapes)
+        u = tuple(rng.sample(range(1, shape.n + 1), rng.randint(1, min(shape.n, 4))))
+        k = tuple(rng.randrange(1, 10) for _ in u)
+        b, c, t = rng.randrange(3), rng.randrange(3), rng.randrange(6)
+        want = _case4_by_permutations(shape, u, k, b, c, t)
+        assert gxseries._case4_exists(shape, u, k, b, c, t) == want, (shape.parts, u, k, b, c, t)
+        found += want
+    assert found > 200
+    for shape, b, c, d, u, k in _gx_laurent_grid():
+        t = c + t_table(shape)[len(u)]
+        want = _case4_by_permutations(shape, u, k, b, c, t)
+        assert gxseries._case4_exists(shape, u, k, b, c, t) == want, (shape.parts, b, c, d, u, k)
 
 
 def _moved_monomial(monkeypatch, move):

@@ -10,6 +10,7 @@ from qct.laurent import (
     MLaurent,
     _decode_packed,
     ct_fold,
+    ct_point,
     fold_packed_raw,
     pack_qlaurent,
     packed_mul,
@@ -434,6 +435,23 @@ def test_fold_kernels_agree_with_general_factors():
         factors = [Factor.monomial(n, [-x for x in v]), Factor(n, [(js, 0, c) for js, c in kadell_h(r, a)])]
         want = fold_dict(n, factors + qdyson_factors(a), zero, zero).get(zero, QLaurent())
         assert kadell_ct(v, r, a) == QFrac.from_qlaurent(want), case
+
+
+def test_ct_point_reads_the_coefficient_at_minus_mono():
+    # CT[x^mu P] = [x^-mu] P.  The reference folds x^mu as a general factor
+    # and reads the constant term; on this pair product the coefficients at
+    # -mu and +mu differ for every mu tried, so a fold at the wrong sign fails
+    from qct.products import Shape, pair_linear
+
+    n = 3
+    zero = (0,) * n
+    triples = list(pair_linear(Shape((1, 2)), 1))
+    for mu in [(1, -1, 0), (2, -1, -1), (-1, 2, -1), (0, -2, 2)]:
+        want = fold_dict(n, [Factor.monomial(n, mu)] + triples, zero, zero)[zero]
+        assert ct_point(mu, triples) == want, mu
+        assert want != fold_dict(n, triples, mu, mu)[mu], mu
+    # a product with no coefficient at -mu has constant term zero
+    assert ct_point((3, 0, -3), triples) == QLaurent()
 
 
 def test_fold_window_matches_full_expansion():
