@@ -244,7 +244,8 @@ def _run_roots(params):
     shape = Shape(params["shape"])
     rep = roots.verify_roots(shape, params["b"], params["c"])
     ok = (rep["degree_bound_ok"] and rep["all_vanish"] and rep["closed_form_match"]
-          and rep["root_count_ok"] in (True, None) and rep["disjoint"] in (True, None))
+          and rep["root_count_ok"] in (True, None) and rep["disjoint"] in (True, None)
+          and rep["product_form_match"] in (True, None))
     return ok, None if ok else rep
 
 
@@ -316,15 +317,15 @@ def _run_lemma_key(params):
         for b, c, t in product(range(3), repeat=3):
             for k in roots.lemma_key_survivors(b, c, t, params["r"]):
                 if roots.lemma_key_classify(k, b, c, t, params["r"])[0] != 4:
-                    return False, {"k": list(k)}
+                    return False, {"k": list(k), "b": b, "c": c, "t": t}
         return True, None
     if params["kind"] == "minweight":
-        for r in compositions(params["s"]):
-            if len(r) < 2:
-                continue
+        # one Held-Karp pass for every r, walked in composition order so the
+        # first failing r is the witness
+        rs = [r for r in compositions(params["s"]) if len(r) >= 2]
+        for r, (best, leave_one_out) in zip(rs, roots.min_path_weights_many(rs)):
             m = max(r[1:])
             roots.min_weight_witness(r)
-            best, leave_one_out = roots.min_path_weights(r)
             if best != m:
                 return False, {"r": list(r), "min": best}
             if leave_one_out < m - 1:

@@ -225,55 +225,72 @@ def path_weight(w, r) -> PathWeight:
 
 
 def min_path_weights(r) -> tuple[int, int]:
-    """min over w of N(w), and min over w and j of N(w) - e_j.
+    """min over w of N(w), and min over w and j of N(w) - e_j: the one-lane
+    case of ``min_path_weights_many``."""
+    return min_path_weights_many([r])[0]
+
+
+def min_path_weights_many(rs) -> list[tuple[int, int]]:
+    """``min_path_weights(r)`` for every r of ``rs``, which must share one
+    sum s, from one Held-Karp pass.
 
     N(w) = e_1 + the length of the path w_1 .. w_s with edge weight
     [x < y] + [x, y in one decorated block], where e_1 = 1, so both minima
-    come from one Held-Karp pass instead of s! permutations.
+    come from a DP over (visited set, last position) in O(2^s s^2) (Held &
+    Karp, "A dynamic programming approach to sequencing problems", 1962)
+    instead of s! permutations.  A second table holds the paths with one
+    step's weight (e_1 included) left out.
+
+    Each cell holds, for every r at once, the set of weights its paths
+    reach: r gets one lane of 2s + 1 bits of a Python int, with bit x set
+    when weight x is reached.  No path weighs more than 1 + 2(s - 1), so no
+    lane carries into the next, and one shift and add relax an edge in
+    every lane (Knuth, TAOCP 4A 7.1.3): the ascent bit is shared by all r,
+    and ``same[v][u]`` fills the lanes whose r puts v and u in one
+    decorated block, where adding the masked set shifts it once more.  Each
+    minimum is the lowest set bit of its lane.
     """
-    ids = _block_ids(tuple(r))
-    s = len(ids) - 1
-    edge = [[(x < y) + (ids[x] == ids[y]) for y in range(1, s + 1)] for x in range(1, s + 1)]
-    return _held_karp(edge, 1)
-
-
-def _held_karp(edge, first: int) -> tuple[int, int]:
-    """Shortest Hamiltonian path weight over all orderings of range(len(edge)),
-    a path weighing ``first`` plus its edges, and the same minimum with one
-    step's weight (``first`` included) left out.
-
-    Dynamic programming over (visited set, last vertex) in O(2^s s^2) (Held &
-    Karp, "A dynamic programming approach to sequencing problems", 1962), with
-    one more bit for the leave-one-out minimum: has a weight been dropped yet.
-    Each (set, last vertex) entry pulls from the set without that vertex,
-    over that set's members only.  Weights must be nonnegative.
-    """
-    s = len(edge)
-    big = first + s * max(map(max, edge), default=0) + 1  # exceeds every path weight
-    members = [[v for v in range(s) if mask >> v & 1] for mask in range(1 << s)]
-    kept = [[0] * s for _ in range(1 << s)]  # nothing dropped yet
-    dropped = [[0] * s for _ in range(1 << s)]
+    labels = [_block_ids(tuple(r))[1:] for r in rs]
+    if not labels:
+        return []
+    s = len(labels[0])
+    if any(len(ids) != s for ids in labels):
+        raise ValueError("every r of one batch must have the same sum")
+    width = 2 * s + 1
+    lane = (1 << width) - 1
+    ones = sum(1 << width * j for j in range(len(labels)))  # weight 0 in every lane
+    same = [[sum(lane << width * j for j, ids in enumerate(labels) if ids[v] == ids[u])
+             for u in range(s)] for v in range(s)]
+    full = (1 << s) - 1
+    kept = [[0] * s for _ in range(full + 1)]  # nothing dropped yet
+    dropped = [[0] * s for _ in range(full + 1)]
     for v in range(s):
-        kept[1 << v][v] = first
-    for mask in range(3, 1 << s):
-        if mask & (mask - 1) == 0:  # one vertex: kept = first, dropped = 0
-            continue
+        kept[1 << v][v] = ones << 1  # e_1 = 1
+        dropped[1 << v][v] = ones
+    for mask in range(1, full):
         kept_m, dropped_m = kept[mask], dropped[mask]
-        for u in members[mask]:
-            prev = mask ^ 1 << u
-            kept_p, dropped_p = kept[prev], dropped[prev]
-            best_kept = best_dropped = big
-            for v in members[prev]:
-                wt = edge[v][u]
-                kv = kept_p[v]
-                if kv + wt < best_kept:
-                    best_kept = kv + wt
-                if kv < best_dropped:  # drop this step
-                    best_dropped = kv
-                if dropped_p[v] + wt < best_dropped:
-                    best_dropped = dropped_p[v] + wt
-            kept_m[u], dropped_m[u] = best_kept, best_dropped
-    return min(kept[-1]), min(dropped[-1])
+        for v in range(s):
+            kv = kept_m[v]
+            if not kv:  # v is not in mask
+                continue
+            dv, same_v = dropped_m[v], same[v]
+            for u in range(s):
+                if mask >> u & 1:
+                    continue
+                tk, td = (kv << 1, dv << 1) if v < u else (kv, dv)
+                nxt = mask | 1 << u
+                kept[nxt][u] |= tk + (tk & same_v[u])
+                dropped[nxt][u] |= (td + (td & same_v[u])) | kv  # or drop this step
+    best_kept = best_dropped = 0
+    for u in range(s):
+        best_kept |= kept[full][u]
+        best_dropped |= dropped[full][u]
+    out = []
+    for j in range(len(labels)):
+        kj = best_kept >> width * j & lane
+        dj = best_dropped >> width * j & lane
+        out.append(((kj & -kj).bit_length() - 1, (dj & -dj).bit_length() - 1))
+    return out
 
 
 def min_weight_witness(r) -> tuple[tuple[int, ...], int]:
@@ -373,44 +390,45 @@ def case4_staircase(k, ids, b: int, c: int, t: int):
     return (tuple(w), tuple(d)) if maxr <= total <= t else None
 
 
-def lemma_key_survivors(b: int, c: int, t: int, r):
-    """An iterator over every k in [1, (s-1)c+b+t]^s to which none of cases
-    1-3 of lemma_key_classify applies, each once, by backtracking (Knuth,
-    TAOCP 4B 7.2.2).
+def lemma_key_survivors(b: int, c: int, t: int, r) -> list[tuple[int, ...]]:
+    """Every k in [1, (s-1)c+b+t]^s to which none of cases 1-3 of
+    lemma_key_classify applies, each once, by backtracking (Knuth, TAOCP 4B
+    7.2.2).
 
     k is built in (k_x, -x) order: each step places an unused position x at a
     value v >= every value placed so far.  Against each placed y, cases 2 and
     3 exclude exactly v - k_y < c + [y < x] + [x, y in one decorated block]
     (the [y < x] term is the tie rule of that order), and case 1 excludes
-    v <= b.  Every such gap is at least c, so with m positions open v stays
-    at most the box's top less (m - 1)c.
+    v <= b.  So each open position carries its least admissible value, and a
+    placement raises those of the others.  Every such gap is at least c, so
+    with m positions open v stays at most the box's top less (m - 1)c.
     """
     if min(b, c, t) < 0:
         raise ValueError("b, c and t must be nonnegative")
-    ids = _block_ids(tuple(r))
-    s = len(ids) - 1
+    ids = _block_ids(tuple(r))[1:]  # position x + 1 is index x
+    s = len(ids)
     top = (s - 1) * c + b + t
-    gap = [[c + (y < x) + (ids[x] == ids[y]) for x in range(s + 1)] for y in range(s + 1)]
-    k = [0] * (s + 1)
-    placed = []
+    gap = [[c + (y < x) + (ids[x] == ids[y]) for x in range(s)] for y in range(s)]
+    k = [0] * s
+    out = []
 
-    def extend(free):
-        if not free:
-            yield tuple(k[1:])
-            return
+    def extend(free, lo):
         cap = top - (len(free) - 1) * c
-        for x in free:
-            lo = b + 1
-            for y in placed:
-                if k[y] + gap[y][x] > lo:
-                    lo = k[y] + gap[y][x]
-            if lo > cap:
+        for i, x in enumerate(free):
+            if lo[x] > cap:
                 continue
-            rest = [z for z in free if z != x]
-            placed.append(x)
-            for v in range(lo, cap + 1):
+            rest = free[:i] + free[i + 1:]
+            gap_x = gap[x]
+            for v in range(lo[x], cap + 1):
                 k[x] = v
-                yield from extend(rest)
-            placed.pop()
+                if not rest:
+                    out.append(tuple(k))
+                    continue
+                raised = lo[:]
+                for z in rest:
+                    if v + gap_x[z] > raised[z]:
+                        raised[z] = v + gap_x[z]
+                extend(rest, raised)
 
-    return extend(list(range(1, s + 1)))
+    extend(list(range(s)), [b + 1] * s)
+    return out

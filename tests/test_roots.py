@@ -10,12 +10,12 @@ from qct.products import Shape, bf_ct
 from qct.qring import QFrac, ZPoly, eval_poly
 from qct.roots import (
     LemmaFalsified,
-    _held_karp,
     interpolate_dn,
     lemma_key_classify,
     lemma_key_survivors,
     leave_one_out_bound_holds,
     min_path_weights,
+    min_path_weights_many,
     min_weight_witness,
     path_weight,
     product_form_coeffs,
@@ -119,6 +119,21 @@ def test_degree_bound_is_checked(monkeypatch):
     assert not ok and detail["degree_bound_ok"] is False
 
 
+def test_product_form_mismatch_fails_roots(monkeypatch):
+    shape, b, c = Shape((1, 2)), 1, 1
+    coeffs = roots.product_form_coeffs
+
+    def perturbed(shape, b, c):
+        pf = coeffs(shape, b, c)
+        return ZPoly(pf.coeffs[:1] + [pf.coeffs[1] + pf.den.expand()] + pf.coeffs[2:], pf.den)
+
+    assert cli._run_roots({"shape": list(shape.parts), "b": b, "c": c}) == (True, None)
+    monkeypatch.setattr(roots, "product_form_coeffs", perturbed)
+    ok, detail = cli._run_roots({"shape": list(shape.parts), "b": b, "c": c})
+    assert not ok and detail["product_form_match"] is False
+    assert detail["all_vanish"] and detail["closed_form_match"]
+
+
 def test_roots_path_runs_without_gcd(monkeypatch):
     gx_values = {d: gxseries.gx_ct(Shape((1, 1)), 1, 1, d) for d in range(1, 4)}
     want = bf_ct(Shape((1, 1)), 2, 1, 1)
@@ -170,6 +185,48 @@ def _compositions(s):
             yield (first,) + rest
 
 
+def _held_karp(edge, first: int) -> tuple[int, int]:
+    """Oracle for min_path_weights_many: the shortest Hamiltonian path weight
+    over all orderings of range(len(edge)), a path weighing ``first`` plus its
+    edges, and the same minimum with one step's weight (``first`` included)
+    left out, by a generic Held-Karp DP over (visited set, last vertex) with
+    one more bit: has a weight been dropped yet.  Weights must be nonnegative.
+    """
+    s = len(edge)
+    big = first + s * max(map(max, edge), default=0) + 1  # exceeds every path weight
+    members = [[v for v in range(s) if mask >> v & 1] for mask in range(1 << s)]
+    kept = [[0] * s for _ in range(1 << s)]  # nothing dropped yet
+    dropped = [[0] * s for _ in range(1 << s)]
+    for v in range(s):
+        kept[1 << v][v] = first
+    for mask in range(3, 1 << s):
+        if mask & (mask - 1) == 0:  # one vertex: kept = first, dropped = 0
+            continue
+        kept_m, dropped_m = kept[mask], dropped[mask]
+        for u in members[mask]:
+            prev = mask ^ 1 << u
+            kept_p, dropped_p = kept[prev], dropped[prev]
+            best_kept = best_dropped = big
+            for v in members[prev]:
+                wt = edge[v][u]
+                kv = kept_p[v]
+                if kv + wt < best_kept:
+                    best_kept = kv + wt
+                if kv < best_dropped:  # drop this step
+                    best_dropped = kv
+                if dropped_p[v] + wt < best_dropped:
+                    best_dropped = dropped_p[v] + wt
+            kept_m[u], dropped_m[u] = best_kept, best_dropped
+    return min(kept[-1]), min(dropped[-1])
+
+
+def _path_edges(r):
+    """The path-weight edge matrix of r over positions 1..s, as 0..s-1."""
+    labels = [i for i, size in enumerate(r) for _ in range(size)]
+    return [[(x < y) + (labels[x] == labels[y] > 0) for y in range(len(labels))]
+            for x in range(len(labels))]
+
+
 def test_min_weight_small_cases():
     assert min_weight_witness((1, 1)) == ((2, 1), 1)
     assert exhaustive_min_weights((2, 2, 2))[0] == 2
@@ -188,6 +245,27 @@ def test_min_path_weights_matches_brute_force():
     assert min_path_weights((3,)) == (1, 0)
     with pytest.raises(ValueError):
         min_path_weights((2, 0))
+
+
+def test_min_path_weights_many_matches_held_karp_oracle():
+    count = 0
+    for s in range(2, 9):
+        rs = [r for r in _compositions(s) if len(r) >= 2]
+        got = min_path_weights_many(rs)
+        assert got == [_held_karp(_path_edges(r), 1) for r in rs], s
+        # a lane of the batch equals that r alone: no lane bleeds into another
+        assert got == [min_path_weights_many([r])[0] for r in rs], s
+        count += len(rs)
+    assert count == 247
+
+
+def test_min_path_weights_many_edge_cases():
+    assert min_path_weights_many([]) == []
+    assert min_path_weights_many([(1,), (1,)]) == [(1, 0), (1, 0)]
+    with pytest.raises(ValueError):
+        min_path_weights_many([(1, 2), (1, 1)])
+    with pytest.raises(ValueError):
+        min_path_weights_many([(1, 1), (2, 0)])
 
 
 square_weights = st.integers(1, 6).flatmap(
@@ -374,6 +452,36 @@ def test_lemma_key_s7_grid():
             assert lemma_key_classify(k, b, c, t, r)[0] == 4
             count += 1
     assert count == 9978 - 4857
+
+
+def test_lemma_key_survivor_order_is_pinned():
+    # the first k the classifier rejects is the suite's witness, so the order
+    # is part of the output: sha256 over s <= 5, recorded from the generator
+    # form of the enumerator
+    import hashlib
+
+    digest = hashlib.sha256()
+    for s in range(1, 6):
+        for r, b, c, t in _lemma_key_grid(s):
+            for k in lemma_key_survivors(b, c, t, r):
+                digest.update(repr((r, b, c, t, k)).encode() + b"\n")
+    assert digest.hexdigest() == "26d27d998b40b474a2d89c0b95de25e4f9ec8b7b7c0118fd21b1b2781c130598"
+
+
+def test_lemma_key_classify_witness_reproduces(monkeypatch):
+    # a k that needs no case 4 fails the suite case with all it takes to rerun
+    calls = []
+
+    def case1(k, b, c, t, r):
+        calls.append((list(k), b, c, t))
+        return (1, 1)
+
+    monkeypatch.setattr(roots, "lemma_key_classify", case1)
+    ok, witness = cli._run_lemma_key({"kind": "classify", "r": [1, 2]})
+    k, b, c, t = calls[0]
+    assert not ok and len(calls) == 1
+    assert witness == {"k": k, "b": b, "c": c, "t": t}
+    assert tuple(k) == lemma_key_survivors(b, c, t, [1, 2])[0]
 
 
 def test_lemma_key_survivors_reject_negative_parameters():
