@@ -82,15 +82,11 @@ def bf_p1_rhs(n0: int, n1: int, a: int, b: int, c: int) -> QFrac:
 
 
 def _recursion_factor(shape: Shape, a: int, b: int, c: int, k: int) -> Cyclo:
+    """One step of the block recursion, lowering part k (k >= 1, n_k maximal)."""
     n = shape.n
     nk = shape.parts[k]
     num = _poch(nk * (c + 1), 1) * _poch(a + (n - 1) * c + nk, b) * Cyclo.qbinom(n * c + nk - 1, c)
     return num / (_poch(c + 1, 1) * _poch((n - 1) * c + nk, b))
-
-
-def recursion_factor(shape: Shape, a: int, b: int, c: int, k: int) -> QFrac:
-    """One step of the block recursion, lowering part k (k >= 1, n_k maximal)."""
-    return _recursion_factor(shape, a, b, c, k).to_qfrac()
 
 
 def bf_rhs(params: BFParams, k: int | None = None) -> QFrac:

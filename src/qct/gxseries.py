@@ -7,7 +7,9 @@ with respect to x_a is then 1 (otherwise 0).  On top of that sit the
 partial-fraction elimination walk, the head rational function Q(d) whose
 constant term realizes the decorated product at negative argument, its
 substituted images Q(d | u; k), and the vanishing-property checks that drive
-the root analysis.
+the root analysis.  Q(d | u; k) is kept in linear factors from the start:
+its head numerator as triples (a, b, m), its head denominator as pairs
+(m, tail), and its residual pair product from ``products.pair_linear``.
 
 Exponent tuples have n + 1 slots, slot t holding x_t.  Every term of the
 walk stays factored: a ``Cyclo`` scale, a monomial, a multiset of numerator
@@ -20,17 +22,19 @@ numerator factor (or one x_head of the monomial) is cancelled against one
 denominator factor, leaving at most two products.  Nothing is expanded but
 one point fold per distinct numerator of a leaf (a term with no denominator
 left), and a constant term is reduced once, at the end.  The vanishing
-checks stay factored too: property (3) reads its Laurent-form ledger off the
-cancelled numerator's factors, exactly, and takes its constant term by one
-point fold.
+checks stay factored too: property (3) turns the stored head factors to
+x_i/x_head, cancels the head denominator out of them as a multiset, reads
+its Laurent-form ledger off the cancelled numerator's factors, exactly, and
+takes its constant term by one point fold.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from .laurent import Factored
-from .products import Shape, epsilon
+from .products import Shape, epsilon, pair_linear
 from .qring import Cyclo, QFrac, cyclo_sum
 from .roots import case4_staircase, t_table
 
@@ -190,29 +194,15 @@ def factored_ct(term) -> QFrac:
 # -- the head rational function and its substituted images --------------------------------
 
 
-class PochFactor:
-    """(q^m x_a/x_b)_z with var index None standing for the literal 1."""
-
-    __slots__ = ("m", "a", "b", "z")
-
-    def __init__(self, m, a, b, z):
-        if z < 0:
-            raise ValueError("pochhammer length negative")
-        self.m, self.a, self.b, self.z = m, a, b, z
-
-    def __repr__(self):
-        sa = "1" if self.a is None else f"x{self.a}"
-        sb = "" if self.b is None else f"/x{self.b}"
-        return f"(q^{self.m} {sa}{sb})_{self.z}"
-
-
 class QukFactors:
-    """The factized form of Q(d | u; k): its scale, V times the per-u
-    elimination scalars (one factored Cyclo value, zero exactly when V is),
-    the head-variable numerator and denominator Pochhammers, and the
-    residual pair product over the untouched variables."""
+    """The factored form of Q(d | u; k): its scale, V times the per-u
+    elimination scalars (one factored Cyclo value, zero exactly when V is);
+    ``num``, the head-variable numerator factors as triples (a, b, m) for
+    (1 - q^m x_a/x_b); ``dens``, the head denominator factors as pairs
+    (m, tail) for (1 - q^m x_head/x_tail); and ``residual_pairs``, the pair
+    product over the untouched variables from ``pair_linear``."""
 
-    __slots__ = ("shape", "b", "c", "d", "u", "k", "scale", "num_pochs", "den_pochs",
+    __slots__ = ("shape", "b", "c", "d", "u", "k", "scale", "num", "dens",
                  "residual_pairs", "head")
 
     def __init__(self, shape: Shape, b: int, c: int, d: int, u=(), k=()):
@@ -220,6 +210,8 @@ class QukFactors:
         k = tuple(k)
         if d < 1:
             raise ValueError("d must be at least 1")
+        if b < 0 or c < 0:
+            raise ValueError("pochhammer length negative")
         if len(u) != len(k):
             raise ValueError("u and k must have equal length")
         if any(u[t] >= u[t + 1] for t in range(len(u) - 1)):
@@ -232,15 +224,9 @@ class QukFactors:
         self.u, self.k = u, k
         n = shape.n
         s = len(u)
-        if s == 0:
-            self.head = 0
-            self.scale = Cyclo()
-            self.num_pochs = [PochFactor(1, j, 0, b) for j in range(1, n + 1)]
-            self.den_pochs = [PochFactor(-d, 0, j, d) for j in range(1, n + 1)]
-            self.residual_pairs = _pair_pochs(shape, c, exclude=())
-            return
-        us = u[-1]
-        ks = k[-1]
+        self.residual_pairs = list(pair_linear(shape, c, skip=u))
+        # with u empty, x_0 is the head and k_s = 0
+        us, ks = (u[-1], k[-1]) if u else (0, 0)
         self.head = us
         # V's symbols, then the elimination scalars under the fraction bar
         pochs = [(1 - ki, b, 1) for ki in k]
@@ -251,21 +237,19 @@ class QukFactors:
         for ki in k:
             pochs += [(ki - d, d - ki, -1), (1, ki - 1, -1)]
         self.scale = Cyclo.poch_product(pochs)
-        outside = [i for i in range(1, n + 1) if i not in u]
         num = []
         dens = []
-        for i in outside:
-            num.append(PochFactor(1 - ks, i, us, b))
-            dens.append(PochFactor(ks - d, us, i, d))
-            for jj in range(s):
-                eps = epsilon(shape, i, u[jj])
-                chi_iu = 1 if i > u[jj] else 0
-                chi_ui = 1 if u[jj] > i else 0
-                num.append(PochFactor(k[jj] - ks + chi_iu, i, us, c + eps))
-                num.append(PochFactor(ks - k[jj] + chi_ui, us, i, c + eps))
-        self.num_pochs = num
-        self.den_pochs = dens
-        self.residual_pairs = _pair_pochs(shape, c, exclude=u)
+        for i in range(1, n + 1):
+            if i in u:
+                continue
+            num += [(i, us, 1 - ks + t) for t in range(b)]
+            dens += [(ks - d + t, i) for t in range(d)]
+            for uj, kj in zip(u, k):
+                z = c + epsilon(shape, i, uj)
+                num += [(i, us, kj - ks + (i > uj) + t) for t in range(z)]
+                num += [(us, i, ks - kj + (uj > i) + t) for t in range(z)]
+        self.num = num
+        self.dens = dens
 
     # -- bookkeeping ------------------------------------------------------------
 
@@ -298,19 +282,14 @@ class QukFactors:
     # -- the factored term ------------------------------------------------------
 
     def numerator_triples(self) -> list[tuple[int, int, int]]:
-        """(a, b, m) of the numerator's linear factors (1 - q^m x_a/x_b): the
-        head-variable Pochhammers, then the residual pair product."""
-        return _triples(self.num_pochs + self.residual_pairs)
-
-    def den_factor_list(self) -> list[tuple[int, int]]:
-        """(m, tail) pairs of the head-variable linear factors
-        (1 - q^m x_head/x_tail)."""
-        return [(pf.m + t, pf.b) for pf in self.den_pochs for t in range(pf.z)]
+        """The whole numerator: the head-variable factors, then the residual
+        pair product."""
+        return self.num + self.residual_pairs
 
     def term(self):
         """The walk's term (scale, mono, factors, dens, head)."""
-        return (self.scale, (0,) * (self.shape.n + 1), self.numerator_triples(),
-                self.den_factor_list(), self.head)
+        return (self.scale, (0,) * (self.shape.n + 1), self.numerator_triples(), self.dens,
+                self.head)
 
 
 def r_vector(shape: Shape, u) -> tuple[int, ...]:
@@ -319,27 +298,9 @@ def r_vector(shape: Shape, u) -> tuple[int, ...]:
     return tuple(sum(1 for x in shape.block(i) if x in uset) for i in range(shape.p + 1))
 
 
-def _triples(pochs) -> list[tuple[int, int, int]]:
-    return [(pf.a, pf.b, pf.m + t) for pf in pochs for t in range(pf.z)]
-
-
-def _pair_pochs(shape: Shape, c: int, exclude=()) -> list[PochFactor]:
-    out = []
-    for i in range(1, shape.n + 1):
-        if i in exclude:
-            continue
-        for j in range(i + 1, shape.n + 1):
-            if j in exclude:
-                continue
-            z = c + epsilon(shape, i, j)
-            out.append(PochFactor(0, i, j, z))
-            out.append(PochFactor(1, j, i, z))
-    return out
-
-
 def build_Q(shape: Shape, b: int, c: int, d: int) -> QukFactors:
-    """Q(d): the decorated product at argument -d, as numerator Pochhammers
-    over the denominator prod_j (q^{-d} x_0/x_j)_d, with x_0 retained."""
+    """Q(d): the decorated product at argument -d, as numerator factors over
+    the denominator prod_j (q^{-d} x_0/x_j)_d, with x_0 retained."""
     return QukFactors(shape, b, c, d)
 
 
@@ -349,54 +310,40 @@ def build_Quk(shape: Shape, b: int, c: int, d: int, u, k) -> QukFactors:
 
 def substitution_oracle(shape: Shape, b: int, c: int, d: int, u, k):
     """Q(d | u; k) built the other way: cancel the dying denominator factors
-    of Q(d) against prod_i (1 - q^{-k_i} x_0/x_{u_i}) and apply the variable
-    merge to every remaining factor.  Returns (scalar Cyclo, numerator
-    Pochhammers, denominator (m, tail) pairs) in the merged variables.
+    of Q(d) against prod_i (1 - q^{-k_i} x_0/x_{u_i}) and map every remaining
+    factor of Q(d) through the variable merge; a factor whose two sides land
+    on one variable becomes the scalar 1 - q^m.  Returns (scalar Cyclo,
+    numerator triples, denominator (m, tail) pairs) in the merged variables.
     """
+    q0 = build_Q(shape, b, c, d)
     u = tuple(u)
     k = tuple(k)
-    s = len(u)
-    if s == 0:
-        q0 = build_Q(shape, b, c, d)
-        return Cyclo(), q0.num_pochs + q0.residual_pairs, q0.den_factor_list()
-    n = shape.n
-    us, ks = u[-1], k[-1]
+    # x_0 and u_1..u_{s-1} merge into x_{u_s}, each with its q-shift; with u
+    # empty, x_0 merges into itself
+    us, ks = (u[-1], k[-1]) if u else (0, 0)
     shift = {0: ks}
-    for t in range(s - 1):
-        shift[u[t]] = ks - k[t]
-    scalar = Cyclo()
-    num_pochs = []
-    dens = []
+    shift.update((x, ks - kx) for x, kx in zip(u[:-1], k[:-1]))
 
     def image(var):
-        # returns (target var, q-shift) under the merge
-        if var in shift:
-            return us, shift[var]
-        return var, 0
+        return (us, shift[var]) if var in shift else (var, 0)
 
-    # numerator factors of Q(d)
-    src = [PochFactor(1, j, 0, b) for j in range(1, n + 1)] + _pair_pochs(shape, c)
-    for pf in src:
-        ta, sa = image(pf.a)
-        tb, sb = image(pf.b)
-        m = pf.m + sa - sb
-        if ta == tb:
-            scalar = scalar * Cyclo.poch(m, pf.z)
+    scalars = []  # (m, 1, +-1): the symbols (1 - q^m) up and down
+    num = []
+    for x, y, m in q0.numerator_triples():
+        (tx, sx), (ty, sy) = image(x), image(y)
+        if tx == ty:
+            scalars.append((m + sx - sy, 1, 1))
         else:
-            num_pochs.append(PochFactor(m, ta, tb, pf.z))
-    # denominator factors, with the cancelled linear pieces skipped
-    for j in range(1, n + 1):
-        tb, sb = image(j)
-        for t in range(d):
-            m = (t - d) + ks - sb
-            if tb == us:
-                # scalar piece; the one with m == 0 was cancelled pre-merge
-                if m == 0:
-                    continue
-                scalar = scalar / Cyclo.poch(m, 1)
-            else:
-                dens.append((m, tb))
-    return scalar, num_pochs, dens
+            num.append((tx, ty, m + sx - sy))
+    dens = []
+    for m, j in q0.dens:
+        tj, sj = image(j)
+        m += ks - sj
+        if tj != us:
+            dens.append((m, tj))
+        elif m:  # the piece with m == 0 was cancelled before the merge
+            scalars.append((m, 1, -1))
+    return Cyclo.poch_product(scalars), num, dens
 
 
 def oracle_matches_direct(shape: Shape, b: int, c: int, d: int, u, k) -> bool:
@@ -405,14 +352,14 @@ def oracle_matches_direct(shape: Shape, b: int, c: int, d: int, u, k) -> bool:
     side's numerator times the other side's denominator, compared as
     ``Factored`` values."""
     direct = build_Quk(shape, b, c, d, u, k)
-    scal, pochs, dens = substitution_oracle(shape, b, c, d, u, k)
+    scal, triples, dens = substitution_oracle(shape, b, c, d, u, k)
     mono = (0,) * (shape.n + 1)
 
     def cross(scale, triples, other_dens):
         return _factored(scale, mono, triples + [(direct.head, t, m) for m, t in other_dens])
 
     return (cross(direct.scale, direct.numerator_triples(), dens)
-            == cross(scal, _triples(pochs), direct.den_factor_list()))
+            == cross(scal, triples, direct.dens))
 
 
 # -- the three vanishing properties -----------------------------------------------------
@@ -478,7 +425,7 @@ def check_property_expand(shape, b, c, d, u, k) -> dict:
             return report
         child = _substitute(term, r)
         cand = QukFactors(shape, b, c, d, q.u + (i,), q.k + (k1,))
-        if (child[4] != cand.head or sorted(child[3]) != sorted(cand.den_factor_list())
+        if (child[4] != cand.head or sorted(child[3]) != sorted(cand.dens)
                 or _factored(*child[:3]) != _factored(cand.scale, mono, cand.numerator_triples())):
             report["ok"] = False
             report["witness"] = {"u_next": i, "k_next": k1, "unmatched": True}
@@ -552,83 +499,55 @@ def check_property_laurent(shape, b, c, d, u, k) -> dict:
         report["ct_zero"] = exact_ct_rational(q).is_zero()
         report["ok"] = report["ct_zero"]
         return report
-    scale, mono, triples, shifts = cancelled
+    scale, mono, triples = cancelled
     # Laurent-form ledger: every monomial obeys e_i >= shift_i and
-    # e_head = ell - sum_i (e_i - shift_i)
+    # e_head = ell - sum_i (e_i - shift_i), shift_i = d - sc - sum_j eps(i, u_j)
     outside = [i for i in range(1, n + 1) if i not in q.u]
+    shifts = [d - s * c - sum(epsilon(shape, i, x) for x in q.u) for i in outside]
     ledger = mono[q.head] + sum(mono[i] for i in outside)
-    report["laurent_form_ok"] = ok_form = (all(mono[i] >= shifts[i] for i in outside)
-                                           and ledger == ell + sum(shifts.values()))
+    report["laurent_form_ok"] = ok_form = (all(mono[i] >= sh for i, sh in zip(outside, shifts))
+                                           and ledger == ell + sum(shifts))
     if not ok_form:
         report["ok"] = False
         return report
     # exact constant term over all surviving variables: one point fold of
     # the cancelled numerator times the residual pair product
-    ct = _factored(scale, mono, triples + _triples(q.residual_pairs)).constant_term()
+    ct = _factored(scale, mono, triples + q.residual_pairs).constant_term()
     report["ct_zero"] = ct.is_zero()
     report["ok"] = report["ct_zero"]
     return report
 
 
 def _cancel_head_denominator(q: QukFactors):
-    """Flip the head-directed numerator Pochhammers of H and divide out the
-    denominator, or return None when some linear factor is missing.
+    """Divide the head numerator by the head denominator, or return None when
+    some denominator factor is missing from it.
 
-    Returns the cancelled numerator as (scale, mono, triples, shifts): a
-    ``Cyclo`` scale carrying every flip sign and power of q, the monomial,
-    the factors (i, head, z) standing for (1 - q^z x_i/x_head), and the
-    per-variable monomial shifts.
+    A factor (head, i, m) turns to -q^m (x_head/x_i)(1 - q^{-m} x_i/x_head);
+    each denominator factor is turned the same way and its linear part is
+    removed from the numerator multiset.  Returns (scale, mono, triples): a
+    ``Cyclo`` scale carrying every sign and power of q of the turns, the
+    monomial as a list, and the factors (i, head, z) standing for
+    (1 - q^z x_i/x_head).
     """
-    shape, d, c = q.shape, q.d, q.c
-    n = shape.n
-    us, ks = q.head, q.k[-1]
-    s = q.s
-    outside = [i for i in range(1, n + 1) if i not in q.u]
-    mono = [0] * (n + 1)
-    qexp = 0
-    sign = 1
-    triples = []
-    shifts = {}
-    for i in outside:
-        runs = []  # available (1 - q^z x_i/x_us) exponents, with multiplicity
-        # b-run from (q^{1-k_s} x_i/x_us)_b
-        for t in range(q.b):
-            runs.append(1 - ks + t)
-        eps_sum = 0
-        for jj in range(s):
-            eps = epsilon(shape, i, q.u[jj])
-            eps_sum += eps
-            chi_iu = 1 if i > q.u[jj] else 0
-            chi_ui = 1 if q.u[jj] > i else 0
-            # unflipped run
-            for t in range(c + eps):
-                runs.append(q.k[jj] - ks + chi_iu + t)
-            # flipped run from (q^{k_s-k_j+chi} x_us/x_i)_{c+eps}
-            z = c + eps
-            m = ks - q.k[jj] + chi_ui
-            sign *= (-1) ** z
-            qexp += m * z + z * (z - 1) // 2
-            mono[us] += z
-            mono[i] -= z
-            for t in range(z):
-                runs.append(1 - z - m + t)
-        # flipped denominator (q^{k_s-d} x_us/x_i)_d -> S_0 in x_i/x_us direction
-        sign *= (-1) ** d
-        qexp -= (ks - d) * d + d * (d - 1) // 2
-        mono[us] -= d
-        mono[i] += d
-        need = list(range(1 - ks, d - ks + 1))
-        pool: dict[int, int] = {}
-        for z in runs:
-            pool[z] = pool.get(z, 0) + 1
-        for z in need:
-            if pool.get(z, 0) <= 0:
-                return None
-            pool[z] -= 1
-        for z, count in pool.items():
-            triples += [(i, us, z)] * count
-        shifts[i] = d - s * c - eps_sum
-    return Cyclo(sign, qexp), mono, triples, shifts
+    h = q.head
+    mono = [0] * (q.shape.n + 1)
+    sign, shift = 1, 0
+    pool = Counter()
+    for a, i, m in q.num:
+        if a == h:
+            sign, shift = -sign, shift + m
+            mono[h] += 1
+            mono[i] -= 1
+            a, i, m = i, h, -m
+        pool[a, i, m] += 1
+    for m, i in q.dens:
+        if not pool[i, h, -m]:
+            return None
+        pool[i, h, -m] -= 1
+        sign, shift = -sign, shift - m
+        mono[h] -= 1
+        mono[i] += 1
+    return Cyclo(sign, shift), mono, list(pool.elements())
 
 
 def vanishing_property_checks(shape: Shape, b: int, c: int, d: int, u, k) -> dict:

@@ -115,14 +115,16 @@ def qdyson_factors(a) -> list[tuple]:
     return out
 
 
-def pair_linear(shape: Shape, c: int, skip: int | None = None):
+def pair_linear(shape: Shape, c: int, skip=()):
     """(a, b, m) for each linear factor (1 - q^m x_a/x_b) of
-    prod_{i<j} (x_i/x_j)_{c+eps} (q x_j/x_i)_{c+eps}; ``skip`` drops every
-    pair that involves that variable."""
+    prod_{i<j} (x_i/x_j)_{c+eps} (q x_j/x_i)_{c+eps}; ``skip``, a collection
+    of variables, drops every pair that involves one of them."""
     n = shape.n
     for i in range(1, n + 1):
+        if i in skip:
+            continue
         for j in range(i + 1, n + 1):
-            if skip in (i, j):
+            if j in skip:
                 continue
             z = c + epsilon(shape, i, j)
             for t in range(z):

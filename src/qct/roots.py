@@ -224,15 +224,9 @@ def path_weight(w, r) -> PathWeight:
     return PathWeight(w, r, e)
 
 
-def min_path_weights(r) -> tuple[int, int]:
-    """min over w of N(w), and min over w and j of N(w) - e_j: the one-lane
-    case of ``min_path_weights_many``."""
-    return min_path_weights_many([r])[0]
-
-
 def min_path_weights_many(rs) -> list[tuple[int, int]]:
-    """``min_path_weights(r)`` for every r of ``rs``, which must share one
-    sum s, from one Held-Karp pass.
+    """(min over w of N(w), min over w and j of N(w) - e_j) for every r of
+    ``rs``, which must share one sum s, from one Held-Karp pass.
 
     N(w) = e_1 + the length of the path w_1 .. w_s with edge weight
     [x < y] + [x, y in one decorated block], where e_1 = 1, so both minima

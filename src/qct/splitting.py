@@ -157,7 +157,7 @@ def _acoeff_parts(shape: Shape, c: int, i: int, j: int, k: int):
                 mono[l - 1] -= 1
             for base, length in pochs:
                 triples.extend((l, i, base + t) for t in range(length))
-    triples.extend(pair_linear(shape, c, skip=i))
+    triples.extend(pair_linear(shape, c, skip=(i,)))
     s2, sh2, den = _acoeff_scalar_parts(shape, c, i, j, k)
     return sign * s2, qexp + sh2, den, tuple(mono), triples
 

@@ -208,7 +208,7 @@ def numerator_poly(q) -> tuple[dict, int]:
 
 
 def rational_term(q) -> RationalTerm:
-    return RationalTerm(*numerator_poly(q), q.den_factor_list(), q.head, scale=q.scale)
+    return RationalTerm(*numerator_poly(q), q.dens, q.head, scale=q.scale)
 
 
 def packed_term(term) -> RationalTerm:
@@ -239,7 +239,7 @@ def _scaled_equal(scale_a: Cyclo, num_a: dict, B_a: int, scale_b: Cyclo, num_b: 
 def _terms_equal(scale_a: Cyclo, num_a: dict, B_a: int, dens_a, head_a, cand) -> bool:
     if head_a != cand.head:
         return False
-    if sorted(dens_a) != sorted(cand.den_factor_list()):
+    if sorted(dens_a) != sorted(cand.dens):
         return False
     return _scaled_equal(scale_a, num_a, B_a, cand.scale, *numerator_poly(cand))
 
@@ -250,7 +250,7 @@ def reference_property_expand(shape, b, c, d, u, k) -> bool:
     built next-level terms."""
     q = build_Quk(shape, b, c, d, u, k)
     num, B = numerator_poly(q)
-    dens = q.den_factor_list()
+    dens = q.dens
     if max((e[q.head] for e in num), default=0) >= len(dens):
         return False
     ks = q.k[-1] if q.u else 0
@@ -265,7 +265,7 @@ def reference_oracle_matches_direct(shape, b, c, d, u, k) -> bool:
     """The substitution oracle against the direct construction the packed
     way: both cross-multiplied numerators expanded in full."""
     direct = build_Quk(shape, b, c, d, u, k)
-    scal, pochs, dens = gxseries.substitution_oracle(shape, b, c, d, u, k)
+    scal, triples, dens = gxseries.substitution_oracle(shape, b, c, d, u, k)
     arity = shape.n + 1
     mono = (0,) * arity
 
@@ -273,7 +273,7 @@ def reference_oracle_matches_direct(shape, b, c, d, u, k) -> bool:
         return expand_numerator(arity, mono, triples + [(direct.head, t, m) for m, t in dlist])
 
     lhs = expand(direct.numerator_triples(), dens)
-    rhs = expand(gxseries._triples(pochs), direct.den_factor_list())
+    rhs = expand(triples, direct.dens)
     return _scaled_equal(direct.scale, *lhs, scal, *rhs)
 
 
@@ -393,7 +393,7 @@ def reference_ct(q) -> QFrac:
     on every term whose head degree reaches its factor count."""
     arity = q.shape.n + 1
     num = _as_qfrac_terms(unpack(*numerator_poly(q)), arity)
-    dens = [(QFrac.q_power(m), tail) for m, tail in q.den_factor_list()]
+    dens = [(QFrac.q_power(m), tail) for m, tail in q.dens]
     stack = [(q.scale.to_qfrac(), num, dens, q.head)]
     total = QFrac(0)
     while stack:
@@ -789,6 +789,13 @@ def test_oracle_comparison_tells_a_wrong_scalar_apart(monkeypatch):
         assert not oracle_matches_direct(*probe), wrong
 
 
+@pytest.mark.parametrize("b, c, u, k", [(-1, 1, (), ()), (1, -1, (), ()), (-1, 1, (1,), (2,)),
+                                         (1, -1, (1,), (2,))])
+def test_negative_pochhammer_lengths_are_rejected(b, c, u, k):
+    with pytest.raises(ValueError, match="pochhammer length negative"):
+        build_Quk(Shape((1, 2)), b, c, 2, u, k)
+
+
 def test_property_zero_branch():
     shape = Shape((1, 2))
     rep = check_property_zero(shape, 1, 1, 2, (1, 2), (1, 1))
@@ -815,16 +822,17 @@ def reference_property_laurent_route(q, ell):
     cancelled numerator to QLaurent coefficients, read the ledger off every
     monomial, then contract it against the expanded residual pairs."""
     n = q.shape.n
-    scale, mono, triples, shifts = gxseries._cancel_head_denominator(q)
+    scale, mono, triples = gxseries._cancel_head_denominator(q)
     res = moved(ct_fold(n + 1, _one_based(triples)), mono, QLaurent.q_power(scale.shift, scale.sign))
     outside = [i for i in range(1, n + 1) if i not in q.u]
+    shifts = {i: q.d - q.s * q.c - sum(epsilon(q.shape, i, x) for x in q.u) for i in outside}
     for e in res:
         if any(e[i] < shifts[i] for i in outside):
             return False, None
         if e[q.head] != ell - sum(e[i] - shifts[i] for i in outside):
             return False, None
     # each term x^e of the numerator reads the residual product at -e
-    rest = ct_fold(n + 1, _one_based(gxseries._triples(q.residual_pairs)))
+    rest = ct_fold(n + 1, _one_based(q.residual_pairs))
     val = sum((p * rest.get(tuple(-x for x in e), QLaurent()) for e, p in res.items()), QLaurent())
     return True, val.is_zero()
 
@@ -897,20 +905,20 @@ def test_case4_staircase_matches_permutation_search():
 
 
 def _moved_monomial(monkeypatch, move):
-    # apply ``move(mono, q, shifts)`` to the cancelled numerator's monomial
+    # apply ``move(mono, q)`` to the cancelled numerator's monomial
     cancel = gxseries._cancel_head_denominator
 
     def moved(q):
-        scale, mono, triples, shifts = cancel(q)
-        move(mono, q, shifts)
-        return scale, mono, triples, shifts
+        scale, mono, triples = cancel(q)
+        move(mono, q)
+        return scale, mono, triples
 
     monkeypatch.setattr(gxseries, "_cancel_head_denominator", moved)
 
 
 def _head_moved(monkeypatch):
     # one more x_head breaks the ledger e_head = ell - slack
-    def move(mono, q, shifts):
+    def move(mono, q):
         mono[q.head] += 1
 
     _moved_monomial(monkeypatch, move)
@@ -919,22 +927,22 @@ def _head_moved(monkeypatch):
 def _outside_moved(monkeypatch):
     # x_head/x_i keeps the ledger sum but puts e_i below shift_i for the
     # first outside variable i
-    def move(mono, q, shifts):
+    def move(mono, q):
         mono[q.head] += 1
-        mono[min(shifts)] -= 1
+        mono[min(i for i in range(1, q.shape.n + 1) if i not in q.u)] -= 1
 
     _moved_monomial(monkeypatch, move)
 
 
 def _half_the_pairs(monkeypatch):
     # without the second half of the residual pairs the constant term is nonzero
-    pairs = gxseries._pair_pochs
+    pairs = gxseries.pair_linear
 
-    def half(shape, c, exclude=()):
-        out = pairs(shape, c, exclude)
+    def half(shape, c, skip=()):
+        out = list(pairs(shape, c, skip))
         return out[:len(out) // 2]
 
-    monkeypatch.setattr(gxseries, "_pair_pochs", half)
+    monkeypatch.setattr(gxseries, "pair_linear", half)
 
 
 @pytest.mark.parametrize("perturb, verdict", [
@@ -960,18 +968,18 @@ def test_property_laurent_matches_decoding_route(monkeypatch, perturb, verdict):
 
 
 def test_cancelled_numerator_times_denominator_is_the_numerator():
-    # the cancellation is exact: the cancelled numerator times the head
-    # denominator is the head numerator, compared as Factored values
+    # the cancellation is exact: the cancelled numerator times the stored
+    # head denominator is the stored head numerator, compared as Factored values
     compared = 0
     for shape, b, c, d, u, k in _gx_laurent_grid():
         q = build_Quk(shape, b, c, d, u, k)
         cancelled = None if q.is_zero() else gxseries._cancel_head_denominator(q)
         if cancelled is None:
             continue
-        scale, mono, triples, _ = cancelled
+        scale, mono, triples = cancelled
         zero = (0,) * (shape.n + 1)
-        lhs = gxseries._factored(scale, mono, triples + gxseries._triples(q.den_pochs))
-        assert lhs == gxseries._factored(Cyclo(), zero, gxseries._triples(q.num_pochs)), (shape.parts, b, c, d, u, k)
+        lhs = gxseries._factored(scale, mono, triples + [(q.head, t, m) for m, t in q.dens])
+        assert lhs == gxseries._factored(Cyclo(), zero, q.num), (shape.parts, b, c, d, u, k)
         compared += 1
     assert compared == 36
 

@@ -1,9 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qct import cli
 from qct.cli import BF_SHAPES
+from qct.closedform import all_shapes
 from qct.laurent import MLaurent, _decode_packed, ct_fold, fold_packed_raw, pack_qlaurent, packed_add, packed_mul
 from qct.products import (
     Shape,
@@ -168,10 +171,31 @@ def test_pair_product_is_degree_zero_homogeneous():
         assert {sum(e) for e in f.terms} == {0}
 
 
+@st.composite
+def skipped_pairs(draw):
+    """(shape, c, skip): a shape with n <= 5, c <= 3 and a set of variables."""
+    shape = draw(st.sampled_from(all_shapes(5)))
+    return shape, draw(st.integers(0, 3)), draw(st.sets(st.integers(1, shape.n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(skipped_pairs())
+def test_pair_linear_skip_filters_the_full_list(case):
+    # skipping a set of variables is the full pair list with every factor
+    # that touches the set filtered out, in the same order
+    shape, c, skip = case
+    full = list(pair_linear(shape, c))
+    assert len(full) == sum(2 * (c + epsilon(shape, i, j))
+                            for i, j in itertools.combinations(range(1, shape.n + 1), 2))
+    want = [(a, b, m) for a, b, m in full if a not in skip and b not in skip]
+    assert list(pair_linear(shape, c, skip=skip)) == want
+    assert list(pair_linear(shape, c, skip=tuple(sorted(skip)))) == want
+
+
 def test_full_product_degree_zero_with_x0_restored():
     # restoring x_0 as an extra variable makes the whole product homogeneous
     from qct.gxseries import QukFactors
-    q = QukFactors(Shape((1, 2)), 2, 1, 1)  # numerator pochs carry (q x_j/x_0)_b
+    q = QukFactors(Shape((1, 2)), 2, 1, 1)  # the numerator carries (q x_j/x_0)_b
     n = 3
     factors = [(a + 1, b + 1, m) for a, b, m in q.numerator_triples()]
     full = ct_fold(n + 1, factors, None, None)

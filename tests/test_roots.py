@@ -14,7 +14,6 @@ from qct.roots import (
     lemma_key_classify,
     lemma_key_survivors,
     leave_one_out_bound_holds,
-    min_path_weights,
     min_path_weights_many,
     min_weight_witness,
     path_weight,
@@ -232,6 +231,11 @@ def test_min_weight_small_cases():
     assert exhaustive_min_weights((2, 2, 2))[0] == 2
     for r in ((1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 2)):
         assert exhaustive_min_weights(r)[0] == max(r[1:])
+
+
+def min_path_weights(r) -> tuple[int, int]:
+    """Both minima for one r: the one-lane case of ``min_path_weights_many``."""
+    return min_path_weights_many([r])[0]
 
 
 def test_min_path_weights_matches_brute_force():

@@ -2,12 +2,14 @@
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import qct
 
 SRC = Path(qct.__file__).parent
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def test_library_has_no_assert_statements():
@@ -67,3 +69,37 @@ def test_expanded_layer_stays_out_of_production_paths():
             if "MLaurent" in names:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"MLaurent outside laurent.py and splitting.py: {found}"
+
+
+def _named(node) -> list:
+    """The names a node refers to: a variable, an attribute or an imported name."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def test_every_library_definition_is_used():
+    # a module-level function or class of the library that no other part of
+    # the library names is test-only or dead code; the names the benchmark
+    # reaches through perfbench/*.py may stay
+    owners: dict = {}  # name -> the top-level definitions that refer to it
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = (path.name, stmt.name)
+                defined.append(owner)
+            for node in ast.walk(stmt):
+                for name in _named(node):
+                    owners.setdefault(name, set()).add(owner)
+    bench = "\n".join(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))
+    assert len(defined) > 50 and "gx_ct" in bench
+    unused = [f"{module}:{name}" for module, name in defined
+              if not owners.get(name, set()) - {(module, name)}
+              and not re.search(rf"\b{re.escape(name)}\b", bench)]
+    assert not unused, f"library definitions named nowhere else in src or perfbench: {unused}"
