@@ -70,6 +70,17 @@ def _nonneg_float(text: str) -> float:
     return value
 
 
+def _out_path(text: str) -> str:
+    """argparse type: a file path whose directory exists, so a report can be
+    written once the work is done."""
+    directory = os.path.dirname(text) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"no such directory {directory!r} for {text!r}")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    return text
+
+
 def _shape(text: str) -> Shape:
     """argparse type: block sizes n_0,n_1,... as a comma list of positive integers."""
     return Shape(_positive_ints(text))
@@ -313,10 +324,13 @@ def _run_lemma_key(params):
         return ok, None if ok else {"N_example": n1, "w0": list(w0), "N_w0": n2}
     if params["kind"] == "classify":
         # every k the enumerator skips falls under case 1, 2 or 3 by
-        # construction, so classifying the rest covers the whole box
+        # construction, so classifying the rest covers the whole box; one
+        # enumeration per c, at b = 0 and the largest t, yields every (b, t)
+        r = params["r"]
+        wide = [roots.lemma_key_survivors(0, c, 2, r) for c in range(3)]
         for b, c, t in product(range(3), repeat=3):
-            for k in roots.lemma_key_survivors(b, c, t, params["r"]):
-                if roots.lemma_key_classify(k, b, c, t, params["r"])[0] != 4:
+            for k in roots.lemma_key_rebase(wide[c], b, c, t):
+                if roots.lemma_key_classify(k, b, c, t, r)[0] != 4:
                     return False, {"k": list(k), "b": b, "c": c, "t": t}
         return True, None
     if params["kind"] == "minweight":
@@ -526,6 +540,24 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+_STATUSES = ("pass", "fail", "trimmed")
+
+
+def _load_report(path: str) -> dict:
+    """A suite report as `qct verify` writes it, or a usage error naming the file."""
+    try:
+        with open(path) as fh:
+            rep = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        build_parser().error(f"report {path!r} is not readable JSON: {exc}")
+    cases = rep.get("cases") if isinstance(rep, dict) else None
+    if not (isinstance(cases, list) and isinstance(rep.get("suite"), str)
+            and all(isinstance(c, dict) and c.get("status") in _STATUSES for c in cases)):
+        build_parser().error(f"report {path!r} is not a suite report: it needs a suite name "
+                             f"and a list of cases, each with a status in {_STATUSES}")
+    return rep
+
+
 def cmd_report(args) -> int:
     directory = args.dir or "."
     try:
@@ -536,8 +568,7 @@ def cmd_report(args) -> int:
     rows = []
     overall_red = False
     for f in files:
-        with open(os.path.join(directory, f)) as fh:
-            rep = json.load(fh)
+        rep = _load_report(os.path.join(directory, f))
         statuses = [c["status"] for c in rep["cases"]]
         failed = statuses.count("fail")
         row = {
@@ -553,7 +584,9 @@ def cmd_report(args) -> int:
             first = next(c for c in rep["cases"] if c["status"] == "fail")
             row["witness"] = first.get("witness")
         rows.append(row)
-    status = "fail" if overall_red else "pass" if rows else "empty"
+    # a suite that passed no case is no evidence of a pass
+    status = ("fail" if overall_red else "empty" if not rows
+              else "incomplete" if any(row["pass"] == 0 for row in rows) else "pass")
     summary = {"suites": rows, "status": status}
     if not rows:
         print("no suite reports found; nothing to aggregate")
@@ -604,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--shape", type=_shape)
     ver.add_argument("--b", type=_nonneg_int)
     ver.add_argument("--c", type=_nonneg_int)
-    ver.add_argument("--out", help="JSON report path")
+    ver.add_argument("--out", type=_out_path, help="JSON report path")
     ver.add_argument("--seed", type=int, default=0,
                      help="ignored: no suite reads it; accepted because the "
                           "benchmark's partial-fraction ops pass it")
@@ -615,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="aggregate suite reports")
     rep.add_argument("--dir", help="directory holding qct-report-*.json")
-    rep.add_argument("--out")
+    rep.add_argument("--out", type=_out_path, help="JSON summary path")
     rep.set_defaults(func=cmd_report)
     return ap
 

@@ -426,3 +426,18 @@ def lemma_key_survivors(b: int, c: int, t: int, r) -> list[tuple[int, ...]]:
 
     extend(list(range(s)), [b + 1] * s)
     return out
+
+
+def lemma_key_rebase(wide, b: int, c: int, t: int) -> list[tuple[int, ...]]:
+    """lemma_key_survivors(b, c, t, r) read off wide = lemma_key_survivors(0,
+    c, t', r) for any t' >= t, in the enumerator's order.
+
+    Cases 1-3 and the box [b+1, (s-1)c+b+t] depend on k only through k - b,
+    so the survivors at b are those at b = 0 shifted by b.  The enumerator's
+    order is lexicographic in its (position, value) steps, which a larger t
+    only extends, so the t list is the t' list capped at max(k) <= (s-1)c+t.
+    """
+    if not wide:
+        return []
+    top = (len(wide[0]) - 1) * c + t
+    return [tuple(map(b.__add__, k)) for k in wide if max(k) <= top]

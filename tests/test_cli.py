@@ -139,6 +139,37 @@ def test_report_flags_red_suite(tmp_path, capsys):
     assert "overall: fail" in out and "FAIL" in out
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "is not readable JSON"),
+    ('{"suite": "qdyson", "grid": {"cases": 1}}', "is not a suite report"),
+    ('{"suite": "qdyson", "cases": [{"params": {}, "status": "maybe"}]}', "is not a suite report"),
+])
+def test_report_names_a_bad_file(text, message, tmp_path, capsys):
+    bad = tmp_path / "qct-report-qdyson.json"
+    bad.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--dir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and str(bad) in err and message in err
+    assert "Traceback" not in err
+
+
+def test_report_with_a_suite_that_passed_nothing_is_incomplete(tmp_path, capsys, monkeypatch):
+    # every lemma-key case trimmed by a zero budget: no evidence, so no pass
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "time", _TickClock())
+    run(capsys, "verify", "--suite", "poch-identities")
+    run(capsys, "verify", "--suite", "lemma-key", "--max-seconds", "0")
+    code, out = run(capsys, "report", "--dir", str(tmp_path), "--out", str(tmp_path / "summary.json"))
+    assert code == 0
+    assert "overall: incomplete" in out and "overall: pass" not in out
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["status"] == "incomplete"
+    assert [(row["suite"], row["pass"]) for row in summary["suites"]] == [
+        ("lemma-key", 0), ("poch-identities", 1)]
+
+
 def test_invalid_flags_exit_nonzero():
     with pytest.raises(SystemExit):
         main(["ct", "--family", "nosuch"])
@@ -213,6 +244,10 @@ def test_negative_arguments_are_usage_errors(argv, capsys):
     # roots keeps only c >= b, so this grid is empty: no pass over no case
     (("verify", "--suite", "roots", "--shape", "1", "--b", "2", "--c", "1"),
      "suite roots has no case at these flags"),
+    # --out is checked before any case runs, not when the report is written
+    (("verify", "--suite", "roots", "--shape", "1,1", "--b", "1", "--c", "1",
+      "--out", "/nonexistent/x.json"), "no such directory '/nonexistent' for '/nonexistent/x.json'"),
+    (("report", "--out", "/nonexistent/y.json"), "no such directory '/nonexistent' for '/nonexistent/y.json'"),
 ])
 def test_bad_shape_and_n_are_usage_errors(argv, message, capsys, monkeypatch):
     # leading NAME=value items set the environment, as on a shell command line
@@ -223,8 +258,9 @@ def test_bad_shape_and_n_are_usage_errors(argv, message, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "usage:" in err and message in err
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and message in captured.err
+    assert captured.out == ""  # no case ran
 
 
 @pytest.mark.parametrize("argv", [

@@ -817,13 +817,74 @@ def test_property_laurent_nontrivial():
     assert rep["ledger_exponent"] == 0 and rep["vanishing_precondition_ok"]
 
 
-def reference_property_laurent_route(q, ell):
-    """(laurent_form_ok, ct_zero) of property (3) the decoding way: expand the
-    cancelled numerator to QLaurent coefficients, read the ledger off every
-    monomial, then contract it against the expanded residual pairs."""
+def divide_binomial(poly: dict, h: int, t: int, m: int) -> dict | None:
+    """poly / (1 - q^m x_h/x_t) on expanded {exponent tuple: QLaurent}
+    coefficients, or None when it does not divide.
+
+    Along each line e + j(e_h - e_t) the quotient obeys Q_j = N_j + q^m Q_{j-1};
+    it is finite exactly when that recurrence ends at zero on the line's last
+    point of N."""
+    lines: dict = {}
+    for e, p in poly.items():
+        rest = list(e)
+        rest[h] = None
+        rest[t] += e[h]
+        lines.setdefault(tuple(rest), {})[e[h]] = p
+    qm = QLaurent.q_power(m)
+    out = {}
+    for rest, line in lines.items():
+        acc, last = QLaurent(), max(line)
+        for j in range(min(line), last + 1):
+            acc = line.get(j, QLaurent()) + qm * acc
+            if acc.is_zero():
+                continue
+            if j == last:
+                return None
+            e = list(rest)
+            e[h], e[t] = j, rest[t] - j
+            out[tuple(e)] = acc
+    return out
+
+
+def reference_cancelled_numerator(q) -> dict | None:
+    """Q(d | u; k)'s head numerator divided by its head denominator, expanded,
+    or None when it does not divide, derived without the factor multiset."""
+    return _divide_head(q.shape.n + 1, q.head, tuple(q.num), tuple(q.dens))
+
+
+@functools.lru_cache(maxsize=None)
+def _divide_head(arity, h, num, dens):
+    """Every head factor pairs x_head with one other variable x_i, so
+    numerator and denominator split into one Laurent polynomial in x_i/x_head
+    per i; each is expanded, divided by its binomials, and the quotients
+    multiplied out (their monomials never collide: x_head's exponent follows
+    the rest).  Cached on the factors, which perturbed runs reuse."""
+    groups: dict = {}
+    for a, b, m in num:
+        groups.setdefault(b if a == h else a, []).append((a, b, m))
+    out = {(0,) * arity: ONE}
+    for i in sorted(set(groups) | {t for _, t in dens}):
+        poly = ct_fold(arity, _one_based(groups.get(i, [])))
+        for m, t in dens:
+            if t == i:
+                poly = divide_binomial(poly, h, t, m)
+                if poly is None:
+                    return None
+        out = {tuple(x + y for x, y in zip(e, f)): p * r for e, p in out.items() for f, r in poly.items()}
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _expanded(arity, triples) -> dict:
+    """The product of 0-based triples, expanded; cached for perturbed reruns."""
+    return ct_fold(arity, _one_based(triples))
+
+
+def reference_property_laurent_route(q, ell, res):
+    """(laurent_form_ok, ct_zero) of property (3) the decoding way: read the
+    ledger off every monomial of the expanded cancelled numerator res, then
+    contract it against the expanded residual pairs."""
     n = q.shape.n
-    scale, mono, triples = gxseries._cancel_head_denominator(q)
-    res = moved(ct_fold(n + 1, _one_based(triples)), mono, QLaurent.q_power(scale.shift, scale.sign))
     outside = [i for i in range(1, n + 1) if i not in q.u]
     shifts = {i: q.d - q.s * q.c - sum(epsilon(q.shape, i, x) for x in q.u) for i in outside}
     for e in res:
@@ -905,7 +966,8 @@ def test_case4_staircase_matches_permutation_search():
 
 
 def _moved_monomial(monkeypatch, move):
-    # apply ``move(mono, q)`` to the cancelled numerator's monomial
+    # apply ``move(mono, q)`` to the cancelled numerator's monomial; the
+    # reference route applies the same move to its own quotient
     cancel = gxseries._cancel_head_denominator
 
     def moved(q):
@@ -914,6 +976,7 @@ def _moved_monomial(monkeypatch, move):
         return scale, mono, triples
 
     monkeypatch.setattr(gxseries, "_cancel_head_denominator", moved)
+    return move
 
 
 def _head_moved(monkeypatch):
@@ -921,7 +984,7 @@ def _head_moved(monkeypatch):
     def move(mono, q):
         mono[q.head] += 1
 
-    _moved_monomial(monkeypatch, move)
+    return _moved_monomial(monkeypatch, move)
 
 
 def _outside_moved(monkeypatch):
@@ -931,7 +994,7 @@ def _outside_moved(monkeypatch):
         mono[q.head] += 1
         mono[min(i for i in range(1, q.shape.n + 1) if i not in q.u)] -= 1
 
-    _moved_monomial(monkeypatch, move)
+    return _moved_monomial(monkeypatch, move)
 
 
 def _half_the_pairs(monkeypatch):
@@ -952,15 +1015,25 @@ def _half_the_pairs(monkeypatch):
     (_outside_moved, (False, None)),
 ])
 def test_property_laurent_matches_decoding_route(monkeypatch, perturb, verdict):
-    if perturb is not None:
-        perturb(monkeypatch)
+    # the cancelled numerator is derived twice: by the factor route's
+    # multiset cancel, expanded, and by dividing the expanded head numerator;
+    # a perturbed cancel's move is applied to the quotient too
+    move = perturb(monkeypatch) if perturb is not None else None
     compared = 0
     for shape, b, c, d, u, k in _gx_laurent_grid():
         rep = check_property_laurent(shape, b, c, d, u, k)
         if not rep["divisible"]:
             continue
         q = build_Quk(shape, b, c, d, u, k)
-        want = reference_property_laurent_route(q, rep["ledger_exponent"])
+        res = reference_cancelled_numerator(q)
+        if move is not None:
+            shift = [0] * (shape.n + 1)
+            move(shift, q)
+            res = moved(res, shift)
+        scale, mono, triples = gxseries._cancel_head_denominator(q)
+        expanded = _expanded(shape.n + 1, tuple(triples))
+        assert moved(expanded, mono, QLaurent.q_power(scale.shift, scale.sign)) == res
+        want = reference_property_laurent_route(q, rep["ledger_exponent"], res)
         got = (rep["laurent_form_ok"], rep["ct_zero"])
         assert got == want == verdict, (shape.parts, b, c, d, u, k)
         compared += 1
@@ -995,6 +1068,19 @@ def cancelled_numerators(draw):
     triples = draw(st.lists(st.tuples(st.sampled_from(others), st.just(head), st.integers(-2, 2)),
                             max_size=7))
     return arity, head, mono, triples
+
+
+@settings(max_examples=60, deadline=None)
+@given(cancelled_numerators(), st.integers(-2, 2))
+def test_divide_binomial_undoes_a_product(case, m):
+    # the reference division is exact on a product that holds the binomial,
+    # and refuses a constant, which no binomial divides
+    arity, head, mono, triples = case
+    tail = (head + 1) % arity
+    want = moved(ct_fold(arity, _one_based(triples)), mono)
+    poly = moved(ct_fold(arity, _one_based(triples + [(head, tail, m)])), mono)
+    assert divide_binomial(poly, head, tail, m) == want
+    assert divide_binomial({tuple(mono): ONE}, head, tail, m) is None
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,6 +12,7 @@ from qct.roots import (
     LemmaFalsified,
     interpolate_dn,
     lemma_key_classify,
+    lemma_key_rebase,
     lemma_key_survivors,
     leave_one_out_bound_holds,
     min_path_weights_many,
@@ -470,6 +471,55 @@ def test_lemma_key_survivor_order_is_pinned():
             for k in lemma_key_survivors(b, c, t, r):
                 digest.update(repr((r, b, c, t, k)).encode() + b"\n")
     assert digest.hexdigest() == "26d27d998b40b474a2d89c0b95de25e4f9ec8b7b7c0118fd21b1b2781c130598"
+
+
+def test_lemma_key_rebase_matches_the_enumerator_on_the_suite_grid():
+    # one enumeration per (r, c) at b = 0 and t = 2, as the suite makes it,
+    # shifted and capped for every (b, t): the enumerator's own list, in order
+    count = 0
+    for s in range(1, 7):
+        for r in _compositions(s):
+            if len(r) <= 3:
+                for c in range(3):
+                    wide = lemma_key_survivors(0, c, 2, r)
+                    for b, t in itertools.product(range(3), repeat=2):
+                        got = lemma_key_rebase(wide, b, c, t)
+                        assert got == lemma_key_survivors(b, c, t, r), (r, b, c, t)
+                        count += len(got)
+    assert count == 4857
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda r: sum(r) <= 5),
+       st.integers(0, 4), st.integers(0, 3), st.integers(0, 4), st.integers(0, 4))
+def test_lemma_key_rebase_property(r, b, c, t, t_wide):
+    t, t_wide = min(t, t_wide), max(t, t_wide)
+    wide = lemma_key_survivors(0, c, t_wide, r)
+    assert lemma_key_rebase(wide, b, c, t) == lemma_key_survivors(b, c, t, r)
+
+
+def test_lemma_key_suite_classifies_every_survivor_at_its_own_parameters(monkeypatch):
+    # three enumerations for the 27 (b, c, t), and every k the enumerator
+    # yields at (b, c, t) goes to the classifier with that (b, c, t), in order
+    enumerated, classified = [], []
+    survivors = roots.lemma_key_survivors
+
+    def enumerate_(b, c, t, r):
+        enumerated.append((b, c, t))
+        return survivors(b, c, t, r)
+
+    def classify(k, b, c, t, r):
+        classified.append((tuple(k), b, c, t))
+        return (4, None)
+
+    monkeypatch.setattr(roots, "lemma_key_survivors", enumerate_)
+    monkeypatch.setattr(roots, "lemma_key_classify", classify)
+    r = (1, 2, 1)
+    assert cli._run_lemma_key({"kind": "classify", "r": list(r)}) == (True, None)
+    assert enumerated == [(0, 0, 2), (0, 1, 2), (0, 2, 2)]
+    assert classified == [(k, b, c, t) for b, c, t in itertools.product(range(3), repeat=3)
+                          for k in survivors(b, c, t, r)]
+    assert len(classified) == 54
 
 
 def test_lemma_key_classify_witness_reproduces(monkeypatch):
