@@ -3,25 +3,18 @@ block recursion, the a=b=0 recursion, Kadell's one-row value, and the scalar
 summation identities they rest on.
 
 Every closed form is a product of q-Pochhammer symbols and Gaussian
-binomials, so it is built as a factored ``Cyclo`` value and expanded once; the
-values are exact QFrac, and every constant-term value is checked to be a
-polynomial in q.  The scalar identities are summed over QFrac instead, as a
-check independent of the factored arithmetic.
+binomials, so it is built as a factored ``Cyclo`` value and expanded once
+into a QLaurent; the expansion raises unless the value is a polynomial in q.
+Each scalar identity sums its Cyclo-scaled terms with ``cyclo_sum`` and
+compares the sum with a side built from the expanded ``qpoch`` and ``qbinom``.
 """
 
 from __future__ import annotations
 
 from .products import Shape
-from .qring import ONE, Cyclo, QFrac, QLaurent, qbinom, qpoch
+from .qring import ONE, ZERO, Cyclo, QFrac, QLaurent, cyclo_sum, qbinom, qpoch
 
 _poch = Cyclo.poch
-
-
-def _polynomial(value: Cyclo) -> QFrac:
-    """``value`` expanded, checked to be a polynomial in q as every closed form here is."""
-    if not value.is_polynomial():
-        raise ArithmeticError(f"closed form is not a polynomial in q: {value}")
-    return QFrac.from_qlaurent(value.expand())
 
 
 class BFParams:
@@ -41,13 +34,13 @@ class BFParams:
         return f"BFParams(({self.shape}); {self.a}, {self.b}, {self.c})"
 
 
-def qdyson_rhs(a) -> QFrac:
+def qdyson_rhs(a) -> QLaurent:
     """(q)_{|a|} / prod_i (q)_{a_i}."""
     a = list(a)
     out = _poch(1, sum(a))
     for ai in a:
         out = out / _poch(1, ai)
-    return _polynomial(out)
+    return out.expand()
 
 
 def _qmorris(n: int, a: int, b: int, c: int) -> Cyclo:
@@ -60,12 +53,12 @@ def _qmorris(n: int, a: int, b: int, c: int) -> Cyclo:
     return out
 
 
-def qmorris_rhs(n: int, a: int, b: int, c: int) -> QFrac:
+def qmorris_rhs(n: int, a: int, b: int, c: int) -> QLaurent:
     """prod_{i=0}^{n-1} (q)_{a+b+ic} (q)_{(i+1)c} / ((q)_{a+ic} (q)_{b+ic} (q)_c)."""
-    return _polynomial(_qmorris(n, a, b, c))
+    return _qmorris(n, a, b, c).expand()
 
 
-def bf_p1_rhs(n0: int, n1: int, a: int, b: int, c: int) -> QFrac:
+def bf_p1_rhs(n0: int, n1: int, a: int, b: int, c: int) -> QLaurent:
     """Two-block closed form: the double product with chi(j > n0) shifts."""
     if n0 < 1 or n1 < 1:
         raise ValueError("block sizes must be positive")
@@ -78,7 +71,7 @@ def bf_p1_rhs(n0: int, n1: int, a: int, b: int, c: int) -> QFrac:
         chi = 1 if j > n0 else 0
         out = out * _poch(a + j * c + shift + 1, b) * _poch(1, (j + 1) * c + shift) / (
             _poch(1, b + j * c + shift) * _poch(1, c + chi))
-    return _polynomial(out)
+    return out.expand()
 
 
 def _recursion_factor(shape: Shape, a: int, b: int, c: int, k: int) -> Cyclo:
@@ -89,7 +82,7 @@ def _recursion_factor(shape: Shape, a: int, b: int, c: int, k: int) -> Cyclo:
     return num / (_poch(c + 1, 1) * _poch((n - 1) * c + nk, b))
 
 
-def bf_rhs(params: BFParams, k: int | None = None) -> QFrac:
+def bf_rhs(params: BFParams, k: int | None = None) -> QLaurent:
     """Iterate the recursion down to the one-block case, then the n-fold
     product formula.  ``k`` forces the first maximal-part choice (ties only);
     by default the smallest maximizing index is taken at every step.
@@ -107,10 +100,10 @@ def bf_rhs(params: BFParams, k: int | None = None) -> QFrac:
         total = total * _recursion_factor(shape, a, b, c, kk)
         shape = shape.decremented(kk)
         first = False
-    return _polynomial(total * _qmorris(shape.n, a, b, c))
+    return (total * _qmorris(shape.n, a, b, c)).expand()
 
 
-def dn0_rhs(shape: Shape, c: int) -> QFrac:
+def dn0_rhs(shape: Shape, c: int) -> QLaurent:
     """The a = b = 0 value, by its own recursion down to the equal-parameter
     one-block case (q)_{n0 c}/(q)_c^{n0}."""
     total = Cyclo()
@@ -120,10 +113,10 @@ def dn0_rhs(shape: Shape, c: int) -> QFrac:
         total = total * _poch(nk * (c + 1), 1) / _poch(c + 1, 1) * Cyclo.qbinom(n * c + nk - 1, c)
         shape = shape.decremented(k)
     n0 = shape.n
-    return _polynomial(total * _poch(1, n0 * c) / _poch(1, c) ** n0)
+    return (total * _poch(1, n0 * c) / _poch(1, c) ** n0).expand()
 
 
-def kadell_rhs(v, r: int, a) -> QFrac:
+def kadell_rhs(v, r: int, a) -> QLaurent:
     """Closed form of the one-row symmetric-weight constant term; zero unless
     v concentrates the full weight r in one slot."""
     v = list(v)
@@ -137,18 +130,18 @@ def kadell_rhs(v, r: int, a) -> QFrac:
     n = len(a)
     nonzero = [i for i, x in enumerate(v) if x]
     if len(nonzero) != 1:
-        return QFrac(0)
+        return ZERO
     k = nonzero[0] + 1  # 1-based slot holding r
     if v[k - 1] != r:
-        return QFrac(0)
+        return ZERO
     total = sum(a)
     if total == 0 or a[k - 1] == 0:
-        return QFrac(0)
+        return ZERO
     out = Cyclo(1, sum(a[k:])) * _poch(a[k - 1], 1) * _poch(total, r) / (
         _poch(total, 1) * _poch(total - a[k - 1] + 1, r))
     for i in range(n):
         out = out * Cyclo.qbinom(sum(a[i:]), a[i])
-    return _polynomial(out)
+    return out.expand()
 
 
 # -- scalar summation identities -----------------------------------------------------
@@ -156,15 +149,12 @@ def kadell_rhs(v, r: int, a) -> QFrac:
 
 def qsum_lhs(n: int, t: int) -> QFrac:
     """sum_{j=0}^t q^{j(n-t)} / ((q^{-j})_j (q)_{t-j})."""
-    total = QFrac(0)
-    for j in range(t + 1):
-        den = qpoch(-j, j) * qpoch(1, t - j)
-        total = total + QFrac(QLaurent.q_power(j * (n - t)), den)
-    return total
+    return cyclo_sum((Cyclo.poch_product(((-j, j, -1), (1, t - j, -1))),
+                      QLaurent.q_power(j * (n - t))) for j in range(t + 1))
 
 
 def qsum_identity_holds(n: int, t: int) -> bool:
-    return qsum_lhs(n, t) == QFrac.from_qlaurent(qbinom(n, t))
+    return qsum_lhs(n, t) == qbinom(n, t)
 
 
 def qbinom_theorem_holds(t: int) -> bool:
@@ -191,7 +181,7 @@ def rec_scalar_lhs(shape: Shape, c: int, k: int) -> QFrac:
     n = shape.n
     s_km1 = shape.sigma(k - 1)
     s_k = shape.sigma(k)
-    total = QFrac(0)
+    terms = []
     for i in range(s_km1 + 1, s_k + 1):
         for j in range(-1, c):
             expo = (
@@ -200,17 +190,15 @@ def rec_scalar_lhs(shape: Shape, c: int, k: int) -> QFrac:
                 + (c + 1) * (j + 1) * (s_k - i)
                 + c * (j + 1) * (n - s_k)
             )
-            den = qpoch(-j - 1, j + 1) * qpoch(1, c - j - 1)
-            total = total + QFrac(QLaurent.q_power(expo), den)
-    return total
+            den = Cyclo.poch_product(((-j - 1, j + 1, -1), (1, c - j - 1, -1)))
+            terms.append((den, QLaurent.q_power(expo)))
+    return cyclo_sum(terms)
 
 
-def rec_scalar_rhs(shape: Shape, c: int, k: int) -> QFrac:
+def rec_scalar_rhs(shape: Shape, c: int, k: int) -> QLaurent:
     n = shape.n
     nk = shape.parts[k]
-    return QFrac(qpoch(nk * (c + 1), 1), qpoch(c + 1, 1)) * QFrac.from_qlaurent(
-        qbinom(n * c + nk - 1, c)
-    )
+    return qpoch(nk * (c + 1), 1).divexact(qpoch(c + 1, 1)) * qbinom(n * c + nk - 1, c)
 
 
 def rec_scalar_identity_holds(shape: Shape, c: int, k: int | None = None) -> bool:

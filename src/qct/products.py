@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .laurent import (_decode_packed, ct_fold, ct_point, fold_packed_raw, pack_qlaurent, packed_add,
                       packed_mul)
-from .qring import ONE, QFrac, QLaurent, qbinom
+from .qring import ONE, ZERO, QLaurent, qbinom
 
 
 class Shape:
@@ -165,20 +165,20 @@ def kadell_h(r: int, a) -> list:
 # -- constant terms ----------------------------------------------------------------------
 
 
-def ct_qdyson(a) -> QFrac:
-    return QFrac.from_qlaurent(ct_point((0,) * len(a), qdyson_factors(a)))
+def ct_qdyson(a) -> QLaurent:
+    return ct_point((0,) * len(a), qdyson_factors(a))
 
 
-def bf_ct(shape: Shape, a: int, b: int, c: int) -> QFrac:
+def bf_ct(shape: Shape, a: int, b: int, c: int) -> QLaurent:
     """Brute-force constant term of the full product, one point fold."""
-    return QFrac.from_qlaurent(ct_point((0,) * shape.n, bf_factors(shape, a, b, c)))
+    return ct_point((0,) * shape.n, bf_factors(shape, a, b, c))
 
 
-def qmorris_ct(n: int, a: int, b: int, c: int) -> QFrac:
+def qmorris_ct(n: int, a: int, b: int, c: int) -> QLaurent:
     return bf_ct(Shape((n,)), a, b, c)
 
 
-def kadell_ct(v, r: int, a) -> QFrac:
+def kadell_ct(v, r: int, a) -> QLaurent:
     """Brute-force CT of x^{-v} h_r(alphabet) times the q-Dyson product.
 
     Each term c x^J of h_r reads the product's coefficient at v - J, which
@@ -192,7 +192,7 @@ def kadell_ct(v, r: int, a) -> QFrac:
         raise ValueError("v and a must have equal length")
     hr = kadell_h(r, a)
     if not hr:
-        return QFrac(0)
+        return ZERO
     l1 = sum(coeff.l1_norm() for _, coeff in hr)
     lo = tuple(x - r if ai else x for x, ai in zip(v, a))
     packed, B = fold_packed_raw(n, qdyson_factors(a), lo, v, extra_l1=l1)
@@ -201,7 +201,7 @@ def kadell_ct(v, r: int, a) -> QFrac:
         p = packed.get(tuple(x - j for x, j in zip(v, js)))
         if p is not None:
             total = packed_add(total, packed_mul(p, pack_qlaurent(coeff, B), B), B)
-    return QFrac.from_qlaurent(_decode_packed(*total, B))
+    return _decode_packed(*total, B)
 
 
 def x0_weights(a: int, b: int) -> dict[int, QLaurent]:
@@ -210,7 +210,7 @@ def x0_weights(a: int, b: int) -> dict[int, QLaurent]:
     return {e: c for (e,), c in ct_fold(1, factors).items()}
 
 
-def bf_ct_grid(shape: Shape, c: int, jobs) -> dict[tuple[int, int], QFrac]:
+def bf_ct_grid(shape: Shape, c: int, jobs) -> dict[tuple[int, int], QLaurent]:
     """Constant terms for many (a, b) pairs at one shape and c.
 
     The pair product is expanded once inside the window it can contribute to,
@@ -252,8 +252,5 @@ def bf_ct_grid(shape: Shape, c: int, jobs) -> dict[tuple[int, int], QFrac]:
                 nxt[rest] = term if cur is None else packed_add(cur, term, B)
             level = nxt
         total = level.get(())
-        if total is None:
-            out[(a, b)] = QFrac(0)
-        else:
-            out[(a, b)] = QFrac.from_qlaurent(_decode_packed(total[0], total[1], B))
+        out[(a, b)] = ZERO if total is None else _decode_packed(total[0], total[1], B)
     return out

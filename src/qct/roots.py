@@ -123,7 +123,7 @@ def interpolate_dn(shape: Shape, b: int, c: int) -> ZPoly:
 
 def product_form_coeffs(shape: Shape, b: int, c: int) -> ZPoly:
     """prod_{i in R}(1 - q^i z)/(1 - q^i) * D_n(0) over the root multiset R."""
-    coeffs = [dn0_rhs(shape, c).num]
+    coeffs = [dn0_rhs(shape, c)]
     den = Cyclo()
     for d in root_sets(shape, b, c).union():
         # times (1 - q^d z)
@@ -170,7 +170,7 @@ def verify_roots(shape: Shape, b: int, c: int) -> dict:
             report["first_failure"] = d
             break
     report["closed_form_match"] = all(
-        poly.numerator_at(a) == poly.den.times(bf_rhs(BFParams(shape, a, b, c)).num)
+        poly.numerator_at(a) == poly.den.times(bf_rhs(BFParams(shape, a, b, c)))
         for a in range(nb + 2))
     if c >= b and report["disjoint"]:
         report["product_form_match"] = product_form_coeffs(shape, b, c) == poly

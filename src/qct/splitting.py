@@ -29,27 +29,15 @@ def split_k(shape: Shape) -> int:
 
 def denominator_factors(shape: Shape, c: int, k: int | None = None) -> list[tuple[int, int]]:
     """(z, l) pairs for the y-linear factors (1 - q^z y/x_l) dividing the
-    pair product: classes below k use z in 0..c-1, class k uses -1..c-1,
-    classes above k use -1..c-2."""
+    pair product, z running over ``admissible_j`` for each variable l."""
     if shape.p < 1:
         raise ValueError("splitting needs at least one decorated block")
-    if k is None:
-        k = split_k(shape)
-    out = []
-    for t in range(shape.p + 1):
-        if t < k:
-            zs = range(0, c)
-        elif t == k:
-            zs = range(-1, c)
-        else:
-            zs = range(-1, c - 1)
-        for l in shape.block(t):
-            for z in zs:
-                out.append((z, l))
-    return out
+    return [(z, l) for l in range(1, shape.n + 1) for z in admissible_j(shape, c, l, k)]
 
 
 def admissible_j(shape: Shape, c: int, i: int, k: int | None = None) -> range:
+    """The j of the coefficients A_{ij} of variable i: classes below k use j
+    in 0..c-1, class k uses -1..c-1, classes above k use -1..c-2."""
     if k is None:
         k = split_k(shape)
     t = shape.block_of(i)
@@ -346,7 +334,7 @@ def poch_identities(imax: int, jmax: int) -> dict:
 # -- vanishing coefficients ---------------------------------------------------------------
 
 
-def vanishing_check(shape: Shape, h, t, c: int) -> QFrac:
+def vanishing_check(shape: Shape, h, t, c: int) -> QLaurent:
     """Coefficient of the pair product that the splitting forces to zero.
 
     ``h`` lists one integer per decorated block, ``t`` one nonnegative integer
@@ -377,4 +365,4 @@ def vanishing_check(shape: Shape, h, t, c: int) -> QFrac:
             mono[v - 1] -= h[u - 1]
     for l in range(n):
         mono[l] += t[l]
-    return QFrac.from_qlaurent(ct_point(mono, pair_linear(shape, c)))
+    return ct_point(mono, pair_linear(shape, c))

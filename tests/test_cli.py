@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from qct import cli
+from qct import cli, qring
 from qct.cli import main
 
 
@@ -301,11 +301,25 @@ def test_verify_has_no_a_flag(capsys):
     assert "unrecognized arguments: --a 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["qsum", "kadell"])
+def test_suites_run_without_gcd(suite, tmp_path, capsys, monkeypatch):
+    # the scalar identities are summed by cyclo_sum and every constant term
+    # is a QLaurent, so a polynomial gcd call would fail a case
+    def no_gcd(a, b):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr(qring, "poly_gcd", no_gcd)
+    monkeypatch.setenv("QCT_THREADS", "1")
+    code, out = run(capsys, "verify", "--suite", suite, "--out", str(tmp_path / "report.json"))
+    assert code == 0 and " 0 fail, 0 trimmed" in out
+
+
 def test_max_seconds_trims(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out = run(capsys, "verify", "--suite", "bf-recursion", "--max-seconds", "0")
-    # with a zero budget every case is trimmed deterministically; exit stays 0
-    assert code == 0
+    # with a zero budget every case is trimmed deterministically; a run that
+    # passed no case is no evidence of a pass, so it exits 1
+    assert code == 1
     assert "162 trimmed" in out
 
 
@@ -432,7 +446,7 @@ def test_default_grids_are_pinned(suite, count, digest, tmp_path, capsys, monkey
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "time", _TickClock())
     code, out = run(capsys, "verify", "--suite", suite, "--max-seconds", "0")
-    assert code == 0
+    assert code == 1  # every case trimmed: no evidence of a pass
     assert out.splitlines()[-1] == f"{suite}: 0 pass, 0 fail, {count} trimmed"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

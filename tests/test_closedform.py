@@ -18,8 +18,9 @@ from qct.closedform import (
     qsum_lhs,
     rec_scalar_identity_holds,
 )
-from qct.products import Shape, bf_ct, kadell_ct, qmorris_ct
-from qct.qring import Cyclo, QFrac, QLaurent, qbinom, qpoch
+from qct.products import Shape, bf_ct, bf_ct_grid, ct_qdyson, kadell_ct, qmorris_ct
+from qct.qring import ONE, Cyclo, QFrac, QLaurent, qbinom, qpoch
+from qct.splitting import vanishing_check
 
 
 def L(text):
@@ -85,9 +86,28 @@ def test_b_zero_makes_a_irrelevant():
 
 
 def test_values_are_polynomials_in_q():
+    # a QLaurent is a polynomial in q and 1/q by its type
     for shape in (Shape((1, 2)), Shape((1, 1, 1))):
         for a, b, c in itertools.product(range(2), repeat=3):
-            assert bf_rhs(BFParams(shape, a, b, c)).is_polynomial()
+            assert type(bf_rhs(BFParams(shape, a, b, c))) is QLaurent
+
+
+def test_constant_terms_are_qlaurent():
+    # every brute-force and closed-form constant term, zero values included,
+    # is returned as a QLaurent, not wrapped in a fraction
+    shape = Shape((1, 2))
+    values = [
+        bf_ct(shape, 1, 1, 1), qmorris_ct(2, 1, 1, 1), ct_qdyson((1, 2)),
+        kadell_ct((1, 0), 1, (1, 1)), kadell_ct((1, 0), 1, (0, 0)),
+        *bf_ct_grid(shape, 1, [(0, 1), (1, 1)]).values(),
+        bf_rhs(BFParams(shape, 1, 1, 1)), dn0_rhs(shape, 1), qdyson_rhs((1, 2)),
+        qmorris_rhs(2, 1, 1, 1), bf_p1_rhs(1, 2, 1, 1, 1),
+        kadell_rhs((1, 0), 1, (2, 0)), kadell_rhs((1, 1), 2, (2, 2)),
+        vanishing_check(Shape((2, 2)), [1], [0, 0, 0, 0], 1),
+    ]
+    assert [type(v) for v in values] == [QLaurent] * len(values)
+    assert kadell_ct((1, 0), 1, (0, 0)).is_zero() and kadell_rhs((1, 1), 2, (2, 2)).is_zero()
+    assert vanishing_check(Shape((2, 2)), [1], [0, 0, 0, 0], 1).is_zero()
 
 
 def test_dn0_base_and_consistency():
@@ -109,16 +129,26 @@ def test_kadell_rhs_cases():
         kadell_rhs((1, 0), 2, (1, 1))
 
 
-def test_closed_forms_reject_a_negative_cyclotomic_exponent():
-    # the check behind every closed form, kadell_rhs included
+def test_closed_forms_reject_a_negative_cyclotomic_exponent(monkeypatch):
+    # the check behind every closed form, kadell_rhs included, is the
+    # expansion of its Cyclo value
     with pytest.raises(ArithmeticError, match="not a polynomial"):
-        closedform._polynomial(Cyclo.poch(1, 1) ** -1)  # (1 - q)^-1
-    assert closedform._polynomial(Cyclo.qbinom(4, 2)) == QFrac.from_qlaurent(qbinom(4, 2))
+        (Cyclo.poch(1, 1) ** -1).expand()  # (1 - q)^-1
+    assert Cyclo.qbinom(4, 2).expand() == qbinom(4, 2)
+    # with every Pochhammer symbol inverted, both values below become
+    # (q)_1^2 / (q)_2 = (1 - q)/(1 + q) and (1 - q)/(1 - q^2), and raise
+    poch = closedform._poch
+    monkeypatch.setattr(closedform, "_poch", lambda m, z: poch(m, z) ** -1)
+    with pytest.raises(ArithmeticError, match="not a polynomial"):
+        qdyson_rhs((1, 1))
+    with pytest.raises(ArithmeticError, match="not a polynomial"):
+        kadell_rhs((1, 0), 1, (2, 0))
 
 
 def recursion_factor(shape: Shape, a: int, b: int, c: int, k: int) -> QFrac:
-    """One step of the block recursion as a QFrac."""
-    return closedform._recursion_factor(shape, a, b, c, k).to_qfrac()
+    """One step of the block recursion as a QFrac: the factored value's
+    inverse divides 1."""
+    return (closedform._recursion_factor(shape, a, b, c, k) ** -1).divide(ONE)
 
 
 def test_recursion_factor_matches_its_qfrac_formula():

@@ -231,7 +231,9 @@ def _scaled_equal(scale_a: Cyclo, num_a: dict, B_a: int, scale_b: Cyclo, num_b: 
         return False
     if not num_a:
         return True
-    over, under = (scale_a / scale_b).split()
+    ratio = scale_a / scale_b
+    over = Cyclo(ratio.sign, ratio.shift, {d: e for d, e in ratio.exps.items() if e > 0})
+    under = Cyclo(1, 0, {d: -e for d, e in ratio.exps.items() if e < 0})
     return all(over.times(_decode_packed(*v, B_a)) == under.times(_decode_packed(*num_b[e], B_b))
                for e, v in num_a.items())
 
@@ -388,13 +390,18 @@ def reference_series_ct(scale: QFrac, num: MLaurent, dens, head: int) -> QFrac:
     return acc.constant_coefficient() * scale
 
 
+def as_qfrac(scale: Cyclo) -> QFrac:
+    """A factored scale as a reduced QFrac: its inverse divides 1."""
+    return QFrac(0) if not scale.sign else (scale ** -1).divide(ONE)
+
+
 def reference_ct(q) -> QFrac:
     """CT of Q(d | u; k) by elimination on QFrac terms, with the bounded series
     on every term whose head degree reaches its factor count."""
     arity = q.shape.n + 1
     num = _as_qfrac_terms(unpack(*numerator_poly(q)), arity)
     dens = [(QFrac.q_power(m), tail) for m, tail in q.dens]
-    stack = [(q.scale.to_qfrac(), num, dens, q.head)]
+    stack = [(as_qfrac(q.scale), num, dens, q.head)]
     total = QFrac(0)
     while stack:
         scale, num, dens, head = stack.pop()
@@ -483,14 +490,14 @@ def check_elimination(case):
     arity, k, factors, num, scale = case
     packed, B = pack(num)
     got = _eliminate(scale, packed, B, factors, k)
-    want = reference_eliminate(scale.to_qfrac(), _as_qfrac_terms(num, arity),
+    want = reference_eliminate(as_qfrac(scale), _as_qfrac_terms(num, arity),
                                [(QFrac.q_power(m), t) for m, t in factors], k)
     assert len(got) == len(want)
     for (g_scale, g_num, g_dens, g_head, (g_m, g_t)), (w_scale, w_num, w_dens, w_head, w_cleared) \
             in zip(got, want):
         assert g_head == w_head and (QFrac.q_power(g_m), g_t) == w_cleared
         assert [(QFrac.q_power(m), t) for m, t in g_dens] == w_dens
-        assert g_scale.to_qfrac() == w_scale
+        assert as_qfrac(g_scale) == w_scale
         assert _as_qfrac_terms(unpack(g_num, B), arity) == w_num
         # a substitution only merges coefficients, so the children keep B
         assert total_l1(unpack(g_num, B)) <= total_l1(num)
@@ -559,7 +566,7 @@ def check_division(case):
     assert _as_qfrac_terms(num, arity) == \
         _as_qfrac_terms(quo, arity) * d_poly + _as_qfrac_terms(rem, arity)
     # division plus elimination against the series over the whole term
-    want = reference_series_ct(scale.to_qfrac(), _as_qfrac_terms(num, arity),
+    want = reference_series_ct(as_qfrac(scale), _as_qfrac_terms(num, arity),
                                [(QFrac.q_power(m), t) for m, t in factors], k)
     assert rational_ct(RationalTerm(*pack(num), factors, k, scale=scale)) == want
 

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qct import cli, gxseries
+from qct.products import Shape
 from qct.qring import (
     ONE,
     Q,
@@ -11,6 +13,7 @@ from qct.qring import (
     Cyclo,
     QFrac,
     QLaurent,
+    cyclo_sum,
     eval_poly,
     interpolate,
     poly_gcd,
@@ -253,7 +256,7 @@ def test_interpolate_three_nodes():
     ]
     assert newton_interpolate(nodes) == [QFrac(1), QFrac(1), QFrac(0)]
     # the q-node routine agrees: numerators over (q; q)_2
-    poly = interpolate([QFrac(2), F("1 + q"), F("1 + q^2")])
+    poly = interpolate([L("2"), L("1 + q"), L("1 + q^2")])
     assert poly.degree() == 1
     assert [poly.den.divide(c) for c in poly.coeffs] == [QFrac(1), QFrac(1), QFrac(0)]
 
@@ -269,7 +272,7 @@ def test_interpolate_duplicate_abscissa():
     with pytest.raises(ValueError, match="duplicate"):
         newton_interpolate([(QFrac(1), QFrac(1)), (QFrac(1), QFrac(2))])
     with pytest.raises(ValueError, match="step 1 or -1"):
-        interpolate([QFrac(1), QFrac(1)], step=0)
+        interpolate([ONE, ONE], step=0)
 
 
 def test_interpolate_left_inverse_of_evaluation():
@@ -287,8 +290,7 @@ def test_interpolate_left_inverse_of_evaluation():
         assert newton_interpolate(nodes) == coeffs
 
 
-laurent_values = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=4).map(
-    lambda terms: QFrac.from_qlaurent(QLaurent(terms)))
+laurent_values = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=4).map(QLaurent)
 
 
 @settings(max_examples=150, deadline=None)
@@ -301,7 +303,7 @@ laurent_values = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_siz
 def test_q_node_interpolation_matches_reference(values, first, step, points):
     # N = 0..6; integral values at the nodes q^(first + step j)
     poly = interpolate(values, first=first, step=step)
-    nodes = [(QFrac.q_power(first + step * j), v) for j, v in enumerate(values)]
+    nodes = [(QFrac.q_power(first + step * j), QFrac.from_qlaurent(v)) for j, v in enumerate(values)]
     want = newton_interpolate(nodes)
     assert poly.den == Cyclo.poch(1, len(values) - 1)
     assert [poly.den.divide(c) for c in poly.coeffs] == want
@@ -310,9 +312,15 @@ def test_q_node_interpolation_matches_reference(values, first, step, points):
         assert eval_poly(poly, e) == horner(want, QFrac.q_power(e))
 
 
-def test_interpolate_rejects_fraction_values():
+def test_interpolate_rejects_fraction_values(monkeypatch):
+    # interpolate takes QLaurent values; the gx route, whose values are
+    # cyclo_sum fractions, checks that each has no denominator first
+    values = {1: QFrac(1), 2: QFrac(1)}
+    monkeypatch.setattr(gxseries, "gx_ct", lambda shape, b, c, d: values[d])
+    assert cli._gx_value(Shape((1,)), 0, 1, 0) == QFrac(1)
+    values[2] = QFrac(ONE, L("1 - q"))
     with pytest.raises(ArithmeticError, match="not a polynomial"):
-        interpolate([QFrac(1), QFrac(ONE, L("1 - q"))])
+        cli._gx_value(Shape((1,)), 0, 1, 0)
 
 
 # -- factored values ------------------------------------------------------------
@@ -366,7 +374,7 @@ def test_cyclo_fractions_are_reduced_without_gcd():
         num = QFrac.from_qlaurent(Cyclo(1, 0, {d: e for d, e in x.exps.items() if e > 0}).expand())
         den = QFrac.from_qlaurent(Cyclo(1, 0, {d: -e for d, e in x.exps.items() if e < 0}).expand())
         want = QFrac.q_power(x.shift, x.sign) * num / den
-        assert x.to_qfrac() == want
+        assert (x ** -1).divide(ONE) == want
         p = QLaurent({rng.randrange(-3, 4): rng.randrange(-4, 5) for _ in range(3)})
         assert x.divide(p) == QFrac.from_qlaurent(p) / want
 
@@ -378,3 +386,43 @@ def test_cyclo_negative_exponent_is_not_a_polynomial():
         inv.expand()
     with pytest.raises(ZeroDivisionError):
         Cyclo(1, 1) / Cyclo(0)
+
+
+@st.composite
+def cyclo_scales(draw):
+    """sign * q^shift * a product of Pochhammer symbols and their inverses; a
+    symbol that vanishes makes the scale zero, and is drawn only to a positive
+    power."""
+    pochs = []
+    for m, z, p in draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 3),
+                                           st.sampled_from((1, -1, 2, -2))), max_size=3)):
+        pochs.append((m, z, abs(p) if m <= 0 < m + z else p))
+    return Cyclo(draw(st.sampled_from((1, -1))), draw(st.integers(-3, 3))) * Cyclo.poch_product(pochs)
+
+
+cyclo_terms = st.tuples(cyclo_scales(), st.dictionaries(st.integers(-3, 3), st.integers(-4, 4),
+                                                        max_size=3).map(QLaurent))
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=st.lists(cyclo_terms, max_size=5), cancel=st.sampled_from(("none", "negate", "refactor")))
+def test_cyclo_sum_matches_the_gcd_route(terms, cancel):
+    # each term scale * p as a QFrac reduced by poly_gcd, the scale split into
+    # its polynomial parts over and under the fraction bar, summed by
+    # QFrac.__add__; "negate" appends every term negated, and "refactor" the
+    # same value with a factor 1 - q moved from p into the scale, so both
+    # sums cancel to zero
+    if cancel == "negate":
+        terms = terms + [(scale, -p) for scale, p in terms]
+    elif cancel == "refactor":
+        terms = terms + [(scale / Cyclo.poch(1, 1), -(p * L("1 - q"))) for scale, p in terms
+                         if scale.sign]
+    want = QFrac(0)
+    for scale, p in terms:
+        over = Cyclo(scale.sign, scale.shift, {d: e for d, e in scale.exps.items() if e > 0})
+        under = Cyclo(1, 0, {d: -e for d, e in scale.exps.items() if e < 0})
+        want = want + QFrac(over.times(p), under.expand())
+    got = cyclo_sum(terms)
+    assert got == want and (got.num, got.den) == (want.num, want.den)
+    if cancel != "none" or not terms:
+        assert got.is_zero() and got.den.is_one()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from qct import cli, gxseries, qring, roots
 from qct.closedform import all_shapes
 from qct.products import Shape, bf_ct
-from qct.qring import QFrac, ZPoly, eval_poly
+from qct.qring import ONE, ZPoly, eval_poly
 from qct.roots import (
     LemmaFalsified,
     interpolate_dn,
@@ -110,7 +110,7 @@ def test_degree_bound_is_checked(monkeypatch):
 
     def perturbed(shape, c, jobs):
         out = grid(shape, c, jobs)
-        out[(nb + 1, b)] = out[(nb + 1, b)] + QFrac(1)
+        out[(nb + 1, b)] = out[(nb + 1, b)] + ONE
         return out
 
     monkeypatch.setattr(roots, "bf_ct_grid", perturbed)
@@ -142,7 +142,7 @@ def test_roots_path_runs_without_gcd(monkeypatch):
     monkeypatch.setattr(qring, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
     rep = verify_roots(Shape((1, 2)), 2, 2)
     assert rep["degree_bound_ok"] and rep["closed_form_match"] and rep["product_form_match"]
-    # the gx pipeline's own QFrac arithmetic is outside this check
+    # gx values computed before the patch: this checks the interpolation route alone
     monkeypatch.setattr(gxseries, "gx_ct", lambda shape, b, c, d: gx_values[d])
     assert cli._gx_value(Shape((1, 1)), 2, 1, 1) == want
     assert calls == []

@@ -71,6 +71,21 @@ def test_expanded_layer_stays_out_of_production_paths():
     assert not found, f"MLaurent outside laurent.py and splitting.py: {found}"
 
 
+def test_polynomial_routes_do_not_name_qfrac():
+    # every constant term that products and roots compute or read is a
+    # polynomial in q, so these modules work in QLaurent and never name the
+    # fraction type
+    found = []
+    for name in ("products.py", "roots.py"):
+        path = SRC / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [getattr(node, "id", None), getattr(node, "attr", None)])
+            if "QFrac" in names:
+                found.append(f"{name}:{node.lineno}")
+    assert not found, f"QFrac named in a polynomial route: {found}"
+
+
 def _named(node) -> list:
     """The names a node refers to: a variable, an attribute or an imported name."""
     if isinstance(node, ast.Name):
