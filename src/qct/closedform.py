@@ -3,18 +3,17 @@ block recursion, the a=b=0 recursion, Kadell's one-row value, and the scalar
 summation identities they rest on.
 
 Every closed form is a product of q-Pochhammer symbols and Gaussian
-binomials, so it is built as a factored ``Cyclo`` value and expanded once
-into a QLaurent; the expansion raises unless the value is a polynomial in q.
-Each scalar identity sums its Cyclo-scaled terms with ``cyclo_sum`` and
-compares the sum with a side built from the expanded ``qpoch`` and ``qbinom``.
+binomials, so it is built as one ``Cyclo.poch_product`` of (m, z, power)
+triples and expanded once into a QLaurent; the expansion raises unless the
+value is a polynomial in q.  Each scalar identity sums its Cyclo-scaled
+terms with ``cyclo_sum`` and compares the sum with a side built from the
+expanded ``qpoch`` and ``qbinom``.
 """
 
 from __future__ import annotations
 
 from .products import Shape
 from .qring import ONE, ZERO, Cyclo, QFrac, QLaurent, cyclo_sum, qbinom, qpoch
-
-_poch = Cyclo.poch
 
 
 class BFParams:
@@ -37,20 +36,14 @@ class BFParams:
 def qdyson_rhs(a) -> QLaurent:
     """(q)_{|a|} / prod_i (q)_{a_i}."""
     a = list(a)
-    out = _poch(1, sum(a))
-    for ai in a:
-        out = out / _poch(1, ai)
-    return out.expand()
+    return Cyclo.poch_product([(1, sum(a), 1)] + [(1, ai, -1) for ai in a]).expand()
 
 
 def _qmorris(n: int, a: int, b: int, c: int) -> Cyclo:
     if n < 1:
         raise ValueError("n must be positive")
-    out = Cyclo()
-    for i in range(n):
-        out = out * _poch(1, a + b + i * c) * _poch(1, (i + 1) * c) / (
-            _poch(1, a + i * c) * _poch(1, b + i * c) * _poch(1, c))
-    return out
+    return Cyclo.poch_product(t for i in range(n) for t in (
+        (1, a + b + i * c, 1), (1, (i + 1) * c, 1), (1, a + i * c, -1), (1, b + i * c, -1), (1, c, -1)))
 
 
 def qmorris_rhs(n: int, a: int, b: int, c: int) -> QLaurent:
@@ -63,23 +56,21 @@ def bf_p1_rhs(n0: int, n1: int, a: int, b: int, c: int) -> QLaurent:
     if n0 < 1 or n1 < 1:
         raise ValueError("block sizes must be positive")
     n = n0 + n1
-    out = Cyclo()
-    for j in range(2, n - n0 + 1):
-        out = out * _poch(j * (c + 1), 1)
+    pochs = [(j * (c + 1), 1, 1) for j in range(2, n - n0 + 1)]
     for j in range(n):
         shift = (j - n0) if j > n0 else 0
         chi = 1 if j > n0 else 0
-        out = out * _poch(a + j * c + shift + 1, b) * _poch(1, (j + 1) * c + shift) / (
-            _poch(1, b + j * c + shift) * _poch(1, c + chi))
-    return out.expand()
+        pochs += [(a + j * c + shift + 1, b, 1), (1, (j + 1) * c + shift, 1),
+                  (1, b + j * c + shift, -1), (1, c + chi, -1)]
+    return Cyclo.poch_product(pochs).expand()
 
 
 def _recursion_factor(shape: Shape, a: int, b: int, c: int, k: int) -> Cyclo:
     """One step of the block recursion, lowering part k (k >= 1, n_k maximal)."""
     n = shape.n
     nk = shape.parts[k]
-    num = _poch(nk * (c + 1), 1) * _poch(a + (n - 1) * c + nk, b) * Cyclo.qbinom(n * c + nk - 1, c)
-    return num / (_poch(c + 1, 1) * _poch((n - 1) * c + nk, b))
+    return Cyclo.poch_product(((nk * (c + 1), 1, 1), (a + (n - 1) * c + nk, b, 1),
+                               *Cyclo.qbinom(n * c + nk - 1, c), (c + 1, 1, -1), ((n - 1) * c + nk, b, -1)))
 
 
 def bf_rhs(params: BFParams, k: int | None = None) -> QLaurent:
@@ -106,14 +97,14 @@ def bf_rhs(params: BFParams, k: int | None = None) -> QLaurent:
 def dn0_rhs(shape: Shape, c: int) -> QLaurent:
     """The a = b = 0 value, by its own recursion down to the equal-parameter
     one-block case (q)_{n0 c}/(q)_c^{n0}."""
-    total = Cyclo()
+    pochs = []
     while shape.p >= 1:
         k = shape.max_block()
         n, nk = shape.n, shape.parts[k]
-        total = total * _poch(nk * (c + 1), 1) / _poch(c + 1, 1) * Cyclo.qbinom(n * c + nk - 1, c)
+        pochs += [(nk * (c + 1), 1, 1), (c + 1, 1, -1), *Cyclo.qbinom(n * c + nk - 1, c)]
         shape = shape.decremented(k)
     n0 = shape.n
-    return (total * _poch(1, n0 * c) / _poch(1, c) ** n0).expand()
+    return Cyclo.poch_product(pochs + [(1, n0 * c, 1), (1, c, -n0)]).expand()
 
 
 def kadell_rhs(v, r: int, a) -> QLaurent:
@@ -137,11 +128,9 @@ def kadell_rhs(v, r: int, a) -> QLaurent:
     total = sum(a)
     if total == 0 or a[k - 1] == 0:
         return ZERO
-    out = Cyclo(1, sum(a[k:])) * _poch(a[k - 1], 1) * _poch(total, r) / (
-        _poch(total, 1) * _poch(total - a[k - 1] + 1, r))
-    for i in range(n):
-        out = out * Cyclo.qbinom(sum(a[i:]), a[i])
-    return out.expand()
+    pochs = [(a[k - 1], 1, 1), (total, r, 1), (total, 1, -1), (total - a[k - 1] + 1, r, -1)]
+    pochs += [t for i in range(n) for t in Cyclo.qbinom(sum(a[i:]), a[i])]
+    return (Cyclo(1, sum(a[k:])) * Cyclo.poch_product(pochs)).expand()
 
 
 # -- scalar summation identities -----------------------------------------------------

@@ -443,7 +443,8 @@ def _case4_exists(shape: Shape, u, k, b: int, c: int, t: int) -> bool:
 
 def check_property_laurent(shape, b, c, d, u, k) -> dict:
     """Property (3): either the term is outright zero, or its denominator
-    cancels into the numerator, the Laurent form matches the degree ledger,
+    cancels into the numerator (``cancel_exact``: the quotient times the
+    denominator is the numerator), the Laurent form matches the degree ledger,
     and the constant term vanishes through the vanishing-coefficient family.
     An exact CT of the untouched rational term is computed as well.
 
@@ -467,6 +468,7 @@ def check_property_laurent(shape, b, c, d, u, k) -> dict:
         "in_laurent_bound": d <= s * c + b + ts[s],
         "case4": None,
         "divisible": None,
+        "cancel_exact": None,
         "laurent_form_ok": None,
         "ledger_exponent": None,
         "vanishing_precondition_ok": None,
@@ -500,6 +502,10 @@ def check_property_laurent(shape, b, c, d, u, k) -> dict:
         report["ok"] = report["ct_zero"]
         return report
     scale, mono, triples = cancelled
+    # the cancel is exact: the cancelled numerator times the head
+    # denominator, as factors (head, i, m), is the head numerator
+    report["cancel_exact"] = (_factored(scale, mono, triples + [(q.head, i, m) for m, i in q.dens])
+                              == _factored(Cyclo(), [0] * (n + 1), q.num))
     # Laurent-form ledger: every monomial obeys e_i >= shift_i and
     # e_head = ell - sum_i (e_i - shift_i), shift_i = d - sc - sum_j eps(i, u_j)
     outside = [i for i in range(1, n + 1) if i not in q.u]
@@ -514,7 +520,7 @@ def check_property_laurent(shape, b, c, d, u, k) -> dict:
     # the cancelled numerator times the residual pair product
     ct = _factored(scale, mono, triples + q.residual_pairs).constant_term()
     report["ct_zero"] = ct.is_zero()
-    report["ok"] = report["ct_zero"]
+    report["ok"] = report["ct_zero"] and report["cancel_exact"]
     return report
 
 

@@ -217,6 +217,11 @@ def bf_ct_grid(shape: Shape, c: int, jobs) -> dict[tuple[int, int], QLaurent]:
     then each (a, b) value is an exact weighted contraction against the
     x_0-factor coefficients.  Identical in value to bf_ct, much cheaper on
     grids and interpolation sweeps.
+
+    Every slot carries the same x_0 weight, the coefficients of
+    (1/u)_a (q u)_b, so a state x^v adds P_v * prod_i w(v_i), which depends
+    only on the multiset of v.  The states are summed by sorted exponent
+    tuple once, for every job, and each job contracts the multisets.
     """
     jobs = list(jobs)
     n = shape.n
@@ -233,13 +238,18 @@ def bf_ct_grid(shape: Shape, c: int, jobs) -> dict[tuple[int, int], QLaurent]:
     tlo = (-bmax,) * n
     thi = (amax,) * n
     packed, B = fold_packed_raw(n, pairs, tlo, thi, extra_l1=wl1 ** n)
+    multisets: dict = {}
+    for v, coeff in packed.items():
+        key = tuple(sorted(v))
+        cur = multisets.get(key)
+        multisets[key] = coeff if cur is None else packed_add(cur, coeff, B)
     out = {}
     for a, b in jobs:
         w = weights[(a, b)]
         wp = {-e: pack_qlaurent(p, B) for e, p in w.items() if not p.is_zero()}
-        # contract one slot at a time: sum the last slot of every exponent
+        # contract one slot at a time: sum the last slot of every multiset
         # against the x_0 weights into a dict over the remaining prefix
-        level = packed
+        level = multisets
         for _ in range(n):
             nxt: dict = {}
             for v, coeff in level.items():

@@ -636,13 +636,13 @@ class Cyclo:
         return Cyclo(sign, shift, exps)
 
     @staticmethod
-    def qbinom(n: int, k: int) -> "Cyclo":
-        """Gaussian binomial [n, k]; zero when k > n."""
+    def qbinom(n: int, k: int) -> tuple:
+        """Gaussian binomial [n, k] = (q^(n-k+1); q)_k / (q; q)_k as (m, z, p)
+        triples for ``poch_product``; zero when k > n, since the first
+        symbol then holds 1 - q^0."""
         if n < 0 or k < 0:
             raise ValueError("qbinom arguments must be nonnegative")
-        if k > n:
-            return Cyclo(0)
-        return Cyclo.poch(n - k + 1, k) / Cyclo.poch(1, k)
+        return (n - k + 1, k, 1), (1, k, -1)
 
     def is_polynomial(self) -> bool:
         """True when the value lies in Z[q, 1/q]: no exponent is negative."""

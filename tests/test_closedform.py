@@ -134,15 +134,110 @@ def test_closed_forms_reject_a_negative_cyclotomic_exponent(monkeypatch):
     # expansion of its Cyclo value
     with pytest.raises(ArithmeticError, match="not a polynomial"):
         (Cyclo.poch(1, 1) ** -1).expand()  # (1 - q)^-1
-    assert Cyclo.qbinom(4, 2).expand() == qbinom(4, 2)
+    assert Cyclo.poch_product(Cyclo.qbinom(4, 2)).expand() == qbinom(4, 2)
     # with every Pochhammer symbol inverted, both values below become
     # (q)_1^2 / (q)_2 = (1 - q)/(1 + q) and (1 - q)/(1 - q^2), and raise
-    poch = closedform._poch
-    monkeypatch.setattr(closedform, "_poch", lambda m, z: poch(m, z) ** -1)
+    product = Cyclo.poch_product
+    monkeypatch.setattr(Cyclo, "poch_product",
+                        staticmethod(lambda pochs: product((m, z, -p) for m, z, p in pochs)))
     with pytest.raises(ArithmeticError, match="not a polynomial"):
         qdyson_rhs((1, 1))
     with pytest.raises(ArithmeticError, match="not a polynomial"):
         kadell_rhs((1, 0), 1, (2, 0))
+
+
+# The closed forms as they were built before one poch_product accumulation:
+# single-symbol Cyclo values chained through * and /, the builders' oracle.
+
+def chained_qbinom(n, k):
+    if n < 0 or k < 0:
+        raise ValueError("qbinom arguments must be nonnegative")
+    if k > n:
+        return Cyclo(0)
+    return Cyclo.poch(n - k + 1, k) / Cyclo.poch(1, k)
+
+
+def chained_qmorris(n, a, b, c):
+    if n < 1:
+        raise ValueError("n must be positive")
+    out = Cyclo()
+    for i in range(n):
+        out = out * Cyclo.poch(1, a + b + i * c) * Cyclo.poch(1, (i + 1) * c) / (
+            Cyclo.poch(1, a + i * c) * Cyclo.poch(1, b + i * c) * Cyclo.poch(1, c))
+    return out
+
+
+def chained_recursion_factor(shape, a, b, c, k):
+    n, nk = shape.n, shape.parts[k]
+    num = (Cyclo.poch(nk * (c + 1), 1) * Cyclo.poch(a + (n - 1) * c + nk, b)
+           * chained_qbinom(n * c + nk - 1, c))
+    return num / (Cyclo.poch(c + 1, 1) * Cyclo.poch((n - 1) * c + nk, b))
+
+
+def chained_dn0(shape, c):
+    total = Cyclo()
+    while shape.p >= 1:
+        k = shape.max_block()
+        n, nk = shape.n, shape.parts[k]
+        total = total * Cyclo.poch(nk * (c + 1), 1) / Cyclo.poch(c + 1, 1) * chained_qbinom(n * c + nk - 1, c)
+        shape = shape.decremented(k)
+    return total * Cyclo.poch(1, shape.n * c) / Cyclo.poch(1, c) ** shape.n
+
+
+def chained_bf_p1(n0, n1, a, b, c):
+    if n0 < 1 or n1 < 1:
+        raise ValueError("block sizes must be positive")
+    n = n0 + n1
+    out = Cyclo()
+    for j in range(2, n - n0 + 1):
+        out = out * Cyclo.poch(j * (c + 1), 1)
+    for j in range(n):
+        shift = (j - n0) if j > n0 else 0
+        chi = 1 if j > n0 else 0
+        out = out * Cyclo.poch(a + j * c + shift + 1, b) * Cyclo.poch(1, (j + 1) * c + shift) / (
+            Cyclo.poch(1, b + j * c + shift) * Cyclo.poch(1, c + chi))
+    return out
+
+
+def chained_qdyson(a):
+    out = Cyclo.poch(1, sum(a))
+    for ai in a:
+        out = out / Cyclo.poch(1, ai)
+    return out
+
+
+def _agree(built, chained, args, expand):
+    """Both routes raise, or both give the same value."""
+    try:
+        want = chained(*args)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            built(*args)
+        return
+    assert built(*args) == (want.expand() if expand else want), args
+
+
+@pytest.mark.parametrize("values", [range(4), range(-2, 4)], ids=["grid", "negative"])
+def test_closed_forms_match_the_chained_products(values):
+    # one poch_product per builder against the chained single-symbol product,
+    # on every n <= 5 and a, b, c <= 3; with negative entries, both raise
+    # or both agree
+    for a, b, c in itertools.product(values, repeat=3):
+        for n in range(1, 6):
+            _agree(closedform._qmorris, chained_qmorris, (n, a, b, c), False)
+        for n0 in range(1, 5):
+            for n1 in range(1, 6 - n0):
+                _agree(bf_p1_rhs, chained_bf_p1, (n0, n1, a, b, c), True)
+        for shape in all_shapes(5, min_p=1):
+            for k in range(1, shape.p + 1):
+                if shape.parts[k] == max(shape.parts[1:]):
+                    _agree(closedform._recursion_factor, chained_recursion_factor, (shape, a, b, c, k), False)
+    for c in values:
+        for shape in all_shapes(5):
+            _agree(dn0_rhs, chained_dn0, (shape, c), True)
+    for n in range(1, 6):
+        for a in itertools.product(values, repeat=n):
+            _agree(qdyson_rhs, chained_qdyson, (a,), True)
 
 
 def recursion_factor(shape: Shape, a: int, b: int, c: int, k: int) -> QFrac:

@@ -1064,6 +1064,35 @@ def test_cancelled_numerator_times_denominator_is_the_numerator():
     assert compared == 36
 
 
+def test_a_cancel_that_keeps_the_denominator_fails_the_suite(monkeypatch, tmp_path, capsys):
+    # the check confirms its own cancel: with the head denominator factors
+    # left in the quotient the ledger and the constant term still read true,
+    # but cancel_exact, the case and the gx-pipeline suite fail
+    def divisible_reports():
+        reps = [check_property_laurent(*case) for case in _gx_laurent_grid()]
+        return [rep for rep in reps if rep["divisible"]]
+
+    reps = divisible_reports()
+    assert len(reps) == 36
+    assert all(rep["cancel_exact"] and rep["ok"] for rep in reps)
+    cancel = gxseries._cancel_head_denominator
+
+    def kept(q):
+        scale, mono, triples = cancel(q)
+        return scale, mono, triples + [(i, q.head, -m) for m, i in q.dens]
+
+    monkeypatch.setattr(gxseries, "_cancel_head_denominator", kept)
+    reps = divisible_reports()
+    assert len(reps) == 36
+    assert all(rep["laurent_form_ok"] and rep["ct_zero"] for rep in reps)
+    assert not any(rep["cancel_exact"] or rep["ok"] for rep in reps)
+    laurent_case = next(case for case in cli._cases_gx(None) if case["kind"] == "laurent")
+    assert cli._run_gx(laurent_case)[0] is False
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["verify", "--suite", "gx-pipeline"]) == 1
+    assert "1 fail" in capsys.readouterr().out
+
+
 @st.composite
 def cancelled_numerators(draw):
     """(arity, head, mono, triples): a random monomial times a random

@@ -224,11 +224,15 @@ def test_block_relabeling_symmetry():
 
 
 def test_grid_matches_point_evaluator():
-    shape = Shape((1, 2))
-    jobs = [(a, b) for a in range(3) for b in range(2)]
-    grid = bf_ct_grid(shape, 1, jobs)
-    for (a, b), val in grid.items():
-        assert val == bf_ct(shape, a, b, 1)
+    # unequal blocks and n = 5 included: the multiset grouping rests only on
+    # the x_0 weight being the same in every slot
+    for parts, bmax in (((1, 2), 1), ((1, 2, 2), 2), ((1, 1, 2), 2)):
+        shape = Shape(parts)
+        jobs = [(a, b) for a in range(3) for b in range(bmax + 1)]
+        grid = bf_ct_grid(shape, 1, jobs)
+        assert set(grid) == set(jobs)
+        for (a, b), val in grid.items():
+            assert val == bf_ct(shape, a, b, 1), (parts, a, b)
 
 
 def reference_grid_contraction(shape, c, jobs):
@@ -266,6 +270,17 @@ def test_grid_contraction_matches_all_slot_reference():
             for b in range(c + 1):
                 jobs = [(a, b) for a in range(shape.n * b + 2)]
                 assert bf_ct_grid(shape, c, jobs) == reference_grid_contraction(shape, c, jobs), (parts, b, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(all_shapes(4, canonical=True)), c=st.integers(0, 2),
+       jobs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), min_size=1, max_size=6))
+def test_grid_matches_all_slot_reference_on_random_jobs(shape, c, jobs):
+    # mixed b values, repeated jobs and single jobs on every canonical shape
+    # with n <= 4
+    grid = bf_ct_grid(shape, c, jobs)
+    assert grid == reference_grid_contraction(shape, c, jobs)
+    assert set(grid) == set(jobs)
 
 
 def test_qdyson_matches_rhs_grid():

@@ -332,9 +332,14 @@ def test_cyclo_poch_and_qbinom_expand_to_the_products():
             assert Cyclo.poch(m, z).expand() == qpoch(m, z), (m, z)
     for n in range(0, 8):
         for k in range(0, 9):
-            assert Cyclo.qbinom(n, k).expand() == qbinom(n, k), (n, k)
+            assert Cyclo.poch_product(Cyclo.qbinom(n, k)).expand() == qbinom(n, k), (n, k)
+    # k > n is zero through the first symbol, which then holds 1 - q^0
+    assert Cyclo.poch_product(Cyclo.qbinom(2, 3)) == Cyclo(0)
     with pytest.raises(ValueError, match="pochhammer length negative"):
         Cyclo.poch(1, -1)
+    for n, k in ((-1, 0), (2, -1)):
+        with pytest.raises(ValueError, match="qbinom arguments must be nonnegative"):
+            Cyclo.qbinom(n, k)
 
 
 def test_cyclo_poch_product_is_the_chained_product():
