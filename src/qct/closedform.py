@@ -116,6 +116,8 @@ def kadell_rhs(v, r: int, a) -> QLaurent:
         raise ValueError("r must be positive")
     if len(v) != len(a):
         raise ValueError("v and a must have equal length")
+    if any(x < 0 for x in a):
+        raise ValueError("Pochhammer lengths a_i must be nonnegative")
     if any(x < 0 for x in v) or sum(v) != r:
         raise ValueError("v must be nonnegative with |v| = r")
     n = len(a)

@@ -26,15 +26,19 @@ coefficient of x^-mu in P.  There is one kernel and one step:
   it runs free, with no digit and no window test (a full expansion is free
   throughout).
 
-Keys are decoded back to exponent tuples only at the end.  ``Factored``
-keeps a product of linear factors, a monomial and a ``Cyclo`` scalar
-unexpanded, so that equal values compare by their parts and a constant term
-is one point fold.  A plain dict fold over general factors lives in the
-tests as the reference the kernel must match exactly.
+Keys are decoded back to exponent tuples only at the end.  A weighted
+constant term folds once and contracts many jobs, each one weight map per
+slot (``ct_contract``); the packed (lo, mag) values and their digit width B
+never leave this module.  ``Factored`` keeps a product of linear factors, a
+monomial and a ``Cyclo`` scalar unexpanded, so that equal values compare by
+their parts and a constant term is one point fold.  A plain dict fold over
+general factors lives in the tests as the reference the kernel must match
+exactly.
 """
 
 from __future__ import annotations
 
+from math import prod
 from operator import add
 
 from .qring import ZERO, Cyclo, QFrac, QLaurent
@@ -289,17 +293,63 @@ def ct_point(mono, factors) -> QLaurent:
 
 
 def fold_packed_raw(arity, factors, tlo=None, thi=None, extra_l1: int = 1):
-    """Packed fold exposed for callers that post-process coefficients.
+    """The fold with its coefficients left packed, for ``ct_contract``.
 
     The target window defaults to the full expansion, as in ``ct_fold``.
-    ``extra_l1`` widens the digit base so callers may multiply the returned
-    packed values by further polynomials of that combined L1 norm without
+    ``extra_l1`` widens the digit base so the packed values may be multiplied
+    by further polynomials of that combined L1 norm, and summed, without
     digit overflow.  Returns ({exponent tuple: (lo, mag)}, B).
     """
     factors = list(factors)
     tlo, thi = _target(arity, factors, tlo, thi)
     B = _digit_width(extra_l1 << len(factors))
     return _fold_tuples(factors, tlo, thi, B), B
+
+
+def ct_contract(arity, factors, tlo, thi, jobs) -> list[QLaurent]:
+    """Fold once, contract many.  A job is a tuple of ``arity`` weight maps
+    {exponent: QLaurent}, one per slot; for each job this returns
+    sum_e P_e prod_i w_i(e_i), P the product of linear factors (a, b, m)
+    folded over the box [tlo, thi] (None for a side of the full expansion).
+
+    The fold runs once, at a digit width that holds the largest product of a
+    job's map norms; each distinct map is normed and packed once.  A job
+    contracts one slot at a time, the last first, into a dict over the
+    remaining prefix.  When every slot of every job holds the same map, a
+    state's weight depends only on the multiset of its exponents, so the
+    states are first summed by sorted exponent tuple, once for all jobs.
+    """
+    jobs = [tuple(job) for job in jobs]
+    if any(len(job) != arity for job in jobs):
+        raise ValueError("a job needs one weight map per slot")
+    maps = {id(w): w for job in jobs for w in job}
+    norms = {k: sum(p.l1_norm() for p in w.values()) for k, w in maps.items()}
+    l1 = max((prod(norms[id(w)] for w in job) for job in jobs), default=1)
+    state, B = fold_packed_raw(arity, factors, tlo, thi, extra_l1=max(l1, 1))
+    packed = {k: {e: _pack_qlaurent(p, B) for e, p in w.items() if not p.is_zero()} for k, w in maps.items()}
+    if all(w == job[0] for job in jobs for w in job):
+        multisets: dict = {}
+        for e, val in state.items():
+            key = tuple(sorted(e))
+            cur = multisets.get(key)
+            multisets[key] = val if cur is None else _packed_add(cur, val, B)
+        state = multisets
+    out = []
+    for job in jobs:
+        level = state
+        for w in reversed(job):
+            wp = packed[id(w)]
+            nxt: dict = {}
+            for e, val in level.items():
+                f = wp.get(e[-1])
+                if f is not None:
+                    term, rest = _packed_mul(val, f), e[:-1]
+                    cur = nxt.get(rest)
+                    nxt[rest] = term if cur is None else _packed_add(cur, term, B)
+            level = nxt
+        total = level.get(())
+        out.append(ZERO if total is None else _decode_packed(*total, B))
+    return out
 
 
 class Factored:
@@ -519,13 +569,6 @@ def _step_linear(state, B, dk, qsh, slots):
 # -- packed coefficient helpers -------------------------------------------------------
 
 
-def _encode_packed(p: QLaurent, lo: int, B: int) -> int:
-    mag = 0
-    for e, c in p.terms.items():
-        mag += c << (B * (e - lo))
-    return mag
-
-
 def _decode_packed(lo: int, mag: int, B: int) -> QLaurent:
     terms = {}
     half = 1 << (B - 1)
@@ -543,11 +586,11 @@ def _decode_packed(lo: int, mag: int, B: int) -> QLaurent:
     return QLaurent(terms, _trusted=True)
 
 
-def packed_mul(a, b, B):
+def _packed_mul(a, b):
     return (a[0] + b[0], a[1] * b[1])
 
 
-def packed_add(a, b, B):
+def _packed_add(a, b, B):
     (alo, am), (blo, bm) = a, b
     if alo <= blo:
         s = am + (bm << (B * (blo - alo)))
@@ -558,8 +601,8 @@ def packed_add(a, b, B):
     return (lo, s)
 
 
-def pack_qlaurent(p: QLaurent, B: int):
+def _pack_qlaurent(p: QLaurent, B: int):
     if p.is_zero():
         return (0, 0)
     lo = p.min_exp()
-    return (lo, _encode_packed(p, lo, B))
+    return (lo, sum(c << (B * (e - lo)) for e, c in p.terms.items()))

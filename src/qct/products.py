@@ -3,7 +3,9 @@
 Every left-hand side is assembled as a list of linear factors, triples
 (a, b, m) for (1 - q^m x_a/x_b) with ``None`` for the literal 1; the triple
 list is the authoritative representation and feeds the pruned CT fold.  A
-monomial prefactor or the Kadell weight only moves which coefficient is read.
+monomial prefactor only moves which coefficient is read; a weight, the x_0
+factor of a grid job or the Kadell h_r, is a weight map per slot that
+``laurent.ct_contract`` contracts the folded product against.
 
 The projective variable x_0 is set to 1 inside every builder (homogeneity of
 the full product makes this harmless for constant terms), so a product over
@@ -12,8 +14,7 @@ x_1..x_n has arity n.
 
 from __future__ import annotations
 
-from .laurent import (_decode_packed, ct_fold, ct_point, fold_packed_raw, pack_qlaurent, packed_add,
-                      packed_mul)
+from .laurent import ct_contract, ct_fold, ct_point
 from .qring import ONE, ZERO, QLaurent, qbinom
 
 
@@ -107,6 +108,8 @@ def epsilon(shape: Shape, i: int, j: int) -> int:
 def qdyson_factors(a) -> list[tuple]:
     """Linear factors of prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j}."""
     n = len(a)
+    if any(x < 0 for x in a):
+        raise ValueError("Pochhammer lengths a_i must be nonnegative")
     out = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -115,26 +118,28 @@ def qdyson_factors(a) -> list[tuple]:
     return out
 
 
-def pair_linear(shape: Shape, c: int, skip=()):
+def pair_linear(shape: Shape, c: int, skip=()) -> list[tuple]:
     """(a, b, m) for each linear factor (1 - q^m x_a/x_b) of
     prod_{i<j} (x_i/x_j)_{c+eps} (q x_j/x_i)_{c+eps}; ``skip``, a collection
     of variables, drops every pair that involves one of them."""
+    if c < 0:
+        raise ValueError("Pochhammer length c must be nonnegative")
     n = shape.n
+    out = []
     for i in range(1, n + 1):
-        if i in skip:
-            continue
         for j in range(i + 1, n + 1):
-            if j in skip:
+            if i in skip or j in skip:
                 continue
             z = c + epsilon(shape, i, j)
-            for t in range(z):
-                yield i, j, t
-            for t in range(z):
-                yield j, i, 1 + t
+            out += [(i, j, t) for t in range(z)]
+            out += [(j, i, 1 + t) for t in range(z)]
+    return out
 
 
 def bf_factors(shape: Shape, a: int, b: int, c: int) -> list[tuple]:
     """Full factor list, ordered so low variables are closed off first."""
+    if a < 0 or b < 0:
+        raise ValueError("Pochhammer lengths a, b must be nonnegative")
     n = shape.n
     groups: list[list[tuple]] = [[] for _ in range(n + 1)]
     for i, j, m in pair_linear(shape, c):
@@ -143,23 +148,6 @@ def bf_factors(shape: Shape, a: int, b: int, c: int) -> list[tuple]:
         groups[i] += [(None, i, t) for t in range(a)]
         groups[i] += [(i, None, 1 + t) for t in range(b)]
     return [f for g in groups for f in g]
-
-
-# -- the Kadell weight -----------------------------------------------------------------
-
-
-def kadell_h(r: int, a) -> list:
-    """Complete symmetric polynomial h_r on the alphabet (x_i q^t, t < a_i),
-    as (exponent tuple, coefficient) pairs:
-        h_r = sum_{j_1 + ... + j_n = r} prod_i x_i^{j_i} [a_i + j_i - 1, j_i]_q.
-    A variable with a_i = 0 has no letter, so it takes only j_i = 0."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    rows = [((), ONE)]
-    for x in a:
-        rows = [(js + (j,), coeff * qbinom(x + j - 1, j) if j else coeff)
-                for js, coeff in rows for j in range(r - sum(js) + 1 if x else 1)]
-    return [(js, coeff) for js, coeff in rows if sum(js) == r]
 
 
 # -- constant terms ----------------------------------------------------------------------
@@ -179,33 +167,34 @@ def qmorris_ct(n: int, a: int, b: int, c: int) -> QLaurent:
 
 
 def kadell_ct(v, r: int, a) -> QLaurent:
-    """Brute-force CT of x^{-v} h_r(alphabet) times the q-Dyson product.
+    """Brute-force CT of x^{-v} h_r times the q-Dyson product P, h_r the
+    complete symmetric polynomial on the alphabet (x_i q^t, t < a_i).
 
-    Each term c x^J of h_r reads the product's coefficient at v - J, which
-    lies in the box [v - r, v] with slot i fixed at v_i where a_i = 0 (no
-    letter, so J_i = 0): one fold over that box, contracted against the
-    terms of h_r.
+    P is homogeneous of degree 0, so a term x^J of h_r reads a nonzero
+    coefficient P_{v-J} only if |J| = |v|: the value is zero unless |v| = r,
+    and then |J| = r need not be imposed.  So slot i meets P at v_i - j with
+    the weight [a_i + j - 1, j]_q, j from 0 to r (only 0 where a_i = 0), in
+    one contraction of P folded over the box [v - r, v].
     """
     v = tuple(v)
     n = len(a)
     if len(v) != n:
         raise ValueError("v and a must have equal length")
-    hr = kadell_h(r, a)
-    if not hr:
+    if r < 1:
+        raise ValueError("r must be positive")
+    factors = qdyson_factors(a)
+    if sum(v) != r:
         return ZERO
-    l1 = sum(coeff.l1_norm() for _, coeff in hr)
+    slots = tuple({x - j: qbinom(ai + j - 1, j) if j else ONE for j in range(r + 1 if ai else 1)}
+                  for x, ai in zip(v, a))
     lo = tuple(x - r if ai else x for x, ai in zip(v, a))
-    packed, B = fold_packed_raw(n, qdyson_factors(a), lo, v, extra_l1=l1)
-    total = (0, 0)
-    for js, coeff in hr:
-        p = packed.get(tuple(x - j for x, j in zip(v, js)))
-        if p is not None:
-            total = packed_add(total, packed_mul(p, pack_qlaurent(coeff, B), B), B)
-    return _decode_packed(*total, B)
+    return ct_contract(n, factors, lo, v, [slots])[0]
 
 
 def x0_weights(a: int, b: int) -> dict[int, QLaurent]:
     """Coefficients of (1/u)_a (q u)_b as a map exponent -> QLaurent."""
+    if a < 0 or b < 0:
+        raise ValueError("Pochhammer lengths a, b must be nonnegative")
     factors = [(None, 1, t) for t in range(a)] + [(1, None, 1 + t) for t in range(b)]
     return {e: c for (e,), c in ct_fold(1, factors).items()}
 
@@ -213,54 +202,16 @@ def x0_weights(a: int, b: int) -> dict[int, QLaurent]:
 def bf_ct_grid(shape: Shape, c: int, jobs) -> dict[tuple[int, int], QLaurent]:
     """Constant terms for many (a, b) pairs at one shape and c.
 
-    The pair product is expanded once inside the window it can contribute to,
-    then each (a, b) value is an exact weighted contraction against the
-    x_0-factor coefficients.  Identical in value to bf_ct, much cheaper on
-    grids and interpolation sweeps.
-
-    Every slot carries the same x_0 weight, the coefficients of
-    (1/u)_a (q u)_b, so a state x^v adds P_v * prod_i w(v_i), which depends
-    only on the multiset of v.  The states are summed by sorted exponent
-    tuple once, for every job, and each job contracts the multisets.
+    The pair product is folded once inside the window every job can read,
+    then each (a, b) value is an exact contraction against the x_0-factor
+    coefficients, the same weight in every slot: a state x^v meets the
+    coefficient of u^{-v_i} in (1/u)_a (q u)_b at each slot i.  So the
+    contraction runs over exponent multisets.  Identical in value to bf_ct,
+    much cheaper on grids and interpolation sweeps.
     """
-    jobs = list(jobs)
+    jobs = list(dict.fromkeys(jobs))
     n = shape.n
-    amax = max(a for a, _ in jobs)
-    bmax = max(b for _, b in jobs)
-    weights = {}
-    wl1 = 1
-    for a, b in jobs:
-        if (a, b) not in weights:
-            w = x0_weights(a, b)
-            weights[(a, b)] = w
-            wl1 = max(wl1, sum(x.l1_norm() for x in w.values()))
-    pairs = list(pair_linear(shape, c))
-    tlo = (-bmax,) * n
-    thi = (amax,) * n
-    packed, B = fold_packed_raw(n, pairs, tlo, thi, extra_l1=wl1 ** n)
-    multisets: dict = {}
-    for v, coeff in packed.items():
-        key = tuple(sorted(v))
-        cur = multisets.get(key)
-        multisets[key] = coeff if cur is None else packed_add(cur, coeff, B)
-    out = {}
-    for a, b in jobs:
-        w = weights[(a, b)]
-        wp = {-e: pack_qlaurent(p, B) for e, p in w.items() if not p.is_zero()}
-        # contract one slot at a time: sum the last slot of every multiset
-        # against the x_0 weights into a dict over the remaining prefix
-        level = multisets
-        for _ in range(n):
-            nxt: dict = {}
-            for v, coeff in level.items():
-                f = wp.get(v[-1])
-                if f is None:
-                    continue
-                term = packed_mul(coeff, f, B)
-                rest = v[:-1]
-                cur = nxt.get(rest)
-                nxt[rest] = term if cur is None else packed_add(cur, term, B)
-            level = nxt
-        total = level.get(())
-        out[(a, b)] = ZERO if total is None else _decode_packed(total[0], total[1], B)
-    return out
+    tlo = (-max(b for _, b in jobs),) * n
+    thi = (max(a for a, _ in jobs),) * n
+    weights = [{-e: w for e, w in x0_weights(a, b).items()} for a, b in jobs]
+    return dict(zip(jobs, ct_contract(n, pair_linear(shape, c), tlo, thi, [(w,) * n for w in weights])))

@@ -129,6 +129,16 @@ def test_kadell_rhs_cases():
         kadell_rhs((1, 0), 2, (1, 1))
 
 
+@pytest.mark.parametrize("v, r, a", [((1, 0), 1, (-1, 1)), ((0, 1), 1, (-2, 0)), ((1, 0), 1, (1, -1))])
+def test_kadell_rejects_a_negative_a_entry(v, r, a):
+    # (x)_k has no meaning at k < 0, even where the value would be an early
+    # zero (sum(a) = 0, or a = 0 in the slot that holds r)
+    with pytest.raises(ValueError, match="nonnegative"):
+        kadell_rhs(v, r, a)
+    with pytest.raises(ValueError, match="nonnegative"):
+        kadell_ct(v, r, a)
+
+
 def test_closed_forms_reject_a_negative_cyclotomic_exponent(monkeypatch):
     # the check behind every closed form, kadell_rhs included, is the
     # expansion of its Cyclo value

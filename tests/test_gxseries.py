@@ -22,8 +22,8 @@ from qct.gxseries import (
     oracle_matches_direct,
     property_branch,
 )
-from qct.laurent import (MLaurent, _decode_packed, _digit_width, ct_fold, fold_packed_raw, pack_qlaurent,
-                         packed_add)
+from qct.laurent import (MLaurent, _decode_packed, _digit_width, _pack_qlaurent, _packed_add, ct_fold,
+                         fold_packed_raw)
 from qct.products import Shape, epsilon
 from qct.qring import ONE, Cyclo, QFrac, QLaurent, cyclo_sum, eval_poly
 from qct.roots import interpolate_dn, t_table
@@ -60,7 +60,7 @@ def _add_term(poly: dict, e: tuple, v, B: int) -> None:
     if cur is None:
         poly[e] = v
         return
-    lo, mag = packed_add(cur, v, B)
+    lo, mag = _packed_add(cur, v, B)
     if mag:
         poly[e] = (lo, mag)
     else:
@@ -81,7 +81,7 @@ def _divide(num: dict, B: int, factors, k: int):
     levels = max(e[k] for e in num) - m + 1
     values = {e: _decode_packed(lo, mag, B) for e, (lo, mag) in num.items()}
     B = _digit_width(sum(v.l1_norm() for v in values.values()) << (m * levels))
-    num = {e: pack_qlaurent(v, B) for e, v in values.items()}
+    num = {e: _pack_qlaurent(v, B) for e, v in values.items()}
     lower = {(0,) * arity: (0, 1)}  # D, expanded
     for mr, tr in factors:
         step = dict(lower)
@@ -286,7 +286,7 @@ def pack(num: dict) -> tuple[dict, int]:
     """{exponent tuple: QLaurent} as packed values at the digit width of its
     total L1, the bound the gx pipeline keeps its digits under."""
     B = _digit_width(total_l1(num))
-    return {e: pack_qlaurent(v, B) for e, v in num.items()}, B
+    return {e: _pack_qlaurent(v, B) for e, v in num.items()}, B
 
 
 def unpack(num: dict, B: int) -> dict:

@@ -9,11 +9,12 @@ from qct import laurent
 from qct.laurent import (
     MLaurent,
     _decode_packed,
+    _pack_qlaurent,
+    _packed_mul,
+    ct_contract,
     ct_fold,
     ct_point,
     fold_packed_raw,
-    pack_qlaurent,
-    packed_mul,
 )
 from qct.qring import ONE, QFrac, QLaurent
 
@@ -418,23 +419,42 @@ def test_ct_fold_rejects_degenerate_triples(factor):
             fold_packed_raw(2, factors, *window)
 
 
+def reference_kadell_ct(v, r, a) -> QLaurent:
+    """CT of x^-v h_r times the q-Dyson product, the monomial and h_r folded
+    as general factors."""
+    from qct.products import qdyson_factors
+    from test_products import kadell_h
+
+    n = len(a)
+    zero = (0,) * n
+    factors = [Factor.monomial(n, [-x for x in v]), Factor(n, [(js, 0, c) for js, c in kadell_h(r, a)])]
+    return fold_dict(n, factors + qdyson_factors(a), zero, zero).get(zero, QLaurent())
+
+
 def test_fold_kernels_agree_with_general_factors():
     # x^-v and h_r never enter the kernel: kadell_ct folds the q-Dyson
-    # triples over the box [v - r, v] and contracts against h_r's terms; the
-    # reference folds the monomial and h_r as general factors, on the whole
-    # default kadell grid
+    # triples over the box [v - r, v] and contracts them slot by slot against
+    # the Gaussian binomials of h_r; the reference folds the monomial and h_r
+    # as general factors, on the whole default kadell grid
     from qct.cli import _cases_kadell
-    from qct.products import kadell_ct, kadell_h, qdyson_factors
+    from qct.products import kadell_ct
 
     cases = _cases_kadell(None)
     assert len(cases) == 278
     for case in cases:
         v, r, a = case["v"], case["r"], case["a"]
-        n = len(a)
-        zero = (0,) * n
-        factors = [Factor.monomial(n, [-x for x in v]), Factor(n, [(js, 0, c) for js, c in kadell_h(r, a)])]
-        want = fold_dict(n, factors + qdyson_factors(a), zero, zero).get(zero, QLaurent())
-        assert kadell_ct(v, r, a) == QFrac.from_qlaurent(want), case
+        assert kadell_ct(v, r, a) == reference_kadell_ct(v, r, a), case
+
+
+@pytest.mark.parametrize("v, r, a", [((2, 0), 1, (2, 1)), ((0, 3), 2, (1, 2)), ((1, 1, 1), 2, (1, 2, 2)),
+                                     ((0, 1), 2, (1, 1)), ((1,), 3, (2,))])
+def test_kadell_ct_off_degree_matches_general_factors(v, r, a):
+    # at |v| != r kadell_ct returns zero without a fold, because the q-Dyson
+    # product is homogeneous of degree 0; the reference reads every term of h_r
+    from qct.products import kadell_ct
+
+    want = reference_kadell_ct(v, r, a)
+    assert want.is_zero() and kadell_ct(v, r, a) == want
 
 
 def test_ct_point_reads_the_coefficient_at_minus_mono():
@@ -521,8 +541,8 @@ def test_fold_matches_reference_property(case, j, c):
     # whose L1 norm is the extra_l1 they were folded with
     weight = QLaurent({0: c}) * QLaurent({0: 1, 1: -1}) ** j
     packed, B = fold_packed_raw(n, factors, tlo, thi, extra_l1=weight.l1_norm())
-    wp = pack_qlaurent(weight, B)
-    got = {e: _decode_packed(*packed_mul(v, wp, B), B) for e, v in packed.items()}
+    wp = _pack_qlaurent(weight, B)
+    got = {e: _decode_packed(*_packed_mul(v, wp), B) for e, v in packed.items()}
     assert moved(got, mono, scalar) == {e: p * weight for e, p in want.items()}
 
 
@@ -605,17 +625,17 @@ def fold_sum_packed(arity, pieces):
     total: dict = {}
     for (mono, scalar, triples), (steps, _, _) in zip(pieces, plans):
         dk = sum(map(mul, mono, radix))
-        sp = pack_qlaurent(scalar, B)
+        sp = _pack_qlaurent(scalar, B)
         state = laurent._fold_packed(triples, steps, base, top, B)
         get = total.get
         for k, val in state.items():
             k += dk
-            val = packed_mul(val, sp, B)
+            val = _packed_mul(val, sp)
             cur = get(k)
             if cur is None:
                 total[k] = val
                 continue
-            s = laurent.packed_add(cur, val, B)
+            s = laurent._packed_add(cur, val, B)
             if s[1]:
                 total[k] = s
             else:
@@ -659,3 +679,72 @@ def test_fold_sum_matches_reference_sum(case):
     assert fold_sum_packed(n, [pieces[0], negated])[0] == {}
     total, B = fold_sum_packed(n, pieces + [negated])
     assert {e: _decode_packed(lo, mag, B) for e, (lo, mag) in total.items()} == _reference_sum(n, pieces[1:])
+
+
+# -- fold once, contract many ----------------------------------------------------------
+
+
+def reference_contract(arity, factors, tlo, thi, job) -> QLaurent:
+    """sum_e P_e prod_i w_i(e_i) over the decoded fold, in QLaurent arithmetic."""
+    total = QLaurent()
+    for e, p in ct_fold(arity, factors, tlo, thi).items():
+        for w, x in zip(job, e):
+            p = p * w.get(x, QLaurent())
+        total = total + p
+    return total
+
+
+# a weight map {exponent: QLaurent}: zero weights included, and scaled up to
+# 3^40 so that the digit width must follow the maps' L1 norms
+_WEIGHT_MAP = st.builds(
+    lambda w, big: {e: p * QLaurent({0: big}) for e, p in w.items()},
+    st.dictionaries(st.integers(-3, 3), st.one_of(_QPOLY, st.just(QLaurent())), max_size=4),
+    st.integers(0, 40).map(lambda k: 3 ** k))
+
+
+@st.composite
+def contract_cases(draw):
+    """(arity, triples, tlo, thi, jobs): random linear factors under a point,
+    wide or unconstrained box, and one to four jobs, each one map in every
+    slot or a map per slot, sometimes all of the first kind, sometimes with a
+    job repeated."""
+    n = draw(st.integers(1, 3))
+    factors = _draw_triples(draw, n)
+    window = draw(st.sampled_from(("point", "wide", "none")))
+    if window == "none":
+        tlo = thi = None
+    elif window == "point":
+        tlo = thi = draw(st.tuples(*[st.integers(-2, 2)] * n))
+    else:
+        tlo = draw(st.tuples(*[st.integers(-4, 0)] * n))
+        thi = draw(st.tuples(*[st.integers(0, 4)] * n))
+    symmetric = draw(st.booleans())
+    jobs = []
+    for _ in range(draw(st.integers(1, 4))):
+        if symmetric or draw(st.booleans()):
+            jobs.append((draw(_WEIGHT_MAP),) * n)
+        else:
+            jobs.append(tuple(draw(_WEIGHT_MAP) for _ in range(n)))
+    if draw(st.booleans()):
+        jobs.append(jobs[0])
+    return n, factors, tlo, thi, jobs
+
+
+@settings(max_examples=200, deadline=None)
+@given(contract_cases())
+def test_contract_matches_reference(case):
+    n, factors, tlo, thi, jobs = case
+    assert ct_contract(n, factors, tlo, thi, jobs) == [reference_contract(n, factors, tlo, thi, job)
+                                                        for job in jobs]
+
+
+def test_contract_keeps_slots_apart_when_their_maps_differ():
+    # 1 - x1/x2 is not symmetric, so a job with a map per slot must not be
+    # contracted over exponent multisets, alone or beside a symmetric job
+    factors = [(1, 2, 0)]
+    up, down, every = {1: ONE}, {-1: ONE}, {-1: ONE, 0: ONE, 1: ONE}
+    assert ct_contract(2, factors, None, None, [(up, down)]) == [QLaurent({0: -1})]
+    assert ct_contract(2, factors, None, None, [(down, up)]) == [QLaurent()]
+    assert ct_contract(2, factors, None, None, [(every, every), (up, down)]) == [QLaurent(), QLaurent({0: -1})]
+    with pytest.raises(ValueError):
+        ct_contract(2, factors, None, None, [(up,)])

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from qct import cli
 from qct.cli import BF_SHAPES
 from qct.closedform import all_shapes
-from qct.laurent import MLaurent, _decode_packed, ct_fold, fold_packed_raw, pack_qlaurent, packed_add, packed_mul
+from qct.laurent import (MLaurent, _decode_packed, _pack_qlaurent, _packed_add, _packed_mul, ct_fold,
+                         fold_packed_raw)
 from qct.products import (
     Shape,
     bf_ct,
@@ -16,13 +17,12 @@ from qct.products import (
     ct_qdyson,
     epsilon,
     kadell_ct,
-    kadell_h,
     pair_linear,
     qdyson_factors,
     qmorris_ct,
     x0_weights,
 )
-from qct.qring import QFrac, QLaurent
+from qct.qring import ONE, QFrac, QLaurent, qbinom
 from test_laurent import ct
 
 
@@ -47,6 +47,20 @@ def build_qmorris(n: int, a: int, b: int, c: int) -> MLaurent:
 
 def build_bf(shape: Shape, a: int, b: int, c: int) -> MLaurent:
     return _expand(shape.n, bf_factors(shape, a, b, c))
+
+
+def kadell_h(r: int, a) -> list:
+    """Complete symmetric polynomial h_r on the alphabet (x_i q^t, t < a_i),
+    as (exponent tuple, coefficient) pairs:
+        h_r = sum_{j_1 + ... + j_n = r} prod_i x_i^{j_i} [a_i + j_i - 1, j_i]_q.
+    A variable with a_i = 0 has no letter, so it takes only j_i = 0."""
+    if r < 1:
+        raise ValueError("r must be positive")
+    rows = [((), ONE)]
+    for x in a:
+        rows = [(js + (j,), coeff * qbinom(x + j - 1, j) if j else coeff)
+                for js, coeff in rows for j in range(r - sum(js) + 1 if x else 1)]
+    return [(js, coeff) for js, coeff in rows if sum(js) == r]
 
 
 def reference_kadell_h(r: int, a) -> MLaurent:
@@ -164,6 +178,21 @@ def test_kadell_ct_simple():
     assert kadell_ct((1, 0), 1, (0, 0)) == QFrac(0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ct_qdyson((-1, 2)),
+    lambda: pair_linear(Shape((1, 1)), -1),
+    lambda: bf_ct(Shape((1, 1)), -1, 1, 1),
+    lambda: bf_factors(Shape((1, 1)), 1, -1, 1),
+    lambda: x0_weights(1, -1),
+    lambda: bf_ct_grid(Shape((1, 1)), 1, [(-1, 1)]),
+], ids=["qdyson_factors", "pair_linear", "bf_factors-a", "bf_factors-b", "x0_weights", "bf_ct_grid"])
+def test_builders_reject_negative_pochhammer_lengths(build):
+    # (x)_k has no meaning at k < 0; a builder that read range(k) as empty
+    # would return a value (1, 1 + q and 0 for the first, third and last)
+    with pytest.raises(ValueError, match="nonnegative"):
+        build()
+
+
 def test_pair_product_is_degree_zero_homogeneous():
     for shape, c in [((1, 1), 1), ((1, 2), 1), ((2, 2), 2)]:
         s = Shape(shape)
@@ -247,7 +276,7 @@ def reference_grid_contraction(shape, c, jobs):
                                 extra_l1=max(wl1, 1) ** n)
     out = {}
     for ab in jobs:
-        wp = {e: pack_qlaurent(p, B) for e, p in weights[ab].items()}
+        wp = {e: _pack_qlaurent(p, B) for e, p in weights[ab].items()}
         total = (0, 0)
         for v, coeff in packed.items():
             term = coeff
@@ -255,9 +284,9 @@ def reference_grid_contraction(shape, c, jobs):
                 f = wp.get(-x)
                 if f is None or f[1] == 0:
                     break
-                term = packed_mul(term, f, B)
+                term = _packed_mul(term, f)
             else:
-                total = packed_add(total, term, B)
+                total = _packed_add(total, term, B)
         out[ab] = QFrac.from_qlaurent(_decode_packed(total[0], total[1], B))
     return out
 

@@ -86,6 +86,26 @@ def test_polynomial_routes_do_not_name_qfrac():
     assert not found, f"QFrac named in a polynomial route: {found}"
 
 
+def test_packed_format_stays_in_laurent():
+    # the packed coefficient format, (lo, mag) pairs of base-2**B digits, is
+    # laurent's decision alone: no other module imports a private laurent
+    # name or names a packed helper, public or private
+    helpers = {"fold_packed_raw", "pack_qlaurent", "packed_add", "packed_mul", "_pack_qlaurent", "_packed_add",
+               "_packed_mul", "_decode_packed"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "laurent.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            private = (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("laurent")
+                       and any(alias.name.startswith("_") for alias in node.names))
+            private |= (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                        and getattr(node.value, "id", None) == "laurent")
+            if private or helpers & set(_named(node)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"the packed format outside laurent.py: {found}"
+
+
 def _named(node) -> list:
     """The names a node refers to: a variable, an attribute or an imported name."""
     if isinstance(node, ast.Name):
