@@ -332,7 +332,7 @@ def _run_lemma_key(params):
         # every k the enumerator skips falls under case 1, 2 or 3 by
         # construction, so classifying the rest covers the whole box; one
         # enumeration per c, at b = 0 and the largest t, yields every (b, t)
-        r = params["r"]
+        r = tuple(params["r"])
         wide = [roots.lemma_key_survivors(0, c, 2, r) for c in range(3)]
         for b, c, t in product(range(3), repeat=3):
             for k in roots.lemma_key_rebase(wide[c], b, c, t):
@@ -341,10 +341,11 @@ def _run_lemma_key(params):
         return True, None
     if params["kind"] == "minweight":
         # one Held-Karp pass for every r, walked in composition order so the
-        # first failing r is the witness
-        rs = [r for r in compositions(params["s"]) if len(r) >= 2]
+        # first failing r is the witness; the one-block r = (s,) has no
+        # decorated block and is held to the bound 1 of min_weight_witness
+        rs = list(compositions(params["s"]))
         for r, (best, leave_one_out) in zip(rs, roots.min_path_weights_many(rs)):
-            m = max(r[1:])
+            m = max(r[1:], default=1)
             roots.min_weight_witness(r)
             if best != m:
                 return False, {"r": list(r), "min": best}

@@ -323,6 +323,30 @@ def leave_one_out_bound_holds(w, r) -> bool:
 # -- the key classification lemma ----------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _key_tables(ids: tuple) -> tuple:
+    """What the key lemma's cases read off a label tuple (see
+    case4_staircase), compiled once per tuple, over 0-based positions
+    x = 0..s-1 for the positions x + 1 = 1..s:
+
+    - the pairs (i, j, (i + 1, j + 1)), i < j, of positions in different
+      blocks, then those in one decorated block, each list in the (i, j)
+      order in which cases 2 and 3 look for their witness;
+    - the largest decorated block;
+    - the block-equality table, chi[x][y] = [x, y in one decorated block]
+      for x != y.
+    """
+    labels = ids[1:]
+    s = len(labels)
+    cross, same = [], []
+    for i in range(s):
+        for j in range(i + 1, s):
+            (same if labels[i] == labels[j] else cross).append((i, j, (i + 1, j + 1)))
+    maxr = max((labels.count(x) for x in labels if x > 0), default=0)
+    chi = tuple(tuple(x == y for y in labels) for x in labels)
+    return tuple(cross), tuple(same), maxr, chi
+
+
 def lemma_key_classify(k, b: int, c: int, t: int, r) -> tuple[int, object]:
     """Classify an admissible k-vector into the first applicable case.
 
@@ -337,21 +361,22 @@ def lemma_key_classify(k, b: int, c: int, t: int, r) -> tuple[int, object]:
     s = len(ids) - 1
     if len(k) != s:
         raise ValueError("k length must equal sum(r)")
-    if min(k) < 1 or max(k) > (s - 1) * c + b + t:
+    low = min(k)
+    if low < 1 or max(k) > (s - 1) * c + b + t:
         raise ValueError("k out of the admissible range")
-    for i in range(s):
-        if k[i] <= b:
-            return (1, i + 1)
-    for i in range(1, s):
-        ki, block = k[i - 1], ids[i]
-        for j in range(i + 1, s + 1):
-            if ids[j] != block and -c <= ki - k[j - 1] <= c - 1:
-                return (2, (i, j))
-    for i in range(1, s):
-        ki, block = k[i - 1], ids[i]
-        for j in range(i + 1, s + 1):
-            if ids[j] == block and -c - 1 <= ki - k[j - 1] <= c:
-                return (3, (i, j))
+    if low <= b:
+        for i, ki in enumerate(k):
+            if ki <= b:
+                return (1, i + 1)
+    cross, same, _, _ = _key_tables(ids)
+    lo, hi = -c, c - 1
+    for i, j, pair in cross:
+        if lo <= k[i] - k[j] <= hi:
+            return (2, pair)
+    lo, hi = -c - 1, c
+    for i, j, pair in same:
+        if lo <= k[i] - k[j] <= hi:
+            return (3, pair)
     found = case4_staircase(k, ids, b, c, t)
     if found is not None:
         return (4, found)
@@ -362,25 +387,32 @@ def case4_staircase(k, ids, b: int, c: int, t: int):
     """Case 4 of ``lemma_key_classify``: the permutation w and slack vector d
     of the staircase pattern for k, or None.
 
-    ``ids[x]`` labels position x = 1..s, and ``ids[0]`` the start of every
-    path: two positions share a decorated block exactly when they share a
-    positive label, and every other label occurs once.
+    ``ids`` is a tuple: ``ids[x]`` labels position x = 1..s, and ``ids[0]``
+    the start of every path, a label no position has.  Two positions share
+    a decorated block exactly when they share a positive label, and every
+    other label occurs once.
     """
-    maxr = max((ids.count(x) for x in ids if x > 0), default=0)
+    _, _, maxr, chi = _key_tables(ids)
     # d_j >= 0 makes k nondecreasing along w, and a tie needs a descent, so
     # the one candidate is the positions ordered by (k_x, -x)
     w = sorted(range(1, len(k) + 1), key=lambda x: (k[x - 1], -x))
-    d = []
-    total = 0
-    prev = 0
-    for x in w:
-        chi = ids[prev] == ids[x]
-        dj = k[x - 1] - (k[prev - 1] + c + chi if prev else b)
-        if dj < (prev < x):  # d_j >= 0, and d_j >= 1 after an ascent or at the start
+    prev = w[0]
+    # the first step leaves the start, which shares no block and lies below
+    # every position: d_1 = k_{w_1} - b >= 1
+    k_prev = k[prev - 1]
+    total = k_prev - b
+    if total < 1:
+        return None
+    d = [total]
+    row = chi[prev - 1]
+    for x in w[1:]:
+        k_x, chi_x = k[x - 1], row[x - 1]
+        dj = k_x - k_prev - c - chi_x
+        if dj < (prev < x):  # d_j >= 0, and d_j >= 1 after an ascent
             return None
-        total += chi + dj
+        total += chi_x + dj
         d.append(dj)
-        prev = x
+        prev, k_prev, row = x, k_x, chi[x - 1]
     return (tuple(w), tuple(d)) if maxr <= total <= t else None
 
 
@@ -440,4 +472,6 @@ def lemma_key_rebase(wide, b: int, c: int, t: int) -> list[tuple[int, ...]]:
     if not wide:
         return []
     top = (len(wide[0]) - 1) * c + t
+    if b == 0:
+        return [k for k in wide if max(k) <= top]
     return [tuple(map(b.__add__, k)) for k in wide if max(k) <= top]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qct import cli, gxseries, laurent, qring
+from qct import cli, gxseries, laurent, qring, roots
 from qct.closedform import all_shapes
 from qct.gxseries import (
     build_Q,
@@ -28,6 +28,7 @@ from qct.products import Shape, epsilon
 from qct.qring import ONE, Cyclo, QFrac, QLaurent, cyclo_sum, eval_poly
 from qct.roots import interpolate_dn, t_table
 from test_laurent import moved
+from test_roots import _staircase_by_scan
 
 
 # -- the packed route: the oracle the factored walk must match -------------------------
@@ -950,6 +951,17 @@ def _case4_by_permutations(shape: Shape, u, k, b: int, c: int, t: int) -> bool:
     return False
 
 
+def _gx_staircase_agrees(shape: Shape, u, k, b: int, c: int, t: int) -> bool:
+    """``case4_staircase`` on property (3)'s labels, whose decorated blocks
+    need not be runs of positions, against ``tests/test_roots.py``'s scan
+    oracle, (w, d) included, through the tables cached on those labels;
+    returns whether the staircase exists."""
+    labels = (0,) + tuple(shape.block_of(x) or -x for x in u)
+    got = roots.case4_staircase(k, labels, b, c, t)
+    assert got == _staircase_by_scan(k, labels, b, c, t), (shape.parts, u, k, b, c, t)
+    return got is not None
+
+
 def test_case4_staircase_matches_permutation_search():
     # the staircase is found by one sort on (k_x, -x) whenever some ordering
     # of the positions realises it: random inputs, then every entry of the
@@ -964,12 +976,14 @@ def test_case4_staircase_matches_permutation_search():
         b, c, t = rng.randrange(3), rng.randrange(3), rng.randrange(6)
         want = _case4_by_permutations(shape, u, k, b, c, t)
         assert gxseries._case4_exists(shape, u, k, b, c, t) == want, (shape.parts, u, k, b, c, t)
+        assert _gx_staircase_agrees(shape, u, k, b, c, t) == want
         found += want
     assert found > 200
     for shape, b, c, d, u, k in _gx_laurent_grid():
         t = c + t_table(shape)[len(u)]
         want = _case4_by_permutations(shape, u, k, b, c, t)
         assert gxseries._case4_exists(shape, u, k, b, c, t) == want, (shape.parts, b, c, d, u, k)
+        assert _gx_staircase_agrees(shape, u, k, b, c, t) == want
 
 
 def _moved_monomial(monkeypatch, move):

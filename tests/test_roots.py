@@ -383,6 +383,63 @@ def _case4_by_scan(k, b, c, t, r):
     return None
 
 
+def _staircase_by_scan(k, ids, b, c, t):
+    """Oracle for ``roots.case4_staircase``: its loop form before the labels
+    were compiled into tables, which counts the largest decorated block and
+    compares labels at every step, the start included."""
+    maxr = max((ids.count(x) for x in ids if x > 0), default=0)
+    w = sorted(range(1, len(k) + 1), key=lambda x: (k[x - 1], -x))
+    d = []
+    total = 0
+    prev = 0
+    for x in w:
+        chi = ids[prev] == ids[x]
+        dj = k[x - 1] - (k[prev - 1] + c + chi if prev else b)
+        if dj < (prev < x):  # d_j >= 0, and d_j >= 1 after an ascent or at the start
+            return None
+        total += chi + dj
+        d.append(dj)
+        prev = x
+    return (tuple(w), tuple(d)) if maxr <= total <= t else None
+
+
+def _classify_by_scan(k, b, c, t, r):
+    """Oracle for ``lemma_key_classify``: its loop form before the labels were
+    compiled into tables, which tests case 1 on every entry and scans every
+    pair (i, j), i < j, for cases 2 and 3 against the block labels."""
+    k = tuple(k)
+    r = tuple(r)
+    ids = roots._block_ids(r)
+    s = len(ids) - 1
+    if len(k) != s:
+        raise ValueError("k length must equal sum(r)")
+    if min(k) < 1 or max(k) > (s - 1) * c + b + t:
+        raise ValueError("k out of the admissible range")
+    for i in range(s):
+        if k[i] <= b:
+            return (1, i + 1)
+    for i in range(1, s):
+        for j in range(i + 1, s + 1):
+            if ids[j] != ids[i] and -c <= k[i - 1] - k[j - 1] <= c - 1:
+                return (2, (i, j))
+    for i in range(1, s):
+        for j in range(i + 1, s + 1):
+            if ids[j] == ids[i] and -c - 1 <= k[i - 1] - k[j - 1] <= c:
+                return (3, (i, j))
+    found = _staircase_by_scan(k, ids, b, c, t)
+    if found is not None:
+        return (4, found)
+    raise LemmaFalsified(f"no case applies for k={k}, b={b}, c={c}, t={t}, r={r}")
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
 def _survivors_by_filter(b, c, t, r):
     """Oracle for lemma_key_survivors: the box [1, (s-1)c+b+t]^s filtered one
     coordinate at a time by the literal case 1-3 conditions, which are
@@ -413,18 +470,44 @@ def _lemma_key_grid(s):
 
 
 def test_lemma_key_survivors_match_brute_sweep():
-    # every k of the box at s <= 4, classified one by one: the case-4 set is
-    # the enumerator's output, each k once
+    # every k of the box at s <= 4, classified one by one and by the scan
+    # oracle, witnesses included: the case-4 set is the enumerator's output,
+    # each k once
     count = 0
     for s in range(1, 5):
         for r, b, c, t in _lemma_key_grid(s):
             top = (s - 1) * c + b + t
-            case4 = {k for k in itertools.product(range(1, top + 1), repeat=s)
-                     if lemma_key_classify(k, b, c, t, r)[0] == 4}
+            case4 = set()
+            for k in itertools.product(range(1, top + 1), repeat=s):
+                verdict = lemma_key_classify(k, b, c, t, r)
+                assert verdict == _classify_by_scan(k, b, c, t, r), (k, b, c, t, r)
+                if verdict[0] == 4:
+                    case4.add(k)
             got = list(lemma_key_survivors(b, c, t, r))
             assert len(got) == len(set(got)) and set(got) == case4, (r, b, c, t)
             count += len(got)
     assert count == 1005
+
+
+@st.composite
+def _compositions_up_to(draw, s_max: int, parts_max: int):
+    s = draw(st.integers(1, s_max))
+    cuts = sorted(draw(st.sets(st.integers(1, s - 1), max_size=parts_max - 1))) if s > 1 else []
+    return tuple(hi - lo for lo, hi in zip([0] + cuts, cuts + [s]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_compositions_up_to(7, 4), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_lemma_key_classify_matches_the_scan(r, b, c, t, data):
+    # k drawn from the box, and half the time one entry moved one past it on
+    # either side, so the range check raises too
+    s = sum(r)
+    top = (s - 1) * c + b + t
+    k = data.draw(st.lists(st.integers(1, max(top, 1)), min_size=s, max_size=s))
+    past = data.draw(st.sampled_from((None, None, 0, top + 1)))
+    if past is not None:
+        k[data.draw(st.integers(0, s - 1))] = past
+    assert _outcome(lemma_key_classify, k, b, c, t, r) == _outcome(_classify_by_scan, k, b, c, t, r)
 
 
 def test_lemma_key_sort_matches_permutation_scan():
@@ -520,6 +603,38 @@ def test_lemma_key_suite_classifies_every_survivor_at_its_own_parameters(monkeyp
     assert classified == [(k, b, c, t) for b, c, t in itertools.product(range(3), repeat=3)
                           for k in survivors(b, c, t, r)]
     assert len(classified) == 54
+
+
+def test_lemma_key_minweight_cases_check_every_composition(monkeypatch):
+    # no minweight case passes over zero evidence: each sends every
+    # composition of s, the one-block (s,) included, through Held-Karp
+    batches = []
+    many = roots.min_path_weights_many
+
+    def count(rs):
+        batches.append(list(rs))
+        return many(rs)
+
+    monkeypatch.setattr(roots, "min_path_weights_many", count)
+    cases = [params for params in cli._cases_lemma_key(None) if params["kind"] == "minweight"]
+    assert [params["s"] for params in cases] == list(range(1, 9))
+    for params in cases:
+        assert cli._run_lemma_key(params) == (True, None)
+        s = params["s"]
+        assert len(batches[-1]) == 2 ** (s - 1) >= 1 and (s,) in batches[-1], s
+    assert len(batches) == len(cases)
+
+
+def test_lemma_key_minweight_holds_one_block_to_the_bound_one(monkeypatch):
+    # (s,) has no decorated block: its least weight must be 1, the first step
+    many = roots.min_path_weights_many
+
+    def heavy_one_block(rs):
+        return [(2, 1) if len(r) == 1 else got for r, got in zip(rs, many(rs))]
+
+    monkeypatch.setattr(roots, "min_path_weights_many", heavy_one_block)
+    assert cli._run_lemma_key({"kind": "minweight", "s": 1}) == (False, {"r": [1], "min": 2})
+    assert cli._run_lemma_key({"kind": "minweight", "s": 3}) == (False, {"r": [3], "min": 2})
 
 
 def test_lemma_key_classify_witness_reproduces(monkeypatch):
