@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations, product
 from typing import Callable, NamedTuple
 
@@ -324,7 +323,7 @@ def _cases_lemma_key(args):
 
 def _run_lemma_key(params):
     if params["kind"] == "examples":
-        n1 = roots.path_weight((9, 10, 3, 5, 6, 8, 4, 2, 7, 1), (3, 3, 4)).total
+        n1 = sum(roots.path_weight((9, 10, 3, 5, 6, 8, 4, 2, 7, 1), (3, 3, 4)))
         w0, n2 = roots.min_weight_witness((3, 3, 4))
         ok = n1 == 8 and n2 == 4 and w0 == (10, 6, 3, 9, 5, 2, 8, 4, 1, 7)
         return ok, None if ok else {"N_example": n1, "w0": list(w0), "N_w0": n2}
@@ -430,7 +429,7 @@ def _run_gx(params):
             shape = Shape(shp)
             if not gxseries.oracle_matches_direct(shape, b, c, d, u, k):
                 return False, {"probe": [list(shp), b, c, d, list(u), list(k)]}
-            nontrivial += not gxseries.build_Quk(shape, b, c, d, u, k).is_zero()
+            nontrivial += not gxseries.QukFactors(shape, b, c, d, u, k).is_zero()
         return nontrivial > 0, None if nontrivial else {"error": "every oracle probe has V = 0"}
     raise ValueError(params)
 
@@ -504,23 +503,13 @@ def run_suite(name: str, args) -> dict:
         build_parser().error(f"suite {name} has no case at these flags")
     order = sorted(range(len(cases)), key=lambda idx: _case_cost(name, cases[idx]))
     budget = args.max_seconds
-    try:
-        threads = max(1, int(os.environ.get("QCT_THREADS", "1")))
-    except ValueError:
-        build_parser().error(f"QCT_THREADS must be an integer, got {os.environ['QCT_THREADS']!r}")
     t0 = time.monotonic()
     results: dict[int, dict] = {}
-    if threads > 1 and budget is None and len(cases) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futs = {idx: pool.submit(_run_case, name, cases[idx]) for idx in order}
-            for idx, fut in futs.items():
-                results[idx] = fut.result()
-    else:
-        for idx in order:
-            if budget is not None and time.monotonic() - t0 > budget:
-                results[idx] = {"params": cases[idx], "status": "trimmed"}
-                continue
-            results[idx] = _run_case(name, cases[idx])
+    for idx in order:
+        if budget is not None and time.monotonic() - t0 > budget:
+            results[idx] = {"params": cases[idx], "status": "trimmed"}
+            continue
+        results[idx] = _run_case(name, cases[idx])
     elapsed_ms = int((time.monotonic() - t0) * 1000)
     return {
         "suite": name,
@@ -650,8 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="ignored: no suite reads it; accepted because the "
                           "benchmark's partial-fraction ops pass it")
     ver.add_argument("--max-seconds", dest="max_seconds", type=_nonneg_float,
-                     help="trim the grid deterministically from the large end; "
-                          "a budget runs the suite serially, whatever QCT_THREADS says")
+                     help="trim the grid deterministically from the large end")
     ver.set_defaults(func=cmd_verify)
 
     rep = sub.add_parser("report", help="aggregate suite reports")

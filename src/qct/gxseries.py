@@ -195,7 +195,8 @@ def factored_ct(term) -> QFrac:
 
 
 class QukFactors:
-    """The factored form of Q(d | u; k): its scale, V times the per-u
+    """The factored form of Q(d | u; k), and of Q(d), the decorated product at
+    argument -d with x_0 retained, when u = k = (): its scale, V times the per-u
     elimination scalars (one factored Cyclo value, zero exactly when V is);
     ``num``, the head-variable numerator factors as triples (a, b, m) for
     (1 - q^m x_a/x_b); ``dens``, the head denominator factors as pairs
@@ -253,13 +254,6 @@ class QukFactors:
 
     # -- bookkeeping ------------------------------------------------------------
 
-    @property
-    def s(self) -> int:
-        return len(self.u)
-
-    def r_vector(self) -> tuple[int, ...]:
-        return r_vector(self.shape, self.u)
-
     def is_zero(self) -> bool:
         return not self.scale.sign
 
@@ -298,16 +292,6 @@ def r_vector(shape: Shape, u) -> tuple[int, ...]:
     return tuple(sum(1 for x in shape.block(i) if x in uset) for i in range(shape.p + 1))
 
 
-def build_Q(shape: Shape, b: int, c: int, d: int) -> QukFactors:
-    """Q(d): the decorated product at argument -d, as numerator factors over
-    the denominator prod_j (q^{-d} x_0/x_j)_d, with x_0 retained."""
-    return QukFactors(shape, b, c, d)
-
-
-def build_Quk(shape: Shape, b: int, c: int, d: int, u, k) -> QukFactors:
-    return QukFactors(shape, b, c, d, u, k)
-
-
 def substitution_oracle(shape: Shape, b: int, c: int, d: int, u, k):
     """Q(d | u; k) built the other way: cancel the dying denominator factors
     of Q(d) against prod_i (1 - q^{-k_i} x_0/x_{u_i}) and map every remaining
@@ -315,7 +299,7 @@ def substitution_oracle(shape: Shape, b: int, c: int, d: int, u, k):
     on one variable becomes the scalar 1 - q^m.  Returns (scalar Cyclo,
     numerator triples, denominator (m, tail) pairs) in the merged variables.
     """
-    q0 = build_Q(shape, b, c, d)
+    q0 = QukFactors(shape, b, c, d)
     u = tuple(u)
     k = tuple(k)
     # x_0 and u_1..u_{s-1} merge into x_{u_s}, each with its q-shift; with u
@@ -351,7 +335,7 @@ def oracle_matches_direct(shape: Shape, b: int, c: int, d: int, u, k) -> bool:
     construction, as rational functions of the surviving variables: each
     side's numerator times the other side's denominator, compared as
     ``Factored`` values."""
-    direct = build_Quk(shape, b, c, d, u, k)
+    direct = QukFactors(shape, b, c, d, u, k)
     scal, triples, dens = substitution_oracle(shape, b, c, d, u, k)
     mono = (0,) * (shape.n + 1)
 
@@ -458,7 +442,7 @@ def check_property_laurent(shape, b, c, d, u, k) -> dict:
     value mono[head] + sum_i mono[i].
     """
     q = QukFactors(shape, b, c, d, u, k)
-    s = q.s
+    s = len(q.u)
     n = shape.n
     ts = t_table(shape)
     report = {
@@ -480,7 +464,7 @@ def check_property_laurent(shape, b, c, d, u, k) -> dict:
         report["witness"] = q.vanishing_factor()
         return report
     report["case4"] = _case4_exists(shape, u, k, b, c, c + ts[s])
-    r = q.r_vector()
+    r = r_vector(shape, q.u)
     ell = (n - s) * (s * c - d) + _sigma_r(shape, r)
     report["ledger_exponent"] = ell
     if ell < 0:
@@ -498,7 +482,7 @@ def check_property_laurent(shape, b, c, d, u, k) -> dict:
     report["divisible"] = cancelled is not None
     if cancelled is None:
         # outside the structural path: fall back to the exact rational CT
-        report["ct_zero"] = exact_ct_rational(q).is_zero()
+        report["ct_zero"] = factored_ct(q.term()).is_zero()
         report["ok"] = report["ct_zero"]
         return report
     scale, mono, triples = cancelled
@@ -572,12 +556,6 @@ def vanishing_property_checks(shape: Shape, b: int, c: int, d: int, u, k) -> dic
 # -- the full elimination pipeline ---------------------------------------------------------
 
 
-def exact_ct_rational(q: QukFactors) -> QFrac:
-    """Exact CT of Q(d | u; k) over every variable; assumes no vanishing
-    property."""
-    return factored_ct(q.term())
-
-
 def gx_ct(shape: Shape, b: int, c: int, d: int) -> QFrac:
     """CT of Q(d) by repeated partial-fraction elimination."""
-    return exact_ct_rational(build_Q(shape, b, c, d))
+    return factored_ct(QukFactors(shape, b, c, d).term())

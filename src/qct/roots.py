@@ -48,68 +48,13 @@ def t_table(shape: Shape) -> tuple[int, ...]:
     return tuple(out)
 
 
-class RootTable:
-    """The n root rows; row i holds b consecutive integers starting at
-    i*c + shift_i + 1, annotated with the class j of the bracket it came from."""
-
-    __slots__ = ("shape", "b", "c", "rows")
-
-    def __init__(self, shape, b, c, rows):
-        self.shape = shape
-        self.b = b
-        self.c = c
-        self.rows = rows  # list of (i, class_j, tuple of elements)
-
-    def union(self) -> list[int]:
-        """All predicted roots, with multiplicity."""
-        out = []
-        for _, _, els in self.rows:
-            out.extend(els)
-        return sorted(out)
-
-    def distinct(self) -> list[int]:
-        return sorted(set(self.union()))
-
-    def is_disjoint(self) -> bool:
-        u = self.union()
-        return len(u) == len(set(u))
-
-    def __str__(self):
-        lines = []
-        for i, j, els in self.rows:
-            body = " ".join(str(x) for x in els) if els else "(empty)"
-            lines.append(f"row i={i} [class {j}]: {body}")
-        return "\n".join(lines)
-
-
-def root_sets(shape: Shape, b: int, c: int) -> RootTable:
-    """The rows R_i^j, built directly from their defining index ranges."""
+def root_sets(shape: Shape, b: int, c: int) -> list[tuple[int, ...]]:
+    """The rows R_i, i = 0..n-1: row i holds the b consecutive integers from
+    i*c + t_{i+1} + 1."""
     if b < 0 or c < 0:
         raise ValueError("b and c must be nonnegative")
-    n, p = shape.n, shape.p
-    n0 = shape.parts[0]
-    rows = []
-    if p == 0:
-        for i in range(n):
-            rows.append((i, 0, tuple(range(i * c + 1, i * c + b + 1))))
-        return RootTable(shape, b, c, rows)
-    m = (1,) + shape.sorted_decorated()
-    nu = [0] * (p + 1)
-    for j in range(1, p + 1):
-        nu[j] = nu[j - 1] + m[j]
-    for i in range(0, n0 + p):
-        rows.append((i, 0, tuple(range(i * c + 1, i * c + b + 1))))
-    for j in range(1, p + 1):
-        low = n - (nu[p] - nu[j - 1]) + (p - j + 1) * m[j - 1]
-        high = n - (nu[p] - nu[j]) + (p - j) * m[j] - 1
-        for i in range(low, high + 1):
-            shift = (i - n0 - nu[j - 1]) // (p - j + 1)
-            first = i * c + shift + 1
-            rows.append((i, j, tuple(range(first, first + b))))
-    rows.sort(key=lambda r: r[0])
-    if [r[0] for r in rows] != list(range(n)):
-        raise AssertionError("root rows do not cover i = 0..n-1 exactly once")
-    return RootTable(shape, b, c, rows)
+    return [tuple(range(i * c + t + 1, i * c + t + b + 1))
+            for i, t in enumerate(t_table(shape))]
 
 
 def interpolate_dn(shape: Shape, b: int, c: int) -> ZPoly:
@@ -125,7 +70,7 @@ def product_form_coeffs(shape: Shape, b: int, c: int) -> ZPoly:
     """prod_{i in R}(1 - q^i z)/(1 - q^i) * D_n(0) over the root multiset R."""
     coeffs = [dn0_rhs(shape, c)]
     den = Cyclo()
-    for d in root_sets(shape, b, c).union():
+    for d in sorted(d for row in root_sets(shape, b, c) for d in row):
         # times (1 - q^d z)
         coeffs = [x - y.shift(d) for x, y in zip(coeffs + [ZERO], [ZERO] + coeffs)]
         den = den * Cyclo.poch(d, 1)
@@ -141,9 +86,8 @@ def verify_roots(shape: Shape, b: int, c: int) -> dict:
     the closed form at every node and against the explicit product form over
     the root set, both cross-multiplied by its denominator.
     """
-    n = shape.n
-    nb = n * b
-    table = root_sets(shape, b, c)
+    nb = shape.n * b
+    union = sorted(d for row in root_sets(shape, b, c) for d in row)
     poly = interpolate_dn(shape, b, c)
     report = {
         "shape": shape.parts,
@@ -161,9 +105,9 @@ def verify_roots(shape: Shape, b: int, c: int) -> dict:
         "product_form_match": None,
     }
     if c >= b:
-        report["disjoint"] = table.is_disjoint()
-        report["root_count_ok"] = len(table.union()) == nb
-    for d in table.distinct():
+        report["disjoint"] = len(union) == len(set(union))
+        report["root_count_ok"] = len(union) == nb
+    for d in sorted(set(union)):
         report["roots_checked"] += 1
         if not poly.numerator_at(-d).is_zero():
             report["all_vanish"] = False
@@ -180,21 +124,6 @@ def verify_roots(shape: Shape, b: int, c: int) -> dict:
 # -- path weights -------------------------------------------------------------------
 
 
-class PathWeight:
-    """Weighted directed path data for a permutation against block sizes."""
-
-    __slots__ = ("w", "r", "e", "total")
-
-    def __init__(self, w, r, e):
-        self.w = tuple(w)
-        self.r = tuple(r)
-        self.e = tuple(e)
-        self.total = sum(e)
-
-    def __repr__(self):
-        return f"PathWeight(w={self.w}, r={self.r}, N={self.total})"
-
-
 @lru_cache(maxsize=256)
 def _block_ids(r: tuple[int, ...]) -> tuple[int, ...]:
     """Block label of positions 0..s: positions of R_i (i >= 1) share label i,
@@ -208,20 +137,16 @@ def _block_ids(r: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def path_weight(w, r) -> PathWeight:
-    """Weights e_j = ascent indicator + same-decorated-block indicator."""
+def path_weight(w, r) -> tuple[int, ...]:
+    """The weights e_j = ascent indicator + same-decorated-block indicator of
+    the path w; their sum is the path weight N(w)."""
     w = tuple(w)
     r = tuple(r)
     s = sum(r)
     if len(w) != s or sorted(w) != list(range(1, s + 1)):
         raise ValueError("w must be a permutation of 1..sum(r)")
     ids = _block_ids(r)
-    e = []
-    prev = 0
-    for x in w:
-        e.append((prev < x) + (ids[prev] == ids[x]))
-        prev = x
-    return PathWeight(w, r, e)
+    return tuple((prev < x) + (ids[prev] == ids[x]) for prev, x in zip((0,) + w, w))
 
 
 def min_path_weights_many(rs) -> list[tuple[int, int]]:
@@ -305,7 +230,7 @@ def min_weight_witness(r) -> tuple[tuple[int, ...], int]:
             if r[i] - t >= 1:
                 w0.append(starts[i] + r[i] - t)
     expected = max(r[1:]) if p >= 1 else 1
-    got = path_weight(w0, r).total
+    got = sum(path_weight(w0, r))
     if got != expected:
         raise LemmaFalsified(f"witness weight {got} != max block size {expected} for r={r}")
     return tuple(w0), got
@@ -313,11 +238,12 @@ def min_weight_witness(r) -> tuple[tuple[int, ...], int]:
 
 def leave_one_out_bound_holds(w, r) -> bool:
     """sum_{j != i} e_j >= max(r_1..r_p) - 1 for every i."""
-    pw = path_weight(w, r)
+    e = path_weight(w, r)
     if len(r) == 1:
         return True
     m = max(r[1:])
-    return all(pw.total - e >= m - 1 for e in pw.e)
+    total = sum(e)
+    return all(total - ej >= m - 1 for ej in e)
 
 
 # -- the key classification lemma ----------------------------------------------------

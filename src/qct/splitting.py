@@ -153,11 +153,7 @@ def _acoeff_parts(shape: Shape, c: int, i: int, j: int, k: int):
 def _same_variable_scalar(dens, i: int, j: int) -> Cyclo:
     """At y = q^{-j} x_i a denominator factor (1 - q^z y/x_i), z != j,
     collapses to the scalar 1 - q^{z-j}; their product."""
-    scalar = Cyclo()
-    for z, l in dens:
-        if l == i and z != j:
-            scalar = scalar * Cyclo.poch(z - j, 1)
-    return scalar
+    return Cyclo.poch_product((z - j, 1, 1) for z, l in dens if l == i and z != j)
 
 
 class SplitDecomposition:

@@ -207,7 +207,7 @@ def test_negative_arguments_are_usage_errors(argv, capsys):
     (("rhs", "--family", "kadell", "--v", "1,0", "--r", "1", "--a", "1"), "equal length"),
     (("rhs", "--family", "kadell", "--v", "1,0", "--r", "2", "--a", "1,1"), "|--v| = --r"),
     (("report", "--dir", "/nonexistent"), "No such file or directory"),
-    (("QCT_THREADS=x", "verify", "--suite", "qsum"), "QCT_THREADS must be an integer"),
+    (("verify", "--suite", "qsum", "--out", "."), "'.' is a directory"),
     (("ct", "--family", "kadell", "--v", "1,0", "--a", "1,1"), "kadell needs --v, --r and --a"),
     (("ct", "--family", "bf", "--shape", "1,1", "--a", "1,2"), "--a takes one value for this family"),
     (("rhs", "--family", "bf-p1", "--shape", "1,1,1", "--a", "1"), "bf-p1 needs a two-block shape"),
@@ -249,12 +249,7 @@ def test_negative_arguments_are_usage_errors(argv, capsys):
       "--out", "/nonexistent/x.json"), "no such directory '/nonexistent' for '/nonexistent/x.json'"),
     (("report", "--out", "/nonexistent/y.json"), "no such directory '/nonexistent' for '/nonexistent/y.json'"),
 ])
-def test_bad_shape_and_n_are_usage_errors(argv, message, capsys, monkeypatch):
-    # leading NAME=value items set the environment, as on a shell command line
-    while "=" in argv[0] and not argv[0].startswith("-"):
-        name, value = argv[0].split("=", 1)
-        monkeypatch.setenv(name, value)
-        argv = argv[1:]
+def test_bad_shape_and_n_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
@@ -309,7 +304,6 @@ def test_suites_run_without_gcd(suite, tmp_path, capsys, monkeypatch):
         raise AssertionError("poly_gcd called")
 
     monkeypatch.setattr(qring, "poly_gcd", no_gcd)
-    monkeypatch.setenv("QCT_THREADS", "1")
     code, out = run(capsys, "verify", "--suite", suite, "--out", str(tmp_path / "report.json"))
     assert code == 0 and " 0 fail, 0 trimmed" in out
 
@@ -321,34 +315,6 @@ def test_max_seconds_trims(tmp_path, capsys, monkeypatch):
     # passed no case is no evidence of a pass, so it exits 1
     assert code == 1
     assert "162 trimmed" in out
-
-
-@pytest.mark.parametrize("suite, flags, pooled", [
-    ("poch-identities", (), False),  # one case runs in the main process
-    ("qmorris", (), True),
-    ("qmorris", ("--max-seconds", "600"), False),  # a budget runs serially
-    ("lemma-key", (), True),  # cases of very unequal cost
-])
-def test_process_pool_matches_serial(suite, flags, pooled, tmp_path, capsys, monkeypatch):
-    pools = []
-
-    class CountingPool(cli.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
-    outs, cases = [], []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("QCT_THREADS", threads)
-        report = tmp_path / f"report-{threads}.json"
-        code, out = run(capsys, "verify", "--suite", suite, "--out", str(report), *flags)
-        assert code == 0
-        outs.append(out)
-        cases.append(json.loads(report.read_text())["cases"])
-    assert outs[0] == outs[1] and cases[0] == cases[1]
-    assert " 0 fail, 0 trimmed" in outs[0]
-    assert pools == ([2] if pooled else [])
 
 
 def _run_fresh(argv):

@@ -10,17 +10,16 @@ from hypothesis import strategies as st
 from qct import cli, gxseries, laurent, qring, roots
 from qct.closedform import all_shapes
 from qct.gxseries import (
-    build_Q,
-    build_Quk,
+    QukFactors,
     check_property_expand,
     check_property_laurent,
     check_property_zero,
-    exact_ct_rational,
     factored_ct,
     gx_ct,
     vanishing_property_checks,
     oracle_matches_direct,
     property_branch,
+    r_vector,
 )
 from qct.laurent import (MLaurent, _decode_packed, _digit_width, _pack_qlaurent, _packed_add, ct_fold,
                          fold_packed_raw)
@@ -251,14 +250,14 @@ def reference_property_expand(shape, b, c, d, u, k) -> bool:
     """Property (2) the packed way: the degree condition on the expanded
     numerator, then one packed elimination step compared with the directly
     built next-level terms."""
-    q = build_Quk(shape, b, c, d, u, k)
+    q = QukFactors(shape, b, c, d, u, k)
     num, B = numerator_poly(q)
     dens = q.dens
     if max((e[q.head] for e in num), default=0) >= len(dens):
         return False
     ks = q.k[-1] if q.u else 0
     for scale, new_num, new_dens, new_head, (m, i) in _eliminate(q.scale, num, B, dens, q.head):
-        cand = build_Quk(shape, b, c, d, q.u + (i,), q.k + (ks - m,))
+        cand = QukFactors(shape, b, c, d, q.u + (i,), q.k + (ks - m,))
         if not _terms_equal(scale, new_num, B, new_dens, new_head, cand):
             return False
     return True
@@ -267,7 +266,7 @@ def reference_property_expand(shape, b, c, d, u, k) -> bool:
 def reference_oracle_matches_direct(shape, b, c, d, u, k) -> bool:
     """The substitution oracle against the direct construction the packed
     way: both cross-multiplied numerators expanded in full."""
-    direct = build_Quk(shape, b, c, d, u, k)
+    direct = QukFactors(shape, b, c, d, u, k)
     scal, triples, dens = gxseries.substitution_oracle(shape, b, c, d, u, k)
     arity = shape.n + 1
     mono = (0,) * arity
@@ -590,7 +589,7 @@ def test_gx_ct_matches_reference_on_query_grid():
                for b in range(2) for c in range(2) for d in range(1, shape.n * b + 2)]
     assert len(queries) == 62
     for shape, b, c, d in queries:
-        assert gx_ct(shape, b, c, d) == reference_ct(build_Q(shape, b, c, d)), \
+        assert gx_ct(shape, b, c, d) == reference_ct(QukFactors(shape, b, c, d)), \
             (shape.parts, b, c, d)
 
 
@@ -600,7 +599,7 @@ def test_gx_ct_runs_without_gcd(monkeypatch):
     monkeypatch.setattr(qring, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
     got = gx_ct(Shape((1, 1)), 1, 1, 3)
     assert calls == []
-    assert got == reference_ct(build_Q(Shape((1, 1)), 1, 1, 3))
+    assert got == reference_ct(QukFactors(Shape((1, 1)), 1, 1, 3))
 
 
 def _point_window(tlo, thi, arity) -> bool:
@@ -639,7 +638,7 @@ def test_packed_elimination_makes_no_qlaurent_arithmetic(monkeypatch):
     got = gx_ct(Shape((1, 2)), 1, 1, 3)
     assert splits and calls == [] and folds
     assert folds == [("point", True), ("kernel", None)] * (len(folds) // 2)
-    assert got == reference_ct(build_Q(Shape((1, 2)), 1, 1, 3))
+    assert got == reference_ct(QukFactors(Shape((1, 2)), 1, 1, 3))
     # property (3) expands nothing: its one kernel run is its point fold
     folds.clear()
     rep = check_property_laurent(Shape((2, 4)), 1, 2, 5, (3, 4), (5, 2))
@@ -739,27 +738,27 @@ def test_ct_partial_fraction_order_independence():
 
 def test_build_Q_small_cts():
     # shape (1), b=c=0, d=1: the head function has constant term 1
-    q = build_Q(Shape((1,)), 0, 0, 1)
-    assert exact_ct_rational(q) == QFrac(1)
+    q = QukFactors(Shape((1,)), 0, 0, 1)
+    assert factored_ct(q.term()) == QFrac(1)
     # b=1: -a = 1 is a predicted root, so the constant term vanishes
-    q = build_Q(Shape((1,)), 1, 0, 1)
-    assert exact_ct_rational(q).is_zero()
+    q = QukFactors(Shape((1,)), 1, 0, 1)
+    assert factored_ct(q.term()).is_zero()
     # p=0, n=2, b=c=1, d=1: again a root
-    q = build_Q(Shape((2,)), 1, 1, 1)
-    assert exact_ct_rational(q).is_zero()
+    q = QukFactors(Shape((2,)), 1, 1, 1)
+    assert factored_ct(q.term()).is_zero()
 
 
 def test_V_vanishes_when_k_small():
-    q = build_Quk(Shape((1, 1)), 2, 1, 3, (1,), (2,))
+    q = QukFactors(Shape((1, 1)), 2, 1, 3, (1,), (2,))
     assert q.is_zero()  # k_1 = 2 <= b
     assert q.vanishing_factor()[0] == "k<=b"
 
 
 def test_r_vector_bookkeeping():
-    q = build_Quk(Shape((1, 2, 2)), 0, 0, 2, (1, 3, 4), (1, 1, 1))
-    assert q.r_vector() == (1, 1, 1)
-    q2 = build_Quk(Shape((1, 2, 2)), 0, 0, 2, (4, 5), (1, 1))
-    assert q2.r_vector() == (0, 0, 2)
+    q = QukFactors(Shape((1, 2, 2)), 0, 0, 2, (1, 3, 4), (1, 1, 1))
+    assert r_vector(q.shape, q.u) == (1, 1, 1)
+    q2 = QukFactors(Shape((1, 2, 2)), 0, 0, 2, (4, 5), (1, 1))
+    assert r_vector(q2.shape, q2.u) == (0, 0, 2)
 
 
 def test_direct_equals_substitution_oracle():
@@ -773,7 +772,7 @@ def test_direct_equals_substitution_oracle():
         ((1, 1, 1), 1, 2, 6, (1, 2, 3), (6, 4, 2)),
     ]
     for shp, b, c, d, u, k in probes:
-        assert not build_Quk(Shape(shp), b, c, d, u, k).is_zero(), (shp, b, c, d, u, k)
+        assert not QukFactors(Shape(shp), b, c, d, u, k).is_zero(), (shp, b, c, d, u, k)
         assert oracle_matches_direct(Shape(shp), b, c, d, u, k), (shp, b, c, d, u, k)
 
 
@@ -786,7 +785,7 @@ def test_oracle_case_needs_a_nontrivial_probe(monkeypatch):
 
 def test_oracle_comparison_tells_a_wrong_scalar_apart(monkeypatch):
     probe = (Shape((1, 2)), 1, 1, 5, (1, 3), (4, 2))
-    assert not build_Quk(*probe).is_zero() and oracle_matches_direct(*probe)
+    assert not QukFactors(*probe).is_zero() and oracle_matches_direct(*probe)
     oracle = gxseries.substitution_oracle
     for wrong in (Cyclo(1, 1), Cyclo(-1), Cyclo.poch(1, 1), Cyclo(0)):
         def scaled(*args, wrong=wrong):
@@ -801,7 +800,7 @@ def test_oracle_comparison_tells_a_wrong_scalar_apart(monkeypatch):
                                          (1, -1, (1,), (2,))])
 def test_negative_pochhammer_lengths_are_rejected(b, c, u, k):
     with pytest.raises(ValueError, match="pochhammer length negative"):
-        build_Quk(Shape((1, 2)), b, c, 2, u, k)
+        QukFactors(Shape((1, 2)), b, c, 2, u, k)
 
 
 def test_property_zero_branch():
@@ -894,7 +893,7 @@ def reference_property_laurent_route(q, ell, res):
     contract it against the expanded residual pairs."""
     n = q.shape.n
     outside = [i for i in range(1, n + 1) if i not in q.u]
-    shifts = {i: q.d - q.s * q.c - sum(epsilon(q.shape, i, x) for x in q.u) for i in outside}
+    shifts = {i: q.d - len(q.u) * q.c - sum(epsilon(q.shape, i, x) for x in q.u) for i in outside}
     for e in res:
         if any(e[i] < shifts[i] for i in outside):
             return False, None
@@ -1045,7 +1044,7 @@ def test_property_laurent_matches_decoding_route(monkeypatch, perturb, verdict):
         rep = check_property_laurent(shape, b, c, d, u, k)
         if not rep["divisible"]:
             continue
-        q = build_Quk(shape, b, c, d, u, k)
+        q = QukFactors(shape, b, c, d, u, k)
         res = reference_cancelled_numerator(q)
         if move is not None:
             shift = [0] * (shape.n + 1)
@@ -1066,7 +1065,7 @@ def test_cancelled_numerator_times_denominator_is_the_numerator():
     # head denominator is the stored head numerator, compared as Factored values
     compared = 0
     for shape, b, c, d, u, k in _gx_laurent_grid():
-        q = build_Quk(shape, b, c, d, u, k)
+        q = QukFactors(shape, b, c, d, u, k)
         cancelled = None if q.is_zero() else gxseries._cancel_head_denominator(q)
         if cancelled is None:
             continue
@@ -1236,12 +1235,12 @@ def test_pipeline_on_four_variables(parts, b, c, dmax):
 def test_exact_ct_rational_matches_pipeline():
     shape = Shape((1, 1))
     for d in (1, 2, 3):
-        q = build_Q(shape, 1, 1, d)
-        assert exact_ct_rational(q) == reference_ct(q)
+        q = QukFactors(shape, 1, 1, d)
+        assert factored_ct(q.term()) == reference_ct(q)
     # substituted images, zero and nonzero alike
     for u, k in (((1,), (2,)), ((2,), (1,)), ((1, 2), (3, 1))):
-        q = build_Quk(shape, 0, 1, 3, u, k)
-        assert exact_ct_rational(q) == reference_ct(q), (u, k)
+        q = QukFactors(shape, 0, 1, 3, u, k)
+        assert factored_ct(q.term()) == reference_ct(q), (u, k)
 
 
 def test_degree_ledger_sign_tracks_the_laurent_window():
@@ -1249,8 +1248,8 @@ def test_degree_ledger_sign_tracks_the_laurent_window():
     # at or below sc + sum r_i(n_i-r_i)/(n-s)
     shape = Shape((2, 4))
     u, s, c = (3, 4), 2, 2
-    q = build_Quk(shape, 1, c, 5, u, (5, 2))
-    r = q.r_vector()
+    q = QukFactors(shape, 1, c, 5, u, (5, 2))
+    r = r_vector(q.shape, q.u)
     sig = sum(r[i] * (shape.parts[i] - r[i]) for i in range(1, shape.p + 1))
     n = shape.n
     for d in range(1, 9):
@@ -1265,7 +1264,7 @@ def test_head_denominator_interval_inclusion():
     from qct.products import epsilon
 
     shape = Shape((2, 4))
-    q = build_Quk(shape, 1, 2, 5, (3, 4), (5, 2))
+    q = QukFactors(shape, 1, 2, 5, (3, 4), (5, 2))
     assert _cancel_head_denominator(q) is not None
     # the same inclusion, spelled out in interval arithmetic
     b, c, d = q.b, q.c, q.d
@@ -1318,8 +1317,8 @@ GX_GRID_TERMS = _gx_grid_terms()
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(GX_GRID_TERMS))
 def test_walk_matches_packed_route_on_grid_terms(case):
-    q = build_Quk(*case)
-    assert exact_ct_rational(q) == rational_ct(rational_term(q)), case
+    q = QukFactors(*case)
+    assert factored_ct(q.term()) == rational_ct(rational_term(q)), case
 
 
 @st.composite

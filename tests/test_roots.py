@@ -40,34 +40,55 @@ def test_t_table_two_decorated_blocks():
     assert t_table(Shape((2, 2, 3))) == (0, 0, 0, 0, 1, 1, 2)
 
 
+def bracket_root_rows(shape: Shape, b: int, c: int) -> list[tuple[int, ...]]:
+    """Reference for root_sets: the rows R_i^j from their defining index
+    ranges.  Rows i < n_0 + p are class 0 and start at i*c + 1; class j
+    (1 <= j <= p) covers a bracket of i over the ascending decorated sizes
+    m_j, and its rows start at i*c + floor((i - n_0 - nu_{j-1})/(p-j+1)) + 1."""
+    n, p = shape.n, shape.p
+    if p == 0:
+        return [tuple(range(i * c + 1, i * c + b + 1)) for i in range(n)]
+    n0 = shape.parts[0]
+    m = (1,) + shape.sorted_decorated()
+    nu = [0] * (p + 1)
+    for j in range(1, p + 1):
+        nu[j] = nu[j - 1] + m[j]
+    rows = [(i, tuple(range(i * c + 1, i * c + b + 1))) for i in range(n0 + p)]
+    for j in range(1, p + 1):
+        low = n - (nu[p] - nu[j - 1]) + (p - j + 1) * m[j - 1]
+        high = n - (nu[p] - nu[j]) + (p - j) * m[j] - 1
+        for i in range(low, high + 1):
+            first = i * c + (i - n0 - nu[j - 1]) // (p - j + 1) + 1
+            rows.append((i, tuple(range(first, first + b))))
+    rows.sort()
+    assert [i for i, _ in rows] == list(range(n)), "brackets must cover i = 0..n-1 once"
+    return [els for _, els in rows]
+
+
 def test_root_rows_match_threshold_table():
+    # the rows read off t_table equal the bracket-range construction
     for shape in all_shapes(6):
-        ts = t_table(shape)
-        for b, c in ((1, 1), (2, 2), (1, 3)):
-            table = root_sets(shape, b, c)
-            assert len(table.rows) == shape.n
-            for i, j, els in table.rows:
-                assert len(els) == b
-                assert els[0] == i * c + ts[i] + 1
-                assert list(els) == list(range(els[0], els[0] + b))
+        for b in range(4):
+            for c in range(4):
+                assert root_sets(shape, b, c) == bracket_root_rows(shape, b, c), (shape, b, c)
+
+
+def root_union(shape: Shape, b: int, c: int) -> list[int]:
+    return sorted(d for row in root_sets(shape, b, c) for d in row)
 
 
 def test_root_set_examples():
-    assert root_sets(Shape((1, 2)), 0, 2).union() == []
-    assert root_sets(Shape((1, 2)), 1, 2).union() == [1, 3, 6]
+    assert root_union(Shape((1, 2)), 0, 2) == []
+    assert root_union(Shape((1, 2)), 1, 2) == [1, 3, 6]
+    assert root_sets(Shape((1, 2)), 1, 2) == [(1,), (3,), (6,)]
     # disjoint union of size nb whenever c >= b
     for shape in all_shapes(5):
         for b in range(3):
             for c in range(b, 4):
-                table = root_sets(shape, b, c)
-                assert table.is_disjoint()
-                assert len(table.union()) == shape.n * b
-
-
-def test_root_table_display():
-    text = str(root_sets(Shape((1, 2)), 1, 2))
-    assert "row i=0 [class 0]: 1" in text
-    assert "row i=2 [class 1]: 6" in text
+                union = root_union(shape, b, c)
+                assert len(union) == len(set(union)) == shape.n * b
+    with pytest.raises(ValueError):
+        root_sets(Shape((1, 2)), -1, 2)
 
 
 def test_interpolate_dn_degree_and_extrapolation():
@@ -96,8 +117,7 @@ def test_verify_roots_reports():
     rep0 = verify_roots(Shape((1, 2)), 0, 1)
     assert rep0["all_vanish"] and rep0["roots_checked"] == 0
     # p=0 regime: roots {1, c+1} for n=2, b=1, c=2
-    table = root_sets(Shape((2,)), 1, 2)
-    assert table.union() == [1, 3]
+    assert root_union(Shape((2,)), 1, 2) == [1, 3]
     rep2 = verify_roots(Shape((2,)), 1, 2)
     assert rep2["all_vanish"] and rep2["closed_form_match"]
 
@@ -159,21 +179,21 @@ def test_product_form_matches_interpolation():
 
 
 def test_path_weight_worked_examples():
-    assert path_weight((9, 10, 3, 5, 6, 8, 4, 2, 7, 1), (3, 3, 4)).total == 8
+    assert sum(path_weight((9, 10, 3, 5, 6, 8, 4, 2, 7, 1), (3, 3, 4))) == 8
     w0, n0 = min_weight_witness((3, 3, 4))
     assert w0 == (10, 6, 3, 9, 5, 2, 8, 4, 1, 7)
     assert n0 == 4
     # descending permutation with p = 0: only the first step scores
-    assert path_weight((3, 2, 1), (3,)).total == 1
-    pw = path_weight((2, 1, 3), (1, 2))
-    assert pw.e[0] == 1  # e_1 = 1 always
+    assert path_weight((3, 2, 1), (3,)) == (1, 0, 0)
+    # e_1 = 1 always; 1 -> 3 is an ascent across blocks
+    assert path_weight((2, 1, 3), (1, 2)) == (1, 0, 1)
 
 
 def exhaustive_min_weights(r):
     """Brute-force oracle for min_path_weights: both minima over all s! permutations."""
     s = sum(r)
     weights = [path_weight(w, r) for w in itertools.permutations(range(1, s + 1))]
-    return min(pw.total for pw in weights), min(pw.total - max(pw.e) for pw in weights)
+    return min(sum(e) for e in weights), min(sum(e) - max(e) for e in weights)
 
 
 def _compositions(s):

@@ -2,7 +2,10 @@
 
 import ast
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import qct
@@ -138,3 +141,24 @@ def test_every_library_definition_is_used():
               if not owners.get(name, set()) - {(module, name)}
               and not re.search(rf"\b{re.escape(name)}\b", bench)]
     assert not unused, f"library definitions named nowhere else in src or perfbench: {unused}"
+
+
+def test_library_reads_no_environment():
+    # flags are the only input of a run: a module that reads the environment
+    # would hold a setting that the parser neither shows nor checks
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if {"environ", "getenv"} & set(_named(node)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"the library reads the environment: {found}"
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # suites run serially, so importing the front end loads no process pool
+    probe = ("import sys, qct.cli; "
+             "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
