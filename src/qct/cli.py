@@ -24,9 +24,10 @@ from .qring import QFrac, eval_poly, interpolate
 
 
 def _nonneg_ints(text: str) -> list[int]:
-    """argparse type: a comma list of nonnegative integers."""
+    """argparse type: a nonempty comma list of nonnegative integers; an
+    empty entry, as in ``,`` or ``1,,2``, is not an integer."""
     try:
-        values = [int(t) for t in text.split(",") if t != ""]
+        values = [int(t) for t in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
     if any(v < 0 for v in values):
@@ -45,7 +46,7 @@ def _nonneg_int(text: str) -> int:
 def _positive_ints(text: str) -> list[int]:
     """argparse type: a nonempty comma list of positive integers."""
     values = _nonneg_ints(text)
-    if not values or 0 in values:
+    if 0 in values:
         raise argparse.ArgumentTypeError(f"entries must be positive, got {text!r}")
     return values
 

@@ -73,11 +73,8 @@ def _recursion_factor(shape: Shape, a: int, b: int, c: int, k: int) -> Cyclo:
                                *Cyclo.qbinom(n * c + nk - 1, c), (c + 1, 1, -1), ((n - 1) * c + nk, b, -1)))
 
 
-def bf_rhs(params: BFParams, k: int | None = None) -> QLaurent:
-    """Iterate the recursion down to the one-block case, then the n-fold
-    product formula.  ``k`` forces the first maximal-part choice (ties only);
-    by default the smallest maximizing index is taken at every step.
-    """
+def bf_cyclo(params: BFParams, k: int | None = None) -> Cyclo:
+    """bf_rhs before its expansion, as one factored value."""
     shape, a, b, c = params.shape, params.a, params.b, params.c
     total = Cyclo()
     first = True
@@ -91,7 +88,15 @@ def bf_rhs(params: BFParams, k: int | None = None) -> QLaurent:
         total = total * _recursion_factor(shape, a, b, c, kk)
         shape = shape.decremented(kk)
         first = False
-    return (total * _qmorris(shape.n, a, b, c)).expand()
+    return total * _qmorris(shape.n, a, b, c)
+
+
+def bf_rhs(params: BFParams, k: int | None = None) -> QLaurent:
+    """Iterate the recursion down to the one-block case, then the n-fold
+    product formula.  ``k`` forces the first maximal-part choice (ties only);
+    by default the smallest maximizing index is taken at every step.
+    """
+    return bf_cyclo(params, k).expand()
 
 
 def dn0_rhs(shape: Shape, c: int) -> QLaurent:

@@ -14,6 +14,9 @@ x_1..x_n has arity n.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from types import MappingProxyType
+
 from .laurent import ct_contract, ct_fold, ct_point
 from .qring import ONE, ZERO, QLaurent, qbinom
 
@@ -191,12 +194,13 @@ def kadell_ct(v, r: int, a) -> QLaurent:
     return ct_contract(n, factors, lo, v, [slots])[0]
 
 
-def x0_weights(a: int, b: int) -> dict[int, QLaurent]:
-    """Coefficients of (1/u)_a (q u)_b as a map exponent -> QLaurent."""
+@lru_cache(maxsize=256)
+def x0_weights(a: int, b: int) -> MappingProxyType:
+    """Coefficients of (1/u)_a (q u)_b as a read-only map exponent -> QLaurent."""
     if a < 0 or b < 0:
         raise ValueError("Pochhammer lengths a, b must be nonnegative")
     factors = [(None, 1, t) for t in range(a)] + [(1, None, 1 + t) for t in range(b)]
-    return {e: c for (e,), c in ct_fold(1, factors).items()}
+    return MappingProxyType({e: c for (e,), c in ct_fold(1, factors).items()})
 
 
 def bf_ct_grid(shape: Shape, c: int, jobs) -> dict[tuple[int, int], QLaurent]:
@@ -208,10 +212,15 @@ def bf_ct_grid(shape: Shape, c: int, jobs) -> dict[tuple[int, int], QLaurent]:
     coefficient of u^{-v_i} in (1/u)_a (q u)_b at each slot i.  So the
     contraction runs over exponent multisets.  Identical in value to bf_ct,
     much cheaper on grids and interpolation sweeps.
+
+    Every slot a job reads lies in [-max b, max a].  The pair product is
+    homogeneous of degree 0, so a state with every slot >= -max b has every
+    slot <= (n - 1) max b: the box top is the smaller of the two bounds.
     """
     jobs = list(dict.fromkeys(jobs))
     n = shape.n
-    tlo = (-max(b for _, b in jobs),) * n
-    thi = (max(a for a, _ in jobs),) * n
+    bmax = max(b for _, b in jobs)
+    tlo = (-bmax,) * n
+    thi = (min(max(a for a, _ in jobs), (n - 1) * bmax),) * n
     weights = [{-e: w for e, w in x0_weights(a, b).items()} for a, b in jobs]
     return dict(zip(jobs, ct_contract(n, pair_linear(shape, c), tlo, thi, [(w,) * n for w in weights])))

@@ -99,16 +99,27 @@ class QLaurent:
         if not other.terms:
             return self
         out = dict(self.terms)
+        get = out.get
         for e, c in other.terms.items():
-            s = out.get(e, 0) + c
+            s = get(e, 0) + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
+                del out[e]
         return QLaurent(out, _trusted=True)
 
     def __sub__(self, other: "QLaurent") -> "QLaurent":
-        return self + (-other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        get = out.get
+        for e, c in other.terms.items():
+            s = get(e, 0) - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return QLaurent(out, _trusted=True)
 
     def __neg__(self) -> "QLaurent":
         return QLaurent({e: -c for e, c in self.terms.items()}, _trusted=True)
@@ -162,12 +173,10 @@ class QLaurent:
         if self.is_zero():
             return ZERO
         sh_a, sh_b = self.min_exp(), other.min_exp()
-        num = _to_list(self.shift(-sh_a))
-        den = _to_list(other.shift(-sh_b))
-        quo, rem = _list_divmod(num, den)
+        quo, rem = _list_divmod(_to_list(self, sh_a), _to_list(other, sh_b))
         if quo is None or any(rem):
             raise ValueError("inexact QLaurent division")
-        return _from_list(quo).shift(sh_a - sh_b)
+        return _from_list(quo, sh_a - sh_b)
 
     # -- comparison / hashing ------------------------------------------------
 
@@ -263,17 +272,21 @@ ONE = QLaurent.from_int(1)
 Q = QLaurent.q_power(1)
 
 
-# -- dense helpers for division and gcd (plain polynomials, min exponent 0) --
+# -- dense helpers for division and gcd --------------------------------------
 
-def _to_list(p: QLaurent) -> list[int]:
-    out = [0] * (p.max_exp() + 1)
+def _to_list(p: QLaurent, lo: int = 0) -> list[int]:
+    """p.shift(-lo) as a dense coefficient list; p is nonzero, with no exponent below lo."""
+    out = [0] * (max(p.terms) - lo + 1)
     for e, c in p.terms.items():
-        out[e] = c
+        out[e - lo] = c
     return out
 
 
-def _from_list(coeffs: list[int]) -> QLaurent:
-    return QLaurent({e: c for e, c in enumerate(coeffs) if c}, _trusted=True)
+def _from_list(coeffs: list[int], lo: int = 0, sign: int = 1) -> QLaurent:
+    """sign * sum_i coeffs[i] q^(lo+i), the inverse of _to_list up to sign."""
+    if sign == 1:
+        return QLaurent({e: c for e, c in enumerate(coeffs, lo) if c}, _trusted=True)
+    return QLaurent({e: sign * c for e, c in enumerate(coeffs, lo) if c}, _trusted=True)
 
 
 def _list_divmod(num: list[int], den: list[int]):
@@ -675,9 +688,11 @@ class Cyclo:
             raise ArithmeticError(f"not a polynomial in q: {self}")
         if p.is_zero() or not self.sign:
             return ZERO
-        lo = p.min_exp()
-        out = _times_psi(_to_list(p.shift(-lo)), self.exps)
-        return _from_list(out).shift(lo + self.shift).scale(self.sign)
+        sign, shift = self.sign, self.shift
+        if not self.exps:
+            return QLaurent({e + shift: sign * c for e, c in p.terms.items()}, _trusted=True)
+        lo = min(p.terms)
+        return _from_list(_times_psi(_to_list(p, lo), self.exps), lo + shift, sign)
 
     def expand(self) -> QLaurent:
         """The value as a QLaurent; it must be a polynomial."""
@@ -691,8 +706,8 @@ class Cyclo:
             raise ZeroDivisionError("division by zero Cyclo")
         if p.is_zero():
             return QFrac.from_qlaurent(p)
-        lo = p.min_exp()
-        num = _to_list(p.shift(-lo))
+        lo = min(p.terms)
+        num = _to_list(p, lo)
         den = {}
         for d, e in sorted(self.exps.items()):
             if e < 0:
@@ -708,7 +723,7 @@ class Cyclo:
         sign, under = self.sign, _times_psi([1], den)
         if under[-1] < 0:
             sign, under = -sign, [-c for c in under]
-        return QFrac(_from_list(num).shift(lo - self.shift).scale(sign), _from_list(under), _reduced=True)
+        return QFrac(_from_list(num, lo - self.shift, sign), _from_list(under), _reduced=True)
 
     def __repr__(self) -> str:
         if not self.sign:
@@ -770,10 +785,12 @@ class ZPoly:
     def numerator_at(self, e: int) -> QLaurent:
         """sum_i C_i q^(e i): the value at z = q^e times den, by shifts only."""
         out: dict[int, int] = {}
+        get = out.get
         for i, c in enumerate(self.coeffs):
+            s = e * i
             for k, v in c.terms.items():
-                k += e * i
-                out[k] = out.get(k, 0) + v
+                k += s
+                out[k] = get(k, 0) + v
         return QLaurent({k: v for k, v in out.items() if v}, _trusted=True)
 
     def __eq__(self, other) -> bool:
@@ -825,10 +842,10 @@ def interpolate(values, first: int = 0, step: int = 1) -> ZPoly:
             nxt[i] = nxt[i] - c.shift(first + step * k)
         if not dd[k].is_zero():
             lo = dd[k].min_exp()
-            scaled = _to_list(dd[k].shift(-lo))
+            scaled = _to_list(dd[k], lo)
             for l in range(k + 1, n + 1):
                 scaled = _mul_binomial(scaled, l)
-            nxt[0] = nxt[0] + _from_list(scaled).shift(lo)
+            nxt[0] = nxt[0] + _from_list(scaled, lo)
         acc = nxt
     return ZPoly(acc, Cyclo.poch(1, n))
 

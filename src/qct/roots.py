@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .closedform import BFParams, bf_rhs, dn0_rhs
+from .closedform import BFParams, bf_cyclo, dn0_rhs
 from .products import Shape, bf_ct_grid
 from .qring import ZERO, Cyclo, ZPoly, interpolate
 
@@ -114,7 +114,7 @@ def verify_roots(shape: Shape, b: int, c: int) -> dict:
             report["first_failure"] = d
             break
     report["closed_form_match"] = all(
-        poly.numerator_at(a) == poly.den.times(bf_rhs(BFParams(shape, a, b, c)))
+        poly.numerator_at(a) == (poly.den * bf_cyclo(BFParams(shape, a, b, c))).expand()
         for a in range(nb + 2))
     if c >= b and report["disjoint"]:
         report["product_form_match"] = product_form_coeffs(shape, b, c) == poly

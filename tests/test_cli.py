@@ -248,6 +248,14 @@ def test_negative_arguments_are_usage_errors(argv, capsys):
     (("verify", "--suite", "roots", "--shape", "1,1", "--b", "1", "--c", "1",
       "--out", "/nonexistent/x.json"), "no such directory '/nonexistent' for '/nonexistent/x.json'"),
     (("report", "--out", "/nonexistent/y.json"), "no such directory '/nonexistent' for '/nonexistent/y.json'"),
+    # an empty comma list or entry is no value: qdyson would read a
+    # zero-variable product, kadell an empty row, and 1,,2 would read as 1,2
+    (("ct", "--family", "qdyson", "--a", ","), "expected integers, got ','"),
+    (("rhs", "--family", "qdyson", "--a", ""), "expected integers, got ''"),
+    (("ct", "--family", "qdyson", "--a", "1,,2"), "expected integers, got '1,,2'"),
+    (("ct", "--family", "kadell", "--v", ",", "--r", "1", "--a", ","), "argument --v: expected integers"),
+    (("rhs", "--family", "kadell", "--v", "1", "--r", "1", "--a", ",,"), "argument --a: expected integers"),
+    (("ct", "--family", "bf", "--shape", ",", "--a", "1"), "argument --shape: expected integers"),
 ])
 def test_bad_shape_and_n_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ from qct import closedform
 from qct.closedform import (
     BFParams,
     all_shapes,
+    bf_cyclo,
     bf_p1_rhs,
     bf_rhs,
     dn0_rhs,
@@ -74,6 +75,20 @@ def test_tie_break_independence():
         assert bf_rhs(BFParams(shape, 1, 1, 1), k=k) == base
     with pytest.raises(ValueError):
         bf_rhs(BFParams(Shape((1, 1, 2)), 0, 0, 0), k=1)
+
+
+def test_bf_cyclo_is_bf_rhs_before_expansion():
+    # the roots check multiplies the factored closed form by the
+    # interpolation denominator (q; q)_N, N = nb + 1, and expands once; that
+    # must equal the denominator times the expanded closed form
+    for shape in all_shapes(4, canonical=True):
+        for b, c in itertools.product(range(4), repeat=2):
+            den = Cyclo.poch(1, shape.n * b + 1)
+            for a in range(shape.n * b + 2):
+                params = BFParams(shape, a, b, c)
+                value = bf_cyclo(params)
+                assert value.expand() == bf_rhs(params), params
+                assert (den * value).expand() == den.times(bf_rhs(params)), params
 
 
 def test_b_zero_makes_a_irrelevant():

@@ -312,6 +312,33 @@ def test_grid_matches_all_slot_reference_on_random_jobs(shape, c, jobs):
     assert set(grid) == set(jobs)
 
 
+def test_homogeneity_cut_keeps_every_state_of_the_wide_box():
+    # bf_ct_grid folds to the top min(max a, (n - 1) max b): the pair product
+    # has degree 0, so no state in the wide box [-max b, max a]^n lies above
+    # it, and the two folds keep the same states with the same values
+    for shape in all_shapes(4, canonical=True):
+        n = shape.n
+        for c in range(4):
+            factors = pair_linear(shape, c)
+            for bmax in range(3):
+                cut = (n - 1) * bmax
+                for amax in (cut, cut + 2):
+                    wide = ct_fold(n, factors, (-bmax,) * n, (amax,) * n)
+                    narrow = ct_fold(n, factors, (-bmax,) * n, (min(amax, cut),) * n)
+                    assert wide == narrow, (shape, c, bmax, amax)
+                    assert all(max(v) <= cut for v in wide)
+
+
+def test_x0_weights_are_folded_once_and_read_only():
+    for a, b in itertools.product(range(4), repeat=2):
+        weights = x0_weights(a, b)
+        factors = [(None, 1, t) for t in range(a)] + [(1, None, 1 + t) for t in range(b)]
+        assert dict(weights) == {e: v for (e,), v in ct_fold(1, factors).items()}
+        assert x0_weights(a, b) is weights
+        with pytest.raises(TypeError):
+            weights[0] = ONE
+
+
 def test_qdyson_matches_rhs_grid():
     from qct.closedform import qdyson_rhs
     for a in itertools.product(range(3), repeat=3):

@@ -13,6 +13,8 @@ from qct.qring import (
     Cyclo,
     QFrac,
     QLaurent,
+    _from_list,
+    _to_list,
     cyclo_sum,
     eval_poly,
     interpolate,
@@ -431,3 +433,48 @@ def test_cyclo_sum_matches_the_gcd_route(terms, cancel):
     assert got == want and (got.num, got.den) == (want.num, want.den)
     if cancel != "none" or not terms:
         assert got.is_zero() and got.den.is_one()
+
+
+# -- one-pass conversions ---------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=laurent_values, r=laurent_values, mode=st.sampled_from(("any", "cancel", "disjoint")))
+def test_qlaurent_sub_is_add_of_the_negation(p, r, mode):
+    # "cancel" adds p to r, so p - r cancels on p's support except where r
+    # meets it; "disjoint" moves r's support clear of p's
+    if mode == "cancel":
+        r, rest = p + r, r
+    elif mode == "disjoint":
+        r = r.shift(20)
+    diff = p - r
+    assert diff == p + (-r)
+    assert 0 not in diff.terms.values()
+    assert (p - p).terms == {} and p - ZERO == p and ZERO - p == -p
+    if mode == "cancel":
+        assert diff == -rest
+    if mode == "disjoint":
+        assert len(diff.terms) == len(p.terms) + len(r.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=laurent_values, below=st.integers(0, 3), sign=st.sampled_from((1, -1)), shift=st.integers(-4, 4))
+def test_dense_conversions_fold_in_the_shift_and_the_sign(p, below, sign, shift):
+    # the offset and the sign that the callers used to apply by building a
+    # shifted and a scaled copy
+    if p.is_zero():
+        return
+    lo = p.min_exp() - below
+    dense = _to_list(p, lo)
+    assert dense == [p.coefficient(e) for e in range(lo, p.max_exp() + 1)]
+    assert _to_list(p, lo) == _to_list(p.shift(-lo))
+    want = QLaurent({lo + shift + i: sign * c for i, c in enumerate(dense)})
+    assert _from_list(dense, lo + shift, sign) == want
+    assert _from_list(dense, lo + shift, sign) == _from_list(dense).shift(lo + shift).scale(sign)
+    assert _from_list(dense, lo) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=laurent_values, sign=st.sampled_from((1, -1)), shift=st.integers(-4, 4))
+def test_cyclo_times_a_monomial_is_a_shift_and_a_sign(p, sign, shift):
+    assert Cyclo(sign, shift).times(p) == p.shift(shift).scale(sign)

@@ -162,3 +162,27 @@ def test_cli_import_leaves_process_pools_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_test_imports_are_declared_in_the_test_extra():
+    # `pip install -e .[test]` must bring everything the tests import, or a
+    # module that imports a missing package fails to collect; tomllib is
+    # 3.11+, so the extra's line is read with a regex
+    tests = Path(__file__).resolve().parent
+    line = re.search(r"^test\s*=\s*\[(.*)\]", (tests.parent / "pyproject.toml").read_text(), re.M)
+    assert line, "pyproject.toml has no test extra"
+    extra = {re.match(r"[A-Za-z0-9_.-]+", item.strip().strip("\"'")).group().lower().replace("-", "_")
+             for item in line.group(1).split(",") if item.strip()}
+    local = {path.stem for path in tests.glob("*.py")}
+    allowed = set(sys.stdlib_module_names) | {"qct"} | local | extra
+    found = []
+    for path in sorted(tests.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
+    assert not found, f"test imports missing from the test extra: {found}"
