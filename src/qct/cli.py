@@ -73,6 +73,8 @@ def _nonneg_float(text: str) -> float:
 def _out_path(text: str) -> str:
     """argparse type: a file path whose directory exists, so a report can be
     written once the work is done."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
     directory = os.path.dirname(text) or "."
     if not os.path.isdir(directory):
         raise argparse.ArgumentTypeError(f"no such directory {directory!r} for {text!r}")
@@ -150,6 +152,8 @@ def _family_params(args) -> dict:
     if family == "qmorris":
         if (args.n is None) == (args.shape is None):
             error("qmorris needs --n or --shape, not both")
+        if args.shape is not None and args.shape.p:
+            error(f"qmorris has one block: --shape takes one part n, got {','.join(map(str, args.shape.parts))}")
         params = {"n": args.n if args.n is not None else args.shape.n}
     else:
         if args.shape is None:

@@ -5,15 +5,19 @@ summation identities they rest on.
 Every closed form is a product of q-Pochhammer symbols and Gaussian
 binomials, so it is built as one ``Cyclo.poch_product`` of (m, z, power)
 triples and expanded once into a QLaurent; the expansion raises unless the
-value is a polynomial in q.  Each scalar identity sums its Cyclo-scaled
-terms with ``cyclo_sum`` and compares the sum with a side built from the
-expanded ``qpoch`` and ``qbinom``.
+value is a polynomial in q.  The block recursion is written once, as
+``_recursion_factor``: ``bf_cyclo`` iterates it, the a = b = 0 value is
+``bf_cyclo`` there, and the scalar recursion identity checks that same
+factor.  Each scalar identity sums its Cyclo-scaled terms with
+``cyclo_sum`` and compares the sum with a side built from ``Cyclo``
+binomials.
 """
 
 from __future__ import annotations
 
+from .laurent import ct_fold
 from .products import Shape
-from .qring import ONE, ZERO, Cyclo, QFrac, QLaurent, cyclo_sum, qbinom, qpoch
+from .qring import ZERO, Cyclo, QFrac, QLaurent, cyclo_sum
 
 
 class BFParams:
@@ -100,16 +104,9 @@ def bf_rhs(params: BFParams, k: int | None = None) -> QLaurent:
 
 
 def dn0_rhs(shape: Shape, c: int) -> QLaurent:
-    """The a = b = 0 value, by its own recursion down to the equal-parameter
-    one-block case (q)_{n0 c}/(q)_c^{n0}."""
-    pochs = []
-    while shape.p >= 1:
-        k = shape.max_block()
-        n, nk = shape.n, shape.parts[k]
-        pochs += [(nk * (c + 1), 1, 1), (c + 1, 1, -1), *Cyclo.qbinom(n * c + nk - 1, c)]
-        shape = shape.decremented(k)
-    n0 = shape.n
-    return Cyclo.poch_product(pochs + [(1, n0 * c, 1), (1, c, -n0)]).expand()
+    """The a = b = 0 value of the block recursion, down to the one-block case
+    (q)_{n0 c}/(q)_c^{n0}."""
+    return bf_cyclo(BFParams(shape, 0, 0, c)).expand()
 
 
 def kadell_rhs(v, r: int, a) -> QLaurent:
@@ -150,25 +147,18 @@ def qsum_lhs(n: int, t: int) -> QFrac:
 
 
 def qsum_identity_holds(n: int, t: int) -> bool:
-    return qsum_lhs(n, t) == qbinom(n, t)
+    return qsum_lhs(n, t) == Cyclo.poch_product(Cyclo.qbinom(n, t)).expand()
 
 
 def qbinom_theorem_holds(t: int) -> bool:
     """(z)_t = sum_j q^binom(j,2) [t j] (-z)^j with z a fresh variable.
 
-    Checked as an identity of polynomials in z with QLaurent coefficients.
+    Checked as an identity of polynomials in z with QLaurent coefficients:
+    the left side is the one-variable fold of the t factors (1 - q^j z).
     """
-    # coefficient list in z, ascending
-    lhs = [ONE]
-    for j in range(t):
-        # multiply by (1 - q^j z)
-        nxt = [ONE * lhs[0]] + [lhs[s] - lhs[s - 1].shift(j) for s in range(1, len(lhs))]
-        nxt.append(-lhs[-1].shift(j))
-        lhs = nxt
-    rhs = []
-    for j in range(t + 1):
-        sign = -1 if j % 2 else 1
-        rhs.append(qbinom(t, j).shift(j * (j - 1) // 2).scale(sign))
+    lhs = ct_fold(1, [(1, None, j) for j in range(t)])
+    rhs = {(j,): (Cyclo(-1 if j % 2 else 1, j * (j - 1) // 2) * Cyclo.poch_product(Cyclo.qbinom(t, j))).expand()
+           for j in range(t + 1)}
     return lhs == rhs
 
 
@@ -192,9 +182,8 @@ def rec_scalar_lhs(shape: Shape, c: int, k: int) -> QFrac:
 
 
 def rec_scalar_rhs(shape: Shape, c: int, k: int) -> QLaurent:
-    n = shape.n
-    nk = shape.parts[k]
-    return qpoch(nk * (c + 1), 1).divexact(qpoch(c + 1, 1)) * qbinom(n * c + nk - 1, c)
+    """The factor by which one recursion step lowering part k multiplies, at a = b = 0."""
+    return _recursion_factor(shape, 0, 0, c, k).expand()
 
 
 def rec_scalar_identity_holds(shape: Shape, c: int, k: int | None = None) -> bool:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .laurent import ct_contract, ct_fold, ct_point
-from .qring import ONE, ZERO, QLaurent, qbinom
+from .qring import ONE, ZERO, Cyclo, QLaurent
 
 
 class Shape:
@@ -188,7 +188,8 @@ def kadell_ct(v, r: int, a) -> QLaurent:
     factors = qdyson_factors(a)
     if sum(v) != r:
         return ZERO
-    slots = tuple({x - j: qbinom(ai + j - 1, j) if j else ONE for j in range(r + 1 if ai else 1)}
+    slots = tuple({x - j: Cyclo.poch_product(Cyclo.qbinom(ai + j - 1, j)).expand() if j else ONE
+                   for j in range(r + 1 if ai else 1)}
                   for x, ai in zip(v, a))
     lo = tuple(x - r if ai else x for x, ai in zip(v, a))
     return ct_contract(n, factors, lo, v, [slots])[0]

@@ -2,9 +2,11 @@
 
 ``QLaurent`` is a Laurent polynomial in q with integer coefficients (sparse
 dict of exponent -> coefficient), the type of every constant term.  ``Cyclo``
-keeps a product of q-Pochhammer symbols factored over cyclotomic polynomials,
-and ``ZPoly`` a polynomial in z = q^a as integral coefficients over one
-factored denominator, which is what interpolation at the nodes q^j returns.
+keeps a product of q-Pochhammer symbols factored over cyclotomic polynomials;
+``Cyclo.poch_product`` is the library's one builder of q-Pochhammer symbols
+and Gaussian binomials, expanded once at the end.  ``ZPoly`` keeps a
+polynomial in z = q^a as integral coefficients over one factored
+denominator, which is what interpolation at the nodes q^j returns.
 ``QFrac`` is a reduced fraction of two QLaurent values, the type of a value
 that can keep a denominator; ``Cyclo.divide`` builds it in lowest terms with
 no polynomial gcd.  The gcd-reducing constructor and arithmetic of ``QFrac``
@@ -509,30 +511,6 @@ def _reduce(num: QLaurent, den: QLaurent) -> tuple[QLaurent, QLaurent]:
     if den0.leading_coefficient() < 0:
         num0, den0 = -num0, -den0
     return num0.shift(net), den0
-
-
-# -- q-shifted factorials and Gaussian binomials ------------------------------
-
-
-def qpoch(m: int, z: int) -> QLaurent:
-    """(q^m; q)_z = prod_{j=0}^{z-1} (1 - q^(m+j)); the empty product is 1."""
-    if z < 0:
-        raise ValueError("pochhammer length negative")
-    out = ONE
-    for j in range(z):
-        out = out * (ONE + QLaurent.q_power(m + j, -1))
-    return out
-
-
-def qbinom(n: int, c: int) -> QLaurent:
-    """Gaussian binomial coefficient; 0 when c > n, exact division otherwise."""
-    if c < 0 or n < 0:
-        raise ValueError("qbinom arguments must be nonnegative")
-    if c > n:
-        return ZERO
-    if c == 0 or c == n:
-        return ONE
-    return qpoch(n - c + 1, c).divexact(qpoch(1, c))
 
 
 # -- products of cyclotomic polynomials ----------------------------------------

@@ -23,10 +23,6 @@ from .products import Shape, pair_linear
 from .qring import Cyclo, QFrac, QLaurent, cyclo_sum
 
 
-def split_k(shape: Shape) -> int:
-    return shape.max_block()
-
-
 def denominator_factors(shape: Shape, c: int, k: int | None = None) -> list[tuple[int, int]]:
     """(z, l) pairs for the y-linear factors (1 - q^z y/x_l) dividing the
     pair product, z running over ``admissible_j`` for each variable l."""
@@ -39,7 +35,7 @@ def admissible_j(shape: Shape, c: int, i: int, k: int | None = None) -> range:
     """The j of the coefficients A_{ij} of variable i: classes below k use j
     in 0..c-1, class k uses -1..c-1, classes above k use -1..c-2."""
     if k is None:
-        k = split_k(shape)
+        k = shape.max_block()
     t = shape.block_of(i)
     if t < k:
         return range(0, c)
@@ -100,30 +96,12 @@ def _acoeff_rows(shape: Shape, c: int, i: int, j: int, k: int):
     ]
 
 
-def _acoeff_scalar_parts(shape: Shape, c: int, i: int, j: int, k: int):
-    """(sign, q-shift, plain denominator as a Cyclo) of the scalar prefactor,
-    using (q^{-j})_j = (-1)^j q^{-j(j+1)/2} (q)_j to keep the denominator
-    positive."""
-    t = shape.block_of(i)
-    if t < k:
-        sign = -1 if j % 2 else 1
-        shift = j * (j + 1) // 2
-        den = Cyclo.poch(1, j) * Cyclo.poch(1, c - j - 1)
-    elif t == k:
-        sign = -1 if (j + 1) % 2 else 1
-        shift = (j + 1) * (j + 2) // 2
-        den = Cyclo.poch(1, j + 1) * Cyclo.poch(1, c - j - 1)
-    else:
-        sign = -1 if (j + 1) % 2 else 1
-        shift = (j + 1) * (j + 2) // 2
-        den = Cyclo.poch(1, j + 1) * Cyclo.poch(1, c - j - 2)
-    return sign, shift, den
-
-
 def _acoeff_parts(shape: Shape, c: int, i: int, j: int, k: int):
-    """(sign, q-exponent, plain denominator, monomial exponent vector,
+    """(sign, q-exponent, scalar denominator, monomial exponent vector,
     (a, b, m) triples of the linear factors (1 - q^m x_a/x_b)) of one
-    splitting coefficient, read off the table rows."""
+    splitting coefficient.  The sign and the q-exponent are read off the
+    table rows; the denominator is (q^-j')_j' (q)_{c-j'-[t != k]} with
+    j' = j + [t >= k], t the class of i."""
     if j not in admissible_j(shape, c, i, k):
         raise ValueError(f"j={j} out of range for variable {i}")
     triples = []
@@ -146,8 +124,10 @@ def _acoeff_parts(shape: Shape, c: int, i: int, j: int, k: int):
             for base, length in pochs:
                 triples.extend((l, i, base + t) for t in range(length))
     triples.extend(pair_linear(shape, c, skip=(i,)))
-    s2, sh2, den = _acoeff_scalar_parts(shape, c, i, j, k)
-    return sign * s2, qexp + sh2, den, tuple(mono), triples
+    t = shape.block_of(i)
+    j1 = j + (t >= k)
+    den = Cyclo.poch_product(((-j1, j1, 1), (1, c - j1 - (t != k), 1)))
+    return sign, qexp, den, tuple(mono), triples
 
 
 def _same_variable_scalar(dens, i: int, j: int) -> Cyclo:
@@ -174,7 +154,7 @@ class SplitDecomposition:
 
     def __init__(self, shape: Shape, c: int, k: int | None = None):
         self.shape, self.c = shape, c
-        self.k = k = split_k(shape) if k is None else k
+        self.k = k = shape.max_block() if k is None else k
         # coefficient t is A_{ij} for the t-th denominator factor (z, l) = (j, i)
         self.denominator = dens = denominator_factors(shape, c, k)
         self.coefficients = []

@@ -256,6 +256,13 @@ def test_negative_arguments_are_usage_errors(argv, capsys):
     (("ct", "--family", "kadell", "--v", ",", "--r", "1", "--a", ","), "argument --v: expected integers"),
     (("rhs", "--family", "kadell", "--v", "1", "--r", "1", "--a", ",,"), "argument --a: expected integers"),
     (("ct", "--family", "bf", "--shape", ",", "--a", "1"), "argument --shape: expected integers"),
+    # q-Morris has one block, so a decorated --shape would be read as its n
+    (("ct", "--family", "qmorris", "--shape", "1,2", "--a", "1", "--b", "1", "--c", "1"),
+     "qmorris has one block: --shape takes one part n, got 1,2"),
+    (("rhs", "--family", "qmorris", "--shape", "2,1"), "qmorris has one block: --shape takes one part n, got 2,1"),
+    # an empty --out names no file: verify would write its default report, report none
+    (("verify", "--suite", "qsum", "--out", ""), "argument --out: expected a file path, got ''"),
+    (("report", "--out", ""), "argument --out: expected a file path, got ''"),
 ])
 def test_bad_shape_and_n_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -287,12 +294,11 @@ def test_every_flag_a_family_reads_is_accepted(argv, capsys):
 
 
 def test_qmorris_shape_counts_variables_on_ct_and_rhs(capsys):
-    # the q-Morris product has one block: --shape 1,2 means n = 3, on both
-    # routes, and not the decorated product of shape (1, 2)
+    # the q-Morris product has one block: --shape 3 means n = 3 on both routes
     flags = ("--a", "1", "--b", "1", "--c", "1")
     _, by_n = run(capsys, "rhs", "--family", "qmorris", "--n", "3", *flags)
     for command in ("ct", "rhs"):
-        _, out = run(capsys, command, "--family", "qmorris", "--shape", "1,2", *flags)
+        _, out = run(capsys, command, "--family", "qmorris", "--shape", "3", *flags)
         assert out == by_n, command
 
 

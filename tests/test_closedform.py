@@ -20,8 +20,9 @@ from qct.closedform import (
     rec_scalar_identity_holds,
 )
 from qct.products import Shape, bf_ct, bf_ct_grid, ct_qdyson, kadell_ct, qmorris_ct
-from qct.qring import ONE, Cyclo, QFrac, QLaurent, qbinom, qpoch
+from qct.qring import ONE, Cyclo, QFrac, QLaurent
 from qct.splitting import vanishing_check
+from test_qring import qbinom, qpoch
 
 
 def L(text):
@@ -128,9 +129,15 @@ def test_constant_terms_are_qlaurent():
 def test_dn0_base_and_consistency():
     assert dn0_rhs(Shape((3,)), 2) == QFrac(QLaurent.parse("1 - q^2") * QLaurent.parse("1 - q^4") * QLaurent.parse("1 - q^6") * QLaurent.parse("1 - q^5") * QLaurent.parse("1 - q^3") * QLaurent.parse("1 - q"),
                                              (QLaurent.parse("1 - q") * QLaurent.parse("1 - q^2")) ** 3)
+    # the pair product is homogeneous of degree 0, so with a = 0 or b = 0
+    # only the 1 of the x_0 factors meets the constant term: the value at
+    # a = b = 0 is also the value at (0, b) and (a, 0), but not at (1, 1)
     for shape in (Shape((1, 2)), Shape((2, 1)), Shape((1, 1, 1))):
         for c in range(3):
-            assert dn0_rhs(shape, c) == bf_rhs(BFParams(shape, 0, 0, c))
+            want = dn0_rhs(shape, c)
+            for a, b in ((0, 0), (0, 2), (2, 0)):
+                assert want == bf_rhs(BFParams(shape, a, b, c)) == bf_ct(shape, a, b, c)
+            assert want != bf_rhs(BFParams(shape, 1, 1, c))
 
 
 def test_kadell_rhs_cases():
@@ -309,3 +316,19 @@ def test_identity_suite_green():
     rep = identity_suite(nmax=6, shapes_nmax=4, cmax=2)
     assert rep["witness"] is None
     assert rep["qsum"] == rep["qbinom_theorem"] == rep["rec_scalar"] == "pass"
+
+
+def test_identity_suite_checks_the_recursion_factor(monkeypatch):
+    # the scalar recursion identity's right side is the factor bf_cyclo
+    # multiplies by, so a wrong Gaussian binomial in that factor fails it
+    factor = closedform._recursion_factor
+
+    def wrong(shape, a, b, c, k):
+        n, nk = shape.n, shape.parts[k]
+        return (factor(shape, a, b, c, k) * Cyclo.poch_product(Cyclo.qbinom(n * c + nk, c))
+                / Cyclo.poch_product(Cyclo.qbinom(n * c + nk - 1, c)))
+
+    monkeypatch.setattr(closedform, "_recursion_factor", wrong)
+    rep = identity_suite(nmax=6, shapes_nmax=4, cmax=2)
+    assert rep["qsum"] == rep["qbinom_theorem"] == "pass"
+    assert rep["rec_scalar"] == "fail" and rep["witness"] == ("rec_scalar", (1, 1), 1)

@@ -22,8 +22,9 @@ from qct.products import (
     qmorris_ct,
     x0_weights,
 )
-from qct.qring import ONE, QFrac, QLaurent, qbinom
+from qct.qring import ONE, QFrac, QLaurent
 from test_laurent import ct
+from test_qring import qbinom
 
 
 # -- expanded products, the oracles of the constant-term routes ---------------------

@@ -19,13 +19,35 @@ from qct.qring import (
     eval_poly,
     interpolate,
     poly_gcd,
-    qbinom,
-    qpoch,
 )
 
 
 def L(text):
     return QLaurent.parse(text)
+
+
+# -- the expanded oracle of Cyclo.poch_product -----------------------------------
+
+
+def qpoch(m: int, z: int) -> QLaurent:
+    """(q^m; q)_z = prod_{j=0}^{z-1} (1 - q^(m+j)), multiplied out; the empty product is 1."""
+    if z < 0:
+        raise ValueError("pochhammer length negative")
+    out = ONE
+    for j in range(z):
+        out = out * (ONE + QLaurent.q_power(m + j, -1))
+    return out
+
+
+def qbinom(n: int, c: int) -> QLaurent:
+    """Gaussian binomial coefficient; 0 when c > n, exact long division otherwise."""
+    if c < 0 or n < 0:
+        raise ValueError("qbinom arguments must be nonnegative")
+    if c > n:
+        return ZERO
+    if c == 0 or c == n:
+        return ONE
+    return qpoch(n - c + 1, c).divexact(qpoch(1, c))
 
 
 def F(text):

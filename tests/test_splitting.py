@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qct import cli, laurent, qring, splitting
-from qct.closedform import dn0_rhs
+from qct.closedform import all_shapes, dn0_rhs
 from qct.laurent import Factored, MLaurent, ct_fold
 from qct.products import Shape, pair_linear
 from qct.qring import Cyclo, QFrac, QLaurent, cyclo_sum
@@ -14,7 +14,6 @@ from qct.splitting import (
     pair_product,
     poch_identities,
     residue_identity_holds,
-    split_k,
     vanishing_check,
     verify_split,
 )
@@ -77,13 +76,13 @@ class ACoeff:
 
 def a_coeff(shape: Shape, c: int, i: int, j: int, k: int | None = None) -> MLaurent:
     """The closed-form splitting coefficient, fully expanded over QFrac."""
-    return ACoeff(shape, c, i, j, split_k(shape) if k is None else k).to_mlaurent()
+    return ACoeff(shape, c, i, j, shape.max_block() if k is None else k).to_mlaurent()
 
 
 def reference_split(shape, c):
     """The split identity as one packed sum of D + 1 pieces, each coefficient
     piece carrying all its D - 1 y-factors."""
-    k = split_k(shape)
+    k = shape.max_block()
     dens = denominator_factors(shape, c, k)
     n = shape.n
     L = _common_multiple(c)
@@ -101,7 +100,7 @@ def reference_split(shape, c):
 
 def reference_residue(shape, c, i, j):
     """One residue identity refolded from scratch: coefficient and pair product."""
-    k = split_k(shape)
+    k = shape.max_block()
     n = shape.n
     L = _common_multiple(c)
     dens = denominator_factors(shape, c, k)
@@ -115,7 +114,7 @@ def reference_residue(shape, c, i, j):
 def reference_decomposition(shape, c):
     """(degree bounds hold, off-class constant terms vanish, class-k
     constant-term sum) from the coefficients expanded one by one."""
-    k = split_k(shape)
+    k = shape.max_block()
     coeffs = [ACoeff(shape, c, i, j, k) for i in range(1, shape.n + 1) for j in admissible_j(shape, c, i)]
     nk = shape.parts[k]
     degree_ok = True
@@ -251,6 +250,45 @@ def test_first_table_row_shift_fails_the_same_residues_in_both_routes(monkeypatc
     failed = [(i, j) for j, i in sd.denominator if not sd.residue_holds(i, j)]
     assert failed == [(i, j) for j, i in sd.denominator if not reference_residue(shape, c, i, j)]
     assert len(failed) == 8 and len(sd.denominator) == 10
+
+
+def hand_scalar_parts(shape: Shape, c: int, i: int, j: int, k: int):
+    """(sign, q-shift, plain denominator) of the scalar prefactor as it was
+    built before the denominator was one poch_product: the identity
+    (q^{-j})_j = (-1)^j q^{-j(j+1)/2} (q)_j applied by hand."""
+    t = shape.block_of(i)
+    if t < k:
+        sign = -1 if j % 2 else 1
+        shift = j * (j + 1) // 2
+        den = Cyclo.poch(1, j) * Cyclo.poch(1, c - j - 1)
+    elif t == k:
+        sign = -1 if (j + 1) % 2 else 1
+        shift = (j + 1) * (j + 2) // 2
+        den = Cyclo.poch(1, j + 1) * Cyclo.poch(1, c - j - 1)
+    else:
+        sign = -1 if (j + 1) % 2 else 1
+        shift = (j + 1) * (j + 2) // 2
+        den = Cyclo.poch(1, j + 1) * Cyclo.poch(1, c - j - 2)
+    return sign, shift, den
+
+
+def test_scalar_prefactor_matches_the_hand_applied_identity():
+    # the rows give sign and qexp; the denominator's own sign and power of q
+    # must be the ones the identity supplied by hand, at every admissible
+    # (i, j) and every maximal k
+    checked = 0
+    for shape in all_shapes(5, min_p=1):
+        top = max(shape.parts[1:])
+        for k in (t for t in range(1, shape.p + 1) if shape.parts[t] == top):
+            for c in range(4):
+                for i in range(1, shape.n + 1):
+                    for j in admissible_j(shape, c, i, k):
+                        sign, qexp, den, _, _ = splitting._acoeff_parts(shape, c, i, j, k)
+                        hsign, hshift, hden = hand_scalar_parts(shape, c, i, j, k)
+                        assert Cyclo(sign, qexp) / den == Cyclo(sign * hsign, qexp + hshift) / hden, \
+                            (shape.parts, k, c, i, j)
+                        checked += 1
+    assert checked > 1000
 
 
 # -- the factor algebra -----------------------------------------------------------------

@@ -186,3 +186,27 @@ def test_test_imports_are_declared_in_the_test_extra():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
     assert not found, f"test imports missing from the test extra: {found}"
+
+
+def test_one_pochhammer_engine():
+    # Cyclo.poch_product builds every q-Pochhammer symbol and Gaussian
+    # binomial of the library: no module defines or imports a module-level
+    # qpoch or qbinom, and no module but qring long-divides a product
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                names = [(alias.asname or alias.name).split(".")[-1] for alias in stmt.names]
+            else:
+                continue
+            found += [f"{path.name}:{stmt.lineno} {name}" for name in names if name in ("qpoch", "qbinom")]
+        if path.name != "qring.py":
+            found += [f"{path.name}:{node.lineno} .divexact(" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "divexact"]
+    assert not found, f"a second q-Pochhammer engine: {found}"
