@@ -5,11 +5,15 @@ summation identities they rest on.
 Every closed form is a product of q-Pochhammer symbols and Gaussian
 binomials, so it is built as one ``Cyclo.poch_product`` of (m, z, power)
 triples and expanded once into a QLaurent; the expansion raises unless the
-value is a polynomial in q.  The block recursion is written once, as
-``_recursion_factor``: ``bf_cyclo`` iterates it, the a = b = 0 value is
-``bf_cyclo`` there, and the scalar recursion identity checks that same
-factor.  Each scalar identity sums its Cyclo-scaled terms with
-``cyclo_sum`` and compares the sum with a side built from ``Cyclo``
+value is a polynomial in q.  The block recursion is walked once, in
+``bf_factored``: each step (``_recursion_step``) and each factor of the
+one-block product (``_qmorris_factors``) is a set of a-free triples times
+one symbol (q^{a+s}; q)_b, so the Baker-Forrester value is K times
+prod_s (q^{a+s}; q)_b, a polynomial in z = q^a of degree nb with its roots
+and its scale K in plain view.  ``bf_cyclo`` builds that value, the a = b
+= 0 value is ``bf_cyclo`` there, and the scalar recursion identity checks
+the step's own factor.  Each scalar identity sums its Cyclo-scaled terms
+with ``cyclo_sum`` and compares the sum with a side built from ``Cyclo``
 binomials.
 """
 
@@ -43,11 +47,24 @@ def qdyson_rhs(a) -> QLaurent:
     return Cyclo.poch_product([(1, sum(a), 1)] + [(1, ai, -1) for ai in a]).expand()
 
 
+def _qmorris_factors(n: int, b: int, c: int) -> list:
+    """The one-block product as n (a-free triples, shift s) pairs: factor i
+    is (q)_{(i+1)c} / ((q)_{b+ic} (q)_c) times (q^{a+s}; q)_b, s = ic + 1,
+    which is (q)_{a+b+ic} / (q)_{a+ic}."""
+    return [(((1, (i + 1) * c, 1), (1, b + i * c, -1), (1, c, -1)), i * c + 1) for i in range(n)]
+
+
+def _at_a(a: int, b: int, factors) -> Cyclo:
+    """prod over (triples, s) of the triples times (q^{a+s}; q)_b, as one Cyclo."""
+    return Cyclo.poch_product(t for triples, s in factors for t in (*triples, (a + s, b, 1)))
+
+
 def _qmorris(n: int, a: int, b: int, c: int) -> Cyclo:
     if n < 1:
         raise ValueError("n must be positive")
-    return Cyclo.poch_product(t for i in range(n) for t in (
-        (1, a + b + i * c, 1), (1, (i + 1) * c, 1), (1, a + i * c, -1), (1, b + i * c, -1), (1, c, -1)))
+    if a < 0:
+        raise ValueError("pochhammer length negative")
+    return _at_a(a, b, _qmorris_factors(n, b, c))
 
 
 def qmorris_rhs(n: int, a: int, b: int, c: int) -> QLaurent:
@@ -69,18 +86,27 @@ def bf_p1_rhs(n0: int, n1: int, a: int, b: int, c: int) -> QLaurent:
     return Cyclo.poch_product(pochs).expand()
 
 
-def _recursion_factor(shape: Shape, a: int, b: int, c: int, k: int) -> Cyclo:
-    """One step of the block recursion, lowering part k (k >= 1, n_k maximal)."""
+def _recursion_step(shape: Shape, b: int, c: int, k: int) -> tuple:
+    """One step of the block recursion, lowering part k (k >= 1, n_k
+    maximal), as (a-free triples, shift s): the step multiplies by the
+    triples and by (q^{a+s}; q)_b, s = (n-1)c + n_k."""
     n = shape.n
     nk = shape.parts[k]
-    return Cyclo.poch_product(((nk * (c + 1), 1, 1), (a + (n - 1) * c + nk, b, 1),
-                               *Cyclo.qbinom(n * c + nk - 1, c), (c + 1, 1, -1), ((n - 1) * c + nk, b, -1)))
+    s = (n - 1) * c + nk
+    return ((nk * (c + 1), 1, 1), *Cyclo.qbinom(n * c + nk - 1, c), (c + 1, 1, -1), (s, b, -1)), s
 
 
-def bf_cyclo(params: BFParams, k: int | None = None) -> Cyclo:
-    """bf_rhs before its expansion, as one factored value."""
-    shape, a, b, c = params.shape, params.a, params.b, params.c
-    total = Cyclo()
+def _recursion_factor(shape: Shape, a: int, b: int, c: int, k: int) -> Cyclo:
+    """One step of the block recursion as one factored value."""
+    return _at_a(a, b, [_recursion_step(shape, b, c, k)])
+
+
+def bf_factored(shape: Shape, b: int, c: int, k: int | None = None) -> tuple[Cyclo, list[int]]:
+    """(K, shifts) with bf_cyclo = K * prod_{s in shifts} (q^{a+s}; q)_b, from
+    one walk of the block recursion: one shift (n-1)c + n_k per step, then
+    ic + 1 for i < n_0 from the one-block product.  In z = q^a the closed
+    form is K * prod_s prod_{j<b} (1 - q^{s+j} z), a polynomial of degree nb."""
+    factors = []
     first = True
     while shape.p >= 1:
         if first and k is not None:
@@ -89,10 +115,18 @@ def bf_cyclo(params: BFParams, k: int | None = None) -> Cyclo:
             kk = k
         else:
             kk = shape.max_block()
-        total = total * _recursion_factor(shape, a, b, c, kk)
+        factors.append(_recursion_step(shape, b, c, kk))
         shape = shape.decremented(kk)
         first = False
-    return total * _qmorris(shape.n, a, b, c)
+    factors += _qmorris_factors(shape.n, b, c)
+    return (Cyclo.poch_product(t for triples, _ in factors for t in triples),
+            [s for _, s in factors])
+
+
+def bf_cyclo(params: BFParams, k: int | None = None) -> Cyclo:
+    """bf_rhs before its expansion, as one factored value."""
+    scale, shifts = bf_factored(params.shape, params.b, params.c, k)
+    return scale * Cyclo.poch_product((params.a + s, params.b, 1) for s in shifts)
 
 
 def bf_rhs(params: BFParams, k: int | None = None) -> QLaurent:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .closedform import BFParams, bf_cyclo, dn0_rhs
+from .closedform import bf_factored
 from .products import Shape, bf_ct_grid
 from .qring import ZERO, Cyclo, ZPoly, interpolate
 
@@ -66,15 +66,27 @@ def interpolate_dn(shape: Shape, b: int, c: int) -> ZPoly:
     return interpolate([grid[(a, b)] for a in range(nb + 2)])
 
 
-def product_form_coeffs(shape: Shape, b: int, c: int) -> ZPoly:
-    """prod_{i in R}(1 - q^i z)/(1 - q^i) * D_n(0) over the root multiset R."""
-    coeffs = [dn0_rhs(shape, c)]
-    den = Cyclo()
-    for d in sorted(d for row in root_sets(shape, b, c) for d in row):
+def _factored_zpoly(scale: Cyclo, roots) -> ZPoly:
+    """scale * prod_{d in roots} (1 - q^d z) as a ZPoly: the coefficients
+    start from scale's positive exponents, and its negative ones are the
+    denominator."""
+    exps = scale.exps.items()
+    coeffs = [Cyclo(scale.sign, scale.shift, {d: e for d, e in exps if e > 0}).expand()]
+    for d in roots:
         # times (1 - q^d z)
         coeffs = [x - y.shift(d) for x, y in zip(coeffs + [ZERO], [ZERO] + coeffs)]
-        den = den * Cyclo.poch(d, 1)
-    return ZPoly(coeffs, den)
+    return ZPoly(coeffs, Cyclo(1, 0, {d: -e for d, e in exps if e < 0}))
+
+
+def _product_scale(shape: Shape, c: int, union) -> Cyclo:
+    """D_n(0) / prod_{d in union} (1 - q^d): the product form's constant."""
+    return bf_factored(shape, 0, c)[0] / Cyclo.poch_product((d, 1, 1) for d in union)
+
+
+def product_form_coeffs(shape: Shape, b: int, c: int) -> ZPoly:
+    """prod_{i in R}(1 - q^i z)/(1 - q^i) * D_n(0) over the root multiset R."""
+    union = sorted(d for row in root_sets(shape, b, c) for d in row)
+    return _factored_zpoly(_product_scale(shape, c, union), union)
 
 
 def verify_roots(shape: Shape, b: int, c: int) -> dict:
@@ -82,9 +94,19 @@ def verify_roots(shape: Shape, b: int, c: int) -> dict:
 
     For c >= b additionally asserts the root multiset is disjoint of size nb
     (that bound is an empirical check here, flagged as such).  The polynomial
-    must have degree at most nb through nb + 2 nodes, and is matched against
-    the closed form at every node and against the explicit product form over
-    the root set, both cross-multiplied by its denominator.
+    must have degree at most nb through nb + 2 nodes, and every predicted
+    root must be a root of it.  The closed form K * prod_s (q^{a+s}; q)_b of
+    ``closedform.bf_factored`` is a polynomial of degree nb in z = q^a, and
+    ``closed_form_match`` compares it with the interpolant as one polynomial,
+    cross-multiplied by the two denominators: two polynomials of degree at
+    most nb + 1 that agree at the nb + 2 nodes are equal, so this is the
+    closed form checked at every node.  ``product_form_match`` compares the
+    product form D_n(0) * prod_{d in R} (1 - q^d z) / (1 - q^d) with the
+    closed form by its factors: its constant must equal K and R the closed
+    form's roots {s + j : j < b} as multisets.  When ``closed_form_match``
+    holds this says the product form equals the interpolant (Q(q)[z] has
+    unique factorization and a ``Cyclo`` value is canonical); when it does
+    not, the case fails either way.
     """
     nb = shape.n * b
     union = sorted(d for row in root_sets(shape, b, c) for d in row)
@@ -113,11 +135,11 @@ def verify_roots(shape: Shape, b: int, c: int) -> dict:
             report["all_vanish"] = False
             report["first_failure"] = d
             break
-    report["closed_form_match"] = all(
-        poly.numerator_at(a) == (poly.den * bf_cyclo(BFParams(shape, a, b, c))).expand()
-        for a in range(nb + 2))
+    scale, shifts = bf_factored(shape, b, c)
+    closed = sorted(s + j for s in shifts for j in range(b))
+    report["closed_form_match"] = _factored_zpoly(scale, closed) == poly
     if c >= b and report["disjoint"]:
-        report["product_form_match"] = product_form_coeffs(shape, b, c) == poly
+        report["product_form_match"] = _product_scale(shape, c, union) == scale and union == closed
     return report
 
 

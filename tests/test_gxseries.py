@@ -783,6 +783,15 @@ def test_oracle_case_needs_a_nontrivial_probe(monkeypatch):
     assert not ok and "V = 0" in detail["error"]
 
 
+def test_laurent_case_needs_a_nontrivial_probe(monkeypatch):
+    case = next(params for params in cli._cases_gx(None) if params["kind"] == "laurent")
+    assert cli._run_gx(case) == (True, None)
+    check = gxseries.vanishing_property_checks
+    monkeypatch.setattr(gxseries, "vanishing_property_checks", lambda *args: dict(check(*args), zero_by_V=True))
+    ok, detail = cli._run_gx(case)
+    assert not ok and detail == {"error": "no nontrivial laurent case"}
+
+
 def test_oracle_comparison_tells_a_wrong_scalar_apart(monkeypatch):
     probe = (Shape((1, 2)), 1, 1, 5, (1, 3), (4, 2))
     assert not QukFactors(*probe).is_zero() and oracle_matches_direct(*probe)

@@ -1,13 +1,15 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qct import cli, gxseries, qring, roots
-from qct.closedform import all_shapes
+from qct.closedform import BFParams, all_shapes, bf_factored, bf_rhs
 from qct.products import Shape, bf_ct
-from qct.qring import ONE, ZPoly, eval_poly
+from qct.qring import ONE, Cyclo, ZPoly, eval_poly
 from qct.roots import (
     LemmaFalsified,
     interpolate_dn,
@@ -23,6 +25,7 @@ from qct.roots import (
     t_table,
     verify_roots,
 )
+from test_closedform import chained_qmorris, chained_recursion_factor
 
 
 def test_t_table_p0_and_p1():
@@ -140,18 +143,115 @@ def test_degree_bound_is_checked(monkeypatch):
 
 
 def test_product_form_mismatch_fails_roots(monkeypatch):
+    # D_n(0) times q: the product form's constant is no longer the closed
+    # form's, while its roots, the interpolant and the closed form still agree
     shape, b, c = Shape((1, 2)), 1, 1
-    coeffs = roots.product_form_coeffs
-
-    def perturbed(shape, b, c):
-        pf = coeffs(shape, b, c)
-        return ZPoly(pf.coeffs[:1] + [pf.coeffs[1] + pf.den.expand()] + pf.coeffs[2:], pf.den)
-
+    scale = roots._product_scale
     assert cli._run_roots({"shape": list(shape.parts), "b": b, "c": c}) == (True, None)
-    monkeypatch.setattr(roots, "product_form_coeffs", perturbed)
+    monkeypatch.setattr(roots, "_product_scale", lambda shape, c, union: scale(shape, c, union) * Cyclo(1, 1))
     ok, detail = cli._run_roots({"shape": list(shape.parts), "b": b, "c": c})
     assert not ok and detail["product_form_match"] is False
     assert detail["all_vanish"] and detail["closed_form_match"]
+    assert detail["root_count_ok"] and detail["disjoint"]
+
+
+def test_product_form_compares_its_roots(monkeypatch):
+    # one predicted root moved: the product form fails on its roots even
+    # with the right constant
+    shape, b, c = Shape((1, 2)), 1, 1
+    rows, scale = roots.root_sets, roots._product_scale
+    union = root_union(shape, b, c)
+    monkeypatch.setattr(roots, "root_sets", lambda shape, b, c: rows(shape, b, c)[:-1] + [(union[-1] + 1,)])
+    monkeypatch.setattr(roots, "_product_scale", lambda shape, c, moved: scale(shape, c, union))
+    rep = verify_roots(shape, b, c)
+    assert rep["disjoint"] and rep["root_count_ok"] and rep["closed_form_match"]
+    assert rep["product_form_match"] is False
+
+
+def test_a_dropped_predicted_root_fails_the_count(monkeypatch):
+    # one root fewer than nb: the count must say so, whatever else fails
+    shape, b, c = Shape((1, 2)), 1, 1
+    rows = roots.root_sets
+    monkeypatch.setattr(roots, "root_sets", lambda shape, b, c: rows(shape, b, c)[:-1])
+    ok, detail = cli._run_roots({"shape": list(shape.parts), "b": b, "c": c})
+    assert not ok and detail["root_count_ok"] is False
+    assert detail["disjoint"] and detail["all_vanish"] and detail["closed_form_match"]
+    assert detail["product_form_match"] is False
+
+
+def test_a_non_root_after_the_real_ones_is_the_first_failure(monkeypatch):
+    # every predicted root is checked, the last one too
+    shape, b, c = Shape((1, 2)), 2, 2
+    rows = roots.root_sets
+    extra = max(root_union(shape, b, c)) + 1
+    monkeypatch.setattr(roots, "root_sets", lambda shape, b, c: rows(shape, b, c) + [(extra,)])
+    ok, detail = cli._run_roots({"shape": list(shape.parts), "b": b, "c": c})
+    assert not ok and detail["all_vanish"] is False and detail["first_failure"] == extra
+    assert detail["roots_checked"] == shape.n * b + 1 and detail["closed_form_match"]
+
+
+def chained_bf(shape: Shape, a: int, b: int, c: int, k=None) -> Cyclo:
+    """The block recursion from the chained single-symbol products."""
+    total = Cyclo()
+    while shape.p >= 1:
+        kk = shape.max_block() if k is None else k
+        total = total * chained_recursion_factor(shape, a, b, c, kk)
+        shape, k = shape.decremented(kk), None
+    return total * chained_qmorris(shape.n, a, b, c)
+
+
+def test_closed_form_is_a_factored_polynomial_in_z():
+    # K * prod_s (q^{a+s}; q)_b is the closed form at every a, and so is the
+    # helper's ZPoly K * prod_d (1 - q^d z) at z = q^a, for every forced tie
+    for shape in all_shapes(5, canonical=True):
+        top = max(shape.parts[1:], default=None)
+        ties = [None] + [k for k in range(1, shape.p + 1) if shape.parts[k] == top]
+        for b, c, k in itertools.product(range(4), range(3), ties):
+            scale, shifts = bf_factored(shape, b, c, k)
+            assert len(shifts) == shape.n
+            poly = roots._factored_zpoly(scale, sorted(s + j for s in shifts for j in range(b)))
+            assert poly.degree() == shape.n * b
+            for a in range(4):
+                want = bf_rhs(BFParams(shape, a, b, c), k)
+                assert want == chained_bf(shape, a, b, c, k).expand(), (shape, a, b, c, k)
+                value = scale * Cyclo.poch_product((a + s, b, 1) for s in shifts)
+                assert value.expand() == want, (shape, a, b, c, k)
+                assert eval_poly(poly, a) == want, (shape, a, b, c, k)
+
+
+@pytest.mark.parametrize("mutation", ["scale times q", "shift plus one", "symbol dropped"])
+def test_a_wrong_closed_form_fails_closed_form_match(mutation, monkeypatch):
+    factored = roots.bf_factored
+
+    def wrong(shape, b, c, k=None):
+        scale, shifts = factored(shape, b, c, k)
+        if mutation == "scale times q":
+            return scale * Cyclo(1, 1), shifts
+        if mutation == "shift plus one":
+            return scale, [shifts[0] + 1] + shifts[1:]
+        return scale, shifts[1:]
+
+    monkeypatch.setattr(roots, "bf_factored", wrong)
+    for shape, b, c in ((Shape((1, 2)), 1, 1), (Shape((2, 1, 1)), 1, 2), (Shape((1, 3)), 2, 1)):
+        rep = verify_roots(shape, b, c)
+        assert rep["closed_form_match"] is False, (mutation, shape, b, c)
+        assert rep["all_vanish"] and rep["degree_bound_ok"], (mutation, shape, b, c)
+        ok, _ = cli._run_roots({"shape": list(shape.parts), "b": b, "c": c})
+        assert not ok
+
+
+def test_roots_reports_are_pinned():
+    # every field of every report over canonical shapes with n <= 4, b <= 3,
+    # c <= 2 and nb <= 12, the c < b regime included
+    digest = hashlib.sha256()
+    cases = 0
+    for shape in all_shapes(4, canonical=True):
+        for b, c in itertools.product(range(4), range(3)):
+            if shape.n * b <= 12:
+                digest.update(json.dumps(verify_roots(shape, b, c), sort_keys=True).encode() + b"\n")
+                cases += 1
+    assert cases == 168
+    assert digest.hexdigest() == "a9b513bb8506016f8269683b67fd921739899dfaf5b8027edf8610b1a5a0f68e"
 
 
 def test_roots_path_runs_without_gcd(monkeypatch):
@@ -655,6 +755,18 @@ def test_lemma_key_minweight_holds_one_block_to_the_bound_one(monkeypatch):
     monkeypatch.setattr(roots, "min_path_weights_many", heavy_one_block)
     assert cli._run_lemma_key({"kind": "minweight", "s": 1}) == (False, {"r": [1], "min": 2})
     assert cli._run_lemma_key({"kind": "minweight", "s": 3}) == (False, {"r": [3], "min": 2})
+
+
+def test_lemma_key_minweight_fails_a_leave_one_out_below_the_bound(monkeypatch):
+    # a leave-one-out minimum of m - 2 for one composition fails the case
+    many = roots.min_path_weights_many
+    target = (1, 3)
+
+    def light(rs):
+        return [(best, 1) if r == target else (best, low) for r, (best, low) in zip(rs, many(rs))]
+
+    monkeypatch.setattr(roots, "min_path_weights_many", light)
+    assert cli._run_lemma_key({"kind": "minweight", "s": 4}) == (False, {"r": [1, 3], "leave_one_out_min": 1})
 
 
 def test_lemma_key_classify_witness_reproduces(monkeypatch):
