@@ -79,9 +79,9 @@ def test_tie_break_independence():
 
 
 def test_bf_cyclo_is_bf_rhs_before_expansion():
-    # the roots check multiplies the factored closed form by the
-    # interpolation denominator (q; q)_N, N = nb + 1, and expands once; that
-    # must equal the denominator times the expanded closed form
+    # the factored closed form expands to bf_rhs, and times a Cyclo such as
+    # the interpolation denominator (q; q)_N, N = nb + 1, it expands to that
+    # Cyclo times bf_rhs
     for shape in all_shapes(4, canonical=True):
         for b, c in itertools.product(range(4), repeat=2):
             den = Cyclo.poch(1, shape.n * b + 1)
@@ -319,8 +319,8 @@ def test_identity_suite_green():
 
 
 def test_identity_suite_checks_the_recursion_factor(monkeypatch):
-    # the scalar recursion identity's right side is the factor bf_cyclo
-    # multiplies by, so a wrong Gaussian binomial in that factor fails it
+    # the scalar recursion identity's right side is the recursion step's
+    # factor, so a wrong Gaussian binomial in that factor fails it
     factor = closedform._recursion_factor
 
     def wrong(shape, a, b, c, k):
