@@ -536,8 +536,7 @@ def cmd_verify(args) -> int:
     print(f"{args.suite}: {passed} pass, {failed} fail, {trimmed} trimmed")
     out = args.out or f"qct-report-{args.suite}.json"
     with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2) + "\n")
     # a run that passed no case (every case trimmed) is no evidence of a pass
     return 1 if failed or not passed else 0
 
@@ -603,8 +602,7 @@ def cmd_report(args) -> int:
     print(f"overall: {summary['status']}")
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(summary, indent=2) + "\n")
     return 1 if overall_red else 0
 
 

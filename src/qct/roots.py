@@ -57,13 +57,18 @@ def root_sets(shape: Shape, b: int, c: int) -> list[tuple[int, ...]]:
             for i, t in enumerate(t_table(shape))]
 
 
+def _node_values(shape: Shape, b: int, c: int) -> list:
+    """The brute-force values at a = 0..nb+1 from one ``bf_ct_grid`` call."""
+    nodes = range(shape.n * b + 2)
+    grid = bf_ct_grid(shape, c, [(a, b) for a in nodes])
+    return [grid[(a, b)] for a in nodes]
+
+
 def interpolate_dn(shape: Shape, b: int, c: int) -> ZPoly:
     """The constant term as a polynomial in z = q^a, interpolated through the
     brute-force values at a = 0..nb+1: one node more than its degree bound nb
     needs, so that the bound is a check (the top coefficient must vanish)."""
-    nb = shape.n * b
-    grid = bf_ct_grid(shape, c, [(a, b) for a in range(nb + 2)])
-    return interpolate([grid[(a, b)] for a in range(nb + 2)])
+    return interpolate(_node_values(shape, b, c))
 
 
 def _factored_zpoly(scale: Cyclo, roots) -> ZPoly:
@@ -90,27 +95,41 @@ def product_form_coeffs(shape: Shape, b: int, c: int) -> ZPoly:
 
 
 def verify_roots(shape: Shape, b: int, c: int) -> dict:
-    """Interpolate the constant term in q^a and confirm the predicted roots.
+    """The constant term as a polynomial in z = q^a through nb + 2 nodes,
+    its degree bound and the predicted roots.
 
     For c >= b additionally asserts the root multiset is disjoint of size nb
     (that bound is an empirical check here, flagged as such).  The polynomial
-    must have degree at most nb through nb + 2 nodes, and every predicted
-    root must be a root of it.  The closed form K * prod_s (q^{a+s}; q)_b of
-    ``closedform.bf_factored`` is a polynomial of degree nb in z = q^a, and
-    ``closed_form_match`` compares it with the interpolant as one polynomial,
-    cross-multiplied by the two denominators: two polynomials of degree at
-    most nb + 1 that agree at the nb + 2 nodes are equal, so this is the
-    closed form checked at every node.  ``product_form_match`` compares the
-    product form D_n(0) * prod_{d in R} (1 - q^d z) / (1 - q^d) with the
-    closed form by its factors: its constant must equal K and R the closed
-    form's roots {s + j : j < b} as multisets.  When ``closed_form_match``
-    holds this says the product form equals the interpolant (Q(q)[z] has
-    unique factorization and a ``Cyclo`` value is canonical); when it does
-    not, the case fails either way.
+    must have degree at most nb through the nodes a = 0..nb+1, and every
+    predicted root must be a root of it.
+
+    The closed form K * prod_s (q^{a+s}; q)_b of ``closedform.bf_factored``
+    is a polynomial of degree nb in z.  It is checked at each node by shifts:
+    its numerator at z = q^a against the brute value times its denominator.
+    The nodes are distinct, so the interpolant (the unique polynomial of
+    degree <= nb + 1 through them) is the closed form exactly when the
+    closed form fits every node.  Then the closed form is the polynomial,
+    and its degree and its values at the predicted roots are the
+    interpolant's; only on a miss does ``qring.interpolate`` build it by
+    Newton's divided differences.  ``closed_form_match`` is whether every
+    node fit.
+
+    ``product_form_match`` compares the product form
+    D_n(0) * prod_{d in R} (1 - q^d z) / (1 - q^d) with the closed form by
+    its factors: its constant must equal K and R the closed form's roots
+    {s + j : j < b} as multisets.  When ``closed_form_match`` holds this says
+    the product form equals the interpolant (Q(q)[z] has unique
+    factorization and a ``Cyclo`` value is canonical); when it does not, the
+    case fails either way.
     """
     nb = shape.n * b
     union = sorted(d for row in root_sets(shape, b, c) for d in row)
-    poly = interpolate_dn(shape, b, c)
+    scale, shifts = bf_factored(shape, b, c)
+    closed = sorted(s + j for s in shifts for j in range(b))
+    closed_poly = _factored_zpoly(scale, closed)
+    values = _node_values(shape, b, c)
+    fits = all(closed_poly.numerator_at(a) == closed_poly.den.times(v) for a, v in enumerate(values))
+    poly = closed_poly if fits else interpolate(values)
     report = {
         "shape": shape.parts,
         "b": b,
@@ -123,7 +142,7 @@ def verify_roots(shape: Shape, b: int, c: int) -> dict:
         "roots_checked": 0,
         "first_failure": None,
         "all_vanish": True,
-        "closed_form_match": None,
+        "closed_form_match": fits,
         "product_form_match": None,
     }
     if c >= b:
@@ -135,9 +154,6 @@ def verify_roots(shape: Shape, b: int, c: int) -> dict:
             report["all_vanish"] = False
             report["first_failure"] = d
             break
-    scale, shifts = bf_factored(shape, b, c)
-    closed = sorted(s + j for s in shifts for j in range(b))
-    report["closed_form_match"] = _factored_zpoly(scale, closed) == poly
     if c >= b and report["disjoint"]:
         report["product_form_match"] = _product_scale(shape, c, union) == scale and union == closed
     return report

@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from qct import cli, qring
+from qct import cli, closedform, qring
 from qct.cli import main
+from qct.qring import ONE, ZERO
 
 
 def run(capsys, *argv):
@@ -67,6 +68,30 @@ def test_verify_writes_report(tmp_path, capsys, monkeypatch):
     assert rep["suite"] == "poch-identities"
     assert set(rep) == {"suite", "grid", "cases", "elapsed_ms", "mode"}
     assert rep["cases"][0]["status"] == "pass"
+
+
+def test_reports_are_written_as_indented_json_with_one_newline(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    suite, reports = cli.run_suite, []
+    monkeypatch.setattr(cli, "run_suite", lambda name, args: reports.append(suite(name, args)) or reports[-1])
+    run(capsys, "verify", "--suite", "roots", "--shape", "1,2", "--b", "1", "--c", "1")
+    written = (tmp_path / "qct-report-roots.json").read_text()
+    assert written == json.dumps(reports[0], indent=2) + "\n"
+    run(capsys, "report", "--dir", str(tmp_path), "--out", str(tmp_path / "summary.json"))
+    summary = {"suites": [{"suite": "roots", "cases": 1, "pass": 1, "fail": 0, "trimmed": 0, "mode": "exact"}],
+               "status": "pass"}
+    assert (tmp_path / "summary.json").read_text() == json.dumps(summary, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("tied", [1, 2])
+def test_bf_fails_when_a_tie_break_changes_the_value(tied, monkeypatch):
+    # shape (1,2,2) has two maximal decorated blocks; the recursion forced
+    # through either one must give the default's value
+    params = {"shape": [1, 2, 2], "a": 1, "b": 1, "c": 1}
+    assert cli._run_bf(params) == (True, None)
+    rhs = closedform.bf_rhs
+    monkeypatch.setattr(closedform, "bf_rhs", lambda p, k=None: rhs(p, k) + (ONE if k == tied else ZERO))
+    assert cli._run_bf(params) == (False, {"tie_break_k": tied})
 
 
 def test_verify_suite_with_flags(tmp_path, capsys, monkeypatch):

@@ -240,6 +240,78 @@ def test_a_wrong_closed_form_fails_closed_form_match(mutation, monkeypatch):
         assert not ok
 
 
+def newton_route(shape: Shape, b: int, c: int) -> dict:
+    """The roots report through Newton interpolation on every case, with the
+    closed form compared to the interpolant as one polynomial: the oracle of
+    the node check in ``verify_roots``."""
+    nb = shape.n * b
+    union = root_union(shape, b, c)
+    poly = interpolate_dn(shape, b, c)
+    report = {
+        "shape": shape.parts,
+        "b": b,
+        "c": c,
+        "nb": nb,
+        "degree_bound_ok": poly.degree() <= nb,
+        "regime": "c>=b (|R|=nb asserted, empirical bound)" if c >= b else "c<b (distinct roots only)",
+        "disjoint": None,
+        "root_count_ok": None,
+        "roots_checked": 0,
+        "first_failure": None,
+        "all_vanish": True,
+        "closed_form_match": None,
+        "product_form_match": None,
+    }
+    if c >= b:
+        report["disjoint"] = len(union) == len(set(union))
+        report["root_count_ok"] = len(union) == nb
+    for d in sorted(set(union)):
+        report["roots_checked"] += 1
+        if not poly.numerator_at(-d).is_zero():
+            report["all_vanish"] = False
+            report["first_failure"] = d
+            break
+    scale, shifts = bf_factored(shape, b, c)
+    closed = sorted(s + j for s in shifts for j in range(b))
+    report["closed_form_match"] = roots._factored_zpoly(scale, closed) == poly
+    if c >= b and report["disjoint"]:
+        report["product_form_match"] = roots._product_scale(shape, c, union) == scale and union == closed
+    return report
+
+
+def test_node_check_matches_the_newton_oracle(monkeypatch):
+    # every canonical shape with n <= 4 at b <= c <= 2, as computed and with
+    # each node in turn moved by + 1 and by a factor q: each move is a miss
+    grid = roots.bf_ct_grid
+    moves = 0
+    for shape in all_shapes(4, canonical=True):
+        for b, c in itertools.combinations_with_replacement(range(3), 2):
+            monkeypatch.setattr(roots, "bf_ct_grid", grid)
+            assert verify_roots(shape, b, c) == newton_route(shape, b, c), (shape, b, c)
+            values = roots._node_values(shape, b, c)
+            for node, change in itertools.product(range(len(values)), (lambda v: v + ONE, lambda v: v.shift(1))):
+                moved = {(a, b): change(v) if a == node else v for a, v in enumerate(values)}
+                monkeypatch.setattr(roots, "bf_ct_grid", lambda shape, c, jobs: {job: moved[job] for job in jobs})
+                rep = verify_roots(shape, b, c)
+                assert rep == newton_route(shape, b, c), (shape, b, c, node)
+                assert rep["closed_form_match"] is False, (shape, b, c, node)
+                moves += 1
+    assert moves == 696
+
+
+def test_interpolation_runs_only_when_the_closed_form_misses_a_node(monkeypatch):
+    shape, b, c = Shape((1, 2)), 1, 1
+    newton, calls = roots.interpolate, []
+    monkeypatch.setattr(roots, "interpolate", lambda values: calls.append(1) or newton(values))
+    assert verify_roots(shape, b, c)["closed_form_match"] and calls == []
+    values = roots._node_values(shape, b, c)
+    values[-1] = values[-1] + ONE
+    monkeypatch.setattr(roots, "_node_values", lambda shape, b, c: values)
+    rep = verify_roots(shape, b, c)
+    assert rep["closed_form_match"] is False and rep["degree_bound_ok"] is False
+    assert len(calls) == 1
+
+
 def test_roots_reports_are_pinned():
     # every field of every report over canonical shapes with n <= 4, b <= 3,
     # c <= 2 and nb <= 12, the c < b regime included

@@ -461,6 +461,18 @@ def test_perturbed_coefficient_is_caught(monkeypatch):
     assert held == {(1, 0): False, (2, -1): True, (2, 0): True, (3, -1): True, (3, 0): True}
 
 
+@pytest.mark.parametrize("check, witness", [
+    ("degree_bounds_ok", {"degree_bounds": False}),
+    ("offclass_cts_vanish", {"offclass_ct": "nonzero"}),
+])
+def test_a_failing_check_is_the_witness(check, witness, monkeypatch):
+    # every residue identity holds, so the first failing later check names the case
+    monkeypatch.setattr(splitting.SplitDecomposition, check, lambda self: False)
+    rep = verify_split(Shape((1, 2)), 1)
+    assert rep["ok"] is False and rep["witness"] == witness
+    assert cli._run_splitting({"shape": [1, 2], "c": 1}) == (False, witness)
+
+
 def test_out_of_range_j_rejected():
     with pytest.raises(ValueError):
         a_coeff(Shape((1, 1)), 1, 1, -1)  # class 0 starts at j = 0
