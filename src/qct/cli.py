@@ -246,11 +246,11 @@ def _cases_p1(args):
 
 
 def _run_p1(params):
-    closed = FAMILIES["bf-p1"].closed(params)
-    rec = FAMILIES["bf"].closed(params)
-    brute = FAMILIES["bf"].brute(params)
-    ok = closed == rec == brute
-    return ok, None if ok else {"closed": str(closed), "recursion": str(rec), "brute": str(brute)}
+    """The p = 1 formula against the brute-force value; bf-recursion checks
+    the block recursion on these cases."""
+    closed, brute = FAMILIES["bf-p1"].closed(params), FAMILIES["bf"].brute(params)
+    ok = closed == brute
+    return ok, None if ok else {"closed": str(closed), "brute": str(brute)}
 
 
 def _cases_roots(args):
@@ -393,12 +393,10 @@ def _run_gx(params):
     if kind == "branches":
         shape = Shape(params["shape"])
         b, c, d = params["b"], params["c"], params["d"]
-        seen = {}
         for s in range(1, shape.n + 1):
             for u in combinations(range(1, shape.n + 1), s):
                 for k in product(range(1, d + 1), repeat=s):
                     rep = gxseries.vanishing_property_checks(shape, b, c, d, u, k)
-                    seen[rep["branch"]] = seen.get(rep["branch"], 0) + 1
                     if not rep["ok"]:
                         return False, {"u": list(u), "k": list(k), "report": str(rep)}
         return True, None
@@ -411,10 +409,7 @@ def _run_gx(params):
                 rep = gxseries.vanishing_property_checks(shape, b, c, d, u, k)
                 if rep["branch"] != "laurent" or not rep["ok"]:
                     return False, {"u": list(u), "k": list(k), "report": str(rep)}
-                if not rep["zero_by_V"]:
-                    nontrivial += 1
-                    if not (rep["divisible"] and rep["laurent_form_ok"] and rep["ct_zero"]):
-                        return False, {"u": list(u), "k": list(k), "report": str(rep)}
+                nontrivial += not rep["zero_by_V"]
         return nontrivial > 0, None if nontrivial else {"error": "no nontrivial laurent case"}
     if kind == "grand":
         shape = Shape(params["shape"])

@@ -10,11 +10,11 @@ value is a polynomial in q.  The block recursion is walked once, in
 one-block product (``_qmorris_factors``) is a set of a-free triples times
 one symbol (q^{a+s}; q)_b, so the Baker-Forrester value is K times
 prod_s (q^{a+s}; q)_b, a polynomial in z = q^a of degree nb with its roots
-and its scale K in plain view.  ``bf_cyclo`` builds that value, the a = b
-= 0 value is ``bf_cyclo`` there, and the scalar recursion identity checks
-the step's own factor.  Each scalar identity sums its Cyclo-scaled terms
-with ``cyclo_sum`` and compares the sum with a side built from ``Cyclo``
-binomials.
+and its scale K in plain view.  ``bf_cyclo`` builds that value; the
+q-Morris value is its one-block case, the a = b = 0 value is ``bf_cyclo``
+there, and the scalar recursion identity checks the step's own factor.
+Each scalar identity sums its Cyclo-scaled terms with ``cyclo_sum`` and
+compares the sum with a side built from ``Cyclo`` binomials.
 """
 
 from __future__ import annotations
@@ -54,22 +54,10 @@ def _qmorris_factors(n: int, b: int, c: int) -> list:
     return [(((1, (i + 1) * c, 1), (1, b + i * c, -1), (1, c, -1)), i * c + 1) for i in range(n)]
 
 
-def _at_a(a: int, b: int, factors) -> Cyclo:
-    """prod over (triples, s) of the triples times (q^{a+s}; q)_b, as one Cyclo."""
-    return Cyclo.poch_product(t for triples, s in factors for t in (*triples, (a + s, b, 1)))
-
-
-def _qmorris(n: int, a: int, b: int, c: int) -> Cyclo:
-    if n < 1:
-        raise ValueError("n must be positive")
-    if a < 0:
-        raise ValueError("pochhammer length negative")
-    return _at_a(a, b, _qmorris_factors(n, b, c))
-
-
 def qmorris_rhs(n: int, a: int, b: int, c: int) -> QLaurent:
-    """prod_{i=0}^{n-1} (q)_{a+b+ic} (q)_{(i+1)c} / ((q)_{a+ic} (q)_{b+ic} (q)_c)."""
-    return _qmorris(n, a, b, c).expand()
+    """prod_{i=0}^{n-1} (q)_{a+b+ic} (q)_{(i+1)c} / ((q)_{a+ic} (q)_{b+ic} (q)_c):
+    the block recursion on one block."""
+    return bf_rhs(BFParams(Shape((n,)), a, b, c))
 
 
 def bf_p1_rhs(n0: int, n1: int, a: int, b: int, c: int) -> QLaurent:
@@ -94,11 +82,6 @@ def _recursion_step(shape: Shape, b: int, c: int, k: int) -> tuple:
     nk = shape.parts[k]
     s = (n - 1) * c + nk
     return ((nk * (c + 1), 1, 1), *Cyclo.qbinom(n * c + nk - 1, c), (c + 1, 1, -1), (s, b, -1)), s
-
-
-def _recursion_factor(shape: Shape, a: int, b: int, c: int, k: int) -> Cyclo:
-    """One step of the block recursion as one factored value."""
-    return _at_a(a, b, [_recursion_step(shape, b, c, k)])
 
 
 def bf_factored(shape: Shape, b: int, c: int, k: int | None = None) -> tuple[Cyclo, list[int]]:
@@ -216,8 +199,9 @@ def rec_scalar_lhs(shape: Shape, c: int, k: int) -> QFrac:
 
 
 def rec_scalar_rhs(shape: Shape, c: int, k: int) -> QLaurent:
-    """The factor by which one recursion step lowering part k multiplies, at a = b = 0."""
-    return _recursion_factor(shape, 0, 0, c, k).expand()
+    """The factor by which one recursion step lowering part k multiplies, at
+    a = b = 0, where the step's (q^{a+s}; q)_b symbols are empty."""
+    return Cyclo.poch_product(_recursion_step(shape, 0, c, k)[0]).expand()
 
 
 def rec_scalar_identity_holds(shape: Shape, c: int, k: int | None = None) -> bool:

@@ -23,9 +23,10 @@ denominator factor, leaving at most two products.  Nothing is expanded but
 one point fold per distinct numerator of a leaf (a term with no denominator
 left), and a constant term is reduced once, at the end.  The vanishing
 checks stay factored too: property (3) turns the stored head factors to
-x_i/x_head, cancels the head denominator out of them as a multiset, reads
-its Laurent-form ledger off the cancelled numerator's factors, exactly, and
-takes its constant term by one point fold.
+x_i/x_head, cancels the head denominator out of them as a multiset (a term
+where it does not cancel fails), reads its Laurent-form ledger off the
+cancelled numerator's factors, exactly, and takes its constant term by one
+point fold.
 """
 
 from __future__ import annotations
@@ -426,11 +427,12 @@ def _case4_exists(shape: Shape, u, k, b: int, c: int, t: int) -> bool:
 
 
 def check_property_laurent(shape, b, c, d, u, k) -> dict:
-    """Property (3): either the term is outright zero, or its denominator
-    cancels into the numerator (``cancel_exact``: the quotient times the
-    denominator is the numerator), the Laurent form matches the degree ledger,
-    and the constant term vanishes through the vanishing-coefficient family.
-    An exact CT of the untouched rational term is computed as well.
+    """Property (3): either the term is outright zero, or its head
+    denominator cancels into the numerator (``divisible``, and
+    ``cancel_exact``: the quotient times the denominator is the numerator),
+    the Laurent form matches the degree ledger, and the constant term
+    vanishes through the vanishing-coefficient family.  A term whose
+    denominator does not cancel fails.
 
     The cancelled numerator is x^mono times factors (1 - q^z x_i/x_head),
     i outside u, so it is read off its factors, exactly.  With
@@ -481,9 +483,7 @@ def check_property_laurent(shape, b, c, d, u, k) -> dict:
     cancelled = _cancel_head_denominator(q)
     report["divisible"] = cancelled is not None
     if cancelled is None:
-        # outside the structural path: fall back to the exact rational CT
-        report["ct_zero"] = factored_ct(q.term()).is_zero()
-        report["ok"] = report["ct_zero"]
+        report["ok"] = False
         return report
     scale, mono, triples = cancelled
     # the cancel is exact: the cancelled numerator times the head

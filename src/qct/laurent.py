@@ -2,9 +2,9 @@
 ``MLaurent`` form.
 
 ``MLaurent`` stores terms as a dict from exponent tuples to nonzero ``QFrac``
-coefficients.  Exponent tuples ("ExpVec") are plain tuples of ints, one slot
-per variable; slot t corresponds to the variable printed as ``x{t+1}``.  It
-is the form ``splitting.pair_product`` returns and the tests' oracles
+coefficients.  Exponent tuples are plain tuples of ints, one slot per
+variable; slot t corresponds to the variable printed as ``x{t+1}``.  It is
+the form ``splitting.pair_product`` returns and the tests' oracles
 compute in; no constant-term route expands a product into it.
 
 The constant-term fold engine multiplies out a product of linear factors,
@@ -42,8 +42,6 @@ from math import prod
 from operator import add
 
 from .qring import ZERO, Cyclo, QFrac, QLaurent
-
-ExpVec = tuple  # fixed-arity tuple of ints, one slot per variable
 
 
 class MLaurent:

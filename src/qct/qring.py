@@ -445,22 +445,6 @@ class QFrac:
             raise ZeroDivisionError("division by zero QFrac")
         return QFrac(self.num * other.den, self.den * other.num)
 
-    def inverse(self) -> "QFrac":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero QFrac")
-        return QFrac(self.den, self.num)
-
-    def __pow__(self, n: int) -> "QFrac":
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        result = QFrac(1)
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = QFrac(other)
@@ -480,16 +464,6 @@ class QFrac:
 
     def __repr__(self) -> str:
         return f"QFrac({self})"
-
-    @staticmethod
-    def parse(text: str) -> "QFrac":
-        s = text.strip()
-        if s.startswith("(") and ")/(" in s and s.endswith(")"):
-            split = s.index(")/(")
-            num = QLaurent.parse(s[1:split])
-            den = QLaurent.parse(s[split + 3:-1])
-            return QFrac(num, den)
-        return QFrac(QLaurent.parse(s), ONE)
 
 
 def _reduce(num: QLaurent, den: QLaurent) -> tuple[QLaurent, QLaurent]:
@@ -770,20 +744,6 @@ class ZPoly:
                 k += s
                 out[k] = get(k, 0) + v
         return QLaurent({k: v for k, v in out.items() if v}, _trusted=True)
-
-    def __eq__(self, other) -> bool:
-        """Equal as polynomials: coefficients cross-multiplied by the parts of
-        the two denominators that they do not share."""
-        if not isinstance(other, ZPoly):
-            return NotImplemented
-        shared = Cyclo(1, 0, {d: min(e, other.den.exps.get(d, 0)) for d, e in self.den.exps.items()})
-        mine, theirs = other.den / shared, self.den / shared
-        left = [mine.times(c) for c in self.coeffs]
-        right = [theirs.times(c) for c in other.coeffs]
-        width = max(len(left), len(right))
-        return left + [ZERO] * (width - len(left)) == right + [ZERO] * (width - len(right))
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"ZPoly([{', '.join(map(str, self.coeffs))}] / {self.den})"

@@ -94,6 +94,23 @@ def test_bf_fails_when_a_tie_break_changes_the_value(tied, monkeypatch):
     assert cli._run_bf(params) == (False, {"tie_break_k": tied})
 
 
+def test_p1_formula_fails_where_the_p1_closed_form_is_wrong(tmp_path, capsys, monkeypatch):
+    # the p = 1 formula times q at one case: p1-formula fails that case alone,
+    # with the closed form and the brute-force value as its witness
+    monkeypatch.chdir(tmp_path)
+    p1 = closedform.bf_p1_rhs
+    wrong = (1, 2, 1, 1, 1)
+    monkeypatch.setattr(closedform, "bf_p1_rhs",
+                        lambda *args: p1(*args).shift(1) if args == wrong else p1(*args))
+    code, out = run(capsys, "verify", "--suite", "p1-formula")
+    assert code == 1 and "p1-formula: 107 pass, 1 fail, 0 trimmed" in out
+    failed = [case for case in json.loads((tmp_path / "qct-report-p1-formula.json").read_text())["cases"]
+              if case["status"] == "fail"]
+    assert [case["params"] for case in failed] == [{"shape": [1, 2], "a": 1, "b": 1, "c": 1}]
+    brute = str(cli.FAMILIES["bf"].brute(failed[0]["params"]))
+    assert failed[0]["witness"] == {"closed": str(p1(*wrong).shift(1)), "brute": brute}
+
+
 def test_verify_suite_with_flags(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out = run(capsys, "verify", "--suite", "roots",

@@ -50,12 +50,6 @@ def test_bf_p1_reduces_to_single_block():
     assert bf_p1_rhs(1, 1, 0, 0, 0) == QFrac(1)
 
 
-def test_bf_rhs_p0_is_single_block_product():
-    for n in (1, 2, 3):
-        for a, b, c in itertools.product(range(2), repeat=3):
-            assert bf_rhs(BFParams(Shape((n,)), a, b, c)) == qmorris_rhs(n, a, b, c)
-
-
 def test_bf_rhs_shape_11_equals_morris_two():
     for a, b, c in itertools.product(range(3), repeat=3):
         # eps vanishes when all decorated blocks are singletons
@@ -238,6 +232,18 @@ def chained_qdyson(a):
     return out
 
 
+def qmorris_cyclo(n, a, b, c):
+    """The one-block walk of the block recursion, before its expansion."""
+    return bf_cyclo(BFParams(Shape((n,)), a, b, c))
+
+
+def recursion_factor_cyclo(shape, a, b, c, k):
+    """One step of the block recursion as one factored value: its a-free
+    triples and the symbol (q^{a+s}; q)_b."""
+    triples, s = closedform._recursion_step(shape, b, c, k)
+    return Cyclo.poch_product((*triples, (a + s, b, 1)))
+
+
 def _agree(built, chained, args, expand):
     """Both routes raise, or both give the same value."""
     try:
@@ -256,14 +262,14 @@ def test_closed_forms_match_the_chained_products(values):
     # or both agree
     for a, b, c in itertools.product(values, repeat=3):
         for n in range(1, 6):
-            _agree(closedform._qmorris, chained_qmorris, (n, a, b, c), False)
+            _agree(qmorris_cyclo, chained_qmorris, (n, a, b, c), False)
         for n0 in range(1, 5):
             for n1 in range(1, 6 - n0):
                 _agree(bf_p1_rhs, chained_bf_p1, (n0, n1, a, b, c), True)
         for shape in all_shapes(5, min_p=1):
             for k in range(1, shape.p + 1):
                 if shape.parts[k] == max(shape.parts[1:]):
-                    _agree(closedform._recursion_factor, chained_recursion_factor, (shape, a, b, c, k), False)
+                    _agree(recursion_factor_cyclo, chained_recursion_factor, (shape, a, b, c, k), False)
     for c in values:
         for shape in all_shapes(5):
             _agree(dn0_rhs, chained_dn0, (shape, c), True)
@@ -275,7 +281,7 @@ def test_closed_forms_match_the_chained_products(values):
 def recursion_factor(shape: Shape, a: int, b: int, c: int, k: int) -> QFrac:
     """One step of the block recursion as a QFrac: the factored value's
     inverse divides 1."""
-    return (closedform._recursion_factor(shape, a, b, c, k) ** -1).divide(ONE)
+    return (recursion_factor_cyclo(shape, a, b, c, k) ** -1).divide(ONE)
 
 
 def test_recursion_factor_matches_its_qfrac_formula():
@@ -320,15 +326,16 @@ def test_identity_suite_green():
 
 def test_identity_suite_checks_the_recursion_factor(monkeypatch):
     # the scalar recursion identity's right side is the recursion step's
-    # factor, so a wrong Gaussian binomial in that factor fails it
-    factor = closedform._recursion_factor
+    # factor, so a wrong Gaussian binomial in that step fails it
+    step = closedform._recursion_step
 
-    def wrong(shape, a, b, c, k):
+    def wrong(shape, b, c, k):
         n, nk = shape.n, shape.parts[k]
-        return (factor(shape, a, b, c, k) * Cyclo.poch_product(Cyclo.qbinom(n * c + nk, c))
-                / Cyclo.poch_product(Cyclo.qbinom(n * c + nk - 1, c)))
+        triples, s = step(shape, b, c, k)
+        swap = (*Cyclo.qbinom(n * c + nk, c), *((m, z, -e) for m, z, e in Cyclo.qbinom(n * c + nk - 1, c)))
+        return (*triples, *swap), s
 
-    monkeypatch.setattr(closedform, "_recursion_factor", wrong)
+    monkeypatch.setattr(closedform, "_recursion_step", wrong)
     rep = identity_suite(nmax=6, shapes_nmax=4, cmax=2)
     assert rep["qsum"] == rep["qbinom_theorem"] == "pass"
     assert rep["rec_scalar"] == "fail" and rep["witness"] == ("rec_scalar", (1, 1), 1)

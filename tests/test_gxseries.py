@@ -27,6 +27,7 @@ from qct.products import Shape, epsilon
 from qct.qring import ONE, Cyclo, QFrac, QLaurent, cyclo_sum, eval_poly
 from qct.roots import interpolate_dn, t_table
 from test_laurent import moved
+from test_qring import frac_inverse, frac_pow, parse_frac
 from test_roots import _staircase_by_scan
 
 
@@ -330,7 +331,7 @@ def reference_eliminate(scale: QFrac, num: MLaurent, factors, k: int):
     for r, (cr, ir) in enumerate(factors):
         if ir < k:
             continue
-        inv = cr.inverse()
+        inv = frac_inverse(cr)
         sub = {}
         for e, v in num.terms.items():
             ek = e[k]
@@ -338,7 +339,7 @@ def reference_eliminate(scale: QFrac, num: MLaurent, factors, k: int):
             ne[k] = 0
             ne[ir] += ek
             ne = tuple(ne)
-            nv = v * inv ** ek if ek else v
+            nv = v * frac_pow(inv, ek) if ek else v
             cur = sub.get(ne)
             s = nv if cur is None else cur + nv
             if s.is_zero():
@@ -367,7 +368,7 @@ def expand_factor(i: int, j: int, coeff: QFrac, trunc: int, arity: int) -> MLaur
     for l in range(trunc + 1) if i < j else range(1, trunc + 1):
         e = [0] * arity
         e[i], e[j] = (l, -l) if i < j else (-l, l)
-        out[tuple(e)] = coeff ** l if i < j else -coeff ** -l
+        out[tuple(e)] = frac_pow(coeff, l) if i < j else -frac_pow(coeff, -l)
     return MLaurent(arity, out)
 
 
@@ -702,8 +703,8 @@ def test_ct_partial_fraction_two_factors_vs_series():
     dens = [(QFrac.q_power(1), 3), (QFrac.q_power(2), 3)]
     # the second numerator has coefficients with denominators
     for num in (MLaurent.constant(4, 1),
-                MLaurent(4, {(0, 0, 0, 0): QFrac.parse("(1)/(1 - q)"),
-                             (0, -1, 0, 1): QFrac.parse("(q)/(1 - q^2)")})):
+                MLaurent(4, {(0, 0, 0, 0): parse_frac("(1)/(1 - q)"),
+                             (0, -1, 0, 1): parse_frac("(q)/(1 - q^2)")})):
         pieces = ct_partial_fraction(num, dens, 1)
         total = QFrac(0)
         for new_num, new_dens, head in pieces:
@@ -711,7 +712,7 @@ def test_ct_partial_fraction_two_factors_vs_series():
             total = total + new_num.constant_coefficient()
         assert total == reference_series_ct(QFrac(1), num, dens, 1)
     with pytest.raises(ValueError):
-        ct_partial_fraction(MLaurent.constant(4, 1), [(QFrac.parse("1 + q"), 3)], 1)
+        ct_partial_fraction(MLaurent.constant(4, 1), [(parse_frac("1 + q"), 3)], 1)
 
 
 def test_ct_partial_fraction_degree_precondition():
@@ -831,6 +832,20 @@ def test_property_laurent_nontrivial():
     assert rep["divisible"] and rep["laurent_form_ok"] and rep["ct_zero"]
     assert rep["case4"] and rep["in_laurent_bound"]
     assert rep["ledger_exponent"] == 0 and rep["vanishing_precondition_ok"]
+
+
+def test_property_laurent_fails_where_the_head_denominator_does_not_cancel(monkeypatch):
+    # the gx-pipeline suite's laurent case with no cancellation: property (3)
+    # fails every nontrivial term itself, and the suite case fails with it
+    monkeypatch.setattr(gxseries, "_cancel_head_denominator", lambda q: None)
+    shape, b, c, d = Shape((2, 4)), 1, 2, 5
+    reports = [check_property_laurent(shape, b, c, d, u, k)
+               for u in itertools.combinations(shape.block(1), 2) for k in [(d, 2), (2, d), (d, d)]]
+    nontrivial = [rep for rep in reports if not rep["zero_by_V"]]
+    assert len(nontrivial) == 6
+    assert all(rep["divisible"] is False and rep["ok"] is False for rep in nontrivial)
+    ok, witness = cli._run_gx({"kind": "laurent", "shape": [2, 4], "b": b, "c": c, "d": d})
+    assert not ok and "'divisible': False" in witness["report"]
 
 
 def divide_binomial(poly: dict, h: int, t: int, m: int) -> dict | None:

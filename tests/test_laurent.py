@@ -17,6 +17,7 @@ from qct.laurent import (
     fold_packed_raw,
 )
 from qct.qring import ONE, QFrac, QLaurent
+from test_qring import parse_frac
 
 
 def M(text: str, arity: int) -> MLaurent:
@@ -27,7 +28,7 @@ def M(text: str, arity: int) -> MLaurent:
     out = MLaurent(arity)
     for chunk in _split_terms(s):
         coeff_part, monos = _split_monomial(chunk)
-        coeff = QFrac.parse(coeff_part)
+        coeff = parse_frac(coeff_part)
         exps = [0] * arity
         for name, ex in monos:
             pos = int(name[1:]) - 1

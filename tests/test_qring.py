@@ -50,8 +50,35 @@ def qbinom(n: int, c: int) -> QLaurent:
     return qpoch(n - c + 1, c).divexact(qpoch(1, c))
 
 
-def F(text):
-    return QFrac.parse(text)
+# -- QFrac's text form, inverse and integer powers, which only the tests use ------
+
+
+def parse_frac(text: str) -> QFrac:
+    """The inverse of ``str(QFrac)``: "(num)/(den)", or a bare QLaurent."""
+    s = text.strip()
+    if s.startswith("(") and ")/(" in s and s.endswith(")"):
+        split = s.index(")/(")
+        return QFrac(QLaurent.parse(s[1:split]), QLaurent.parse(s[split + 3:-1]))
+    return QFrac(QLaurent.parse(s), ONE)
+
+
+def frac_inverse(x: QFrac) -> QFrac:
+    if x.is_zero():
+        raise ZeroDivisionError("inverse of zero QFrac")
+    return QFrac(x.den, x.num)
+
+
+def frac_pow(x: QFrac, n: int) -> QFrac:
+    """x^n by repeated squaring; a negative n inverts x first."""
+    base = x if n >= 0 else frac_inverse(x)
+    n = abs(n)
+    result = QFrac(1)
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 def frac_arith(a: QFrac, b: QFrac, op: str):
@@ -214,7 +241,7 @@ def test_frac_str_roundtrip():
         num = QLaurent({rng.randrange(-4, 5): rng.randrange(-5, 6) for _ in range(3)})
         den = qpoch(1, rng.randrange(1, 4))
         x = QFrac(num, den)
-        assert QFrac.parse(str(x)) == x
+        assert parse_frac(str(x)) == x
 
 
 # -- interpolation ------------------------------------------------------------
@@ -275,8 +302,8 @@ def test_interpolate_three_nodes():
     # quadratic is z + 1, i.e. coefficients [1, 1, 0]
     nodes = [
         (QFrac(1), QFrac(2)),
-        (QFrac.q_power(1), F("1 + q")),
-        (QFrac.q_power(2), F("1 + q^2")),
+        (QFrac.q_power(1), parse_frac("1 + q")),
+        (QFrac.q_power(2), parse_frac("1 + q^2")),
     ]
     assert newton_interpolate(nodes) == [QFrac(1), QFrac(1), QFrac(0)]
     # the q-node routine agrees: numerators over (q; q)_2

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qct import cli, gxseries, qring, roots
 from qct.closedform import BFParams, all_shapes, bf_factored, bf_rhs
 from qct.products import Shape, bf_ct
-from qct.qring import ONE, Cyclo, ZPoly, eval_poly
+from qct.qring import ONE, ZERO, Cyclo, ZPoly, eval_poly
 from qct.roots import (
     LemmaFalsified,
     interpolate_dn,
@@ -240,6 +240,17 @@ def test_a_wrong_closed_form_fails_closed_form_match(mutation, monkeypatch):
         assert not ok
 
 
+def zpoly_equal(x: ZPoly, y: ZPoly) -> bool:
+    """Equal as polynomials: coefficients cross-multiplied by the parts of
+    the two denominators that they do not share."""
+    shared = Cyclo(1, 0, {d: min(e, y.den.exps.get(d, 0)) for d, e in x.den.exps.items()})
+    mine, theirs = y.den / shared, x.den / shared
+    left = [mine.times(c) for c in x.coeffs]
+    right = [theirs.times(c) for c in y.coeffs]
+    width = max(len(left), len(right))
+    return left + [ZERO] * (width - len(left)) == right + [ZERO] * (width - len(right))
+
+
 def newton_route(shape: Shape, b: int, c: int) -> dict:
     """The roots report through Newton interpolation on every case, with the
     closed form compared to the interpolant as one polynomial: the oracle of
@@ -273,7 +284,7 @@ def newton_route(shape: Shape, b: int, c: int) -> dict:
             break
     scale, shifts = bf_factored(shape, b, c)
     closed = sorted(s + j for s in shifts for j in range(b))
-    report["closed_form_match"] = roots._factored_zpoly(scale, closed) == poly
+    report["closed_form_match"] = zpoly_equal(roots._factored_zpoly(scale, closed), poly)
     if c >= b and report["disjoint"]:
         report["product_form_match"] = roots._product_scale(shape, c, union) == scale and union == closed
     return report
@@ -344,10 +355,10 @@ def test_product_form_matches_interpolation():
     shape = Shape((1, 2))
     poly = interpolate_dn(shape, 1, 1)
     pf = product_form_coeffs(shape, 1, 1)
-    assert len(pf.coeffs) == shape.n * 1 + 1 and pf == poly
+    assert len(pf.coeffs) == shape.n * 1 + 1 and zpoly_equal(pf, poly)
     # cross-multiplication tells a wrong coefficient apart
     wrong = ZPoly(pf.coeffs[:1] + [pf.coeffs[1] + pf.den.expand()] + pf.coeffs[2:], pf.den)
-    assert wrong != poly
+    assert not zpoly_equal(wrong, poly)
 
 
 def test_path_weight_worked_examples():
