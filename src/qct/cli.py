@@ -398,7 +398,7 @@ def _run_gx(params):
                 for k in product(range(1, d + 1), repeat=s):
                     rep = gxseries.vanishing_property_checks(shape, b, c, d, u, k)
                     if not rep["ok"]:
-                        return False, {"u": list(u), "k": list(k), "report": str(rep)}
+                        return False, {"u": list(u), "k": list(k), "report": rep}
         return True, None
     if kind == "laurent":
         shape = Shape(params["shape"])
@@ -408,7 +408,7 @@ def _run_gx(params):
             for k in [(d, 2), (2, d), (d, d)]:
                 rep = gxseries.vanishing_property_checks(shape, b, c, d, u, k)
                 if rep["branch"] != "laurent" or not rep["ok"]:
-                    return False, {"u": list(u), "k": list(k), "report": str(rep)}
+                    return False, {"u": list(u), "k": list(k), "report": rep}
                 nontrivial += not rep["zero_by_V"]
         return nontrivial > 0, None if nontrivial else {"error": "no nontrivial laurent case"}
     if kind == "grand":

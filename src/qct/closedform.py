@@ -74,34 +74,38 @@ def bf_p1_rhs(n0: int, n1: int, a: int, b: int, c: int) -> QLaurent:
     return Cyclo.poch_product(pochs).expand()
 
 
-def _recursion_step(shape: Shape, b: int, c: int, k: int) -> tuple:
-    """One step of the block recursion, lowering part k (k >= 1, n_k
-    maximal), as (a-free triples, shift s): the step multiplies by the
-    triples and by (q^{a+s}; q)_b, s = (n-1)c + n_k."""
-    n = shape.n
-    nk = shape.parts[k]
+def _recursion_step(parts, b: int, c: int, k: int) -> tuple:
+    """One step of the block recursion on the parts (n_0, ..., n_p),
+    lowering part k (k >= 1, n_k maximal), as (a-free triples, shift s):
+    the step multiplies by the triples and by (q^{a+s}; q)_b,
+    s = (n-1)c + n_k."""
+    n = sum(parts)
+    nk = parts[k]
     s = (n - 1) * c + nk
     return ((nk * (c + 1), 1, 1), *Cyclo.qbinom(n * c + nk - 1, c), (c + 1, 1, -1), (s, b, -1)), s
 
 
 def bf_factored(shape: Shape, b: int, c: int, k: int | None = None) -> tuple[Cyclo, list[int]]:
     """(K, shifts) with bf_cyclo = K * prod_{s in shifts} (q^{a+s}; q)_b, from
-    one walk of the block recursion: one shift (n-1)c + n_k per step, then
-    ic + 1 for i < n_0 from the one-block product.  In z = q^a the closed
-    form is K * prod_s prod_{j<b} (1 - q^{s+j} z), a polynomial of degree nb."""
+    one walk of the block recursion down the shape's parts: one shift
+    (n-1)c + n_k per step, then ic + 1 for i < n_0 from the one-block
+    product.  In z = q^a the closed form is K * prod_s prod_{j<b}
+    (1 - q^{s+j} z), a polynomial of degree nb."""
+    parts = list(shape.parts)
     factors = []
-    first = True
-    while shape.p >= 1:
-        if first and k is not None:
-            if shape.parts[k] != max(shape.parts[1:]):
-                raise ValueError("k must point at a maximal decorated part")
-            kk = k
+    while len(parts) > 1:
+        top = max(parts[1:])
+        if k is None:
+            kk = parts.index(top, 1)
+        elif 1 <= k < len(parts) and parts[k] == top:
+            kk, k = k, None
         else:
-            kk = shape.max_block()
-        factors.append(_recursion_step(shape, b, c, kk))
-        shape = shape.decremented(kk)
-        first = False
-    factors += _qmorris_factors(shape.n, b, c)
+            raise ValueError("k must point at a maximal decorated part")
+        factors.append(_recursion_step(parts, b, c, kk))
+        parts[kk] -= 1
+        if not parts[kk]:
+            del parts[kk]
+    factors += _qmorris_factors(parts[0], b, c)
     return (Cyclo.poch_product(t for triples, _ in factors for t in triples),
             [s for _, s in factors])
 
@@ -201,7 +205,7 @@ def rec_scalar_lhs(shape: Shape, c: int, k: int) -> QFrac:
 def rec_scalar_rhs(shape: Shape, c: int, k: int) -> QLaurent:
     """The factor by which one recursion step lowering part k multiplies, at
     a = b = 0, where the step's (q^{a+s}; q)_b symbols are empty."""
-    return Cyclo.poch_product(_recursion_step(shape, 0, c, k)[0]).expand()
+    return Cyclo.poch_product(_recursion_step(shape.parts, 0, c, k)[0]).expand()
 
 
 def rec_scalar_identity_holds(shape: Shape, c: int, k: int | None = None) -> bool:

@@ -26,20 +26,23 @@ coefficient of x^-mu in P.  There is one kernel and one step:
   it runs free, with no digit and no window test (a full expansion is free
   throughout).
 
-Keys are decoded back to exponent tuples only at the end.  A weighted
-constant term folds once and contracts many jobs, each one weight map per
-slot (``ct_contract``); the packed (lo, mag) values and their digit width B
-never leave this module.  ``Factored`` keeps a product of linear factors, a
-monomial and a ``Cyclo`` scalar unexpanded, so that equal values compare by
-their parts and a constant term is one point fold.  A plain dict fold over
-general factors lives in the tests as the reference the kernel must match
-exactly.
+One planning pass over the factors gives every step its windows, its key
+move and whether it runs free, before the first state is visited.  A point
+fold (``ct_point``) reads the one key of its target; ``ct_fold`` and
+``ct_contract`` decode keys back to exponent tuples, only at the end.  A
+weighted constant term folds once and contracts many jobs, each one weight
+map per slot (``ct_contract``); the packed (lo, mag) values and their digit
+width B never leave this module.  ``Factored`` keeps a product of linear
+factors, a monomial and a ``Cyclo`` scalar unexpanded, so that equal values
+compare by their parts and a constant term is one point fold.  A plain dict
+fold over general factors lives in the tests as the reference the kernel
+must match exactly.
 """
 
 from __future__ import annotations
 
 from math import prod
-from operator import add
+from operator import add, mul, sub
 
 from .qring import ZERO, Cyclo, QFrac, QLaurent
 
@@ -197,64 +200,15 @@ class MLaurent:
 # -- the CT fold engine -----------------------------------------------------------------
 
 
-def _moves(factor):
-    """The slots a factor (a, b, m) moves, as (slot, +1 or -1) in slot
-    order: x_a up by one, x_b down by one, a ``None`` side moving nothing."""
-    a, b, _ = factor
-    if a == b:
-        raise ValueError(f"linear factor {factor} needs two distinct sides")
-    moves = [] if a is None else [(a - 1, 1)]
-    if b is not None:
-        moves.append((b - 1, -1))
-    return sorted(moves)
-
-
-def _windows(factors, tlo, thi):
-    """Per-step admissible windows implied by suffix reachability.
-
-    Returns (steps, base, top).  ``steps[fi]`` lists (v, d, lo, hi) for each
-    slot v that factor fi moves by d: after step fi a kept monomial has its
-    slot v in [lo, hi].  [base[v], top[v]] is the smallest interval holding 0
-    and every window on slot v.  ``steps`` is None when no monomial can reach
-    the target.
-    """
-    arity = len(tlo)
-    rlo = [0] * arity
-    rhi = [0] * arity
-    base = [0] * arity
-    top = [0] * arity
-    steps = [None] * len(factors)
-    for fi in range(len(factors) - 1, -1, -1):
-        win = []
-        for v, d in _moves(factors[fi]):
-            lo = tlo[v] - rhi[v]
-            hi = thi[v] - rlo[v]
-            win.append((v, d, lo, hi))
-            if lo < base[v]:
-                base[v] = lo
-            if hi > top[v]:
-                top[v] = hi
-            if d > 0:
-                rhi[v] += 1
-            else:
-                rlo[v] -= 1
-        steps[fi] = win
-    for v in range(arity):
-        if tlo[v] - rhi[v] > 0 or thi[v] - rlo[v] < 0:
-            return None, base, top
-    return steps, base, top
-
-
 def _full_window(arity, factors):
     """The smallest window holding every monomial of the expanded product."""
     lo = [0] * arity
     hi = [0] * arity
-    for f in factors:
-        for v, d in _moves(f):
-            if d > 0:
-                hi[v] += 1
-            else:
-                lo[v] -= 1
+    for a, b, _ in factors:
+        if a is not None:
+            hi[a - 1] += 1
+        if b is not None:
+            lo[b - 1] -= 1
     return tuple(lo), tuple(hi)
 
 
@@ -285,9 +239,17 @@ def ct_fold(arity, factors, tlo=None, thi=None) -> dict:
 
 def ct_point(mono, factors) -> QLaurent:
     """CT[x^mono times the product of linear factors (a, b, m)]: the
-    product's coefficient at -mono, by one point fold."""
+    product's coefficient at -mono, by one point fold that reads the one key
+    of -mono and decodes no other."""
     at = tuple(-e for e in mono)
-    return ct_fold(len(at), factors, at, at).get(at, ZERO)
+    factors = list(factors)
+    plan = _plan(factors, at, at)
+    if plan is None:
+        return ZERO
+    steps, base, radix, _ = plan
+    B = _digit_width(1 << len(factors))
+    val = _fold_packed(steps, base, radix, B).get(sum(map(mul, map(sub, at, base), radix)))
+    return ZERO if val is None else _decode_packed(*val, B)
 
 
 def fold_packed_raw(arity, factors, tlo=None, thi=None, extra_l1: int = 1):
@@ -421,36 +383,75 @@ def _digit_width(bound: int) -> int:
 
 def _fold_tuples(factors, tlo, thi, B):
     """The fold in its own key box, keys decoded to exponent tuples."""
-    steps, base, top = _windows(factors, tlo, thi)
-    if steps is None:
+    plan = _plan(factors, tlo, thi)
+    if plan is None:
         return {}
-    return _decode_keys(_fold_packed(factors, steps, base, top, B), base, top)
+    steps, base, radix, width = plan
+    return _decode_keys(_fold_packed(steps, base, radix, B), base, width)
 
 
-def _decode_keys(state, base, top) -> dict:
-    """{int key: value} over the box [base, top] as {exponent tuple: value}."""
-    widths = [t - b + 1 for b, t in zip(base, top)]
+def _decode_keys(state, base, width) -> dict:
+    """{int key: value} over a plan's box as {exponent tuple: value}."""
     out = {}
     for k, val in state.items():
         e = []
-        for b, w in zip(base, widths):
+        for b, w in zip(base, width):
             k, x = divmod(k, w)
             e.append(x + b)
         out[tuple(e)] = val
     return out
 
 
-def _fold_packed(factors, steps, base, top, B):
-    """The fold kernel: {int key: (lo, mag)} with keys over the box [base, top].
+def _plan(factors, tlo, thi):
+    """One planning pass of the fold of the factors (a, b, m) into [tlo, thi].
 
-    ``steps`` are the factors' windows from ``_windows``; the box must hold
-    the origin and every window.  A step whose windows hold every state it
-    can make drops nothing, so it runs free: no digit and no window test.
+    Backward, suffix reachability gives each step its windows: after the
+    step a kept monomial has each slot v the factor moves inside [lo, hi],
+    the target less what the later factors can still move v by.  The key box
+    is the smallest one holding the origin and every window.  Forward, a
+    range per slot holds every live state, and a step whose windows hold
+    that range moved by the factor cannot drop a state, so it runs free.
+
+    Returns (steps, base, radix, width), or None when no monomial can reach
+    the target.  ``steps`` holds one (dk, m, slots) per factor for
+    ``_step_linear``, with no slots for a free step.  A key holds slot v's
+    digit e_v - base[v], in [0, width[v]), at weight radix[v]; a kept term's
+    moved digits land in the step's window, which lies in the box, so key +
+    dk never carries from one slot into the next.
     """
-    # Kronecker keys: slot v of a state's key holds e_v - base[v], a digit in
-    # [0, width[v]), at weight radix[v].  A term is kept only if its moved
-    # digits land in the step's window, which lies in the box, so key + dk
-    # never carries from one slot into the next.
+    arity = len(tlo)
+    rlo = [0] * arity  # the later factors move slot v by at least rlo[v] ...
+    rhi = [0] * arity  # ... and at most rhi[v]
+    base = [0] * arity
+    top = [0] * arity
+    wins = []
+    for f in reversed(factors):
+        a, b, m = f
+        if a == b:
+            raise ValueError(f"linear factor {f} needs two distinct sides")
+        win = []
+        if a is not None:
+            v = a - 1
+            lo, hi = tlo[v] - rhi[v], thi[v] - rlo[v]
+            win.append((v, 1, lo, hi))
+            rhi[v] += 1
+            if lo < base[v]:
+                base[v] = lo
+            if hi > top[v]:
+                top[v] = hi
+        if b is not None:
+            v = b - 1
+            lo, hi = tlo[v] - rhi[v], thi[v] - rlo[v]
+            win.append((v, -1, lo, hi))
+            rlo[v] -= 1
+            if lo < base[v]:
+                base[v] = lo
+            if hi > top[v]:
+                top[v] = hi
+        wins.append((m, win))
+    for v in range(arity):
+        if tlo[v] - rhi[v] > 0 or thi[v] - rlo[v] < 0:
+            return None
     radix = []
     width = []
     r = 1
@@ -458,28 +459,36 @@ def _fold_packed(factors, steps, base, top, B):
         radix.append(r)
         width.append(t - b + 1)
         r *= t - b + 1
-    state = {-sum(b * m for b, m in zip(base, radix)): (0, 1)}
-    # every live state has slot v in [live_lo[v], live_hi[v]]
-    live_lo = [0] * len(base)
-    live_hi = [0] * len(base)
-    for (_, _, m), win in zip(factors, steps):
+    live_lo = [0] * arity  # every live state has slot v in [live_lo[v], live_hi[v]]
+    live_hi = [0] * arity
+    steps = []
+    for m, win in reversed(wins):
         free = True
         dk = 0
+        # each moved slot's key weight and width, and the digits a state may
+        # hold to keep its 1 term and its -q^m x^delta term in the window
+        slots = []
         for v, d, lo, hi in win:
             dk += d * radix[v]
-            reach_lo = live_lo[v] + min(d, 0)
-            reach_hi = live_hi[v] + max(d, 0)
+            reach_lo = live_lo[v] if d > 0 else live_lo[v] - 1
+            reach_hi = live_hi[v] + 1 if d > 0 else live_hi[v]
             if reach_lo < lo:
                 reach_lo, free = lo, False
             if reach_hi > hi:
                 reach_hi, free = hi, False
             live_lo[v] = reach_lo
             live_hi[v] = reach_hi
-        # for each moved slot of a checked step: its key weight and width,
-        # and the digits a state may hold to keep its 1 term and its
-        # -q^m x^delta term inside the window
-        slots = [] if free else [(radix[v], width[v], lo - base[v], hi - base[v], lo - base[v] - d,
-                                  hi - base[v] - d) for v, d, lo, hi in win]
+            lo -= base[v]
+            hi -= base[v]
+            slots.append((radix[v], width[v], lo, hi, lo - d, hi - d))
+        steps.append((dk, m, [] if free else slots))
+    return steps, base, radix, width
+
+
+def _fold_packed(steps, base, radix, B):
+    """The fold kernel: a plan's steps run from the origin, {int key: (lo, mag)}."""
+    state = {-sum(map(mul, base, radix)): (0, 1)}
+    for dk, m, slots in steps:
         state = _step_linear(state, B, dk, m, slots)
         if not state:
             break
@@ -489,7 +498,7 @@ def _fold_packed(factors, steps, base, top, B):
 def _step_linear(state, B, dk, qsh, slots):
     """One (1 - q^m x^delta) step: new[k] += old[k], new[k + dk] -= q^m old[k].
 
-    ``slots`` covers the one or two moved slots, as from ``_fold_packed``; a
+    ``slots`` covers the one or two moved slots, as from ``_plan``; a
     free step has none, keeps every state and merges only the shifted term.
     """
     if not slots:

@@ -29,7 +29,7 @@ class Shape:
     parts before constructing).
     """
 
-    __slots__ = ("parts", "n", "p", "_sigma")
+    __slots__ = ("parts", "n", "p", "_sigma", "_block")
 
     def __init__(self, parts):
         parts = tuple(int(x) for x in parts)
@@ -46,6 +46,7 @@ class Shape:
             total += x
             acc.append(total)
         self._sigma = tuple(acc)
+        self._block = tuple(l for l, x in enumerate(parts) for _ in range(x))
 
     def sigma(self, l: int) -> int:
         """n_0 + ... + n_l; sigma(-1) = 0."""
@@ -60,18 +61,7 @@ class Shape:
     def block_of(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise ValueError("index out of range")
-        for l in range(self.p + 1):
-            if i <= self._sigma[l]:
-                return l
-        raise AssertionError
-
-    def decremented(self, k: int) -> "Shape":
-        """Shape with part k lowered by one, zero parts dropped."""
-        parts = list(self.parts)
-        parts[k] -= 1
-        if parts[k] == 0:
-            del parts[k]
-        return Shape(parts)
+        return self._block[i - 1]
 
     def max_block(self) -> int:
         """Smallest index k >= 1 with n_k maximal among the decorated parts."""
@@ -101,8 +91,8 @@ def epsilon(shape: Shape, i: int, j: int) -> int:
     """1 when i and j share a decorated block, else 0."""
     if not (1 <= i <= shape.n and 1 <= j <= shape.n) or i == j:
         raise ValueError("index out of range")
-    li = shape.block_of(i)
-    return 1 if li >= 1 and li == shape.block_of(j) else 0
+    li = shape._block[i - 1]
+    return 1 if li and li == shape._block[j - 1] else 0
 
 
 # -- factor lists -----------------------------------------------------------------
@@ -145,8 +135,9 @@ def bf_factors(shape: Shape, a: int, b: int, c: int) -> list[tuple]:
         raise ValueError("Pochhammer lengths a, b must be nonnegative")
     n = shape.n
     groups: list[list[tuple]] = [[] for _ in range(n + 1)]
-    for i, j, m in pair_linear(shape, c):
-        groups[min(i, j)].append((i, j, m))
+    for f in pair_linear(shape, c):
+        i, j, _ = f
+        groups[i if i < j else j].append(f)
     for i in range(1, n + 1):
         groups[i] += [(None, i, t) for t in range(a)]
         groups[i] += [(i, None, 1 + t) for t in range(b)]
@@ -177,7 +168,8 @@ def kadell_ct(v, r: int, a) -> QLaurent:
     coefficient P_{v-J} only if |J| = |v|: the value is zero unless |v| = r,
     and then |J| = r need not be imposed.  So slot i meets P at v_i - j with
     the weight [a_i + j - 1, j]_q, j from 0 to r (only 0 where a_i = 0), in
-    one contraction of P folded over the box [v - r, v].
+    one contraction of P folded over the box [v - r, v].  Each weight is
+    expanded once per (a_i + j - 1, j) and cached as an input table.
     """
     v = tuple(v)
     n = len(a)
@@ -188,11 +180,15 @@ def kadell_ct(v, r: int, a) -> QLaurent:
     factors = qdyson_factors(a)
     if sum(v) != r:
         return ZERO
-    slots = tuple({x - j: Cyclo.poch_product(Cyclo.qbinom(ai + j - 1, j)).expand() if j else ONE
-                   for j in range(r + 1 if ai else 1)}
-                  for x, ai in zip(v, a))
+    slots = tuple({x - j: _gaussian(ai + j - 1, j) for j in range(r + 1 if ai else 1)} for x, ai in zip(v, a))
     lo = tuple(x - r if ai else x for x, ai in zip(v, a))
     return ct_contract(n, factors, lo, v, [slots])[0]
+
+
+@lru_cache(maxsize=256)
+def _gaussian(n: int, k: int) -> QLaurent:
+    """The Gaussian binomial [n, k]_q expanded, a Kadell slot weight; 1 at k = 0."""
+    return Cyclo.poch_product(Cyclo.qbinom(n, k)).expand() if k else ONE
 
 
 @lru_cache(maxsize=256)

@@ -745,6 +745,13 @@ class ZPoly:
                 out[k] = get(k, 0) + v
         return QLaurent({k: v for k, v in out.items() if v}, _trusted=True)
 
+    def __eq__(self, other):
+        # equality needs cross multiplication by the other's denominator;
+        # rather than fall back to identity, == raises
+        raise TypeError("ZPoly has no ==: compare values at z = q^e through numerator_at")
+
+    __hash__ = None
+
     def __repr__(self) -> str:
         return f"ZPoly([{', '.join(map(str, self.coeffs))}] / {self.den})"
 

@@ -7,6 +7,7 @@ from qct.closedform import (
     BFParams,
     all_shapes,
     bf_cyclo,
+    bf_factored,
     bf_p1_rhs,
     bf_rhs,
     dn0_rhs,
@@ -22,6 +23,7 @@ from qct.closedform import (
 from qct.products import Shape, bf_ct, bf_ct_grid, ct_qdyson, kadell_ct, qmorris_ct
 from qct.qring import ONE, Cyclo, QFrac, QLaurent
 from qct.splitting import vanishing_check
+from test_products import decremented
 from test_qring import qbinom, qpoch
 
 
@@ -206,7 +208,7 @@ def chained_dn0(shape, c):
         k = shape.max_block()
         n, nk = shape.n, shape.parts[k]
         total = total * Cyclo.poch(nk * (c + 1), 1) / Cyclo.poch(c + 1, 1) * chained_qbinom(n * c + nk - 1, c)
-        shape = shape.decremented(k)
+        shape = decremented(shape, k)
     return total * Cyclo.poch(1, shape.n * c) / Cyclo.poch(1, c) ** shape.n
 
 
@@ -240,7 +242,7 @@ def qmorris_cyclo(n, a, b, c):
 def recursion_factor_cyclo(shape, a, b, c, k):
     """One step of the block recursion as one factored value: its a-free
     triples and the symbol (q^{a+s}; q)_b."""
-    triples, s = closedform._recursion_step(shape, b, c, k)
+    triples, s = closedform._recursion_step(shape.parts, b, c, k)
     return Cyclo.poch_product((*triples, (a + s, b, 1)))
 
 
@@ -282,6 +284,49 @@ def recursion_factor(shape: Shape, a: int, b: int, c: int, k: int) -> QFrac:
     """One step of the block recursion as a QFrac: the factored value's
     inverse divides 1."""
     return (recursion_factor_cyclo(shape, a, b, c, k) ** -1).divide(ONE)
+
+
+def shape_walk(shape: Shape, k=None):
+    """The block recursion walked one Shape per step: its steps as
+    (shape, lowered part), and n_0 at the one-block end.  The first step
+    lowers part k when given."""
+    steps = []
+    while shape.p >= 1:
+        kk = shape.max_block() if k is None else k
+        steps.append((shape, kk))
+        shape, k = decremented(shape, kk), None
+    return steps, shape.n
+
+
+def test_part_walk_matches_the_shape_walk():
+    # bf_factored lowers a list of parts; its shifts must be the Shape walk's
+    # and its scale the chained single-symbol products' at a = 0, on every
+    # shape with n <= 6 and every tie-break
+    shapes = all_shapes(6)
+    assert len(shapes) == 63
+    for shape in shapes:
+        top = max(shape.parts[1:], default=None)
+        ties = [None] + [k for k in range(1, shape.p + 1) if shape.parts[k] == top]
+        for b, c, k in itertools.product(range(3), range(3), ties):
+            steps, n0 = shape_walk(shape, k)
+            scale, shifts = bf_factored(shape, b, c, k)
+            assert shifts == [(s.n - 1) * c + s.parts[kk] for s, kk in steps] + [i * c + 1 for i in range(n0)]
+            value = chained_qmorris(n0, 0, b, c)
+            for s, kk in steps:
+                value = value * chained_recursion_factor(s, 0, b, c, kk)
+            assert scale * Cyclo.poch_product((t, b, 1) for t in shifts) == value, (shape, b, c, k)
+
+
+def test_part_walk_rejects_a_tie_break_off_the_maximal_decorated_parts():
+    # k = 0 names the undecorated part and a negative k no part at all, even
+    # where that part's size equals the largest decorated one
+    for shape in all_shapes(5, min_p=1):
+        top = max(shape.parts[1:])
+        for k in range(-shape.p - 1, shape.p + 2):
+            if 1 <= k <= shape.p and shape.parts[k] == top:
+                continue
+            with pytest.raises(ValueError):
+                bf_factored(shape, 1, 1, k)
 
 
 def test_recursion_factor_matches_its_qfrac_formula():
@@ -329,9 +374,9 @@ def test_identity_suite_checks_the_recursion_factor(monkeypatch):
     # factor, so a wrong Gaussian binomial in that step fails it
     step = closedform._recursion_step
 
-    def wrong(shape, b, c, k):
-        n, nk = shape.n, shape.parts[k]
-        triples, s = step(shape, b, c, k)
+    def wrong(parts, b, c, k):
+        n, nk = sum(parts), parts[k]
+        triples, s = step(parts, b, c, k)
         swap = (*Cyclo.qbinom(n * c + nk, c), *((m, z, -e) for m, z, e in Cyclo.qbinom(n * c + nk - 1, c)))
         return (*triples, *swap), s
 

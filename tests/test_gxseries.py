@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 from math import prod
 
@@ -603,10 +604,6 @@ def test_gx_ct_runs_without_gcd(monkeypatch):
     assert got == reference_ct(QukFactors(Shape((1, 1)), 1, 1, 3))
 
 
-def _point_window(tlo, thi, arity) -> bool:
-    return tlo is not None and len(tlo) == arity and tlo == thi
-
-
 def test_packed_elimination_makes_no_qlaurent_arithmetic(monkeypatch):
     # the walk keeps every term factored: a substitution or a split adds,
     # shifts and multiplies no QLaurent, and the only folds in gxseries are
@@ -629,22 +626,28 @@ def test_packed_elimination_makes_no_qlaurent_arithmetic(monkeypatch):
 
         monkeypatch.setattr(QLaurent, name, counted)
 
-    fold, kernel = laurent.ct_fold, laurent._fold_packed
-    monkeypatch.setattr(laurent, "ct_fold", lambda arity, factors, tlo=None, thi=None: (
-        folds.append(("point", _point_window(tlo, thi, arity))) or fold(arity, factors, tlo, thi)))
+    point, kernel = laurent.ct_point, laurent._fold_packed
+    for name in ("ct_fold", "ct_contract", "fold_packed_raw"):
+        def other(*args, name=name, route=getattr(laurent, name)):
+            folds.append((name, None))
+            return route(*args)
+
+        monkeypatch.setattr(laurent, name, other)
+    monkeypatch.setattr(laurent, "ct_point", lambda mono, factors: (
+        folds.append(("point", None)) or point(mono, factors)))
     monkeypatch.setattr(laurent, "_fold_packed", lambda *args: folds.append(("kernel", None)) or kernel(*args))
     split = gxseries._split
     splits = []
     monkeypatch.setattr(gxseries, "_split", lambda term: splits.append(1) or split(term))
     got = gx_ct(Shape((1, 2)), 1, 1, 3)
     assert splits and calls == [] and folds
-    assert folds == [("point", True), ("kernel", None)] * (len(folds) // 2)
+    assert folds == [("point", None), ("kernel", None)] * (len(folds) // 2)
     assert got == reference_ct(QukFactors(Shape((1, 2)), 1, 1, 3))
     # property (3) expands nothing: its one kernel run is its point fold
     folds.clear()
     rep = check_property_laurent(Shape((2, 4)), 1, 2, 5, (3, 4), (5, 2))
     assert rep["divisible"] and rep["ct_zero"]
-    assert folds == [("point", True), ("kernel", None)]
+    assert folds == [("point", None), ("kernel", None)]
 
 
 def test_scaled_equal_compares_values_not_their_packing():
@@ -834,9 +837,10 @@ def test_property_laurent_nontrivial():
     assert rep["ledger_exponent"] == 0 and rep["vanishing_precondition_ok"]
 
 
-def test_property_laurent_fails_where_the_head_denominator_does_not_cancel(monkeypatch):
+def test_property_laurent_fails_where_the_head_denominator_does_not_cancel(monkeypatch, tmp_path, capsys):
     # the gx-pipeline suite's laurent case with no cancellation: property (3)
-    # fails every nontrivial term itself, and the suite case fails with it
+    # fails every nontrivial term itself, and the suite case fails with it,
+    # its witness the failing property report as JSON fields
     monkeypatch.setattr(gxseries, "_cancel_head_denominator", lambda q: None)
     shape, b, c, d = Shape((2, 4)), 1, 2, 5
     reports = [check_property_laurent(shape, b, c, d, u, k)
@@ -844,8 +848,14 @@ def test_property_laurent_fails_where_the_head_denominator_does_not_cancel(monke
     nontrivial = [rep for rep in reports if not rep["zero_by_V"]]
     assert len(nontrivial) == 6
     assert all(rep["divisible"] is False and rep["ok"] is False for rep in nontrivial)
-    ok, witness = cli._run_gx({"kind": "laurent", "shape": [2, 4], "b": b, "c": c, "d": d})
-    assert not ok and "'divisible': False" in witness["report"]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["verify", "--suite", "gx-pipeline"]) == 1
+    capsys.readouterr()
+    cases = json.loads((tmp_path / "qct-report-gx-pipeline.json").read_text())["cases"]
+    (case,) = [case for case in cases if case["params"]["kind"] == "laurent"]
+    report = case["witness"]["report"]
+    assert case["status"] == "fail" and report["branch"] == "laurent"
+    assert report["divisible"] is False and report["ok"] is False
 
 
 def divide_binomial(poly: dict, h: int, t: int, m: int) -> dict | None:

@@ -16,7 +16,7 @@ from qct.laurent import (
     ct_point,
     fold_packed_raw,
 )
-from qct.qring import ONE, QFrac, QLaurent
+from qct.qring import ONE, ZERO, QFrac, QLaurent
 from test_qring import parse_frac
 
 
@@ -547,20 +547,69 @@ def test_fold_matches_reference_property(case, j, c):
     assert moved(got, mono, scalar) == {e: p * weight for e, p in want.items()}
 
 
+@settings(max_examples=200, deadline=None)
+@given(fold_cases().filter(lambda case: case[4] is not None and case[4] == case[5]))
+def test_point_fold_reads_the_reference_coefficient(case):
+    # ct_point reads the one key of its target over the planned box, and
+    # decodes nothing; it must give the reference fold's coefficient
+    n, _, _, factors, point, _ = case
+    assert ct_point(tuple(-x for x in point), factors) == fold_dict(n, factors, point, point).get(point, ZERO)
+
+
+@st.composite
+def edge_points(draw):
+    """(arity, triples, point, reachable): random linear factors and a point
+    on the edge of their full expansion's window, inside it, or one step
+    outside it in one slot (then no monomial can reach it)."""
+    n = draw(st.integers(1, 4))
+    factors = _draw_triples(draw, n)
+    lo, hi = laurent._full_window(n, factors)
+    kind = draw(st.sampled_from(("edge", "inside", "outside")))
+    if kind == "edge":
+        point = tuple(draw(st.sampled_from((x, y))) for x, y in zip(lo, hi))
+    else:
+        point = tuple(draw(st.integers(x, y)) for x, y in zip(lo, hi))
+    if kind == "outside":
+        v = draw(st.integers(0, n - 1))
+        out = draw(st.sampled_from((lo[v] - 1, hi[v] + 1)))
+        point = point[:v] + (out,) + point[v + 1:]
+    return n, factors, point, kind != "outside"
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_points())
+def test_point_fold_on_the_box_edge_and_past_it(case):
+    n, factors, point, reachable = case
+    want = fold_dict(n, factors, point, point).get(point, ZERO)
+    assert ct_point(tuple(-x for x in point), factors) == want
+    if not reachable:
+        assert want.is_zero() and laurent._plan(factors, point, point) is None
+
+
 @pytest.mark.parametrize("arity", [1, 2, 3, 4])
 @pytest.mark.parametrize("m", [-2, -1, 0, 1, 2])
 def test_linear_factor_fields_match_generic_constructor(arity, m):
-    # the kernel reads a triple's moved slots and window directly; they must
-    # be the generic factor's, and one triple must fold to its two terms
+    # the plan reads a triple's moved slots and window directly; its one
+    # step's key move must decode to the generic factor's delta, and one
+    # triple must fold to its two terms
     sides = [None] + list(range(1, arity + 1))
     for i in sides:
         for j in sides:
             if i == j:
                 continue
             generic = Factor.linear(arity, i, j, m)
-            moves = laurent._moves((i, j, m))
-            assert [v for v, _ in moves] == [v for v in range(arity) if generic.lo[v] or generic.hi[v]]
-            assert laurent._full_window(arity, [(i, j, m)]) == (generic.lo, generic.hi)
+            (delta, qexp, _), = [t for t in generic.terms if any(t[0])]
+            window = laurent._full_window(arity, [(i, j, m)])
+            assert window == (generic.lo, generic.hi)
+            steps, base, radix, width = laurent._plan([(i, j, m)], *window)
+            (dk, qsh, slots), = steps
+            origin = -sum(map(mul, base, radix))
+            assert laurent._decode_keys({origin + dk: None}, base, width) == {delta: None}
+            assert qsh == qexp == m and slots == []
+            # under the point window of the x^delta term the step is checked,
+            # on the moved slots only
+            steps, *_ = laurent._plan([(i, j, m)], delta, delta)
+            assert len(steps[0][2]) == sum(map(bool, delta))
             assert ct_fold(arity, [(i, j, m)]) == fold_dict(arity, [generic])
 
 
@@ -604,44 +653,31 @@ def fold_sum_packed(arity, pieces):
     the summing route the splitting case had before its Horner sum, kept as
     its oracle.
 
-    Every piece's triples are folded with one shared digit width B, sized
-    from the pieces' scalars and factor counts, and in one shared key box
-    that holds each piece's fold both where it lies and moved by its
-    monomial.  After the fold the monomial moves the keys and the scalar
-    multiplies the packed values.  Returns ({exponent tuple: (lo, mag)}, B)
-    holding only the nonzero sums; keys are decoded only when the sum is
-    nonzero.
+    Every piece's triples are planned and folded in their own key box, with
+    one shared digit width B sized from the pieces' scalars and factor
+    counts.  After the fold the keys are decoded, the monomial moves them and
+    the scalar multiplies the packed values.  Returns ({exponent tuple:
+    (lo, mag)}, B) holding only the nonzero sums.
     """
     B = laurent._digit_width(sum(scalar.l1_norm() << len(triples) for _, scalar, triples in pieces))
-    plans = [laurent._windows(triples, *laurent._full_window(arity, triples)) for _, _, triples in pieces]
-    base = [0] * arity
-    top = [0] * arity
-    for (mono, _, _), (_, b, t) in zip(pieces, plans):
-        base = list(map(min, base, b, map(add, b, mono)))
-        top = list(map(max, top, t, map(add, t, mono)))
-    radix, r = [], 1
-    for b, t in zip(base, top):
-        radix.append(r)
-        r *= t - b + 1
     total: dict = {}
-    for (mono, scalar, triples), (steps, _, _) in zip(pieces, plans):
-        dk = sum(map(mul, mono, radix))
+    for mono, scalar, triples in pieces:
+        steps, base, radix, width = laurent._plan(triples, *laurent._full_window(arity, triples))
         sp = _pack_qlaurent(scalar, B)
-        state = laurent._fold_packed(triples, steps, base, top, B)
-        get = total.get
-        for k, val in state.items():
-            k += dk
+        state = laurent._decode_keys(laurent._fold_packed(steps, base, radix, B), base, width)
+        for e, val in state.items():
+            e = tuple(map(add, e, mono))
             val = _packed_mul(val, sp)
-            cur = get(k)
+            cur = total.get(e)
             if cur is None:
-                total[k] = val
+                total[e] = val
                 continue
             s = laurent._packed_add(cur, val, B)
             if s[1]:
-                total[k] = s
+                total[e] = s
             else:
-                del total[k]
-    return (laurent._decode_keys(total, base, top) if total else {}), B
+                del total[e]
+    return total, B
 
 
 @st.composite

@@ -88,14 +88,24 @@ def parse_shape(text: str) -> Shape:
     return Shape(int(t) for t in text.split(","))
 
 
+def decremented(shape: Shape, k: int) -> Shape:
+    """The shape with part k lowered by one, a zero part dropped: one step of
+    the block recursion walked one Shape per step."""
+    parts = list(shape.parts)
+    parts[k] -= 1
+    if parts[k] == 0:
+        del parts[k]
+    return Shape(parts)
+
+
 def test_shape_basics():
     s = Shape((1, 2, 2))
     assert s.n == 5 and s.p == 2
     assert list(s.block(0)) == [1]
     assert list(s.block(2)) == [4, 5]
     assert s.sigma(1) == 3
-    assert s.decremented(1).parts == (1, 1, 2)
-    assert s.decremented(2).decremented(2).parts == (1, 2)
+    assert decremented(s, 1).parts == (1, 1, 2)
+    assert decremented(decremented(s, 2), 2).parts == (1, 2)
     with pytest.raises(ValueError):
         Shape((1, 0, 2))
     assert parse_shape("1,2,2") == s
@@ -111,6 +121,28 @@ def test_epsilon_table():
         epsilon(s, 0, 1)
     with pytest.raises(ValueError):
         epsilon(s, 1, 1)
+
+
+def block_by_scan(shape: Shape, i: int) -> int:
+    """The block holding variable i, by a scan of the partial sums."""
+    return next(l for l in range(shape.p + 1) if i <= shape.sigma(l))
+
+
+def test_block_lookup_matches_the_partial_sum_scan():
+    # Shape stores each variable's block once; block_of, epsilon and the pair
+    # product read that table instead of scanning the partial sums per pair
+    shapes = all_shapes(6)
+    assert len(shapes) == 63
+    for shape in shapes:
+        n = shape.n
+        blocks = [block_by_scan(shape, i) for i in range(1, n + 1)]
+        assert [shape.block_of(i) for i in range(1, n + 1)] == blocks
+        for i, j in itertools.permutations(range(1, n + 1), 2):
+            li, lj = blocks[i - 1], blocks[j - 1]
+            assert epsilon(shape, i, j) == (1 if li >= 1 and li == lj else 0), (shape, i, j)
+        for i in (0, n + 1):
+            with pytest.raises(ValueError):
+                shape.block_of(i)
 
 
 def test_build_qdyson_small():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qct import cli, gxseries, qring, roots
 from qct.closedform import BFParams, all_shapes, bf_factored, bf_rhs
 from qct.products import Shape, bf_ct
-from qct.qring import ONE, ZERO, Cyclo, ZPoly, eval_poly
+from qct.qring import ONE, ZERO, Cyclo, QLaurent, ZPoly, eval_poly, interpolate
 from qct.roots import (
     LemmaFalsified,
     interpolate_dn,
@@ -26,6 +26,7 @@ from qct.roots import (
     verify_roots,
 )
 from test_closedform import chained_qmorris, chained_recursion_factor
+from test_products import decremented
 
 
 def test_t_table_p0_and_p1():
@@ -196,7 +197,7 @@ def chained_bf(shape: Shape, a: int, b: int, c: int, k=None) -> Cyclo:
     while shape.p >= 1:
         kk = shape.max_block() if k is None else k
         total = total * chained_recursion_factor(shape, a, b, c, kk)
-        shape, k = shape.decremented(kk), None
+        shape, k = decremented(shape, kk), None
     return total * chained_qmorris(shape.n, a, b, c)
 
 
@@ -249,6 +250,17 @@ def zpoly_equal(x: ZPoly, y: ZPoly) -> bool:
     right = [theirs.times(c) for c in y.coeffs]
     width = max(len(left), len(right))
     return left + [ZERO] * (width - len(left)) == right + [ZERO] * (width - len(right))
+
+
+def test_zpoly_equality_raises():
+    # == between ZPoly values would need cross multiplication; it raises
+    # rather than read identity, even for one value against itself
+    x = interpolate([QLaurent({0: 1}), QLaurent({0: 1, 1: 1})])
+    y = ZPoly(list(x.coeffs), x.den)
+    assert zpoly_equal(x, y)
+    for compare in (lambda: x == y, lambda: x != y, lambda: x == x):
+        with pytest.raises(TypeError, match="numerator_at"):
+            compare()
 
 
 def newton_route(shape: Shape, b: int, c: int) -> dict:

@@ -90,11 +90,12 @@ def test_polynomial_routes_do_not_name_qfrac():
 
 
 def test_packed_format_stays_in_laurent():
-    # the packed coefficient format, (lo, mag) pairs of base-2**B digits, is
-    # laurent's decision alone: no other module imports a private laurent
-    # name or names a packed helper, public or private
+    # the packed coefficient format, (lo, mag) pairs of base-2**B digits, and
+    # the fold plan that lays out its keys are laurent's decision alone: no
+    # other module imports a private laurent name or names a packed helper,
+    # public or private
     helpers = {"fold_packed_raw", "pack_qlaurent", "packed_add", "packed_mul", "_pack_qlaurent", "_packed_add",
-               "_packed_mul", "_decode_packed"}
+               "_packed_mul", "_decode_packed", "_plan"}
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "laurent.py":
