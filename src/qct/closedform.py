@@ -20,7 +20,7 @@ compares the sum with a side built from ``Cyclo`` binomials.
 from __future__ import annotations
 
 from .laurent import ct_fold
-from .products import Shape
+from .products import Shape, _max_part
 from .qring import ZERO, Cyclo, QFrac, QLaurent, cyclo_sum
 
 
@@ -94,13 +94,11 @@ def bf_factored(shape: Shape, b: int, c: int, k: int | None = None) -> tuple[Cyc
     parts = list(shape.parts)
     factors = []
     while len(parts) > 1:
-        top = max(parts[1:])
-        if k is None:
-            kk = parts.index(top, 1)
-        elif 1 <= k < len(parts) and parts[k] == top:
+        kk = _max_part(parts)
+        if k is not None:
+            if not (1 <= k < len(parts) and parts[k] == parts[kk]):
+                raise ValueError("k must point at a maximal decorated part")
             kk, k = k, None
-        else:
-            raise ValueError("k must point at a maximal decorated part")
         factors.append(_recursion_step(parts, b, c, kk))
         parts[kk] -= 1
         if not parts[kk]:

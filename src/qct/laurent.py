@@ -27,22 +27,21 @@ coefficient of x^-mu in P.  There is one kernel and one step:
   throughout).
 
 One planning pass over the factors gives every step its windows, its key
-move and whether it runs free, before the first state is visited.  A point
-fold (``ct_point``) reads the one key of its target; ``ct_fold`` and
-``ct_contract`` decode keys back to exponent tuples, only at the end.  A
-weighted constant term folds once and contracts many jobs, each one weight
-map per slot (``ct_contract``); the packed (lo, mag) values and their digit
-width B never leave this module.  ``Factored`` keeps a product of linear
-factors, a monomial and a ``Cyclo`` scalar unexpanded, so that equal values
-compare by their parts and a constant term is one point fold.  A plain dict
-fold over general factors lives in the tests as the reference the kernel
-must match exactly.
+move and whether it runs free, before the first state is visited.  Keys are
+decoded back to exponent tuples only at the end.  A weighted constant term
+folds once and contracts many jobs, each one weight map per slot
+(``ct_contract``); the packed (lo, mag) values and their digit width B never
+leave this module.  ``Factored`` keeps a product of linear factors, a
+monomial and a ``Cyclo`` scalar unexpanded, so that equal values compare by
+their parts and a constant term is one point fold.  A plain dict fold over
+general factors lives in the tests as the reference the kernel must match
+exactly.
 """
 
 from __future__ import annotations
 
 from math import prod
-from operator import add, mul, sub
+from operator import add, mul
 
 from .qring import ZERO, Cyclo, QFrac, QLaurent
 
@@ -239,17 +238,9 @@ def ct_fold(arity, factors, tlo=None, thi=None) -> dict:
 
 def ct_point(mono, factors) -> QLaurent:
     """CT[x^mono times the product of linear factors (a, b, m)]: the
-    product's coefficient at -mono, by one point fold that reads the one key
-    of -mono and decodes no other."""
+    product's coefficient at -mono, by one point fold."""
     at = tuple(-e for e in mono)
-    factors = list(factors)
-    plan = _plan(factors, at, at)
-    if plan is None:
-        return ZERO
-    steps, base, radix, _ = plan
-    B = _digit_width(1 << len(factors))
-    val = _fold_packed(steps, base, radix, B).get(sum(map(mul, map(sub, at, base), radix)))
-    return ZERO if val is None else _decode_packed(*val, B)
+    return ct_fold(len(at), factors, at, at).get(at, ZERO)
 
 
 def fold_packed_raw(arity, factors, tlo=None, thi=None, extra_l1: int = 1):

@@ -67,8 +67,7 @@ class Shape:
         """Smallest index k >= 1 with n_k maximal among the decorated parts."""
         if self.p == 0:
             raise ValueError("no decorated blocks")
-        best = max(self.parts[1:])
-        return next(k for k in range(1, self.p + 1) if self.parts[k] == best)
+        return _max_part(self.parts)
 
     def sorted_decorated(self) -> tuple[int, ...]:
         """Decorated part sizes in weakly increasing order."""
@@ -85,6 +84,12 @@ class Shape:
 
     def __str__(self):
         return ",".join(str(x) for x in self.parts)
+
+
+def _max_part(parts) -> int:
+    """Smallest index k >= 1 with parts[k] maximal among parts[1:]: the
+    block recursion's default tie-break, on a shape's parts or a list of them."""
+    return parts.index(max(parts[1:]), 1)
 
 
 def epsilon(shape: Shape, i: int, j: int) -> int:

@@ -604,6 +604,10 @@ def test_gx_ct_runs_without_gcd(monkeypatch):
     assert got == reference_ct(QukFactors(Shape((1, 1)), 1, 1, 3))
 
 
+def _point_window(tlo, thi, arity) -> bool:
+    return tlo is not None and len(tlo) == arity and tlo == thi
+
+
 def test_packed_elimination_makes_no_qlaurent_arithmetic(monkeypatch):
     # the walk keeps every term factored: a substitution or a split adds,
     # shifts and multiplies no QLaurent, and the only folds in gxseries are
@@ -626,8 +630,8 @@ def test_packed_elimination_makes_no_qlaurent_arithmetic(monkeypatch):
 
         monkeypatch.setattr(QLaurent, name, counted)
 
-    point, kernel = laurent.ct_point, laurent._fold_packed
-    for name in ("ct_fold", "ct_contract", "fold_packed_raw"):
+    point, fold, kernel = laurent.ct_point, laurent.ct_fold, laurent._fold_packed
+    for name in ("ct_contract", "fold_packed_raw"):
         def other(*args, name=name, route=getattr(laurent, name)):
             folds.append((name, None))
             return route(*args)
@@ -635,19 +639,21 @@ def test_packed_elimination_makes_no_qlaurent_arithmetic(monkeypatch):
         monkeypatch.setattr(laurent, name, other)
     monkeypatch.setattr(laurent, "ct_point", lambda mono, factors: (
         folds.append(("point", None)) or point(mono, factors)))
+    monkeypatch.setattr(laurent, "ct_fold", lambda arity, factors, tlo=None, thi=None: (
+        folds.append(("fold", _point_window(tlo, thi, arity))) or fold(arity, factors, tlo, thi)))
     monkeypatch.setattr(laurent, "_fold_packed", lambda *args: folds.append(("kernel", None)) or kernel(*args))
     split = gxseries._split
     splits = []
     monkeypatch.setattr(gxseries, "_split", lambda term: splits.append(1) or split(term))
     got = gx_ct(Shape((1, 2)), 1, 1, 3)
     assert splits and calls == [] and folds
-    assert folds == [("point", None), ("kernel", None)] * (len(folds) // 2)
+    assert folds == [("point", None), ("fold", True), ("kernel", None)] * (len(folds) // 3)
     assert got == reference_ct(QukFactors(Shape((1, 2)), 1, 1, 3))
     # property (3) expands nothing: its one kernel run is its point fold
     folds.clear()
     rep = check_property_laurent(Shape((2, 4)), 1, 2, 5, (3, 4), (5, 2))
     assert rep["divisible"] and rep["ct_zero"]
-    assert folds == [("point", None), ("kernel", None)]
+    assert folds == [("point", None), ("fold", True), ("kernel", None)]
 
 
 def test_scaled_equal_compares_values_not_their_packing():
@@ -837,7 +843,7 @@ def test_property_laurent_nontrivial():
     assert rep["ledger_exponent"] == 0 and rep["vanishing_precondition_ok"]
 
 
-def test_property_laurent_fails_where_the_head_denominator_does_not_cancel(monkeypatch, tmp_path, capsys):
+def test_property_laurent_fails_where_the_head_denominator_does_not_cancel(monkeypatch):
     # the gx-pipeline suite's laurent case with no cancellation: property (3)
     # fails every nontrivial term itself, and the suite case fails with it,
     # its witness the failing property report as JSON fields
@@ -848,13 +854,9 @@ def test_property_laurent_fails_where_the_head_denominator_does_not_cancel(monke
     nontrivial = [rep for rep in reports if not rep["zero_by_V"]]
     assert len(nontrivial) == 6
     assert all(rep["divisible"] is False and rep["ok"] is False for rep in nontrivial)
-    monkeypatch.chdir(tmp_path)
-    assert cli.main(["verify", "--suite", "gx-pipeline"]) == 1
-    capsys.readouterr()
-    cases = json.loads((tmp_path / "qct-report-gx-pipeline.json").read_text())["cases"]
-    (case,) = [case for case in cases if case["params"]["kind"] == "laurent"]
-    report = case["witness"]["report"]
-    assert case["status"] == "fail" and report["branch"] == "laurent"
+    ok, witness = cli._run_gx({"kind": "laurent", "shape": [2, 4], "b": b, "c": c, "d": d})
+    report = json.loads(json.dumps(witness))["report"]
+    assert not ok and report["branch"] == "laurent"
     assert report["divisible"] is False and report["ok"] is False
 
 
