@@ -83,21 +83,6 @@ class MLaurent:
             return MLaurent(arity)
         return MLaurent(arity, {(0,) * arity: c}, _trusted=True)
 
-    @staticmethod
-    def monomial(arity: int, exps, coeff=None) -> "MLaurent":
-        exps = tuple(exps)
-        if len(exps) != arity:
-            raise ValueError("exponent arity mismatch")
-        if coeff is None:
-            coeff = QFrac(1)
-        elif isinstance(coeff, int):
-            coeff = QFrac(coeff)
-        elif isinstance(coeff, QLaurent):
-            coeff = QFrac.from_qlaurent(coeff)
-        if coeff.is_zero():
-            return MLaurent(arity)
-        return MLaurent(arity, {exps: coeff}, _trusted=True)
-
     # -- basic views ------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -111,9 +96,6 @@ class MLaurent:
         if len(exps) != self.arity:
             raise ValueError("exponent arity mismatch")
         return self.terms.get(exps, QFrac(0))
-
-    def constant_coefficient(self) -> QFrac:
-        return self.terms.get((0,) * self.arity, QFrac(0))
 
     # -- ring operations -----------------------------------------------------------
 
@@ -273,6 +255,8 @@ def ct_contract(arity, factors, tlo, thi, jobs) -> list[QLaurent]:
     jobs = [tuple(job) for job in jobs]
     if any(len(job) != arity for job in jobs):
         raise ValueError("a job needs one weight map per slot")
+    if not jobs:
+        return []
     maps = {id(w): w for job in jobs for w in job}
     norms = {k: sum(p.l1_norm() for p in w.values()) for k, w in maps.items()}
     l1 = max((prod(norms[id(w)] for w in job) for job in jobs), default=1)
@@ -600,7 +584,5 @@ def _packed_add(a, b, B):
 
 
 def _pack_qlaurent(p: QLaurent, B: int):
-    if p.is_zero():
-        return (0, 0)
-    lo = p.min_exp()
-    return (lo, sum(c << (B * (e - lo)) for e, c in p.terms.items()))
+    """p as a packed (lo, mag) pair of base-2**B digits."""
+    return p.kronecker(B)

@@ -220,6 +220,8 @@ def bf_ct_grid(shape: Shape, c: int, jobs) -> dict[tuple[int, int], QLaurent]:
     slot <= (n - 1) max b: the box top is the smaller of the two bounds.
     """
     jobs = list(dict.fromkeys(jobs))
+    if not jobs:
+        return {}
     n = shape.n
     bmax = max(b for _, b in jobs)
     tlo = (-bmax,) * n

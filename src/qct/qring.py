@@ -91,7 +91,17 @@ class QLaurent:
         return self.terms[self.max_exp()] if self.terms else 0
 
     def l1_norm(self) -> int:
-        return sum(abs(c) for c in self.terms.values())
+        return sum(map(abs, self.terms.values()))
+
+    def kronecker(self, B: int, lo: int | None = None) -> tuple[int, int]:
+        """(lo, the value of self * q^-lo at q = 2^B): lo is the least
+        exponent unless given, and no exponent may lie below it; (0, 0) for
+        zero.  Kronecker substitution: a polynomial whose coefficients all lie
+        below 2^B in absolute value is zero exactly when its value at 2^B is."""
+        terms = self.terms
+        if lo is None:
+            lo = min(terms, default=0)
+        return lo, sum(c << B * (e - lo) for e, c in terms.items())
 
     # -- ring operations ----------------------------------------------------
 
@@ -556,6 +566,11 @@ def _psi(d: int) -> tuple[int, ...]:
     return tuple(_times_psi([1], {d: 1}))
 
 
+@lru_cache(maxsize=None)
+def _psi_norm(d: int) -> int:
+    return sum(map(abs, _psi(d)))
+
+
 class Cyclo:
     """sign * q^shift * prod_d Psi_d^exps[d], with Psi_1 = 1 - q and Psi_d the
     d-th cyclotomic polynomial for d >= 2, so that 1 - q^k = prod_{d | k} Psi_d.
@@ -650,6 +665,27 @@ class Cyclo:
         """The value as a QLaurent; it must be a polynomial."""
         return self.times(ONE)
 
+    def kronecker(self, B: int) -> tuple[int, int]:
+        """(shift, the value times q^-shift at q = 2^B) as a product of the
+        Psi_d(2^B): ``self.expand().kronecker(B)`` without the expansion, as
+        every Psi_d has constant term 1.  The value must be a polynomial."""
+        if not self.is_polynomial():
+            raise ArithmeticError(f"not a polynomial in q: {self}")
+        value = self.sign
+        for d, e in self.exps.items():
+            value *= sum(c << B * j for j, c in enumerate(_psi(d))) ** e
+        return self.shift, value
+
+    def l1_bound(self) -> int:
+        """An upper bound on the l1 norm of the value, a polynomial: the
+        product of its factors' norms."""
+        if not self.is_polynomial():
+            raise ArithmeticError(f"not a polynomial in q: {self}")
+        out = abs(self.sign)
+        for d, e in self.exps.items():
+            out *= _psi_norm(d) ** e
+        return out
+
     def divide(self, p: QLaurent) -> QFrac:
         """p / self as a reduced QFrac, without a gcd: each Psi_d of the
         denominator is cancelled for as long as it divides p, and the Psi_d
@@ -733,6 +769,13 @@ class ZPoly:
         while k >= 0 and self.coeffs[k].is_zero():
             k -= 1
         return k
+
+    def kronecker(self, B: int) -> tuple[int, list[int]]:
+        """(lo, [C_0(2^B), ..., C_N(2^B)]) with every C_i taken times q^-lo,
+        lo the least exponent of any coefficient: for e >= 0,
+        sum_i C_i(2^B) 2^(B e i) is then numerator_at(e) times q^-lo at q = 2^B."""
+        lo = min((min(c.terms) for c in self.coeffs if c.terms), default=0)
+        return lo, [c.kronecker(B, lo)[1] for c in self.coeffs]
 
     def numerator_at(self, e: int) -> QLaurent:
         """sum_i C_i q^(e i): the value at z = q^e times den, by shifts only."""

@@ -71,16 +71,24 @@ def interpolate_dn(shape: Shape, b: int, c: int) -> ZPoly:
     return interpolate(_node_values(shape, b, c))
 
 
+def _split(scale: Cyclo) -> tuple[Cyclo, Cyclo]:
+    """scale as top / den, two polynomial Cyclo values: top keeps the sign,
+    the shift and the positive exponents, den the negative ones negated."""
+    exps = scale.exps.items()
+    return (Cyclo(scale.sign, scale.shift, {d: e for d, e in exps if e > 0}),
+            Cyclo(1, 0, {d: -e for d, e in exps if e < 0}))
+
+
 def _factored_zpoly(scale: Cyclo, roots) -> ZPoly:
     """scale * prod_{d in roots} (1 - q^d z) as a ZPoly: the coefficients
     start from scale's positive exponents, and its negative ones are the
     denominator."""
-    exps = scale.exps.items()
-    coeffs = [Cyclo(scale.sign, scale.shift, {d: e for d, e in exps if e > 0}).expand()]
+    top, den = _split(scale)
+    coeffs = [top.expand()]
     for d in roots:
         # times (1 - q^d z)
         coeffs = [x - y.shift(d) for x, y in zip(coeffs + [ZERO], [ZERO] + coeffs)]
-    return ZPoly(coeffs, Cyclo(1, 0, {d: -e for d, e in exps if e < 0}))
+    return ZPoly(coeffs, den)
 
 
 def _product_scale(shape: Shape, c: int, union) -> Cyclo:
@@ -94,6 +102,28 @@ def product_form_coeffs(shape: Shape, b: int, c: int) -> ZPoly:
     return _factored_zpoly(_product_scale(shape, c, union), union)
 
 
+def _node_width(top: Cyclo, den: Cyclo, degree: int, values) -> int:
+    """The digit width B of the node check.
+
+    C(z) = top * prod_d (1 - q^d z) over ``degree`` roots has coefficients
+    whose l1 norms sum to at most |top|_1 2^degree, which bounds every
+    coefficient of C(q^a) and of q^(d degree) C(q^-d); every coefficient of
+    den * v lies within |den|_1 |v|_1.  So no coefficient of a compared
+    difference reaches 2^(B-1): one bit of margin, as a zero test at 2^B
+    needs only that each stays below 2^B.
+    """
+    bound = den.l1_bound() * max(v.l1_norm() for v in values) + (top.l1_bound() << degree)
+    return bound.bit_length() + 1
+
+
+def _at(digits, width: int) -> int:
+    """sum_i digits[i] 2^(width i), by Horner."""
+    acc = 0
+    for x in reversed(digits):
+        acc = (acc << width) + x
+    return acc
+
+
 def verify_roots(shape: Shape, b: int, c: int) -> dict:
     """The constant term as a polynomial in z = q^a through nb + 2 nodes,
     its degree bound and the predicted roots.
@@ -104,15 +134,18 @@ def verify_roots(shape: Shape, b: int, c: int) -> dict:
     predicted root must be a root of it.
 
     The closed form K * prod_s (q^{a+s}; q)_b of ``closedform.bf_factored``
-    is a polynomial of degree nb in z.  It is checked at each node by shifts:
-    its numerator at z = q^a against the brute value times its denominator.
-    The nodes are distinct, so the interpolant (the unique polynomial of
-    degree <= nb + 1 through them) is the closed form exactly when the
-    closed form fits every node.  Then the closed form is the polynomial,
-    and its degree and its values at the predicted roots are the
-    interpolant's; only on a miss does ``qring.interpolate`` build it by
-    Newton's divided differences.  ``closed_form_match`` is whether every
-    node fit.
+    is C(z) / D, C(z) = K+ * prod_d (1 - q^d z) with K+ and D the parts of K
+    over and under the fraction bar: a polynomial of degree nb in z.  Each
+    comparison is one integer equality at X = 2^B (Kronecker substitution),
+    B from the coefficient bounds of ``_node_width``: node a fits when
+    q^shift C(q^a) and D times the brute value agree at X.  The nodes are
+    distinct, so the interpolant (the unique polynomial of degree <= nb + 1
+    through them) is the closed form exactly when the closed form fits every
+    node.  Then its degree and its values at the predicted roots are the
+    interpolant's; only on a miss does ``qring.interpolate`` build the
+    polynomial by Newton's divided differences, and its roots are tested at
+    the width its own coefficient norms give.  ``closed_form_match`` is
+    whether every node fit.
 
     ``product_form_match`` compares the product form
     D_n(0) * prod_{d in R} (1 - q^d z) / (1 - q^d) with the closed form by
@@ -126,23 +159,40 @@ def verify_roots(shape: Shape, b: int, c: int) -> dict:
     union = sorted(d for row in root_sets(shape, b, c) for d in row)
     scale, shifts = bf_factored(shape, b, c)
     closed = sorted(s + j for s in shifts for j in range(b))
-    closed_poly = _factored_zpoly(scale, closed)
     values = _node_values(shape, b, c)
-    fits = all(closed_poly.numerator_at(a) == closed_poly.den.times(v) for a, v in enumerate(values))
-    poly = closed_poly if fits else interpolate(values)
+    top, den = _split(scale)
+    B = _node_width(top, den, len(closed), values)
+    lo, head = top.kronecker(B)
+    coeffs = [head]
+    for d in closed:
+        # times (1 - q^d z)
+        coeffs = [x - (y << B * d) for x, y in zip(coeffs + [0], [0] + coeffs)]
+    den_x = den.kronecker(B)[1]
+
+    def fits(a: int, v) -> bool:
+        # q^lo C(q^a) against D v, both times q^-low at X
+        v_lo, v_x = v.kronecker(B)
+        low = min(lo, v_lo)
+        return _at(coeffs, B * a) << B * (lo - low) == den_x * v_x << B * (v_lo - low)
+
+    match = all(fits(a, v) for a, v in enumerate(values))
+    if not match:
+        poly = interpolate(values)
+        B = sum(x.l1_norm() for x in poly.coeffs).bit_length() + 1
+        coeffs = poly.kronecker(B)[1]
     report = {
         "shape": shape.parts,
         "b": b,
         "c": c,
         "nb": nb,
-        "degree_bound_ok": poly.degree() <= nb,
+        "degree_bound_ok": max((i for i, x in enumerate(coeffs) if x), default=-1) <= nb,
         "regime": "c>=b (|R|=nb asserted, empirical bound)" if c >= b else "c<b (distinct roots only)",
         "disjoint": None,
         "root_count_ok": None,
         "roots_checked": 0,
         "first_failure": None,
         "all_vanish": True,
-        "closed_form_match": fits,
+        "closed_form_match": match,
         "product_form_match": None,
     }
     if c >= b:
@@ -150,7 +200,8 @@ def verify_roots(shape: Shape, b: int, c: int) -> dict:
         report["root_count_ok"] = len(union) == nb
     for d in sorted(set(union)):
         report["roots_checked"] += 1
-        if not poly.numerator_at(-d).is_zero():
+        # q^(dN) C(q^-d) = sum_i C_i q^(d (N - i)) at X
+        if _at(coeffs[::-1], B * d):
             report["all_vanish"] = False
             report["first_failure"] = d
             break

@@ -20,6 +20,15 @@ from qct.qring import ONE, ZERO, QFrac, QLaurent
 from test_qring import parse_frac
 
 
+def monomial(arity: int, exps, coeff=1) -> MLaurent:
+    """coeff * x^exps; coeff an int, a QLaurent or a QFrac."""
+    return MLaurent(arity, {tuple(exps): coeff})
+
+
+def constant_coefficient(m: MLaurent) -> QFrac:
+    return m.terms.get((0,) * m.arity, QFrac(0))
+
+
 def M(text: str, arity: int) -> MLaurent:
     """Parse an MLaurent as ``str(MLaurent)`` prints it."""
     s = text.strip()
@@ -35,7 +44,7 @@ def M(text: str, arity: int) -> MLaurent:
             if pos < 0 or pos >= arity:
                 raise ValueError(f"variable {name} out of arity {arity}")
             exps[pos] += ex
-        out = out + MLaurent.monomial(arity, exps, coeff)
+        out = out + monomial(arity, exps, coeff)
     return out
 
 
@@ -152,7 +161,7 @@ def subst_shift(f: MLaurent, u, k, x0: bool = False) -> MLaurent:
                 shift += qs * ex
                 ne[tgt] += ex
                 ne[slot] = 0
-        out = out + MLaurent.monomial(f.arity, ne, c * QFrac.q_power(shift))
+        out = out + monomial(f.arity, ne, c * QFrac.q_power(shift))
     return out
 
 
@@ -164,7 +173,7 @@ def poly_arith(a: MLaurent, b: MLaurent, op: str):
     if op == "scale":
         if len(b.terms) != 1 or set(b.terms) != {(0,) * b.arity}:
             raise ValueError("scale expects a constant second operand")
-        return a.scale(b.constant_coefficient())
+        return a.scale(constant_coefficient(b))
     raise ValueError(f"unknown op {op!r}")
 
 
@@ -176,8 +185,8 @@ def test_mul_by_one_and_inverse_monomials():
     a = M("(1 + q) * x1*x2^-1", 2)
     one = MLaurent.constant(2, 1)
     assert poly_arith(a, one, "mul") == a
-    m1 = MLaurent.monomial(2, (1, -1))
-    m2 = MLaurent.monomial(2, (-1, 1))
+    m1 = monomial(2, (1, -1))
+    m2 = monomial(2, (-1, 1))
     assert m1 * m2 == one
 
 
@@ -222,7 +231,7 @@ def test_ct_examples():
     assert ct(f, {1, 2}) == MLaurent.constant(2, QLaurent.parse("1 + q"))
     c = MLaurent.constant(3, 7)
     assert ct(c, {1, 2, 3}) == c
-    assert ct(MLaurent.monomial(2, (1, -1)), {1}).is_zero()
+    assert ct(monomial(2, (1, -1)), {1}).is_zero()
 
 
 def test_coeff_at_examples():
@@ -234,13 +243,13 @@ def test_coeff_at_examples():
 
 
 def test_subst_shift_examples():
-    f = MLaurent.monomial(2, (1, -1))
+    f = monomial(2, (1, -1))
     assert subst_shift(f, (1, 2), (1, 1)) == MLaurent.constant(2, 1)
-    g = MLaurent.monomial(3, (1, 0, 0))
-    assert subst_shift(g, (1, 3), (2, 5)) == MLaurent.monomial(3, (0, 0, 1), QFrac.q_power(3))
+    g = monomial(3, (1, 0, 0))
+    assert subst_shift(g, (1, 3), (2, 5)) == monomial(3, (0, 0, 1), QFrac.q_power(3))
     # s = 1 with an x_0 slot: x_0 -> q^{k_1} x_{u_1}
-    h = MLaurent.monomial(3, (1, 0, 0))  # x_0 when x0=True
-    assert subst_shift(h, (2,), (4,), x0=True) == MLaurent.monomial(3, (0, 0, 1), QFrac.q_power(4))
+    h = monomial(3, (1, 0, 0))  # x_0 when x0=True
+    assert subst_shift(h, (2,), (4,), x0=True) == monomial(3, (0, 0, 1), QFrac.q_power(4))
     with pytest.raises(ValueError):
         subst_shift(f, (2, 1), (0, 0))
 
@@ -548,6 +557,19 @@ def test_fold_matches_reference_property(case, j, c):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(-6, 6), st.integers(-10 ** 6, 10 ** 6), max_size=6).map(QLaurent),
+       st.integers(1, 48))
+def test_pack_qlaurent_is_the_per_term_packer(p, B):
+    # the packer delegates to QLaurent.kronecker: the same (lo, mag) pair as
+    # one digit of width B per term from the least exponent, (0, 0) for zero,
+    # and it decodes back at any width that holds the coefficients
+    lo = min(p.terms, default=0)
+    assert _pack_qlaurent(p, B) == (lo, sum(c << B * (e - lo) for e, c in p.terms.items()))
+    if max(map(abs, p.terms.values()), default=0) < 1 << B - 1:
+        assert _decode_packed(*_pack_qlaurent(p, B), B) == p
+
+
+@settings(max_examples=200, deadline=None)
 @given(fold_cases().filter(lambda case: case[4] is not None and case[4] == case[5]))
 def test_point_fold_reads_the_reference_coefficient(case):
     # ct_point reads the one key of its target over the planned box, and
@@ -773,6 +795,11 @@ def test_contract_matches_reference(case):
     n, factors, tlo, thi, jobs = case
     assert ct_contract(n, factors, tlo, thi, jobs) == [reference_contract(n, factors, tlo, thi, job)
                                                         for job in jobs]
+
+
+def test_contract_of_no_jobs_folds_nothing(monkeypatch):
+    monkeypatch.setattr(laurent, "fold_packed_raw", lambda *args, **kwargs: pytest.fail("a fold ran for no jobs"))
+    assert ct_contract(2, [(1, 2, 0)], (-1, -1), (1, 1), []) == []
 
 
 def test_contract_keeps_slots_apart_when_their_maps_differ():

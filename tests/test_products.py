@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qct import cli
+from qct import cli, products
 from qct.cli import BF_SHAPES
 from qct.closedform import all_shapes
 from qct.laurent import (MLaurent, _decode_packed, _pack_qlaurent, _packed_add, _packed_mul, ct_fold,
@@ -23,7 +23,7 @@ from qct.products import (
     x0_weights,
 )
 from qct.qring import ONE, QFrac, QLaurent
-from test_laurent import ct
+from test_laurent import constant_coefficient, ct, monomial
 from test_qring import qbinom
 
 
@@ -73,7 +73,7 @@ def reference_kadell_h(r: int, a) -> MLaurent:
     for i in range(1, n + 1):
         exps = tuple(1 if t == i - 1 else 0 for t in range(n))
         for t in range(a[i - 1]):
-            letter = MLaurent.monomial(n, exps, QFrac.q_power(t))
+            letter = monomial(n, exps, QFrac.q_power(t))
             for s in range(1, r + 1):
                 h[s] = h[s] + letter * h[s - 1]
     return h[r]
@@ -160,7 +160,7 @@ def test_qdyson_ct_small():
     assert ct_qdyson((1, 1, 1)) == QFrac.from_qlaurent(QLaurent.parse("1 + 2*q + 2*q^2 + q^3"))
     # expanded product's full-variable ct agrees with the pruned fold
     f = build_qdyson((1, 1, 1))
-    assert ct(f, {1, 2, 3}).constant_coefficient() == ct_qdyson((1, 1, 1))
+    assert constant_coefficient(ct(f, {1, 2, 3})) == ct_qdyson((1, 1, 1))
 
 
 def test_build_qmorris_cases():
@@ -184,8 +184,8 @@ def test_build_bf_cases():
 
 
 def test_kadell_h_cases():
-    assert _terms(1, kadell_h(1, (1,))) == MLaurent.monomial(1, (1,))
-    assert _terms(1, kadell_h(1, (2,))) == MLaurent.monomial(1, (1,), QLaurent.parse("1 + q"))
+    assert _terms(1, kadell_h(1, (1,))) == monomial(1, (1,))
+    assert _terms(1, kadell_h(1, (2,))) == monomial(1, (1,), QLaurent.parse("1 + q"))
     got = _terms(2, kadell_h(2, (1, 1)))
     want = MLaurent(2, {(2, 0): QFrac(1), (1, 1): QFrac(1), (0, 2): QFrac(1)})
     assert got == want
@@ -272,7 +272,7 @@ def test_rescaling_leaves_ct_unchanged():
     lifted = MLaurent(4, {e + (sum(e),): c for e, c in f.terms.items()})
     orig_ct = ct(f, {1, 2, 3})
     lifted_ct = ct(lifted, {1, 2, 3, 4})
-    assert orig_ct.constant_coefficient() == lifted_ct.constant_coefficient()
+    assert constant_coefficient(orig_ct) == constant_coefficient(lifted_ct)
 
 
 def test_block_relabeling_symmetry():
@@ -295,6 +295,13 @@ def test_grid_matches_point_evaluator():
         assert set(grid) == set(jobs)
         for (a, b), val in grid.items():
             assert val == bf_ct(shape, a, b, 1), (parts, a, b)
+
+
+def test_grid_of_no_jobs_is_empty(monkeypatch):
+    # as ct_contract returns no values for no jobs
+    monkeypatch.setattr(products, "ct_contract", lambda *args: pytest.fail("a fold ran for no jobs"))
+    for shape in (Shape((1,)), Shape((1, 2)), Shape((2, 1, 1))):
+        assert bf_ct_grid(shape, 1, []) == {}
 
 
 def reference_grid_contraction(shape, c, jobs):

@@ -13,6 +13,7 @@ from qct.qring import (
     Cyclo,
     QFrac,
     QLaurent,
+    ZPoly,
     _from_list,
     _to_list,
     cyclo_sum,
@@ -527,3 +528,51 @@ def test_dense_conversions_fold_in_the_shift_and_the_sign(p, below, sign, shift)
 @given(p=laurent_values, sign=st.sampled_from((1, -1)), shift=st.integers(-4, 4))
 def test_cyclo_times_a_monomial_is_a_shift_and_a_sign(p, sign, shift):
     assert Cyclo(sign, shift).times(p) == p.shift(shift).scale(sign)
+
+
+# -- Kronecker substitution -------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(scale=cyclo_scales(), B=st.integers(1, 40))
+def test_cyclo_kronecker_is_the_expansion_at_a_power_of_two(scale, B):
+    # evaluation at q = 2^B is a ring map, so the product of the Psi_d(2^B)
+    # is the expansion's value at every width, and the norm bound holds
+    over = Cyclo(scale.sign, scale.shift, {d: e for d, e in scale.exps.items() if e > 0})
+    assert over.kronecker(B) == over.expand().kronecker(B)
+    assert over.expand().l1_norm() <= over.l1_bound()
+    if not scale.is_polynomial():
+        for method in (scale.kronecker, lambda B: scale.l1_bound()):
+            with pytest.raises(ArithmeticError, match="not a polynomial"):
+                method(B)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=laurent_values, r=laurent_values, k=st.integers(1, 8), e=st.integers(-4, 4),
+       mode=st.sampled_from(("any", "equal", "carry")))
+def test_kronecker_values_at_the_bound_width_are_equal_exactly_when_the_values_are(p, r, k, e, mode):
+    # "carry" makes r - p = 2^k q^e - q^(e+1), nonzero but zero at q = 2^k;
+    # at a width whose half exceeds every coefficient of p - r the integers
+    # tell the values apart
+    if mode == "equal":
+        r = p
+    elif mode == "carry":
+        r = p + QLaurent({e: 1 << k, e + 1: -1})
+        lo = min(list(p.terms) + list(r.terms))
+        assert p.kronecker(k, lo) == r.kronecker(k, lo)
+    lo = min(list(p.terms) + list(r.terms), default=0)
+    B = (p.l1_norm() + r.l1_norm()).bit_length() + 1
+    assert (p.kronecker(B, lo) == r.kronecker(B, lo)) == (p == r)
+    if p.terms:
+        assert p.kronecker(B) == p.kronecker(B, p.min_exp())
+    else:
+        assert p.kronecker(B) == (0, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=st.lists(laurent_values, min_size=1, max_size=4), e=st.integers(0, 3), B=st.integers(1, 30))
+def test_zpoly_kronecker_is_numerator_at_at_a_power_of_two(coeffs, e, B):
+    poly = ZPoly(coeffs, Cyclo())
+    lo, values = poly.kronecker(B)
+    assert values == [c.kronecker(B, lo)[1] for c in coeffs]
+    assert sum(x << B * e * i for i, x in enumerate(values)) == poly.numerator_at(e).kronecker(B, lo)[1]

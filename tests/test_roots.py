@@ -322,6 +322,44 @@ def test_node_check_matches_the_newton_oracle(monkeypatch):
     assert moves == 696
 
 
+def interp_grid_cases() -> list:
+    """The (shape, b, c) cases of the benchmark's interp-grid workload: every
+    canonical shape with n <= 4 at b <= c <= 2, and those with n <= 3 at
+    c = 3, b <= 3."""
+    small = all_shapes(4, canonical=True)
+    return ([(shape, b, c) for shape in small for c in range(3) for b in range(c + 1)]
+            + [(shape, b, 3) for shape in small if shape.n <= 3 for b in range(4)])
+
+
+def test_a_node_moved_by_a_carry_at_the_width_is_a_miss(monkeypatch):
+    # delta = 2^B0 q^e - q^(e+1) is zero at q = 2^B0, B0 the node check's
+    # width on the unmoved case: a width that ignored the nodes' norms would
+    # read the moved node as a fit.  On the moved case every coefficient of
+    # the moved node's comparison must also lie below 2^(B-1), which a width
+    # that ignored the denominator's norm misses on (1, 1) at b = c = 1.
+    grid = roots.bf_ct_grid
+    cases = interp_grid_cases()
+    assert len(cases) == 112
+    for i, (shape, b, c) in enumerate(cases):
+        monkeypatch.setattr(roots, "bf_ct_grid", grid)
+        values = roots._node_values(shape, b, c)
+        scale, shifts = bf_factored(shape, b, c)
+        closed = sorted(s + j for s in shifts for j in range(b))
+        top, den = roots._split(scale)
+        width = roots._node_width(top, den, len(closed), values)
+        node = i % len(values)
+        e = values[node].min_exp() if values[node].terms else 0
+        moved = list(values)
+        moved[node] = values[node] + QLaurent({e: 1 << width, e + 1: -1})
+        monkeypatch.setattr(roots, "bf_ct_grid", lambda shape, c, jobs: {job: moved[job[0]] for job in jobs})
+        rep = verify_roots(shape, b, c)
+        assert rep["closed_form_match"] is False, (shape, b, c, node)
+        assert rep == newton_route(shape, b, c), (shape, b, c, node)
+        diff = roots._factored_zpoly(scale, closed).numerator_at(node) - den.times(moved[node])
+        bound = 1 << roots._node_width(top, den, len(closed), moved) - 1
+        assert max(map(abs, diff.terms.values())) < bound, (shape, b, c, node)
+
+
 def test_interpolation_runs_only_when_the_closed_form_misses_a_node(monkeypatch):
     shape, b, c = Shape((1, 2)), 1, 1
     newton, calls = roots.interpolate, []
