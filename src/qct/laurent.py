@@ -30,12 +30,12 @@ One planning pass over the factors gives every step its windows, its key
 move and whether it runs free, before the first state is visited.  Keys are
 decoded back to exponent tuples only at the end.  A weighted constant term
 folds once and contracts many jobs, each one weight map per slot
-(``ct_contract``); the packed (lo, mag) values and their digit width B never
-leave this module.  ``Factored`` keeps a product of linear factors, a
-monomial and a ``Cyclo`` scalar unexpanded, so that equal values compare by
-their parts and a constant term is one point fold.  A plain dict fold over
-general factors lives in the tests as the reference the kernel must match
-exactly.
+(``ct_contract``); the packed values, ``QLaurent.kronecker``'s (lo, mag)
+pairs, and their digit width B never leave this module.  ``Factored`` keeps
+a product of linear factors, a monomial and a ``Cyclo`` scalar unexpanded,
+so that equal values compare by their parts and a constant term is one
+point fold.  A plain dict fold over general factors lives in the tests as
+the reference the kernel must match exactly.
 """
 
 from __future__ import annotations
@@ -215,7 +215,8 @@ def ct_fold(arity, factors, tlo=None, thi=None) -> dict:
     tlo, thi = _target(arity, factors, tlo, thi)
     B = _digit_width(1 << len(factors))
     packed = _fold_tuples(factors, tlo, thi, B)
-    return {e: _decode_packed(lo, mag, B) for e, (lo, mag) in packed.items()}
+    decode = QLaurent.from_kronecker
+    return {e: decode(lo, mag, B) for e, (lo, mag) in packed.items()}
 
 
 def ct_point(mono, factors) -> QLaurent:
@@ -261,7 +262,7 @@ def ct_contract(arity, factors, tlo, thi, jobs) -> list[QLaurent]:
     norms = {k: sum(p.l1_norm() for p in w.values()) for k, w in maps.items()}
     l1 = max((prod(norms[id(w)] for w in job) for job in jobs), default=1)
     state, B = fold_packed_raw(arity, factors, tlo, thi, extra_l1=max(l1, 1))
-    packed = {k: {e: _pack_qlaurent(p, B) for e, p in w.items() if not p.is_zero()} for k, w in maps.items()}
+    packed = {k: {e: p.kronecker(B) for e, p in w.items() if not p.is_zero()} for k, w in maps.items()}
     if all(w == job[0] for job in jobs for w in job):
         multisets: dict = {}
         for e, val in state.items():
@@ -270,6 +271,7 @@ def ct_contract(arity, factors, tlo, thi, jobs) -> list[QLaurent]:
             multisets[key] = val if cur is None else _packed_add(cur, val, B)
         state = multisets
     out = []
+    decode = QLaurent.from_kronecker
     for job in jobs:
         level = state
         for w in reversed(job):
@@ -283,7 +285,7 @@ def ct_contract(arity, factors, tlo, thi, jobs) -> list[QLaurent]:
                     nxt[rest] = term if cur is None else _packed_add(cur, term, B)
             level = nxt
         total = level.get(())
-        out.append(ZERO if total is None else _decode_packed(*total, B))
+        out.append(ZERO if total is None else decode(*total, B))
     return out
 
 
@@ -551,23 +553,6 @@ def _step_linear(state, B, dk, qsh, slots):
 # -- packed coefficient helpers -------------------------------------------------------
 
 
-def _decode_packed(lo: int, mag: int, B: int) -> QLaurent:
-    terms = {}
-    half = 1 << (B - 1)
-    full = 1 << B
-    mask = full - 1
-    e = lo
-    while mag:
-        d = mag & mask
-        if d >= half:
-            d -= full
-        mag = (mag - d) >> B
-        if d:
-            terms[e] = d
-        e += 1
-    return QLaurent(terms, _trusted=True)
-
-
 def _packed_mul(a, b):
     return (a[0] + b[0], a[1] * b[1])
 
@@ -581,8 +566,3 @@ def _packed_add(a, b, B):
         s = bm + (am << (B * (alo - blo)))
         lo = blo
     return (lo, s)
-
-
-def _pack_qlaurent(p: QLaurent, B: int):
-    """p as a packed (lo, mag) pair of base-2**B digits."""
-    return p.kronecker(B)

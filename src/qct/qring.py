@@ -103,6 +103,27 @@ class QLaurent:
             lo = min(terms, default=0)
         return lo, sum(c << B * (e - lo) for e, c in terms.items())
 
+    @staticmethod
+    def from_kronecker(lo: int, mag: int, B: int) -> "QLaurent":
+        """The inverse of ``kronecker``: mag read as balanced base-2^B digits,
+        the coefficients of q^lo, q^(lo+1), ...; exact when every coefficient
+        lies below 2^(B-1) in absolute value.  The fold engine keeps its
+        coefficients in this packed (lo, mag) form."""
+        terms = {}
+        half = 1 << (B - 1)
+        full = 1 << B
+        mask = full - 1
+        e = lo
+        while mag:
+            d = mag & mask
+            if d >= half:
+                d -= full
+            mag = (mag - d) >> B
+            if d:
+                terms[e] = d
+            e += 1
+        return QLaurent(terms, _trusted=True)
+
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "QLaurent") -> "QLaurent":
@@ -152,18 +173,6 @@ class QLaurent:
                 else:
                     del out[e]
         return QLaurent(out, _trusted=True)
-
-    def __pow__(self, n: int) -> "QLaurent":
-        if n < 0:
-            raise ValueError("negative power of a QLaurent; use QFrac")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def shift(self, e: int) -> "QLaurent":
         """Multiply by q^e."""
@@ -224,59 +233,6 @@ class QLaurent:
 
     def __repr__(self) -> str:
         return f"QLaurent({self})"
-
-    @staticmethod
-    def parse(text: str) -> "QLaurent":
-        """Parse the canonical text form (inverse of str)."""
-        s = text.replace(" ", "")
-        if not s:
-            raise ValueError("empty QLaurent literal")
-        if s == "0":
-            return ZERO
-        terms: dict[int, int] = {}
-        i = 0
-        n = len(s)
-        while i < n:
-            sign = 1
-            while i < n and s[i] in "+-":
-                if s[i] == "-":
-                    sign = -sign
-                i += 1
-            j = i
-            while j < n and s[j] not in "+-":
-                # a '-' directly after '^' is part of the exponent
-                if s[j] == "^" and j + 1 < n and s[j + 1] == "-":
-                    j += 2
-                    continue
-                j += 1
-            token = s[i:j]
-            if not token:
-                raise ValueError(f"bad QLaurent literal: {text!r}")
-            coeff, exp = _parse_term(token)
-            c = terms.get(exp, 0) + sign * coeff
-            if c:
-                terms[exp] = c
-            else:
-                terms.pop(exp, None)
-            i = j
-        return QLaurent(terms, _trusted=True)
-
-
-def _parse_term(token: str) -> tuple[int, int]:
-    if "q" not in token:
-        return int(token), 0
-    head, _, tail = token.partition("q")
-    if head in ("", "*"):
-        coeff = 1
-    else:
-        coeff = int(head.rstrip("*"))
-    if not tail:
-        exp = 1
-    elif tail.startswith("^"):
-        exp = int(tail[1:])
-    else:
-        raise ValueError(f"bad QLaurent term: {token!r}")
-    return coeff, exp
 
 
 ZERO = QLaurent()
@@ -408,15 +364,8 @@ class QFrac:
     def from_qlaurent(p: QLaurent) -> "QFrac":
         return QFrac(p, ONE, _reduced=True)
 
-    @staticmethod
-    def q_power(e: int, coeff: int = 1) -> "QFrac":
-        return QFrac(QLaurent.q_power(e, coeff), ONE, _reduced=True)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
 
     def is_polynomial(self) -> bool:
         """True when the reduced denominator is 1 (the value lives in Z[q, 1/q])."""
@@ -762,13 +711,6 @@ class ZPoly:
     def __init__(self, coeffs, den: Cyclo):
         self.coeffs = list(coeffs)
         self.den = den
-
-    def degree(self) -> int:
-        """Highest power of z with a nonzero coefficient; -1 for zero."""
-        k = len(self.coeffs) - 1
-        while k >= 0 and self.coeffs[k].is_zero():
-            k -= 1
-        return k
 
     def kronecker(self, B: int) -> tuple[int, list[int]]:
         """(lo, [C_0(2^B), ..., C_N(2^B)]) with every C_i taken times q^-lo,

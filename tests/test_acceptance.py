@@ -15,6 +15,7 @@ from qct.laurent import MLaurent
 from qct.products import Shape
 from qct.qring import Cyclo, QFrac, eval_poly
 from test_laurent import constant_coefficient
+from test_qring import frac_q_power
 
 BF_SHAPES = [(1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 2, 2), (2, 3)]
 GRID3 = list(itertools.product(range(3), repeat=3))
@@ -221,7 +222,7 @@ def test_criterion_12_gx_pipeline():
         ok = ok and gxseries.gx_ct(gshape, 1, 1, d) == eval_poly(poly, -d)
     # series oracle (truncation 12): one-factor CT by the orientation rule,
     # 1/(1 - q^2 x_1/x_2) expanded in powers of x_1/x_2 since x_1 comes first
-    series = MLaurent(3, {(0, l, -l): QFrac.q_power(2 * l) for l in range(13)})
+    series = MLaurent(3, {(0, l, -l): frac_q_power(2 * l) for l in range(13)})
     series_val = constant_coefficient(MLaurent.constant(3, 1) * series)
     term = (Cyclo(), (0, 0, 0), [], [(2, 2)], 1)
     ok = ok and series_val == QFrac(1) == gxseries.factored_ct(term)

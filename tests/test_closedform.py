@@ -24,11 +24,11 @@ from qct.products import Shape, bf_ct, bf_ct_grid, ct_qdyson, kadell_ct, qmorris
 from qct.qring import ONE, Cyclo, QFrac, QLaurent
 from qct.splitting import vanishing_check
 from test_products import decremented
-from test_qring import qbinom, qpoch
+from test_qring import parse_q, qbinom, qpoch
 
 
 def L(text):
-    return QFrac.from_qlaurent(QLaurent.parse(text))
+    return QFrac.from_qlaurent(parse_q(text))
 
 
 def test_qdyson_rhs_values():
@@ -123,8 +123,9 @@ def test_constant_terms_are_qlaurent():
 
 
 def test_dn0_base_and_consistency():
-    assert dn0_rhs(Shape((3,)), 2) == QFrac(QLaurent.parse("1 - q^2") * QLaurent.parse("1 - q^4") * QLaurent.parse("1 - q^6") * QLaurent.parse("1 - q^5") * QLaurent.parse("1 - q^3") * QLaurent.parse("1 - q"),
-                                             (QLaurent.parse("1 - q") * QLaurent.parse("1 - q^2")) ** 3)
+    den = parse_q("1 - q") * parse_q("1 - q^2")
+    assert dn0_rhs(Shape((3,)), 2) == QFrac(parse_q("1 - q^2") * parse_q("1 - q^4") * parse_q("1 - q^6") * parse_q("1 - q^5") * parse_q("1 - q^3") * parse_q("1 - q"),
+                                             den * den * den)
     # the pair product is homogeneous of degree 0, so with a = 0 or b = 0
     # only the 1 of the x_0 factors meets the constant term: the value at
     # a = b = 0 is also the value at (0, b) and (a, 0), but not at (1, 1)

@@ -22,13 +22,12 @@ from qct.gxseries import (
     property_branch,
     r_vector,
 )
-from qct.laurent import (MLaurent, _decode_packed, _digit_width, _pack_qlaurent, _packed_add, ct_fold,
-                         fold_packed_raw)
+from qct.laurent import MLaurent, _digit_width, _packed_add, ct_fold, fold_packed_raw
 from qct.products import Shape, epsilon
 from qct.qring import ONE, Cyclo, QFrac, QLaurent, cyclo_sum, eval_poly
 from qct.roots import interpolate_dn, t_table
 from test_laurent import constant_coefficient, monomial, moved
-from test_qring import frac_inverse, frac_pow, parse_frac
+from test_qring import frac_inverse, frac_pow, frac_q_power, parse_frac
 from test_roots import _staircase_by_scan
 
 
@@ -81,9 +80,9 @@ def _divide(num: dict, B: int, factors, k: int):
     m = len(factors)
     arity = len(next(iter(num)))
     levels = max(e[k] for e in num) - m + 1
-    values = {e: _decode_packed(lo, mag, B) for e, (lo, mag) in num.items()}
+    values = {e: QLaurent.from_kronecker(lo, mag, B) for e, (lo, mag) in num.items()}
     B = _digit_width(sum(v.l1_norm() for v in values.values()) << (m * levels))
-    num = {e: _pack_qlaurent(v, B) for e, v in values.items()}
+    num = {e: v.kronecker(B) for e, v in values.items()}
     lower = {(0,) * arity: (0, 1)}  # D, expanded
     for mr, tr in factors:
         step = dict(lower)
@@ -179,12 +178,12 @@ def rational_ct(term: RationalTerm) -> QFrac:
         zero = (0,) * len(next(iter(num)))
         if not t.dens:
             if zero in num:
-                leaves.append((t.scale, _decode_packed(*num[zero], B)))
+                leaves.append((t.scale, QLaurent.from_kronecker(*num[zero], B)))
             continue
         if max(e[t.head] for e in num) >= len(t.dens):
             quo, num, B = _divide(num, B, t.dens, t.head)
             if zero in quo:
-                leaves.append((t.scale, _decode_packed(*quo[zero], B)))
+                leaves.append((t.scale, QLaurent.from_kronecker(*quo[zero], B)))
         for scale, new_num, new_dens, new_head, _ in _eliminate(t.scale, num, B, t.dens, t.head):
             stack.append(RationalTerm(new_num, B, new_dens, new_head, scale=scale))
     return cyclo_sum(leaves)
@@ -236,7 +235,7 @@ def _scaled_equal(scale_a: Cyclo, num_a: dict, B_a: int, scale_b: Cyclo, num_b: 
     ratio = scale_a / scale_b
     over = Cyclo(ratio.sign, ratio.shift, {d: e for d, e in ratio.exps.items() if e > 0})
     under = Cyclo(1, 0, {d: -e for d, e in ratio.exps.items() if e < 0})
-    return all(over.times(_decode_packed(*v, B_a)) == under.times(_decode_packed(*num_b[e], B_b))
+    return all(over.times(QLaurent.from_kronecker(*v, B_a)) == under.times(QLaurent.from_kronecker(*num_b[e], B_b))
                for e, v in num_a.items())
 
 
@@ -288,11 +287,11 @@ def pack(num: dict) -> tuple[dict, int]:
     """{exponent tuple: QLaurent} as packed values at the digit width of its
     total L1, the bound the gx pipeline keeps its digits under."""
     B = _digit_width(total_l1(num))
-    return {e: _pack_qlaurent(v, B) for e, v in num.items()}, B
+    return {e: v.kronecker(B) for e, v in num.items()}, B
 
 
 def unpack(num: dict, B: int) -> dict:
-    return {e: _decode_packed(lo, mag, B) for e, (lo, mag) in num.items()}
+    return {e: QLaurent.from_kronecker(lo, mag, B) for e, (lo, mag) in num.items()}
 
 
 def total_l1(num: dict) -> int:
@@ -402,7 +401,7 @@ def reference_ct(q) -> QFrac:
     on every term whose head degree reaches its factor count."""
     arity = q.shape.n + 1
     num = _as_qfrac_terms(unpack(*numerator_poly(q)), arity)
-    dens = [(QFrac.q_power(m), tail) for m, tail in q.dens]
+    dens = [(frac_q_power(m), tail) for m, tail in q.dens]
     stack = [(as_qfrac(q.scale), num, dens, q.head)]
     total = QFrac(0)
     while stack:
@@ -451,7 +450,7 @@ def ct_partial_fraction(num: MLaurent, factors, k: int):
         if not den.is_one():
             coeffs = {e: v / QFrac(den) for e, v in coeffs.items()}
         out.append((MLaurent(num.arity, coeffs, _trusted=True),
-                    [(QFrac.q_power(ms), js) for ms, js in dens], head))
+                    [(frac_q_power(ms), js) for ms, js in dens], head))
     return out
 
 
@@ -493,12 +492,12 @@ def check_elimination(case):
     packed, B = pack(num)
     got = _eliminate(scale, packed, B, factors, k)
     want = reference_eliminate(as_qfrac(scale), _as_qfrac_terms(num, arity),
-                               [(QFrac.q_power(m), t) for m, t in factors], k)
+                               [(frac_q_power(m), t) for m, t in factors], k)
     assert len(got) == len(want)
     for (g_scale, g_num, g_dens, g_head, (g_m, g_t)), (w_scale, w_num, w_dens, w_head, w_cleared) \
             in zip(got, want):
-        assert g_head == w_head and (QFrac.q_power(g_m), g_t) == w_cleared
-        assert [(QFrac.q_power(m), t) for m, t in g_dens] == w_dens
+        assert g_head == w_head and (frac_q_power(g_m), g_t) == w_cleared
+        assert [(frac_q_power(m), t) for m, t in g_dens] == w_dens
         assert as_qfrac(g_scale) == w_scale
         assert _as_qfrac_terms(unpack(g_num, B), arity) == w_num
         # a substitution only merges coefficients, so the children keep B
@@ -524,7 +523,7 @@ def _d_poly(factors, k: int, arity: int) -> MLaurent:
         e[k] += 1
         e[t] -= 1
         d_poly = d_poly * (MLaurent.constant(arity, 1)
-                           - monomial(arity, tuple(e), QFrac.q_power(m)))
+                           - monomial(arity, tuple(e), frac_q_power(m)))
     return d_poly
 
 
@@ -569,7 +568,7 @@ def check_division(case):
         _as_qfrac_terms(quo, arity) * d_poly + _as_qfrac_terms(rem, arity)
     # division plus elimination against the series over the whole term
     want = reference_series_ct(as_qfrac(scale), _as_qfrac_terms(num, arity),
-                               [(QFrac.q_power(m), t) for m, t in factors], k)
+                               [(frac_q_power(m), t) for m, t in factors], k)
     assert rational_ct(RationalTerm(*pack(num), factors, k, scale=scale)) == want
 
 
@@ -667,18 +666,18 @@ def test_scaled_equal_compares_values_not_their_packing():
 
 
 def test_expand_factor_directions():
-    m = expand_factor(1, 2, QFrac.q_power(1), 2, 3)
+    m = expand_factor(1, 2, frac_q_power(1), 2, 3)
     want = MLaurent(3, {
         (0, 0, 0): QFrac(1),
-        (0, 1, -1): QFrac.q_power(1),
-        (0, 2, -2): QFrac.q_power(2),
+        (0, 1, -1): frac_q_power(1),
+        (0, 2, -2): frac_q_power(2),
     })
     assert m == want
     # head after tail: the complementary expansion, with the minus sign
-    m2 = expand_factor(2, 1, QFrac.q_power(1), 2, 3)
+    m2 = expand_factor(2, 1, frac_q_power(1), 2, 3)
     want2 = MLaurent(3, {
-        (0, 1, -1): QFrac.q_power(-1, -1),
-        (0, 2, -2): QFrac.q_power(-2, -1),
+        (0, 1, -1): frac_q_power(-1, -1),
+        (0, 2, -2): frac_q_power(-2, -1),
     })
     assert m2 == want2
 
@@ -689,7 +688,7 @@ def test_ct_matches_series_expansion():
     for head, tail, want in ((0, 1, 1), (1, 0, 0), (1, 2, 1), (2, 1, 0)):
         term = RationalTerm(*pack({(0, 0, 0): ONE}), [(1, tail)], head)
         series = reference_series_ct(QFrac(1), MLaurent.constant(3, 1),
-                                     [(QFrac.q_power(1), tail)], head)
+                                     [(frac_q_power(1), tail)], head)
         walk = factored_ct((Cyclo(), (0, 0, 0), [], [(1, tail)], head))
         assert rational_ct(term) == walk == series == QFrac(want), (head, tail)
 
@@ -697,19 +696,19 @@ def test_ct_matches_series_expansion():
 def test_ct_partial_fraction_single_factor():
     # descending tail: nothing survives
     num = MLaurent.constant(3, 1)
-    out = ct_partial_fraction(num, [(QFrac.q_power(1), 0)], 1)
+    out = ct_partial_fraction(num, [(frac_q_power(1), 0)], 1)
     assert out == []
     # ascending tail: one term, and its value matches the geometric series
-    out = ct_partial_fraction(num, [(QFrac.q_power(1), 2)], 1)
+    out = ct_partial_fraction(num, [(frac_q_power(1), 2)], 1)
     assert len(out) == 1
     new_num, new_dens, head = out[0]
     assert new_num == MLaurent.constant(3, 1) and new_dens == [] and head == 2
-    assert reference_series_ct(QFrac(1), num, [(QFrac.q_power(1), 2)], 1) == QFrac(1)
+    assert reference_series_ct(QFrac(1), num, [(frac_q_power(1), 2)], 1) == QFrac(1)
 
 
 def test_ct_partial_fraction_two_factors_vs_series():
     # f = num / ((1 - q x_1/x_3)(1 - q^2 x_1/x_3)); eliminate x_1
-    dens = [(QFrac.q_power(1), 3), (QFrac.q_power(2), 3)]
+    dens = [(frac_q_power(1), 3), (frac_q_power(2), 3)]
     # the second numerator has coefficients with denominators
     for num in (MLaurent.constant(4, 1),
                 MLaurent(4, {(0, 0, 0, 0): parse_frac("(1)/(1 - q)"),
@@ -728,13 +727,13 @@ def test_ct_partial_fraction_degree_precondition():
     # the elimination step itself still refuses; rational_ct divides first
     num = monomial(3, (2, 0, 0))
     with pytest.raises(ValueError, match="exceeds"):
-        ct_partial_fraction(num, [(QFrac.q_power(1), 2)], 0)
+        ct_partial_fraction(num, [(frac_q_power(1), 2)], 0)
 
 
 def test_ct_partial_fraction_order_independence():
     # the set of substituted terms is independent of the factor list order
     num = monomial(3, (1, 0, 0))
-    dens = [(QFrac.q_power(1), 1), (QFrac.q_power(2), 2)]
+    dens = [(frac_q_power(1), 1), (frac_q_power(2), 2)]
 
     def canon(pieces):
         out = []

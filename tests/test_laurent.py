@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 from qct import laurent
 from qct.laurent import (
     MLaurent,
-    _decode_packed,
-    _pack_qlaurent,
     _packed_mul,
     ct_contract,
     ct_fold,
     ct_point,
     fold_packed_raw,
 )
-from qct.qring import ONE, ZERO, QFrac, QLaurent
-from test_qring import parse_frac
+from qct.qring import ONE, ZERO, Cyclo, QFrac, QLaurent
+from test_qring import frac_q_power, parse_frac, parse_q
 
 
 def monomial(arity: int, exps, coeff=1) -> MLaurent:
@@ -161,7 +159,7 @@ def subst_shift(f: MLaurent, u, k, x0: bool = False) -> MLaurent:
                 shift += qs * ex
                 ne[tgt] += ex
                 ne[slot] = 0
-        out = out + monomial(f.arity, ne, c * QFrac.q_power(shift))
+        out = out + monomial(f.arity, ne, c * frac_q_power(shift))
     return out
 
 
@@ -196,9 +194,9 @@ def test_hand_expansion():
     f2 = poch_factor(2, 2, 1, 1, 1)
     prod = f1 * f2
     want = MLaurent(2, {
-        (0, 0): QFrac.from_qlaurent(QLaurent.parse("1 + q")),
+        (0, 0): QFrac.from_qlaurent(parse_q("1 + q")),
         (1, -1): QFrac(-1),
-        (-1, 1): QFrac.q_power(1, -1),
+        (-1, 1): frac_q_power(1, -1),
     })
     assert prod == want
 
@@ -215,8 +213,8 @@ def test_poch_factor_cases():
     got = poch_factor(2, 1, 2, 1, 2)
     want = MLaurent(2, {
         (0, 0): QFrac(1),
-        (1, -1): QFrac.from_qlaurent(QLaurent.parse("-q - q^2")),
-        (2, -2): QFrac.q_power(3),
+        (1, -1): QFrac.from_qlaurent(parse_q("-q - q^2")),
+        (2, -2): frac_q_power(3),
     })
     assert got == want
     # one-sided ratios: (q x1)_1 and (1/x1)_1
@@ -228,7 +226,7 @@ def test_poch_factor_cases():
 
 def test_ct_examples():
     f = poch_factor(2, 1, 2, 0, 1) * poch_factor(2, 2, 1, 1, 1)
-    assert ct(f, {1, 2}) == MLaurent.constant(2, QLaurent.parse("1 + q"))
+    assert ct(f, {1, 2}) == MLaurent.constant(2, parse_q("1 + q"))
     c = MLaurent.constant(3, 7)
     assert ct(c, {1, 2, 3}) == c
     assert ct(monomial(2, (1, -1)), {1}).is_zero()
@@ -236,20 +234,20 @@ def test_ct_examples():
 
 def test_coeff_at_examples():
     f = M("1 + q * x1", 1)
-    assert coeff_at(f, (1,)) == QFrac.q_power(1)
+    assert coeff_at(f, (1,)) == frac_q_power(1)
     assert coeff_at(MLaurent(2), (0, 0)) == QFrac(0)
     g = poch_factor(2, 1, 2, 0, 1) * poch_factor(2, 2, 1, 1, 1)
-    assert coeff_at(g, (-1, 1)) == QFrac.q_power(1, -1)
+    assert coeff_at(g, (-1, 1)) == frac_q_power(1, -1)
 
 
 def test_subst_shift_examples():
     f = monomial(2, (1, -1))
     assert subst_shift(f, (1, 2), (1, 1)) == MLaurent.constant(2, 1)
     g = monomial(3, (1, 0, 0))
-    assert subst_shift(g, (1, 3), (2, 5)) == monomial(3, (0, 0, 1), QFrac.q_power(3))
+    assert subst_shift(g, (1, 3), (2, 5)) == monomial(3, (0, 0, 1), frac_q_power(3))
     # s = 1 with an x_0 slot: x_0 -> q^{k_1} x_{u_1}
     h = monomial(3, (1, 0, 0))  # x_0 when x0=True
-    assert subst_shift(h, (2,), (4,), x0=True) == monomial(3, (0, 0, 1), QFrac.q_power(4))
+    assert subst_shift(h, (2,), (4,), x0=True) == monomial(3, (0, 0, 1), frac_q_power(4))
     with pytest.raises(ValueError):
         subst_shift(f, (2, 1), (0, 0))
 
@@ -549,24 +547,11 @@ def test_fold_matches_reference_property(case, j, c):
     assert moved(ct_fold(n, factors, tlo, thi), mono, scalar) == want
     # the raw packed values must survive one multiplication by a polynomial
     # whose L1 norm is the extra_l1 they were folded with
-    weight = QLaurent({0: c}) * QLaurent({0: 1, 1: -1}) ** j
+    weight = (Cyclo.poch(1, 1) ** j).times(QLaurent({0: c}))  # c (1 - q)^j
     packed, B = fold_packed_raw(n, factors, tlo, thi, extra_l1=weight.l1_norm())
-    wp = _pack_qlaurent(weight, B)
-    got = {e: _decode_packed(*_packed_mul(v, wp), B) for e, v in packed.items()}
+    wp = weight.kronecker(B)
+    got = {e: QLaurent.from_kronecker(*_packed_mul(v, wp), B) for e, v in packed.items()}
     assert moved(got, mono, scalar) == {e: p * weight for e, p in want.items()}
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.integers(-6, 6), st.integers(-10 ** 6, 10 ** 6), max_size=6).map(QLaurent),
-       st.integers(1, 48))
-def test_pack_qlaurent_is_the_per_term_packer(p, B):
-    # the packer delegates to QLaurent.kronecker: the same (lo, mag) pair as
-    # one digit of width B per term from the least exponent, (0, 0) for zero,
-    # and it decodes back at any width that holds the coefficients
-    lo = min(p.terms, default=0)
-    assert _pack_qlaurent(p, B) == (lo, sum(c << B * (e - lo) for e, c in p.terms.items()))
-    if max(map(abs, p.terms.values()), default=0) < 1 << B - 1:
-        assert _decode_packed(*_pack_qlaurent(p, B), B) == p
 
 
 @settings(max_examples=200, deadline=None)
@@ -685,7 +670,7 @@ def fold_sum_packed(arity, pieces):
     total: dict = {}
     for mono, scalar, triples in pieces:
         steps, base, radix, width = laurent._plan(triples, *laurent._full_window(arity, triples))
-        sp = _pack_qlaurent(scalar, B)
+        sp = scalar.kronecker(B)
         state = laurent._decode_keys(laurent._fold_packed(steps, base, radix, B), base, width)
         for e, val in state.items():
             e = tuple(map(add, e, mono))
@@ -731,13 +716,13 @@ def _reference_sum(n, pieces) -> dict:
 def test_fold_sum_matches_reference_sum(case):
     n, pieces = case
     total, B = fold_sum_packed(n, pieces)
-    assert {e: _decode_packed(lo, mag, B) for e, (lo, mag) in total.items()} == _reference_sum(n, pieces)
+    assert {e: QLaurent.from_kronecker(lo, mag, B) for e, (lo, mag) in total.items()} == _reference_sum(n, pieces)
     # P + (-P) is an empty dict, alone or beside other pieces
     mono, scalar, triples = pieces[0]
     negated = (mono, -scalar, triples)
     assert fold_sum_packed(n, [pieces[0], negated])[0] == {}
     total, B = fold_sum_packed(n, pieces + [negated])
-    assert {e: _decode_packed(lo, mag, B) for e, (lo, mag) in total.items()} == _reference_sum(n, pieces[1:])
+    assert {e: QLaurent.from_kronecker(lo, mag, B) for e, (lo, mag) in total.items()} == _reference_sum(n, pieces[1:])
 
 
 # -- fold once, contract many ----------------------------------------------------------

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from qct import cli, products
 from qct.cli import BF_SHAPES
 from qct.closedform import all_shapes
-from qct.laurent import (MLaurent, _decode_packed, _pack_qlaurent, _packed_add, _packed_mul, ct_fold,
-                         fold_packed_raw)
+from qct.laurent import MLaurent, _packed_add, _packed_mul, ct_fold, fold_packed_raw
 from qct.products import (
     Shape,
     bf_ct,
@@ -24,7 +23,7 @@ from qct.products import (
 )
 from qct.qring import ONE, QFrac, QLaurent
 from test_laurent import constant_coefficient, ct, monomial
-from test_qring import qbinom
+from test_qring import frac_q_power, parse_q, qbinom
 
 
 # -- expanded products, the oracles of the constant-term routes ---------------------
@@ -73,7 +72,7 @@ def reference_kadell_h(r: int, a) -> MLaurent:
     for i in range(1, n + 1):
         exps = tuple(1 if t == i - 1 else 0 for t in range(n))
         for t in range(a[i - 1]):
-            letter = monomial(n, exps, QFrac.q_power(t))
+            letter = monomial(n, exps, frac_q_power(t))
             for s in range(1, r + 1):
                 h[s] = h[s] + letter * h[s - 1]
     return h[r]
@@ -149,15 +148,15 @@ def test_build_qdyson_small():
     assert build_qdyson((0, 0, 0)) == MLaurent.constant(3, 1)
     got = build_qdyson((1, 1))
     want = MLaurent(2, {
-        (0, 0): QFrac.from_qlaurent(QLaurent.parse("1 + q")),
+        (0, 0): QFrac.from_qlaurent(parse_q("1 + q")),
         (1, -1): QFrac(-1),
-        (-1, 1): QFrac.q_power(1, -1),
+        (-1, 1): frac_q_power(1, -1),
     })
     assert got == want
 
 
 def test_qdyson_ct_small():
-    assert ct_qdyson((1, 1, 1)) == QFrac.from_qlaurent(QLaurent.parse("1 + 2*q + 2*q^2 + q^3"))
+    assert ct_qdyson((1, 1, 1)) == QFrac.from_qlaurent(parse_q("1 + 2*q + 2*q^2 + q^3"))
     # expanded product's full-variable ct agrees with the pruned fold
     f = build_qdyson((1, 1, 1))
     assert constant_coefficient(ct(f, {1, 2, 3})) == ct_qdyson((1, 1, 1))
@@ -165,7 +164,7 @@ def test_qdyson_ct_small():
 
 def test_build_qmorris_cases():
     assert build_qmorris(2, 0, 0, 0) == MLaurent.constant(2, 1)
-    assert qmorris_ct(1, 1, 1, 0) == QFrac.from_qlaurent(QLaurent.parse("1 + q"))
+    assert qmorris_ct(1, 1, 1, 0) == QFrac.from_qlaurent(parse_q("1 + q"))
 
 
 def test_build_bf_cases():
@@ -174,9 +173,9 @@ def test_build_bf_cases():
     # shape (1,2), a=b=0, c=0: only the decorated pair (2,3) survives
     got = build_bf(Shape((1, 2)), 0, 0, 0)
     want = MLaurent(3, {
-        (0, 0, 0): QFrac.from_qlaurent(QLaurent.parse("1 + q")),
+        (0, 0, 0): QFrac.from_qlaurent(parse_q("1 + q")),
         (0, 1, -1): QFrac(-1),
-        (0, -1, 1): QFrac.q_power(1, -1),
+        (0, -1, 1): frac_q_power(1, -1),
     })
     assert got == want
     # p=0 equals the plain product builder
@@ -185,7 +184,7 @@ def test_build_bf_cases():
 
 def test_kadell_h_cases():
     assert _terms(1, kadell_h(1, (1,))) == monomial(1, (1,))
-    assert _terms(1, kadell_h(1, (2,))) == monomial(1, (1,), QLaurent.parse("1 + q"))
+    assert _terms(1, kadell_h(1, (2,))) == monomial(1, (1,), parse_q("1 + q"))
     got = _terms(2, kadell_h(2, (1, 1)))
     want = MLaurent(2, {(2, 0): QFrac(1), (1, 1): QFrac(1), (0, 2): QFrac(1)})
     assert got == want
@@ -206,7 +205,7 @@ def test_kadell_ct_simple():
     # n=1: CT x^{-r} h_r(alphabet) = h_r(1, q, ..., q^{a-1})
     got = kadell_ct((2,), 2, (2,))
     # h_2 on letters (1, q): 1 + q + q^2
-    assert got == QFrac.from_qlaurent(QLaurent.parse("1 + q + q^2"))
+    assert got == QFrac.from_qlaurent(parse_q("1 + q + q^2"))
     # no letter at all: h_r is zero, and so is the constant term
     assert kadell_ct((1, 0), 1, (0, 0)) == QFrac(0)
 
@@ -316,7 +315,7 @@ def reference_grid_contraction(shape, c, jobs):
                                 extra_l1=max(wl1, 1) ** n)
     out = {}
     for ab in jobs:
-        wp = {e: _pack_qlaurent(p, B) for e, p in weights[ab].items()}
+        wp = {e: p.kronecker(B) for e, p in weights[ab].items()}
         total = (0, 0)
         for v, coeff in packed.items():
             term = coeff
@@ -327,7 +326,7 @@ def reference_grid_contraction(shape, c, jobs):
                 term = _packed_mul(term, f)
             else:
                 total = _packed_add(total, term, B)
-        out[ab] = QFrac.from_qlaurent(_decode_packed(total[0], total[1], B))
+        out[ab] = QFrac.from_qlaurent(QLaurent.from_kronecker(total[0], total[1], B))
     return out
 
 

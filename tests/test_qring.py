@@ -23,10 +23,6 @@ from qct.qring import (
 )
 
 
-def L(text):
-    return QLaurent.parse(text)
-
-
 # -- the expanded oracle of Cyclo.poch_product -----------------------------------
 
 
@@ -51,7 +47,40 @@ def qbinom(n: int, c: int) -> QLaurent:
     return qpoch(n - c + 1, c).divexact(qpoch(1, c))
 
 
-# -- QFrac's text form, inverse and integer powers, which only the tests use ------
+# -- text forms, QFrac's monomials, inverse and integer powers, which only the tests use
+
+
+def parse_q(text: str) -> QLaurent:
+    """The inverse of ``str(QLaurent)``: signed terms c, q, q^e or c*q^e."""
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError("empty QLaurent literal")
+    terms: dict[int, int] = {}
+    i, n = 0, len(s)
+    while i < n:
+        sign = 1
+        while i < n and s[i] in "+-":
+            if s[i] == "-":
+                sign = -sign
+            i += 1
+        j = i
+        while j < n and s[j] not in "+-":
+            # a '-' directly after '^' is part of the exponent
+            j += 2 if s[j] == "^" and s[j + 1:j + 2] == "-" else 1
+        token = s[i:j]
+        if not token:
+            raise ValueError(f"bad QLaurent literal: {text!r}")
+        head, q, tail = token.partition("q")
+        if not q:
+            coeff, exp = int(token), 0
+        elif tail and not tail.startswith("^"):
+            raise ValueError(f"bad QLaurent term: {token!r}")
+        else:
+            coeff = int(head.rstrip("*")) if head.rstrip("*") else 1
+            exp = int(tail[1:]) if tail else 1
+        terms[exp] = terms.get(exp, 0) + sign * coeff
+        i = j
+    return QLaurent(terms)
 
 
 def parse_frac(text: str) -> QFrac:
@@ -59,8 +88,13 @@ def parse_frac(text: str) -> QFrac:
     s = text.strip()
     if s.startswith("(") and ")/(" in s and s.endswith(")"):
         split = s.index(")/(")
-        return QFrac(QLaurent.parse(s[1:split]), QLaurent.parse(s[split + 3:-1]))
-    return QFrac(QLaurent.parse(s), ONE)
+        return QFrac(parse_q(s[1:split]), parse_q(s[split + 3:-1]))
+    return QFrac(parse_q(s), ONE)
+
+
+def frac_q_power(e: int, coeff: int = 1) -> QFrac:
+    """The monomial coeff * q^e as a QFrac."""
+    return QFrac.from_qlaurent(QLaurent.q_power(e, coeff))
 
 
 def frac_inverse(x: QFrac) -> QFrac:
@@ -110,7 +144,7 @@ def test_qpoch_vanishing_factor():
 
 def test_qpoch_length_two_expansion():
     # (1-q)(1-q^2) = 1 - q - q^2 + q^3, multiplied out by hand
-    assert qpoch(1, 2) == L("1 - q - q^2 + q^3")
+    assert qpoch(1, 2) == parse_q("1 - q - q^2 + q^3")
 
 
 def test_qpoch_negative_length_rejected():
@@ -136,8 +170,8 @@ def test_qbinom_base_cases():
 
 
 def test_qbinom_small_values():
-    assert qbinom(2, 1) == L("1 + q")
-    assert qbinom(4, 2) == L("1 + q + 2*q^2 + q^3 + q^4")
+    assert qbinom(2, 1) == parse_q("1 + q")
+    assert qbinom(4, 2) == parse_q("1 + q + 2*q^2 + q^3 + q^4")
 
 
 def test_qbinom_symmetry_and_positivity():
@@ -159,7 +193,7 @@ def test_qbinom_pascal_recurrence():
 
 
 def test_qlaurent_mul_zero_and_one():
-    p = L("q^-3 + 1")
+    p = parse_q("q^-3 + 1")
     assert p * ZERO == ZERO
     assert p * ONE == p
     assert (p - p) == ZERO
@@ -170,7 +204,7 @@ def test_qlaurent_divexact():
     b = qpoch(1, 2)
     assert a.divexact(b) == qpoch(3, 2)
     with pytest.raises(ValueError):
-        (ONE + Q).divexact(L("1 - q"))
+        (ONE + Q).divexact(parse_q("1 - q"))
 
 
 def test_qlaurent_text_roundtrip():
@@ -180,17 +214,17 @@ def test_qlaurent_text_roundtrip():
         for _ in range(rng.randrange(0, 6)):
             terms[rng.randrange(-7, 8)] = rng.randrange(-9, 10)
         p = QLaurent(terms)
-        assert QLaurent.parse(str(p)) == p
-    assert str(L("-1 + 2*q^2 - q^5")) == "-1 + 2*q^2 - q^5"
-    assert str(L("q^-3 + 1")) == "q^-3 + 1"
+        assert parse_q(str(p)) == p
+    assert str(parse_q("-1 + 2*q^2 - q^5")) == "-1 + 2*q^2 - q^5"
+    assert str(parse_q("q^-3 + 1")) == "q^-3 + 1"
 
 
 def test_poly_gcd_known_factor():
-    a = qpoch(1, 3) * L("1 + q + q^2")
-    b = qpoch(1, 2) * L("1 + q + q^2")
+    a = qpoch(1, 3) * parse_q("1 + q + q^2")
+    b = qpoch(1, 2) * parse_q("1 + q + q^2")
     g = poly_gcd(a, b)
     # common factor (1-q)(1-q^2)(1+q+q^2)
-    expect = qpoch(1, 2) * L("1 + q + q^2")
+    expect = qpoch(1, 2) * parse_q("1 + q + q^2")
     assert g == expect or g == -expect
 
 
@@ -198,25 +232,25 @@ def test_poly_gcd_known_factor():
 
 
 def test_frac_mul_cancels():
-    one_over = QFrac(ONE, L("1 - q"))
-    assert frac_arith(one_over, QFrac(L("1 - q")), "mul") == QFrac(1)
+    one_over = QFrac(ONE, parse_q("1 - q"))
+    assert frac_arith(one_over, QFrac(parse_q("1 - q")), "mul") == QFrac(1)
 
 
 def test_frac_additive_identity():
-    x = QFrac(L("1 + q"), L("1 - q"))
+    x = QFrac(parse_q("1 + q"), parse_q("1 - q"))
     assert frac_arith(x, QFrac(0), "add") == x
 
 
 def test_frac_gcd_normalization():
-    x = QFrac(L("1 - q^2"), L("1 - q"))
-    assert x == QFrac(L("1 + q"))
+    x = QFrac(parse_q("1 - q^2"), parse_q("1 - q"))
+    assert x == QFrac(parse_q("1 + q"))
     assert x.is_polynomial()
 
 
 def test_frac_normal_form_denominator():
     # denominator q-power and sign are pushed out
-    x = QFrac(ONE, L("q^-1 - 1"))
-    assert x.den == L("q - 1") or x.den == L("1 - q")
+    x = QFrac(ONE, parse_q("q^-1 - 1"))
+    assert x.den == parse_q("q - 1") or x.den == parse_q("1 - q")
     assert x.den.leading_coefficient() > 0
     assert x.den.min_exp() == 0
     # normalization is idempotent
@@ -225,8 +259,8 @@ def test_frac_normal_form_denominator():
 
 
 def test_frac_eq_cross_multiplied():
-    a = QFrac(L("1 - q^2"), L("1 - q"))
-    b = QFrac(L("1 + q"))
+    a = QFrac(parse_q("1 - q^2"), parse_q("1 - q"))
+    b = QFrac(parse_q("1 + q"))
     assert frac_arith(a, b, "eq")
     assert not frac_arith(a, QFrac(1), "eq")
 
@@ -294,7 +328,7 @@ def test_interpolate_constant():
 
 
 def test_interpolate_identity():
-    nodes = [(QFrac(1), QFrac(1)), (QFrac.q_power(1), QFrac.q_power(1))]
+    nodes = [(QFrac(1), QFrac(1)), (frac_q_power(1), frac_q_power(1))]
     assert newton_interpolate(nodes) == [QFrac(0), QFrac(1)]
 
 
@@ -303,19 +337,18 @@ def test_interpolate_three_nodes():
     # quadratic is z + 1, i.e. coefficients [1, 1, 0]
     nodes = [
         (QFrac(1), QFrac(2)),
-        (QFrac.q_power(1), parse_frac("1 + q")),
-        (QFrac.q_power(2), parse_frac("1 + q^2")),
+        (frac_q_power(1), parse_frac("1 + q")),
+        (frac_q_power(2), parse_frac("1 + q^2")),
     ]
     assert newton_interpolate(nodes) == [QFrac(1), QFrac(1), QFrac(0)]
     # the q-node routine agrees: numerators over (q; q)_2
-    poly = interpolate([L("2"), L("1 + q"), L("1 + q^2")])
-    assert poly.degree() == 1
+    poly = interpolate([parse_q("2"), parse_q("1 + q"), parse_q("1 + q^2")])
     assert [poly.den.divide(c) for c in poly.coeffs] == [QFrac(1), QFrac(1), QFrac(0)]
 
 
 def test_interpolate_quadratic_exact():
     # values of 1 + z^2 at 1, q, q^2 recover [1, 0, 1]
-    xs = [QFrac(1), QFrac.q_power(1), QFrac.q_power(2)]
+    xs = [QFrac(1), frac_q_power(1), frac_q_power(2)]
     nodes = [(x, QFrac(1) + x * x) for x in xs]
     assert newton_interpolate(nodes) == [QFrac(1), QFrac(0), QFrac(1)]
 
@@ -337,7 +370,7 @@ def test_interpolate_left_inverse_of_evaluation():
             if den.is_zero():
                 den = ONE
             coeffs.append(QFrac(num, den))
-        xs = [QFrac.q_power(e) for e in range(6)]
+        xs = [frac_q_power(e) for e in range(6)]
         nodes = [(x, horner(coeffs, x)) for x in xs]
         assert newton_interpolate(nodes) == coeffs
 
@@ -355,13 +388,12 @@ laurent_values = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_siz
 def test_q_node_interpolation_matches_reference(values, first, step, points):
     # N = 0..6; integral values at the nodes q^(first + step j)
     poly = interpolate(values, first=first, step=step)
-    nodes = [(QFrac.q_power(first + step * j), QFrac.from_qlaurent(v)) for j, v in enumerate(values)]
+    nodes = [(frac_q_power(first + step * j), QFrac.from_qlaurent(v)) for j, v in enumerate(values)]
     want = newton_interpolate(nodes)
     assert poly.den == Cyclo.poch(1, len(values) - 1)
     assert [poly.den.divide(c) for c in poly.coeffs] == want
-    assert poly.degree() == max((i for i, c in enumerate(want) if not c.is_zero()), default=-1)
     for e in points:
-        assert eval_poly(poly, e) == horner(want, QFrac.q_power(e))
+        assert eval_poly(poly, e) == horner(want, frac_q_power(e))
 
 
 def test_interpolate_rejects_fraction_values(monkeypatch):
@@ -370,7 +402,7 @@ def test_interpolate_rejects_fraction_values(monkeypatch):
     values = {1: QFrac(1), 2: QFrac(1)}
     monkeypatch.setattr(gxseries, "gx_ct", lambda shape, b, c, d: values[d])
     assert cli._gx_value(Shape((1,)), 0, 1, 0) == QFrac(1)
-    values[2] = QFrac(ONE, L("1 - q"))
+    values[2] = QFrac(ONE, parse_q("1 - q"))
     with pytest.raises(ArithmeticError, match="not a polynomial"):
         cli._gx_value(Shape((1,)), 0, 1, 0)
 
@@ -417,7 +449,7 @@ def test_cyclo_is_an_exponent_vector_over_psi():
     assert Cyclo.poch(6, 1) == Cyclo(1, 0, {1: 1, 2: 1, 3: 1, 6: 1})
     assert Cyclo.poch(-2, 1) == Cyclo(-1, -2, {1: 1, 2: 1})
     assert Cyclo.poch(6, 1) / Cyclo.poch(3, 1) == Cyclo(1, 0, {2: 1, 6: 1})
-    assert (Cyclo.poch(6, 1) / Cyclo.poch(3, 1)).expand() == L("1 + q^3")
+    assert (Cyclo.poch(6, 1) / Cyclo.poch(3, 1)).expand() == parse_q("1 + q^3")
     assert Cyclo.poch(0, 2) == Cyclo(0) and Cyclo.poch(0, 2).expand() == ZERO
 
 
@@ -430,7 +462,7 @@ def test_cyclo_fractions_are_reduced_without_gcd():
             x = x * factor ** rng.choice((1, -1))
         num = QFrac.from_qlaurent(Cyclo(1, 0, {d: e for d, e in x.exps.items() if e > 0}).expand())
         den = QFrac.from_qlaurent(Cyclo(1, 0, {d: -e for d, e in x.exps.items() if e < 0}).expand())
-        want = QFrac.q_power(x.shift, x.sign) * num / den
+        want = frac_q_power(x.shift, x.sign) * num / den
         assert (x ** -1).divide(ONE) == want
         p = QLaurent({rng.randrange(-3, 4): rng.randrange(-4, 5) for _ in range(3)})
         assert x.divide(p) == QFrac.from_qlaurent(p) / want
@@ -472,7 +504,7 @@ def test_cyclo_sum_matches_the_gcd_route(terms, cancel):
     if cancel == "negate":
         terms = terms + [(scale, -p) for scale, p in terms]
     elif cancel == "refactor":
-        terms = terms + [(scale / Cyclo.poch(1, 1), -(p * L("1 - q"))) for scale, p in terms
+        terms = terms + [(scale / Cyclo.poch(1, 1), -(p * parse_q("1 - q"))) for scale, p in terms
                          if scale.sign]
     want = QFrac(0)
     for scale, p in terms:
@@ -567,6 +599,19 @@ def test_kronecker_values_at_the_bound_width_are_equal_exactly_when_the_values_a
         assert p.kronecker(B) == p.kronecker(B, p.min_exp())
     else:
         assert p.kronecker(B) == (0, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(-6, 6), st.integers(-10 ** 6, 10 ** 6), max_size=6).map(QLaurent),
+       st.integers(1, 48))
+def test_from_kronecker_inverts_kronecker(p, B):
+    # kronecker packs one digit of width B per term from the least exponent,
+    # (0, 0) for zero, and from_kronecker decodes it at any width that holds
+    # the coefficients
+    lo = min(p.terms, default=0)
+    assert p.kronecker(B) == (lo, sum(c << B * (e - lo) for e, c in p.terms.items()))
+    if max(map(abs, p.terms.values()), default=0) < 1 << B - 1:
+        assert QLaurent.from_kronecker(*p.kronecker(B), B) == p
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import qct
+from qct import cli
 
 SRC = Path(qct.__file__).parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -90,12 +92,12 @@ def test_polynomial_routes_do_not_name_qfrac():
 
 
 def test_packed_format_stays_in_laurent():
-    # the packed coefficient format, (lo, mag) pairs of base-2**B digits, and
-    # the fold plan that lays out its keys are laurent's decision alone: no
-    # other module imports a private laurent name or names a packed helper,
-    # public or private
-    helpers = {"fold_packed_raw", "pack_qlaurent", "packed_add", "packed_mul", "_pack_qlaurent", "_packed_add",
-               "_packed_mul", "_decode_packed", "_plan"}
+    # the fold's packed state, (lo, mag) pairs of base-2**B digits that
+    # QLaurent.kronecker and from_kronecker encode and decode, and the fold
+    # plan that lays out its keys are laurent's decision alone: no other
+    # module imports a private laurent name or names a packed helper, public
+    # or private
+    helpers = {"fold_packed_raw", "packed_add", "packed_mul", "_packed_add", "_packed_mul", "_plan"}
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "laurent.py":
@@ -121,38 +123,116 @@ def _named(node) -> list:
     return []
 
 
-def test_every_library_definition_is_used():
-    # a module-level function or class, or a non-dunder method of a class, of
-    # the library that no other part of the library names is test-only or
-    # dead code; the names the benchmark reaches through perfbench/*.py may
-    # stay.  A reference belongs to the method it sits in, else to the
-    # top-level definition: a class may not count itself, a method may count
-    # its class's other methods.
-    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
-    owners: dict = {}  # name -> the (module, top-level name, method) places that refer to it
-    defined = []
+# The library functions that the run in test_every_library_function_runs
+# leaves uncalled, each with the reason it stays in src.  __repr__, __str__,
+# __hash__ and __eq__ are exempt by rule and need no entry.  To add an entry,
+# name the function as "module.py:Class.method" (or "module.py:function") and
+# say why no command reaches it.
+SPAN = "perfbench traces it by name, or only code it traces calls it: it leaves src with its benchmark span"
+MISS = "runs only when the roots check misses a node: tests/test_roots.py forces the miss"
+UNCALLED = {
+    # the expanded form, which splitting.pair_product returns
+    **{f"laurent.py:MLaurent.{name}": SPAN for name in (
+        "__init__", "constant", "is_zero", "__len__", "coefficient", "_check", "__add__", "__sub__", "__neg__",
+        "__mul__", "scale")},
+    # the gcd layer: QFrac's reducing arithmetic and what only it calls
+    **{f"qring.py:{name}": SPAN for name in (
+        "poly_gcd", "_primitive", "_strip", "_reduce", "QFrac.__add__", "QFrac.__sub__", "QFrac.__neg__",
+        "QFrac.__mul__", "QFrac.__truediv__", "QFrac.is_zero", "QLaurent.content", "QLaurent.leading_coefficient",
+        "QLaurent.divexact", "QLaurent.max_exp", "QLaurent.coefficient", "QLaurent.__neg__")},
+    **{name: SPAN for name in (
+        "roots.py:product_form_coeffs", "roots.py:_factored_zpoly", "roots.py:leave_one_out_bound_holds",
+        "splitting.py:pair_product", "splitting.py:residue_identity_holds")},
+    "qring.py:ZPoly.kronecker": MISS,
+}
+EXEMPT = ("__repr__", "__str__", "__hash__", "__eq__")
+
+# Runs argv lists through qct.cli.main in a fresh process with a profiler
+# installed before qct is imported, so import-time calls count and no cache
+# is warm; prints each exit code and the (file name, first line) of every
+# function in the library that was called.
+REACH_PROBE = """
+import contextlib, io, json, os, sys
+called = set()
+def record(frame, event, arg):
+    if event == "call":
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(record)
+import qct, qct.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(qct.cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+sys.setprofile(None)
+src = os.path.dirname(qct.__file__)
+print(json.dumps([codes, sorted((os.path.basename(f), line) for f, line in called if os.path.dirname(f) == src)]))
+"""
+
+
+def _reach_commands(out: Path) -> list:
+    """(argv, exit code) pairs: every suite at its default grid, each
+    family's brute-force and closed-form values, one gx-route value, the
+    report over the suites' reports, a run under --max-seconds and a usage
+    error."""
+    values = {"qdyson": ["--a", "1,2,1"], "qmorris": ["--n", "2", "--a", "1", "--b", "1", "--c", "1"],
+              "bf": ["--shape", "1,2", "--a", "1", "--b", "1", "--c", "1"],
+              "bf-p1": ["--shape", "1,2", "--a", "1", "--b", "1", "--c", "1"],
+              "dn0": ["--shape", "1,2", "--c", "1"], "kadell": ["--v", "1,0", "--r", "1", "--a", "1,1"]}
+    commands = [(["verify", "--suite", suite, "--out", str(out / f"qct-report-{suite}.json")], 0)
+                for suite in sorted(cli.SUITES)]
+    commands += [(["ct", "--family", family] + values[family], 0) for family in ("qdyson", "qmorris", "bf", "kadell")]
+    # the gx route on the smallest query whose walk splits a term and moves its monomial (gxseries._split, _moved)
+    commands.append((["ct", "--method", "gx", "--family", "bf", "--shape", "1,2", "--a", "0", "--b", "0", "--c", "1"], 0))
+    commands += [(["rhs", "--family", family] + flags, 0) for family, flags in values.items()]
+    commands.append((["report", "--dir", str(out), "--out", str(out / "summary.json")], 0))
+    commands.append((["verify", "--suite", "qmorris", "--max-seconds", "60", "--out", str(out / "trimmed.json")], 0))
+    commands.append((["ct", "--family", "qdyson"], 2))
+    return commands
+
+
+def _library_functions() -> dict:
+    """(file name, first line) -> "module.py:Class.method" for every function
+    the library defines, nested ones too; a decorated function's code starts
+    at its first decorator."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[path.name, first] = f"{path.name}:{prefix}{child.name}"
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, f"{prefix}{child.name}." if isinstance(child, ast.ClassDef) else prefix)
+
     for path in sorted(SRC.glob("*.py")):
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            top = stmt.name if isinstance(stmt, funcs + (ast.ClassDef,)) else None
-            methods = [node for node in stmt.body if isinstance(node, funcs)] if isinstance(stmt, ast.ClassDef) else []
-            if top:
-                defined.append((path.name, top, None))
-            defined += [(path.name, top, m.name) for m in methods
-                        if not (m.name.startswith("__") and m.name.endswith("__"))]
-            method_of = {id(node): m.name for m in methods for node in ast.walk(m)}
-            for node in ast.walk(stmt):
-                for name in _named(node):
-                    owners.setdefault(name, set()).add((path.name, top, method_of.get(id(node))))
-    bench = "\n".join(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))
-    assert len(defined) > 200 and "gx_ct" in bench
-    unused = []
-    for module, top, method in defined:
-        name = method or top
-        elsewhere = {owner for owner in owners.get(name, set())
-                     if (owner != (module, top, method) if method else owner[:2] != (module, top))}
-        if not elsewhere and not re.search(rf"\b{re.escape(name)}\b", bench):
-            unused.append(f"{module}:{top}.{method}" if method else f"{module}:{top}")
-    assert not unused, f"library definitions named nowhere else in src or perfbench: {unused}"
+        visit(ast.parse(path.read_text(), filename=str(path)), path, "")
+    return found
+
+
+def test_every_library_function_runs(tmp_path):
+    # src holds only what its commands run: every function runs under the
+    # suites and commands below, or has an UNCALLED entry; an entry whose
+    # function ran or is gone is stale.  The run is a fresh process, since a
+    # cache warmed by an earlier test would keep its function's body from
+    # running here.
+    commands = _reach_commands(tmp_path)
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", REACH_PROBE, json.dumps([argv for argv, _ in commands])],
+                         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True).stdout
+    codes, called = json.loads(out)
+    assert codes == [code for _, code in commands]
+    functions = _library_functions()
+    assert len(functions) > 200
+    ran = {functions[key] for key in map(tuple, called) if key in functions}
+    uncalled = sorted(name for name in functions.values()
+                      if name not in ran and name not in UNCALLED and re.split("[:.]", name)[-1] not in EXEMPT)
+    stale = sorted(name for name in UNCALLED if name in ran or name not in functions.values())
+    assert not uncalled, f"library functions no command runs (move them to the tests, or add an entry): {uncalled}"
+    assert not stale, f"UNCALLED entries whose function ran or is gone: {stale}"
 
 
 def test_library_reads_no_environment():
