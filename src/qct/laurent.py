@@ -27,11 +27,13 @@ coefficient of x^-mu in P.  There is one kernel and one step:
   throughout).
 
 One planning pass over the factors gives every step its windows, its key
-move and whether it runs free, before the first state is visited.  Keys are
-decoded back to exponent tuples only at the end.  A weighted constant term
-folds once and contracts many jobs, each one weight map per slot
-(``ct_contract``); the packed values, ``QLaurent.kronecker``'s (lo, mag)
-pairs, and their digit width B never leave this module.  ``Factored`` keeps
+move and whether it runs free, before the first state is visited.
+``ct_fold`` decodes keys back to exponent tuples only at the end.  A
+weighted constant term folds once and contracts many jobs, each one weight
+map per slot, on the int keys themselves (``ct_contract``); a map named by a
+key is normed once and packed once per width.  The packed values,
+``QLaurent.kronecker``'s (lo, mag) pairs, and their digit width B never
+leave this module.  ``Factored`` keeps
 a product of linear factors, a monomial and a ``Cyclo`` scalar unexpanded,
 so that equal values compare by their parts and a constant term is one
 point fold.  A plain dict fold over general factors lives in the tests as
@@ -40,6 +42,7 @@ the reference the kernel must match exactly.
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from math import prod
 from operator import add, mul
 
@@ -226,67 +229,124 @@ def ct_point(mono, factors) -> QLaurent:
     return ct_fold(len(at), factors, at, at).get(at, ZERO)
 
 
-def fold_packed_raw(arity, factors, tlo=None, thi=None, extra_l1: int = 1):
-    """The fold with its coefficients left packed, for ``ct_contract``.
+def fold_packed_raw(plan, extra_l1: int = 1):
+    """The fold of a ``_plan`` with its coefficients left packed, for
+    ``ct_contract``.
 
-    The target window defaults to the full expansion, as in ``ct_fold``.
     ``extra_l1`` widens the digit base so the packed values may be multiplied
     by further polynomials of that combined L1 norm, and summed, without
-    digit overflow.  Returns ({exponent tuple: (lo, mag)}, B).
+    digit overflow.  Returns ({int key: (lo, mag)}, B), the keys in the
+    plan's box; no state for a None plan, whose target no monomial reaches.
     """
-    factors = list(factors)
-    tlo, thi = _target(arity, factors, tlo, thi)
-    B = _digit_width(extra_l1 << len(factors))
-    return _fold_tuples(factors, tlo, thi, B), B
+    if plan is None:
+        return {}, _digit_width(extra_l1)
+    steps, base, radix, _ = plan
+    B = _digit_width(extra_l1 << len(steps))
+    return _fold_packed(steps, base, radix, B), B
 
 
-def ct_contract(arity, factors, tlo, thi, jobs) -> list[QLaurent]:
+def ct_contract(arity, factors, tlo, thi, jobs, weights=None) -> list[QLaurent]:
     """Fold once, contract many.  A job is a tuple of ``arity`` weight maps
     {exponent: QLaurent}, one per slot; for each job this returns
     sum_e P_e prod_i w_i(e_i), P the product of linear factors (a, b, m)
     folded over the box [tlo, thi] (None for a side of the full expansion).
+    With ``weights`` given, a job holds a hashable key per slot instead, and
+    the slot's map is weights(*key), a function of the key alone.
 
-    The fold runs once, at a digit width that holds the largest product of a
-    job's map norms; each distinct map is normed and packed once.  A job
-    contracts one slot at a time, the last first, into a dict over the
-    remaining prefix.  When every slot of every job holds the same map, a
-    state's weight depends only on the multiset of its exponents, so the
-    states are first summed by sorted exponent tuple, once for all jobs.
+    The fold runs once, at a digit width B that holds the largest product of
+    a job's map norms.  A keyed map is normed once per key and packed once
+    per key and width, in bounded caches, so a later call at the same width
+    packs nothing; a plain map is normed and packed on every call.  A job
+    contracts on the fold's int keys, one slot at a time, the last first:
+    divmod by the slot's radix splits a key into the slot's digit and the key
+    of the remaining slots, and the digit indexes the slot's packed weights.
+    When every slot of every job holds the same map (by identity), a state's
+    weight depends only on the multiset of its exponents, so the states are
+    first summed by multiset, once for all jobs.
     """
     jobs = [tuple(job) for job in jobs]
     if any(len(job) != arity for job in jobs):
         raise ValueError("a job needs one weight map per slot")
     if not jobs:
         return []
-    maps = {id(w): w for job in jobs for w in job}
-    norms = {k: sum(p.l1_norm() for p in w.values()) for k, w in maps.items()}
-    l1 = max((prod(norms[id(w)] for w in job) for job in jobs), default=1)
-    state, B = fold_packed_raw(arity, factors, tlo, thi, extra_l1=max(l1, 1))
-    packed = {k: {e: p.kronecker(B) for e, p in w.items() if not p.is_zero()} for k, w in maps.items()}
-    if all(w == job[0] for job in jobs for w in job):
-        multisets: dict = {}
-        for e, val in state.items():
-            key = tuple(sorted(e))
-            cur = multisets.get(key)
-            multisets[key] = val if cur is None else _packed_add(cur, val, B)
-        state = multisets
+    if weights is None:
+        norm, table = _map_norm, _packed_map
+    else:
+        norm, table = partial(_keyed_norm, weights), partial(_keyed_table, weights)
+    factors = list(factors)
+    l1 = max(prod(norm(w) for w in job) for job in jobs)
+    plan = _plan(factors, *_target(arity, factors, tlo, thi))
+    state, B = fold_packed_raw(plan, max(l1, 1))
+    if not state:
+        return [ZERO] * len(jobs)
+    _, base, radix, width = plan
+    if all(w is job[0] for job in jobs for w in job):
+        state, base, radix, width = _by_multiset(state, base, width, B)
+    rows: dict = {}  # (id of a slot's map, its box) -> packed weight per digit
     out = []
     decode = QLaurent.from_kronecker
     for job in jobs:
         level = state
-        for w in reversed(job):
-            wp = packed[id(w)]
+        for v in range(arity - 1, -1, -1):
+            w, lo_v, width_v = job[v], base[v], width[v]
+            row = rows.get((id(w), lo_v, width_v))
+            if row is None:
+                packed = table(w, B)
+                row = rows[id(w), lo_v, width_v] = [packed.get(e) for e in range(lo_v, lo_v + width_v)]
+            r = radix[v]
             nxt: dict = {}
-            for e, val in level.items():
-                f = wp.get(e[-1])
+            for k, (lo, mag) in level.items():
+                x, rest = divmod(k, r)
+                f = row[x]
                 if f is not None:
-                    term, rest = _packed_mul(val, f), e[:-1]
+                    term = (lo + f[0], mag * f[1])
                     cur = nxt.get(rest)
                     nxt[rest] = term if cur is None else _packed_add(cur, term, B)
             level = nxt
-        total = level.get(())
+        total = level.get(0)
         out.append(ZERO if total is None else decode(*total, B))
     return out
+
+
+def _by_multiset(state, base, width, B):
+    """The states summed by the multiset of their exponents, as
+    (state, base, radix, width) over one box common to every slot: a
+    multiset's key holds its exponents in ascending order, slot by slot."""
+    lo = min(base)
+    span = max(map(add, base, width)) - lo
+    out: dict = {}
+    for k, val in state.items():
+        digits = []
+        for b, w in zip(base, width):
+            k, x = divmod(k, w)
+            digits.append(x + b - lo)
+        key = 0
+        for x in sorted(digits, reverse=True):
+            key = key * span + x
+        cur = out.get(key)
+        out[key] = val if cur is None else _packed_add(cur, val, B)
+    arity = len(base)
+    return out, [lo] * arity, [span ** v for v in range(arity)], [span] * arity
+
+
+def _map_norm(w) -> int:
+    """The l1 norm of a weight map, the sum of its values' norms."""
+    return sum(p.l1_norm() for p in w.values())
+
+
+def _packed_map(w, B) -> dict:
+    """A weight map packed at width B, zero weights left out."""
+    return {e: p.kronecker(B) for e, p in w.items() if p.terms}
+
+
+@lru_cache(maxsize=1024)
+def _keyed_norm(weights, key) -> int:
+    return _map_norm(weights(*key))
+
+
+@lru_cache(maxsize=1024)
+def _keyed_table(weights, key, B) -> dict:
+    return _packed_map(weights(*key), B)
 
 
 class Factored:
@@ -551,10 +611,6 @@ def _step_linear(state, B, dk, qsh, slots):
 
 
 # -- packed coefficient helpers -------------------------------------------------------
-
-
-def _packed_mul(a, b):
-    return (a[0] + b[0], a[1] * b[1])
 
 
 def _packed_add(a, b, B):

@@ -5,7 +5,11 @@ Every left-hand side is assembled as a list of linear factors, triples
 list is the authoritative representation and feeds the pruned CT fold.  A
 monomial prefactor only moves which coefficient is read; a weight, the x_0
 factor of a grid job or the Kadell h_r, is a weight map per slot that
-``laurent.ct_contract`` contracts the folded product against.
+``laurent.ct_contract`` contracts the folded product against.  Each slot
+names its map by a key, (a, b) for the x_0 weights and (v_i, a_i, r) for a
+Kadell slot, so the weight tables are built here from cached inputs
+(``x0_weights``, ``_gaussian``) and ``ct_contract`` norms each once and packs
+it once per digit width.
 
 The projective variable x_0 is set to 1 inside every builder (homogeneity of
 the full product makes this harmless for constant terms), so a product over
@@ -135,18 +139,25 @@ def pair_linear(shape: Shape, c: int, skip=()) -> list[tuple]:
 
 
 def bf_factors(shape: Shape, a: int, b: int, c: int) -> list[tuple]:
-    """Full factor list, ordered so low variables are closed off first."""
+    """Full factor list, ordered so low variables are closed off first:
+    variable i's group holds its pairs with every j > i, in ``pair_linear``'s
+    order, then its x_0 factors."""
     if a < 0 or b < 0:
         raise ValueError("Pochhammer lengths a, b must be nonnegative")
+    if c < 0:
+        raise ValueError("Pochhammer length c must be nonnegative")
     n = shape.n
-    groups: list[list[tuple]] = [[] for _ in range(n + 1)]
-    for f in pair_linear(shape, c):
-        i, j, _ = f
-        groups[i if i < j else j].append(f)
+    block = shape._block
+    out = []
     for i in range(1, n + 1):
-        groups[i] += [(None, i, t) for t in range(a)]
-        groups[i] += [(i, None, 1 + t) for t in range(b)]
-    return [f for g in groups for f in g]
+        li = block[i - 1]
+        for j in range(i + 1, n + 1):
+            z = c + 1 if li and li == block[j - 1] else c
+            out += [(i, j, t) for t in range(z)]
+            out += [(j, i, 1 + t) for t in range(z)]
+        out += [(None, i, t) for t in range(a)]
+        out += [(i, None, 1 + t) for t in range(b)]
+    return out
 
 
 # -- constant terms ----------------------------------------------------------------------
@@ -174,7 +185,8 @@ def kadell_ct(v, r: int, a) -> QLaurent:
     and then |J| = r need not be imposed.  So slot i meets P at v_i - j with
     the weight [a_i + j - 1, j]_q, j from 0 to r (only 0 where a_i = 0), in
     one contraction of P folded over the box [v - r, v].  Each weight is
-    expanded once per (a_i + j - 1, j) and cached as an input table.
+    expanded once per (a_i + j - 1, j), and each slot's map is named by
+    (v_i, a_i, r), so the contraction packs it once per digit width.
     """
     v = tuple(v)
     n = len(a)
@@ -185,9 +197,14 @@ def kadell_ct(v, r: int, a) -> QLaurent:
     factors = qdyson_factors(a)
     if sum(v) != r:
         return ZERO
-    slots = tuple({x - j: _gaussian(ai + j - 1, j) for j in range(r + 1 if ai else 1)} for x, ai in zip(v, a))
     lo = tuple(x - r if ai else x for x, ai in zip(v, a))
-    return ct_contract(n, factors, lo, v, [slots])[0]
+    return ct_contract(n, factors, lo, v, [tuple(zip(v, a, (r,) * n))], _kadell_weights)[0]
+
+
+def _kadell_weights(x: int, ai: int, r: int) -> dict:
+    """The weight map of a Kadell slot at v_i = x, a_i = ai: exponent x - j
+    reads [ai + j - 1, j]_q, j from 0 to r (only 0 where ai = 0)."""
+    return {x - j: _gaussian(ai + j - 1, j) for j in range(r + 1 if ai else 1)}
 
 
 @lru_cache(maxsize=256)
@@ -226,5 +243,11 @@ def bf_ct_grid(shape: Shape, c: int, jobs) -> dict[tuple[int, int], QLaurent]:
     bmax = max(b for _, b in jobs)
     tlo = (-bmax,) * n
     thi = (min(max(a for a, _ in jobs), (n - 1) * bmax),) * n
-    weights = [{-e: w for e, w in x0_weights(a, b).items()} for a, b in jobs]
-    return dict(zip(jobs, ct_contract(n, pair_linear(shape, c), tlo, thi, [(w,) * n for w in weights])))
+    return dict(zip(jobs, ct_contract(n, pair_linear(shape, c), tlo, thi, [(ab,) * n for ab in jobs],
+                                      _x0_slot_weights)))
+
+
+def _x0_slot_weights(a: int, b: int) -> dict:
+    """The weight map of every slot of a grid job (a, b): exponent v reads
+    the coefficient of u^-v in (1/u)_a (q u)_b."""
+    return {-e: w for e, w in x0_weights(a, b).items()}

@@ -4,7 +4,10 @@
 dict of exponent -> coefficient), the type of every constant term.  ``Cyclo``
 keeps a product of q-Pochhammer symbols factored over cyclotomic polynomials;
 ``Cyclo.poch_product`` is the library's one builder of q-Pochhammer symbols
-and Gaussian binomials, expanded once at the end.  ``ZPoly`` keeps a
+and Gaussian binomials, expanded once at the end by one Kronecker
+substitution: the product of the Psi_d(2^B), decoded once (Harvey,
+arXiv:0712.4046).  ``Cyclo.times`` multiplies a QLaurent on dense lists
+instead, binomial by binomial.  ``ZPoly`` keeps a
 polynomial in z = q^a as integral coefficients over one factored
 denominator, which is what interpolation at the nodes q^j returns.
 ``QFrac`` is a reduced fraction of two QLaurent values, the type of a value
@@ -520,6 +523,12 @@ def _psi_norm(d: int) -> int:
     return sum(map(abs, _psi(d)))
 
 
+@lru_cache(maxsize=1024)
+def _psi_at(d: int, B: int) -> int:
+    """Psi_d(2^B)."""
+    return sum(c << B * j for j, c in enumerate(_psi(d)))
+
+
 class Cyclo:
     """sign * q^shift * prod_d Psi_d^exps[d], with Psi_1 = 1 - q and Psi_d the
     d-th cyclotomic polynomial for d >= 2, so that 1 - q^k = prod_{d | k} Psi_d.
@@ -611,18 +620,22 @@ class Cyclo:
         return _from_list(_times_psi(_to_list(p, lo), self.exps), lo + shift, sign)
 
     def expand(self) -> QLaurent:
-        """The value as a QLaurent; it must be a polynomial."""
-        return self.times(ONE)
+        """The value as a QLaurent; it must be a polynomial.  One Kronecker
+        evaluation at a width B with l1_bound() < 2^(B-1), which holds every
+        coefficient as one balanced base-2^B digit, decoded once."""
+        B = max(64, self.l1_bound().bit_length() + 1)
+        return QLaurent.from_kronecker(*self.kronecker(B), B)
 
     def kronecker(self, B: int) -> tuple[int, int]:
         """(shift, the value times q^-shift at q = 2^B) as a product of the
-        Psi_d(2^B): ``self.expand().kronecker(B)`` without the expansion, as
-        every Psi_d has constant term 1.  The value must be a polynomial."""
+        Psi_d(2^B), each packed once per (d, B): the expansion's
+        ``kronecker(B)`` without expanding, as every Psi_d has constant
+        term 1.  The value must be a polynomial."""
         if not self.is_polynomial():
             raise ArithmeticError(f"not a polynomial in q: {self}")
         value = self.sign
         for d, e in self.exps.items():
-            value *= sum(c << B * j for j, c in enumerate(_psi(d))) ** e
+            value *= _psi_at(d, B) ** e
         return self.shift, value
 
     def l1_bound(self) -> int:

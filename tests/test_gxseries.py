@@ -22,11 +22,11 @@ from qct.gxseries import (
     property_branch,
     r_vector,
 )
-from qct.laurent import MLaurent, _digit_width, _packed_add, ct_fold, fold_packed_raw
+from qct.laurent import MLaurent, _digit_width, _packed_add, ct_fold
 from qct.products import Shape, epsilon
 from qct.qring import ONE, Cyclo, QFrac, QLaurent, cyclo_sum, eval_poly
 from qct.roots import interpolate_dn, t_table
-from test_laurent import constant_coefficient, monomial, moved
+from test_laurent import constant_coefficient, monomial, moved, packed_fold
 from test_qring import frac_inverse, frac_pow, frac_q_power, parse_frac
 from test_roots import _staircase_by_scan
 
@@ -197,7 +197,7 @@ def _one_based(triples) -> list:
 def expand_numerator(arity: int, mono, triples) -> tuple[dict, int]:
     """x^mono * prod (1 - q^m x_a/x_b) over 0-based (a, b, m), expanded and
     packed: the triples folded, then every key moved by mono."""
-    packed, B = fold_packed_raw(arity, _one_based(triples))
+    packed, B = packed_fold(arity, _one_based(triples))
     return {tuple(x + y for x, y in zip(e, mono)): v for e, v in packed.items()}, B
 
 

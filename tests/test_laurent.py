@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qct import laurent
 from qct.laurent import (
     MLaurent,
-    _packed_mul,
     ct_contract,
     ct_fold,
     ct_point,
@@ -16,6 +15,21 @@ from qct.laurent import (
 )
 from qct.qring import ONE, ZERO, Cyclo, QFrac, QLaurent
 from test_qring import frac_q_power, parse_frac, parse_q
+
+
+def packed_mul(a, b):
+    """The product of two packed (lo, mag) values at one digit width."""
+    return (a[0] + b[0], a[1] * b[1])
+
+
+def packed_fold(arity, factors, tlo=None, thi=None, extra_l1=1):
+    """``fold_packed_raw`` on the plan of the factors into [tlo, thi] (None
+    for a side of the full expansion), its int keys decoded to exponent
+    tuples: ({exponent tuple: (lo, mag)}, B)."""
+    factors = list(factors)
+    plan = laurent._plan(factors, *laurent._target(arity, factors, tlo, thi))
+    state, B = fold_packed_raw(plan, extra_l1)
+    return (laurent._decode_keys(state, plan[1], plan[3]) if plan else {}), B
 
 
 def monomial(arity: int, exps, coeff=1) -> MLaurent:
@@ -424,7 +438,7 @@ def test_ct_fold_rejects_degenerate_triples(factor):
         with pytest.raises(ValueError):
             ct_fold(2, factors, *window)
         with pytest.raises(ValueError):
-            fold_packed_raw(2, factors, *window)
+            packed_fold(2, factors, *window)
 
 
 def reference_kadell_ct(v, r, a) -> QLaurent:
@@ -548,9 +562,9 @@ def test_fold_matches_reference_property(case, j, c):
     # the raw packed values must survive one multiplication by a polynomial
     # whose L1 norm is the extra_l1 they were folded with
     weight = (Cyclo.poch(1, 1) ** j).times(QLaurent({0: c}))  # c (1 - q)^j
-    packed, B = fold_packed_raw(n, factors, tlo, thi, extra_l1=weight.l1_norm())
+    packed, B = packed_fold(n, factors, tlo, thi, extra_l1=weight.l1_norm())
     wp = weight.kronecker(B)
-    got = {e: QLaurent.from_kronecker(*_packed_mul(v, wp), B) for e, v in packed.items()}
+    got = {e: QLaurent.from_kronecker(*packed_mul(v, wp), B) for e, v in packed.items()}
     assert moved(got, mono, scalar) == {e: p * weight for e, p in want.items()}
 
 
@@ -674,7 +688,7 @@ def fold_sum_packed(arity, pieces):
         state = laurent._decode_keys(laurent._fold_packed(steps, base, radix, B), base, width)
         for e, val in state.items():
             e = tuple(map(add, e, mono))
-            val = _packed_mul(val, sp)
+            val = packed_mul(val, sp)
             cur = total.get(e)
             if cur is None:
                 total[e] = val
@@ -780,6 +794,25 @@ def test_contract_matches_reference(case):
     n, factors, tlo, thi, jobs = case
     assert ct_contract(n, factors, tlo, thi, jobs) == [reference_contract(n, factors, tlo, thi, job)
                                                         for job in jobs]
+
+
+def _map_of_items(*items) -> dict:
+    return dict(items)
+
+
+@settings(max_examples=100, deadline=None)
+@given(contract_cases())
+def test_keyed_contract_is_the_plain_contract(case):
+    # each map named by a key that determines it, its items: the keyed route
+    # norms and packs through the caches and must give the plain route's
+    # values, with the multiset path chosen by the keys' identity
+    n, factors, tlo, thi, jobs = case
+    keys = {}
+    for job in jobs:
+        for w in job:
+            keys.setdefault(id(w), tuple(sorted(w.items())))
+    keyed = [tuple(keys[id(w)] for w in job) for job in jobs]
+    assert ct_contract(n, factors, tlo, thi, keyed, _map_of_items) == ct_contract(n, factors, tlo, thi, jobs)
 
 
 def test_contract_of_no_jobs_folds_nothing(monkeypatch):

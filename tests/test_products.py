@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qct import cli, products
+from qct import cli, laurent, products
 from qct.cli import BF_SHAPES
 from qct.closedform import all_shapes
-from qct.laurent import MLaurent, _packed_add, _packed_mul, ct_fold, fold_packed_raw
+from qct.laurent import MLaurent, _packed_add, ct_fold
 from qct.products import (
     Shape,
     bf_ct,
@@ -22,7 +22,7 @@ from qct.products import (
     x0_weights,
 )
 from qct.qring import ONE, QFrac, QLaurent
-from test_laurent import constant_coefficient, ct, monomial
+from test_laurent import constant_coefficient, ct, monomial, packed_fold, packed_mul
 from test_qring import frac_q_power, parse_q, qbinom
 
 
@@ -215,9 +215,11 @@ def test_kadell_ct_simple():
     lambda: pair_linear(Shape((1, 1)), -1),
     lambda: bf_ct(Shape((1, 1)), -1, 1, 1),
     lambda: bf_factors(Shape((1, 1)), 1, -1, 1),
+    lambda: bf_factors(Shape((1, 1)), 1, 1, -1),
     lambda: x0_weights(1, -1),
     lambda: bf_ct_grid(Shape((1, 1)), 1, [(-1, 1)]),
-], ids=["qdyson_factors", "pair_linear", "bf_factors-a", "bf_factors-b", "x0_weights", "bf_ct_grid"])
+], ids=["qdyson_factors", "pair_linear", "bf_factors-a", "bf_factors-b", "bf_factors-c", "x0_weights",
+        "bf_ct_grid"])
 def test_builders_reject_negative_pochhammer_lengths(build):
     # (x)_k has no meaning at k < 0; a builder that read range(k) as empty
     # would return a value (1, 1 + q and 0 for the first, third and last)
@@ -251,6 +253,31 @@ def test_pair_linear_skip_filters_the_full_list(case):
     want = [(a, b, m) for a, b, m in full if a not in skip and b not in skip]
     assert list(pair_linear(shape, c, skip=skip)) == want
     assert list(pair_linear(shape, c, skip=tuple(sorted(skip)))) == want
+
+
+def bf_factors_by_pairs(shape: Shape, a: int, b: int, c: int) -> list[tuple]:
+    """The full factor list as first built, the oracle of ``bf_factors``:
+    the pair list of ``pair_linear``, each factor grouped under its lower
+    variable, then each variable's x_0 factors after its pairs."""
+    n = shape.n
+    groups: list[list[tuple]] = [[] for _ in range(n + 1)]
+    for f in pair_linear(shape, c):
+        i, j, _ = f
+        groups[min(i, j)].append(f)
+    for i in range(1, n + 1):
+        groups[i] += [(None, i, t) for t in range(a)]
+        groups[i] += [(i, None, 1 + t) for t in range(b)]
+    return [f for g in groups for f in g]
+
+
+def test_bf_factors_is_the_grouped_pair_list():
+    # the one-pass builder gives the same list in the same order, so every
+    # fold over it visits the same states: every shape with n <= 6
+    shapes = all_shapes(6)
+    assert len(shapes) == 63
+    for shape in shapes:
+        for a, b, c in itertools.product(range(3), repeat=3):
+            assert bf_factors(shape, a, b, c) == bf_factors_by_pairs(shape, a, b, c), (shape, a, b, c)
 
 
 def test_full_product_degree_zero_with_x0_restored():
@@ -311,8 +338,8 @@ def reference_grid_contraction(shape, c, jobs):
     wl1 = max(sum(x.l1_norm() for x in w.values()) for w in weights.values())
     amax = max(a for a, _ in jobs)
     bmax = max(b for _, b in jobs)
-    packed, B = fold_packed_raw(n, list(pair_linear(shape, c)), (-bmax,) * n, (amax,) * n,
-                                extra_l1=max(wl1, 1) ** n)
+    packed, B = packed_fold(n, list(pair_linear(shape, c)), (-bmax,) * n, (amax,) * n,
+                            extra_l1=max(wl1, 1) ** n)
     out = {}
     for ab in jobs:
         wp = {e: p.kronecker(B) for e, p in weights[ab].items()}
@@ -323,7 +350,7 @@ def reference_grid_contraction(shape, c, jobs):
                 f = wp.get(-x)
                 if f is None or f[1] == 0:
                     break
-                term = _packed_mul(term, f)
+                term = packed_mul(term, f)
             else:
                 total = _packed_add(total, term, B)
         out[ab] = QFrac.from_qlaurent(QLaurent.from_kronecker(total[0], total[1], B))
@@ -366,6 +393,28 @@ def test_homogeneity_cut_keeps_every_state_of_the_wide_box():
                     narrow = ct_fold(n, factors, (-bmax,) * n, (min(amax, cut),) * n)
                     assert wide == narrow, (shape, c, bmax, amax)
                     assert all(max(v) <= cut for v in wide)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: kadell_ct((1, 0, 1), 2, (1, 2, 1)),
+    lambda: kadell_ct((0, 2), 2, (2, 1)),
+    lambda: bf_ct_grid(Shape((1, 2)), 1, [(a, 1) for a in range(5)]),
+    lambda: bf_ct_grid(Shape((2, 2)), 2, [(0, 2), (3, 0), (3, 2)]),
+], ids=["kadell-3", "kadell-2", "grid-(1,2)", "grid-(2,2)"])
+def test_slot_weights_are_packed_once_per_width(monkeypatch, run):
+    # a slot's weight map is named by its input, so ct_contract packs it once
+    # per key and width in a bounded cache: a second equal call packs nothing
+    laurent._keyed_table.cache_clear()
+    assert laurent._keyed_table.cache_info().maxsize is not None
+    assert laurent._keyed_norm.cache_info().maxsize is not None
+    packed = []
+    kronecker = QLaurent.kronecker
+    monkeypatch.setattr(QLaurent, "kronecker", lambda self, B, lo=None: packed.append(B) or kronecker(self, B, lo))
+    first = run()
+    assert packed
+    packed.clear()
+    assert run() == first
+    assert packed == []
 
 
 def test_x0_weights_are_folded_once_and_read_only():

@@ -579,6 +579,45 @@ def test_cyclo_kronecker_is_the_expansion_at_a_power_of_two(scale, B):
                 method(B)
 
 
+@st.composite
+def wide_cyclos(draw):
+    """sign * q^shift * prod_d Psi_d^e: sign 0 among them, a shift that may
+    be negative, and exponents up to 80, so that values such as (1 - q)^80
+    have coefficients past 64 bits; one exponent in four is negative."""
+    exps = draw(st.dictionaries(st.integers(1, 12), st.integers(1, 80), max_size=3))
+    exps = {d: -e if draw(st.integers(0, 3)) == 0 else e for d, e in exps.items()}
+    return Cyclo(draw(st.sampled_from((0, 1, -1))), draw(st.integers(-6, 6)), exps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_cyclos())
+def test_expand_is_the_dense_product(value):
+    # one Kronecker evaluation, decoded once, against the binomial-by-binomial
+    # product on dense lists that Cyclo.times keeps
+    if not value.is_polynomial():
+        with pytest.raises(ArithmeticError, match="not a polynomial"):
+            value.expand()
+        return
+    assert value.expand() == value.times(ONE)
+
+
+def test_expand_width_holds_what_the_bound_allows(monkeypatch):
+    # from_kronecker reads a coefficient c exactly when |c| < 2^(B-1), and a
+    # value of l1 norm L may hold all of L in one coefficient, so the width
+    # must put the bound below 2^(B-1): (1 - q)^80 reads C(80, 40) > 2^76
+    # at its middle term, (1 + q)^70 and Psi_6^90 sit near 64 bits
+    widths = []
+    decode = QLaurent.from_kronecker
+    monkeypatch.setattr(QLaurent, "from_kronecker",
+                        staticmethod(lambda lo, mag, B: widths.append(B) or decode(lo, mag, B)))
+    for value in (Cyclo.poch(1, 1) ** 80, Cyclo(-1, -3, {2: 70}), Cyclo(1, 0, {6: 90}),
+                  Cyclo.poch_product(Cyclo.qbinom(40, 20)), Cyclo(1, 5), Cyclo(0)):
+        got = value.expand()
+        assert widths[-1] >= 64 and value.l1_bound() < 1 << widths[-1] - 1, value
+        assert got == value.times(ONE)
+    assert max(map(abs, (Cyclo.poch(1, 1) ** 80).expand().terms.values())) > 1 << 76
+
+
 @settings(max_examples=300, deadline=None)
 @given(p=laurent_values, r=laurent_values, k=st.integers(1, 8), e=st.integers(-4, 4),
        mode=st.sampled_from(("any", "equal", "carry")))
