@@ -30,8 +30,8 @@ One planning pass over the factors gives every step its windows, its key
 move and whether it runs free, before the first state is visited.
 ``ct_fold`` decodes keys back to exponent tuples only at the end.  A
 weighted constant term folds once and contracts many jobs, each one weight
-map per slot, on the int keys themselves (``ct_contract``); a map named by a
-key is normed once and packed once per width.  The packed values,
+map per slot, on the int keys themselves (``ct_contract``); each map is
+named by a key, normed once and packed once per width.  The packed values,
 ``QLaurent.kronecker``'s (lo, mag) pairs, and their digit width B never
 leave this module.  ``Factored`` keeps
 a product of linear factors, a monomial and a ``Cyclo`` scalar unexpanded,
@@ -42,7 +42,7 @@ the reference the kernel must match exactly.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import prod
 from operator import add, mul
 
@@ -245,54 +245,48 @@ def fold_packed_raw(plan, extra_l1: int = 1):
     return _fold_packed(steps, base, radix, B), B
 
 
-def ct_contract(arity, factors, tlo, thi, jobs, weights=None) -> list[QLaurent]:
-    """Fold once, contract many.  A job is a tuple of ``arity`` weight maps
-    {exponent: QLaurent}, one per slot; for each job this returns
+def ct_contract(arity, factors, tlo, thi, jobs, weights) -> list[QLaurent]:
+    """Fold once, contract many.  A job is a tuple of ``arity`` hashable
+    keys, one per slot, and the slot's weight map {exponent: QLaurent} is
+    weights(*key), a function of the key alone; for each job this returns
     sum_e P_e prod_i w_i(e_i), P the product of linear factors (a, b, m)
     folded over the box [tlo, thi] (None for a side of the full expansion).
-    With ``weights`` given, a job holds a hashable key per slot instead, and
-    the slot's map is weights(*key), a function of the key alone.
 
     The fold runs once, at a digit width B that holds the largest product of
-    a job's map norms.  A keyed map is normed once per key and packed once
-    per key and width, in bounded caches, so a later call at the same width
-    packs nothing; a plain map is normed and packed on every call.  A job
-    contracts on the fold's int keys, one slot at a time, the last first:
-    divmod by the slot's radix splits a key into the slot's digit and the key
-    of the remaining slots, and the digit indexes the slot's packed weights.
-    When every slot of every job holds the same map (by identity), a state's
-    weight depends only on the multiset of its exponents, so the states are
-    first summed by multiset, once for all jobs.
+    a job's map norms.  Each map is named by a key, normed once per key and
+    packed once per key and width, in bounded caches, so a later call at the
+    same width packs nothing.  A job contracts on the fold's int keys, one
+    slot at a time, the last first: divmod by the slot's radix splits a key
+    into the slot's digit and the key of the remaining slots, and the digit
+    indexes the slot's packed weights.  When every slot of every job holds
+    the same key, a state's weight depends only on the multiset of its
+    exponents, so the states are first summed by multiset, once for all jobs.
     """
     jobs = [tuple(job) for job in jobs]
     if any(len(job) != arity for job in jobs):
-        raise ValueError("a job needs one weight map per slot")
+        raise ValueError("a job needs one key per slot")
     if not jobs:
         return []
-    if weights is None:
-        norm, table = _map_norm, _packed_map
-    else:
-        norm, table = partial(_keyed_norm, weights), partial(_keyed_table, weights)
     factors = list(factors)
-    l1 = max(prod(norm(w) for w in job) for job in jobs)
+    l1 = max(prod(_keyed_norm(weights, key) for key in job) for job in jobs)
     plan = _plan(factors, *_target(arity, factors, tlo, thi))
     state, B = fold_packed_raw(plan, max(l1, 1))
     if not state:
         return [ZERO] * len(jobs)
     _, base, radix, width = plan
-    if all(w is job[0] for job in jobs for w in job):
+    if all(key == job[0] for job in jobs for key in job):
         state, base, radix, width = _by_multiset(state, base, width, B)
-    rows: dict = {}  # (id of a slot's map, its box) -> packed weight per digit
+    rows: dict = {}  # (a slot's key, its box) -> packed weight per digit
     out = []
     decode = QLaurent.from_kronecker
     for job in jobs:
         level = state
         for v in range(arity - 1, -1, -1):
-            w, lo_v, width_v = job[v], base[v], width[v]
-            row = rows.get((id(w), lo_v, width_v))
+            key, lo_v, width_v = job[v], base[v], width[v]
+            row = rows.get((key, lo_v, width_v))
             if row is None:
-                packed = table(w, B)
-                row = rows[id(w), lo_v, width_v] = [packed.get(e) for e in range(lo_v, lo_v + width_v)]
+                packed = _keyed_table(weights, key, B)
+                row = rows[key, lo_v, width_v] = [packed.get(e) for e in range(lo_v, lo_v + width_v)]
             r = radix[v]
             nxt: dict = {}
             for k, (lo, mag) in level.items():
@@ -329,24 +323,16 @@ def _by_multiset(state, base, width, B):
     return out, [lo] * arity, [span ** v for v in range(arity)], [span] * arity
 
 
-def _map_norm(w) -> int:
-    """The l1 norm of a weight map, the sum of its values' norms."""
-    return sum(p.l1_norm() for p in w.values())
-
-
-def _packed_map(w, B) -> dict:
-    """A weight map packed at width B, zero weights left out."""
-    return {e: p.kronecker(B) for e, p in w.items() if p.terms}
-
-
 @lru_cache(maxsize=1024)
 def _keyed_norm(weights, key) -> int:
-    return _map_norm(weights(*key))
+    """The l1 norm of the weight map weights(*key), the sum of its values' norms."""
+    return sum(p.l1_norm() for p in weights(*key).values())
 
 
 @lru_cache(maxsize=1024)
 def _keyed_table(weights, key, B) -> dict:
-    return _packed_map(weights(*key), B)
+    """The weight map weights(*key) packed at width B, zero weights left out."""
+    return {e: p.kronecker(B) for e, p in weights(*key).items() if p.terms}
 
 
 class Factored:

@@ -725,13 +725,6 @@ class ZPoly:
         self.coeffs = list(coeffs)
         self.den = den
 
-    def kronecker(self, B: int) -> tuple[int, list[int]]:
-        """(lo, [C_0(2^B), ..., C_N(2^B)]) with every C_i taken times q^-lo,
-        lo the least exponent of any coefficient: for e >= 0,
-        sum_i C_i(2^B) 2^(B e i) is then numerator_at(e) times q^-lo at q = 2^B."""
-        lo = min((min(c.terms) for c in self.coeffs if c.terms), default=0)
-        return lo, [c.kronecker(B, lo)[1] for c in self.coeffs]
-
     def numerator_at(self, e: int) -> QLaurent:
         """sum_i C_i q^(e i): the value at z = q^e times den, by shifts only."""
         out: dict[int, int] = {}

@@ -107,21 +107,13 @@ def _node_width(top: Cyclo, den: Cyclo, degree: int, values) -> int:
 
     C(z) = top * prod_d (1 - q^d z) over ``degree`` roots has coefficients
     whose l1 norms sum to at most |top|_1 2^degree, which bounds every
-    coefficient of C(q^a) and of q^(d degree) C(q^-d); every coefficient of
-    den * v lies within |den|_1 |v|_1.  So no coefficient of a compared
-    difference reaches 2^(B-1): one bit of margin, as a zero test at 2^B
-    needs only that each stays below 2^B.
+    coefficient of C(q^a); every coefficient of den * v lies within
+    |den|_1 |v|_1.  So no coefficient of a compared difference reaches
+    2^(B-1): one bit of margin, as a zero test at 2^B needs only that each
+    stays below 2^B.
     """
     bound = den.l1_bound() * max(v.l1_norm() for v in values) + (top.l1_bound() << degree)
     return bound.bit_length() + 1
-
-
-def _at(digits, width: int) -> int:
-    """sum_i digits[i] 2^(width i), by Horner."""
-    acc = 0
-    for x in reversed(digits):
-        acc = (acc << width) + x
-    return acc
 
 
 def verify_roots(shape: Shape, b: int, c: int) -> dict:
@@ -138,14 +130,19 @@ def verify_roots(shape: Shape, b: int, c: int) -> dict:
     over and under the fraction bar: a polynomial of degree nb in z.  Each
     comparison is one integer equality at X = 2^B (Kronecker substitution),
     B from the coefficient bounds of ``_node_width``: node a fits when
-    q^shift C(q^a) and D times the brute value agree at X.  The nodes are
-    distinct, so the interpolant (the unique polynomial of degree <= nb + 1
-    through them) is the closed form exactly when the closed form fits every
-    node.  Then its degree and its values at the predicted roots are the
-    interpolant's; only on a miss does ``qring.interpolate`` build the
-    polynomial by Newton's divided differences, and its roots are tested at
-    the width its own coefficient norms give.  ``closed_form_match`` is
-    whether every node fit.
+    q^shift C(q^a) and D times the brute value agree at X, C(X^a) being
+    K+(X) times one shift-and-subtract per factor.  No z-coefficient is
+    built.  The nodes are distinct, so the interpolant (the unique
+    polynomial of degree <= nb + 1 through them) is the closed form exactly
+    when the closed form fits every node.  Then the degree and the roots are
+    read off the factors: K+ is not zero (every symbol of K has m >= 1 for
+    b, c >= 0), so the degree is the number of factors and q^-d is a root
+    exactly when d is one of the factors' d.  Only on a miss does
+    ``qring.interpolate`` build the polynomial by Newton's divided
+    differences; the degree is then the index of its top nonzero
+    coefficient, and each predicted root is tested exactly, by
+    ``ZPoly.numerator_at``.  ``closed_form_match`` is whether every node
+    fit.
 
     ``product_form_match`` compares the product form
     D_n(0) * prod_{d in R} (1 - q^d z) / (1 - q^d) with the closed form by
@@ -163,29 +160,31 @@ def verify_roots(shape: Shape, b: int, c: int) -> dict:
     top, den = _split(scale)
     B = _node_width(top, den, len(closed), values)
     lo, head = top.kronecker(B)
-    coeffs = [head]
-    for d in closed:
-        # times (1 - q^d z)
-        coeffs = [x - (y << B * d) for x, y in zip(coeffs + [0], [0] + coeffs)]
     den_x = den.kronecker(B)[1]
 
     def fits(a: int, v) -> bool:
         # q^lo C(q^a) against D v, both times q^-low at X
+        c_x = head
+        for d in closed:
+            # times (1 - X^(d + a))
+            c_x -= c_x << B * (d + a)
         v_lo, v_x = v.kronecker(B)
         low = min(lo, v_lo)
-        return _at(coeffs, B * a) << B * (lo - low) == den_x * v_x << B * (v_lo - low)
+        return c_x << B * (lo - low) == den_x * v_x << B * (v_lo - low)
 
     match = all(fits(a, v) for a, v in enumerate(values))
-    if not match:
+    if match:
+        degree, zeros = len(closed), set(closed)
+    else:
         poly = interpolate(values)
-        B = sum(x.l1_norm() for x in poly.coeffs).bit_length() + 1
-        coeffs = poly.kronecker(B)[1]
+        degree = max((i for i, x in enumerate(poly.coeffs) if not x.is_zero()), default=-1)
+        zeros = {d for d in set(union) if poly.numerator_at(-d).is_zero()}
     report = {
         "shape": shape.parts,
         "b": b,
         "c": c,
         "nb": nb,
-        "degree_bound_ok": max((i for i, x in enumerate(coeffs) if x), default=-1) <= nb,
+        "degree_bound_ok": degree <= nb,
         "regime": "c>=b (|R|=nb asserted, empirical bound)" if c >= b else "c<b (distinct roots only)",
         "disjoint": None,
         "root_count_ok": None,
@@ -200,8 +199,7 @@ def verify_roots(shape: Shape, b: int, c: int) -> dict:
         report["root_count_ok"] = len(union) == nb
     for d in sorted(set(union)):
         report["roots_checked"] += 1
-        # q^(dN) C(q^-d) = sum_i C_i q^(d (N - i)) at X
-        if _at(coeffs[::-1], B * d):
+        if d not in zeros:
             report["all_vanish"] = False
             report["first_failure"] = d
             break

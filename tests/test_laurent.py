@@ -788,36 +788,26 @@ def contract_cases(draw):
     return n, factors, tlo, thi, jobs
 
 
-@settings(max_examples=200, deadline=None)
-@given(contract_cases())
-def test_contract_matches_reference(case):
-    n, factors, tlo, thi, jobs = case
-    assert ct_contract(n, factors, tlo, thi, jobs) == [reference_contract(n, factors, tlo, thi, job)
-                                                        for job in jobs]
-
-
 def _map_of_items(*items) -> dict:
     return dict(items)
 
 
-@settings(max_examples=100, deadline=None)
+def _keyed(jobs) -> list:
+    """The jobs with each weight map named by its items, for ``_map_of_items``."""
+    return [tuple(tuple(sorted(w.items())) for w in job) for job in jobs]
+
+
+@settings(max_examples=200, deadline=None)
 @given(contract_cases())
-def test_keyed_contract_is_the_plain_contract(case):
-    # each map named by a key that determines it, its items: the keyed route
-    # norms and packs through the caches and must give the plain route's
-    # values, with the multiset path chosen by the keys' identity
+def test_contract_matches_reference(case):
     n, factors, tlo, thi, jobs = case
-    keys = {}
-    for job in jobs:
-        for w in job:
-            keys.setdefault(id(w), tuple(sorted(w.items())))
-    keyed = [tuple(keys[id(w)] for w in job) for job in jobs]
-    assert ct_contract(n, factors, tlo, thi, keyed, _map_of_items) == ct_contract(n, factors, tlo, thi, jobs)
+    assert ct_contract(n, factors, tlo, thi, _keyed(jobs), _map_of_items) == [
+        reference_contract(n, factors, tlo, thi, job) for job in jobs]
 
 
 def test_contract_of_no_jobs_folds_nothing(monkeypatch):
     monkeypatch.setattr(laurent, "fold_packed_raw", lambda *args, **kwargs: pytest.fail("a fold ran for no jobs"))
-    assert ct_contract(2, [(1, 2, 0)], (-1, -1), (1, 1), []) == []
+    assert ct_contract(2, [(1, 2, 0)], (-1, -1), (1, 1), [], _map_of_items) == []
 
 
 def test_contract_keeps_slots_apart_when_their_maps_differ():
@@ -825,8 +815,17 @@ def test_contract_keeps_slots_apart_when_their_maps_differ():
     # contracted over exponent multisets, alone or beside a symmetric job
     factors = [(1, 2, 0)]
     up, down, every = {1: ONE}, {-1: ONE}, {-1: ONE, 0: ONE, 1: ONE}
-    assert ct_contract(2, factors, None, None, [(up, down)]) == [QLaurent({0: -1})]
-    assert ct_contract(2, factors, None, None, [(down, up)]) == [QLaurent()]
-    assert ct_contract(2, factors, None, None, [(every, every), (up, down)]) == [QLaurent(), QLaurent({0: -1})]
+
+    def contract(jobs):
+        return ct_contract(2, factors, None, None, _keyed(jobs), _map_of_items)
+
+    assert contract([(up, down)]) == [QLaurent({0: -1})]
+    assert contract([(down, up)]) == [QLaurent()]
+    assert contract([(every, every), (up, down)]) == [QLaurent(), QLaurent({0: -1})]
     with pytest.raises(ValueError):
-        ct_contract(2, factors, None, None, [(up,)])
+        contract([(up,)])
+    # x2 and x3 of (1 - x1/x2)(1 - x2/x3)(1 - x3/x1) share one box, so a
+    # slot's packed weights must be found by its key, not by its box alone
+    cycle = [(1, 2, 0), (2, 3, 0), (3, 1, 0)]
+    jobs = [(up, down, every), (down, up, every)]
+    assert ct_contract(3, cycle, None, None, _keyed(jobs), _map_of_items) == [QLaurent({0: -1}), ONE]

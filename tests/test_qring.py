@@ -13,7 +13,6 @@ from qct.qring import (
     Cyclo,
     QFrac,
     QLaurent,
-    ZPoly,
     _from_list,
     _to_list,
     cyclo_sum,
@@ -653,10 +652,3 @@ def test_from_kronecker_inverts_kronecker(p, B):
         assert QLaurent.from_kronecker(*p.kronecker(B), B) == p
 
 
-@settings(max_examples=100, deadline=None)
-@given(coeffs=st.lists(laurent_values, min_size=1, max_size=4), e=st.integers(0, 3), B=st.integers(1, 30))
-def test_zpoly_kronecker_is_numerator_at_at_a_power_of_two(coeffs, e, B):
-    poly = ZPoly(coeffs, Cyclo())
-    lo, values = poly.kronecker(B)
-    assert values == [c.kronecker(B, lo)[1] for c in coeffs]
-    assert sum(x << B * e * i for i, x in enumerate(values)) == poly.numerator_at(e).kronecker(B, lo)[1]

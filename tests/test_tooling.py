@@ -129,7 +129,6 @@ def _named(node) -> list:
 # name the function as "module.py:Class.method" (or "module.py:function") and
 # say why no command reaches it.
 SPAN = "perfbench traces it by name, or only code it traces calls it: it leaves src with its benchmark span"
-MISS = "runs only when the roots check misses a node: tests/test_roots.py forces the miss"
 UNCALLED = {
     # the expanded form, which splitting.pair_product returns
     **{f"laurent.py:MLaurent.{name}": SPAN for name in (
@@ -143,7 +142,6 @@ UNCALLED = {
     **{name: SPAN for name in (
         "roots.py:product_form_coeffs", "roots.py:_factored_zpoly", "roots.py:leave_one_out_bound_holds",
         "splitting.py:pair_product", "splitting.py:residue_identity_holds")},
-    "qring.py:ZPoly.kronecker": MISS,
 }
 EXEMPT = ("__repr__", "__str__", "__hash__", "__eq__")
 
