@@ -146,8 +146,6 @@ def kadell_rhs(v, r: int, a) -> QLaurent:
     if len(nonzero) != 1:
         return ZERO
     k = nonzero[0] + 1  # 1-based slot holding r
-    if v[k - 1] != r:
-        return ZERO
     total = sum(a)
     if total == 0 or a[k - 1] == 0:
         return ZERO
@@ -206,17 +204,18 @@ def rec_scalar_rhs(shape: Shape, c: int, k: int) -> QLaurent:
     return Cyclo.poch_product(_recursion_step(shape.parts, 0, c, k)[0]).expand()
 
 
-def rec_scalar_identity_holds(shape: Shape, c: int, k: int | None = None) -> bool:
-    ks = [k] if k is not None else [
-        t for t in range(1, shape.p + 1) if shape.parts[t] == max(shape.parts[1:])
-    ]
-    return all(rec_scalar_lhs(shape, c, t) == rec_scalar_rhs(shape, c, t) for t in ks)
+def rec_scalar_identity_holds(shape: Shape, c: int) -> bool:
+    """The scalar recursion identity at every maximal decorated part k."""
+    top = max(shape.parts[1:])
+    return all(rec_scalar_lhs(shape, c, k) == rec_scalar_rhs(shape, c, k)
+               for k in range(1, shape.p + 1) if shape.parts[k] == top)
 
 
-def identity_suite(nmax: int = 8, shapes_nmax: int = 5, cmax: int = 3) -> dict:
-    """Check the q-summation identity, the q-binomial theorem, and the scalar
-    recursion identity over their default grids.  Returns a report dict; the
-    first failing tuple (if any) is recorded as the witness.
+def identity_suite(nmax: int, shapes_nmax: int, cmax: int) -> dict:
+    """Check the q-summation identity (n <= nmax), the q-binomial theorem
+    (t <= nmax) and the scalar recursion identity (shapes with n <=
+    shapes_nmax, c <= cmax).  Returns a report dict; the first failing tuple
+    (if any) is recorded as the witness.
     """
     report = {"qsum": "pass", "qbinom_theorem": "pass", "rec_scalar": "pass", "witness": None}
     for n in range(0, nmax + 1):

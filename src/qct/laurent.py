@@ -31,7 +31,9 @@ move and whether it runs free, before the first state is visited.
 ``ct_fold`` decodes keys back to exponent tuples only at the end.  A
 weighted constant term folds once and contracts many jobs, each one weight
 map per slot, on the int keys themselves (``ct_contract``); each map is
-named by a key, normed once and packed once per width.  The packed values,
+named by a key and built only when the key misses this module's bounded
+caches, which norm it once and pack it once per width: callers keep no
+cache of weights of their own.  The packed values,
 ``QLaurent.kronecker``'s (lo, mag) pairs, and their digit width B never
 leave this module.  ``Factored`` keeps
 a product of linear factors, a monomial and a ``Cyclo`` scalar unexpanded,
@@ -196,15 +198,6 @@ def _full_window(arity, factors):
     return tuple(lo), tuple(hi)
 
 
-def _target(arity, factors, tlo, thi):
-    """The target window as tuples; None on a side means the full expansion's."""
-    if tlo is None or thi is None:
-        lo, hi = _full_window(arity, factors)
-        tlo = lo if tlo is None else tlo
-        thi = hi if thi is None else thi
-    return tuple(tlo), tuple(thi)
-
-
 def ct_fold(arity, factors, tlo=None, thi=None) -> dict:
     """Expand a product of linear factors (a, b, m), keeping only exponents
     inside [tlo, thi].
@@ -215,7 +208,8 @@ def ct_fold(arity, factors, tlo=None, thi=None) -> dict:
     x^mu times the product is the coefficient at -mu.
     """
     factors = list(factors)
-    tlo, thi = _target(arity, factors, tlo, thi)
+    if tlo is None:
+        tlo, thi = _full_window(arity, factors)
     B = _digit_width(1 << len(factors))
     packed = _fold_tuples(factors, tlo, thi, B)
     decode = QLaurent.from_kronecker
@@ -250,7 +244,7 @@ def ct_contract(arity, factors, tlo, thi, jobs, weights) -> list[QLaurent]:
     keys, one per slot, and the slot's weight map {exponent: QLaurent} is
     weights(*key), a function of the key alone; for each job this returns
     sum_e P_e prod_i w_i(e_i), P the product of linear factors (a, b, m)
-    folded over the box [tlo, thi] (None for a side of the full expansion).
+    folded over the box [tlo, thi], two tuples.
 
     The fold runs once, at a digit width B that holds the largest product of
     a job's map norms.  Each map is named by a key, normed once per key and
@@ -269,7 +263,7 @@ def ct_contract(arity, factors, tlo, thi, jobs, weights) -> list[QLaurent]:
         return []
     factors = list(factors)
     l1 = max(prod(_keyed_norm(weights, key) for key in job) for job in jobs)
-    plan = _plan(factors, *_target(arity, factors, tlo, thi))
+    plan = _plan(factors, tlo, thi)
     state, B = fold_packed_raw(plan, max(l1, 1))
     if not state:
         return [ZERO] * len(jobs)

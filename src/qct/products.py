@@ -7,9 +7,8 @@ monomial prefactor only moves which coefficient is read; a weight, the x_0
 factor of a grid job or the Kadell h_r, is a weight map per slot that
 ``laurent.ct_contract`` contracts the folded product against.  Each slot
 names its map by a key, (a, b) for the x_0 weights and (v_i, a_i, r) for a
-Kadell slot, so the weight tables are built here from cached inputs
-(``x0_weights``, ``_gaussian``) and ``ct_contract`` norms each once and packs
-it once per digit width.
+Kadell slot, and ``ct_contract`` keeps the only cache: it builds a map when
+its key misses, norms it once and packs it once per digit width.
 
 The projective variable x_0 is set to 1 inside every builder (homogeneity of
 the full product makes this harmless for constant terms), so a product over
@@ -17,9 +16,6 @@ x_1..x_n has arity n.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
-from types import MappingProxyType
 
 from .laurent import ct_contract, ct_fold, ct_point
 from .qring import ONE, ZERO, Cyclo, QLaurent
@@ -184,9 +180,9 @@ def kadell_ct(v, r: int, a) -> QLaurent:
     coefficient P_{v-J} only if |J| = |v|: the value is zero unless |v| = r,
     and then |J| = r need not be imposed.  So slot i meets P at v_i - j with
     the weight [a_i + j - 1, j]_q, j from 0 to r (only 0 where a_i = 0), in
-    one contraction of P folded over the box [v - r, v].  Each weight is
-    expanded once per (a_i + j - 1, j), and each slot's map is named by
-    (v_i, a_i, r), so the contraction packs it once per digit width.
+    one contraction of P folded over the box [v - r, v].  Each slot's map is
+    named by (v_i, a_i, r), so the contraction builds it once and packs it
+    once per digit width.
     """
     v = tuple(v)
     n = len(a)
@@ -207,19 +203,9 @@ def _kadell_weights(x: int, ai: int, r: int) -> dict:
     return {x - j: _gaussian(ai + j - 1, j) for j in range(r + 1 if ai else 1)}
 
 
-@lru_cache(maxsize=256)
 def _gaussian(n: int, k: int) -> QLaurent:
     """The Gaussian binomial [n, k]_q expanded, a Kadell slot weight; 1 at k = 0."""
     return Cyclo.poch_product(Cyclo.qbinom(n, k)).expand() if k else ONE
-
-
-@lru_cache(maxsize=256)
-def x0_weights(a: int, b: int) -> MappingProxyType:
-    """Coefficients of (1/u)_a (q u)_b as a read-only map exponent -> QLaurent."""
-    if a < 0 or b < 0:
-        raise ValueError("Pochhammer lengths a, b must be nonnegative")
-    factors = [(None, 1, t) for t in range(a)] + [(1, None, 1 + t) for t in range(b)]
-    return MappingProxyType({e: c for (e,), c in ct_fold(1, factors).items()})
 
 
 def bf_ct_grid(shape: Shape, c: int, jobs) -> dict[tuple[int, int], QLaurent]:
@@ -239,6 +225,8 @@ def bf_ct_grid(shape: Shape, c: int, jobs) -> dict[tuple[int, int], QLaurent]:
     jobs = list(dict.fromkeys(jobs))
     if not jobs:
         return {}
+    if any(a < 0 or b < 0 for a, b in jobs):
+        raise ValueError("Pochhammer lengths a, b must be nonnegative")
     n = shape.n
     bmax = max(b for _, b in jobs)
     tlo = (-bmax,) * n
@@ -249,5 +237,6 @@ def bf_ct_grid(shape: Shape, c: int, jobs) -> dict[tuple[int, int], QLaurent]:
 
 def _x0_slot_weights(a: int, b: int) -> dict:
     """The weight map of every slot of a grid job (a, b): exponent v reads
-    the coefficient of u^-v in (1/u)_a (q u)_b."""
-    return {-e: w for e, w in x0_weights(a, b).items()}
+    the coefficient of u^-v in (1/u)_a (q u)_b, one fold of its a + b factors."""
+    factors = [(None, 1, t) for t in range(a)] + [(1, None, 1 + t) for t in range(b)]
+    return {-e: w for (e,), w in ct_fold(1, factors).items()}

@@ -96,14 +96,13 @@ class QLaurent:
     def l1_norm(self) -> int:
         return sum(map(abs, self.terms.values()))
 
-    def kronecker(self, B: int, lo: int | None = None) -> tuple[int, int]:
-        """(lo, the value of self * q^-lo at q = 2^B): lo is the least
-        exponent unless given, and no exponent may lie below it; (0, 0) for
-        zero.  Kronecker substitution: a polynomial whose coefficients all lie
-        below 2^B in absolute value is zero exactly when its value at 2^B is."""
+    def kronecker(self, B: int) -> tuple[int, int]:
+        """(lo, the value of self * q^-lo at q = 2^B), lo the least exponent;
+        (0, 0) for zero.  Kronecker substitution: a polynomial whose
+        coefficients all lie below 2^B in absolute value is zero exactly when
+        its value at 2^B is."""
         terms = self.terms
-        if lo is None:
-            lo = min(terms, default=0)
+        lo = min(terms, default=0)
         return lo, sum(c << B * (e - lo) for e, c in terms.items())
 
     @staticmethod
@@ -253,11 +252,9 @@ def _to_list(p: QLaurent, lo: int = 0) -> list[int]:
     return out
 
 
-def _from_list(coeffs: list[int], lo: int = 0, sign: int = 1) -> QLaurent:
-    """sign * sum_i coeffs[i] q^(lo+i), the inverse of _to_list up to sign."""
-    if sign == 1:
-        return QLaurent({e: c for e, c in enumerate(coeffs, lo) if c}, _trusted=True)
-    return QLaurent({e: sign * c for e, c in enumerate(coeffs, lo) if c}, _trusted=True)
+def _from_list(coeffs: list[int], lo: int = 0) -> QLaurent:
+    """sum_i coeffs[i] q^(lo+i), the inverse of _to_list."""
+    return QLaurent({e: c for e, c in enumerate(coeffs, lo) if c}, _trusted=True)
 
 
 def _list_divmod(num: list[int], den: list[int]):
@@ -617,7 +614,7 @@ class Cyclo:
         if not self.exps:
             return QLaurent({e + shift: sign * c for e, c in p.terms.items()}, _trusted=True)
         lo = min(p.terms)
-        return _from_list(_times_psi(_to_list(p, lo), self.exps), lo + shift, sign)
+        return _from_list(_times_psi(_to_list(p, lo), self.exps), lo + shift).scale(sign)
 
     def expand(self) -> QLaurent:
         """The value as a QLaurent; it must be a polynomial.  One Kronecker
@@ -673,7 +670,7 @@ class Cyclo:
         sign, under = self.sign, _times_psi([1], den)
         if under[-1] < 0:
             sign, under = -sign, [-c for c in under]
-        return QFrac(_from_list(num, lo - self.shift, sign), _from_list(under), _reduced=True)
+        return QFrac(_from_list(num, lo - self.shift).scale(sign), _from_list(under), _reduced=True)
 
     def __repr__(self) -> str:
         if not self.sign:

@@ -54,7 +54,7 @@ def pair_product(shape: Shape, c: int) -> MLaurent:
 #
 # Each row: (range lo, range hi, q-exponent of the scalar prefactor,
 # bold monomial tag (None, "l/i", "i/l"), [(poch base, poch length), ...]);
-# ranges are inclusive in l and skip l = i automatically.
+# ranges are inclusive in l, and none holds l = i.
 
 
 def _acoeff_rows(shape: Shape, c: int, i: int, j: int, k: int):
@@ -110,8 +110,6 @@ def _acoeff_parts(shape: Shape, c: int, i: int, j: int, k: int):
     sign = 1
     for lo, hi, e, bold, pochs in _acoeff_rows(shape, c, i, j, k):
         for l in range(lo, hi + 1):
-            if l == i:
-                continue
             qexp += e
             if bold == "l/i":
                 sign = -sign

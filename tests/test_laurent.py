@@ -24,10 +24,12 @@ def packed_mul(a, b):
 
 def packed_fold(arity, factors, tlo=None, thi=None, extra_l1=1):
     """``fold_packed_raw`` on the plan of the factors into [tlo, thi] (None
-    for a side of the full expansion), its int keys decoded to exponent
+    for both sides of the full expansion), its int keys decoded to exponent
     tuples: ({exponent tuple: (lo, mag)}, B)."""
     factors = list(factors)
-    plan = laurent._plan(factors, *laurent._target(arity, factors, tlo, thi))
+    if tlo is None:
+        tlo, thi = laurent._full_window(arity, factors)
+    plan = laurent._plan(factors, tlo, thi)
     state, B = fold_packed_raw(plan, extra_l1)
     return (laurent._decode_keys(state, plan[1], plan[3]) if plan else {}), B
 
@@ -762,15 +764,15 @@ _WEIGHT_MAP = st.builds(
 
 @st.composite
 def contract_cases(draw):
-    """(arity, triples, tlo, thi, jobs): random linear factors under a point,
-    wide or unconstrained box, and one to four jobs, each one map in every
-    slot or a map per slot, sometimes all of the first kind, sometimes with a
-    job repeated."""
+    """(arity, triples, tlo, thi, jobs): random linear factors under a point
+    or wide box or the full expansion's, and one to four jobs, each one map
+    in every slot or a map per slot, sometimes all of the first kind,
+    sometimes with a job repeated."""
     n = draw(st.integers(1, 3))
     factors = _draw_triples(draw, n)
-    window = draw(st.sampled_from(("point", "wide", "none")))
-    if window == "none":
-        tlo = thi = None
+    window = draw(st.sampled_from(("point", "wide", "full")))
+    if window == "full":
+        tlo, thi = laurent._full_window(n, factors)
     elif window == "point":
         tlo = thi = draw(st.tuples(*[st.integers(-2, 2)] * n))
     else:
@@ -817,7 +819,7 @@ def test_contract_keeps_slots_apart_when_their_maps_differ():
     up, down, every = {1: ONE}, {-1: ONE}, {-1: ONE, 0: ONE, 1: ONE}
 
     def contract(jobs):
-        return ct_contract(2, factors, None, None, _keyed(jobs), _map_of_items)
+        return ct_contract(2, factors, (-1, -1), (1, 1), _keyed(jobs), _map_of_items)
 
     assert contract([(up, down)]) == [QLaurent({0: -1})]
     assert contract([(down, up)]) == [QLaurent()]
@@ -828,4 +830,5 @@ def test_contract_keeps_slots_apart_when_their_maps_differ():
     # slot's packed weights must be found by its key, not by its box alone
     cycle = [(1, 2, 0), (2, 3, 0), (3, 1, 0)]
     jobs = [(up, down, every), (down, up, every)]
-    assert ct_contract(3, cycle, None, None, _keyed(jobs), _map_of_items) == [QLaurent({0: -1}), ONE]
+    assert ct_contract(3, cycle, *laurent._full_window(3, cycle), _keyed(jobs), _map_of_items) == [
+        QLaurent({0: -1}), ONE]

@@ -19,7 +19,6 @@ from qct.products import (
     pair_linear,
     qdyson_factors,
     qmorris_ct,
-    x0_weights,
 )
 from qct.qring import ONE, QFrac, QLaurent
 from test_laurent import constant_coefficient, ct, monomial, packed_fold, packed_mul
@@ -216,9 +215,9 @@ def test_kadell_ct_simple():
     lambda: bf_ct(Shape((1, 1)), -1, 1, 1),
     lambda: bf_factors(Shape((1, 1)), 1, -1, 1),
     lambda: bf_factors(Shape((1, 1)), 1, 1, -1),
-    lambda: x0_weights(1, -1),
+    lambda: bf_ct_grid(Shape((1, 1)), 1, [(1, -1)]),
     lambda: bf_ct_grid(Shape((1, 1)), 1, [(-1, 1)]),
-], ids=["qdyson_factors", "pair_linear", "bf_factors-a", "bf_factors-b", "bf_factors-c", "x0_weights",
+], ids=["qdyson_factors", "pair_linear", "bf_factors-a", "bf_factors-b", "bf_factors-c", "bf_ct_grid-b",
         "bf_ct_grid"])
 def test_builders_reject_negative_pochhammer_lengths(build):
     # (x)_k has no meaning at k < 0; a builder that read range(k) as empty
@@ -330,11 +329,17 @@ def test_grid_of_no_jobs_is_empty(monkeypatch):
         assert bf_ct_grid(shape, 1, []) == {}
 
 
+def x0_map(a: int, b: int) -> dict:
+    """The coefficients of (1/u)_a (q u)_b as a map exponent -> QLaurent."""
+    factors = [(None, 1, t) for t in range(a)] + [(1, None, 1 + t) for t in range(b)]
+    return {e: v for (e,), v in ct_fold(1, factors).items()}
+
+
 def reference_grid_contraction(shape, c, jobs):
     """bf_ct_grid's values by the all-slot contraction: every exponent vector
     of the windowed pair product times the x_0 weight of each of its slots."""
     n = shape.n
-    weights = {ab: x0_weights(*ab) for ab in jobs}
+    weights = {ab: x0_map(*ab) for ab in jobs}
     wl1 = max(sum(x.l1_norm() for x in w.values()) for w in weights.values())
     amax = max(a for a, _ in jobs)
     bmax = max(b for _, b in jobs)
@@ -409,22 +414,12 @@ def test_slot_weights_are_packed_once_per_width(monkeypatch, run):
     assert laurent._keyed_norm.cache_info().maxsize is not None
     packed = []
     kronecker = QLaurent.kronecker
-    monkeypatch.setattr(QLaurent, "kronecker", lambda self, B, lo=None: packed.append(B) or kronecker(self, B, lo))
+    monkeypatch.setattr(QLaurent, "kronecker", lambda self, B: packed.append(B) or kronecker(self, B))
     first = run()
     assert packed
     packed.clear()
     assert run() == first
     assert packed == []
-
-
-def test_x0_weights_are_folded_once_and_read_only():
-    for a, b in itertools.product(range(4), repeat=2):
-        weights = x0_weights(a, b)
-        factors = [(None, 1, t) for t in range(a)] + [(1, None, 1 + t) for t in range(b)]
-        assert dict(weights) == {e: v for (e,), v in ct_fold(1, factors).items()}
-        assert x0_weights(a, b) is weights
-        with pytest.raises(TypeError):
-            weights[0] = ONE
 
 
 def test_qdyson_matches_rhs_grid():

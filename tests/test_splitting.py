@@ -1,3 +1,5 @@
+import argparse
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -381,6 +383,17 @@ def test_denominator_factor_counts():
     assert len(denominator_factors(Shape((1, 2)), 1)) == 5
     with pytest.raises(ValueError):
         denominator_factors(Shape((3,)), 1)
+
+
+def test_no_table_row_holds_its_own_variable():
+    # _acoeff_parts walks each row's l over [lo, hi] and keeps every l, so
+    # across the default grid no row of coefficient A_{ij} may hold l = i
+    for case in cli._cases_splitting(argparse.Namespace(shape=None, c=None)):
+        shape, c = Shape(case["shape"]), case["c"]
+        k = shape.max_block()
+        for j, i in denominator_factors(shape, c, k):
+            rows = splitting._acoeff_rows(shape, c, i, j, k)
+            assert not any(lo <= i <= hi for lo, hi, *_ in rows), (shape.parts, c, i, j)
 
 
 def test_admissible_j_ranges():

@@ -145,18 +145,58 @@ UNCALLED = {
 }
 EXEMPT = ("__repr__", "__str__", "__hash__", "__eq__")
 
+# The defaulted parameters to which the run in test_every_library_function_runs
+# passes only their default, in functions that ran, each with the reason it
+# stays a parameter.  Name one as "module.py:Class.method(parameter)".  A
+# setting that only one value reaches is a constant: drop the parameter
+# unless code outside src sets it.
+ONE_VALUE = {
+    "closedform.py:all_shapes(canonical)": "perfbench's op lists and the tests draw canonical shapes",
+    "splitting.py:SplitDecomposition.__init__(k)": f"only residue_identity_holds sets it: {SPAN}",
+}
+
 # Runs argv lists through qct.cli.main in a fresh process with a profiler
 # installed before qct is imported, so import-time calls count and no cache
-# is warm; prints each exit code and the (file name, first line) of every
-# function in the library that was called.
+# is warm.  Once qct.cli is imported it maps the code of every library
+# function with defaults to them, and drops a parameter from the map when a
+# call passes it a value that is not its default (one that neither is the
+# default nor equals it at the same type).  Prints each exit code, the
+# (file name, first line) of every function in the library that was called,
+# and (file name, first line, parameter) for every parameter left in the map.
 REACH_PROBE = """
-import contextlib, io, json, os, sys
+import contextlib, inspect, io, json, os, sys
 called = set()
+unvaried = {}
 def record(frame, event, arg):
     if event == "call":
-        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+        code = frame.f_code
+        called.add((code.co_filename, code.co_firstlineno))
+        left = unvaried.get(code)
+        if left:
+            args = frame.f_locals
+            for name in [name for name, d in left.items()
+                         if not (args[name] is d or type(args[name]) is type(d) and args[name] == d)]:
+                del left[name]
 sys.setprofile(record)
 import qct, qct.cli
+src = os.path.dirname(qct.__file__)
+def functions(namespace):
+    for obj in list(vars(namespace).values()):
+        if inspect.isclass(obj) and obj.__module__.startswith("qct."):
+            yield from functions(obj)
+        obj = getattr(obj, "__func__", obj)
+        if callable(obj):
+            obj = inspect.unwrap(obj)
+        if inspect.isfunction(obj) and os.path.dirname(obj.__code__.co_filename) == src:
+            yield obj
+for module in [module for name, module in sys.modules.items() if name.startswith("qct.")]:
+    for f in functions(module):
+        code = f.__code__
+        names = code.co_varnames[:code.co_argcount]
+        defaults = f.__defaults__ or ()
+        params = {**dict(zip(names[len(names) - len(defaults):], defaults)), **(f.__kwdefaults__ or {})}
+        if params:
+            unvaried[code] = params
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -165,8 +205,9 @@ for argv in json.loads(sys.argv[1]):
         except SystemExit as exc:
             codes.append(exc.code)
 sys.setprofile(None)
-src = os.path.dirname(qct.__file__)
-print(json.dumps([codes, sorted((os.path.basename(f), line) for f, line in called if os.path.dirname(f) == src)]))
+print(json.dumps([codes, sorted((os.path.basename(f), line) for f, line in called if os.path.dirname(f) == src),
+                  sorted((os.path.basename(code.co_filename), code.co_firstlineno, name)
+                         for code, left in unvaried.items() for name in left)]))
 """
 
 
@@ -213,24 +254,33 @@ def _library_functions() -> dict:
 
 def test_every_library_function_runs(tmp_path):
     # src holds only what its commands run: every function runs under the
-    # suites and commands below, or has an UNCALLED entry; an entry whose
-    # function ran or is gone is stale.  The run is a fresh process, since a
-    # cache warmed by an earlier test would keep its function's body from
-    # running here.
+    # suites and commands below, or has an UNCALLED entry, and every
+    # defaulted parameter of a function that ran takes a value other than its
+    # default, or has a ONE_VALUE entry.  An UNCALLED entry whose function
+    # ran or is gone is stale, and so is a ONE_VALUE entry whose parameter
+    # took another value, did not run or is gone.  The run is a fresh
+    # process, since a cache warmed by an earlier test would keep its
+    # function's body from running here.
     commands = _reach_commands(tmp_path)
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", REACH_PROBE, json.dumps([argv for argv, _ in commands])],
                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True).stdout
-    codes, called = json.loads(out)
+    codes, called, unvaried = json.loads(out)
     assert codes == [code for _, code in commands]
     functions = _library_functions()
     assert len(functions) > 200
-    ran = {functions[key] for key in map(tuple, called) if key in functions}
+    called_keys = set(map(tuple, called))
+    ran = {functions[key] for key in called_keys if key in functions}
     uncalled = sorted(name for name in functions.values()
                       if name not in ran and name not in UNCALLED and re.split("[:.]", name)[-1] not in EXEMPT)
     stale = sorted(name for name in UNCALLED if name in ran or name not in functions.values())
     assert not uncalled, f"library functions no command runs (move them to the tests, or add an entry): {uncalled}"
     assert not stale, f"UNCALLED entries whose function ran or is gone: {stale}"
+    fixed = {f"{functions[file, line]}({name})" for file, line, name in unvaried if (file, line) in called_keys}
+    unlisted = sorted(fixed - set(ONE_VALUE))
+    stale = sorted(set(ONE_VALUE) - fixed)
+    assert not unlisted, f"parameters passed only their default (make them constants, or add an entry): {unlisted}"
+    assert not stale, f"ONE_VALUE entries whose parameter took another value, did not run or is gone: {stale}"
 
 
 def test_library_reads_no_environment():
