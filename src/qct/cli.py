@@ -329,6 +329,11 @@ def _cases_lemma_key(args):
 
 
 def _run_lemma_key(params):
+    """One lemma-key case: the paper's fixed path-weight examples; the key
+    lemma over every admissible k of one composition r at b, c, t <= 2,
+    each k the enumerator yields classified at its own (b, c, t), one list
+    per call; or the least and leave-one-out path weights of every
+    composition of s."""
     if params["kind"] == "examples":
         n1 = sum(roots.path_weight((9, 10, 3, 5, 6, 8, 4, 2, 7, 1), (3, 3, 4)))
         w0, n2 = roots.min_weight_witness((3, 3, 4))
@@ -336,13 +341,16 @@ def _run_lemma_key(params):
         return ok, None if ok else {"N_example": n1, "w0": list(w0), "N_w0": n2}
     if params["kind"] == "classify":
         # every k the enumerator skips falls under case 1, 2 or 3 by
-        # construction, so classifying the rest covers the whole box; one
-        # enumeration per c, at b = 0 and the largest t, yields every (b, t)
+        # construction, so classifying the rest covers the whole box; two
+        # enumerations, at c = 0 and c = 1, b = 0 and the largest t, yield
+        # every (b, c, t): the c = 2 list is the c = 1 list stretched once
         r = tuple(params["r"])
-        wide = [roots.lemma_key_survivors(0, c, 2, r) for c in range(3)]
+        wide = [roots.lemma_key_survivors(0, c, 2, r) for c in range(2)]
+        wide.append(roots.lemma_key_rebase(wide[1], 1, 0, 2, 2))
         for b, c, t in product(range(3), repeat=3):
-            for k in roots.lemma_key_rebase(wide[c], b, c, t):
-                if roots.lemma_key_classify(k, b, c, t, r)[0] != 4:
+            ks = roots.lemma_key_rebase(wide[c], c, b, c, t)
+            for k, (case, _) in zip(ks, roots.lemma_key_classify(ks, b, c, t, r)):
+                if case != 4:
                     return False, {"k": list(k), "b": b, "c": c, "t": t}
         return True, None
     if params["kind"] == "minweight":

@@ -401,13 +401,9 @@ def check_property_expand(shape, b, c, d, u, k) -> dict:
     for r, (m, i) in enumerate(dens):
         if i < head:
             continue
-        # the cleared factor was (1 - q^{k_s - d + t} x_head/x_i), fixing
-        # k_{s+1} = d - t = k_s - (its q-exponent)
+        # the cleared factor was (1 - q^{k_s - d + t} x_head/x_i), i not in
+        # u, fixing k_{s+1} = d - t = k_s - (its q-exponent), in 1..d
         k1 = ks - m
-        if not 1 <= k1 <= d or i in q.u:
-            report["ok"] = False
-            report["witness"] = {"head": i, "bad_k": k1}
-            return report
         child = _substitute(term, r)
         cand = QukFactors(shape, b, c, d, q.u + (i,), q.k + (k1,))
         if (child[4] != cand.head or sorted(child[3]) != sorted(cand.dens)

@@ -1,6 +1,8 @@
 """Predicted root sets of the constant term as a polynomial in q^a, the
 threshold table t_s behind them, polynomial reconstruction by interpolation,
-and the path-weight combinatorics that drives the vanishing analysis."""
+the path-weight combinatorics that drives the vanishing analysis, and the key
+lemma's classifier with the enumeration of the k-vectors that escape its
+cases 1-3, whose lists at every c >= 1 are read off the one at c = 1."""
 
 from __future__ import annotations
 
@@ -360,40 +362,47 @@ def _key_tables(ids: tuple) -> tuple:
     return tuple(cross), tuple(same), maxr, chi
 
 
-def lemma_key_classify(k, b: int, c: int, t: int, r) -> tuple[int, object]:
-    """Classify an admissible k-vector into the first applicable case.
+def lemma_key_classify(ks, b: int, c: int, t: int, r) -> list[tuple[int, object]]:
+    """Classify admissible k-vectors, each into the first applicable case.
 
-    Cases: (1) some k_i <= b; (2) a cross-block pair with difference in
-    [-c, c-1]; (3) a same-block pair with difference in [-c-1, c]; (4) a
+    ``ks`` holds the k of one (b, c, t, r), and the verdicts come in its
+    order.  Cases: (1) some k_i <= b; (2) a cross-block pair with difference
+    in [-c, c-1]; (3) a same-block pair with difference in [-c-1, c]; (4) a
     permutation w and slack vector d realizing the staircase growth pattern.
-    Raises LemmaFalsified when nothing applies (which would refute the lemma).
+    The block labels, their tables and the box top are read once per list.
+    Raises LemmaFalsified when nothing applies to some k (which would refute
+    the lemma).
     """
-    k = tuple(k)
     r = tuple(r)
     ids = _block_ids(r)
     s = len(ids) - 1
-    if len(k) != s:
-        raise ValueError("k length must equal sum(r)")
-    low = min(k)
-    if low < 1 or max(k) > (s - 1) * c + b + t:
-        raise ValueError("k out of the admissible range")
-    if low <= b:
-        for i, ki in enumerate(k):
-            if ki <= b:
-                return (1, i + 1)
+    top = (s - 1) * c + b + t
     cross, same, _, _ = _key_tables(ids)
-    lo, hi = -c, c - 1
-    for i, j, pair in cross:
-        if lo <= k[i] - k[j] <= hi:
-            return (2, pair)
-    lo, hi = -c - 1, c
-    for i, j, pair in same:
-        if lo <= k[i] - k[j] <= hi:
-            return (3, pair)
-    found = case4_staircase(k, ids, b, c, t)
-    if found is not None:
-        return (4, found)
-    raise LemmaFalsified(f"no case applies for k={k}, b={b}, c={c}, t={t}, r={r}")
+    out = []
+    for k in ks:
+        if len(k) != s:
+            raise ValueError("k length must equal sum(r)")
+        low = min(k)
+        if low < 1 or max(k) > top:
+            raise ValueError("k out of the admissible range")
+        if low <= b:
+            out.append((1, next(i for i, ki in enumerate(k, 1) if ki <= b)))
+            continue
+        for i, j, pair in cross:
+            if -c <= k[i] - k[j] < c:
+                out.append((2, pair))
+                break
+        else:
+            for i, j, pair in same:
+                if -c - 1 <= k[i] - k[j] <= c:
+                    out.append((3, pair))
+                    break
+            else:
+                found = case4_staircase(k, ids, b, c, t)
+                if found is None:
+                    raise LemmaFalsified(f"no case applies for k={tuple(k)}, b={b}, c={c}, t={t}, r={r}")
+                out.append((4, found))
+    return out
 
 
 def case4_staircase(k, ids, b: int, c: int, t: int):
@@ -407,26 +416,29 @@ def case4_staircase(k, ids, b: int, c: int, t: int):
     """
     _, _, maxr, chi = _key_tables(ids)
     # d_j >= 0 makes k nondecreasing along w, and a tie needs a descent, so
-    # the one candidate is the positions ordered by (k_x, -x)
-    w = sorted(range(1, len(k) + 1), key=lambda x: (k[x - 1], -x))
+    # the one candidate is the positions ordered by (k_x, -x): a stable sort
+    # by k_x of the 0-based positions, largest first
+    w = sorted(range(len(k) - 1, -1, -1), key=k.__getitem__)
     prev = w[0]
     # the first step leaves the start, which shares no block and lies below
     # every position: d_1 = k_{w_1} - b >= 1
-    k_prev = k[prev - 1]
+    k_prev = k[prev]
     total = k_prev - b
     if total < 1:
         return None
     d = [total]
-    row = chi[prev - 1]
+    row = chi[prev]
     for x in w[1:]:
-        k_x, chi_x = k[x - 1], row[x - 1]
+        k_x, chi_x = k[x], row[x]
         dj = k_x - k_prev - c - chi_x
         if dj < (prev < x):  # d_j >= 0, and d_j >= 1 after an ascent
             return None
         total += chi_x + dj
         d.append(dj)
-        prev, k_prev, row = x, k_x, chi[x - 1]
-    return (tuple(w), tuple(d)) if maxr <= total <= t else None
+        prev, k_prev, row = x, k_x, chi[x]
+    if maxr <= total <= t:
+        return tuple(map((1).__add__, w)), tuple(d)
+    return None
 
 
 def lemma_key_survivors(b: int, c: int, t: int, r) -> list[tuple[int, ...]]:
@@ -440,7 +452,9 @@ def lemma_key_survivors(b: int, c: int, t: int, r) -> list[tuple[int, ...]]:
     (the [y < x] term is the tie rule of that order), and case 1 excludes
     v <= b.  So each open position carries its least admissible value, and a
     placement raises those of the others.  Every such gap is at least c, so
-    with m positions open v stays at most the box's top less (m - 1)c.
+    with m positions open v stays at most the box's top less (m - 1)c.  A
+    placement that raises an open position past the top is a dead end, and
+    so is every larger v, so the search backtracks there.
     """
     if min(b, c, t) < 0:
         raise ValueError("b, c and t must be nonnegative")
@@ -465,26 +479,62 @@ def lemma_key_survivors(b: int, c: int, t: int, r) -> list[tuple[int, ...]]:
                     continue
                 raised = lo[:]
                 for z in rest:
-                    if v + gap_x[z] > raised[z]:
-                        raised[z] = v + gap_x[z]
-                extend(rest, raised)
+                    u = v + gap_x[z]
+                    if u > raised[z]:
+                        if u > top:
+                            break
+                        raised[z] = u
+                else:
+                    extend(rest, raised)
+                    continue
+                break  # z has no value left in the box, at this v or any larger one
 
     extend(list(range(s)), [b + 1] * s)
     return out
 
 
-def lemma_key_rebase(wide, b: int, c: int, t: int) -> list[tuple[int, ...]]:
+def lemma_key_rebase(wide, wide_c: int, b: int, c: int, t: int) -> list[tuple[int, ...]]:
     """lemma_key_survivors(b, c, t, r) read off wide = lemma_key_survivors(0,
-    c, t', r) for any t' >= t, in the enumerator's order.
+    wide_c, t', r) for any t' >= t, in the enumerator's order, where wide_c
+    is c, or c and wide_c are both at least 1.
 
-    Cases 1-3 and the box [b+1, (s-1)c+b+t] depend on k only through k - b,
-    so the survivors at b are those at b = 0 shifted by b.  The enumerator's
-    order is lexicographic in its (position, value) steps, which a larger t
-    only extends, so the t list is the t' list capped at max(k) <= (s-1)c+t.
+    Shift by b: cases 1-3 and the box [b+1, (s-1)c+b+t] depend on k only
+    through k - b, so the survivors at b are those at b = 0 shifted by b.
+
+    Cap at t: the enumerator's order is lexicographic in its (position,
+    value) steps, which a larger t only extends, so the t list is the t'
+    list capped at max(k) <= (s-1)c+t, which is (s-1)wide_c+t before the
+    stretch below.
+
+    Stretch from wide_c to c: for c >= 1 every gap c + [y < x] + [x, y in one
+    decorated block] of lemma_key_survivors is at least 1, so a survivor's
+    values are distinct, and the gaps between consecutive values in value
+    order imply the rest.  For c >= 2 two gaps already sum to at least
+    2c >= c + 2, the widest gap any pair needs; for c = 1 a chain of values
+    from k_y up to k_x with y < x holds an ascent, so its gaps sum to at
+    least 3.  Each consecutive gap holds at c exactly when it holds, less
+    c - 1, at c = 1, so subtracting (c - 1)j from the j-th smallest entry
+    (j from 0) maps the c list one to one onto the c = 1 list, and adding
+    (c - wide_c)j maps the wide_c list onto the c list.  The enumerator
+    places values in increasing order, so the shift at each step depends
+    only on the step, and the order is kept.  At c = 0 ties are allowed, and
+    no list stretches to or from it.
     """
+    if (c == 0) != (wide_c == 0):
+        raise ValueError("only lists at c >= 1 stretch into one another")
     if not wide:
         return []
-    top = (len(wide[0]) - 1) * c + t
+    s = len(wide[0])
+    cap = (s - 1) * wide_c + t
+    capped = [k for k in wide if max(k) <= cap]
+    step = c - wide_c
+    if step:
+        offsets = range(b, b + step * s, step)  # b + step * j for the j-th smallest
+        out = []
+        for k in capped:
+            moved = dict(zip(sorted(k), offsets))
+            out.append(tuple([v + moved[v] for v in k]))
+        return out
     if b == 0:
-        return [k for k in wide if max(k) <= top]
-    return [tuple(map(b.__add__, k)) for k in wide if max(k) <= top]
+        return capped
+    return [tuple(map(b.__add__, k)) for k in capped]

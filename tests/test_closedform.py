@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qct import closedform
+from qct import cli, closedform
 from qct.closedform import (
     BFParams,
     all_shapes,
@@ -368,6 +368,23 @@ def test_identity_suite_green():
     rep = identity_suite(nmax=6, shapes_nmax=4, cmax=2)
     assert rep["witness"] is None
     assert rep["qsum"] == rep["qbinom_theorem"] == rep["rec_scalar"] == "pass"
+
+
+@pytest.mark.parametrize("name, bad, witness, fields", [
+    ("qsum_identity_holds", (3, 1), ("qsum", 3, 1), ("fail", "pass", "pass")),
+    ("qbinom_theorem_holds", (2,), ("qbinom_theorem", 2), ("pass", "fail", "pass")),
+])
+def test_identity_suite_reports_the_first_failing_identity(monkeypatch, name, bad, witness, fields):
+    # one identity made to fail at one argument fails the report there: its
+    # witness names the identity and the argument, and the qsum suite's case
+    # carries the report
+    holds = getattr(closedform, name)
+    monkeypatch.setattr(closedform, name, lambda *args: args != bad and holds(*args))
+    rep = identity_suite(nmax=6, shapes_nmax=4, cmax=2)
+    assert rep["witness"] == witness
+    assert (rep["qsum"], rep["qbinom_theorem"], rep["rec_scalar"]) == fields
+    ok, detail = cli._run_qsum(cli._cases_qsum(None)[0])
+    assert not ok and detail["witness"] == witness
 
 
 def test_identity_suite_checks_the_recursion_factor(monkeypatch):

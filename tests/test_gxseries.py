@@ -833,6 +833,33 @@ def test_property_expand_branch():
     assert rep["ok"] and rep["degree_ok"]
 
 
+def test_property_expand_fails_the_degree_condition_outside_its_range():
+    # at d = 1 the term of u = (1,) falls in no property's range, and its
+    # numerator's degree in the head reaches the number of denominators
+    shape = Shape((1, 1))
+    assert property_branch(shape, 0, 1, 1, (1,), (1,)) == "gap"
+    rep = check_property_expand(shape, 0, 1, 1, (1,), (1,))
+    assert not rep["ok"] and rep["degree_ok"] is False
+    assert rep["terms"] == 0 and rep["witness"] is None
+
+
+def test_property_expand_fails_a_child_that_the_next_level_does_not_build(monkeypatch):
+    # an elimination step whose result is off by a sign no longer matches
+    # the directly built next-level term: the first such child is the witness
+    shape, probe = Shape((1, 2)), (1, 1, 4, (1,), (3,))
+    substitute = gxseries._substitute
+
+    def flipped(term, r):
+        scale, *rest = substitute(term, r)
+        return (scale * Cyclo(-1), *rest)
+
+    monkeypatch.setattr(gxseries, "_substitute", flipped)
+    rep = check_property_expand(shape, *probe)
+    # the children at k_next = 4 and 3 are zero, which a sign leaves alone
+    assert not rep["ok"] and rep["degree_ok"] and rep["terms"] == 2
+    assert rep["witness"] == {"u_next": 2, "k_next": 2, "unmatched": True}
+
+
 def test_property_laurent_nontrivial():
     shape = Shape((2, 4))
     rep = check_property_laurent(shape, 1, 2, 5, (3, 4), (5, 2))

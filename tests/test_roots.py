@@ -556,23 +556,29 @@ def test_leave_one_out_bound():
         assert leave_one_out_bound_holds(w, (2, 2))
 
 
+def _classify(k, b, c, t, r):
+    """lemma_key_classify on the one-element list [k]: k's verdict."""
+    (verdict,) = lemma_key_classify([k], b, c, t, r)
+    return verdict
+
+
 def test_lemma_key_examples():
-    case, witness = lemma_key_classify((1, 3), 2, 1, 1, (2,))
+    case, witness = _classify((1, 3), 2, 1, 1, (2,))
     assert case == 1 and witness == 1
-    case, witness = lemma_key_classify((4, 3), 0, 2, 2, (2,))
+    case, witness = _classify((4, 3), 0, 2, 2, (2,))
     assert case == 2 and witness == (1, 2)
     # same-block pair window is one wider on each side: positions 2,3 share
     # the decorated block, difference -2 lands in [-c-1, c]
-    case, witness = lemma_key_classify((7, 2, 4), 1, 2, 2, (1, 2))
+    case, witness = _classify((7, 2, 4), 1, 2, 2, (1, 2))
     assert case == 3 and witness == (2, 3)
     with pytest.raises(ValueError):
-        lemma_key_classify((9, 1), 1, 1, 1, (2,))
+        _classify((9, 1), 1, 1, 1, (2,))
 
 
 def test_lemma_key_case4_witness():
     # k = (2, 5) on two singleton blocks with b=1, c=2, t=2: no small pair
     # differences, so the staircase pattern must kick in
-    case, witness = lemma_key_classify((2, 5), 1, 2, 2, (1, 1))
+    case, witness = _classify((2, 5), 1, 2, 2, (1, 1))
     assert case == 4
     w, d = witness
     assert d[0] >= 1
@@ -608,7 +614,7 @@ LEMMA_KEY_PINNED = [
 
 @pytest.mark.parametrize("args, expected", LEMMA_KEY_PINNED)
 def test_lemma_key_pinned_sample(args, expected):
-    assert lemma_key_classify(*args) == expected
+    assert _classify(*args) == expected
 
 
 def test_lemma_key_exhaustive_small():
@@ -619,7 +625,7 @@ def test_lemma_key_exhaustive_small():
             if bound < 1:
                 continue
             for k in itertools.product(range(1, bound + 1), repeat=s):
-                lemma_key_classify(k, b, c, t, r)  # must not raise
+                _classify(k, b, c, t, r)  # must not raise
 
 
 def _case4_by_scan(k, b, c, t, r):
@@ -722,6 +728,28 @@ def _survivors_by_filter(b, c, t, r):
     return prefixes
 
 
+def _suite_lists(r):
+    """What the lemma-key suite's classify case does for r: the list it
+    hands the classifier at each (b, c, t), in the order of its calls, and
+    the (b, c, t) of each enumeration it makes."""
+    lists, enumerated = {}, []
+    survivors = roots.lemma_key_survivors
+
+    def enumerate_(b, c, t, r):
+        enumerated.append((b, c, t))
+        return survivors(b, c, t, r)
+
+    def record(ks, b, c, t, r):
+        lists[b, c, t] = list(ks)
+        return [(4, None)] * len(ks)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roots, "lemma_key_survivors", enumerate_)
+        patch.setattr(roots, "lemma_key_classify", record)
+        assert cli._run_lemma_key({"kind": "classify", "r": list(r)}) == (True, None)
+    return lists, enumerated
+
+
 def _lemma_key_grid(s):
     """The lemma-key suite's (r, b, c, t) at one s: p <= 2 and b, c, t <= 2."""
     for r in _compositions(s):
@@ -733,19 +761,23 @@ def _lemma_key_grid(s):
 def test_lemma_key_survivors_match_brute_sweep():
     # every k of the box at s <= 4, classified one by one and by the scan
     # oracle, witnesses included: the case-4 set is the enumerator's output,
-    # each k once
+    # each k once, and the suite's route yields that output in order
     count = 0
+    routes = {}
     for s in range(1, 5):
         for r, b, c, t in _lemma_key_grid(s):
+            if r not in routes:
+                routes[r] = _suite_lists(r)[0]
             top = (s - 1) * c + b + t
             case4 = set()
             for k in itertools.product(range(1, top + 1), repeat=s):
-                verdict = lemma_key_classify(k, b, c, t, r)
+                verdict = _classify(k, b, c, t, r)
                 assert verdict == _classify_by_scan(k, b, c, t, r), (k, b, c, t, r)
                 if verdict[0] == 4:
                     case4.add(k)
             got = list(lemma_key_survivors(b, c, t, r))
             assert len(got) == len(set(got)) and set(got) == case4, (r, b, c, t)
+            assert routes[r][b, c, t] == got, (r, b, c, t)
             count += len(got)
     assert count == 1005
 
@@ -768,16 +800,16 @@ def test_lemma_key_classify_matches_the_scan(r, b, c, t, data):
     past = data.draw(st.sampled_from((None, None, 0, top + 1)))
     if past is not None:
         k[data.draw(st.integers(0, s - 1))] = past
-    assert _outcome(lemma_key_classify, k, b, c, t, r) == _outcome(_classify_by_scan, k, b, c, t, r)
+    assert _outcome(_classify, k, b, c, t, r) == _outcome(_classify_by_scan, k, b, c, t, r)
 
 
 def test_lemma_key_sort_matches_permutation_scan():
     count = 0
     for s in range(1, 6):
         for r, b, c, t in _lemma_key_grid(s):
-            for k in lemma_key_survivors(b, c, t, r):
-                assert lemma_key_classify(k, b, c, t, r) == (4, _case4_by_scan(k, b, c, t, r))
-                count += 1
+            ks = lemma_key_survivors(b, c, t, r)
+            assert lemma_key_classify(ks, b, c, t, r) == [(4, _case4_by_scan(k, b, c, t, r)) for k in ks]
+            count += len(ks)
     assert count == 2292
     for args, expected in LEMMA_KEY_PINNED:
         if expected[0] == 4:
@@ -797,9 +829,9 @@ def test_lemma_key_s7_grid():
     # and 4,857 at s <= 6 are the counts of an index-order backtracking search
     count = 0
     for r, b, c, t in _lemma_key_grid(7):
-        for k in lemma_key_survivors(b, c, t, r):
-            assert lemma_key_classify(k, b, c, t, r)[0] == 4
-            count += 1
+        ks = lemma_key_survivors(b, c, t, r)
+        assert all(case == 4 for case, _ in lemma_key_classify(ks, b, c, t, r))
+        count += len(ks)
     assert count == 9978 - 4857
 
 
@@ -818,52 +850,53 @@ def test_lemma_key_survivor_order_is_pinned():
 
 
 def test_lemma_key_rebase_matches_the_enumerator_on_the_suite_grid():
-    # one enumeration per (r, c) at b = 0 and t = 2, as the suite makes it,
-    # shifted and capped for every (b, t): the enumerator's own list, in order
+    # the suite's route, read off its calls: the c = 0 and c = 1 lists at
+    # b = 0 and t = 2, the c = 2 list stretched once off the c = 1 one, each
+    # shifted and capped for every (b, t); and the c = 3 lists stretched off
+    # the c = 1 one the same way.  Every one is the enumerator's own list, in
+    # order, at every composition of s <= 7 at every p
     count = 0
-    for s in range(1, 7):
+    for s in range(1, 8):
         for r in _compositions(s):
-            if len(r) <= 3:
-                for c in range(3):
-                    wide = lemma_key_survivors(0, c, 2, r)
-                    for b, t in itertools.product(range(3), repeat=2):
-                        got = lemma_key_rebase(wide, b, c, t)
-                        assert got == lemma_key_survivors(b, c, t, r), (r, b, c, t)
-                        count += len(got)
-    assert count == 4857
+            lists, _ = _suite_lists(r)
+            wide = lemma_key_rebase(lemma_key_survivors(0, 1, 2, r), 1, 0, 3, 2)
+            for b, t in itertools.product(range(3), repeat=2):
+                lists[b, 3, t] = lemma_key_rebase(wide, 3, b, 3, t)
+            assert len(lists) == 36
+            for (b, c, t), got in lists.items():
+                assert got == lemma_key_survivors(b, c, t, r), (r, b, c, t)
+                count += len(got)
+    assert count == 37191
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda r: sum(r) <= 5),
-       st.integers(0, 4), st.integers(0, 3), st.integers(0, 4), st.integers(0, 4))
-def test_lemma_key_rebase_property(r, b, c, t, t_wide):
+       st.integers(0, 4), st.integers(0, 3), st.integers(0, 4), st.integers(0, 4), st.integers(1, 3))
+def test_lemma_key_rebase_property(r, b, c, t, t_wide, wide_c):
+    # from any t' >= t, and at c >= 1 from any c' >= 1, stretching or shrinking
     t, t_wide = min(t, t_wide), max(t, t_wide)
-    wide = lemma_key_survivors(0, c, t_wide, r)
-    assert lemma_key_rebase(wide, b, c, t) == lemma_key_survivors(b, c, t, r)
+    wide_c = wide_c if c else 0
+    wide = lemma_key_survivors(0, wide_c, t_wide, r)
+    assert lemma_key_rebase(wide, wide_c, b, c, t) == lemma_key_survivors(b, c, t, r)
 
 
-def test_lemma_key_suite_classifies_every_survivor_at_its_own_parameters(monkeypatch):
-    # three enumerations for the 27 (b, c, t), and every k the enumerator
-    # yields at (b, c, t) goes to the classifier with that (b, c, t), in order
-    enumerated, classified = [], []
-    survivors = roots.lemma_key_survivors
+def test_lemma_key_rebase_keeps_c_0_apart():
+    # ties survive at c = 0 only, so no list stretches to or from it
+    for wide_c, c in ((0, 1), (1, 0), (0, 2)):
+        with pytest.raises(ValueError):
+            lemma_key_rebase(lemma_key_survivors(0, wide_c, 2, (1, 2)), wide_c, 0, c, 2)
 
-    def enumerate_(b, c, t, r):
-        enumerated.append((b, c, t))
-        return survivors(b, c, t, r)
 
-    def classify(k, b, c, t, r):
-        classified.append((tuple(k), b, c, t))
-        return (4, None)
-
-    monkeypatch.setattr(roots, "lemma_key_survivors", enumerate_)
-    monkeypatch.setattr(roots, "lemma_key_classify", classify)
+def test_lemma_key_suite_classifies_every_survivor_at_its_own_parameters():
+    # two enumerations for the 27 (b, c, t), at c = 0 and c = 1, and one
+    # classifier call per (b, c, t), in order, with every k the enumerator
+    # yields at that (b, c, t)
     r = (1, 2, 1)
-    assert cli._run_lemma_key({"kind": "classify", "r": list(r)}) == (True, None)
-    assert enumerated == [(0, 0, 2), (0, 1, 2), (0, 2, 2)]
-    assert classified == [(k, b, c, t) for b, c, t in itertools.product(range(3), repeat=3)
-                          for k in survivors(b, c, t, r)]
-    assert len(classified) == 54
+    lists, enumerated = _suite_lists(r)
+    assert enumerated == [(0, 0, 2), (0, 1, 2)]
+    assert list(lists) == list(itertools.product(range(3), repeat=3))
+    assert all(got == lemma_key_survivors(b, c, t, r) for (b, c, t), got in lists.items())
+    assert sum(map(len, lists.values())) == 54
 
 
 def test_lemma_key_minweight_cases_check_every_composition(monkeypatch):
@@ -911,19 +944,47 @@ def test_lemma_key_minweight_fails_a_leave_one_out_below_the_bound(monkeypatch):
 
 
 def test_lemma_key_classify_witness_reproduces(monkeypatch):
-    # a k that needs no case 4 fails the suite case with all it takes to rerun
+    # a k that needs no case 4 fails the suite case with all it takes to
+    # rerun: the first k of the first nonempty list
     calls = []
 
-    def case1(k, b, c, t, r):
-        calls.append((list(k), b, c, t))
-        return (1, 1)
+    def case1(ks, b, c, t, r):
+        calls.append((b, c, t))
+        return [(1, 1)] * len(ks)
 
     monkeypatch.setattr(roots, "lemma_key_classify", case1)
     ok, witness = cli._run_lemma_key({"kind": "classify", "r": [1, 2]})
-    k, b, c, t = calls[0]
-    assert not ok and len(calls) == 1
-    assert witness == {"k": k, "b": b, "c": c, "t": t}
-    assert tuple(k) == lemma_key_survivors(b, c, t, [1, 2])[0]
+    b, c, t = calls[-1]
+    assert not ok and all(not lemma_key_survivors(*params, [1, 2]) for params in calls[:-1])
+    assert witness == {"k": list(lemma_key_survivors(b, c, t, [1, 2])[0]), "b": b, "c": c, "t": t}
+
+
+def test_lemma_key_examples_case_reports_its_witness(monkeypatch):
+    # a witness permutation other than the paper's fails the fixed examples,
+    # with all three values
+    w0 = (7, 1, 4, 8, 2, 5, 9, 3, 6, 10)
+    monkeypatch.setattr(roots, "min_weight_witness", lambda r: (w0, 4))
+    ok, witness = cli._run_lemma_key({"kind": "examples"})
+    assert not ok and witness == {"N_example": 8, "w0": list(w0), "N_w0": 4}
+
+
+def test_lemma_key_case_fails_where_no_case_applies(monkeypatch, tmp_path):
+    # with no staircase found, the classifier raises LemmaFalsified on the
+    # first survivor; the suite case then fails with the error as its
+    # witness, and qct verify exits 1.  Every classify case with a survivor
+    # fails; the rest have none to classify
+    monkeypatch.setattr(roots, "case4_staircase", lambda *args: None)
+    with pytest.raises(LemmaFalsified):
+        lemma_key_classify(lemma_key_survivors(0, 1, 2, (1, 2)), 0, 1, 2, (1, 2))
+    case = cli._run_case("lemma-key", {"kind": "classify", "r": [1, 2]})
+    assert case["status"] == "fail" and case["witness"]["error"].startswith("LemmaFalsified: no case applies")
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "lemma-key", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    failed = [case["params"] for case in report["cases"] if case["status"] == "fail"]
+    assert failed == [params for params in cli._cases_lemma_key(None) if params["kind"] == "classify"
+                      and any(lemma_key_survivors(0, c, 2, params["r"]) for c in range(2))]
+    assert len(failed) == 27
 
 
 def test_lemma_key_survivors_reject_negative_parameters():
