@@ -332,8 +332,8 @@ def _run_lemma_key(params):
     """One lemma-key case: the paper's fixed path-weight examples; the key
     lemma over every admissible k of one composition r at b, c, t <= 2,
     each k the enumerator yields classified at its own (b, c, t), one list
-    per call; or the least and leave-one-out path weights of every
-    composition of s."""
+    per call in (b, c, t) order; or the least and leave-one-out path weights
+    of every composition of s."""
     if params["kind"] == "examples":
         n1 = sum(roots.path_weight((9, 10, 3, 5, 6, 8, 4, 2, 7, 1), (3, 3, 4)))
         w0, n2 = roots.min_weight_witness((3, 3, 4))
@@ -343,12 +343,18 @@ def _run_lemma_key(params):
         # every k the enumerator skips falls under case 1, 2 or 3 by
         # construction, so classifying the rest covers the whole box; two
         # enumerations, at c = 0 and c = 1, b = 0 and the largest t, yield
-        # every (b, c, t): the c = 2 list is the c = 1 list stretched once
+        # every (b, c, t), one rebase per (c, t) for every b: the c = 2
+        # lists are the c = 1 list stretched once, at t = 2, then capped
         r = tuple(params["r"])
+        bs = range(3)
         wide = [roots.lemma_key_survivors(0, c, 2, r) for c in range(2)]
-        wide.append(roots.lemma_key_rebase(wide[1], 1, 0, 2, 2))
-        for b, c, t in product(range(3), repeat=3):
-            ks = roots.lemma_key_rebase(wide[c], c, b, c, t)
+        lists = {(2, 2): roots.lemma_key_rebase(wide[1], 1, 2, 2, bs)}
+        wide.append(lists[2, 2][0])
+        for c, t in product(range(3), repeat=2):
+            if (c, t) not in lists:
+                lists[c, t] = roots.lemma_key_rebase(wide[c], c, c, t, bs)
+        for b, c, t in product(bs, repeat=3):
+            ks = lists[c, t][b]
             for k, (case, _) in zip(ks, roots.lemma_key_classify(ks, b, c, t, r)):
                 if case != 4:
                     return False, {"k": list(k), "b": b, "c": c, "t": t}

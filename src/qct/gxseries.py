@@ -467,7 +467,7 @@ def check_property_laurent(shape, b, c, d, u, k) -> dict:
     report["ledger_exponent"] = ell
     if ell < 0:
         report["ok"] = False
-        report["witness"] = "negative ledger exponent inside the laurent range"
+        report["witness"] = "negative ledger exponent"
         return report
     # precondition of the vanishing-coefficient family: the denominator
     # deficits must fit inside the undecorated block

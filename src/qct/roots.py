@@ -275,20 +275,17 @@ def min_path_weights_many(rs) -> list[tuple[int, int]]:
     for v in range(s):
         kept[1 << v][v] = ones << 1  # e_1 = 1
         dropped[1 << v][v] = ones
+    members = [[v for v in range(s) if mask >> v & 1] for mask in range(full + 1)]
     for mask in range(1, full):
         kept_m, dropped_m = kept[mask], dropped[mask]
-        for v in range(s):
-            kv = kept_m[v]
-            if not kv:  # v is not in mask
-                continue
-            dv, same_v = dropped_m[v], same[v]
-            for u in range(s):
-                if mask >> u & 1:
-                    continue
-                tk, td = (kv << 1, dv << 1) if v < u else (kv, dv)
-                nxt = mask | 1 << u
-                kept[nxt][u] |= tk + (tk & same_v[u])
-                dropped[nxt][u] |= (td + (td & same_v[u])) | kv  # or drop this step
+        outside = [(u, kept[mask | 1 << u], dropped[mask | 1 << u]) for u in members[full ^ mask]]
+        for v in members[mask]:
+            kv, dv, same_v = kept_m[v], dropped_m[v], same[v]
+            up = kv << 1, dv << 1  # an ascent v < u adds one
+            for u, kept_n, dropped_n in outside:
+                tk, td = up if v < u else (kv, dv)
+                kept_n[u] |= tk + (tk & same_v[u])
+                dropped_n[u] |= (td + (td & same_v[u])) | kv  # or drop this step
     best_kept = best_dropped = 0
     for u in range(s):
         best_kept |= kept[full][u]
@@ -370,20 +367,24 @@ def lemma_key_classify(ks, b: int, c: int, t: int, r) -> list[tuple[int, object]
     in [-c, c-1]; (3) a same-block pair with difference in [-c-1, c]; (4) a
     permutation w and slack vector d realizing the staircase growth pattern.
     The block labels, their tables and the box top are read once per list.
-    Raises LemmaFalsified when nothing applies to some k (which would refute
-    the lemma).
+    Each k is sorted once, into case 4's order of positions (see
+    case4_staircase), whose two ends give the range check.  Raises
+    LemmaFalsified when nothing applies to some k (which would refute the
+    lemma).
     """
     r = tuple(r)
     ids = _block_ids(r)
     s = len(ids) - 1
     top = (s - 1) * c + b + t
     cross, same, _, _ = _key_tables(ids)
+    positions = range(s - 1, -1, -1)
     out = []
     for k in ks:
         if len(k) != s:
             raise ValueError("k length must equal sum(r)")
-        low = min(k)
-        if low < 1 or max(k) > top:
+        w = sorted(positions, key=k.__getitem__)
+        low = k[w[0]]
+        if low < 1 or k[w[-1]] > top:
             raise ValueError("k out of the admissible range")
         if low <= b:
             out.append((1, next(i for i, ki in enumerate(k, 1) if ki <= b)))
@@ -398,27 +399,29 @@ def lemma_key_classify(ks, b: int, c: int, t: int, r) -> list[tuple[int, object]
                     out.append((3, pair))
                     break
             else:
-                found = case4_staircase(k, ids, b, c, t)
+                found = case4_staircase(k, ids, b, c, t, w)
                 if found is None:
                     raise LemmaFalsified(f"no case applies for k={tuple(k)}, b={b}, c={c}, t={t}, r={r}")
                 out.append((4, found))
     return out
 
 
-def case4_staircase(k, ids, b: int, c: int, t: int):
+def case4_staircase(k, ids, b: int, c: int, t: int, w=None):
     """Case 4 of ``lemma_key_classify``: the permutation w and slack vector d
     of the staircase pattern for k, or None.
 
     ``ids`` is a tuple: ``ids[x]`` labels position x = 1..s, and ``ids[0]``
     the start of every path, a label no position has.  Two positions share
     a decorated block exactly when they share a positive label, and every
-    other label occurs once.
+    other label occurs once.  ``w`` is the candidate order of the 0-based
+    positions below, when the caller has sorted k already.
     """
     _, _, maxr, chi = _key_tables(ids)
     # d_j >= 0 makes k nondecreasing along w, and a tie needs a descent, so
     # the one candidate is the positions ordered by (k_x, -x): a stable sort
     # by k_x of the 0-based positions, largest first
-    w = sorted(range(len(k) - 1, -1, -1), key=k.__getitem__)
+    if w is None:
+        w = sorted(range(len(k) - 1, -1, -1), key=k.__getitem__)
     prev = w[0]
     # the first step leaves the start, which shares no block and lies below
     # every position: d_1 = k_{w_1} - b >= 1
@@ -437,7 +440,7 @@ def case4_staircase(k, ids, b: int, c: int, t: int):
         d.append(dj)
         prev, k_prev, row = x, k_x, chi[x]
     if maxr <= total <= t:
-        return tuple(map((1).__add__, w)), tuple(d)
+        return tuple([x + 1 for x in w]), tuple(d)
     return None
 
 
@@ -493,10 +496,11 @@ def lemma_key_survivors(b: int, c: int, t: int, r) -> list[tuple[int, ...]]:
     return out
 
 
-def lemma_key_rebase(wide, wide_c: int, b: int, c: int, t: int) -> list[tuple[int, ...]]:
-    """lemma_key_survivors(b, c, t, r) read off wide = lemma_key_survivors(0,
-    wide_c, t', r) for any t' >= t, in the enumerator's order, where wide_c
-    is c, or c and wide_c are both at least 1.
+def lemma_key_rebase(wide, wide_c: int, c: int, t: int, bs) -> list[list[tuple[int, ...]]]:
+    """[lemma_key_survivors(b, c, t, r) for b in bs], read off wide =
+    lemma_key_survivors(0, wide_c, t', r) for any t' >= t, each in the
+    enumerator's order, where wide_c is c, or c and wide_c are both at least
+    1.  The list is capped and stretched once, and shifted once per b.
 
     Shift by b: cases 1-3 and the box [b+1, (s-1)c+b+t] depend on k only
     through k - b, so the survivors at b are those at b = 0 shifted by b.
@@ -523,18 +527,16 @@ def lemma_key_rebase(wide, wide_c: int, b: int, c: int, t: int) -> list[tuple[in
     if (c == 0) != (wide_c == 0):
         raise ValueError("only lists at c >= 1 stretch into one another")
     if not wide:
-        return []
+        return [[] for _ in bs]
     s = len(wide[0])
     cap = (s - 1) * wide_c + t
-    capped = [k for k in wide if max(k) <= cap]
+    base = [k for k in wide if max(k) <= cap]
     step = c - wide_c
     if step:
-        offsets = range(b, b + step * s, step)  # b + step * j for the j-th smallest
-        out = []
-        for k in capped:
+        offsets = range(0, step * s, step)  # step * j for the j-th smallest
+        stretched = []
+        for k in base:
             moved = dict(zip(sorted(k), offsets))
-            out.append(tuple([v + moved[v] for v in k]))
-        return out
-    if b == 0:
-        return capped
-    return [tuple(map(b.__add__, k)) for k in capped]
+            stretched.append(tuple([v + moved[v] for v in k]))
+        base = stretched
+    return [[tuple([v + b for v in k]) for k in base] if b else base for b in bs]

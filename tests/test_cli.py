@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from qct import cli, closedform, qring
+from qct import cli, closedform, products, qring
 from qct.cli import main
 from qct.qring import ONE, ZERO
 
@@ -81,6 +81,18 @@ def test_reports_are_written_as_indented_json_with_one_newline(tmp_path, capsys,
     summary = {"suites": [{"suite": "roots", "cases": 1, "pass": 1, "fail": 0, "trimmed": 0, "mode": "exact"}],
                "status": "pass"}
     assert (tmp_path / "summary.json").read_text() == json.dumps(summary, indent=2) + "\n"
+
+
+def test_bf_fails_where_brute_force_and_closed_form_differ(monkeypatch):
+    # the brute-force value moved by q fails the case before any tie-break,
+    # with both values as its witness
+    params = {"shape": [1, 2, 2], "a": 1, "b": 1, "c": 1}
+    brute, rhs, forced = products.bf_ct, closedform.bf_rhs, []
+    monkeypatch.setattr(products, "bf_ct", lambda *args: brute(*args).shift(1))
+    monkeypatch.setattr(closedform, "bf_rhs", lambda p, k=None: forced.append(k) or rhs(p, k))
+    want = cli.FAMILIES["bf"].closed(params)
+    assert cli._run_bf(params) == (False, {"got": str(want.shift(1)), "want": str(want)})
+    assert forced == [None, None]
 
 
 @pytest.mark.parametrize("tied", [1, 2])

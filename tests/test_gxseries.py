@@ -801,6 +801,40 @@ def test_laurent_case_needs_a_nontrivial_probe(monkeypatch):
     assert not ok and detail == {"error": "no nontrivial laurent case"}
 
 
+def test_branches_case_reports_the_first_failing_term(monkeypatch):
+    # one term of the walk made to fail its property check fails the case
+    # there, with that term and its report as the witness
+    case = {"kind": "branches", "shape": [1, 2], "b": 1, "c": 1, "d": 2}
+    assert case in cli._cases_gx(None)
+    check = gxseries.vanishing_property_checks
+    bad = ((2,), (1,))
+
+    def failing(shape, b, c, d, u, k):
+        return dict(check(shape, b, c, d, u, k), ok=(u, k) != bad)
+
+    monkeypatch.setattr(gxseries, "vanishing_property_checks", failing)
+    want = dict(check(Shape((1, 2)), 1, 1, 2, *bad), ok=False)
+    assert cli._run_gx(case) == (False, {"u": [2], "k": [1], "report": want})
+
+
+def test_grand_case_reports_the_first_wrong_value(monkeypatch):
+    # a wrong gx value at d = 3 fails the case there, with both values
+    case = next(params for params in cli._cases_gx(None) if params["kind"] == "grand")
+    gx = gxseries.gx_ct
+    wrong = QFrac.from_qlaurent(QLaurent.from_int(7))
+    monkeypatch.setattr(gxseries, "gx_ct", lambda shape, b, c, d: wrong if d == 3 else gx(shape, b, c, d))
+    want = eval_poly(interpolate_dn(Shape(case["shape"]), case["b"], case["c"]), -3)
+    assert want != wrong
+    assert cli._run_gx(case) == (False, {"d": 3, "got": "7", "want": str(want)})
+
+
+def test_oracle_case_reports_the_probe_that_disagrees(monkeypatch):
+    # the substitution oracle made to disagree on the second probe fails the
+    # case there, with the probe's parameters as the witness
+    monkeypatch.setattr(gxseries, "oracle_matches_direct", lambda shape, *args: shape.parts != (1, 2))
+    assert cli._run_gx({"kind": "oracle"}) == (False, {"probe": [[1, 2], 1, 1, 5, [1, 3], [4, 2]]})
+
+
 def test_oracle_comparison_tells_a_wrong_scalar_apart(monkeypatch):
     probe = (Shape((1, 2)), 1, 1, 5, (1, 3), (4, 2))
     assert not QukFactors(*probe).is_zero() and oracle_matches_direct(*probe)
@@ -867,6 +901,32 @@ def test_property_laurent_nontrivial():
     assert rep["divisible"] and rep["laurent_form_ok"] and rep["ct_zero"]
     assert rep["case4"] and rep["in_laurent_bound"]
     assert rep["ledger_exponent"] == 0 and rep["vanishing_precondition_ok"]
+
+
+def test_property_laurent_fails_a_negative_ledger_exponent():
+    # l = (n-s)(sc-d) + sum r_i(n_i-r_i) is negative exactly where d lies in
+    # property (2)'s range, so the dispatch never sends such a term here
+    # (test_degree_ledger_sign_tracks_the_laurent_window); called directly
+    # one step past the laurent case's d = 5, a nonzero term fails at once
+    shape, b, c, d, u, k = Shape((2, 4)), 1, 2, 6, (3, 4), (2, 6)
+    assert property_branch(shape, b, c, d, u, k) == "expand"
+    rep = check_property_laurent(shape, b, c, d, u, k)
+    assert not rep["zero_by_V"] and rep["ledger_exponent"] == -4
+    assert rep["ok"] is False and rep["witness"] == "negative ledger exponent"
+    assert rep["vanishing_precondition_ok"] is None and rep["divisible"] is None
+
+
+def test_property_laurent_fails_a_failed_vanishing_precondition():
+    # the denominator deficits sum(sc + r_t - d) must fit inside the
+    # undecorated block; at shape (1, 1), c = 1, d = 1, u = (1,) the sum is
+    # 0 against n_0 - r_0 - 1 = -1.  That d lies in no property's range, so
+    # only a direct call reaches it
+    shape, b, c, d, u, k = Shape((1, 1)), 0, 1, 1, (1,), (1,)
+    assert property_branch(shape, b, c, d, u, k) == "gap"
+    rep = check_property_laurent(shape, b, c, d, u, k)
+    assert not rep["zero_by_V"] and rep["ledger_exponent"] == 0
+    assert rep["ok"] is False and rep["vanishing_precondition_ok"] is False
+    assert rep["witness"] is None and rep["divisible"] is None
 
 
 def test_property_laurent_fails_where_the_head_denominator_does_not_cancel(monkeypatch):

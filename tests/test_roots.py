@@ -730,14 +730,19 @@ def _survivors_by_filter(b, c, t, r):
 
 def _suite_lists(r):
     """What the lemma-key suite's classify case does for r: the list it
-    hands the classifier at each (b, c, t), in the order of its calls, and
-    the (b, c, t) of each enumeration it makes."""
-    lists, enumerated = {}, []
-    survivors = roots.lemma_key_survivors
+    hands the classifier at each (b, c, t), in the order of its calls, the
+    (b, c, t) of each enumeration it makes and the (wide_c, c, t, bs) of
+    each rebase."""
+    lists, enumerated, rebased = {}, [], []
+    survivors, rebase = roots.lemma_key_survivors, roots.lemma_key_rebase
 
     def enumerate_(b, c, t, r):
         enumerated.append((b, c, t))
         return survivors(b, c, t, r)
+
+    def rebase_(wide, wide_c, c, t, bs):
+        rebased.append((wide_c, c, t, tuple(bs)))
+        return rebase(wide, wide_c, c, t, bs)
 
     def record(ks, b, c, t, r):
         lists[b, c, t] = list(ks)
@@ -745,9 +750,10 @@ def _suite_lists(r):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(roots, "lemma_key_survivors", enumerate_)
+        patch.setattr(roots, "lemma_key_rebase", rebase_)
         patch.setattr(roots, "lemma_key_classify", record)
         assert cli._run_lemma_key({"kind": "classify", "r": list(r)}) == (True, None)
-    return lists, enumerated
+    return lists, enumerated, rebased
 
 
 def _lemma_key_grid(s):
@@ -825,14 +831,21 @@ def test_lemma_key_survivors_property(r, b, c, t):
 
 
 def test_lemma_key_s7_grid():
-    # s = 7 is past the suite's default grid; 9,978 case-4 vectors at s <= 7
-    # and 4,857 at s <= 6 are the counts of an index-order backtracking search
-    count = 0
-    for r, b, c, t in _lemma_key_grid(7):
-        ks = lemma_key_survivors(b, c, t, r)
-        assert all(case == 4 for case, _ in lemma_key_classify(ks, b, c, t, r))
-        count += len(ks)
-    assert count == 9978 - 4857
+    # s = 7 is past the suite's default grid: every composition, so every p,
+    # at b, c, t <= 2.  At p <= 2 the 5,121 survivors are 9,978 case-4
+    # vectors at s <= 7 less 4,857 at s <= 6, the counts of an index-order
+    # backtracking search; the 17,499 at every p are this enumerator's
+    # count, which the prefix filter of the box (_survivors_by_filter) gave
+    # as well, list for list, in one run outside this suite
+    count = low_p = 0
+    for r in _compositions(7):
+        for b, c, t in itertools.product(range(3), repeat=3):
+            ks = lemma_key_survivors(b, c, t, r)
+            assert all(case == 4 for case, _ in lemma_key_classify(ks, b, c, t, r))
+            count += len(ks)
+            low_p += len(ks) if len(r) <= 3 else 0
+    assert low_p == 9978 - 4857
+    assert count == 17499
 
 
 def test_lemma_key_survivor_order_is_pinned():
@@ -852,16 +865,18 @@ def test_lemma_key_survivor_order_is_pinned():
 def test_lemma_key_rebase_matches_the_enumerator_on_the_suite_grid():
     # the suite's route, read off its calls: the c = 0 and c = 1 lists at
     # b = 0 and t = 2, the c = 2 list stretched once off the c = 1 one, each
-    # shifted and capped for every (b, t); and the c = 3 lists stretched off
-    # the c = 1 one the same way.  Every one is the enumerator's own list, in
-    # order, at every composition of s <= 7 at every p
+    # capped for every t and shifted for every b; and the c = 3 lists
+    # stretched off the c = 1 one the same way.  Every one is the
+    # enumerator's own list, in order, at every composition of s <= 7 at
+    # every p
     count = 0
     for s in range(1, 8):
         for r in _compositions(s):
-            lists, _ = _suite_lists(r)
-            wide = lemma_key_rebase(lemma_key_survivors(0, 1, 2, r), 1, 0, 3, 2)
-            for b, t in itertools.product(range(3), repeat=2):
-                lists[b, 3, t] = lemma_key_rebase(wide, 3, b, 3, t)
+            lists = _suite_lists(r)[0]
+            (wide,) = lemma_key_rebase(lemma_key_survivors(0, 1, 2, r), 1, 3, 2, [0])
+            for t in range(3):
+                for b, ks in enumerate(lemma_key_rebase(wide, 3, 3, t, range(3))):
+                    lists[b, 3, t] = ks
             assert len(lists) == 36
             for (b, c, t), got in lists.items():
                 assert got == lemma_key_survivors(b, c, t, r), (r, b, c, t)
@@ -871,29 +886,36 @@ def test_lemma_key_rebase_matches_the_enumerator_on_the_suite_grid():
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda r: sum(r) <= 5),
-       st.integers(0, 4), st.integers(0, 3), st.integers(0, 4), st.integers(0, 4), st.integers(1, 3))
-def test_lemma_key_rebase_property(r, b, c, t, t_wide, wide_c):
-    # from any t' >= t, and at c >= 1 from any c' >= 1, stretching or shrinking
+       st.lists(st.integers(0, 4), max_size=3), st.integers(0, 3), st.integers(0, 4), st.integers(0, 4),
+       st.integers(1, 3))
+def test_lemma_key_rebase_property(r, bs, c, t, t_wide, wide_c):
+    # from any t' >= t, and at c >= 1 from any c' >= 1, stretching or
+    # shrinking, to any b's in any order
     t, t_wide = min(t, t_wide), max(t, t_wide)
     wide_c = wide_c if c else 0
     wide = lemma_key_survivors(0, wide_c, t_wide, r)
-    assert lemma_key_rebase(wide, wide_c, b, c, t) == lemma_key_survivors(b, c, t, r)
+    assert lemma_key_rebase(wide, wide_c, c, t, bs) == [lemma_key_survivors(b, c, t, r) for b in bs]
 
 
 def test_lemma_key_rebase_keeps_c_0_apart():
     # ties survive at c = 0 only, so no list stretches to or from it
     for wide_c, c in ((0, 1), (1, 0), (0, 2)):
         with pytest.raises(ValueError):
-            lemma_key_rebase(lemma_key_survivors(0, wide_c, 2, (1, 2)), wide_c, 0, c, 2)
+            lemma_key_rebase(lemma_key_survivors(0, wide_c, 2, (1, 2)), wide_c, c, 2, [0])
 
 
 def test_lemma_key_suite_classifies_every_survivor_at_its_own_parameters():
-    # two enumerations for the 27 (b, c, t), at c = 0 and c = 1, and one
-    # classifier call per (b, c, t), in order, with every k the enumerator
-    # yields at that (b, c, t)
+    # two enumerations for the 27 (b, c, t), at c = 0 and c = 1; one rebase
+    # per (c, t), which caps that list once and shifts it for every b, the
+    # c = 2 ones off the c = 1 list stretched at t = 2 first; and one
+    # classifier call per (b, c, t), in product order, with every k the
+    # enumerator yields at that (b, c, t)
     r = (1, 2, 1)
-    lists, enumerated = _suite_lists(r)
+    lists, enumerated, rebased = _suite_lists(r)
     assert enumerated == [(0, 0, 2), (0, 1, 2)]
+    bs = (0, 1, 2)
+    assert rebased == [(1, 2, 2, bs)] + [(c, c, t, bs) for c, t in itertools.product(range(3), repeat=2)
+                                         if (c, t) != (2, 2)]
     assert list(lists) == list(itertools.product(range(3), repeat=3))
     assert all(got == lemma_key_survivors(b, c, t, r) for (b, c, t), got in lists.items())
     assert sum(map(len, lists.values())) == 54

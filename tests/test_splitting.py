@@ -486,6 +486,16 @@ def test_a_failing_check_is_the_witness(check, witness, monkeypatch):
     assert cli._run_splitting({"shape": [1, 2], "c": 1}) == (False, witness)
 
 
+def test_a_wrong_class_k_sum_is_the_witness(monkeypatch):
+    # every residue, degree bound and off-class constant term holds, so a
+    # closed form moved by q fails the class-k constant-term sum alone
+    dn0 = splitting.dn0_rhs
+    monkeypatch.setattr(splitting, "dn0_rhs", lambda shape, c: dn0(shape, c).shift(1))
+    rep = verify_split(Shape((1, 2)), 1)
+    assert rep["ok"] is False and rep["witness"] == {"class_k_sum": "mismatch"}
+    assert cli._run_splitting({"shape": [1, 2], "c": 1}) == (False, {"class_k_sum": "mismatch"})
+
+
 def test_out_of_range_j_rejected():
     with pytest.raises(ValueError):
         a_coeff(Shape((1, 1)), 1, 1, -1)  # class 0 starts at j = 0
